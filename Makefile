@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: ci check vet build test race race-fleet grid-equiv resume-gate drain-gate fuzz-smoke bench-smoke bench-json vet-obs obs-overhead trace-overhead fitperf-smoke scoreperf-smoke ingest-smoke scaling-smoke bench-micro
+.PHONY: ci check vet build build-arm64 test race race-fleet grid-equiv resume-gate drain-gate fuzz-smoke bench-smoke bench-json vet-obs obs-overhead trace-overhead fitperf-smoke scoreperf-smoke ingest-smoke scaling-smoke bench-micro
 
-## ci: the full gate — vet (incl. the obs metric-doc check), build,
+## ci: the full gate — vet (incl. the obs metric-doc check), build (plus
+## the arm64 cross-build that keeps the non-amd64 kernel stubs honest),
 ## race-enabled tests (plus a focused race pass over the concurrent
 ## fleet/fitpool packages), the grid equivalence gate, the checkpoint
 ## resume and vehicle drain gates, the fit-kernel, score-path and
 ## wire-ingest smokes, the observer and tracing overhead gates, the
 ## codec fuzz smokes, bench smoke, and a perf run appended to
 ## BENCH_<n>.json.
-ci: vet-obs build race race-fleet grid-equiv resume-gate drain-gate fitperf-smoke scoreperf-smoke ingest-smoke scaling-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-json
+ci: vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate fitperf-smoke scoreperf-smoke ingest-smoke scaling-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-json
 
 ## check: the fast inner-loop gate — vet, build, and the plain test
 ## suite, with none of ci's race/equivalence/bench machinery.
@@ -20,6 +21,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+## build-arm64: cross-build everything and vet internal/mat for arm64.
+## Every assembly kernel needs a stub in simd_other.go; a new symbol
+## without one only fails on a non-amd64 machine, which CI never is.
+build-arm64:
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/mat/
 
 test:
 	$(GO) test ./...
@@ -63,22 +71,26 @@ drain-gate:
 	$(GO) test -run 'TestServeDrainHandoff|TestServeAdoptionOverridesRing' ./cmd/navarchos-serve/
 
 ## fitperf-smoke: the fit-kernel gates at test scale — the per-detector
-## equivalence tests (tranad bit-identity and minibatch determinism, gbt
+## equivalence tests (tranad bit-identity at the package defaults and at
+## the shipped eval.NewDetector configuration, incl. the snapshots the
+## pre-whole-layer-kernel commit wrote; minibatch determinism; gbt
 ## histogram-vs-exact tree equivalence), then a small fitperf run whose
 ## grid leg replays tranad+xgboost through legacy and current fit
 ## kernels and (-fitperf-strict) exits non-zero unless every cell is
 ## identical.
 fitperf-smoke:
-	$(GO) test -run 'TestFastFit|TestMinibatch|TestParallelChannels|TestHist' ./internal/detector/tranad/ ./internal/detector/regress/ ./internal/gbt/
+	$(GO) test -run 'TestFastFit|TestShippedConfigBitIdentical|TestShippedSnapshots|TestMinibatch|TestParallelChannels|TestHist' ./internal/detector/tranad/ ./internal/detector/regress/ ./internal/gbt/
 	$(GO) run ./cmd/navarchos-bench -experiment fitperf -scale small -fitperf-strict
 
-## bench-micro: one iteration of the kernel micro-benchmarks (blocked
-## matmul, SIMD axpy/Adam, histogram vs exact split search, tranad fit),
-## enough to catch a kernel benchmark that no longer compiles or crashes.
+## bench-micro: one iteration of the kernel micro-benchmarks (the
+## in-order product, SIMD axpy/Adam, the whole-layer dense forward/backward at
+## every shipped layer shape, histogram vs exact split search, tranad
+## fit and score at the wide and the shipped configuration), enough to
+## catch a kernel benchmark that no longer compiles or crashes.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkMatMul|BenchmarkDotUnrolled4|BenchmarkColInto|BenchmarkAddScaled|BenchmarkAdamStep|BenchmarkSquaredDistances8|BenchmarkNormRow|BenchmarkLinFwd' -benchtime 1x ./internal/mat/
+	$(GO) test -run '^$$' -bench 'BenchmarkProduct|BenchmarkDotUnrolled4|BenchmarkColInto|BenchmarkAddScaled|BenchmarkAdamStep|BenchmarkSquaredDistances8|BenchmarkNormRow|BenchmarkLinFwd|BenchmarkLinBwd' -benchtime 1x ./internal/mat/
 	$(GO) test -run '^$$' -bench 'BenchmarkHistogramSplit|BenchmarkExactSplit' -benchtime 1x ./internal/gbt/
-	$(GO) test -run '^$$' -bench 'BenchmarkFitLegacy|BenchmarkFitFast' -benchtime 1x ./internal/detector/tranad/
+	$(GO) test -run '^$$' -bench 'BenchmarkFitLegacy|BenchmarkFitFast|BenchmarkScore' -benchtime 1x ./internal/detector/tranad/
 
 ## vet-obs: go vet plus the obscheck lint — every metric family the
 ## stack registers must be documented in DESIGN.md §10.
@@ -127,14 +139,15 @@ bench-smoke:
 		./internal/fleet/ ./internal/detector/closestpair/ ./internal/core/
 
 ## scoreperf-smoke: the score-path gates at test scale — the scorer
-## bit-identity and alloc-free oracles (tranad three-tier scorers,
+## bit-identity and alloc-free oracles (tranad three-tier scorers, the
+## shipped-configuration score trace and zero-alloc score/refit,
 ## restore survival, regress/grand scratch paths, warm-start
 ## determinism), then a small scoreperf run whose equivalence leg
 ## replays the tranad grid column through the full-window and last-row
 ## scorers and (-scoreperf-strict) exits non-zero unless every cell is
 ## identical and the last-row scorer is >=2x the full-window one.
 scoreperf-smoke:
-	$(GO) test -run 'TestScorePaths|TestScoreLastRow|TestScoreInto|TestScoreWrapper|TestWarmStart|TestGrandScoreInto' \
+	$(GO) test -run 'TestScorePaths|TestScoreLastRow|TestScoreInto|TestScoreWrapper|TestShippedConfig|TestWarmStart|TestGrandScoreInto' \
 		./internal/detector/tranad/ ./internal/detector/regress/ ./internal/detector/grand/
 	$(GO) run ./cmd/navarchos-bench -experiment scoreperf -scale small -scoreperf-strict
 

@@ -1,6 +1,7 @@
 package tranad
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -37,13 +38,57 @@ func BenchmarkFitLegacy(b *testing.B) {
 	}
 }
 
+// BenchmarkFitFast has two legs: the wide minibatch configuration the
+// fit kernels were first tuned on, and what actually ships —
+// eval.NewDetector's configuration (shippedConfig: Window 8, DModel 12,
+// Heads 2, Batch 1) at the paper grid's two input widths, refitting one
+// detector the way the fleet engine does. A kernel change has to show
+// on the shipped legs to count.
 func BenchmarkFitFast(b *testing.B) {
-	ref := mkref(200, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := New(benchCfg(false))
-		if err := d.Fit(ref); err != nil {
-			b.Fatal(err)
+	b.Run("wide", func(b *testing.B) {
+		ref := mkref(200, 16)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d := New(benchCfg(false))
+			if err := d.Fit(ref); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	for _, dim := range shippedDims {
+		b.Run(fmt.Sprintf("shipped/dim%d", dim), func(b *testing.B) {
+			ref := mkref(300, dim)
+			d := New(shippedConfig(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := d.Fit(ref); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScore is one streamed record through the default last-row
+// scorer at the shipped configuration.
+func BenchmarkScore(b *testing.B) {
+	for _, dim := range shippedDims {
+		b.Run(fmt.Sprintf("shipped/dim%d", dim), func(b *testing.B) {
+			ref := mkref(300, dim)
+			cfg := shippedConfig(1)
+			cfg.Epochs = 1
+			d := New(cfg)
+			if err := d.Fit(ref); err != nil {
+				b.Fatal(err)
+			}
+			s := make([]float64, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := d.ScoreInto(ref[i%len(ref)], s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

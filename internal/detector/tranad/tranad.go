@@ -15,9 +15,11 @@
 // samples and epochs — is preserved.
 //
 // Fit runs on the scratch-reuse nn kernels by default: training windows
-// are zero-copy views into the standardised reference, every gradient
-// buffer is owned by the detector, and (at Batch 1, the default) the
-// optimisation trajectory is bit-identical to the legacy
+// are zero-copy views into the standardised reference, the net, its
+// scratch and the optimiser's one contiguous weight/gradient/moment
+// arena are built once per detector and re-initialised in place by
+// every later fit (a refit allocates nothing), and (at Batch 1, the
+// default) the optimisation trajectory is bit-identical to the legacy
 // allocate-per-call path preserved behind Config.LegacyFitKernels.
 // Batch > 1 switches to minibatch gradient accumulation: each batch's
 // per-window gradients are computed (in parallel across fitpool workers
@@ -157,6 +159,9 @@ type fitNet struct {
 	inf inferRefs
 
 	params []*nn.Param
+	// opt is the optimiser over params and the owner of their arena;
+	// only the detector's master net has one.
+	opt *nn.Adam
 
 	g1, g2, foc, x2, dz mat.Matrix
 	winView             mat.Matrix
@@ -193,6 +198,12 @@ type Detector struct {
 	dec2 *nn.Sequential // dm -> d
 
 	master *fitNet // scratch bound to the nets above (fast path)
+
+	// fit scratch, reused by every refit: the standardised reference,
+	// the window start offsets and the seeded generator
+	std    mat.Matrix
+	starts []int
+	rng    *rand.Rand
 
 	// streaming window of standardised samples
 	ring [][]float64
@@ -258,25 +269,41 @@ func (d *Detector) Fit(ref [][]float64) error {
 	// keeps its trained weights and runs a short budgeted refit instead
 	// of a cold retrain.
 	warm := d.cfg.WarmStart && !d.cfg.LegacyFitKernels && d.master != nil && d.dim == dim
+	// The net and its optimiser arena are built once per detector and
+	// input width; the legacy baseline rebuilds them on every fit.
+	rebuild := d.master == nil || d.dim != dim || d.cfg.LegacyFitKernels
 	d.dim = dim
-	refM, err := mat.FromRows(ref)
-	if err != nil {
-		return err
+	std := d.std.EnsureShape(len(ref), dim)
+	for i, row := range ref {
+		copy(std.Row(i), row)
 	}
-	std, means, stds := refM.Standardize()
-	d.means, d.stds = means, stds
+	if len(d.means) != dim {
+		d.means, d.stds = make([]float64, dim), make([]float64, dim)
+	}
+	std.StandardizeInPlace(d.means, d.stds)
 
-	rng := rand.New(rand.NewSource(d.cfg.Seed))
-	if !warm {
-		d.buildNet(dim, rng)
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(d.cfg.Seed))
+	} else {
+		d.rng.Seed(d.cfg.Seed)
 	}
-	opt := nn.NewAdam(d.params(), d.cfg.LR)
-	opt.Legacy = d.cfg.LegacyFitKernels
+	rng := d.rng
+	if rebuild {
+		d.buildNet(dim, rng)
+	} else {
+		if !warm {
+			// A cold refit on the existing net: the same draws, in the
+			// same order, as building it anew.
+			nn.InitParams(d.master.params, rng)
+		}
+		d.master.opt.Reset()
+	}
+	opt := d.master.opt
 
 	// Training windows: consecutive slices of the standardised Ref,
 	// evenly subsampled down to MaxWindows.
 	w := d.cfg.Window
-	var starts []int
+	starts := d.starts[:0]
 	if std.Rows >= w {
 		total := std.Rows - w + 1
 		stride := 1
@@ -292,6 +319,7 @@ func (d *Detector) Fit(ref [][]float64) error {
 		starts = append(starts, 0)
 		w = std.Rows
 	}
+	d.starts = starts
 
 	if d.cfg.LegacyFitKernels {
 		for epoch := 0; epoch < d.cfg.Epochs; epoch++ {
@@ -312,7 +340,17 @@ func (d *Detector) Fit(ref [][]float64) error {
 		d.fitFast(std, starts, w, dim, rng, opt, epochs, tol)
 	}
 
-	d.ring = make([][]float64, d.cfg.Window)
+	// A fresh score window. The rows are kept across refits at the same
+	// width (a slot is rewritten before it is read); the legacy scorer
+	// replaces them anyway.
+	if len(d.ring) != d.cfg.Window {
+		d.ring = make([][]float64, d.cfg.Window)
+	}
+	for i, row := range d.ring {
+		if len(row) != dim {
+			d.ring[i] = nil
+		}
+	}
 	d.pos, d.n = 0, 0
 	d.resetInferCache()
 	return nil
@@ -331,46 +369,13 @@ func (d *Detector) fitFast(std *mat.Matrix, starts []int, w, dim int, rng *rand.
 	if batch > len(starts) {
 		batch = len(starts)
 	}
-	workers := fitpool.Workers()
-	if workers > batch {
-		workers = batch
-	}
-
 	// Minibatch machinery, built only when a batch can actually span
-	// more than one window: per-window gradient slots plus net replicas
-	// for the extra workers.
-	var slots [][][]float64
-	var nets []*fitNet
-	var gradBufs [][][]float64
+	// more than one window.
+	var mb *minibatch
 	if batch > 1 {
-		slots = make([][][]float64, batch)
-		for i := range slots {
-			slots[i] = make([][]float64, len(d.master.params))
-			for pi, p := range d.master.params {
-				slots[i][pi] = make([]float64, len(p.G))
-			}
-		}
-		nets = make([]*fitNet, workers)
-		nets[0] = d.master
-		throwaway := rand.New(rand.NewSource(1))
-		for r := 1; r < workers; r++ {
-			nets[r] = d.newFitNet(dim, throwaway)
-		}
-		// Each net's original gradient buffers, restored after every
-		// chunk pass (the pass aliases them onto the window slots).
-		gradBufs = make([][][]float64, workers)
-		for r, n := range nets {
-			gradBufs[r] = make([][]float64, len(n.params))
-			for pi, p := range n.params {
-				gradBufs[r][pi] = p.G
-			}
-		}
+		mb = d.newMinibatch(batch, dim)
 	}
 
-	var lossSlots []float64
-	if batch > 1 {
-		lossSlots = make([]float64, batch)
-	}
 	var prevLoss float64
 	for epoch := 0; epoch < epochs; epoch++ {
 		var epochLoss float64
@@ -380,47 +385,10 @@ func (d *Detector) fitFast(std *mat.Matrix, starts []int, w, dim int, rng *rand.
 			if hi > len(starts) {
 				hi = len(starts)
 			}
-			chunk := starts[lo:hi]
-			if batch == 1 {
-				epochLoss += d.master.windowGrad(std, chunk[0], w, dim)
+			if mb == nil {
+				epochLoss += d.master.windowGrad(std, starts[lo], w, dim)
 			} else {
-				// Always reduce through per-window slots, even with one
-				// worker: direct sequential accumulation into G nests
-				// the additions differently and would make the bits
-				// depend on the worker count. The nets' gradient
-				// accumulators are pointed at the item's slot for the
-				// duration of the pass, so the window gradient lands in
-				// its slot without an extra copy.
-				for r := 1; r < workers; r++ {
-					nn.CopyWeights(nets[r].params, d.master.params)
-				}
-				fitpool.Run(len(chunk), workers, func(worker, item int) {
-					net := nets[worker]
-					slot := slots[item]
-					for pi, p := range net.params {
-						p.G = slot[pi]
-					}
-					nn.ZeroGrads(net.params)
-					lossSlots[item] = net.windowGrad(std, chunk[item], w, dim)
-				})
-				// Restore every net's own gradient buffers (the master's
-				// are about to accumulate the reduction, and aliasing a
-				// slot would corrupt it).
-				for r := 0; r < workers; r++ {
-					for pi, p := range nets[r].params {
-						p.G = gradBufs[r][pi]
-					}
-				}
-				nn.ZeroGrads(d.master.params)
-				for item := range chunk {
-					// Loss slots reduce in item order like the gradient
-					// slots, so the early-stop decision is as
-					// worker-count-independent as the weights.
-					epochLoss += lossSlots[item]
-					for pi, p := range d.master.params {
-						mat.AddScaled(p.G, 1, slots[item][pi])
-					}
-				}
+				epochLoss = mb.grad(std, starts[lo:hi], w, dim, epochLoss)
 			}
 			opt.Step()
 		}
@@ -431,12 +399,94 @@ func (d *Detector) fitFast(std *mat.Matrix, starts []int, w, dim int, rng *rand.
 	}
 }
 
+// minibatch is the gradient-accumulation state of a Batch > 1 fit:
+// per-window gradient and loss slots, plus net replicas for the extra
+// fitpool workers.
+type minibatch struct {
+	master    *fitNet
+	nets      []*fitNet     // nets[0] is the master
+	slots     [][][]float64 // per window in the batch, per param
+	gradBufs  [][][]float64 // every net's own gradient buffers, restored after each pass
+	lossSlots []float64
+}
+
+func (d *Detector) newMinibatch(batch, dim int) *minibatch {
+	workers := fitpool.Workers()
+	if workers > batch {
+		workers = batch
+	}
+	mb := &minibatch{master: d.master, lossSlots: make([]float64, batch)}
+	mb.slots = make([][][]float64, batch)
+	for i := range mb.slots {
+		mb.slots[i] = make([][]float64, len(d.master.params))
+		for pi, p := range d.master.params {
+			mb.slots[i][pi] = make([]float64, len(p.G))
+		}
+	}
+	mb.nets = make([]*fitNet, workers)
+	mb.nets[0] = d.master
+	throwaway := rand.New(rand.NewSource(1))
+	for r := 1; r < workers; r++ {
+		mb.nets[r] = d.newFitNet(dim, throwaway)
+	}
+	mb.gradBufs = make([][][]float64, workers)
+	for r, n := range mb.nets {
+		mb.gradBufs[r] = make([][]float64, len(n.params))
+		for pi, p := range n.params {
+			mb.gradBufs[r][pi] = p.G
+		}
+	}
+	return mb
+}
+
+// grad leaves the summed gradient of the chunk's windows in the master's
+// accumulators and returns loss plus their losses. It always reduces
+// through per-window slots, even with one worker: direct sequential
+// accumulation into G nests the additions differently and would make
+// the bits depend on the worker count. The nets' gradient accumulators
+// are pointed at the item's slot for the duration of the pass, so the
+// window gradient lands in its slot without an extra copy.
+func (mb *minibatch) grad(std *mat.Matrix, chunk []int, w, dim int, loss float64) float64 {
+	nets, master := mb.nets, mb.master
+	for r := 1; r < len(nets); r++ {
+		nn.CopyWeights(nets[r].params, master.params)
+	}
+	fitpool.Run(len(chunk), len(nets), func(worker, item int) {
+		net := nets[worker]
+		for pi, p := range net.params {
+			p.G = mb.slots[item][pi]
+		}
+		nn.ZeroGrads(net.params)
+		mb.lossSlots[item] = net.windowGrad(std, chunk[item], w, dim)
+	})
+	// Restore every net's own gradient buffers (the master's are about
+	// to accumulate the reduction, and aliasing a slot would corrupt it).
+	for r, n := range nets {
+		for pi, p := range n.params {
+			p.G = mb.gradBufs[r][pi]
+		}
+	}
+	nn.ZeroGrads(master.params)
+	for item := range chunk {
+		// Loss slots reduce in item order like the gradient slots, so
+		// the early-stop decision is as worker-count-independent as the
+		// weights.
+		loss += mb.lossSlots[item]
+		for pi, p := range master.params {
+			mat.AddScaled(p.G, 1, mb.slots[item][pi])
+		}
+	}
+	return loss
+}
+
 // buildNet constructs the encoder, both decoders and the fusion layer
 // for input dimensionality dim. rng seeds the weight initialisation;
 // restore rebuilds the same architecture and then overwrites every
 // weight from the snapshot, so there the rng values are discarded.
 func (d *Detector) buildNet(dim int, rng *rand.Rand) {
 	net := d.newFitNet(dim, rng)
+	net.opt = nn.NewAdam(net.params, d.cfg.LR)
+	net.opt.Legacy = d.cfg.LegacyFitKernels
 	d.enc, d.dec1, d.fuse, d.dec2 = net.enc, net.dec1, net.fuse, net.dec2
 	d.master = net
 }

@@ -124,6 +124,8 @@ type histBuilder struct {
 
 	free  []*nodeHist // recycled node histograms
 	cands []histCand  // per-feature scratch of the parallel scan
+	rows  []int       // the tree's in-bag rows, partitioned in place as it grows
+	right []int       // partition scratch: a node's right-going rows
 }
 
 type histCand struct {
@@ -161,12 +163,13 @@ func (b *histBuilder) fill(h *nodeHist, rows []int) {
 }
 
 func (b *histBuilder) build() tree {
-	rows := make([]int, 0, len(b.X))
+	rows := b.rows[:0]
 	for i := range b.X {
 		if b.inBag[i] {
 			rows = append(rows, i)
 		}
 	}
+	b.rows = rows
 	if len(rows) == 0 {
 		b.tr.nodes = append(b.tr.nodes, node{isLeaf: true})
 		return b.tr
@@ -199,14 +202,23 @@ func (b *histBuilder) grow(rows []int, depth int, h *nodeHist) int {
 		b.put(h)
 		return idx
 	}
-	var left, right []int
+	// Stable partition of rows in place: left-going rows are compacted
+	// towards the front (the write index never passes the read index),
+	// right-going rows wait in the builder's scratch and are copied back
+	// behind them. Both halves keep their relative order, so every
+	// histogram is filled in the order the append-built slices gave.
+	nl := 0
+	b.right = b.right[:0]
 	for _, i := range rows {
 		if b.X[i][feat] < thr {
-			left = append(left, i)
+			rows[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			b.right = append(b.right, i)
 		}
 	}
+	copy(rows[nl:], b.right)
+	left, right := rows[:nl], rows[nl:]
 	if len(left) == 0 || len(right) == 0 {
 		b.put(h)
 		return idx

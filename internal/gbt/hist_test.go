@@ -230,3 +230,25 @@ func BenchmarkExactSplit(b *testing.B) {
 		}
 	}
 }
+
+// TestHistFitAllocBound bounds the allocations of a histogram fit. The
+// grower partitions each node's rows in place with one builder-owned
+// scratch; when it built the two children with append from nil at every
+// node this fit allocated ~105 times per tree. What is left (~17) is per
+// round — row and feature sampling, the tree's node slice — and none of
+// it per row. One fitpool worker, because the split search's fan-out
+// allocates per goroutine.
+func TestHistFitAllocBound(t *testing.T) {
+	defer fitpool.SetWorkers(fitpool.Workers())
+	fitpool.SetWorkers(1)
+	X, y := benchData(800, 6)
+	cfg := Config{NumTrees: 25, MaxDepth: 3, Seed: 1}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Train(X, y, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perTree := allocs / float64(cfg.NumTrees); perTree > 30 {
+		t.Fatalf("histogram fit allocates %.0f times per tree (%v per fit), want <= 30", perTree, allocs)
+	}
+}

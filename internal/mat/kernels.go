@@ -3,50 +3,29 @@ package mat
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Dense fit-path kernels.
 //
 // These are the building blocks the neural fit path (internal/nn) is
-// written against. Two properties matter as much as speed:
+// written against, next to the whole-layer products of dense.go. Two
+// properties matter as much as speed:
 //
-//   - Determinism: MatMul and AddScaled accumulate each output element
-//     strictly in k-order (the reduction index), so they are bit-identical
-//     to the scalar triple loops they replace. Parallelism only splits
-//     the *row* dimension, whose outputs are independent, so a parallel
-//     MatMul produces the same bits as a serial one.
+//   - Determinism: AddScaled, AdamStep and NormRow are elementwise and
+//     replay the scalar operation sequence per lane, so they are
+//     bit-identical to the scalar loops they replace.
 //   - Zero allocation: every kernel writes into a caller-owned dst. The
 //     only allocations are inside EnsureShape when a scratch matrix has
 //     to grow, which happens once per layer lifetime.
 //
 // DotUnrolled4 is the exception to the determinism rule: it keeps four
 // accumulators and therefore reassociates the reduction. It is for
-// consumers without a bit-exactness contract (diagnostics, benchmarks),
-// and MatMulT documents which variant it uses.
-
-// matMulParallelFlops is the flop count (rows·cols·inner) above which
-// MatMul fans row blocks out across GOMAXPROCS goroutines. Below it the
-// goroutine handoff costs more than the arithmetic. The default is sized
-// so the tiny per-window matmuls of a TranAD fit (8×12 · 12×24) stay
-// serial while profile-sized products go wide on multicore hardware.
-var matMulParallelFlops = 1 << 16
-
-// matMulBlockRows is the row-block granule of the parallel path.
-const matMulBlockRows = 32
-
-// SetMatMulParallelFlops overrides the parallel threshold (rows·cols·
-// inner flops). It exists for tests and benchmarks; n <= 0 forces every
-// product onto the parallel path.
-func SetMatMulParallelFlops(n int) { matMulParallelFlops = n }
-
-// MatMulParallelFlops returns the current parallel threshold.
-func MatMulParallelFlops() int { return matMulParallelFlops }
+// consumers without a bit-exactness contract (the fast-dots minibatch
+// path, diagnostics, benchmarks); MatMulT and LinBwdFast inherit it.
 
 // EnsureShape reshapes m to r×c, reusing the backing slice when it is
 // large enough and reallocating (once) when it is not. Contents are NOT
-// zeroed; callers that accumulate must zero explicitly. It returns m.
+// zeroed; callers that accumulate must clear m.Data. It returns m.
 func (m *Matrix) EnsureShape(r, c int) *Matrix {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: EnsureShape(%d, %d): negative dimension", r, c))
@@ -57,14 +36,6 @@ func (m *Matrix) EnsureShape(r, c int) *Matrix {
 	}
 	m.Data = m.Data[:n]
 	m.Rows, m.Cols = r, c
-	return m
-}
-
-// Zero sets every element of m to 0 and returns m.
-func (m *Matrix) Zero() *Matrix {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 	return m
 }
 
@@ -185,30 +156,6 @@ func LinBwdFast(x, g, w, wg, dx []float64) {
 	}
 }
 
-// LinFwd computes one dense-layer forward row, out = b + x·W (W is
-// len(x)×len(out) row-major), skipping exact-zero inputs the way the
-// scalar loop does (post-ReLU rows are sparse). Both the AVX kernel and
-// the Go fallback produce bits identical to the scalar loop. Panics on
-// length mismatch.
-func LinFwd(x, b, w, out []float64) {
-	in, width := len(x), len(out)
-	if len(b) != width || len(w) != in*width {
-		panic(fmt.Sprintf("mat: LinFwd: len(x)=%d len(b)=%d len(w)=%d len(out)=%d",
-			in, len(b), len(w), width))
-	}
-	if hasAVX && width >= 8 && width&7 == 0 {
-		linFwdAVX(x, b, w, out)
-		return
-	}
-	copy(out, b)
-	for k, v := range x {
-		if v == 0 {
-			continue
-		}
-		AddScaled(out, v, w[k*width:(k+1)*width])
-	}
-}
-
 // DistLanes is the point count of one packed distance block: the
 // granule at which SquaredDistances8 processes a point set. Consumers
 // (the neighbour indexes) pack points dim-major in groups of DistLanes
@@ -275,84 +222,12 @@ func NormRow(x, gain, bias, out []float64, m, inv float64) {
 // perf numbers are interpretable across machines.
 func SIMDMode() string { return simdMode() }
 
-// MatMul computes dst = a·b (a is r×k, b is k×c) and returns dst, which
-// is reshaped to r×c via EnsureShape. dst must not alias a or b.
-//
-// Each output row accumulates as row += a[i][k]·b.Row(k) in k-order —
-// exactly the axpy order of the scalar loops the nn layers used before,
-// so results are bit-identical to those loops. Products above the
-// package parallel threshold split their rows into blocks across
-// GOMAXPROCS goroutines; rows are independent, so the bits don't change.
-func MatMul(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MatMul: a is %dx%d, b is %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst == a || dst == b {
-		panic("mat: MatMul: dst must not alias an operand")
-	}
-	dst.EnsureShape(a.Rows, b.Cols)
-	if a.Rows*a.Cols*b.Cols < matMulParallelFlops || runtime.GOMAXPROCS(0) == 1 || a.Rows < 2 {
-		matMulRows(dst, a, b, 0, a.Rows)
-		return dst
-	}
-	workers := runtime.GOMAXPROCS(0)
-	blocks := (a.Rows + matMulBlockRows - 1) / matMulBlockRows
-	if workers > blocks {
-		workers = blocks
-	}
-	var next int
-	var mu sync.Mutex
-	take := func() (int, bool) {
-		mu.Lock()
-		blk := next
-		next++
-		mu.Unlock()
-		return blk, blk < blocks
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				blk, ok := take()
-				if !ok {
-					return
-				}
-				lo := blk * matMulBlockRows
-				hi := lo + matMulBlockRows
-				if hi > a.Rows {
-					hi = a.Rows
-				}
-				matMulRows(dst, a, b, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	return dst
-}
-
-// matMulRows computes rows [lo, hi) of dst = a·b with k-ordered axpy
-// accumulation.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out := dst.Row(i)
-		for j := range out {
-			out[j] = 0
-		}
-		arow := a.Row(i)
-		for k, v := range arow {
-			AddScaled(out, v, b.Row(k))
-		}
-	}
-}
-
 // MatMulT computes dst = a·bᵀ (a is r×k, b is c×k) and returns dst,
 // reshaped to r×c. dst must not alias a or b. Each output element is a
 // row-row inner product evaluated with DotUnrolled4, so MatMulT inherits
 // its reassociation: use it where bit-exactness against a serial
-// reduction is not contracted (the in-order alternative is MatMul with an
-// explicitly transposed operand).
+// reduction is not contracted (the in-order alternative is a Product
+// over an explicitly transposed operand).
 func MatMulT(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulT: a is %dx%d, b is %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -377,12 +252,19 @@ func (m *Matrix) TransposeInto(dst *Matrix) *Matrix {
 	if dst == m {
 		panic("mat: TransposeInto: dst must not alias m")
 	}
-	dst.EnsureShape(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst.Data[j*m.Rows+i] = v
+	transpose(dst.EnsureShape(m.Cols, m.Rows).Data, m.Data, m.Rows, m.Cols)
+	return dst
+}
+
+// transpose writes the transpose of the row-major rows×cols src into dst.
+func transpose(dst, src []float64, rows, cols int) {
+	if hasAVX && rows >= 4 && cols >= 4 {
+		transposeAVX(rows, cols, src, dst)
+		return
+	}
+	for i := 0; i < rows; i++ {
+		for j, v := range src[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = v
 		}
 	}
-	return dst
 }

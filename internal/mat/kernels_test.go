@@ -3,7 +3,6 @@ package mat
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -31,16 +30,20 @@ func matMulNaive(a, b *Matrix) *Matrix {
 	return out
 }
 
-func TestMatMulBitIdenticalToNaive(t *testing.T) {
+// mulInto evaluates dst = a·b as one contiguous Product.
+func mulInto(dst, a, b *Matrix) {
+	(&Product{Rows: a.Rows, Inner: a.Cols, Width: b.Cols, A: a.Data, ARow: a.Cols, AK: 1,
+		B: b.Data, LdB: b.Cols, Out: dst.Data, LdOut: b.Cols}).Eval()
+}
+
+func TestProductBitIdenticalToNaiveMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 4}, {8, 12, 24}, {64, 17, 33}, {130, 9, 7}} {
+	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 4}, {8, 12, 24}, {64, 17, 33}, {130, 9, 7}, {257, 31, 19}} {
 		a := randMatrix(rng, dims[0], dims[1])
 		b := randMatrix(rng, dims[1], dims[2])
 		want := matMulNaive(a, b)
-		got := MatMul(NewMatrix(0, 0), a, b)
-		if got.Rows != want.Rows || got.Cols != want.Cols {
-			t.Fatalf("dims %v: got %dx%d", dims, got.Rows, got.Cols)
-		}
+		got := randMatrix(rng, dims[0], dims[2]) // must be overwritten
+		mulInto(got, a, b)
 		for i := range want.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("dims %v: element %d: got %v want %v (not bit-identical)", dims, i, got.Data[i], want.Data[i])
@@ -49,41 +52,15 @@ func TestMatMulBitIdenticalToNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelBitIdentical(t *testing.T) {
-	prevProcs := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prevProcs)
-	prevFlops := MatMulParallelFlops()
-	SetMatMulParallelFlops(0) // force the parallel path
-	defer SetMatMulParallelFlops(prevFlops)
-
-	rng := rand.New(rand.NewSource(2))
-	a := randMatrix(rng, 257, 31)
-	b := randMatrix(rng, 31, 19)
-	want := matMulNaive(a, b)
-	got := MatMul(NewMatrix(0, 0), a, b)
-	for i := range want.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("parallel MatMul diverges from serial at element %d", i)
-		}
-	}
-}
-
-func TestMatMulReusesDst(t *testing.T) {
+// TestProductZeroAlloc: a Product literal must stay on the caller's
+// stack — the layers evaluate a dozen of them per training step.
+func TestProductZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randMatrix(rng, 6, 4)
 	b := randMatrix(rng, 4, 5)
-	dst := NewMatrix(10, 10) // larger than needed: must shrink in place
-	backing := &dst.Data[0]
-	MatMul(dst, a, b)
-	if dst.Rows != 6 || dst.Cols != 5 {
-		t.Fatalf("dst not reshaped: %dx%d", dst.Rows, dst.Cols)
-	}
-	if &dst.Data[0] != backing {
-		t.Fatal("dst reallocated despite sufficient capacity")
-	}
-	allocs := testing.AllocsPerRun(100, func() { MatMul(dst, a, b) })
-	if allocs != 0 {
-		t.Fatalf("MatMul into warm dst allocates %v times", allocs)
+	dst := NewMatrix(6, 5)
+	if allocs := testing.AllocsPerRun(100, func() { mulInto(dst, a, b) }); allocs != 0 {
+		t.Fatalf("Product.Eval allocates %v times", allocs)
 	}
 }
 
@@ -165,11 +142,8 @@ func TestKernelPanicsOnMismatch(t *testing.T) {
 	}
 	expectPanic("AddScaled", func() { AddScaled(make([]float64, 3), 1, make([]float64, 4)) })
 	expectPanic("DotUnrolled4", func() { DotUnrolled4(make([]float64, 3), make([]float64, 4)) })
-	expectPanic("MatMul", func() { MatMul(NewMatrix(0, 0), NewMatrix(2, 3), NewMatrix(4, 2)) })
 	expectPanic("MatMulT", func() { MatMulT(NewMatrix(0, 0), NewMatrix(2, 3), NewMatrix(2, 4)) })
 	expectPanic("ColInto", func() { NewMatrix(3, 2).ColInto(make([]float64, 2), 0) })
-	a := NewMatrix(2, 2)
-	expectPanic("MatMul alias", func() { MatMul(a, a, NewMatrix(2, 2)) })
 }
 
 func TestColIntoMatchesColZeroAlloc(t *testing.T) {
@@ -191,7 +165,7 @@ func TestColIntoMatchesColZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestEnsureShapeAndZero(t *testing.T) {
+func TestEnsureShape(t *testing.T) {
 	m := NewMatrix(4, 4)
 	backing := &m.Data[0]
 	m.EnsureShape(2, 3)
@@ -205,32 +179,31 @@ func TestEnsureShapeAndZero(t *testing.T) {
 	if len(m.Data) != 25 {
 		t.Fatalf("EnsureShape grow: len %d", len(m.Data))
 	}
-	m.Data[7] = 42
-	m.Zero()
-	for i, v := range m.Data {
-		if v != 0 {
-			t.Fatalf("Zero left element %d = %v", i, v)
-		}
-	}
 }
 
 func TestTransposeInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := randMatrix(rng, 5, 3)
-	tr := m.TransposeInto(NewMatrix(0, 0))
-	if tr.Rows != 3 || tr.Cols != 5 {
-		t.Fatalf("transpose dims %dx%d", tr.Rows, tr.Cols)
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Fatalf("(%d,%d) mismatch", i, j)
+	dispatchModes(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		for rows := 0; rows <= 13; rows++ {
+			for cols := 0; cols <= 13; cols++ {
+				m := randMatrix(rng, rows, cols)
+				tr := m.TransposeInto(randMatrix(rng, 2, 3))
+				if tr.Rows != cols || tr.Cols != rows {
+					t.Fatalf("%dx%d: transpose dims %dx%d", rows, cols, tr.Rows, tr.Cols)
+				}
+				for i := 0; i < rows; i++ {
+					for j := 0; j < cols; j++ {
+						if math.Float64bits(m.At(i, j)) != math.Float64bits(tr.At(j, i)) {
+							t.Fatalf("%dx%d: element (%d,%d) = %v, want %v", rows, cols, j, i, tr.At(j, i), m.At(i, j))
+						}
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
-func BenchmarkMatMul(b *testing.B) {
+func BenchmarkProduct(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	x := randMatrix(rng, 64, 64)
 	y := randMatrix(rng, 64, 64)
@@ -238,7 +211,7 @@ func BenchmarkMatMul(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(dst, x, y)
+		mulInto(dst, x, y)
 	}
 }
 

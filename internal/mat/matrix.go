@@ -72,58 +72,48 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// ColMeans returns the per-column means.
+// ColMeans returns the per-column means (NaN for a matrix without rows).
 func (m *Matrix) ColMeans() []float64 {
 	out := make([]float64, m.Cols)
-	if m.Rows == 0 {
-		for j := range out {
-			out[j] = math.NaN()
-		}
-		return out
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	inv := 1 / float64(m.Rows)
-	for j := range out {
-		out[j] *= inv
-	}
+	m.colStats(out, nil)
 	return out
 }
 
 // ColStds returns the per-column population standard deviations.
 func (m *Matrix) ColStds() []float64 {
-	out := make([]float64, m.Cols)
-	if m.Rows == 0 {
-		for j := range out {
-			out[j] = math.NaN()
-		}
-		return out
-	}
-	// Gather each column once and reduce it contiguously. The per-column
-	// accumulation order (row index ascending, mean then squared
-	// deviations, both scaled by 1/rows) matches the row-major loops this
-	// replaces bit for bit.
-	inv := 1 / float64(m.Rows)
-	buf := make([]float64, m.Rows)
-	for j := 0; j < m.Cols; j++ {
-		m.ColInto(buf, j)
-		var mean float64
-		for _, v := range buf {
-			mean += v
-		}
-		mean *= inv
-		var ss float64
-		for _, v := range buf {
-			d := v - mean
-			ss += d * d
-		}
-		out[j] = math.Sqrt(ss * inv)
-	}
+	means, out := make([]float64, m.Cols), make([]float64, m.Cols)
+	m.colStats(means, out)
 	return out
+}
+
+// colStats fills means and, when non-nil, stds (both of length Cols)
+// with the column statistics. Every column accumulates in row order —
+// the sum, then the squared deviations from the mean, both scaled by
+// 1/rows — so the bits do not depend on how the matrix is walked.
+func (m *Matrix) colStats(means, stds []float64) {
+	inv := 1 / float64(m.Rows)
+	clear(means)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			means[j] += v
+		}
+	}
+	for j := range means {
+		means[j] *= inv
+	}
+	if stds == nil {
+		return
+	}
+	clear(stds)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			d := v - means[j]
+			stds[j] += d * d
+		}
+	}
+	for j := range stds {
+		stds[j] = math.Sqrt(stds[j] * inv)
+	}
 }
 
 // CorrelationMatrix returns the Cols×Cols Pearson correlation matrix of
@@ -168,16 +158,18 @@ func (m *Matrix) UpperTriangle() ([]float64, error) {
 	return out, nil
 }
 
-// Standardize returns a copy of m with each column shifted to zero mean
-// and scaled to unit standard deviation, along with the means and stds
-// used (so new data can be projected into the same space). Constant
-// columns are left centred but unscaled.
-func (m *Matrix) Standardize() (out *Matrix, means, stds []float64) {
-	means = m.ColMeans()
-	stds = m.ColStds()
-	out = m.Clone()
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
+// StandardizeInPlace shifts each column of m to zero mean and scales it
+// to unit standard deviation, in place and without allocating, and
+// fills means and stds (length Cols) with the statistics used, so new
+// data can be projected into the same space. Constant columns are left
+// centred but unscaled.
+func (m *Matrix) StandardizeInPlace(means, stds []float64) {
+	if len(means) != m.Cols || len(stds) != m.Cols {
+		panic(fmt.Sprintf("mat: StandardizeInPlace: len(means)=%d len(stds)=%d, Cols=%d", len(means), len(stds), m.Cols))
+	}
+	m.colStats(means, stds)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
 		for j := range row {
 			row[j] -= means[j]
 			if stds[j] > 0 {
@@ -185,7 +177,6 @@ func (m *Matrix) Standardize() (out *Matrix, means, stds []float64) {
 			}
 		}
 	}
-	return out, means, stds
 }
 
 // ApplyStandardization projects x (a single row) into the standardized

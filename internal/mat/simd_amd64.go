@@ -5,16 +5,18 @@ package mat
 // The assembly kernels in simd_amd64.s come in two bit-exactness
 // classes, mirroring the package's determinism contract:
 //
-//   - axpyAVX, adamAVX, normRowAVX and distPackAVX are elementwise (or
-//     per-lane in-order, for the distance kernel): each output element
-//     is produced by exactly the scalar sequence of IEEE-754 operations
-//     (separate multiply and add — never a fused multiply-add), just on
-//     four lanes at a time. distPackAVX vectorises ACROSS points — one
-//     lane per point, each lane's reduction running in element order —
-//     which is how a sum that may not be reassociated still gets SIMD
-//     throughput. Their results are bit-identical to the pure Go loops,
-//     so AddScaled, AdamStep, NormRow and SquaredDistances8 stay inside
-//     the bit-exact contract even when vectorised.
+//   - axpyAVX, adamAVX, normRowAVX, distPackAVX and productAVX are
+//     elementwise (or per-lane in-order, for the distance and product
+//     kernels): each output element is produced by exactly the scalar
+//     sequence of IEEE-754 operations (separate multiply and add —
+//     never a fused multiply-add), just on four lanes at a time.
+//     distPackAVX vectorises ACROSS points and productAVX ACROSS output
+//     columns — one lane per point or column, each lane's reduction
+//     running in element order — which is how a sum that may not be
+//     reassociated still gets SIMD throughput. Their results are
+//     bit-identical to the pure Go loops, so AddScaled, AdamStep,
+//     NormRow, SquaredDistances8 and Product stay inside the bit-exact
+//     contract even when vectorised.
 //   - dotFMA keeps four vector accumulators and uses VFMADD231PD, so it
 //     reassociates and changes rounding. It only ever backs
 //     DotUnrolled4, which already documents reassociation.
@@ -46,11 +48,20 @@ func adamAVX(w, g, m, v []float64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64
 // multiple of 8. Reassociates the dots (FMA): fast-dots callers only.
 func linBwdFMA(x, g, w, wg, dx []float64)
 
-// linFwdAVX computes out = b + x·W in one call, bit-identical to the
-// scalar loop (including its zero-input skip). len(out) must be a
-// positive multiple of 8. The output is strip-mined through YMM
-// accumulators, so the k loop performs no out-row loads or stores.
-func linFwdAVX(x, b, w, out []float64)
+// productAVX is Product.Eval's kernel: the in-order strided product
+// out = init + a·b with each output element accumulated in k-order by
+// separate multiply and add lanes, bit-identical to the scalar loop.
+// rows >= 1 and width >= 4; the caller has checked every extent (the
+// kernel reads base pointers only). init may be nil.
+//
+//go:noescape
+func productAVX(rows, inner, width int, a []float64, aRow, aK int, b []float64, ldb int, init []float64, ldi int, out []float64, ldo int, skip bool)
+
+// transposeAVX writes the transpose of the row-major rows×cols src into
+// dst in 4×4 register blocks. rows and cols must be at least 4.
+//
+//go:noescape
+func transposeAVX(rows, cols int, src, dst []float64)
 
 // distPackAVX computes the 8 squared Euclidean distances from q to one
 // dim-major packed block. Per lane the accumulation runs in j-order

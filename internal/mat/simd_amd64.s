@@ -182,60 +182,219 @@ lbj:
 	VZEROUPPER
 	RET
 
-// Fused dense-layer forward row: out = b, then out += x[k]*w[k*out:]
-// for every k with x[k] != 0 (matching the scalar path's post-ReLU
-// zero skip; NaN x[k] is processed, as in the scalar path). Elementwise
-// multiply-then-add lanes only, so the result is bit-identical to the
-// scalar loop. len(out) = len(b) a positive multiple of 8.
+// In-order strided matrix product, the one kernel behind every dense
+// layer pass and attention head product (see Product in dense.go):
 //
-// The output is strip-mined 8 columns at a time with the strip held in
-// two YMM accumulators across the whole k loop, so the inner iteration
-// is broadcast + two W loads + mul + add — no out-row load/store per k
-// the way a column-sweeping axpy pays. Column strips are independent,
-// and within a strip each element accumulates in k-order, so the bits
-// are unchanged.
-// func linFwdAVX(x, b, w, out []float64)
-TEXT ·linFwdAVX(SB), NOSPLIT, $0-96
-	MOVQ x_base+0(FP), R9
-	MOVQ x_len+8(FP), R10   // in
-	MOVQ b_base+24(FP), BX
-	MOVQ w_base+48(FP), DI
-	MOVQ out_base+72(FP), DX
-	MOVQ out_len+80(FP), CX // out width
+//	out[i*ldo+j] = init[i*ldi+j] + Σ_k a[i*aRow+k*aK] * b[k*ldb+j]
+//
+// Each output element accumulates in k-order with a separate VMULPD and
+// VADDPD (never an FMA), so the result is bit-identical to the scalar
+// loop; the kernel only vectorises ACROSS output columns. rows >= 1 and
+// width >= 4 (the Go wrapper takes narrower shapes); inner may be 0.
+//
+// A row's columns are cut into strips that live in YMM accumulators for
+// the whole k loop — no out-row load or store per k. A strip is 16
+// columns (4 vectors) while at least 20 remain, and the last strip takes
+// the remaining 4..19 columns in ceil(n/4) <= 5 vectors whose LAST one
+// is placed at column n-4, overlapping its neighbour: the overlapped
+// lanes compute the same value twice from the same inputs, so no masked
+// load or scalar tail is needed and widths 6, 12, 15, 18 and 24 all stay
+// in registers. Strips are column-disjoint and a strip loads init before
+// it stores out, so init may alias out (accumulate in place).
+//
+// An a element of +-0 is skipped when skip is set (the dense layers'
+// post-ReLU shortcut); it is tested on its integer bits, so NaN is
+// never skipped. init_base == nil starts every sum at +0.
+//
+// Registers: R15 rows left, R8/SI/DX the row's a/init/out, DI b, R9/R10
+// the aK/ldb byte strides, R14 skip; per strip CX its byte offset and BX
+// the last vector's byte offset within it; per k R11 the countdown,
+// R12/R13 the a element and the b row strip; Y8 the broadcast a element.
 
-	VXORPD X3, X3, X3
-	XORQ R12, R12           // column strip offset (elements)
-fwdstrip:
-	VMOVUPD (BX)(R12*8), Y4   // acc = bias strip
-	VMOVUPD 32(BX)(R12*8), Y5
-	LEAQ (DI)(R12*8), R13     // &w[0*width + strip]
-	XORQ R11, R11             // k
-	TESTQ R10, R10
-	JZ   fwdstore
-fwdk:
-	VMOVSD (R9)(R11*8), X0
-	VUCOMISD X3, X0
-	JP   fwddo              // NaN: unordered → process like scalar path
-	JE   fwdskip            // exact zero → skip row k of W
-fwddo:
-	VBROADCASTSD (R9)(R11*8), Y0
-	VMOVUPD (R13), Y1
-	VMOVUPD 32(R13), Y2
-	VMULPD  Y0, Y1, Y1
-	VMULPD  Y0, Y2, Y2
-	VADDPD  Y1, Y4, Y4
-	VADDPD  Y2, Y5, Y5
-fwdskip:
-	LEAQ (R13)(CX*8), R13   // next W row, same column strip
-	INCQ R11
-	CMPQ R11, R10
-	JL   fwdk
-fwdstore:
-	VMOVUPD Y4, (DX)(R12*8)
-	VMOVUPD Y5, 32(DX)(R12*8)
-	ADDQ $8, R12
-	CMPQ R12, CX
-	JL   fwdstrip
+#define PLD(off, acc) VMOVUPD off(AX), acc
+#define PLDL(acc)     VMOVUPD (AX)(BX*1), acc
+#define PST(off, acc) VMOVUPD acc, off(AX)
+#define PSTL(acc)     VMOVUPD acc, (AX)(BX*1)
+#define PZ(acc)       VXORPD acc, acc, acc
+#define PMAC(off, acc, tmp) VMULPD off(R13), Y8, tmp; VADDPD tmp, acc, acc
+#define PMACL(acc, tmp)     VMULPD (R13)(BX*1), Y8, tmp; VADDPD tmp, acc, acc
+
+#define PLOAD1 PLDL(Y0)
+#define PLOAD2 PLD(0, Y0); PLDL(Y1)
+#define PLOAD3 PLD(0, Y0); PLD(32, Y1); PLDL(Y2)
+#define PLOAD4 PLD(0, Y0); PLD(32, Y1); PLD(64, Y2); PLDL(Y3)
+#define PLOAD5 PLD(0, Y0); PLD(32, Y1); PLD(64, Y2); PLD(96, Y3); PLDL(Y4)
+#define PZERO1 PZ(Y0)
+#define PZERO2 PZ(Y0); PZ(Y1)
+#define PZERO3 PZ(Y0); PZ(Y1); PZ(Y2)
+#define PZERO4 PZ(Y0); PZ(Y1); PZ(Y2); PZ(Y3)
+#define PZERO5 PZ(Y0); PZ(Y1); PZ(Y2); PZ(Y3); PZ(Y4)
+#define PMACS1 PMACL(Y0, Y9)
+#define PMACS2 PMAC(0, Y0, Y9); PMACL(Y1, Y10)
+#define PMACS3 PMAC(0, Y0, Y9); PMAC(32, Y1, Y10); PMACL(Y2, Y11)
+#define PMACS4 PMAC(0, Y0, Y9); PMAC(32, Y1, Y10); PMAC(64, Y2, Y11); PMACL(Y3, Y12)
+#define PMACS5 PMAC(0, Y0, Y9); PMAC(32, Y1, Y10); PMAC(64, Y2, Y11); PMAC(96, Y3, Y12); PMACL(Y4, Y13)
+#define PSTORE1 PSTL(Y0)
+#define PSTORE2 PST(0, Y0); PSTL(Y1)
+#define PSTORE3 PST(0, Y0); PST(32, Y1); PSTL(Y2)
+#define PSTORE4 PST(0, Y0); PST(32, Y1); PST(64, Y2); PSTL(Y3)
+#define PSTORE5 PST(0, Y0); PST(32, Y1); PST(64, Y2); PST(96, Y3); PSTL(Y4)
+
+// func productAVX(rows, inner, width int, a []float64, aRow, aK int, b []float64, ldb int, init []float64, ldi int, out []float64, ldo int, skip bool)
+TEXT ·productAVX(SB), NOSPLIT, $8-161
+// One strip: load (or zero) the accumulators, run the k loop, store.
+// (Defined inside the function so vet checks its FP reference here.)
+#define PSTRIP(zero, run, loop, do, next, store, LOADS, ZEROS, MACS, STORES) \
+	TESTQ SI, SI; \
+	JZ   zero; \
+	LEAQ (SI)(CX*1), AX; \
+	LOADS; \
+	JMP  run; \
+zero: \
+	ZEROS; \
+run: \
+	MOVQ inner+8(FP), R11; \
+	TESTQ R11, R11; \
+	JZ   store; \
+	MOVQ R8, R12; \
+	LEAQ (DI)(CX*1), R13; \
+loop: \
+	MOVQ (R12), AX; \
+	ADDQ AX, AX; \
+	JNZ  do; \
+	TESTQ R14, R14; \
+	JNZ  next; \
+do: \
+	VBROADCASTSD (R12), Y8; \
+	MACS; \
+next: \
+	ADDQ R9, R12; \
+	ADDQ R10, R13; \
+	DECQ R11; \
+	JNZ  loop; \
+store: \
+	LEAQ (DX)(CX*1), AX; \
+	STORES; \
+	JMP  pstripdone
+
+	MOVQ rows+0(FP), R15
+	MOVQ a_base+24(FP), R8
+	MOVQ aK+56(FP), R9
+	SHLQ $3, R9
+	MOVQ b_base+64(FP), DI
+	MOVQ ldb+88(FP), R10
+	SHLQ $3, R10
+	MOVQ init_base+96(FP), SI
+	MOVQ out_base+128(FP), DX
+	MOVBQZX skip+160(FP), R14
+
+prow:
+	XORQ CX, CX
+	MOVQ width+16(FP), AX
+pstrip:
+	CMPQ AX, $20
+	JLT  plast
+	SUBQ $16, AX
+	MOVQ AX, left-8(SP)
+	MOVQ $96, BX
+	JMP  pn4
+plast:
+	MOVQ $0, left-8(SP)
+	LEAQ -32(AX*8), BX
+	ADDQ $3, AX
+	SHRQ $2, AX
+	CMPQ AX, $2
+	JLT  pn1
+	JEQ  pn2
+	CMPQ AX, $4
+	JLT  pn3
+	JEQ  pn4
+	PSTRIP(pz5, pr5, pl5, pd5, px5, ps5, PLOAD5, PZERO5, PMACS5, PSTORE5)
+pn4:
+	PSTRIP(pz4, pr4, pl4, pd4, px4, ps4, PLOAD4, PZERO4, PMACS4, PSTORE4)
+pn3:
+	PSTRIP(pz3, pr3, pl3, pd3, px3, ps3, PLOAD3, PZERO3, PMACS3, PSTORE3)
+pn2:
+	PSTRIP(pz2, pr2, pl2, pd2, px2, ps2, PLOAD2, PZERO2, PMACS2, PSTORE2)
+pn1:
+	PSTRIP(pz1, pr1, pl1, pd1, px1, ps1, PLOAD1, PZERO1, PMACS1, PSTORE1)
+pstripdone:
+	ADDQ $128, CX
+	MOVQ left-8(SP), AX
+	TESTQ AX, AX
+	JNZ  pstrip
+
+	MOVQ aRow+48(FP), AX
+	LEAQ (R8)(AX*8), R8
+	MOVQ ldo+152(FP), AX
+	LEAQ (DX)(AX*8), DX
+	TESTQ SI, SI
+	JZ   pnextrow
+	MOVQ ldi+120(FP), AX
+	LEAQ (SI)(AX*8), SI
+pnextrow:
+	DECQ R15
+	JNZ  prow
+	VZEROUPPER
+	RET
+
+// dst = srcᵀ for a row-major rows×cols src (dst is cols×rows), in 4×4
+// register blocks: four row loads, VUNPCK{L,H}PD + VPERM2F128, four
+// column stores. rows, cols >= 4. A dimension that is not a multiple of
+// 4 ends with a block placed at n-4, overlapping its neighbour — the
+// overlapped elements are simply copied twice.
+// func transposeAVX(rows, cols int, src, dst []float64)
+TEXT ·transposeAVX(SB), NOSPLIT, $0-64
+	MOVQ rows+0(FP), R8
+	MOVQ cols+8(FP), R9
+	MOVQ src_base+16(FP), SI
+	MOVQ dst_base+40(FP), DI
+	LEAQ (R8*8), R10        // dst row stride, bytes
+	LEAQ (R9*8), R11        // src row stride, bytes
+	LEAQ -4(R8), R12        // last block row
+	LEAQ -4(R9), R13        // last block column
+	XORQ AX, AX
+trow:
+	MOVQ AX, BX             // block row = min(AX, rows-4)
+	CMPQ BX, R12
+	CMOVQGT R12, BX
+	XORQ CX, CX
+tcol:
+	MOVQ CX, DX             // block column = min(CX, cols-4)
+	CMPQ DX, R13
+	CMOVQGT R13, DX
+	MOVQ BX, R14
+	IMULQ R9, R14
+	ADDQ DX, R14
+	LEAQ (SI)(R14*8), R14   // &src[BX*cols+DX]
+	VMOVUPD (R14), Y0
+	VMOVUPD (R14)(R11*1), Y1
+	LEAQ (R14)(R11*2), R14
+	VMOVUPD (R14), Y2
+	VMOVUPD (R14)(R11*1), Y3
+	VUNPCKLPD Y1, Y0, Y4    // a0 b0 a2 b2
+	VUNPCKHPD Y1, Y0, Y5    // a1 b1 a3 b3
+	VUNPCKLPD Y3, Y2, Y6    // c0 d0 c2 d2
+	VUNPCKHPD Y3, Y2, Y7    // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y6, Y4, Y8   // a0 b0 c0 d0
+	VPERM2F128 $0x20, Y7, Y5, Y9   // a1 b1 c1 d1
+	VPERM2F128 $0x31, Y6, Y4, Y10  // a2 b2 c2 d2
+	VPERM2F128 $0x31, Y7, Y5, Y11  // a3 b3 c3 d3
+	MOVQ DX, R14
+	IMULQ R8, R14
+	ADDQ BX, R14
+	LEAQ (DI)(R14*8), R14   // &dst[DX*rows+BX]
+	VMOVUPD Y8, (R14)
+	VMOVUPD Y9, (R14)(R10*1)
+	LEAQ (R14)(R10*2), R14
+	VMOVUPD Y10, (R14)
+	VMOVUPD Y11, (R14)(R10*1)
+	ADDQ $4, CX
+	CMPQ CX, R9
+	JLT  tcol
+	ADDQ $4, AX
+	CMPQ AX, R8
+	JLT  trow
 	VZEROUPPER
 	RET
 

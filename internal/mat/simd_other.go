@@ -20,7 +20,11 @@ func adamAVX(w, g, m, v []float64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64
 
 func linBwdFMA(x, g, w, wg, dx []float64) { panic("mat: linBwdFMA without FMA") }
 
-func linFwdAVX(x, b, w, out []float64) { panic("mat: linFwdAVX without AVX") }
+func productAVX(rows, inner, width int, a []float64, aRow, aK int, b []float64, ldb int, init []float64, ldi int, out []float64, ldo int, skip bool) {
+	panic("mat: productAVX without AVX")
+}
+
+func transposeAVX(rows, cols int, src, dst []float64) { panic("mat: transposeAVX without AVX") }
 
 func distPackAVX(q, block, out []float64) { panic("mat: distPackAVX without AVX") }
 

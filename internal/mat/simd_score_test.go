@@ -78,7 +78,7 @@ func TestNormRowBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLinFwdStripBitIdentical re-pins LinFwd after the strip-mined
+// TestLinFwdStripBitIdentical re-pins the dense forward after the strip-mined
 // register-accumulator rewrite: wider shape sweep than the original
 // test, including NaN inputs (which must be processed, not skipped)
 // and in=0 rows (out must equal the bias).
@@ -103,7 +103,7 @@ func TestLinFwdStripBitIdentical(t *testing.T) {
 		b, w := randVec(rng, width), randVec(rng, in*width)
 		got := make([]float64, width)
 		want := make([]float64, width)
-		LinFwd(x, b, w, got)
+		DenseFwd(1, in, width, x, b, w, got)
 		copy(want, b)
 		for k, v := range x {
 			if v == 0 {
@@ -142,16 +142,5 @@ func BenchmarkNormRow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NormRow(x, gain, bias, out, 0.1, 1.7)
-	}
-}
-
-func BenchmarkLinFwd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const in, width = 48, 48
-	x, bias, w := randVec(rng, in), randVec(rng, width), randVec(rng, in*width)
-	out := make([]float64, width)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		LinFwd(x, bias, w, out)
 	}
 }

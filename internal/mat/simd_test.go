@@ -176,7 +176,7 @@ func TestLinFwdBitIdentical(t *testing.T) {
 		b, w := randVec(rng, out), randVec(rng, in*out)
 		got := make([]float64, out)
 		want := make([]float64, out)
-		LinFwd(x, b, w, got)
+		DenseFwd(1, in, out, x, b, w, got)
 		copy(want, b)
 		for k, v := range x {
 			if v == 0 {

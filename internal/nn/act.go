@@ -11,6 +11,18 @@ import (
 // layer-owned scratch (zero allocations once warm); the math is
 // element-wise, so fast and legacy outputs are bit-identical.
 
+// copyOf returns a copy of src for an element-wise layer to rewrite in
+// place: a fresh matrix on the legacy path, the layer-owned scratch
+// (grown once) otherwise.
+func copyOf(legacy bool, scratch, src *mat.Matrix) *mat.Matrix {
+	if legacy {
+		return src.Clone()
+	}
+	out := scratch.EnsureShape(src.Rows, src.Cols)
+	copy(out.Data, src.Data)
+	return out
+}
+
 // ReLU is the rectified linear activation.
 type ReLU struct {
 	mask    []bool
@@ -23,13 +35,7 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
-	var out *mat.Matrix
-	if r.legacy {
-		out = x.Clone()
-	} else {
-		out = r.out.EnsureShape(x.Rows, x.Cols)
-		copy(out.Data, x.Data)
-	}
+	out := copyOf(r.legacy, &r.out, x)
 	if cap(r.mask) < len(out.Data) {
 		r.mask = make([]bool, len(out.Data))
 	}
@@ -47,13 +53,7 @@ func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *mat.Matrix) *mat.Matrix {
-	var out *mat.Matrix
-	if r.legacy {
-		out = grad.Clone()
-	} else {
-		out = r.dx.EnsureShape(grad.Rows, grad.Cols)
-		copy(out.Data, grad.Data)
-	}
+	out := copyOf(r.legacy, &r.dx, grad)
 	for i := range out.Data {
 		if !r.mask[i] {
 			out.Data[i] = 0
@@ -77,13 +77,7 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *mat.Matrix) *mat.Matrix {
-	var out *mat.Matrix
-	if s.legacy {
-		out = x.Clone()
-	} else {
-		out = s.out.EnsureShape(x.Rows, x.Cols)
-		copy(out.Data, x.Data)
-	}
+	out := copyOf(s.legacy, &s.out, x)
 	for i, v := range out.Data {
 		out.Data[i] = 1 / (1 + math.Exp(-v))
 	}
@@ -93,13 +87,7 @@ func (s *Sigmoid) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward implements Layer.
 func (s *Sigmoid) Backward(grad *mat.Matrix) *mat.Matrix {
-	var out *mat.Matrix
-	if s.legacy {
-		out = grad.Clone()
-	} else {
-		out = s.dx.EnsureShape(grad.Rows, grad.Cols)
-		copy(out.Data, grad.Data)
-	}
+	out := copyOf(s.legacy, &s.dx, grad)
 	for i := range out.Data {
 		y := s.y.Data[i]
 		out.Data[i] *= y * (1 - y)
@@ -122,13 +110,7 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *mat.Matrix) *mat.Matrix {
-	var out *mat.Matrix
-	if t.legacy {
-		out = x.Clone()
-	} else {
-		out = t.out.EnsureShape(x.Rows, x.Cols)
-		copy(out.Data, x.Data)
-	}
+	out := copyOf(t.legacy, &t.out, x)
 	for i, v := range out.Data {
 		out.Data[i] = math.Tanh(v)
 	}
@@ -138,13 +120,7 @@ func (t *Tanh) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward implements Layer.
 func (t *Tanh) Backward(grad *mat.Matrix) *mat.Matrix {
-	var out *mat.Matrix
-	if t.legacy {
-		out = grad.Clone()
-	} else {
-		out = t.dx.EnsureShape(grad.Rows, grad.Cols)
-		copy(out.Data, grad.Data)
-	}
+	out := copyOf(t.legacy, &t.dx, grad)
 	for i := range out.Data {
 		y := t.y.Data[i]
 		out.Data[i] *= 1 - y*y

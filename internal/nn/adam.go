@@ -6,7 +6,10 @@ import (
 	"github.com/navarchos/pdm/internal/mat"
 )
 
-// Adam is the Adam optimiser (Kingma & Ba) over a parameter set.
+// Adam is the Adam optimiser (Kingma & Ba) over a parameter set. It owns
+// one contiguous arena — weights, gradients and both moment vectors,
+// each in params order — so a step is one kernel call and one clear
+// whatever the number of tensors.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	// Legacy pins Step to the original scalar update loop. The
@@ -14,23 +17,41 @@ type Adam struct {
 	// the same IEEE operation sequence), so the flag exists purely to
 	// keep the LegacyFitKernels baseline an honest measurement of the
 	// pre-kernel fit path.
-	Legacy bool
-	params []*Param
-	m, v   [][]float64
-	t      int
+	Legacy     bool
+	w, g, m, v []float64
+	t          int
 }
 
 // NewAdam builds an optimiser for params with the given learning rate
-// and standard defaults β1=0.9, β2=0.999, ε=1e-8.
+// and standard defaults β1=0.9, β2=0.999, ε=1e-8. It moves every
+// tensor's weights into its arena and re-points the Param's W and G at
+// their slots (gradients cleared; an earlier optimiser is detached).
 func NewAdam(params []*Param, lr float64) *Adam {
-	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
-	a.m = make([][]float64, len(params))
-	a.v = make([][]float64, len(params))
-	for i, p := range params {
-		a.m[i] = make([]float64, len(p.W))
-		a.v[i] = make([]float64, len(p.W))
+	n := 0
+	for _, p := range params {
+		n += len(p.W)
+	}
+	arena := make([]float64, 4*n)
+	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
+		w: arena[:n:n], g: arena[n : 2*n : 2*n], m: arena[2*n : 3*n : 3*n], v: arena[3*n:]}
+	off := 0
+	for _, p := range params {
+		end := off + len(p.W)
+		copy(a.w[off:end], p.W)
+		p.W, p.G = a.w[off:end:end], a.g[off:end:end]
+		off = end
 	}
 	return a
+}
+
+// Reset returns the optimiser to its just-built state — moments, step
+// count and gradients cleared, weights untouched — so a refit can reuse
+// the arena.
+func (a *Adam) Reset() {
+	clear(a.g)
+	clear(a.m)
+	clear(a.v)
+	a.t = 0
 }
 
 // Step applies one update from the accumulated gradients and clears
@@ -39,23 +60,18 @@ func (a *Adam) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		if !a.Legacy {
-			mat.AdamStep(p.W, p.G, m, v, a.Beta1, a.Beta2, bc1, bc2, a.LR, a.Eps)
-			p.ZeroGrad()
-			continue
+	if !a.Legacy {
+		mat.AdamStep(a.w, a.g, a.m, a.v, a.Beta1, a.Beta2, bc1, bc2, a.LR, a.Eps)
+	} else {
+		for j, g := range a.g {
+			a.m[j] = a.Beta1*a.m[j] + (1-a.Beta1)*g
+			a.v[j] = a.Beta2*a.v[j] + (1-a.Beta2)*g*g
+			mh := a.m[j] / bc1
+			vh := a.v[j] / bc2
+			a.w[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
-		for j := range p.W {
-			g := p.G[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mh := m[j] / bc1
-			vh := v[j] / bc2
-			p.W[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		}
-		p.ZeroGrad()
 	}
+	clear(a.g)
 }
 
 // MSELoss returns the mean squared error between pred and target along

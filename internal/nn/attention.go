@@ -11,15 +11,16 @@ import (
 // sequence: the input matrix's rows are sequence positions, its columns
 // the model dimension. Dim must be divisible by Heads.
 //
-// The default fast path packs each head's Q/K/V column slice into
-// contiguous scratch and runs the score and mixing products through
-// mat.MatMul, whose k-ordered axpy accumulation reproduces the legacy
-// scalar loops bit for bit; every intermediate lives in layer-owned
-// scratch, so a warm layer allocates nothing per call. With
-// SetFastDots the attention-gradient product additionally switches to
-// mat.MatMulT/DotUnrolled4, which reassociates the reduction — tranad
-// enables it only for minibatch training, where no bit-exactness against
-// the legacy per-window trajectory is contracted.
+// The default fast path runs every head product — scores, value mix and
+// their four gradients — as one strided mat.Product each, reading the
+// head's column slice of Q/K/V in place; the kernel's k-ordered
+// accumulation reproduces the legacy scalar loops bit for bit, and
+// every intermediate lives in layer-owned scratch, so a warm layer
+// allocates nothing per call. With SetFastDots the attention-gradient
+// product instead goes through mat.MatMulT/DotUnrolled4, which
+// reassociates the reduction — tranad enables it only for minibatch
+// training, where no bit-exactness against the legacy per-window
+// trajectory is contracted.
 type SelfAttention struct {
 	Dim, Heads, dk int
 	wq, wk, wv, wo *Linear
@@ -34,18 +35,19 @@ type SelfAttention struct {
 	concat  *mat.Matrix
 
 	// fast-path scratch, grown once
-	attnS        []*mat.Matrix
-	concatS      mat.Matrix
-	qh, kh, vh   mat.Matrix
-	khT, oh, doh mat.Matrix
-	dAttn        mat.Matrix
-	dQ, dK, dV   mat.Matrix
+	attnS      []*mat.Matrix
+	concatS    mat.Matrix
+	kT, vT     mat.Matrix // Kᵀ / Vᵀ (Dim×seq): a head's rows are the B operand of its score products
+	vh, doh    mat.Matrix // packed head blocks of the fastDots path
+	dAttn      mat.Matrix
+	dQ, dK, dV mat.Matrix
 
 	// inference scratch for AttendLast, disjoint from the training
 	// caches above so streaming scores cannot clobber an in-flight
 	// forward/backward pair
-	infK, infV       mat.Matrix
-	infQ, infS, infC []float64
+	infK, infV mat.Matrix
+	infQ, infC []float64 // Dim: the last row's query and head-concatenated mix
+	infS       []float64 // seq: one head's attention weights
 }
 
 // NewSelfAttention builds a multi-head self-attention block.
@@ -61,6 +63,8 @@ func NewSelfAttention(dim, heads int, rng *rand.Rand) *SelfAttention {
 		wk:    NewLinear(dim, dim, rng),
 		wv:    NewLinear(dim, dim, rng),
 		wo:    NewLinear(dim, dim, rng),
+		infQ:  make([]float64, dim),
+		infC:  make([]float64, dim),
 	}
 }
 
@@ -73,6 +77,27 @@ func (a *SelfAttention) packHead(dst *mat.Matrix, src *mat.Matrix, h int) *mat.M
 		copy(dst.Row(i), src.Row(i)[off:off+a.dk])
 	}
 	return dst
+}
+
+// softmaxRow scales row by scale and replaces it with its softmax — the
+// scale / max / exp / normalise loop order every attention path shares.
+func softmaxRow(row []float64, scale float64) {
+	maxv := math.Inf(-1)
+	for j := range row {
+		row[j] *= scale
+		if row[j] > maxv {
+			maxv = row[j]
+		}
+	}
+	var sum float64
+	for j := range row {
+		row[j] = math.Exp(row[j] - maxv)
+		sum += row[j]
+	}
+	inv := 1 / sum
+	for j := range row {
+		row[j] *= inv
+	}
 }
 
 // Forward implements Layer.
@@ -93,40 +118,22 @@ func (a *SelfAttention) Forward(x *mat.Matrix) *mat.Matrix {
 	}
 	a.attn = a.attnS[:a.Heads]
 	a.concat = a.concatS.EnsureShape(seq, a.Dim)
+	kT := a.k.TransposeInto(&a.kT)
 	scale := 1 / math.Sqrt(float64(a.dk))
 	for h := 0; h < a.Heads; h++ {
 		off := h * a.dk
-		qh := a.packHead(&a.qh, a.q, h)
-		kh := a.packHead(&a.kh, a.k, h)
-		vh := a.packHead(&a.vh, a.v, h)
-		// scores = Qh Kh^T * scale — MatMul against the transposed key
-		// block accumulates over t in the same order as the legacy
-		// row-row dots — then softmax per row.
-		attn := mat.MatMul(a.attnS[h], qh, kh.TransposeInto(&a.khT))
+		// scores = Qh Kh^T * scale, accumulated over the head's dk
+		// columns in order like the legacy row-row dots, then softmax
+		// per row.
+		attn := a.attn[h].EnsureShape(seq, seq)
+		(&mat.Product{Rows: seq, Inner: a.dk, Width: seq, A: a.q.Data[off:], ARow: a.Dim, AK: 1,
+			B: kT.Data[off*seq:], LdB: seq, Out: attn.Data, LdOut: seq}).Eval()
 		for i := 0; i < seq; i++ {
-			srow := attn.Row(i)
-			maxv := math.Inf(-1)
-			for j := range srow {
-				srow[j] *= scale
-				if srow[j] > maxv {
-					maxv = srow[j]
-				}
-			}
-			var sum float64
-			for j := range srow {
-				srow[j] = math.Exp(srow[j] - maxv)
-				sum += srow[j]
-			}
-			inv := 1 / sum
-			for j := range srow {
-				srow[j] *= inv
-			}
+			softmaxRow(attn.Row(i), scale)
 		}
-		// out_h = attn · Vh, written into the concat slot.
-		oh := mat.MatMul(&a.oh, attn, vh)
-		for i := 0; i < seq; i++ {
-			copy(a.concat.Row(i)[off:off+a.dk], oh.Row(i))
-		}
+		// out_h = attn · Vh, written straight into the concat slot.
+		(&mat.Product{Rows: seq, Inner: seq, Width: a.dk, A: attn.Data, ARow: seq, AK: 1,
+			B: a.v.Data[off:], LdB: a.Dim, Out: a.concat.Data[off:], LdOut: a.Dim}).Eval()
 	}
 	return a.wo.Forward(a.concat)
 }
@@ -199,51 +206,94 @@ func (a *SelfAttention) Backward(grad *mat.Matrix) *mat.Matrix {
 		dQ = mat.NewMatrix(seq, a.Dim)
 		dK = mat.NewMatrix(seq, a.Dim)
 		dV = mat.NewMatrix(seq, a.Dim)
+		a.backwardHeadsLegacy(dConcat, dQ, dK, dV)
 	} else {
-		dQ = a.dQ.EnsureShape(seq, a.Dim).Zero()
-		dK = a.dK.EnsureShape(seq, a.Dim).Zero()
-		dV = a.dV.EnsureShape(seq, a.Dim).Zero()
+		// Every head product writes its whole column slice, so the
+		// gradient blocks need no clearing.
+		dQ = a.dQ.EnsureShape(seq, a.Dim)
+		dK = a.dK.EnsureShape(seq, a.Dim)
+		dV = a.dV.EnsureShape(seq, a.Dim)
+		a.backwardHeads(dConcat, dQ, dK, dV)
 	}
-	scale := 1 / math.Sqrt(float64(a.dk))
+	dx := a.wq.Backward(dQ)
+	dxk := a.wk.Backward(dK)
+	dxv := a.wv.Backward(dV)
+	for i := range dx.Data {
+		dx.Data[i] += dxk.Data[i] + dxv.Data[i]
+	}
+	return dx
+}
 
+// backwardHeads is the fast head backward: four strided products per
+// head around the softmax gradient. Each replays one loop nest of
+// backwardHeadsLegacy with the same per-element accumulation order —
+// dAttn over the head's columns, dV over the rows of dOut, dQ and dK
+// over the scaled softmax gradient with its exact zeros skipped — so
+// the result is bit-identical to it. With fastDots, dAttn alone is the
+// reassociated mat.MatMulT over packed head blocks instead.
+func (a *SelfAttention) backwardHeads(dConcat, dQ, dK, dV *mat.Matrix) {
+	seq := a.x.Rows
+	scale := 1 / math.Sqrt(float64(a.dk))
+	dS := a.dAttn.EnsureShape(seq, seq)
+	var vT *mat.Matrix
+	if !a.fastDots {
+		vT = a.v.TransposeInto(&a.vT)
+	}
+	for h := 0; h < a.Heads; h++ {
+		off := h * a.dk
+		attn := a.attn[h]
+		// dAttn = dOut_h · Vh^T ; dV_h = attn^T · dOut_h.
+		if a.fastDots {
+			mat.MatMulT(dS, a.packHead(&a.doh, dConcat, h), a.packHead(&a.vh, a.v, h))
+		} else {
+			(&mat.Product{Rows: seq, Inner: a.dk, Width: seq, A: dConcat.Data[off:], ARow: a.Dim, AK: 1,
+				B: vT.Data[off*seq:], LdB: seq, Out: dS.Data, LdOut: seq}).Eval()
+		}
+		(&mat.Product{Rows: seq, Inner: seq, Width: a.dk, A: attn.Data, ARow: 1, AK: seq,
+			B: dConcat.Data[off:], LdB: a.Dim, Out: dV.Data[off:], LdOut: a.Dim}).Eval()
+		// Softmax backward per row, scaled: dS = attn ⊙ (dAttn - rowsum(dAttn ⊙ attn)) * scale.
+		for i := 0; i < seq; i++ {
+			arow := attn.Row(i)
+			drow := dS.Row(i)
+			var dot float64
+			for j := range drow {
+				dot += drow[j] * arow[j]
+			}
+			for j := range drow {
+				drow[j] = arow[j] * (drow[j] - dot) * scale
+			}
+		}
+		// dQ_h = dS · Kh ; dK_h = dS^T · Qh.
+		(&mat.Product{Rows: seq, Inner: seq, Width: a.dk, A: dS.Data, ARow: seq, AK: 1,
+			B: a.k.Data[off:], LdB: a.Dim, Out: dQ.Data[off:], LdOut: a.Dim, SkipZeros: true}).Eval()
+		(&mat.Product{Rows: seq, Inner: seq, Width: a.dk, A: dS.Data, ARow: 1, AK: seq,
+			B: a.q.Data[off:], LdB: a.Dim, Out: dK.Data[off:], LdOut: a.Dim, SkipZeros: true}).Eval()
+	}
+}
+
+// backwardHeadsLegacy is the allocate-per-call scalar head backward of
+// the legacy path. dQ, dK and dV arrive zeroed.
+func (a *SelfAttention) backwardHeadsLegacy(dConcat, dQ, dK, dV *mat.Matrix) {
+	seq := a.x.Rows
+	scale := 1 / math.Sqrt(float64(a.dk))
 	for h := 0; h < a.Heads; h++ {
 		off := h * a.dk
 		attn := a.attn[h]
 		// dV += attn^T · dOut_h ; dAttn = dOut_h · Vh^T.
-		var dAttn *mat.Matrix
-		if a.legacy {
-			dAttn = mat.NewMatrix(seq, seq)
-		} else {
-			dAttn = a.dAttn.EnsureShape(seq, seq)
-		}
-		if !a.legacy && a.fastDots {
-			// Reassociating path: dAttn as one MatMulT over the packed
-			// head blocks, then the dV axpy sweep.
-			doh := a.packHead(&a.doh, dConcat, h)
-			vh := a.packHead(&a.vh, a.v, h)
-			mat.MatMulT(dAttn, doh, vh)
-			for i := 0; i < seq; i++ {
-				arow := attn.Row(i)
-				doi := doh.Row(i)
-				for j := 0; j < seq; j++ {
-					mat.AddScaled(dV.Row(j)[off:off+a.dk], arow[j], doi)
+		dAttn := mat.NewMatrix(seq, seq)
+		for i := 0; i < seq; i++ {
+			doi := dConcat.Row(i)[off : off+a.dk]
+			arow := attn.Row(i)
+			darow := dAttn.Row(i)
+			for j := 0; j < seq; j++ {
+				vj := a.v.Row(j)[off : off+a.dk]
+				dvj := dV.Row(j)[off : off+a.dk]
+				var dot float64
+				for t := 0; t < a.dk; t++ {
+					dvj[t] += arow[j] * doi[t]
+					dot += doi[t] * vj[t]
 				}
-			}
-		} else {
-			for i := 0; i < seq; i++ {
-				doi := dConcat.Row(i)[off : off+a.dk]
-				arow := attn.Row(i)
-				darow := dAttn.Row(i)
-				for j := 0; j < seq; j++ {
-					vj := a.v.Row(j)[off : off+a.dk]
-					dvj := dV.Row(j)[off : off+a.dk]
-					var dot float64
-					for t := 0; t < a.dk; t++ {
-						dvj[t] += arow[j] * doi[t]
-						dot += doi[t] * vj[t]
-					}
-					darow[j] = dot
-				}
+				darow[j] = dot
 			}
 		}
 		// Softmax backward per row: dS = attn ⊙ (dAttn - rowsum(dAttn ⊙ attn)).
@@ -277,14 +327,6 @@ func (a *SelfAttention) Backward(grad *mat.Matrix) *mat.Matrix {
 			}
 		}
 	}
-
-	dx := a.wq.Backward(dQ)
-	dxk := a.wk.Backward(dK)
-	dxv := a.wv.Backward(dV)
-	for i := range dx.Data {
-		dx.Data[i] += dxk.Data[i] + dxv.Data[i]
-	}
-	return dx
 }
 
 // Params implements Layer.
@@ -366,13 +408,7 @@ func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 // Forward implements Layer.
 func (r *Residual) Forward(x *mat.Matrix) *mat.Matrix {
 	y := r.Inner.Forward(x)
-	var out *mat.Matrix
-	if r.legacy {
-		out = y.Clone()
-	} else {
-		out = r.out.EnsureShape(y.Rows, y.Cols)
-		copy(out.Data, y.Data)
-	}
+	out := copyOf(r.legacy, &r.out, y)
 	for i := range out.Data {
 		out.Data[i] += x.Data[i]
 	}
@@ -382,13 +418,7 @@ func (r *Residual) Forward(x *mat.Matrix) *mat.Matrix {
 // Backward implements Layer.
 func (r *Residual) Backward(grad *mat.Matrix) *mat.Matrix {
 	dInner := r.Inner.Backward(grad)
-	var out *mat.Matrix
-	if r.legacy {
-		out = dInner.Clone()
-	} else {
-		out = r.dout.EnsureShape(dInner.Rows, dInner.Cols)
-		copy(out.Data, dInner.Data)
-	}
+	out := copyOf(r.legacy, &r.dout, dInner)
 	for i := range out.Data {
 		out.Data[i] += grad.Data[i]
 	}

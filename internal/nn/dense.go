@@ -8,12 +8,13 @@ import (
 
 // Linear is a fully connected layer: y = xW + b with W of shape in×out.
 //
-// The default fast path writes into layer-owned scratch matrices via the
-// mat axpy kernels: zero allocations once the scratch is warm, and
-// bit-identical outputs to the legacy allocate-per-call path (the axpy
-// accumulation visits k in the same order the scalar loops did). The
-// legacy path is retained behind SetLegacyKernels as the fit-perf
-// baseline and as the oracle for the equivalence tests.
+// The default fast path hands each pass to one whole-layer mat kernel
+// call (mat.DenseFwd, mat.DenseBwd) writing into layer-owned scratch:
+// zero allocations once the scratch is warm, and bit-identical outputs
+// to the legacy allocate-per-call path at any shape (the kernels visit
+// every reduction index in the order the scalar loops did). The legacy
+// path is retained behind SetLegacyKernels as the fit-perf baseline and
+// as the oracle for the equivalence tests.
 type Linear struct {
 	In, Out int
 	w, b    *Param
@@ -26,12 +27,14 @@ type Linear struct {
 	// contract exists (tranad minibatch training).
 	fastDots bool
 	out, dx  mat.Matrix // scratch, grown once
+	wT       []float64  // Wᵀ scratch of the bit-exact Backward
 }
 
 // NewLinear creates a Glorot-initialised dense layer using rng.
 func NewLinear(in, out int, rng *rand.Rand) *Linear {
-	l := &Linear{In: in, Out: out, w: newParam(in * out), b: newParam(out)}
-	xavierInit(rng, l.w.W, in, out)
+	l := &Linear{In: in, Out: out, w: newParam(in * out), b: newParam(out), wT: make([]float64, in*out)}
+	l.w.fanIn, l.w.fanOut = in, out
+	l.w.init(rng)
 	return l
 }
 
@@ -42,9 +45,7 @@ func (l *Linear) Forward(x *mat.Matrix) *mat.Matrix {
 	}
 	l.x = x
 	out := l.out.EnsureShape(x.Rows, l.Out)
-	for i := 0; i < x.Rows; i++ {
-		mat.LinFwd(x.Row(i), l.b.W, l.w.W, out.Row(i))
-	}
+	mat.DenseFwd(x.Rows, l.In, l.Out, x.Data, l.b.W, l.w.W, out.Data)
 	return out
 }
 
@@ -75,28 +76,15 @@ func (l *Linear) Backward(grad *mat.Matrix) *mat.Matrix {
 		return l.backwardLegacy(grad)
 	}
 	dx := l.dx.EnsureShape(l.x.Rows, l.In)
+	if !l.fastDots {
+		mat.DenseBwd(grad.Rows, l.In, l.Out, l.x.Data, grad.Data, l.w.W, l.wT, l.w.G, l.b.G, dx.Data)
+		return dx
+	}
+	// db += g ; dW += x^T g ; dx = g W^T, row by row: the axpys are
+	// elementwise and bit-exact, the fused dots FMA-reassociated.
 	for i := 0; i < grad.Rows; i++ {
-		gi := grad.Row(i)
-		xi := l.x.Row(i)
-		di := dx.Row(i)
-		// db += g ; dW += x^T g ; dx = g W^T — split into an axpy per
-		// W row plus a dot. The axpy is elementwise and stays inside
-		// the bit-exact contract; the dot is in-order by default and
-		// FMA-reassociated when fastDots is on.
-		mat.AddScaled(l.b.G, 1, gi)
-		if l.fastDots {
-			mat.LinBwdFast(xi, gi, l.w.W, l.w.G, di)
-			continue
-		}
-		for k := 0; k < l.In; k++ {
-			mat.AddScaled(l.w.G[k*l.Out:(k+1)*l.Out], xi[k], gi)
-			wrow := l.w.W[k*l.Out : (k+1)*l.Out]
-			var acc float64
-			for j := 0; j < l.Out; j++ {
-				acc += gi[j] * wrow[j]
-			}
-			di[k] = acc
-		}
+		mat.AddScaled(l.b.G, 1, grad.Row(i))
+		mat.LinBwdFast(l.x.Row(i), grad.Row(i), l.w.W, l.w.G, dx.Row(i))
 	}
 	return dx
 }

@@ -26,33 +26,25 @@ import (
 // between deferred training steps cannot corrupt an in-flight
 // forward/backward pair.
 
-// ApplyRow computes one dense row, out = b + x·W, through the same fused
-// mat.LinFwd kernel the fast Forward path runs per row. len(x) must be
-// In and len(out) must be Out.
-func (l *Linear) ApplyRow(x, out []float64) {
-	mat.LinFwd(x, l.b.W, l.w.W, out)
+// Apply computes the dense map out = b + x·W for rows samples without
+// touching the Forward cache, through the same mat.DenseFwd kernel call
+// the fast Forward path makes. len(x) must be rows·In and len(out)
+// rows·Out.
+func (l *Linear) Apply(rows int, x, out []float64) {
+	mat.DenseFwd(rows, l.In, l.Out, x, l.b.W, l.w.W, out)
 }
+
+// ApplyRow is Apply for one row.
+func (l *Linear) ApplyRow(x, out []float64) { l.Apply(1, x, out) }
 
 // ApplyRow normalises one row with the layer's gain and bias:
 // out = xhat·gain + bias with xhat = (x - mean) / sqrt(var + eps). The
-// reductions run in the fast Forward path's fused two-pass order (they
-// are in-order sums and must stay scalar), and the elementwise
-// normalise runs through mat.NormRow, whose SIMD dispatch replays the
-// scalar operation sequence per lane — so the bits match a full
-// Forward of the same row at every dispatch level.
+// reductions are the fast Forward path's (rowMoments), and the
+// elementwise normalise runs through mat.NormRow, whose SIMD dispatch
+// replays the scalar operation sequence per lane — so the bits match a
+// full Forward of the same row at every dispatch level.
 func (l *LayerNorm) ApplyRow(x, out []float64) {
-	var m float64
-	for _, xv := range x {
-		m += xv
-	}
-	m /= float64(len(x))
-	var ss float64
-	for _, xv := range x {
-		d := xv - m
-		ss += d * d
-	}
-	v := ss / float64(len(x))
-	inv := 1 / math.Sqrt(v+l.Eps)
+	m, inv := l.rowMoments(x)
 	mat.NormRow(x, l.gain.W, l.bias.W, out, m, inv)
 }
 
@@ -90,63 +82,36 @@ func (p *PositionalEncoding) ensureTable(rows, cols int) {
 // mix and output projection run for one row instead of seq. out must
 // have length Dim and receives what row seq-1 of Forward(x) would hold,
 // bit for bit: the score dots accumulate in the k-order of the fast
-// path's MatMul, the softmax replays its scale/max/exp/normalise loop
+// path's score product, the softmax replays its scale/max/exp/normalise loop
 // order, and the value mix accumulates in j-order. Inference scratch is
 // disjoint from the training caches.
 func (a *SelfAttention) AttendLast(x *mat.Matrix, out []float64) {
 	seq := x.Rows
 	k := a.infK.EnsureShape(seq, a.Dim)
 	v := a.infV.EnsureShape(seq, a.Dim)
-	for i := 0; i < seq; i++ {
-		a.wk.ApplyRow(x.Row(i), k.Row(i))
-		a.wv.ApplyRow(x.Row(i), v.Row(i))
-	}
-	if cap(a.infQ) < a.Dim {
-		a.infQ = make([]float64, a.Dim)
-	}
-	q := a.infQ[:a.Dim]
+	a.wk.Apply(seq, x.Data, k.Data)
+	a.wv.Apply(seq, x.Data, v.Data)
+	q, concat := a.infQ, a.infC
 	a.wq.ApplyRow(x.Row(seq-1), q)
 	if cap(a.infS) < seq {
 		a.infS = make([]float64, seq)
 	}
 	s := a.infS[:seq]
-	if cap(a.infC) < a.Dim {
-		a.infC = make([]float64, a.Dim)
-	}
-	concat := a.infC[:a.Dim]
 	scale := 1 / math.Sqrt(float64(a.dk))
 	for h := 0; h < a.Heads; h++ {
 		off := h * a.dk
 		qh := q[off : off+a.dk]
-		maxv := math.Inf(-1)
 		for j := 0; j < seq; j++ {
 			kj := k.Row(j)[off : off+a.dk]
 			var dot float64
-			for t := 0; t < a.dk; t++ {
-				dot += qh[t] * kj[t]
+			for t, qv := range qh {
+				dot += qv * kj[t]
 			}
-			dot *= scale
 			s[j] = dot
-			if dot > maxv {
-				maxv = dot
-			}
 		}
-		var sum float64
-		for j := range s {
-			s[j] = math.Exp(s[j] - maxv)
-			sum += s[j]
-		}
-		inv := 1 / sum
-		for j := range s {
-			s[j] *= inv
-		}
-		orow := concat[off : off+a.dk]
-		for t := range orow {
-			orow[t] = 0
-		}
-		for j := 0; j < seq; j++ {
-			mat.AddScaled(orow, s[j], v.Row(j)[off:off+a.dk])
-		}
+		softmaxRow(s, scale)
+		(&mat.Product{Rows: 1, Inner: seq, Width: a.dk, A: s, AK: 1,
+			B: v.Data[off:], LdB: a.Dim, Out: concat[off:], LdOut: a.dk}).Eval()
 	}
 	a.wo.ApplyRow(concat, out)
 }

@@ -18,18 +18,43 @@ import (
 )
 
 // Param is one learnable tensor with its gradient accumulator, flattened
-// row-major.
+// row-major. W and G start as the tensor's own slices; NewAdam re-points
+// them into the optimiser's contiguous arena, so layers must read them
+// through the Param on every pass and never cache the slices.
 type Param struct {
 	W []float64 // weights
 	G []float64 // gradient, same length
+	// Initialisation recipe, replayed by InitParams: Glorot-uniform over
+	// fanIn/fanOut when fanIn > 0, else the constant fill.
+	fanIn, fanOut int
+	fill          float64
 }
 
 func newParam(n int) *Param { return &Param{W: make([]float64, n), G: make([]float64, n)} }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
+// init (re)draws the tensor's initial weights.
+func (p *Param) init(rng *rand.Rand) {
+	if p.fanIn == 0 {
+		for i := range p.W {
+			p.W[i] = p.fill
+		}
+		return
+	}
+	scale := math.Sqrt(6 / float64(p.fanIn+p.fanOut))
+	for i := range p.W {
+		p.W[i] = (rng.Float64()*2 - 1) * scale
+	}
+}
+
+// InitParams re-initialises every tensor in place, drawing from rng in
+// params order. For a net whose layers were constructed front to back
+// that is the order their constructors drew in, so a net re-initialised
+// from a fresh rng holds exactly the weights a newly built one would —
+// which lets a cold refit reuse the net, its scratch and its optimiser
+// arena instead of reallocating them.
+func InitParams(params []*Param, rng *rand.Rand) {
+	for _, p := range params {
+		p.init(rng)
 	}
 }
 
@@ -149,32 +174,9 @@ func CopyWeights(dst, src []*Param) {
 	}
 }
 
-// AddGrads accumulates src's gradients into dst's. Reducing replica
-// gradients through this in a fixed replica order keeps minibatch
-// training deterministic regardless of how many goroutines computed
-// them.
-func AddGrads(dst, src []*Param) {
-	if len(dst) != len(src) {
-		panic("nn: AddGrads: parameter count mismatch")
-	}
-	for i, p := range dst {
-		// alpha=1 is exact (1·x == x bitwise), so the SIMD axpy keeps
-		// the reduction bit-identical to the scalar loop.
-		mat.AddScaled(p.G, 1, src[i].G)
-	}
-}
-
 // ZeroGrads clears every gradient accumulator in params.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
-		p.ZeroGrad()
-	}
-}
-
-// xavierInit fills w with Glorot-uniform values scaled by fan-in/out.
-func xavierInit(rng *rand.Rand, w []float64, fanIn, fanOut int) {
-	scale := math.Sqrt(6 / float64(fanIn+fanOut))
-	for i := range w {
-		w[i] = (rng.Float64()*2 - 1) * scale
+		clear(p.G)
 	}
 }

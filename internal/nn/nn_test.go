@@ -28,7 +28,7 @@ func numericalGradCheck(t *testing.T, layer Layer, rows, cols int, seed int64, t
 	}
 	// Analytic gradients.
 	for _, p := range layer.Params() {
-		p.ZeroGrad()
+		clear(p.G)
 	}
 	out := layer.Forward(x.Clone())
 	gradOut := out.Clone() // dL/dout = out for L = sum(out^2)/2
@@ -56,7 +56,7 @@ func numericalGradCheck(t *testing.T, layer Layer, rows, cols int, seed int64, t
 	// Parameter gradient check (sampled entries). Recompute analytic
 	// gradients freshly since loss() calls above overwrote caches.
 	for _, p := range layer.Params() {
-		p.ZeroGrad()
+		clear(p.G)
 	}
 	out = layer.Forward(x.Clone())
 	layer.Backward(out.Clone())

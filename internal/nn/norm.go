@@ -30,9 +30,8 @@ type LayerNorm struct {
 // NewLayerNorm returns a layer norm over rows of width dim.
 func NewLayerNorm(dim int) *LayerNorm {
 	l := &LayerNorm{Dim: dim, Eps: 1e-5, gain: newParam(dim), bias: newParam(dim)}
-	for i := range l.gain.W {
-		l.gain.W[i] = 1
-	}
+	l.gain.fill = 1
+	l.gain.init(nil)
 	return l
 }
 
@@ -53,26 +52,13 @@ func (l *LayerNorm) Forward(x *mat.Matrix) *mat.Matrix {
 	}
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
-		var m, v float64
+		var m, inv float64
 		if l.legacy {
 			m = mat.Mean(row)
-			v = mat.Variance(row)
+			inv = 1 / math.Sqrt(mat.Variance(row)+l.Eps)
 		} else {
-			// The same reductions mat.Mean and mat.Variance perform
-			// (identical order, so identical bits), fused into two
-			// passes over the row instead of three.
-			for _, xv := range row {
-				m += xv
-			}
-			m /= float64(len(row))
-			var ss float64
-			for _, xv := range row {
-				d := xv - m
-				ss += d * d
-			}
-			v = ss / float64(len(row))
+			m, inv = l.rowMoments(row)
 		}
-		inv := 1 / math.Sqrt(v+l.Eps)
 		l.isdev[i] = inv
 		xh := l.xhat.Row(i)
 		o := out.Row(i)
@@ -82,6 +68,23 @@ func (l *LayerNorm) Forward(x *mat.Matrix) *mat.Matrix {
 		}
 	}
 	return out
+}
+
+// rowMoments returns a row's mean and inverse deviation 1/sqrt(var+eps):
+// the reductions mat.Mean and mat.Variance perform (identical order, so
+// identical bits), fused into two passes over the row instead of three.
+// They are in-order sums and must stay scalar.
+func (l *LayerNorm) rowMoments(row []float64) (m, inv float64) {
+	for _, xv := range row {
+		m += xv
+	}
+	m /= float64(len(row))
+	var ss float64
+	for _, xv := range row {
+		d := xv - m
+		ss += d * d
+	}
+	return m, 1 / math.Sqrt(ss/float64(len(row))+l.Eps)
 }
 
 // Backward implements Layer.
