@@ -74,22 +74,27 @@ drain-gate:
 ## equivalence tests (tranad bit-identity at the package defaults and at
 ## the shipped eval.NewDetector configuration, incl. the snapshots the
 ## pre-whole-layer-kernel commit wrote; minibatch determinism; gbt
-## histogram-vs-exact tree equivalence), then a small fitperf run whose
-## grid leg replays tranad+xgboost through legacy and current fit
-## kernels and (-fitperf-strict) exits non-zero unless every cell is
-## identical.
+## histogram-vs-exact tree equivalence and the histogram edge cases;
+## regress snapshots the commit before the occupancy-sized histograms
+## wrote, at one and at four fitpool workers, and the per-fit allocation
+## bound), then a small fitperf run whose grid leg replays
+## tranad+xgboost through legacy and current fit kernels and
+## (-fitperf-strict) exits non-zero unless every cell is identical.
 fitperf-smoke:
-	$(GO) test -run 'TestFastFit|TestShippedConfigBitIdentical|TestShippedSnapshots|TestMinibatch|TestParallelChannels|TestHist' ./internal/detector/tranad/ ./internal/detector/regress/ ./internal/gbt/
+	$(GO) test -run 'TestFastFit|TestShippedConfigBitIdentical|TestShippedSnapshots|TestMinibatch|TestParallelChannels|TestRegressFitAllocBound|TestHist|TestBins' ./internal/detector/tranad/ ./internal/detector/regress/ ./internal/gbt/
 	$(GO) run ./cmd/navarchos-bench -experiment fitperf -scale small -fitperf-strict
 
 ## bench-micro: one iteration of the kernel micro-benchmarks (the
 ## in-order product, SIMD axpy/Adam, the whole-layer dense forward/backward at
-## every shipped layer shape, histogram vs exact split search, tranad
-## fit and score at the wide and the shipped configuration), enough to
-## catch a kernel benchmark that no longer compiles or crashes.
+## every shipped layer shape, histogram split search at the shapes the
+## paper grid fits and exact split search, a regress fit at both shipped
+## profile shapes, tranad fit and score at the wide and the shipped
+## configuration), enough to catch a kernel benchmark that no longer
+## compiles or crashes.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkProduct|BenchmarkDotUnrolled4|BenchmarkColInto|BenchmarkAddScaled|BenchmarkAdamStep|BenchmarkSquaredDistances8|BenchmarkNormRow|BenchmarkLinFwd|BenchmarkLinBwd' -benchtime 1x ./internal/mat/
 	$(GO) test -run '^$$' -bench 'BenchmarkHistogramSplit|BenchmarkExactSplit' -benchtime 1x ./internal/gbt/
+	$(GO) test -run '^$$' -bench 'BenchmarkRegressFit' -benchtime 1x ./internal/detector/regress/
 	$(GO) test -run '^$$' -bench 'BenchmarkFitLegacy|BenchmarkFitFast|BenchmarkScore' -benchtime 1x ./internal/detector/tranad/
 
 ## vet-obs: go vet plus the obscheck lint — every metric family the
@@ -151,11 +156,12 @@ scoreperf-smoke:
 		./internal/detector/tranad/ ./internal/detector/regress/ ./internal/detector/grand/
 	$(GO) run ./cmd/navarchos-bench -experiment scoreperf -scale small -scoreperf-strict
 
-## scaling-smoke: the multi-core floor — at bench scale, shards=2
-## throughput must be at least shards=1 (the regression BENCH_2
-## recorded). Timing-sensitive and meaningless on a single-core host,
-## so it is opt-in via SCALING_SMOKE_GATE and skips itself (with the
-## logged insufficient_cpu reason) when the host has <2 usable CPUs.
+## scaling-smoke: the multi-core floor — at bench scale, shards=2 must
+## not be slower than shards=1 (the regression BENCH_2 recorded) by more
+## than the repeats' recorded run-to-run spread. Timing-sensitive and
+## meaningless on a single-core host, so it is opt-in via
+## SCALING_SMOKE_GATE and skips itself (with the logged insufficient_cpu
+## reason) when the host has <2 usable CPUs.
 scaling-smoke:
 	SCALING_SMOKE_GATE=1 $(GO) test -run 'TestShardScalingSmoke' -timeout 20m -v ./internal/experiments/
 

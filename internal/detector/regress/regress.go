@@ -50,44 +50,48 @@ func (d *Detector) Fit(ref [][]float64) error {
 	}
 	d.dim = dim
 	d.models = make([]*gbt.Regressor, dim)
-	// Each channel's booster trains independently, so channels fan out
-	// across the fitpool (each with its own design-matrix buffers —
-	// results land in per-channel slots, making the fit worker-count
-	// independent). LegacyFitKernels also restores the serial
-	// channel-by-channel loop.
-	workers := fitpool.Workers()
 	if d.cfg.LegacyFitKernels {
-		workers = 1
-	}
-	if workers > dim {
-		workers = dim
-	}
-	errs := make([]error, dim)
-	buffers := make([]struct {
-		X [][]float64
-		y []float64
-	}, workers)
-	fitpool.Run(dim, workers, func(worker, c int) {
-		buf := &buffers[worker]
-		if buf.X == nil {
-			buf.X = make([][]float64, len(ref))
-			buf.y = make([]float64, len(ref))
-		}
-		for i, row := range ref {
-			buf.X[i] = dropColumn(row, c)
-			buf.y[i] = row[c]
-		}
-		cfg := d.cfg
-		cfg.Seed = d.cfg.Seed + int64(c) + 1
-		d.models[c], errs[c] = gbt.Train(buf.X, buf.y, cfg)
-	})
-	for _, err := range errs {
-		if err != nil {
+		if err := d.fitLegacy(ref); err != nil {
 			return err
 		}
+	} else {
+		// ref is binned once, by column; the dim boosters share that
+		// design read-only, each training on all columns but its own, so
+		// channels fan out across the fitpool. Results land in
+		// per-channel slots, making the fit worker-count independent.
+		m := gbt.NewDesign(ref)
+		fitpool.Run(dim, fitpool.Workers(), func(_, c int) {
+			d.models[c] = m.TrainColumn(c, d.channelConfig(c))
+		})
 	}
 	if d.names == nil || len(d.names) != dim {
 		d.names = detector.NumberedChannels(dim)
+	}
+	return nil
+}
+
+// channelConfig is the booster configuration of channel c.
+func (d *Detector) channelConfig(c int) gbt.Config {
+	cfg := d.cfg
+	cfg.Seed = d.cfg.Seed + int64(c) + 1
+	return cfg
+}
+
+// fitLegacy is the LegacyFitKernels fit: channel by channel, each
+// booster trained through gbt.Train on its own row-major copy of ref
+// without the target column.
+func (d *Detector) fitLegacy(ref [][]float64) error {
+	X := make([][]float64, len(ref))
+	y := make([]float64, len(ref))
+	for c := range d.models {
+		for i, row := range ref {
+			X[i] = dropColumn(row, c)
+			y[i] = row[c]
+		}
+		var err error
+		if d.models[c], err = gbt.Train(X, y, d.channelConfig(c)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -9,9 +9,12 @@ import (
 )
 
 // TestShardScalingSmoke is the `make scaling-smoke` CI gate: at bench
-// scale, shards=2 throughput must be at least shards=1 — the floor
-// under the scaling claim, catching regressions like BENCH_2's
-// shards=2 run losing to shards=1. Timing-sensitive, so it is opt-in
+// scale, shards=2 must not be slower than shards=1 by more than the
+// repeats' own run-to-run spread — the floor under the scaling claim,
+// catching regressions like BENCH_2's shards=2 run losing to shards=1
+// without failing on a deficit the two runs' noise already covers (a
+// bare `<` failed three runs in four on an unchanged tree on a busy
+// 2-CPU host). Timing-sensitive, so it is opt-in
 // via SCALING_SMOKE_GATE (the overhead-gate idiom) and skips with a
 // logged reason on hosts that cannot run the claim — fewer than 2
 // usable CPUs, detected with the same InsufficientCPU rule the perf
@@ -46,8 +49,11 @@ func TestShardScalingSmoke(t *testing.T) {
 	}
 	t.Logf("shards=1: %.0f records/s, shards=2: %.0f records/s (%.2fx, median of %d repeats)",
 		r1.RecordsPerSec, r2.RecordsPerSec, r2.RecordsPerSec/r1.RecordsPerSec, r1.Repeats)
-	if r2.RecordsPerSec < r1.RecordsPerSec {
-		t.Fatalf("shards=2 is SLOWER than shards=1: %.0f vs %.0f records/s — multi-core scaling regressed",
-			r2.RecordsPerSec, r1.RecordsPerSec)
+	deficit, spread := r2.Seconds-r1.Seconds, r1.SecondsStddev+r2.SecondsStddev
+	t.Logf("median wall: shards=1 %.3fs (stddev %.3fs), shards=2 %.3fs (stddev %.3fs)",
+		r1.Seconds, r1.SecondsStddev, r2.Seconds, r2.SecondsStddev)
+	if deficit > spread {
+		t.Fatalf("shards=2 is SLOWER than shards=1 by %.3fs, more than the %.3fs the repeats spread — multi-core scaling regressed",
+			deficit, spread)
 	}
 }

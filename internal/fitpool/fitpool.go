@@ -2,15 +2,14 @@
 //
 // Every subsystem that parallelises fitting — the fleet engine's
 // asynchronous per-vehicle refits, the evaluation grid's per-vehicle
-// detector fits, gbt's feature-parallel split search and regress's
-// per-channel model training — draws workers from one GOMAXPROCS-sized
-// token pool instead of spawning its own unbounded goroutines. That
-// keeps a fleet engine refit from oversubscribing the machine when the
-// evaluation grid is also running, and it makes nesting safe by
-// construction: a parallel fit that was itself started from a pool
-// worker finds no free tokens and simply runs serially inline, with
-// zero goroutines spawned. On a single-CPU host every Run call
-// degenerates to an inline loop.
+// detector fits and regress's per-channel model training — draws
+// workers from one GOMAXPROCS-sized token pool instead of spawning its
+// own unbounded goroutines. That keeps a fleet engine refit from
+// oversubscribing the machine when the evaluation grid is also running,
+// and it makes nesting safe by construction: a parallel fit that was
+// itself started from a pool worker finds no free tokens and simply
+// runs serially inline, with zero goroutines spawned. On a single-CPU
+// host every Run call degenerates to an inline loop.
 //
 // Determinism contract: Run hands work items to workers by an atomic
 // counter, so *which* goroutine runs an item is scheduling-dependent —
@@ -26,11 +25,15 @@ import (
 	"sync/atomic"
 )
 
-var (
-	mu      sync.Mutex
+// state is one sizing of the pool. SetWorkers publishes a new one whole;
+// every other function only loads the pointer, so the accessors every
+// nested Run calls cost an atomic load, not a process-wide lock.
+type state struct {
 	tokens  chan struct{}
 	workers int
-)
+}
+
+var cur atomic.Pointer[state]
 
 func init() { SetWorkers(runtime.GOMAXPROCS(0)) }
 
@@ -41,27 +44,17 @@ func SetWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	workers = n
-	tokens = make(chan struct{}, n)
+	s := &state{tokens: make(chan struct{}, n), workers: n}
 	for i := 0; i < n; i++ {
-		tokens <- struct{}{}
+		s.tokens <- struct{}{}
 	}
+	cur.Store(s)
 }
 
 // Workers returns the pool size.
-func Workers() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return workers
-}
+func Workers() int { return cur.Load().workers }
 
-func pool() chan struct{} {
-	mu.Lock()
-	defer mu.Unlock()
-	return tokens
-}
+func pool() chan struct{} { return cur.Load().tokens }
 
 // Acquire blocks until a fit token is free. Pair with Release.
 func Acquire() { <-pool() }

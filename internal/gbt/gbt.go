@@ -1,9 +1,11 @@
 // Package gbt implements gradient-boosted regression trees in the style
 // of XGBoost (Chen & Guestrin, KDD 2016) for squared-error regression:
-// second-order boosting with L2-regularised leaf weights, exact greedy
-// split finding, a minimum-gain (γ) pruning criterion, depth limits and
-// row/column subsampling. It is the model behind the paper's
-// regression-based detector (Section 3.6).
+// second-order boosting with L2-regularised leaf weights, histogram
+// split finding over features binned once per fit (hist.go; the exact
+// greedy search over pre-sorted rows is kept behind
+// Config.LegacyFitKernels as its oracle), a minimum-gain (γ) pruning
+// criterion, depth limits and row/column subsampling. It is the model
+// behind the paper's regression-based detector (Section 3.6).
 package gbt
 
 import (
@@ -106,7 +108,9 @@ type Regressor struct {
 }
 
 // Train fits a boosted regression ensemble on X (rows = samples) and
-// targets y.
+// targets y. It is the single-target wrapper over a Design built from X;
+// callers fitting several targets off one matrix build the Design once
+// (regress.Fit).
 func Train(X [][]float64, y []float64, cfg Config) (*Regressor, error) {
 	cfg.defaults()
 	if len(X) == 0 {
@@ -121,69 +125,73 @@ func Train(X [][]float64, y []float64, cfg Config) (*Regressor, error) {
 			return nil, ErrDimension
 		}
 	}
-	r := &Regressor{cfg: cfg, dim: dim}
+	if cfg.LegacyFitKernels {
+		return trainExact(X, y, cfg), nil
+	}
+	return train(NewDesign(X).cols, y, cfg), nil
+}
+
+// trainExact boosts with the exact greedy split search over feature
+// orderings pre-sorted once and shared across all rounds.
+func trainExact(X [][]float64, y []float64, cfg Config) *Regressor {
+	dim := len(X[0])
+	order := make([][]int, dim)
+	for f := 0; f < dim; f++ {
+		idx := make([]int, len(X))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return X[idx[a]][f] < X[idx[b]][f] })
+		order[f] = idx
+	}
+	return boost(y, dim, cfg, func(grad []float64, inBag, feats []bool, out []float64) tree {
+		b := &treeBuilder{
+			X: X, grad: grad, cfg: cfg,
+			order: order, inBag: inBag, feats: feats,
+		}
+		tr := b.build()
+		for i := range out {
+			out[i] = tr.predict(X[i])
+		}
+		return tr
+	})
+}
+
+// boost runs the boosting rounds both split searches share. grow builds
+// one tree on the round's gradients, row bag and feature subset, and
+// writes the tree's output for every row, in the bag or not, to out.
+func boost(y []float64, dim int, cfg Config, grow func(grad []float64, inBag, feats []bool, out []float64) tree) *Regressor {
+	n := len(y)
+	r := &Regressor{cfg: cfg, dim: dim, trees: make([]tree, 0, cfg.NumTrees)}
 	// Base score: mean target (the optimal constant under squared loss).
 	var sum float64
 	for _, v := range y {
 		sum += v
 	}
-	r.base = sum / float64(len(y))
+	r.base = sum / float64(n)
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pred := make([]float64, len(y))
+	var rng *rand.Rand // drawn from only when a round subsamples
+	if cfg.Subsample < 1 || cfg.ColSample < 1 {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	buf := make([]float64, 3*n)
+	pred, grad, out := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	for i := range pred {
 		pred[i] = r.base
 	}
-	grad := make([]float64, len(y))
-
-	// Pre-sorted feature orderings (legacy exact scan only) or the
-	// one-off feature binning (histogram scan): either is computed once
-	// and shared across all boosting rounds.
-	var order [][]int
-	var bins *histBins
-	var hb *histBuilder
-	if cfg.LegacyFitKernels {
-		order = make([][]int, dim)
-		for f := 0; f < dim; f++ {
-			idx := make([]int, len(X))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.SliceStable(idx, func(a, b int) bool { return X[idx[a]][f] < X[idx[b]][f] })
-			order[f] = idx
-		}
-	} else {
-		bins = buildBins(X, dim)
-		hb = &histBuilder{
-			X: X, grad: grad, cfg: cfg, bins: bins, dim: dim,
-			cands: make([]histCand, dim),
-		}
-	}
-
+	inBag, feats := make([]bool, n), make([]bool, dim)
 	for round := 0; round < cfg.NumTrees; round++ {
 		for i := range grad {
 			grad[i] = pred[i] - y[i] // squared loss gradient; hessian = 1
 		}
-		inBag := sampleRows(len(X), cfg.Subsample, rng)
-		feats := sampleFeatures(dim, cfg.ColSample, rng)
-		var tr tree
-		if cfg.LegacyFitKernels {
-			b := &treeBuilder{
-				X: X, grad: grad, cfg: cfg,
-				order: order, inBag: inBag, feats: feats,
-			}
-			tr = b.build()
-		} else {
-			hb.inBag, hb.feats = inBag, feats
-			hb.tr = tree{}
-			tr = hb.build()
-		}
-		r.trees = append(r.trees, tr)
+		sampleRows(inBag, cfg.Subsample, rng)
+		sampleFeatures(feats, cfg.ColSample, rng)
+		r.trees = append(r.trees, grow(grad, inBag, feats, out))
 		for i := range pred {
-			pred[i] += cfg.LearningRate * tr.predict(X[i])
+			pred[i] += cfg.LearningRate * out[i]
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Predict returns the ensemble prediction for x.
@@ -201,37 +209,26 @@ func (r *Regressor) NumFeatures() int { return r.dim }
 // NumTrees returns the number of fitted trees.
 func (r *Regressor) NumTrees() int { return len(r.trees) }
 
-func sampleRows(n int, frac float64, rng *rand.Rand) []bool {
-	inBag := make([]bool, n)
-	if frac >= 1 {
-		for i := range inBag {
-			inBag[i] = true
-		}
-		return inBag
-	}
+func sampleRows(inBag []bool, frac float64, rng *rand.Rand) {
 	for i := range inBag {
-		inBag[i] = rng.Float64() < frac
+		inBag[i] = frac >= 1 || rng.Float64() < frac
 	}
-	return inBag
 }
 
-func sampleFeatures(dim int, frac float64, rng *rand.Rand) []bool {
-	feats := make([]bool, dim)
-	if frac >= 1 {
-		for i := range feats {
-			feats[i] = true
-		}
-		return feats
+func sampleFeatures(feats []bool, frac float64, rng *rand.Rand) {
+	for f := range feats {
+		feats[f] = frac >= 1
 	}
-	k := int(float64(dim)*frac + 0.5)
+	if frac >= 1 {
+		return
+	}
+	k := int(float64(len(feats))*frac + 0.5)
 	if k < 1 {
 		k = 1
 	}
-	perm := rng.Perm(dim)
-	for _, f := range perm[:k] {
+	for _, f := range rng.Perm(len(feats))[:k] {
 		feats[f] = true
 	}
-	return feats
 }
 
 // treeBuilder grows one regression tree with exact greedy splits.

@@ -1,11 +1,10 @@
 package gbt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/navarchos/pdm/internal/fitpool"
 )
 
 // TestBinsLosslessOnFewDistinct checks that with at most 256 distinct
@@ -13,25 +12,25 @@ import (
 // bin ranges collapse to single points.
 func TestBinsLosslessOnFewDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	n, dim := 500, 3
+	n := 500
 	X := make([][]float64, n)
 	for i := range X {
 		X[i] = []float64{float64(rng.Intn(10)), float64(rng.Intn(200)) / 7, 1.5}
 	}
-	b := buildBins(X, dim)
-	if b.nbins[0] != 10 || b.nbins[2] != 1 {
-		t.Fatalf("nbins = %v, want feature 0 -> 10, feature 2 -> 1", b.nbins)
+	cols := NewDesign(X).cols
+	if len(cols[0].lo) != 10 || len(cols[2].lo) != 1 {
+		t.Fatalf("bins = %d, %d, want feature 0 -> 10, feature 2 -> 1", len(cols[0].lo), len(cols[2].lo))
 	}
-	for f := 0; f < dim; f++ {
-		for k := 0; k < b.nbins[f]; k++ {
-			if b.lo[f][k] != b.hi[f][k] {
-				t.Fatalf("feature %d bin %d not a point: [%v, %v]", f, k, b.lo[f][k], b.hi[f][k])
+	for f, c := range cols {
+		for k := range c.lo {
+			if c.lo[k] != c.hi[k] {
+				t.Fatalf("feature %d bin %d not a point: [%v, %v]", f, k, c.lo[k], c.hi[k])
 			}
 		}
 		for i, row := range X {
-			k := int(b.binned[f][i])
-			if b.lo[f][k] != row[f] {
-				t.Fatalf("feature %d row %d: value %v binned to bin %d = %v", f, i, row[f], k, b.lo[f][k])
+			k := int(c.binned[i])
+			if c.lo[k] != row[f] || c.vals[i] != row[f] {
+				t.Fatalf("feature %d row %d: value %v held as %v, binned to bin %d = %v", f, i, row[f], c.vals[i], k, c.lo[k])
 			}
 		}
 	}
@@ -47,22 +46,22 @@ func TestBinsQuantisedOnManyDistinct(t *testing.T) {
 	for i := range X {
 		X[i] = []float64{rng.NormFloat64()}
 	}
-	b := buildBins(X, 1)
-	if b.nbins[0] != maxBins {
-		t.Fatalf("nbins = %d, want %d", b.nbins[0], maxBins)
+	c := NewDesign(X).cols[0]
+	if len(c.lo) != maxBins {
+		t.Fatalf("bins = %d, want %d", len(c.lo), maxBins)
 	}
 	for k := 0; k < maxBins; k++ {
-		if b.lo[0][k] > b.hi[0][k] {
-			t.Fatalf("bin %d inverted: [%v, %v]", k, b.lo[0][k], b.hi[0][k])
+		if c.lo[k] > c.hi[k] {
+			t.Fatalf("bin %d inverted: [%v, %v]", k, c.lo[k], c.hi[k])
 		}
-		if k > 0 && b.hi[0][k-1] >= b.lo[0][k] {
+		if k > 0 && c.hi[k-1] >= c.lo[k] {
 			t.Fatalf("bins %d and %d overlap", k-1, k)
 		}
 	}
 	for i, row := range X {
-		k := int(b.binned[0][i])
-		if row[0] < b.lo[0][k] || row[0] > b.hi[0][k] {
-			t.Fatalf("row %d: value %v outside bin %d range [%v, %v]", i, row[0], k, b.lo[0][k], b.hi[0][k])
+		k := int(c.binned[i])
+		if row[0] < c.lo[k] || row[0] > c.hi[k] {
+			t.Fatalf("row %d: value %v outside bin %d range [%v, %v]", i, row[0], k, c.lo[k], c.hi[k])
 		}
 	}
 }
@@ -155,45 +154,6 @@ func TestHistQualityOnContinuousFeatures(t *testing.T) {
 	}
 }
 
-// TestHistDeterministicAcrossWorkers checks the parallel feature scan
-// contract: the trained ensemble is bitwise independent of the fitpool
-// worker count.
-func TestHistDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n, dim := 600, 5
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		row := make([]float64, dim)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		X[i] = row
-		y[i] = row[0] - row[3]
-	}
-	train := func(workers int) *Regressor {
-		defer fitpool.SetWorkers(fitpool.Workers())
-		fitpool.SetWorkers(workers)
-		r, err := Train(X, y, Config{NumTrees: 15, MaxDepth: 4, Seed: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := train(1), train(6)
-	for ti := range a.trees {
-		an, bn := a.trees[ti].nodes, b.trees[ti].nodes
-		if len(an) != len(bn) {
-			t.Fatalf("tree %d node count depends on workers", ti)
-		}
-		for ni := range an {
-			if an[ni] != bn[ni] {
-				t.Fatalf("tree %d node %d depends on workers: %+v vs %+v", ti, ni, an[ni], bn[ni])
-			}
-		}
-	}
-}
-
 func benchData(n, dim int) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(9))
 	X := make([][]float64, n)
@@ -209,14 +169,31 @@ func benchData(n, dim int) ([][]float64, []float64) {
 	return X, y
 }
 
+// BenchmarkHistogramSplit runs one booster at the shapes regress.Fit
+// hands gbt in the paper grid — a 45-row windowed profile with the 14
+// other correlation pairs or the 5 other means, a 900-row raw or delta
+// profile with 5 other signals, all at the shipped 25 trees of depth 3 —
+// next to the 2000 × 10 the search was first tuned on.
 func BenchmarkHistogramSplit(b *testing.B) {
-	X, y := benchData(2000, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(X, y, Config{NumTrees: 10, MaxDepth: 4, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		rows, dim int
+		cfg       Config
+	}{
+		{45, 14, Config{NumTrees: 25, MaxDepth: 3, Seed: 1}},
+		{45, 5, Config{NumTrees: 25, MaxDepth: 3, Seed: 1}},
+		{900, 5, Config{NumTrees: 25, MaxDepth: 3, Seed: 1}},
+		{2000, 10, Config{NumTrees: 10, MaxDepth: 4, Seed: 1}},
+	} {
+		b.Run(fmt.Sprintf("%dx%d", bc.rows, bc.dim), func(b *testing.B) {
+			X, y := benchData(bc.rows, bc.dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(X, y, bc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -231,16 +208,14 @@ func BenchmarkExactSplit(b *testing.B) {
 	}
 }
 
-// TestHistFitAllocBound bounds the allocations of a histogram fit. The
-// grower partitions each node's rows in place with one builder-owned
-// scratch; when it built the two children with append from nil at every
-// node this fit allocated ~105 times per tree. What is left (~17) is per
-// round — row and feature sampling, the tree's node slice — and none of
-// it per row. One fitpool worker, because the split search's fan-out
-// allocates per goroutine.
+// TestHistFitAllocBound bounds the allocations of a histogram fit: one
+// per tree — the copy of its nodes out of the builder's scratch — plus a
+// per-fit constant (the design's columns, the booster's buffers, a few
+// node histograms). Rows, bags, partitions and outputs live in buffers
+// the booster owns; when every round sampled into fresh slices and grew
+// its node slice by doubling this fit allocated 17 times per tree, and
+// ~105 when each node built its children with append.
 func TestHistFitAllocBound(t *testing.T) {
-	defer fitpool.SetWorkers(fitpool.Workers())
-	fitpool.SetWorkers(1)
 	X, y := benchData(800, 6)
 	cfg := Config{NumTrees: 25, MaxDepth: 3, Seed: 1}
 	allocs := testing.AllocsPerRun(3, func() {
@@ -248,7 +223,8 @@ func TestHistFitAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perTree := allocs / float64(cfg.NumTrees); perTree > 30 {
-		t.Fatalf("histogram fit allocates %.0f times per tree (%v per fit), want <= 30", perTree, allocs)
+	t.Logf("%v allocations per fit", allocs)
+	if perTree := allocs / float64(cfg.NumTrees); perTree > 3 {
+		t.Fatalf("histogram fit allocates %.1f times per tree (%v per fit), want <= 3", perTree, allocs)
 	}
 }
