@@ -1,22 +1,27 @@
 GO ?= go
 
-.PHONY: ci check vet build build-arm64 test race race-fleet grid-equiv resume-gate drain-gate fuzz-smoke bench-smoke bench-json vet-obs obs-overhead trace-overhead fitperf-smoke scoreperf-smoke ingest-smoke scaling-smoke bench-micro
+.PHONY: ci check vet build build-arm64 test race race-fleet grid-equiv resume-gate drain-gate fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
 
-## ci: the full gate — vet (incl. the obs metric-doc check), build (plus
-## the arm64 cross-build that keeps the non-amd64 kernel stubs honest),
-## race-enabled tests (plus a focused race pass over the concurrent
-## fleet/fitpool packages), the grid equivalence gate, the checkpoint
-## resume and vehicle drain gates, the fit-kernel, score-path and
-## wire-ingest smokes, the observer and tracing overhead gates, the
-## codec fuzz smokes, bench smoke, and a perf run appended to
-## BENCH_<n>.json.
-ci: vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate fitperf-smoke scoreperf-smoke ingest-smoke scaling-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-json
+## ci: the full gate — vet (gofmt, go vet, the obs metric-doc check),
+## build (plus the arm64 cross-build that keeps the non-amd64 kernel
+## stubs honest), race-enabled tests (plus a focused race pass over the
+## concurrent fleet/fitpool packages), the grid equivalence gate, the
+## checkpoint resume and vehicle drain gates, the wire-ingest smoke, the
+## observer and tracing overhead gates, the codec fuzz smokes, and one
+## iteration of every Go benchmark. Every target tests behaviour and
+## none writes into the checkout; performance is measured by
+## `bash benchmark/run.sh`, not here. The fit-kernel and score-path
+## oracles (TestFastFit*, TestShipped*, TestScorePaths*, TestHist*, ...)
+## have no target of their own because `race` already runs them.
+ci: vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
 
-## check: the fast inner-loop gate — vet, build, and the plain test
-## suite, with none of ci's race/equivalence/bench machinery.
+## check: the fast inner-loop gate — vet (incl. gofmt), build, and the
+## plain test suite, with none of ci's race/equivalence/bench machinery.
 check: vet build test
 
+## vet: go vet, after failing when gofmt would change any file.
 vet:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 build:
@@ -45,9 +50,11 @@ race-fleet:
 
 ## grid-equiv: the transform-once cached grid must reproduce the
 ## pre-cache reference implementation cell-for-cell, and materialise
-## each (kind, vehicle) stream exactly once.
+## each (kind, vehicle) stream exactly once; and the legacy fit kernels
+## and the full-window scorer must land on the same cells as the
+## shipped detectors.
 grid-equiv:
-	$(GO) test -run 'TestRunGridCachedMatchesReference|TestRunGridTransformOnce|TestSweepReplayZeroAlloc' ./internal/eval/
+	$(GO) test -run 'TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc' ./internal/eval/
 
 ## resume-gate: checkpointing a live engine mid-stream and restoring at
 ## a different shard count must be bit-identical to an uninterrupted
@@ -59,30 +66,15 @@ resume-gate:
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting
 ## vehicles from a running engine and adopting them at a different
-## shard count (directly, through the control plane, and over the HTTP
-## handoff wire path) must reproduce the single-engine replay's alarms
+## shard count (directly and over the HTTP handoff wire path) must
+## reproduce the single-engine replay's alarms
 ## Float64bits-identically, with ingest during the move refused via the
 ## typed 409, never dropped. Runs the resume-gate tests too: the
 ## whole-engine checkpoint is now built from the same per-vehicle codec
 ## the handoff uses, so both gates pin one serialization path.
 drain-gate:
 	$(GO) test -run 'TestVehicleHandoffDrainGate|TestVehicleHandoffDrainGateTraced|TestConcurrentMigrationIngest|TestEngineCheckpointResumeGate|TestEngineObservedBitIdentity' ./internal/fleet/
-	$(GO) test -run 'TestPlaneDrainGate' ./internal/controlplane/
 	$(GO) test -run 'TestServeDrainHandoff|TestServeAdoptionOverridesRing' ./cmd/navarchos-serve/
-
-## fitperf-smoke: the fit-kernel gates at test scale — the per-detector
-## equivalence tests (tranad bit-identity at the package defaults and at
-## the shipped eval.NewDetector configuration, incl. the snapshots the
-## pre-whole-layer-kernel commit wrote; minibatch determinism; gbt
-## histogram-vs-exact tree equivalence and the histogram edge cases;
-## regress snapshots the commit before the occupancy-sized histograms
-## wrote, at one and at four fitpool workers, and the per-fit allocation
-## bound), then a small fitperf run whose grid leg replays
-## tranad+xgboost through legacy and current fit kernels and
-## (-fitperf-strict) exits non-zero unless every cell is identical.
-fitperf-smoke:
-	$(GO) test -run 'TestFastFit|TestShippedConfigBitIdentical|TestShippedSnapshots|TestMinibatch|TestParallelChannels|TestRegressFitAllocBound|TestHist|TestBins' ./internal/detector/tranad/ ./internal/detector/regress/ ./internal/gbt/
-	$(GO) run ./cmd/navarchos-bench -experiment fitperf -scale small -fitperf-strict
 
 ## bench-micro: one iteration of the kernel micro-benchmarks (the
 ## in-order product, SIMD axpy/Adam, the whole-layer dense forward/backward at
@@ -137,37 +129,9 @@ ingest-smoke:
 	$(GO) test -run 'TestIngestBatch|TestWireVsReplayAlarmIdentity' ./internal/fleet/
 	$(GO) test ./cmd/navarchos-serve/
 
-## bench-smoke: one iteration of the throughput + allocation benchmarks,
-## enough to catch a benchmark that no longer compiles or crashes.
+## bench-smoke: one iteration of the throughput, vehicle-handoff and
+## allocation benchmarks, enough to catch a benchmark that no longer
+## compiles or crashes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput|BenchmarkScoreInto|BenchmarkPipelineSteadyState|BenchmarkPipelineObserved' -benchtime 1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput|BenchmarkVehicleHandoff|BenchmarkScoreInto|BenchmarkPipelineSteadyState|BenchmarkPipelineObserved' -benchtime 1x \
 		./internal/fleet/ ./internal/detector/closestpair/ ./internal/core/
-
-## scoreperf-smoke: the score-path gates at test scale — the scorer
-## bit-identity and alloc-free oracles (tranad three-tier scorers, the
-## shipped-configuration score trace and zero-alloc score/refit,
-## restore survival, regress/grand scratch paths, warm-start
-## determinism), then a small scoreperf run whose equivalence leg
-## replays the tranad grid column through the full-window and last-row
-## scorers and (-scoreperf-strict) exits non-zero unless every cell is
-## identical and the last-row scorer is >=2x the full-window one.
-scoreperf-smoke:
-	$(GO) test -run 'TestScorePaths|TestScoreLastRow|TestScoreInto|TestScoreWrapper|TestShippedConfig|TestWarmStart|TestGrandScoreInto' \
-		./internal/detector/tranad/ ./internal/detector/regress/ ./internal/detector/grand/
-	$(GO) run ./cmd/navarchos-bench -experiment scoreperf -scale small -scoreperf-strict
-
-## scaling-smoke: the multi-core floor — at bench scale, shards=2 must
-## not be slower than shards=1 (the regression BENCH_2 recorded) by more
-## than the repeats' recorded run-to-run spread. Timing-sensitive and
-## meaningless on a single-core host, so it is opt-in via
-## SCALING_SMOKE_GATE and skips itself (with the logged insufficient_cpu
-## reason) when the host has <2 usable CPUs.
-scaling-smoke:
-	SCALING_SMOKE_GATE=1 $(GO) test -run 'TestShardScalingSmoke' -timeout 20m -v ./internal/experiments/
-
-## bench-json: one fleet-engine perf run at bench scale, with the
-## fit-path, score-path, wire-ingest and vehicle-handoff exhibits
-## embedded, appended to BENCH_<n>.json so the performance trajectory
-## stays machine-readable across PRs.
-bench-json:
-	$(GO) run ./cmd/navarchos-bench -experiment perf,fitperf,scoreperf,ingest,handoff -json

@@ -8,25 +8,16 @@
 //	navarchos-bench -scale small         # quick pass
 //
 // Experiments: fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8
-// baselines perf gridperf checkpoint fitperf scoreperf ingest handoff
-// all.
+// baselines all.
 //
-// With -json, the perf experiment additionally writes its
-// throughput/latency results to BENCH_<n>.json (smallest unused n), so
-// the performance trajectory stays machine-readable across PRs; a
-// gridperf, checkpoint, fitperf, scoreperf, ingest or handoff run in
-// the same invocation is embedded under "grid" / "checkpoint" /
-// "fitperf" / "scoreperf" / "ingest" / "handoff". Every JSON file
-// carries an "env" header (go
-// version, GOMAXPROCS, git revision, SIMD class) identifying the
-// producing machine.
+// Performance is not measured here: `bash benchmark/run.sh` (see
+// benchmark/README.md) is the repo's one benchmark.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the whole
 // run (the memory profile is taken at exit, after a final GC).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -59,12 +50,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	experiment := flag.String("experiment", "all", "which exhibit to regenerate")
 	vehicle := flag.String("vehicle", "", "vehicle for fig8 (default: first failing)")
-	jsonOut := flag.Bool("json", false, "write perf results to BENCH_<n>.json")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof/* on this address while experiments run")
-	fitperfStrict := flag.Bool("fitperf-strict", false, "fail fitperf unless every equivalence-grid cell matches (test-scale gate; bench-scale raw/delta XGBoost cells may differ by design)")
-	scoreperfStrict := flag.Bool("scoreperf-strict", false, "fail scoreperf unless every equivalence cell matches and the tranad last-row scorer beats the full-window scorer by >=2x")
 	flag.Parse()
 
 	stop, err := startProfiles(*cpuProfile, *memProfile)
@@ -201,139 +189,7 @@ func main() {
 		r.Render(out)
 		fmt.Fprintln(out)
 	}
-	var gridPerf *experiments.GridPerfResult
-	if has("gridperf") {
-		ran = true
-		g, err := experiments.GridPerf(opts)
-		if err != nil {
-			fatal(err)
-		}
-		gridPerf = g
-		g.Render(out)
-		fmt.Fprintln(out)
-	}
-	var ckptPerf *experiments.CheckpointPerfResult
-	if has("checkpoint") {
-		ran = true
-		c, err := experiments.CheckpointPerf(opts, 0, 0)
-		if err != nil {
-			fatal(err)
-		}
-		ckptPerf = c
-		c.Render(out)
-		fmt.Fprintln(out)
-	}
-	var fitPerf *experiments.FitPerfResult
-	if has("fitperf") {
-		ran = true
-		fp, err := experiments.FitPerf(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fitPerf = fp
-		fp.Render(out)
-		fmt.Fprintln(out)
-		if !fp.Equivalence.LosslessCellsMatch {
-			fatalf("fitperf: legacy and current fit kernels disagree on the guaranteed (lossless) grid cells")
-		}
-		if *fitperfStrict && !fp.Equivalence.CellsMatch {
-			fatalf("fitperf: -fitperf-strict set and legacy/current fit kernels disagree on grid cells")
-		}
-	}
-	var ingestPerf *experiments.IngestPerfResult
-	if has("ingest") {
-		ran = true
-		ip, err := experiments.IngestPerf(opts)
-		if err != nil {
-			fatal(err)
-		}
-		ingestPerf = ip
-		ip.Render(out)
-		fmt.Fprintln(out)
-		for _, run := range ip.Runs {
-			if !run.AlarmsIdentical {
-				fatalf("ingest: wire and replay alarms differ at %d shards", run.Shards)
-			}
-		}
-	}
-	var handoffPerf *experiments.HandoffPerfResult
-	if has("handoff") {
-		ran = true
-		hp, err := experiments.HandoffPerf(opts)
-		if err != nil {
-			fatal(err)
-		}
-		handoffPerf = hp
-		hp.Render(out)
-		fmt.Fprintln(out)
-		for _, run := range hp.Runs {
-			if !run.AlarmsIdentical {
-				fatalf("handoff: migrated and uninterrupted alarms differ (%d → %d shards)",
-					run.SrcShards, run.DstShards)
-			}
-		}
-	}
-	var scorePerf *experiments.ScorePerfResult
-	if has("scoreperf") {
-		ran = true
-		sp, err := experiments.ScorePerf(opts)
-		if err != nil {
-			fatal(err)
-		}
-		scorePerf = sp
-		sp.Render(out)
-		fmt.Fprintln(out)
-		if !sp.TranAD.BitIdentical || !sp.Regress.BitIdentical {
-			fatalf("scoreperf: legacy and current scoring paths disagree bit-for-bit")
-		}
-		if !sp.Equivalence.CellsMatch {
-			fatalf("scoreperf: full-window and last-row scorers disagree on grid cells")
-		}
-		if *scoreperfStrict && sp.TranAD.SpeedupVsFull < 2 {
-			fatalf("scoreperf: -scoreperf-strict set and tranad last-row speedup vs full-window is %.2fx (< 2x)", sp.TranAD.SpeedupVsFull)
-		}
-	}
-	if has("perf") || *jsonOut {
-		ran = true
-		r, err := experiments.Perf(opts, nil)
-		if err != nil {
-			fatal(err)
-		}
-		r.Grid = gridPerf
-		r.Checkpoint = ckptPerf
-		r.FitPerf = fitPerf
-		r.ScorePerf = scorePerf
-		r.Ingest = ingestPerf
-		r.Handoff = handoffPerf
-		r.Render(out)
-		fmt.Fprintln(out)
-		if *jsonOut {
-			path, err := writeBenchJSON(r)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(out, "perf results written to %s\n", path)
-		}
-	}
 	if !ran {
-		fatalf("unknown experiment %q (want fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8 baselines perf gridperf checkpoint fitperf scoreperf ingest handoff or all)", *experiment)
-	}
-}
-
-// writeBenchJSON writes the perf result to BENCH_<n>.json, picking the
-// smallest n not already taken so earlier runs are never overwritten.
-func writeBenchJSON(r *experiments.PerfResult) (string, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	for n := 0; ; n++ {
-		path := fmt.Sprintf("BENCH_%d.json", n)
-		if _, err := os.Stat(path); err == nil {
-			continue
-		} else if !os.IsNotExist(err) {
-			return "", err
-		}
-		return path, os.WriteFile(path, append(data, '\n'), 0o644)
+		fatalf("unknown experiment %q (want fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8 baselines or all)", *experiment)
 	}
 }

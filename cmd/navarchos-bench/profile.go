@@ -36,7 +36,7 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 				if err != nil {
 					return
 				}
-				runtime.GC() // settle the heap so the profile shows live objects
+				runtime.GC()              // settle the heap so the profile shows live objects
 				pprof.WriteHeapProfile(f) //nolint:errcheck // best effort at exit
 				f.Close()
 			}

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -64,4 +66,31 @@ func TestFatalFlushesProfiles(t *testing.T) {
 	}
 	checkPprofFile(t, cpu)
 	checkPprofFile(t, mem)
+}
+
+// TestRemovedPerfExperimentRejected pins the exhibit list: the timing
+// experiments moved to benchmark/, so asking for one must fail with the
+// usage line naming only the paper exhibits, not run nothing and exit
+// 0. The test re-execs itself so the real flag parsing and exit path
+// run.
+func TestRemovedPerfExperimentRejected(t *testing.T) {
+	if os.Getenv("BENCH_MAIN_HELPER") == "1" {
+		os.Args = []string{"navarchos-bench", "-scale", "small", "-experiment", os.Getenv("BENCH_EXPERIMENT")}
+		main()
+		os.Exit(0)
+	}
+	const want = "(want fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8 baselines or all)"
+	for _, name := range []string{"perf", "gridperf", "checkpoint", "fitperf", "scoreperf", "ingest", "handoff"} {
+		cmd := exec.Command(os.Args[0], "-test.run=TestRemovedPerfExperimentRejected$")
+		cmd.Env = append(os.Environ(), "BENCH_MAIN_HELPER=1", "BENCH_EXPERIMENT="+name)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Fatalf("-experiment %s should exit 1 via log.Fatalf, got %v", name, err)
+		}
+		if got := stderr.String(); !strings.Contains(got, "unknown experiment \""+name+"\"") || !strings.Contains(got, want) {
+			t.Fatalf("-experiment %s stderr = %q, want the usage line %q", name, got, want)
+		}
+	}
 }

@@ -1,8 +1,8 @@
-// Package controlplane places vehicles across fleet engines and moves
-// them: a consistent-hash ring above the engines' own FNV shard hash,
-// a sticky placement table, periodic health checks against each
-// engine's Stats()/Err(), and cordon/drain built from the fleet's
-// per-vehicle ExtractVehicle/AdoptVehicle handoff.
+// Package controlplane decides which engine instance serves a vehicle:
+// a consistent-hash ring above the engines' own FNV shard hash.
+// navarchos-serve builds its placement (ownership filter, adoption
+// overrides, transactional per-vehicle drain over HTTP) on this ring
+// and the fleet's per-vehicle ExtractVehicle/AdoptVehicle handoff.
 //
 // The hashing is two-level by design. The ring decides which *engine*
 // serves a vehicle and must reshuffle as little as possible when
@@ -24,7 +24,8 @@ import (
 // named nodes (engine instances). Each node projects Replicas virtual
 // points onto the ring so load spreads evenly and removing one node
 // only moves the keys it owned. The zero value is unusable; use
-// NewRing. Ring is not goroutine-safe — the Plane serializes access.
+// NewRing. Ring is not goroutine-safe: navarchos-serve fills it before
+// serving and only reads it afterwards.
 type Ring struct {
 	replicas int
 	points   []ringPoint // sorted by hash

@@ -68,8 +68,8 @@ type Config struct {
 	// index regardless of reference size, index re-queries for every
 	// reference point's own non-conformity, and the O(n) linear p-value
 	// scan. Scores are identical either way (see the equivalence tests);
-	// only the asymptotics differ. It exists as the baseline leg of the
-	// grid-throughput benchmark (experiments.GridPerf).
+	// only the asymptotics differ. It exists as the oracle of those
+	// tests.
 	LegacyKernels bool
 }
 

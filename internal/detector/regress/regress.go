@@ -138,8 +138,8 @@ func (d *Detector) ScoreInto(x, dst []float64) error {
 	return nil
 }
 
-// ScoreLegacy is the pre-optimisation scorer, kept as the reference leg
-// of the scoring benchmark (experiments.ScorePerf): per channel it
+// ScoreLegacy is the pre-optimisation scorer, kept as the oracle
+// TestScoreIntoMatchesScore compares against: per channel it
 // allocates a fresh dropped-column vector, plus the result slice —
 // dim+1 allocations per record. Bit-identical to Score and ScoreInto;
 // only the buffer handling differs.

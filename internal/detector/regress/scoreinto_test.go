@@ -28,8 +28,8 @@ func fitSynth(t *testing.T, seed int64, rows, dim int) (*Detector, *rand.Rand) {
 }
 
 // TestScoreIntoMatchesScore requires bit-identical per-channel scores
-// from the allocating and the scratch paths: ScoreInto reorders no
-// arithmetic, it only reuses buffers.
+// from the allocating path, the scratch path and the ScoreLegacy
+// oracle: ScoreInto reorders no arithmetic, it only reuses buffers.
 func TestScoreIntoMatchesScore(t *testing.T) {
 	d, rng := fitSynth(t, 7, 150, 5)
 	x := make([]float64, 5)
@@ -45,9 +45,16 @@ func TestScoreIntoMatchesScore(t *testing.T) {
 		if err := d.ScoreInto(x, dst); err != nil {
 			t.Fatal(err)
 		}
+		legacy, err := d.ScoreLegacy(x)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for c := range want {
 			if math.Float64bits(want[c]) != math.Float64bits(dst[c]) {
 				t.Fatalf("sample %d channel %d: Score %v vs ScoreInto %v", i, c, want[c], dst[c])
+			}
+			if math.Float64bits(legacy[c]) != math.Float64bits(dst[c]) {
+				t.Fatalf("sample %d channel %d: ScoreLegacy %v vs ScoreInto %v", i, c, legacy[c], dst[c])
 			}
 		}
 	}

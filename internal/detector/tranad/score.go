@@ -87,9 +87,9 @@ func (d *Detector) scoreLegacy() float64 {
 }
 
 // scoreFullWindow is the scratch-kernel full-window scorer (the PR 5
-// hot path, kept behind Config.FullWindowScore as the honest baseline
-// of the scoreperf benchmark): zero allocations, but the whole window
-// still runs through every layer.
+// hot path, kept behind Config.FullWindowScore as the oracle of the
+// last-row scorer): zero allocations, but the whole window still runs
+// through every layer.
 func (d *Detector) scoreFullWindow() float64 {
 	w := len(d.ring)
 	win := d.swin.EnsureShape(w, d.dim)

@@ -64,16 +64,15 @@ type Config struct {
 	// Batch, not on the worker count.
 	Batch int
 	// LegacyFitKernels restores the pre-optimisation allocate-per-call
-	// training path (PR 2's LegacyKernels precedent). It is the
-	// baseline leg of the fitperf benchmark and the oracle of the
-	// kernel-equivalence tests.
+	// training path (PR 2's LegacyKernels precedent). It is the oracle
+	// of the kernel-equivalence tests.
 	LegacyFitKernels bool
 	// FullWindowScore pins scoring to the full-window forward pass (the
 	// whole ring mapped through every layer each record) instead of the
 	// default last-row path, which only evaluates the positions a score
 	// actually depends on. Both are bit-identical to the legacy scorer;
-	// the flag exists so scoreperf can measure the last-row win against
-	// an honest scratch-kernel baseline.
+	// the flag exists so tests can hold the last-row path to a
+	// scratch-kernel oracle.
 	FullWindowScore bool
 	// WarmStart seeds a refit from the previous fit's weights instead of
 	// reinitialising: when the detector has already been fitted at the

@@ -73,8 +73,8 @@ type GridSpec struct {
 	NewTransformer func(kind transform.Kind, window int) (transform.Transformer, error)
 
 	// NewDetector overrides detector construction when non-nil (the
-	// grid-throughput benchmark's baseline leg swaps in pre-optimisation
-	// kernels here). The default is the package-level NewDetector.
+	// kernel-equivalence test swaps in the legacy-kernel oracles here).
+	// The default is the package-level NewDetector.
 	NewDetector func(t Technique, featureNames []string, seed int64) (detector.Detector, error)
 
 	ResetPolicy core.ResetPolicy

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"github.com/navarchos/pdm/internal/core"
+	"github.com/navarchos/pdm/internal/detector"
+	"github.com/navarchos/pdm/internal/detector/regress"
+	"github.com/navarchos/pdm/internal/detector/tranad"
 	"github.com/navarchos/pdm/internal/fleetsim"
 	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/transform"
@@ -90,6 +93,83 @@ func TestRunGridCachedMatchesReference(t *testing.T) {
 		if total != want {
 			t.Errorf("Timing[%v] = %v, want TransformTiming+ScoreTiming = %v", key, total, want)
 		}
+	}
+}
+
+// newLegacyKernelDetector is NewDetector with the pre-optimisation fit
+// kernels: TranAD's allocate-per-call training loop and XGBoost's exact
+// (non-histogram) split search.
+func newLegacyKernelDetector(t Technique, featureNames []string, seed int64) (detector.Detector, error) {
+	switch t {
+	case TranAD:
+		cfg := shippedTranAD(seed)
+		cfg.LegacyFitKernels = true
+		return tranad.New(cfg), nil
+	case XGBoost:
+		cfg := shippedXGBoost(seed)
+		cfg.LegacyFitKernels = true
+		return regress.New(featureNames, cfg), nil
+	default:
+		return NewDetector(t, featureNames, seed)
+	}
+}
+
+// newFullWindowDetector is NewDetector with TranAD pinned to the
+// full-window scorer instead of the default last-row one.
+func newFullWindowDetector(t Technique, featureNames []string, seed int64) (detector.Detector, error) {
+	if t != TranAD {
+		return NewDetector(t, featureNames, seed)
+	}
+	cfg := shippedTranAD(seed)
+	cfg.FullWindowScore = true
+	return tranad.New(cfg), nil
+}
+
+// TestRunGridKernelOraclesMatchDefaults holds the shipped detectors to
+// their oracles at grid level: every cell (alarms, TP/FP, winning
+// parameter) must be the same whichever kernel generation fitted and
+// scored. The legacy fit kernels run where equality is guaranteed —
+// TranAD anywhere, XGBoost where histogram binning is lossless (the
+// short windowed profiles) — and the full-window scorer on a per-record
+// kind, where TranAD scores the most samples.
+func TestRunGridKernelOraclesMatchDefaults(t *testing.T) {
+	f := fleetsim.Generate(fleetsim.SmallConfig())
+	for _, tc := range []struct {
+		name        string
+		techniques  []Technique
+		transforms  []transform.Kind
+		newDetector func(Technique, []string, int64) (detector.Detector, error)
+	}{
+		{"legacy-fit-kernels", []Technique{TranAD, XGBoost},
+			[]transform.Kind{transform.Correlation, transform.MeanAgg}, newLegacyKernelDetector},
+		{"full-window-score", []Technique{TranAD},
+			[]transform.Kind{transform.Raw}, newFullWindowDetector},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The grid's own defaults, as the paper exhibits run it:
+			// cacheSpec's short profiles saturate TranAD's cells.
+			spec := GridSpec{
+				Records:    f.Records,
+				Events:     f.Events,
+				Settings:   map[string][]string{"setting40": f.AllVehicleIDs(), "setting26": f.EventVehicleIDs()},
+				Techniques: tc.techniques,
+				Transforms: tc.transforms,
+			}
+			want, err := RunGrid(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.NewDetector = tc.newDetector
+			got, err := RunGrid(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sortCells(want.Cells)
+			sortCells(got.Cells)
+			if !reflect.DeepEqual(want.Cells, got.Cells) {
+				t.Errorf("oracle cells differ from the default kernels':\n  oracle:  %+v\n  default: %+v", got.Cells, want.Cells)
+			}
+		})
 	}
 }
 

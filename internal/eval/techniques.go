@@ -69,62 +69,14 @@ func ExtensionTechniques() []Technique { return []Technique{IsolationForest, MLP
 // isolation forest's score is likewise bounded).
 func (t Technique) UsesConstantThreshold() bool { return t == Grand || t == IsolationForest }
 
-// NewBaselineDetector builds the technique with its pre-optimisation
-// kernels where the repository keeps one: Grand's brute-force index and
-// linear p-value scan, TranAD's allocate-per-call training loop and
-// XGBoost's exact (non-histogram) split search. Hyper-parameters match
-// NewDetector exactly — only the fit/score kernels differ, and for
-// Grand/TranAD the scores are bit-identical, while XGBoost's histogram
-// trees are structurally identical on discretised features. It is the
-// reference leg of the throughput benchmarks (experiments.GridPerf and
-// experiments.FitPerf) and of the grid cell-equivalence gate, so the
-// measured speedup is against the code as it stood before the kernel
-// work.
-func NewBaselineDetector(t Technique, featureNames []string, seed int64) (detector.Detector, error) {
-	switch t {
-	case Grand:
-		return grand.New(grand.Config{Measure: grand.KNN, LegacyKernels: true}), nil
-	case TranAD:
-		return tranad.New(tranad.Config{
-			Window:           8,
-			DModel:           12,
-			Heads:            2,
-			Epochs:           5,
-			MaxWindows:       256,
-			Seed:             seed,
-			LegacyFitKernels: true,
-		}), nil
-	case XGBoost:
-		return regress.New(featureNames, gbt.Config{
-			NumTrees:         25,
-			MaxDepth:         3,
-			Seed:             seed,
-			LegacyFitKernels: true,
-		}), nil
-	default:
-		return NewDetector(t, featureNames, seed)
-	}
+// shippedTranAD and shippedXGBoost are NewDetector's hyper-parameters,
+// named so the kernel-oracle test flips one flag on exactly what ships.
+func shippedTranAD(seed int64) tranad.Config {
+	return tranad.Config{Window: 8, DModel: 12, Heads: 2, Epochs: 5, MaxWindows: 256, Seed: seed}
 }
 
-// NewFullWindowDetector builds the technique with the current fit
-// kernels but, for TranAD, the full-window scratch scorer (the scoring
-// hot path as it stood before the last-row rewrite) instead of the
-// default last-row scorer. It is the reference leg of the scoring-path
-// equivalence gate (experiments.ScorePerf); both scorers are
-// bit-identical by construction, so cells must match everywhere.
-func NewFullWindowDetector(t Technique, featureNames []string, seed int64) (detector.Detector, error) {
-	if t != TranAD {
-		return NewDetector(t, featureNames, seed)
-	}
-	return tranad.New(tranad.Config{
-		Window:          8,
-		DModel:          12,
-		Heads:           2,
-		Epochs:          5,
-		MaxWindows:      256,
-		Seed:            seed,
-		FullWindowScore: true,
-	}), nil
+func shippedXGBoost(seed int64) gbt.Config {
+	return gbt.Config{NumTrees: 25, MaxDepth: 3, Seed: seed}
 }
 
 // NewDetector builds a fresh detector instance for the technique.
@@ -138,20 +90,9 @@ func NewDetector(t Technique, featureNames []string, seed int64) (detector.Detec
 	case Grand:
 		return grand.New(grand.Config{Measure: grand.KNN}), nil
 	case TranAD:
-		return tranad.New(tranad.Config{
-			Window:     8,
-			DModel:     12,
-			Heads:      2,
-			Epochs:     5,
-			MaxWindows: 256,
-			Seed:       seed,
-		}), nil
+		return tranad.New(shippedTranAD(seed)), nil
 	case XGBoost:
-		return regress.New(featureNames, gbt.Config{
-			NumTrees: 25,
-			MaxDepth: 3,
-			Seed:     seed,
-		}), nil
+		return regress.New(featureNames, shippedXGBoost(seed)), nil
 	case IsolationForest:
 		return isoforest.New(iforest.Config{Trees: 100, Seed: seed}), nil
 	case MLP:

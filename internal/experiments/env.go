@@ -8,7 +8,7 @@ import (
 	"github.com/navarchos/pdm/internal/mat"
 )
 
-// Env is the run header stamped into every BENCH_<n>.json: enough
+// Env is the run header benchmark/ stamps into its results: enough
 // machine context to compare throughput numbers across PRs and hosts.
 type Env struct {
 	GoVersion  string `json:"go_version"`

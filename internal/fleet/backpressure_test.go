@@ -209,3 +209,36 @@ func TestEngineBatchPoolRecyclesUnderChurn(t *testing.T) {
 			allocated, handoffs)
 	}
 }
+
+// TestIngestRecordAllocFree pins the admitted per-record path at zero
+// allocations once the batch buffers circulate: IngestRecord shares
+// enqueueStaged with the batch path, and the refusal value that path
+// fills in must stay on the stack when nothing is refused.
+func TestIngestRecordAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops batch buffers on purpose under -race")
+	}
+	e, err := NewEngine(Config{
+		NewHandler: func(string) (Handler, error) { return &countHandler{}, nil },
+		Shards:     1,
+		BatchSize:  16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	r := timeseries.Record{VehicleID: "veh-00"}
+	for i := 0; i < 256; i++ { // build the handler, warm the free list
+		if err := e.IngestRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(2000, func() {
+		if err := e.IngestRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("IngestRecord allocates %v times per admitted record", allocs)
+	}
+}

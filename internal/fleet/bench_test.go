@@ -136,3 +136,48 @@ func BenchmarkEngineIngestOverhead(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*len(records))/b.Elapsed().Seconds(), "records/s")
 }
+
+// BenchmarkVehicleHandoff measures live vehicle migration between two
+// running engines at different shard counts: extract → encode → decode
+// → adopt per vehicle, on state warmed mid-stream (fitted profiles,
+// live thresholds). Each iteration moves the whole fleet one way and
+// the next moves it back, so the engines are built and warmed once.
+func BenchmarkVehicleHandoff(b *testing.B) {
+	newEngine := func(shards int) *Engine {
+		e, err := NewEngine(Config{NewConfig: benchPipelineConfig, Shards: shards, DropAlarms: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	src, dst := newEngine(1), newEngine(2)
+	defer src.Close()
+	defer dst.Close()
+	if err := src.Replay(benchStream(64, 700), nil); err != nil {
+		b.Fatal(err)
+	}
+	ids := src.VehicleIDs()
+	stateBytes := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, id := range ids {
+			vs, err := src.ExtractVehicle(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := vs.Encode()
+			stateBytes += len(payload)
+			if vs, err = DecodeVehicleState(payload); err != nil {
+				b.Fatal(err)
+			}
+			if err := dst.AdoptVehicle(vs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		src, dst = dst, src
+	}
+	b.StopTimer()
+	moved := float64(b.N * len(ids))
+	b.ReportMetric(moved/b.Elapsed().Seconds(), "vehicles/s")
+	b.ReportMetric(float64(stateBytes)/moved, "bytes/vehicle")
+}

@@ -183,7 +183,7 @@ type barrier struct {
 // goroutine bumps the counter band on every envelope, and without the
 // padding those writes false-share — each counter increment would
 // bounce the line holding the ingest mutex across cores and vice
-// versa, which is one of the ways BENCH_2's shards=2 run managed to be
+// versa, which is one of the ways a shards=2 run once managed to be
 // slower than shards=1.
 type shard struct {
 	// Read-only header, set once at construction: the shard's identity
@@ -416,7 +416,7 @@ func (e *Engine) shardFor(vehicleID string) *shard {
 // the shard's queue is full (backpressure). A cordoned or mid-handoff
 // vehicle is refused with a typed *VehicleUnavailableError.
 func (e *Engine) IngestRecord(r timeseries.Record) error {
-	return e.ingest(envelope{rec: r}, r.VehicleID)
+	return e.ingest(envelope{rec: r})
 }
 
 // IngestEvent queues one maintenance event for its vehicle's shard. An
@@ -424,38 +424,25 @@ func (e *Engine) IngestRecord(r timeseries.Record) error {
 // streams chronologically with events first on equal timestamps, the
 // same contract as core.RunVehicle (Replay does this automatically).
 func (e *Engine) IngestEvent(ev obd.Event) error {
-	return e.ingest(envelope{isEvent: true, ev: ev}, ev.VehicleID)
+	return e.ingest(envelope{isEvent: true, ev: ev})
 }
 
-func (e *Engine) ingest(env envelope, vehicleID string) error {
+// ingest admits one envelope through enqueueStaged, so the per-record
+// path shares the batch path's cordon check and BatchSize chunking.
+func (e *Engine) ingest(env envelope) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	s := e.shardFor(vehicleID)
-	s.mu.Lock()
-	if s.cordonN.Load() != 0 {
-		s.cordonMu.Lock()
-		st, fenced := s.cordon[vehicleID]
-		s.cordonMu.Unlock()
-		if fenced {
-			s.mu.Unlock()
-			return &VehicleUnavailableError{VehicleID: vehicleID, State: st, Refused: 1}
-		}
+	var refusal VehicleUnavailableError
+	staged := [1]envelope{env}
+	e.enqueueStaged(e.shardFor(envID(&env)), staged[:], &refusal)
+	if refusal.Refused == 0 {
+		return nil
 	}
-	if s.pending == nil {
-		s.pending = e.getBatch(s)
-	}
-	s.pending = append(s.pending, env)
-	if len(s.pending) >= e.cfg.BatchSize {
-		batch := s.pending
-		s.pending = nil
-		// The send stays under the ingest mutex so concurrent producers
-		// cannot reorder a shard's batches; this is the backpressure
-		// point, not the hot path.
-		s.in <- batch
-	}
-	s.mu.Unlock()
-	return nil
+	// Copied so refusal itself stays on the stack: the admitted path
+	// must not allocate.
+	err := refusal
+	return &err
 }
 
 // ingestStage is the producer-local staging area IngestBatch reuses
@@ -590,8 +577,9 @@ func envID(env *envelope) string {
 
 // enqueueStaged appends one shard's staged envelopes to its pending
 // batch under a single mutex acquisition, flushing full batches into
-// the queue as they fill — the same BatchSize chunking and blocking
-// send as the per-record path, amortised over the run. When the shard
+// the queue as they fill. The blocking send stays under the ingest
+// mutex so concurrent producers cannot reorder a shard's batches; it
+// is the backpressure point, not the hot path. When the shard
 // has cordoned vehicles, their items are filtered out — before any of
 // them is enqueued, so per-vehicle admission stays all-or-nothing —
 // and counted into refusal.

@@ -15,8 +15,7 @@ type Adam struct {
 	// Legacy pins Step to the original scalar update loop. The
 	// mat.AdamStep kernel is bit-identical to it (the SIMD lanes replay
 	// the same IEEE operation sequence), so the flag exists purely to
-	// keep the LegacyFitKernels baseline an honest measurement of the
-	// pre-kernel fit path.
+	// keep the LegacyFitKernels oracle on the pre-kernel fit path.
 	Legacy     bool
 	w, g, m, v []float64
 	t          int

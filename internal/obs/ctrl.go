@@ -2,51 +2,27 @@ package obs
 
 import "time"
 
-// CtrlMetrics is the control-plane instrumentation family: placement
-// decisions, vehicle handoffs with their latency, health-check
-// failures, and the cordon gauge. It sits above the per-engine
-// families — the fleet/ingest metrics say how one engine is doing,
-// this family says how vehicles move *between* engines — so a drain
-// that stalls or a flapping health check shows up on its own dial
-// instead of as unexplained per-engine churn.
+// CtrlMetrics is the control-plane instrumentation family: vehicle
+// handoffs and their latency. It sits above the per-engine families —
+// the fleet/ingest metrics say how one engine is doing, this family
+// says how vehicles move *between* engines — so a drain that stalls
+// shows up on its own dial instead of as unexplained per-engine churn.
 type CtrlMetrics struct {
-	// Placements counts placement decisions (a vehicle resolved to an
-	// engine for the first time, or re-pinned after a drain).
-	Placements *Counter
 	// Handoffs counts completed vehicle migrations (extract on the
 	// source + adopt on the target).
 	Handoffs *Counter
 	// HandoffH observes wall-clock migration time per vehicle, in
 	// seconds: cordon + owning-shard quiesce + snapshot + adopt.
 	HandoffH *Histogram
-	// HealthFailures counts health-check passes that found an engine
-	// unhealthy (a wedged shard error, an unreachable instance).
-	HealthFailures *Counter
-	// Cordoned gauges the engines currently cordoned (fenced off from
-	// new placements, usually mid-drain).
-	Cordoned *Gauge
 }
 
 // NewCtrlMetrics registers the control-plane metric families in reg.
 func NewCtrlMetrics(reg *Registry) *CtrlMetrics {
 	return &CtrlMetrics{
-		Placements: reg.Counter("pdm_ctrl_placements_total",
-			"Vehicle placement decisions made by the control plane."),
 		Handoffs: reg.Counter("pdm_ctrl_handoffs_total",
 			"Completed vehicle handoffs (extract + adopt) between engines."),
 		HandoffH: reg.Histogram("pdm_ctrl_handoff_seconds",
 			"Per-vehicle handoff latency: cordon, shard quiesce, snapshot, adopt.", DefLatencyBuckets),
-		HealthFailures: reg.Counter("pdm_ctrl_health_check_failures_total",
-			"Health-check passes that found an engine unhealthy."),
-		Cordoned: reg.Gauge("pdm_ctrl_cordoned_engines",
-			"Engines currently cordoned off from new placements."),
-	}
-}
-
-// Placed counts one placement decision.
-func (m *CtrlMetrics) Placed() {
-	if m != nil {
-		m.Placements.Inc()
 	}
 }
 
@@ -57,18 +33,4 @@ func (m *CtrlMetrics) ObserveHandoff(d time.Duration) {
 	}
 	m.Handoffs.Inc()
 	m.HandoffH.Observe(d.Seconds())
-}
-
-// HealthFailure counts one failed health check.
-func (m *CtrlMetrics) HealthFailure() {
-	if m != nil {
-		m.HealthFailures.Inc()
-	}
-}
-
-// SetCordoned gauges the current cordoned-engine count.
-func (m *CtrlMetrics) SetCordoned(n int) {
-	if m != nil {
-		m.Cordoned.Set(int64(n))
-	}
 }

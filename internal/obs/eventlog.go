@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -18,8 +16,6 @@ const (
 	EventUncordon     = "uncordon"      // fence lowered
 	EventAdopt        = "adopt"         // vehicle state adopted from a peer
 	EventPeerConflict = "peer-conflict" // peer refused a handoff (409 split-brain rule)
-	EventHealthDown   = "health-down"   // health probe transition healthy -> failing
-	EventHealthUp     = "health-up"     // health probe transition failing -> healthy
 )
 
 // ControlEvent is one control-plane lifecycle entry: who did what to
@@ -49,34 +45,28 @@ type ControlEvent struct {
 	DurationS float64 `json:"duration_s,omitempty"`
 }
 
+func (e *ControlEvent) setSeq(seq uint64) { e.Seq = seq }
+func (e *ControlEvent) vehicle() string   { return e.VehicleID }
+
 // EventLog is a bounded structured ring of control-plane events with
 // the same shape and guarantees as the alarm Journal: mutex-guarded
 // appends and reads, an optional JSONL sink whose errors are ignored,
-// and O(capacity) reads. Control-plane events are orders of magnitude
-// rarer than records, so a mutex is plenty.
+// and O(capacity) reads. Every method is safe on a nil receiver so
+// call sites need no log-enabled branch.
 //
 // When built with a Registry it also counts every append into
 // pdm_ctrl_events_total labelled by kind.
 type EventLog struct {
-	mu       sync.Mutex
-	buf      []ControlEvent
-	next     uint64 // total appends ever; Seq of the next entry
-	sink     io.Writer
-	reg      *Registry
-	counters map[string]*Counter
+	r   ring[ControlEvent, *ControlEvent]
+	reg *Registry
 }
 
 // NewEventLog returns an event log retaining the last capacity entries
 // (default 256 when capacity <= 0). reg may be nil — the log then only
 // retains, without exporting counters.
 func NewEventLog(capacity int, reg *Registry) *EventLog {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	l := &EventLog{buf: make([]ControlEvent, 0, capacity), reg: reg}
-	if reg != nil {
-		l.counters = map[string]*Counter{}
-	}
+	l := &EventLog{reg: reg}
+	l.r.init(capacity)
 	return l
 }
 
@@ -84,32 +74,13 @@ func NewEventLog(capacity int, reg *Registry) *EventLog {
 // JSON line (pass nil to detach). Sink errors are ignored: auditing
 // must never fail the control plane.
 func (l *EventLog) SetSink(w io.Writer) {
-	if l == nil {
-		return
+	if l != nil {
+		l.r.setSink(w)
 	}
-	l.mu.Lock()
-	l.sink = w
-	l.mu.Unlock()
-}
-
-// counter resolves the per-kind counter under l.mu.
-func (l *EventLog) counter(kind string) *Counter {
-	if l.counters == nil {
-		return nil
-	}
-	c, ok := l.counters[kind]
-	if !ok {
-		c = l.reg.Counter("pdm_ctrl_events_total",
-			"Control-plane lifecycle events recorded in the event log, per kind.",
-			Label{Key: "kind", Value: kind})
-		l.counters[kind] = c
-	}
-	return c
 }
 
 // Record appends one event, assigning its sequence number and stamping
-// Time when the caller left it zero. Safe on a nil receiver so call
-// sites need no log-enabled branch.
+// Time when the caller left it zero.
 func (l *EventLog) Record(e ControlEvent) {
 	if l == nil {
 		return
@@ -117,24 +88,12 @@ func (l *EventLog) Record(e ControlEvent) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	l.mu.Lock()
-	e.Seq = l.next
-	l.next++
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, e)
-	} else {
-		l.buf[int(e.Seq)%cap(l.buf)] = e
-	}
-	c := l.counter(e.Kind)
-	sink := l.sink
-	l.mu.Unlock()
-	if c != nil {
-		c.Inc()
-	}
-	if sink != nil {
-		if b, err := json.Marshal(e); err == nil {
-			sink.Write(append(b, '\n')) //nolint:errcheck // advisory sink
-		}
+	l.r.append(e)
+	if l.reg != nil {
+		// Registration is idempotent: this resolves the kind's series.
+		l.reg.Counter("pdm_ctrl_events_total",
+			"Control-plane lifecycle events recorded in the event log, per kind.",
+			Label{Key: "kind", Value: e.Kind}).Inc()
 	}
 }
 
@@ -143,9 +102,7 @@ func (l *EventLog) Total() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
+	return l.r.total()
 }
 
 // Last returns up to n most recent events, oldest first (n <= 0 means
@@ -154,18 +111,7 @@ func (l *EventLog) Last(n int) []ControlEvent {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n <= 0 || n > len(l.buf) {
-		n = len(l.buf)
-	}
-	out := make([]ControlEvent, 0, n)
-	for i := 0; i < n; i++ {
-		// Entries live at Seq % cap; the oldest retained Seq is next-len.
-		seq := l.next - uint64(n) + uint64(i)
-		out = append(out, l.buf[int(seq)%cap(l.buf)])
-	}
-	return out
+	return l.r.last(n)
 }
 
 // LastFor returns up to n most recent retained events touching one
@@ -174,17 +120,5 @@ func (l *EventLog) LastFor(vehicleID string, n int) []ControlEvent {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []ControlEvent
-	for i := 0; i < len(l.buf); i++ {
-		seq := l.next - uint64(len(l.buf)) + uint64(i)
-		if e := l.buf[int(seq)%cap(l.buf)]; e.VehicleID == vehicleID {
-			out = append(out, e)
-		}
-	}
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
-	}
-	return out
+	return l.r.lastFor(vehicleID, n)
 }

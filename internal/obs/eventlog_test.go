@@ -138,7 +138,7 @@ func TestEventLogConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				l.Record(ControlEvent{
-					Kind:      []string{EventDrainStart, EventDrainFinish, EventHealthDown, EventHealthUp}[i%4],
+					Kind:      []string{EventDrainStart, EventDrainFinish, EventCordon, EventUncordon}[i%4],
 					Engine:    fmt.Sprintf("eng-%d", w),
 					VehicleID: fmt.Sprintf("veh-%02d", i%8),
 				})

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -59,95 +57,39 @@ type AlarmEvent struct {
 	E2ELatencyS float64   `json:"e2e_latency_s,omitempty"`
 }
 
+func (e *AlarmEvent) setSeq(seq uint64) { e.Seq = seq }
+func (e *AlarmEvent) vehicle() string   { return e.VehicleID }
+
 // Journal is a bounded structured ring of alarm events. Appends and
 // reads are guarded by a mutex — alarms are rare next to scored
 // samples, so the journal is never on the allocation-free hot path.
 // An optional sink receives every entry as one JSON line.
 type Journal struct {
-	mu   sync.Mutex
-	buf  []AlarmEvent
-	next uint64 // total appends ever; Seq of the next entry
-	sink io.Writer
+	r ring[AlarmEvent, *AlarmEvent]
 }
 
 // NewJournal returns a journal retaining the last capacity entries
 // (default 256 when capacity <= 0).
 func NewJournal(capacity int) *Journal {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &Journal{buf: make([]AlarmEvent, 0, capacity)}
+	j := &Journal{}
+	j.r.init(capacity)
+	return j
 }
 
 // SetSink attaches a writer that receives every appended entry as one
 // JSON line (pass nil to detach). Sink errors are ignored: journaling
 // must never fail the detection path.
-func (j *Journal) SetSink(w io.Writer) {
-	j.mu.Lock()
-	j.sink = w
-	j.mu.Unlock()
-}
+func (j *Journal) SetSink(w io.Writer) { j.r.setSink(w) }
 
 // Append records one alarm event, assigning its sequence number.
-func (j *Journal) Append(e AlarmEvent) {
-	j.mu.Lock()
-	e.Seq = j.next
-	j.next++
-	if len(j.buf) < cap(j.buf) {
-		j.buf = append(j.buf, e)
-	} else {
-		j.buf[int(e.Seq)%cap(j.buf)] = e
-	}
-	sink := j.sink
-	j.mu.Unlock()
-	if sink != nil {
-		if b, err := json.Marshal(e); err == nil {
-			sink.Write(append(b, '\n')) //nolint:errcheck // advisory sink
-		}
-	}
-}
+func (j *Journal) Append(e AlarmEvent) { j.r.append(e) }
 
 // Total returns how many entries have ever been appended.
-func (j *Journal) Total() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.next
-}
+func (j *Journal) Total() uint64 { return j.r.total() }
 
 // LastFor returns up to n most recent retained entries for one vehicle,
-// oldest first (n <= 0 means all retained). The ring is scanned under
-// the mutex — bounded by capacity, not fleet size — which keeps the
-// per-vehicle read endpoint O(capacity) with no extra index to maintain
-// on the alarm path.
-func (j *Journal) LastFor(vehicleID string, n int) []AlarmEvent {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []AlarmEvent
-	for i := 0; i < len(j.buf); i++ {
-		// Walk oldest retained Seq upwards so out stays ordered.
-		seq := j.next - uint64(len(j.buf)) + uint64(i)
-		if e := j.buf[int(seq)%cap(j.buf)]; e.VehicleID == vehicleID {
-			out = append(out, e)
-		}
-	}
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
-	}
-	return out
-}
+// oldest first (n <= 0 means all retained).
+func (j *Journal) LastFor(vehicleID string, n int) []AlarmEvent { return j.r.lastFor(vehicleID, n) }
 
 // Last returns up to n most recent entries, oldest first.
-func (j *Journal) Last(n int) []AlarmEvent {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n <= 0 || n > len(j.buf) {
-		n = len(j.buf)
-	}
-	out := make([]AlarmEvent, 0, n)
-	for i := 0; i < n; i++ {
-		// Entries live at Seq % cap; the oldest retained Seq is next-len.
-		seq := j.next - uint64(n) + uint64(i)
-		out = append(out, j.buf[int(seq)%cap(j.buf)])
-	}
-	return out
-}
+func (j *Journal) Last(n int) []AlarmEvent { return j.r.last(n) }

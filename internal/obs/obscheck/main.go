@@ -48,13 +48,12 @@ func main() {
 	obs.NewIngestMetrics(reg)
 	obs.NewCtrlMetrics(reg)
 	// The event log registers its per-kind counter family lazily, so
-	// record one event of each kind the control plane and serving layer
-	// emit.
+	// record one event of each kind the serving layer emits.
 	events := obs.NewEventLog(8, reg)
 	for _, kind := range []string{
 		obs.EventDrainStart, obs.EventDrainFinish, obs.EventDrainAbort,
 		obs.EventCordon, obs.EventUncordon, obs.EventAdopt,
-		obs.EventPeerConflict, obs.EventHealthDown, obs.EventHealthUp,
+		obs.EventPeerConflict,
 	} {
 		events.Record(obs.ControlEvent{Kind: kind})
 	}

@@ -393,7 +393,7 @@ type (
 	// report its batch/trace IDs and ingest-to-alarm latency.
 	BatchCtx = obs.BatchCtx
 	// ControlEventLog is the bounded ring of control-plane lifecycle
-	// events (drains, cordons, adoptions, health transitions).
+	// events (drains, cordons, adoptions, peer conflicts).
 	ControlEventLog = obs.EventLog
 	// ControlEvent is one control-plane audit entry.
 	ControlEvent = obs.ControlEvent
