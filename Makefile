@@ -80,11 +80,11 @@ drain-gate:
 ## in-order product, SIMD axpy/Adam, the whole-layer dense forward/backward at
 ## every shipped layer shape, histogram split search at the shapes the
 ## paper grid fits and exact split search, a regress fit at both shipped
-## profile shapes, tranad fit and score at the wide and the shipped
-## configuration), enough to catch a kernel benchmark that no longer
-## compiles or crashes.
+## profile shapes, tranad fit and score at the shipped configuration
+## plus one legacy-vs-default fit pair on a wider model), enough to
+## catch a kernel benchmark that no longer compiles or crashes.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkProduct|BenchmarkDotUnrolled4|BenchmarkColInto|BenchmarkAddScaled|BenchmarkAdamStep|BenchmarkSquaredDistances8|BenchmarkNormRow|BenchmarkLinFwd|BenchmarkLinBwd' -benchtime 1x ./internal/mat/
+	$(GO) test -run '^$$' -bench 'BenchmarkProduct|BenchmarkColInto|BenchmarkAddScaled|BenchmarkAdamStep|BenchmarkSquaredDistances8|BenchmarkNormRow|BenchmarkLinFwd|BenchmarkLinBwd' -benchtime 1x ./internal/mat/
 	$(GO) test -run '^$$' -bench 'BenchmarkHistogramSplit|BenchmarkExactSplit' -benchtime 1x ./internal/gbt/
 	$(GO) test -run '^$$' -bench 'BenchmarkRegressFit' -benchtime 1x ./internal/detector/regress/
 	$(GO) test -run '^$$' -bench 'BenchmarkFitLegacy|BenchmarkFitFast|BenchmarkScore' -benchtime 1x ./internal/detector/tranad/

@@ -60,7 +60,7 @@ func (d *Detector) Fit(ref [][]float64) error {
 		// channels fan out across the fitpool. Results land in
 		// per-channel slots, making the fit worker-count independent.
 		m := gbt.NewDesign(ref)
-		fitpool.Run(dim, fitpool.Workers(), func(_, c int) {
+		fitpool.Run(dim, fitpool.Workers(), func(c int) {
 			d.models[c] = m.TrainColumn(c, d.channelConfig(c))
 		})
 	}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/navarchos/pdm/internal/fitpool"
 )
 
 func synthRef(rng *rand.Rand, n, dim int) [][]float64 {
@@ -20,8 +18,8 @@ func synthRef(rng *rand.Rand, n, dim int) [][]float64 {
 	return ref
 }
 
-// TestFastFitBitIdenticalToLegacy trains the default (Batch 1) fast path
-// and the LegacyFitKernels path on the same reference and requires
+// TestFastFitBitIdenticalToLegacy trains the default fast path and the
+// LegacyFitKernels path on the same reference and requires
 // Float64bits-identical weights and streaming scores: the kernel rewrite
 // must not move the optimisation trajectory by a single bit, which is
 // what keeps the grid-cell equivalence gate deterministic.
@@ -68,135 +66,5 @@ func TestFastFitBitIdenticalToLegacy(t *testing.T) {
 		if math.Float64bits(sl[0]) != math.Float64bits(sf[0]) {
 			t.Fatalf("score %d differs: legacy %v fast %v", i, sl[0], sf[0])
 		}
-	}
-}
-
-// TestFitTolEarlyStop pins the opt-in cold-fit training budget: a
-// loose FitTol must actually cut epochs (different weights than the
-// full run), the truncation must land exactly on an epoch boundary
-// (the stopped weights bit-match a full run with a smaller Epochs
-// budget — early stop is epoch truncation, nothing else), and the
-// stopped model must still score.
-func TestFitTolEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	ref := synthRef(rng, 120, 4)
-
-	flat := func(cfg Config) []float64 {
-		d := New(cfg)
-		if err := d.Fit(ref); err != nil {
-			t.Fatal(err)
-		}
-		var w []float64
-		for _, p := range d.params() {
-			w = append(w, p.W...)
-		}
-		return w
-	}
-	same := func(a, b []float64) bool {
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-
-	const epochs = 6
-	full := flat(Config{Epochs: epochs, Seed: 5})
-	stopped := flat(Config{Epochs: epochs, Seed: 5, FitTol: 0.9})
-
-	if same(full, stopped) {
-		t.Fatal("FitTol=0.9 did not stop early: weights identical to the full run")
-	}
-	boundary := -1
-	for e := 1; e < epochs; e++ {
-		if same(stopped, flat(Config{Epochs: e, Seed: 5})) {
-			boundary = e
-			break
-		}
-	}
-	if boundary < 0 {
-		t.Fatal("early-stopped weights match no truncated epoch budget: FitTol is not pure epoch truncation")
-	}
-	t.Logf("FitTol=0.9 stopped after %d of %d epochs", boundary, epochs)
-
-	d := New(Config{Epochs: 6, Seed: 5, FitTol: 0.9})
-	if err := d.Fit(ref); err != nil {
-		t.Fatal(err)
-	}
-	s, err := d.Score(ref[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(s[0]) || math.IsInf(s[0], 0) {
-		t.Fatalf("early-stopped model scored %v", s[0])
-	}
-}
-
-// TestMinibatchDeterministicAcrossWorkers checks the minibatch contract:
-// the trained weights depend on Batch but not on how many fitpool
-// workers computed the per-window gradients.
-func TestMinibatchDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ref := synthRef(rng, 100, 3)
-
-	train := func(workers int) []float64 {
-		defer fitpool.SetWorkers(fitpool.Workers())
-		fitpool.SetWorkers(workers)
-		d := New(Config{Epochs: 2, Seed: 9, Batch: 4})
-		if err := d.Fit(ref); err != nil {
-			t.Fatal(err)
-		}
-		var flat []float64
-		for _, p := range d.params() {
-			flat = append(flat, p.W...)
-		}
-		return flat
-	}
-
-	serial := train(1)
-	parallel := train(4)
-	if len(serial) != len(parallel) {
-		t.Fatalf("weight count differs: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
-			t.Fatalf("weight %d depends on worker count: 1w %v 4w %v", i, serial[i], parallel[i])
-		}
-	}
-}
-
-// TestMinibatchTrainsUsableModel is a smoke check that Batch > 1
-// produces a model that still scores and separates an obvious level
-// shift from the training regime.
-func TestMinibatchTrainsUsableModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ref := synthRef(rng, 150, 3)
-	d := New(Config{Epochs: 4, Seed: 2, Batch: 8})
-	if err := d.Fit(ref); err != nil {
-		t.Fatal(err)
-	}
-	var normal, shifted float64
-	for i := 0; i < 60; i++ {
-		s, err := d.Score(ref[i%len(ref)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i >= 20 {
-			normal += s[0]
-		}
-	}
-	for i := 0; i < 40; i++ {
-		x := []float64{8, -8, 8}
-		s, err := d.Score(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i >= 10 {
-			shifted += s[0]
-		}
-	}
-	if !(shifted/30 > normal/40) {
-		t.Fatalf("level shift not separated: normal %v shifted %v", normal/40, shifted/30)
 	}
 }

@@ -28,7 +28,7 @@ import (
 // ScoreInto implements detector.IntoScorer: Score without the per-call
 // result allocation. dst must have length 1.
 func (d *Detector) ScoreInto(x, dst []float64) error {
-	if d.enc == nil {
+	if d.net == nil {
 		return detector.ErrNotFitted
 	}
 	if len(x) != d.dim || len(dst) != d.Channels() {
@@ -80,9 +80,10 @@ func (d *Detector) scoreLegacy() float64 {
 	for r := 0; r < w; r++ {
 		copy(win.Row(r), d.ring[(d.pos+r)%w])
 	}
-	z := d.enc.Forward(win)
-	o1 := d.dec1.Forward(z)
-	o2 := d.dec2.Forward(d.fuse.Forward(concatCols(z, focus(o1, win))))
+	n := d.net
+	z := n.enc.Forward(win)
+	o1 := n.dec1.Forward(z)
+	o2 := n.dec2.Forward(n.fuse.Forward(concatCols(z, focus(o1, win))))
 	return lastRowMSE(o1, o2, win, d.dim)
 }
 
@@ -96,10 +97,10 @@ func (d *Detector) scoreFullWindow() float64 {
 	for r := 0; r < w; r++ {
 		copy(win.Row(r), d.ring[(d.pos+r)%w])
 	}
-	m := d.master
-	z := d.enc.Forward(win)
-	o1 := d.dec1.Forward(z)
-	o2 := d.dec2.Forward(d.fuse.Forward(concatColsInto(&m.x2, z, focusInto(&m.foc, o1, win))))
+	n := d.net
+	z := n.enc.Forward(win)
+	o1 := n.dec1.Forward(z)
+	o2 := n.dec2.Forward(n.fuse.Forward(concatColsInto(&n.x2, z, focusInto(&n.foc, o1, win))))
 	return lastRowMSE(o1, o2, win, d.dim)
 }
 
@@ -125,7 +126,7 @@ func (d *Detector) scoreLastRow() float64 {
 	w := len(d.ring)
 	dm := d.cfg.DModel
 	s := &d.sc
-	inf := &d.master.inf
+	inf := &d.net.inf
 
 	// l1 = PositionalEncoding(Linear(win)): project each ring slot at
 	// most once, replay the cached rows with the position offset of this
@@ -173,7 +174,7 @@ func (d *Detector) scoreLastRow() float64 {
 		diff := s.o1[c] - winLast[c]
 		s.x2[dm+c] = diff * diff
 	}
-	d.fuse.ApplyRow(s.x2, s.fuseOut)
+	d.net.fuse.ApplyRow(s.x2, s.fuseOut)
 	reluRow(s.fuseOut)
 	inf.dec2b.ApplyRow(s.fuseOut, s.o2)
 

@@ -18,8 +18,8 @@ const snapshotTag = uint8(12)
 func (d *Detector) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(snapshotTag)
-	b.Bool(d.enc != nil)
-	if d.enc == nil {
+	b.Bool(d.net != nil)
+	if d.net == nil {
 		return b.Bytes(), nil
 	}
 	b.Int(d.dim)
@@ -51,7 +51,7 @@ func (d *Detector) Restore(data []byte) error {
 		if err := r.Close(); err != nil {
 			return err
 		}
-		d.enc, d.dec1, d.fuse, d.dec2, d.master = nil, nil, nil, nil, nil
+		d.net = nil
 		d.means, d.stds, d.ring = nil, nil, nil
 		d.dim, d.pos, d.n = 0, 0, 0
 		return nil
@@ -90,13 +90,11 @@ func (d *Detector) Restore(data []byte) error {
 		return err
 	}
 
-	restored := &Detector{cfg: d.cfg, dim: dim}
-	restored.buildNet(dim, rand.New(rand.NewSource(d.cfg.Seed)))
-	params := restored.params()
-	if len(params) != numParams {
+	net := d.newNetwork(dim, rand.New(rand.NewSource(d.cfg.Seed)))
+	if len(net.params) != numParams {
 		return detector.ErrBadSnapshot
 	}
-	for i, p := range params {
+	for i, p := range net.params {
 		if len(weights[i]) != len(p.W) {
 			return detector.ErrBadSnapshot
 		}
@@ -105,8 +103,7 @@ func (d *Detector) Restore(data []byte) error {
 
 	d.dim = dim
 	d.means, d.stds = means, stds
-	d.enc, d.dec1, d.fuse, d.dec2 = restored.enc, restored.dec1, restored.fuse, restored.dec2
-	d.master = restored.master
+	d.net = net
 	d.ring = ring
 	d.pos = n % len(ring)
 	d.n = n

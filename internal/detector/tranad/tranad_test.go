@@ -73,6 +73,26 @@ func TestLifecycleAndErrors(t *testing.T) {
 	if s[0] <= 0 {
 		t.Errorf("full-window score = %v, want > 0", s[0])
 	}
+	// A refit at another input width rebuilds the network: it must land
+	// on the weights of a detector that never saw the first width.
+	ref6 := synthRef(rand.New(rand.NewSource(3)), 100, 6)
+	fresh := New(Config{})
+	if err := d.Fit(ref6); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Fit(ref6); err != nil {
+		t.Fatal(err)
+	}
+	for pi, p := range d.params() {
+		for j, w := range p.W {
+			if math.Float64bits(w) != math.Float64bits(fresh.params()[pi].W[j]) {
+				t.Fatalf("refit at a new width: param %d weight %d differs from a fresh fit", pi, j)
+			}
+		}
+	}
+	if _, err := d.Score(ref6[0]); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDetectsBrokenCoupling(t *testing.T) {

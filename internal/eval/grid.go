@@ -395,7 +395,7 @@ func detectTraces(spec *GridSpec, tech Technique, kind transform.Kind, featureNa
 	if bound < 1 {
 		bound = 1
 	}
-	fitpool.Run(len(tts), bound, func(_, i int) {
+	fitpool.Run(len(tts), bound, func(i int) {
 		vt := tts[i]
 		tr := &core.Trace{}
 		det, err := spec.newDetector(tech, featureNames)

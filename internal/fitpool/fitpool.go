@@ -11,12 +11,12 @@
 // runs serially inline, with zero goroutines spawned. On a single-CPU
 // host every Run call degenerates to an inline loop.
 //
-// Determinism contract: Run hands work items to workers by an atomic
-// counter, so *which* goroutine runs an item is scheduling-dependent —
+// Determinism contract: Run hands work items out by an atomic counter,
+// so *which* goroutine runs an item, and when, is scheduling-dependent —
 // callers that need deterministic results must make each item's output
-// independent of the worker that produced it (write to per-item slots,
-// reduce in item order). Every caller in this repository follows that
-// pattern; see DESIGN.md §11.
+// independent of the others (write to per-item slots, reduce in item
+// order). Every caller in this repository follows that pattern; see
+// DESIGN.md §11.
 package fitpool
 
 import (
@@ -72,13 +72,12 @@ func TryAcquire() bool {
 	}
 }
 
-// Run executes fn(worker, item) for every item in [0, n), using the
-// calling goroutine as worker 0 and up to bound-1 helper goroutines,
-// each gated on a free pool token. Items are handed out by an atomic
-// counter; worker ids are dense in [0, bound). Run returns when every
-// item has completed. With bound <= 1, a single-item workload, or no
-// free tokens, it is a plain inline loop.
-func Run(n, bound int, fn func(worker, item int)) {
+// Run executes fn(item) for every item in [0, n), using the calling
+// goroutine and up to bound-1 helper goroutines, each gated on a free
+// pool token. Items are handed out by an atomic counter. Run returns
+// when every item has completed. With bound <= 1, a single-item
+// workload, or no free tokens, it is a plain inline loop.
+func Run(n, bound int, fn func(item int)) {
 	if n <= 0 {
 		return
 	}
@@ -87,18 +86,18 @@ func Run(n, bound int, fn func(worker, item int)) {
 	}
 	if bound <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
 	var next atomic.Int64
-	work := func(w int) {
+	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			fn(w, i)
+			fn(i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -107,12 +106,12 @@ func Run(n, bound int, fn func(worker, item int)) {
 			break
 		}
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			defer Release()
-			work(id)
-		}(w)
+			work()
+		}()
 	}
-	work(0)
+	work()
 	wg.Wait()
 }

@@ -11,17 +11,13 @@ import (
 // written against, next to the whole-layer products of dense.go. Two
 // properties matter as much as speed:
 //
-//   - Determinism: AddScaled, AdamStep and NormRow are elementwise and
-//     replay the scalar operation sequence per lane, so they are
-//     bit-identical to the scalar loops they replace.
+//   - Determinism: every kernel replays the scalar operation sequence
+//     per output element (elementwise lanes, in-order reductions, never
+//     a fused multiply-add), so it is bit-identical to the scalar loop
+//     it replaces at every dispatch level. No kernel reassociates.
 //   - Zero allocation: every kernel writes into a caller-owned dst. The
 //     only allocations are inside EnsureShape when a scratch matrix has
 //     to grow, which happens once per layer lifetime.
-//
-// DotUnrolled4 is the exception to the determinism rule: it keeps four
-// accumulators and therefore reassociates the reduction. It is for
-// consumers without a bit-exactness contract (the fast-dots minibatch
-// path, diagnostics, benchmarks); MatMulT and LinBwdFast inherit it.
 
 // EnsureShape reshapes m to r×c, reusing the backing slice when it is
 // large enough and reallocating (once) when it is not. Contents are NOT
@@ -66,37 +62,6 @@ func AddScaled(dst []float64, alpha float64, x []float64) {
 	}
 }
 
-// DotUnrolled4 returns the inner product of x and y using four
-// accumulators. It is ~2-3× faster than Dot on long vectors but
-// reassociates the sum, so its result may differ from Dot in the last
-// ulps — use it only where bit-exactness against the serial reduction is
-// not contracted. It panics on length mismatch.
-func DotUnrolled4(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: DotUnrolled4: len(x)=%d len(y)=%d", len(x), len(y)))
-	}
-	i := 0
-	var s float64
-	if hasFMA && len(x) >= 16 {
-		n := len(x) &^ 15
-		s = dotFMA(x[:n], y[:n])
-		i = n
-	}
-	var s0, s1, s2, s3 float64
-	n := i + (len(x)-i)&^3
-	for ; i < n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
-	}
-	s += (s0 + s1) + (s2 + s3)
-	for ; i < len(x); i++ {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
 // AdamStep applies one Adam optimiser update in place:
 //
 //	m = β1·m + (1-β1)·g
@@ -127,32 +92,6 @@ func AdamStep(w, g, m, v []float64, beta1, beta2, bc1, bc2, lr, eps float64) {
 		mh := m[i] / bc1
 		vh := v[i] / bc2
 		w[i] -= lr * mh / (math.Sqrt(vh) + eps)
-	}
-}
-
-// LinBwdFast is the fused dense-layer backward row update. For each
-// k < len(x) it accumulates the weight gradient and computes the input
-// gradient in a single pass over W:
-//
-//	wg[k·out:(k+1)·out] += x[k]·g   (elementwise — bit-exact lanes)
-//	dx[k] = Σ_j g[j]·w[k·out+j]     (reassociated reduction)
-//
-// where out = len(g). The dots reassociate (FMA where available), so
-// this kernel is for fast-dots consumers only — the bit-exact path
-// keeps its in-order scalar reduction. Panics on length mismatch.
-func LinBwdFast(x, g, w, wg, dx []float64) {
-	in, out := len(x), len(g)
-	if len(dx) != in || len(w) != in*out || len(wg) != in*out {
-		panic(fmt.Sprintf("mat: LinBwdFast: len(x)=%d len(g)=%d len(w)=%d len(wg)=%d len(dx)=%d",
-			in, out, len(w), len(wg), len(dx)))
-	}
-	if hasFMA && in > 0 && out >= 8 && out&7 == 0 {
-		linBwdFMA(x, g, w, wg, dx)
-		return
-	}
-	for k := 0; k < in; k++ {
-		AddScaled(wg[k*out:(k+1)*out], x[k], g)
-		dx[k] = DotUnrolled4(g, w[k*out:(k+1)*out])
 	}
 }
 
@@ -217,34 +156,11 @@ func NormRow(x, gain, bias, out []float64, m, inv float64) {
 	}
 }
 
-// SIMDMode reports which vector kernel classes the running CPU enables
-// ("avx+fma", "avx" or "scalar"). Recorded in benchmark metadata so
-// perf numbers are interpretable across machines.
+// SIMDMode reports the running CPU's vector class: "scalar", "avx" or
+// "avx+fma". Every kernel dispatches on AVX alone; "+fma" is hardware
+// metadata (no kernel issues a fused multiply-add), recorded in
+// benchmark headers so numbers are interpretable across machines.
 func SIMDMode() string { return simdMode() }
-
-// MatMulT computes dst = a·bᵀ (a is r×k, b is c×k) and returns dst,
-// reshaped to r×c. dst must not alias a or b. Each output element is a
-// row-row inner product evaluated with DotUnrolled4, so MatMulT inherits
-// its reassociation: use it where bit-exactness against a serial
-// reduction is not contracted (the in-order alternative is a Product
-// over an explicitly transposed operand).
-func MatMulT(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MatMulT: a is %dx%d, b is %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst == a || dst == b {
-		panic("mat: MatMulT: dst must not alias an operand")
-	}
-	dst.EnsureShape(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		out := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			out[j] = DotUnrolled4(arow, b.Row(j))
-		}
-	}
-	return dst
-}
 
 // TransposeInto writes mᵀ into dst (reshaped to Cols×Rows) and returns
 // dst. dst must not alias m.

@@ -64,24 +64,6 @@ func TestProductZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestMatMulTMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randMatrix(rng, 7, 13)
-	b := randMatrix(rng, 9, 13) // b is c×k: dst = a·bᵀ is 7×9
-	got := MatMulT(NewMatrix(0, 0), a, b)
-	for i := 0; i < 7; i++ {
-		for j := 0; j < 9; j++ {
-			var want float64
-			for k := 0; k < 13; k++ {
-				want += a.At(i, k) * b.At(j, k)
-			}
-			if d := math.Abs(got.At(i, j) - want); d > 1e-12 {
-				t.Fatalf("(%d,%d): got %v want %v", i, j, got.At(i, j), want)
-			}
-		}
-	}
-}
-
 func TestAddScaledBitIdenticalToScalarLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 3, 4, 7, 8, 33} {
@@ -106,30 +88,6 @@ func TestAddScaledBitIdenticalToScalarLoop(t *testing.T) {
 	}
 }
 
-func TestDotUnrolled4MatchesDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 9, 100} {
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := 0; i < n; i++ {
-			x[i] = rng.NormFloat64()
-			y[i] = rng.NormFloat64()
-		}
-		want, err := Dot(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := DotUnrolled4(x, y)
-		scale := math.Abs(want)
-		if scale < 1 {
-			scale = 1
-		}
-		if math.Abs(got-want) > 1e-12*scale {
-			t.Fatalf("n=%d: got %v want %v", n, got, want)
-		}
-	}
-}
-
 func TestKernelPanicsOnMismatch(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
@@ -141,8 +99,6 @@ func TestKernelPanicsOnMismatch(t *testing.T) {
 		fn()
 	}
 	expectPanic("AddScaled", func() { AddScaled(make([]float64, 3), 1, make([]float64, 4)) })
-	expectPanic("DotUnrolled4", func() { DotUnrolled4(make([]float64, 3), make([]float64, 4)) })
-	expectPanic("MatMulT", func() { MatMulT(NewMatrix(0, 0), NewMatrix(2, 3), NewMatrix(2, 4)) })
 	expectPanic("ColInto", func() { NewMatrix(3, 2).ColInto(make([]float64, 2), 0) })
 }
 
@@ -151,11 +107,10 @@ func TestColIntoMatchesColZeroAlloc(t *testing.T) {
 	m := randMatrix(rng, 17, 5)
 	dst := make([]float64, m.Rows)
 	for j := 0; j < m.Cols; j++ {
-		want := m.Col(j)
 		got := m.ColInto(dst, j)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("col %d row %d: got %v want %v", j, i, got[i], want[i])
+		for i := range got {
+			if want := m.At(i, j); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("col %d row %d: got %v want %v", j, i, got[i], want)
 			}
 		}
 	}
@@ -215,21 +170,6 @@ func BenchmarkProduct(b *testing.B) {
 	}
 }
 
-func BenchmarkDotUnrolled4(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	x := make([]float64, 1024)
-	y := make([]float64, 1024)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkFloat = DotUnrolled4(x, y)
-	}
-}
-
 func BenchmarkColInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	m := randMatrix(rng, 512, 16)
@@ -240,5 +180,3 @@ func BenchmarkColInto(b *testing.B) {
 		m.ColInto(dst, i%m.Cols)
 	}
 }
-
-var sinkFloat float64

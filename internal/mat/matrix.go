@@ -47,14 +47,9 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	return m.ColInto(make([]float64, m.Rows), j)
-}
-
 // ColInto gathers column j into dst, which must have length m.Rows, and
-// returns dst. It is the allocation-free form of Col for callers that
-// walk many columns (CorrelationMatrix, ColStds).
+// returns dst, allocating nothing, for callers that walk many columns
+// (CorrelationMatrix, ColStds).
 func (m *Matrix) ColInto(dst []float64, j int) []float64 {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("mat: ColInto: len(dst)=%d, Rows=%d", len(dst), m.Rows))

@@ -32,8 +32,8 @@ func TestFromRowsAndAccess(t *testing.T) {
 	if r := m.Row(2); r[0] != 5 || r[1] != 6 {
 		t.Errorf("Row(2) = %v", r)
 	}
-	if c := m.Col(0); c[0] != 1 || c[1] != 3 || c[2] != 5 {
-		t.Errorf("Col(0) = %v", c)
+	if c := m.ColInto(make([]float64, 3), 0); c[0] != 1 || c[1] != 3 || c[2] != 5 {
+		t.Errorf("ColInto(0) = %v", c)
 	}
 	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged rows should error")

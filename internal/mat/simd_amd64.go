@@ -2,24 +2,17 @@ package mat
 
 // SIMD dispatch for the fit-path kernels on amd64.
 //
-// The assembly kernels in simd_amd64.s come in two bit-exactness
-// classes, mirroring the package's determinism contract:
-//
-//   - axpyAVX, adamAVX, normRowAVX, distPackAVX and productAVX are
-//     elementwise (or per-lane in-order, for the distance and product
-//     kernels): each output element is produced by exactly the scalar
-//     sequence of IEEE-754 operations (separate multiply and add —
-//     never a fused multiply-add), just on four lanes at a time.
-//     distPackAVX vectorises ACROSS points and productAVX ACROSS output
-//     columns — one lane per point or column, each lane's reduction
-//     running in element order — which is how a sum that may not be
-//     reassociated still gets SIMD throughput. Their results are
-//     bit-identical to the pure Go loops, so AddScaled, AdamStep,
-//     NormRow, SquaredDistances8 and Product stay inside the bit-exact
-//     contract even when vectorised.
-//   - dotFMA keeps four vector accumulators and uses VFMADD231PD, so it
-//     reassociates and changes rounding. It only ever backs
-//     DotUnrolled4, which already documents reassociation.
+// The assembly kernels in simd_amd64.s — axpyAVX, adamAVX, normRowAVX,
+// distPackAVX, productAVX and transposeAVX — all belong to one
+// bit-exactness class: each output element is produced by exactly the
+// scalar sequence of IEEE-754 operations (separate multiply and add —
+// never a fused multiply-add), just on four lanes at a time.
+// distPackAVX vectorises ACROSS points and productAVX ACROSS output
+// columns — one lane per point or column, each lane's reduction running
+// in element order — which is how a sum that may not be reassociated
+// still gets SIMD throughput. Their results are bit-identical to the
+// pure Go loops, so every float the package computes is the same at
+// every dispatch level.
 //
 // Feature detection is done once at init via CPUID/XGETBV (AVX needs
 // both the CPU flag and OS-enabled YMM state). GOAMD64=v1 binaries
@@ -34,19 +27,10 @@ func xgetbv0() (eax, edx uint32)
 // be a positive multiple of 8; the caller handles tails.
 func axpyAVX(alpha float64, x, y []float64)
 
-// dotFMA returns the FMA-reassociated inner product of x and y. len(x)
-// must be a positive multiple of 16; the caller handles tails.
-func dotFMA(x, y []float64) float64
-
 // adamAVX applies the Adam update to 4k elements (len(w) must be a
 // positive multiple of 4; the caller handles tails). The per-element
 // operation sequence matches adamScalar exactly.
 func adamAVX(w, g, m, v []float64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64)
-
-// linBwdFMA fuses the dense-layer weight-gradient axpy and the
-// input-gradient dots into one pass over W. len(g) must be a positive
-// multiple of 8. Reassociates the dots (FMA): fast-dots callers only.
-func linBwdFMA(x, g, w, wg, dx []float64)
 
 // productAVX is Product.Eval's kernel: the in-order strided product
 // out = init + a·b with each output element accumulated in k-order by
@@ -81,8 +65,8 @@ func distPackAVX(q, block, out []float64)
 func normRowAVX(x, gain, bias, out []float64, m, inv float64)
 
 var (
-	hasAVX bool // VMULPD/VADDPD/VDIVPD/VSQRTPD kernels usable
-	hasFMA bool // VFMADD231PD dot kernel usable
+	hasAVX bool // the assembly kernels are usable
+	hasFMA bool // reported by SIMDMode only: no kernel issues an FMA
 )
 
 func init() {
@@ -108,7 +92,8 @@ func init() {
 	hasFMA = ecx&fmaBit != 0
 }
 
-// simdMode reports the kernel classes in use, for bench metadata.
+// simdMode backs SIMDMode. The three names are keyed on by committed
+// benchmark fixtures and must not change.
 func simdMode() string {
 	switch {
 	case hasAVX && hasFMA:

@@ -47,43 +47,6 @@ axpyloop:
 	VZEROUPPER
 	RET
 
-// Inner product with four vector accumulators and fused multiply-adds.
-// Reassociates: DotUnrolled4 callers only. len(x) a positive multiple
-// of 16.
-// func dotFMA(x, y []float64) float64
-TEXT ·dotFMA(SB), NOSPLIT, $0-56
-	MOVQ x_base+0(FP), SI
-	MOVQ y_base+24(FP), DI
-	MOVQ x_len+8(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	XORQ AX, AX
-
-dotloop:
-	VMOVUPD (SI)(AX*8), Y4
-	VMOVUPD 32(SI)(AX*8), Y5
-	VMOVUPD 64(SI)(AX*8), Y6
-	VMOVUPD 96(SI)(AX*8), Y7
-	VFMADD231PD (DI)(AX*8), Y4, Y0
-	VFMADD231PD 32(DI)(AX*8), Y5, Y1
-	VFMADD231PD 64(DI)(AX*8), Y6, Y2
-	VFMADD231PD 96(DI)(AX*8), Y7, Y3
-	ADDQ $16, AX
-	CMPQ AX, CX
-	JL   dotloop
-
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	VMOVSD X0, ret+48(FP)
-	VZEROUPPER
-	RET
-
 // One Adam update over 4k elements (len(w) a positive multiple of 4).
 // The lane arithmetic replays adamScalar's exact operation sequence —
 // separate multiplies and adds, correctly-rounded VSQRTPD/VDIVPD — so
@@ -130,55 +93,6 @@ adamloop:
 	ADDQ $4, AX
 	CMPQ AX, CX
 	JL   adamloop
-	VZEROUPPER
-	RET
-
-// Fused dense-layer backward row update, one pass over W and its
-// gradient: for each k, wg[k*out:] += x[k]*g (elementwise lanes, no
-// FMA) and dx[k] = dot(g, w[k*out:]) (FMA-reassociated). out = len(g)
-// a positive multiple of 8; len(x) = len(dx) = rows of W.
-// func linBwdFMA(x, g, w, wg, dx []float64)
-TEXT ·linBwdFMA(SB), NOSPLIT, $0-120
-	MOVQ x_base+0(FP), R9
-	MOVQ x_len+8(FP), R10   // in
-	MOVQ g_base+24(FP), SI
-	MOVQ g_len+32(FP), CX   // out
-	MOVQ w_base+48(FP), DI
-	MOVQ wg_base+72(FP), R8
-	MOVQ dx_base+96(FP), DX
-	XORQ R11, R11           // k
-
-lbk:
-	VBROADCASTSD (R9)(R11*8), Y0
-	VXORPD Y1, Y1, Y1       // dot accumulators
-	VXORPD Y2, Y2, Y2
-	XORQ AX, AX             // j
-
-lbj:
-	VMOVUPD (SI)(AX*8), Y4
-	VMOVUPD 32(SI)(AX*8), Y5
-	VMULPD  Y0, Y4, Y6
-	VMULPD  Y0, Y5, Y7
-	VADDPD  (R8)(AX*8), Y6, Y6
-	VADDPD  32(R8)(AX*8), Y7, Y7
-	VMOVUPD Y6, (R8)(AX*8)
-	VMOVUPD Y7, 32(R8)(AX*8)
-	VFMADD231PD (DI)(AX*8), Y4, Y1
-	VFMADD231PD 32(DI)(AX*8), Y5, Y2
-	ADDQ $8, AX
-	CMPQ AX, CX
-	JL   lbj
-
-	VADDPD Y2, Y1, Y1
-	VEXTRACTF128 $1, Y1, X2
-	VADDPD X2, X1, X1
-	VHADDPD X1, X1, X1
-	VMOVSD X1, (DX)(R11*8)
-	LEAQ (DI)(CX*8), DI
-	LEAQ (R8)(CX*8), R8
-	INCQ R11
-	CMPQ R11, R10
-	JL   lbk
 	VZEROUPPER
 	RET
 

@@ -2,23 +2,16 @@
 
 package mat
 
-// Non-amd64 builds run the pure Go kernels; the dispatch flags stay
+// Non-amd64 builds run the pure Go kernels; the dispatch flag stays
 // false and the assembly entry points are never reached.
 
-const (
-	hasAVX = false
-	hasFMA = false
-)
+const hasAVX = false
 
 func axpyAVX(alpha float64, x, y []float64) { panic("mat: axpyAVX without AVX") }
-
-func dotFMA(x, y []float64) float64 { panic("mat: dotFMA without FMA") }
 
 func adamAVX(w, g, m, v []float64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64) {
 	panic("mat: adamAVX without AVX")
 }
-
-func linBwdFMA(x, g, w, wg, dx []float64) { panic("mat: linBwdFMA without FMA") }
 
 func productAVX(rows, inner, width int, a []float64, aRow, aK int, b []float64, ldb int, init []float64, ldi int, out []float64, ldo int, skip bool) {
 	panic("mat: productAVX without AVX")

@@ -86,24 +86,6 @@ func TestAdamStepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDotUnrolled4Accuracy sanity-checks the reassociated dot (FMA
-// kernel included) against a compensated reference within a small
-// relative error — bit-equality is explicitly NOT contracted here.
-func TestDotUnrolled4Accuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 4, 15, 16, 17, 31, 32, 33, 64, 1000} {
-		x, y := randVec(rng, n), randVec(rng, n)
-		var want float64
-		for i := range x {
-			want += x[i] * y[i]
-		}
-		got := DotUnrolled4(x, y)
-		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("n=%d: DotUnrolled4=%g reference=%g (simd=%s)", n, got, want, SIMDMode())
-		}
-	}
-}
-
 func BenchmarkAddScaled(b *testing.B) {
 	x := randVec(rand.New(rand.NewSource(1)), 256)
 	dst := make([]float64, 256)
@@ -120,43 +102,6 @@ func BenchmarkAdamStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		AdamStep(w, g, m, v, 0.9, 0.999, 0.1, 0.01, 1e-3, 1e-8)
-	}
-}
-
-// TestLinBwdFastMatchesReference checks the fused backward kernel
-// against the unfused per-row reference at assorted shapes, including
-// non-multiple-of-8 widths that exercise the Go fallback.
-func TestLinBwdFastMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, shape := range [][2]int{{1, 8}, {3, 16}, {10, 48}, {48, 48}, {5, 7}, {7, 24}, {4, 0}} {
-		in, out := shape[0], shape[1]
-		x, g := randVec(rng, in), randVec(rng, out)
-		w := randVec(rng, in*out)
-		wg := randVec(rng, in*out)
-		dx := make([]float64, in)
-		wg2 := append([]float64(nil), wg...)
-		dx2 := make([]float64, in)
-		LinBwdFast(x, g, w, wg, dx)
-		for k := 0; k < in; k++ {
-			addScaledScalar(wg2[k*out:(k+1)*out], x[k], g)
-			var acc float64
-			for j := 0; j < out; j++ {
-				acc += g[j] * w[k*out+j]
-			}
-			dx2[k] = acc
-		}
-		for i := range wg {
-			// axpy lanes are bit-exact.
-			if math.Float64bits(wg[i]) != math.Float64bits(wg2[i]) {
-				t.Fatalf("in=%d out=%d: wg[%d] differs (simd=%s)", in, out, i, SIMDMode())
-			}
-		}
-		for k := range dx {
-			// dots reassociate: tolerance, not bits.
-			if math.Abs(dx[k]-dx2[k]) > 1e-9*(1+math.Abs(dx2[k])) {
-				t.Fatalf("in=%d out=%d: dx[%d]=%g want %g (simd=%s)", in, out, k, dx[k], dx2[k], SIMDMode())
-			}
-		}
 	}
 }
 

@@ -35,7 +35,7 @@ func Mean(x []float64) float64 {
 
 // Variance returns the population variance of x (dividing by n), or NaN
 // for an empty slice. The detection thresholds in the paper use the
-// population form; see SampleVariance for the n-1 form.
+// population form.
 func Variance(x []float64) float64 {
 	if len(x) == 0 {
 		return math.NaN()
@@ -49,47 +49,9 @@ func Variance(x []float64) float64 {
 	return ss / float64(len(x))
 }
 
-// SampleVariance returns the unbiased sample variance of x (dividing by
-// n-1), or NaN when len(x) < 2.
-func SampleVariance(x []float64) float64 {
-	if len(x) < 2 {
-		return math.NaN()
-	}
-	m := Mean(x)
-	var ss float64
-	for _, v := range x {
-		d := v - m
-		ss += d * d
-	}
-	return ss / float64(len(x)-1)
-}
-
 // Std returns the population standard deviation of x.
 func Std(x []float64) float64 {
 	return math.Sqrt(Variance(x))
-}
-
-// SampleStd returns the sample standard deviation of x.
-func SampleStd(x []float64) float64 {
-	return math.Sqrt(SampleVariance(x))
-}
-
-// MinMax returns the minimum and maximum of x. It returns (NaN, NaN) for
-// an empty slice.
-func MinMax(x []float64) (min, max float64) {
-	if len(x) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
 }
 
 // Median returns the median of x without modifying it, or NaN for an
@@ -179,22 +141,6 @@ func merge(a, b, out []float64) {
 	}
 }
 
-// ZScores returns (x - mean) / std for every element. When the standard
-// deviation is zero the z-scores are all zero, mirroring the behaviour of
-// conformal detectors on constant reference data.
-func ZScores(x []float64) []float64 {
-	out := make([]float64, len(x))
-	m := Mean(x)
-	s := Std(x)
-	if s == 0 || math.IsNaN(s) {
-		return out
-	}
-	for i, v := range x {
-		out[i] = (v - m) / s
-	}
-	return out
-}
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // When either signal is constant over the window the correlation is
 // undefined; this implementation returns 0 in that case, which the
@@ -256,88 +202,11 @@ func SquaredEuclidean(x, y []float64) (float64, error) {
 	return s, nil
 }
 
-// Manhattan returns the L1 distance between x and y.
-func Manhattan(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrDimension
-	}
-	var s float64
-	for i := range x {
-		s += math.Abs(x[i] - y[i])
-	}
-	return s, nil
-}
-
-// Chebyshev returns the L∞ distance between x and y.
-func Chebyshev(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrDimension
-	}
-	var s float64
-	for i := range x {
-		d := math.Abs(x[i] - y[i])
-		if d > s {
-			s = d
-		}
-	}
-	return s, nil
-}
-
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrDimension
-	}
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s, nil
-}
-
-// Norm returns the L2 norm of x.
-func Norm(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Scale multiplies every element of x by a in place and returns x.
-func Scale(x []float64, a float64) []float64 {
-	for i := range x {
-		x[i] *= a
-	}
-	return x
-}
-
-// AddTo adds y to x element-wise in place and returns x.
-func AddTo(x, y []float64) ([]float64, error) {
-	if len(x) != len(y) {
-		return nil, ErrDimension
-	}
-	for i := range x {
-		x[i] += y[i]
-	}
-	return x, nil
-}
-
 // Clone returns a copy of x.
 func Clone(x []float64) []float64 {
 	c := make([]float64, len(x))
 	copy(c, x)
 	return c
-}
-
-// HasNaN reports whether any element of x is NaN.
-func HasNaN(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) {
-			return true
-		}
-	}
-	return false
 }
 
 // Clamp limits v to the closed interval [lo, hi].

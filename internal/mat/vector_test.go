@@ -44,32 +44,11 @@ func TestVarianceStd(t *testing.T) {
 	if got := Std(x); !almostEq(got, 2, 1e-12) {
 		t.Errorf("Std = %v, want 2", got)
 	}
-	if got := SampleVariance(x); !almostEq(got, 32.0/7.0, 1e-12) {
-		t.Errorf("SampleVariance = %v, want %v", got, 32.0/7.0)
-	}
 	if !math.IsNaN(Variance(nil)) {
 		t.Error("Variance(nil) should be NaN")
 	}
-	if !math.IsNaN(SampleVariance([]float64{1})) {
-		t.Error("SampleVariance of singleton should be NaN")
-	}
 	if got := Variance([]float64{3, 3, 3}); got != 0 {
 		t.Errorf("Variance of constant = %v, want 0", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%v, %v), want (-1, 7)", min, max)
-	}
-	min, max = MinMax(nil)
-	if !math.IsNaN(min) || !math.IsNaN(max) {
-		t.Error("MinMax(nil) should be (NaN, NaN)")
-	}
-	min, max = MinMax([]float64{4})
-	if min != 4 || max != 4 {
-		t.Errorf("MinMax singleton = (%v, %v), want (4, 4)", min, max)
 	}
 }
 
@@ -125,22 +104,6 @@ func TestQuantileAgainstSortLargeInput(t *testing.T) {
 	}
 	if got := Quantile(x, 0.5); got != sorted[250] {
 		t.Errorf("Q.5 = %v, want %v", got, sorted[250])
-	}
-}
-
-func TestZScores(t *testing.T) {
-	z := ZScores([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almostEq(z[0], -1.5, 1e-12) {
-		t.Errorf("z[0] = %v, want -1.5", z[0])
-	}
-	if !almostEq(Mean(z), 0, 1e-12) {
-		t.Errorf("mean of z-scores = %v, want 0", Mean(z))
-	}
-	z = ZScores([]float64{5, 5, 5})
-	for _, v := range z {
-		if v != 0 {
-			t.Errorf("z-scores of constant input should be 0, got %v", z)
-		}
 	}
 }
 
@@ -237,20 +200,8 @@ func TestDistances(t *testing.T) {
 	if d, _ := SquaredEuclidean(x, y); !almostEq(d, 25, 1e-12) {
 		t.Errorf("SquaredEuclidean = %v, want 25", d)
 	}
-	if d, _ := Manhattan(x, y); !almostEq(d, 7, 1e-12) {
-		t.Errorf("Manhattan = %v, want 7", d)
-	}
-	if d, _ := Chebyshev(x, y); !almostEq(d, 4, 1e-12) {
-		t.Errorf("Chebyshev = %v, want 4", d)
-	}
 	if _, err := Euclidean(x, []float64{1}); err == nil {
 		t.Error("mismatched Euclidean should error")
-	}
-	if _, err := Manhattan(x, []float64{1}); err == nil {
-		t.Error("mismatched Manhattan should error")
-	}
-	if _, err := Chebyshev(x, []float64{1}); err == nil {
-		t.Error("mismatched Chebyshev should error")
 	}
 	if _, err := SquaredEuclidean(x, []float64{1}); err == nil {
 		t.Error("mismatched SquaredEuclidean should error")
@@ -280,34 +231,8 @@ func TestDistancePropertiesTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestDotNorm(t *testing.T) {
-	d, err := Dot([]float64{1, 2, 3}, []float64{4, 5, 6})
-	if err != nil || d != 32 {
-		t.Errorf("Dot = %v err=%v, want 32", d, err)
-	}
-	if _, err := Dot([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched Dot should error")
-	}
-	if n := Norm([]float64{3, 4}); !almostEq(n, 5, 1e-12) {
-		t.Errorf("Norm = %v, want 5", n)
-	}
-}
-
-func TestScaleAddToClone(t *testing.T) {
-	x := []float64{1, 2}
-	Scale(x, 2)
-	if x[0] != 2 || x[1] != 4 {
-		t.Errorf("Scale: %v", x)
-	}
-	if _, err := AddTo(x, []float64{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 3 || x[1] != 5 {
-		t.Errorf("AddTo: %v", x)
-	}
-	if _, err := AddTo(x, []float64{1}); err == nil {
-		t.Error("mismatched AddTo should error")
-	}
+func TestClone(t *testing.T) {
+	x := []float64{3, 5}
 	c := Clone(x)
 	c[0] = 99
 	if x[0] == 99 {
@@ -315,13 +240,7 @@ func TestScaleAddToClone(t *testing.T) {
 	}
 }
 
-func TestHasNaNClamp(t *testing.T) {
-	if HasNaN([]float64{1, 2}) {
-		t.Error("no NaN expected")
-	}
-	if !HasNaN([]float64{1, math.NaN()}) {
-		t.Error("NaN expected")
-	}
+func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Error("Clamp wrong")
 	}

@@ -65,39 +65,6 @@ func (r *ReLU) Backward(grad *mat.Matrix) *mat.Matrix {
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	y       *mat.Matrix
-	legacy  bool
-	out, dx mat.Matrix
-}
-
-// NewSigmoid returns a Sigmoid layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *mat.Matrix) *mat.Matrix {
-	out := copyOf(s.legacy, &s.out, x)
-	for i, v := range out.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	s.y = out
-	return out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad *mat.Matrix) *mat.Matrix {
-	out := copyOf(s.legacy, &s.dx, grad)
-	for i := range out.Data {
-		y := s.y.Data[i]
-		out.Data[i] *= y * (1 - y)
-	}
-	return out
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }
-
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
 	y       *mat.Matrix

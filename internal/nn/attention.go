@@ -16,17 +16,12 @@ import (
 // head's column slice of Q/K/V in place; the kernel's k-ordered
 // accumulation reproduces the legacy scalar loops bit for bit, and
 // every intermediate lives in layer-owned scratch, so a warm layer
-// allocates nothing per call. With SetFastDots the attention-gradient
-// product instead goes through mat.MatMulT/DotUnrolled4, which
-// reassociates the reduction — tranad enables it only for minibatch
-// training, where no bit-exactness against the legacy per-window
-// trajectory is contracted.
+// allocates nothing per call.
 type SelfAttention struct {
 	Dim, Heads, dk int
 	wq, wk, wv, wo *Linear
 
-	legacy   bool
-	fastDots bool
+	legacy bool
 
 	// caches
 	x       *mat.Matrix
@@ -38,7 +33,6 @@ type SelfAttention struct {
 	attnS      []*mat.Matrix
 	concatS    mat.Matrix
 	kT, vT     mat.Matrix // Kᵀ / Vᵀ (Dim×seq): a head's rows are the B operand of its score products
-	vh, doh    mat.Matrix // packed head blocks of the fastDots path
 	dAttn      mat.Matrix
 	dQ, dK, dV mat.Matrix
 
@@ -66,17 +60,6 @@ func NewSelfAttention(dim, heads int, rng *rand.Rand) *SelfAttention {
 		infQ:  make([]float64, dim),
 		infC:  make([]float64, dim),
 	}
-}
-
-// packHead copies head h's column slice of src (seq×Dim) into dst,
-// reshaped to seq×dk.
-func (a *SelfAttention) packHead(dst *mat.Matrix, src *mat.Matrix, h int) *mat.Matrix {
-	off := h * a.dk
-	dst.EnsureShape(src.Rows, a.dk)
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i), src.Row(i)[off:off+a.dk])
-	}
-	return dst
 }
 
 // softmaxRow scales row by scale and replaces it with its softmax — the
@@ -229,26 +212,18 @@ func (a *SelfAttention) Backward(grad *mat.Matrix) *mat.Matrix {
 // backwardHeadsLegacy with the same per-element accumulation order —
 // dAttn over the head's columns, dV over the rows of dOut, dQ and dK
 // over the scaled softmax gradient with its exact zeros skipped — so
-// the result is bit-identical to it. With fastDots, dAttn alone is the
-// reassociated mat.MatMulT over packed head blocks instead.
+// the result is bit-identical to it.
 func (a *SelfAttention) backwardHeads(dConcat, dQ, dK, dV *mat.Matrix) {
 	seq := a.x.Rows
 	scale := 1 / math.Sqrt(float64(a.dk))
 	dS := a.dAttn.EnsureShape(seq, seq)
-	var vT *mat.Matrix
-	if !a.fastDots {
-		vT = a.v.TransposeInto(&a.vT)
-	}
+	vT := a.v.TransposeInto(&a.vT)
 	for h := 0; h < a.Heads; h++ {
 		off := h * a.dk
 		attn := a.attn[h]
 		// dAttn = dOut_h · Vh^T ; dV_h = attn^T · dOut_h.
-		if a.fastDots {
-			mat.MatMulT(dS, a.packHead(&a.doh, dConcat, h), a.packHead(&a.vh, a.v, h))
-		} else {
-			(&mat.Product{Rows: seq, Inner: a.dk, Width: seq, A: dConcat.Data[off:], ARow: a.Dim, AK: 1,
-				B: vT.Data[off*seq:], LdB: seq, Out: dS.Data, LdOut: seq}).Eval()
-		}
+		(&mat.Product{Rows: seq, Inner: a.dk, Width: seq, A: dConcat.Data[off:], ARow: a.Dim, AK: 1,
+			B: vT.Data[off*seq:], LdB: seq, Out: dS.Data, LdOut: seq}).Eval()
 		(&mat.Product{Rows: seq, Inner: seq, Width: a.dk, A: attn.Data, ARow: 1, AK: seq,
 			B: dConcat.Data[off:], LdB: a.Dim, Out: dV.Data[off:], LdOut: a.Dim}).Eval()
 		// Softmax backward per row, scaled: dS = attn ⊙ (dAttn - rowsum(dAttn ⊙ attn)) * scale.

@@ -12,22 +12,16 @@ import (
 // call (mat.DenseFwd, mat.DenseBwd) writing into layer-owned scratch:
 // zero allocations once the scratch is warm, and bit-identical outputs
 // to the legacy allocate-per-call path at any shape (the kernels visit
-// every reduction index in the order the scalar loops did). The legacy
-// path is retained behind SetLegacyKernels as the fit-perf baseline and
-// as the oracle for the equivalence tests.
+// every reduction index in the order the scalar loops did, at every
+// SIMD dispatch level). The legacy path is retained behind
+// SetLegacyKernels as the oracle of the equivalence tests.
 type Linear struct {
 	In, Out int
 	w, b    *Param
 	x       *mat.Matrix // cached input
 	legacy  bool
-	// fastDots routes the input-gradient dots of Backward through
-	// mat.DotUnrolled4 (FMA-reassociated where the CPU has it). Like the
-	// attention fastDots flag it abandons bit-exactness against the
-	// legacy reduction order, so it is only switched on where no such
-	// contract exists (tranad minibatch training).
-	fastDots bool
-	out, dx  mat.Matrix // scratch, grown once
-	wT       []float64  // Wᵀ scratch of the bit-exact Backward
+	out, dx mat.Matrix // scratch, grown once
+	wT      []float64  // Wᵀ scratch of Backward
 }
 
 // NewLinear creates a Glorot-initialised dense layer using rng.
@@ -76,16 +70,7 @@ func (l *Linear) Backward(grad *mat.Matrix) *mat.Matrix {
 		return l.backwardLegacy(grad)
 	}
 	dx := l.dx.EnsureShape(l.x.Rows, l.In)
-	if !l.fastDots {
-		mat.DenseBwd(grad.Rows, l.In, l.Out, l.x.Data, grad.Data, l.w.W, l.wT, l.w.G, l.b.G, dx.Data)
-		return dx
-	}
-	// db += g ; dW += x^T g ; dx = g W^T, row by row: the axpys are
-	// elementwise and bit-exact, the fused dots FMA-reassociated.
-	for i := 0; i < grad.Rows; i++ {
-		mat.AddScaled(l.b.G, 1, grad.Row(i))
-		mat.LinBwdFast(l.x.Row(i), grad.Row(i), l.w.W, l.w.G, dx.Row(i))
-	}
+	mat.DenseBwd(grad.Rows, l.In, l.Out, l.x.Data, grad.Data, l.w.W, l.wT, l.w.G, l.b.G, dx.Data)
 	return dx
 }
 

@@ -106,7 +106,7 @@ func (s *Sequential) Params() []*Param {
 // Residual and SelfAttention wrappers) between the default scratch-reuse
 // fit kernels and the legacy allocate-per-call implementations. Both
 // paths produce bit-identical outputs; the legacy path exists as the
-// fit-perf baseline and as the oracle for the kernel-equivalence tests.
+// oracle of the kernel-equivalence tests.
 func SetLegacyKernels(layer Layer, legacy bool) {
 	switch l := layer.(type) {
 	case *Sequential:
@@ -130,53 +130,7 @@ func SetLegacyKernels(layer Layer, legacy bool) {
 		l.legacy = legacy
 	case *ReLU:
 		l.legacy = legacy
-	case *Sigmoid:
-		l.legacy = legacy
 	case *Tanh:
 		l.legacy = legacy
-	}
-}
-
-// SetFastDots enables the reassociating reductions — the attention
-// gradient product (mat.MatMulT over four accumulators) on every
-// SelfAttention block and the FMA input-gradient dots on every Linear —
-// under layer. It trades bit-exactness against the legacy reduction
-// order for speed, so it is only enabled where no such contract exists
-// (tranad minibatch training). It has no effect on legacy-mode layers.
-func SetFastDots(layer Layer, on bool) {
-	switch l := layer.(type) {
-	case *Sequential:
-		for _, inner := range l.Layers {
-			SetFastDots(inner, on)
-		}
-	case *Residual:
-		SetFastDots(l.Inner, on)
-	case *SelfAttention:
-		l.fastDots = on
-		SetFastDots(l.wq, on)
-		SetFastDots(l.wk, on)
-		SetFastDots(l.wv, on)
-		SetFastDots(l.wo, on)
-	case *Linear:
-		l.fastDots = on
-	}
-}
-
-// CopyWeights copies the weight values of src into dst. The two
-// parameter lists must come from identically shaped networks. It is the
-// replica-synchronisation step of minibatch-parallel training.
-func CopyWeights(dst, src []*Param) {
-	if len(dst) != len(src) {
-		panic("nn: CopyWeights: parameter count mismatch")
-	}
-	for i, p := range dst {
-		copy(p.W, src[i].W)
-	}
-}
-
-// ZeroGrads clears every gradient accumulator in params.
-func ZeroGrads(params []*Param) {
-	for _, p := range params {
-		clear(p.G)
 	}
 }

@@ -91,10 +91,6 @@ func TestReLUGradients(t *testing.T) {
 	numericalGradCheck(t, NewReLU(), 4, 6, 3, 1e-4)
 }
 
-func TestSigmoidGradients(t *testing.T) {
-	numericalGradCheck(t, NewSigmoid(), 4, 6, 4, 1e-4)
-}
-
 func TestTanhGradients(t *testing.T) {
 	numericalGradCheck(t, NewTanh(), 4, 6, 5, 1e-4)
 }

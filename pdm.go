@@ -166,7 +166,14 @@ func NewGroupDeviation(cfg GrandConfig, window time.Duration) *GroupDeviation {
 	return grand.NewGroupDeviation(cfg, window)
 }
 
-// TranADConfig parametrises the transformer-reconstruction detector.
+// TranADConfig parametrises the transformer-reconstruction detector:
+// the model shape (Window, DModel, Heads), the training budget (Epochs,
+// LR, MaxWindows, Seed) and two switches onto the reference
+// implementations the tests compare against (LegacyFitKernels,
+// FullWindowScore), which change no output bit. Training is one
+// deterministic procedure — a per-window Adam step over the shuffled
+// windows, every epoch — so a fit is a function of the reference and
+// this configuration alone.
 type TranADConfig = tranad.Config
 
 // NewTranAD returns the TranAD-style reconstruction detector.
