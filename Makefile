@@ -120,18 +120,21 @@ fuzz-smoke:
 
 ## ingest-smoke: the wire data-plane gates at test scale — the committed
 ## golden frame file must decode byte-stably, the decoder must hold its
-## zero-allocation steady state, IngestBatch must reproduce Replay's
-## alarms bit-for-bit at 1 and 2 shards (including straight off decoded
-## NVWIRE1 frames), and the HTTP front end must admit, journal, and
-## reject end-to-end.
+## zero-allocation steady state, a reused decoder must deliver what a
+## fresh one does, refuse a bad header before sizing a buffer from it
+## and give back oversized buffers when its stream ends, IngestBatch
+## must reproduce Replay's alarms bit-for-bit at 1 and 2 shards
+## (including straight off decoded NVWIRE1 frames), and the HTTP front
+## end must admit, journal, and reject end-to-end, on pooled decoders,
+## inside its per-POST allocation bound.
 ingest-smoke:
-	$(GO) test -run 'TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption' ./internal/wire/
+	$(GO) test -run 'TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget' ./internal/wire/
 	$(GO) test -run 'TestIngestBatch|TestWireVsReplayAlarmIdentity' ./internal/fleet/
 	$(GO) test ./cmd/navarchos-serve/
 
-## bench-smoke: one iteration of the throughput, vehicle-handoff and
-## allocation benchmarks, enough to catch a benchmark that no longer
-## compiles or crashes.
+## bench-smoke: one iteration of the throughput, vehicle-handoff,
+## allocation and ingest-handler benchmarks, enough to catch a benchmark
+## that no longer compiles or crashes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput|BenchmarkVehicleHandoff|BenchmarkScoreInto|BenchmarkPipelineSteadyState|BenchmarkPipelineObserved' -benchtime 1x \
-		./internal/fleet/ ./internal/detector/closestpair/ ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput|BenchmarkVehicleHandoff|BenchmarkScoreInto|BenchmarkPipelineSteadyState|BenchmarkPipelineObserved|BenchmarkIngestHandler' -benchtime 1x \
+		./internal/fleet/ ./internal/detector/closestpair/ ./internal/core/ ./cmd/navarchos-serve/

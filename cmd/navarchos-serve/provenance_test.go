@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/navarchos/pdm/internal/fleetsim"
 	"github.com/navarchos/pdm/internal/obs"
 	"github.com/navarchos/pdm/internal/wire"
 )
@@ -17,13 +16,7 @@ import (
 // producer tags its uploads.
 func tracedFleetFrames(t *testing.T, traceID uint64) ([]byte, int) {
 	t.Helper()
-	cfg := fleetsim.SmallConfig()
-	cfg.NumVehicles = 6
-	cfg.Days = 120
-	cfg.RecordedVehicles = 5
-	cfg.RecordedFailures = 2
-	cfg.HiddenFailures = 1
-	f := fleetsim.Generate(cfg)
+	f := testFleet()
 	var enc wire.Encoder
 	frames := 0
 	for start := 0; start < len(f.Records); start += 512 {

@@ -30,15 +30,22 @@ func testServer(t *testing.T) (*server, *httptest.Server) {
 	return s, ts
 }
 
-func testFleetFrames(t *testing.T) ([]byte, int, int, int) {
-	t.Helper()
+// testFleet is the six-vehicle, 120-day synthetic fleet the end-to-end
+// tests upload: small enough to ingest in milliseconds, failing enough
+// to journal alarms.
+func testFleet() *fleetsim.Fleet {
 	cfg := fleetsim.SmallConfig()
 	cfg.NumVehicles = 6
 	cfg.Days = 120
 	cfg.RecordedVehicles = 5
 	cfg.RecordedFailures = 2
 	cfg.HiddenFailures = 1
-	f := fleetsim.Generate(cfg)
+	return fleetsim.Generate(cfg)
+}
+
+func testFleetFrames(t *testing.T) ([]byte, int, int, int) {
+	t.Helper()
+	f := testFleet()
 	frames, nframes, err := wire.EncodeStream(nil, f.Records, f.Events, 512)
 	if err != nil {
 		t.Fatal(err)

@@ -62,6 +62,14 @@ type server struct {
 	// admitted frame gets a process-monotone batch ID.
 	batchSeq atomic.Uint64
 
+	// decoders holds the NVWIRE1 decoders between binary ingest
+	// requests, so a POST reuses a warm read buffer, payload buffer,
+	// batch and vehicle-ID intern table instead of rebuilding them. A
+	// pool rather than per-connection state because a request is the
+	// unit that needs one (a keep-alive connection has one in flight)
+	// and tests drive the mux with no connection at all.
+	decoders sync.Pool
+
 	// Placement: this instance's name, its peers, and the consistent
 	// ring over all of them. The ring is static per process — placement
 	// changes travel as drains, not ring edits.
@@ -177,6 +185,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		client:   &http.Client{Timeout: 30 * time.Second},
 		adopted:  make(map[string]bool),
 		migrated: make(map[string]string),
+		decoders: sync.Pool{New: func() any { return &wire.Decoder{MaxFrameBytes: int(cfg.maxBody)} }},
 	}
 	// The journal captures every alarm with full context via the
 	// observer; the channel drain below is the live tail for operators.
@@ -352,10 +361,18 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // This is also the endpoint that accepts vehicle-handoff frames: a
 // peer's drain delivers extracted vehicles here and they are adopted
 // into the local engine before the next telemetry frame decodes.
+//
+// The decoder comes from s.decoders and goes back on every exit path
+// with its handoff sink cleared, so a parked decoder references
+// neither this request's response nor — DecodeStream drops the reader
+// and any oversized frame buffer when it returns — its body.
 func (s *server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 	s.decodeAndAdmit(w, r, func(body io.Reader, sink wire.FrameSink, resp *ingestResponse) error {
-		var dec wire.Decoder
-		dec.MaxFrameBytes = int(s.maxBody)
+		dec := s.decoders.Get().(*wire.Decoder)
+		defer func() {
+			dec.HandoffSink = nil
+			s.decoders.Put(dec)
+		}()
 		dec.HandoffSink = func(state []byte) error {
 			// The payload aliases the decode buffer; the snapshot must
 			// outlive this call, so clone before decoding.

@@ -563,7 +563,11 @@ func (e *Engine) putBatch(s *shard, batch []envelope) {
 	select {
 	case s.free <- batch:
 	default:
-		e.pool.Put(&batch)
+		// A copy, so only the overflow path pays for a heap slice
+		// header: &batch would move the parameter to the heap on every
+		// call, one allocation per processed batch.
+		overflow := batch
+		e.pool.Put(&overflow)
 	}
 }
 
@@ -928,8 +932,14 @@ func (e *Engine) runBatch(s *shard, batch []envelope) {
 		e.processEnv(s, env)
 	}
 	// Barrier batches spend their time parked waiting on the
-	// checkpointer; recording that wait would drown the histogram.
-	if e.batchH != nil && !sawBarrier {
+	// checkpointer; recording that wait would drown the histogram. They
+	// are also one-envelope slices the quiesce made, not BatchSize
+	// buffers: recycled, each would cost the next producer to draw it a
+	// regrow to BatchSize.
+	if sawBarrier {
+		return
+	}
+	if e.batchH != nil {
 		e.batchH.Observe(time.Since(batchStart).Seconds())
 	}
 	e.putBatch(s, batch)

@@ -14,13 +14,38 @@ import (
 )
 
 // Decoder decodes NVWIRE1 frames. The zero value is ready to use. A
-// decoder is NOT safe for concurrent use — give each connection its
-// own (they are cheap; the intern table is the only state).
+// decoder is NOT safe for concurrent use — give each connection (or
+// each in-flight request: navarchos-serve keeps a pool) its own, and
+// keep it: everything that makes decoding allocation-free lives in the
+// decoder and is reused by the next DecodeInto or DecodeStream call.
+//
+// State a decoder owns:
+//
+//   - the vehicle-ID intern table, shared by DecodeInto and
+//     DecodeStream: a returning vehicle's ID is a map lookup, not an
+//     allocation. Bounded by maxIntern entries and maxInternBytes of
+//     ID text; IDs beyond either bound still decode, they just
+//     allocate per record.
+//   - DecodeStream's stream state: the bufio.Reader over the source
+//     (re-armed with Reset, never re-allocated), the frame header and
+//     payload buffers, and the Batch delivered to the sink. None of it
+//     carries anything from one stream into the next — the reader is
+//     re-armed, the batch is reset before every frame, and every
+//     payload byte handed to the parser was read from the current
+//     stream — so a decoder that last saw a corrupt or truncated
+//     stream decodes the next one exactly as a fresh decoder would.
+//
+// Retained-buffer bound: when DecodeStream returns it drops its
+// reference to the source reader, and if the stream carried a frame
+// above maxRetainedFrameBytes it releases the payload buffer and the
+// batch with it, so a parked decoder holds at most the 64 KiB read
+// buffer, maxRetainedFrameBytes of payload, the batch capacity a
+// payload of that size can fill, and the bounded intern table — never
+// one MaxFrameBytes-sized upload.
 //
 // Steady-state decoding is allocation-free: records are appended into
-// the caller's Batch (whose capacity is reused across frames), floats
-// are reinterpreted bit patterns, and vehicle-ID strings are interned
-// so a returning vehicle's ID is a map lookup, not an allocation.
+// the Batch (whose capacity is reused across frames), floats are
+// reinterpreted bit patterns, and vehicle-ID strings are interned.
 // Events allocate their note/DTC strings — they are orders of magnitude
 // rarer than records, so they never carry the throughput bound.
 type Decoder struct {
@@ -37,7 +62,14 @@ type Decoder struct {
 	// endpoint cannot be tricked into swallowing state.
 	HandoffSink func(state []byte) error
 
-	intern map[string]string
+	intern      map[string]string
+	internBytes int
+
+	// DecodeStream's reused state.
+	br      *bufio.Reader
+	header  [HeaderSize]byte
+	payload []byte
+	batch   Batch
 }
 
 // maxFrame resolves the frame size limit.
@@ -51,7 +83,8 @@ func (d *Decoder) maxFrame() int {
 // internID returns the canonical string for a vehicle-ID byte slice,
 // allocating only the first time an ID is seen. The m[string(b)] lookup
 // compiles to a no-allocation map access; the table is bounded by
-// maxIntern so hostile streams full of unique IDs cannot balloon it.
+// maxIntern entries and maxInternBytes of text so hostile streams full
+// of unique (or maximally long) IDs cannot balloon a long-lived decoder.
 func (d *Decoder) internID(b []byte) string {
 	if s, ok := d.intern[string(b)]; ok {
 		return s
@@ -60,10 +93,46 @@ func (d *Decoder) internID(b []byte) string {
 	if d.intern == nil {
 		d.intern = make(map[string]string)
 	}
-	if len(d.intern) < maxIntern {
+	if len(d.intern) < maxIntern && d.internBytes+len(s) <= maxInternBytes {
 		d.intern[s] = s
+		d.internBytes += len(s)
 	}
 	return s
+}
+
+// checkHeader validates a frame header — magic, version, kind, and the
+// payload length against MaxFrameBytes — and returns the kind and the
+// payload length. It is everything that can be known about a frame
+// before its payload is present, so stream callers run it before they
+// size a buffer from the length prefix.
+func (d *Decoder) checkHeader(h []byte) (kind byte, n int, err error) {
+	if string(h[:4]) != Magic {
+		return 0, 0, ErrBadMagic
+	}
+	if h[4] != Version {
+		return 0, 0, ErrBadVersion
+	}
+	kind = h[5]
+	if kind != KindBatch && !(kind == KindHandoff && d.HandoffSink != nil) {
+		return 0, 0, ErrBadKind
+	}
+	n = int(binary.LittleEndian.Uint32(h[6:]))
+	if n > d.maxFrame() {
+		return 0, 0, ErrFrameTooLarge
+	}
+	return kind, n, nil
+}
+
+// decodeBody verifies a complete payload against the header's CRC and
+// routes it by kind: telemetry items into b, a handoff to HandoffSink.
+func (d *Decoder) decodeBody(kind byte, crc uint32, payload []byte, b *Batch) error {
+	if crc32.Checksum(payload, castagnoli) != crc {
+		return ErrCorrupt
+	}
+	if kind == KindHandoff {
+		return d.HandoffSink(payload)
+	}
+	return d.decodePayload(payload, b)
 }
 
 // DecodeInto decodes the first complete frame in buf, appending its
@@ -76,34 +145,15 @@ func (d *Decoder) DecodeInto(buf []byte, b *Batch) (int, error) {
 	if len(buf) < HeaderSize {
 		return 0, ErrTruncated
 	}
-	if string(buf[:4]) != Magic {
-		return 0, ErrBadMagic
-	}
-	if buf[4] != Version {
-		return 0, ErrBadVersion
-	}
-	kind := buf[5]
-	if kind != KindBatch && !(kind == KindHandoff && d.HandoffSink != nil) {
-		return 0, ErrBadKind
-	}
-	n := int(binary.LittleEndian.Uint32(buf[6:]))
-	if n > d.maxFrame() {
-		return 0, ErrFrameTooLarge
+	kind, n, err := d.checkHeader(buf)
+	if err != nil {
+		return 0, err
 	}
 	if len(buf) < HeaderSize+n {
 		return 0, ErrTruncated
 	}
-	payload := buf[HeaderSize : HeaderSize+n]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[10:]) {
-		return 0, ErrCorrupt
-	}
-	if kind == KindHandoff {
-		if err := d.HandoffSink(payload); err != nil {
-			return 0, err
-		}
-		return HeaderSize + n, nil
-	}
-	if err := d.decodePayload(payload, b); err != nil {
+	crc := binary.LittleEndian.Uint32(buf[10:])
+	if err := d.decodeBody(kind, crc, buf[HeaderSize:HeaderSize+n], b); err != nil {
 		return 0, err
 	}
 	return HeaderSize + n, nil
@@ -201,26 +251,34 @@ func (d *Decoder) DecodeAll(buf []byte, b *Batch) (int, error) {
 	return frames, nil
 }
 
-// DecodeStream reads consecutive frames from r, decoding each into a
-// reused internal batch delivered to sink — the long-lived connection
-// path of navarchos-serve's streaming endpoint. It returns the frame
-// count and the first read, decode or sink error; a stream ending at a
-// frame boundary returns nil. The frame buffer grows to the largest
-// frame seen and is then reused, so steady state reads are
-// allocation-free too.
+// DecodeStream reads consecutive frames from r, decoding each into the
+// decoder's reused batch and delivering it to sink — the path behind
+// navarchos-serve's binary ingest endpoints. It returns the frame count
+// and the first read, decode or sink error; a stream ending at a frame
+// boundary returns nil.
+//
+// Each header is validated (checkHeader) before the payload buffer is
+// sized from its length prefix, so bytes that are not a frame fail with
+// their typed header error and cost no allocation, whatever length they
+// claim. The read buffer, payload buffer and batch belong to the
+// decoder and are reused by the next call: the payload buffer grows to
+// the largest frame seen and stays, so a warm decoder reads and decodes
+// a stream without allocating. See Decoder for what is released when
+// the stream ends.
 func (d *Decoder) DecodeStream(r io.Reader, sink FrameSink) (int, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 64<<10)
+		if d.br == nil {
+			d.br = bufio.NewReaderSize(r, streamReadBytes)
+		} else {
+			d.br.Reset(r)
+		}
+		br = d.br
 	}
-	var (
-		buf    []byte
-		batch  Batch
-		frames int
-	)
+	defer d.endStream()
+	frames := 0
 	for {
-		var header [HeaderSize]byte
-		if _, err := io.ReadFull(br, header[:]); err != nil {
+		if _, err := io.ReadFull(br, d.header[:]); err != nil {
 			if err == io.EOF {
 				return frames, nil
 			}
@@ -229,29 +287,43 @@ func (d *Decoder) DecodeStream(r io.Reader, sink FrameSink) (int, error) {
 			}
 			return frames, err
 		}
-		n := int(binary.LittleEndian.Uint32(header[6:]))
-		if n > d.maxFrame() {
-			return frames, ErrFrameTooLarge
+		kind, n, err := d.checkHeader(d.header[:])
+		if err != nil {
+			return frames, err
 		}
-		if need := HeaderSize + n; cap(buf) < need {
-			buf = make([]byte, need)
+		if cap(d.payload) < n {
+			d.payload = make([]byte, n)
 		}
-		frame := buf[:HeaderSize+n]
-		copy(frame, header[:])
-		if _, err := io.ReadFull(br, frame[HeaderSize:]); err != nil {
+		payload := d.payload[:n]
+		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 				return frames, ErrTruncated
 			}
 			return frames, err
 		}
-		batch.Reset()
-		if _, err := d.DecodeInto(frame, &batch); err != nil {
+		d.batch.Reset()
+		crc := binary.LittleEndian.Uint32(d.header[10:])
+		if err := d.decodeBody(kind, crc, payload, &d.batch); err != nil {
 			return frames, err
 		}
 		frames++
-		if err := sink.ConsumeBatch(&batch); err != nil {
+		if err := sink.ConsumeBatch(&d.batch); err != nil {
 			return frames, err
 		}
+	}
+}
+
+// endStream applies the retained-buffer bound when a stream ends: the
+// source reader is dropped (a parked decoder must not pin a request
+// body), and a payload buffer grown past maxRetainedFrameBytes is
+// released together with the batch that frame filled.
+func (d *Decoder) endStream() {
+	if d.br != nil {
+		d.br.Reset(nil)
+	}
+	if cap(d.payload) > maxRetainedFrameBytes {
+		d.payload = nil
+		d.batch = Batch{}
 	}
 }
 

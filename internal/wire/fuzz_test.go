@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/navarchos/pdm/internal/obd"
@@ -12,6 +12,13 @@ import (
 // must never panic, never over-read, and a frame it does accept must
 // re-encode to semantically identical items. Seeds cover a valid
 // multi-item frame plus each corruption class from the unit tests.
+//
+// Reuse must be outcome-neutral too, since navarchos-serve pools its
+// decoders: every input also goes through DecodeStream on a decoder
+// that has already run a valid multi-frame stream, which must fail and
+// deliver exactly as a fresh decoder does, and then decode that valid
+// stream again unchanged — the input left nothing behind in the
+// decoder's buffers, batch or intern table.
 func FuzzWireDecode(f *testing.F) {
 	recs, evs := testStream(25, 3)
 	valid, _, err := EncodeStream(nil, recs, evs, 1024)
@@ -39,8 +46,36 @@ func FuzzWireDecode(f *testing.F) {
 		f.Fatal(tenc.Err())
 	}
 	f.Add(append([]byte(nil), tenc.Bytes()...))
+	// Sound version, kind and CRC fields behind a garbage magic, claiming
+	// a 16 MiB payload that never arrives.
+	garbage := []byte{'n', 'o', 'p', 'e', Version, KindBatch}
+	garbage = binary.LittleEndian.AppendUint32(garbage, 16<<20)
+	garbage = binary.LittleEndian.AppendUint32(garbage, 0)
+	f.Add(append(garbage, "short"...))
+
+	multi, _, err := EncodeStream(nil, recs, evs, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	multiWant, err := transcript(&Decoder{MaxFrameBytes: 1 << 20}, multi)
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := transcript(&Decoder{MaxFrameBytes: 1 << 20}, data)
+		used := Decoder{MaxFrameBytes: 1 << 20}
+		if _, err := transcript(&used, multi); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := transcript(&used, data); err != wantErr || got != want {
+			t.Fatalf("reused decoder: error %v and %d bytes of items, fresh decoder: %v and %d",
+				err, len(got), wantErr, len(want))
+		}
+		if got, err := transcript(&used, multi); err != nil || got != multiWant {
+			t.Fatalf("a valid stream decoded differently after this input (err %v)", err)
+		}
+
 		var dec Decoder
 		dec.MaxFrameBytes = 1 << 20 // keep hostile length prefixes cheap
 		var b Batch
@@ -83,11 +118,6 @@ func FuzzWireDecode(f *testing.F) {
 		if b2.TraceID != b.TraceID {
 			t.Fatalf("round trip changed trace ID: %#x -> %#x", b.TraceID, b2.TraceID)
 		}
-		// The stream decoder must agree with the buffer decoder on the
-		// same bytes (same acceptance, never a panic).
-		var streamDec Decoder
-		streamDec.MaxFrameBytes = 1 << 20
-		streamDec.DecodeStream(bytes.NewReader(data), nopSink{}) //nolint:errcheck // outcome-agnostic: must only not panic
 	})
 
 	// Compile-time-ish guard: the fuzz target assumes records carry

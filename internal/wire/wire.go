@@ -4,7 +4,7 @@
 // batch decoder. It is the data plane between the network edge
 // (cmd/navarchos-serve) and the fleet engine's batch admission seam
 // (fleet.Engine.IngestBatch): the hot path from socket to shard never
-// touches the allocator once a connection is warm, which is what keeps
+// touches the allocator once a decoder is warm, which is what keeps
 // real-world ingest from becoming allocator-bound long before the
 // scoring path saturates.
 //
@@ -67,10 +67,11 @@
 //
 // The decoder never panics and never over-reads on truncated, corrupt
 // or adversarial input: every length is validated against the bytes
-// actually present, frames are bounded by MaxFrameBytes, and corruption
-// surfaces as one of the typed errors (ErrBadMagic, ErrBadVersion,
-// ErrTruncated, ErrCorrupt, ErrFrameTooLarge, ErrBadFrame) — the
-// contract FuzzWireDecode pins.
+// actually present, frames are bounded by MaxFrameBytes, a stream's
+// header is validated before a buffer is sized from its length prefix,
+// and corruption surfaces as one of the typed errors (ErrBadMagic,
+// ErrBadVersion, ErrBadKind, ErrTruncated, ErrCorrupt,
+// ErrFrameTooLarge, ErrBadFrame) — the contract FuzzWireDecode pins.
 package wire
 
 import (
@@ -104,6 +105,17 @@ const (
 	// maxIntern bounds the decoder's vehicle-ID intern table; fleets
 	// beyond it still decode, later IDs just allocate per record.
 	maxIntern = 1 << 16
+	// maxInternBytes bounds the total ID text the intern table holds
+	// (16 bytes per ID at maxIntern entries), so a long-lived decoder
+	// fed maxIDLen-sized unique IDs cannot pin 64 MiB of them.
+	maxInternBytes = 1 << 20
+	// streamReadBytes sizes DecodeStream's bufio.Reader.
+	streamReadBytes = 64 << 10
+	// maxRetainedFrameBytes is the largest payload buffer a decoder
+	// keeps between DecodeStream calls — room for a ~15 000-record
+	// frame. A stream that needed more gives the buffer back when it
+	// ends, so a pooled decoder never pins a MaxFrameBytes-sized upload.
+	maxRetainedFrameBytes = 1 << 20
 	// minItemSize is the smallest encodable item (record tag + empty ID
 	// + timestamp + value count), used to sanity-check count prefixes.
 	// The trace-context item is padded with a reserved flags byte to

@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +141,34 @@ func TestDecodeIntern(t *testing.T) {
 	}
 }
 
+// TestDecodeInternBudget pins the table's byte bound: a stream of
+// unique maximum-length IDs decodes correctly and stops growing the
+// table at maxInternBytes, far short of maxIntern entries.
+func TestDecodeInternBudget(t *testing.T) {
+	n := 2 * maxInternBytes / maxIDLen
+	var enc Encoder
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%0*d", maxIDLen, i)
+		enc.Record(&timeseries.Record{VehicleID: id, Time: time.Unix(int64(i), 0)})
+	}
+	enc.End()
+	if enc.Err() != nil {
+		t.Fatal(enc.Err())
+	}
+	var dec Decoder
+	var b Batch
+	if _, err := dec.DecodeAll(enc.Bytes(), &b); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Records) != n || b.Records[n-1].VehicleID != fmt.Sprintf("%0*d", maxIDLen, n-1) {
+		t.Fatalf("decoded %d records, want %d with their IDs intact", len(b.Records), n)
+	}
+	if dec.internBytes > maxInternBytes || len(dec.intern) != maxInternBytes/maxIDLen {
+		t.Fatalf("intern table holds %d IDs / %d bytes, want %d / at most %d",
+			len(dec.intern), dec.internBytes, maxInternBytes/maxIDLen, maxInternBytes)
+	}
+}
+
 // TestDecodeZeroAlloc is the steady-state allocation oracle: after the
 // first frame establishes batch capacity and the intern table, decoding
 // a frame of records costs zero allocations per record.
@@ -201,6 +232,200 @@ func TestDecodeStream(t *testing.T) {
 type nopSink struct{}
 
 func (nopSink) ConsumeBatch(*Batch) error { return nil }
+
+// transcript runs DecodeStream over data and writes down everything the
+// sink was handed — frame boundaries, trace IDs, every field of every
+// item with floats as bit patterns — so two decodes delivered the same
+// thing exactly when their transcripts and errors are equal.
+func transcript(d *Decoder, data []byte) (string, error) {
+	var sb strings.Builder
+	_, err := d.DecodeStream(bytes.NewReader(data), SinkFunc(func(b *Batch) error {
+		fmt.Fprintf(&sb, "frame trace=%x\n", b.TraceID)
+		for i := range b.Records {
+			r := &b.Records[i]
+			fmt.Fprintf(&sb, "r %q %d", r.VehicleID, r.Time.UnixNano())
+			for _, v := range r.Values {
+				fmt.Fprintf(&sb, " %x", math.Float64bits(v))
+			}
+			sb.WriteByte('\n')
+		}
+		for i := range b.Events {
+			ev := &b.Events[i]
+			fmt.Fprintf(&sb, "e %q %d %d %q", ev.VehicleID, ev.Time.UnixNano(), ev.Type, ev.Note)
+			if ev.DTC != nil {
+				fmt.Fprintf(&sb, " dtc %q %d", ev.DTC.Code, ev.DTC.Kind)
+			}
+			sb.WriteByte('\n')
+		}
+		return nil
+	}))
+	return sb.String(), err
+}
+
+// TestDecodeStreamReuse pins what pooling decoders rests on: a decoder
+// that has already run a stream — to the end, into a CRC failure, or
+// off the edge of a truncated body — delivers for the next stream
+// exactly what a fresh decoder delivers, and fails where it fails.
+func TestDecodeStreamReuse(t *testing.T) {
+	recsA, evsA := testStream(700, 9)
+	streamA, _, err := EncodeStream(nil, recsA, evsA, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recsB, evsB := testStream(300, 5) // overlapping IDs, other values
+	streamB, _, err := EncodeStream(nil, recsB[40:], evsB, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), streamA...)
+	flipped[len(flipped)/2] ^= 0x10
+
+	firsts := map[string][]byte{
+		"complete":  streamA,
+		"crc flip":  flipped,
+		"truncated": streamA[:len(streamA)-len(streamA)/3],
+		"garbage":   []byte("definitely not an NVWIRE1 frame"),
+	}
+	seconds := map[string][]byte{
+		"valid":     streamB,
+		"truncated": streamB[:len(streamB)-7],
+		"empty":     nil,
+	}
+	for an, a := range firsts {
+		for bn, b := range seconds {
+			want, wantErr := transcript(new(Decoder), b)
+			var used Decoder
+			transcript(&used, a) //nolint:errcheck // only its leftovers matter
+			got, gotErr := transcript(&used, b)
+			if gotErr != wantErr {
+				t.Fatalf("%s then %s: reused decoder failed with %v, fresh with %v", an, bn, gotErr, wantErr)
+			}
+			if got != want {
+				t.Fatalf("%s then %s: reused decoder delivered different items than a fresh one", an, bn)
+			}
+		}
+	}
+}
+
+// TestDecodeStreamChecksHeaderBeforeAllocating pins the order of
+// operations on bytes that are not a frame: the typed header error,
+// not ErrTruncated, and no buffer sized from the length they claim.
+func TestDecodeStreamChecksHeaderBeforeAllocating(t *testing.T) {
+	const claimed = 64 << 20
+	header := func(magic string, version, kind byte) []byte {
+		h := append([]byte(magic), version, kind)
+		h = binary.LittleEndian.AppendUint32(h, claimed)
+		h = binary.LittleEndian.AppendUint32(h, 0xdeadbeef)
+		return append(h, "short body"...)
+	}
+	recs, _ := testStream(64, 4)
+	valid, _, err := EncodeStream(nil, recs, nil, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"bad magic", header("XXXX", Version, KindBatch), ErrBadMagic},
+		{"bad version", header(Magic, 9, KindBatch), ErrBadVersion},
+		{"handoff without a sink", header(Magic, Version, KindHandoff), ErrBadKind},
+		{"unknown kind", header(Magic, Version, 7), ErrBadKind},
+	} {
+		// Fresh decoder: the only allocation allowed is the read buffer.
+		fresh := Decoder{MaxFrameBytes: claimed}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := fresh.DecodeStream(bytes.NewReader(tc.data), nopSink{})
+		runtime.ReadMemStats(&m1)
+		if err != tc.want {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*streamReadBytes {
+			t.Fatalf("%s: refusing the header allocated %d bytes", tc.name, got)
+		}
+		// Warm decoder: nothing at all, and nothing parked afterwards.
+		warm := Decoder{MaxFrameBytes: claimed}
+		if _, err := warm.DecodeStream(bytes.NewReader(valid), nopSink{}); err != nil {
+			t.Fatal(err)
+		}
+		kept := cap(warm.payload)
+		r := bytes.NewReader(tc.data)
+		allocs := testing.AllocsPerRun(20, func() {
+			r.Reset(tc.data)
+			if _, err := warm.DecodeStream(r, nopSink{}); err != tc.want {
+				t.Fatalf("%s: warm decoder got %v, want %v", tc.name, err, tc.want)
+			}
+		})
+		if allocs != 0 || cap(warm.payload) != kept {
+			t.Fatalf("%s: warm decoder allocated %.0f times, payload buffer %d -> %d bytes",
+				tc.name, allocs, kept, cap(warm.payload))
+		}
+	}
+}
+
+// TestDecodeStreamRetainedBufferBound pins what a decoder holds once
+// its stream has ended: a stream of ordinary frames leaves its buffers
+// in place for the next one, a frame above maxRetainedFrameBytes gives
+// them back, and in both cases the source reader is let go.
+func TestDecodeStreamRetainedBufferBound(t *testing.T) {
+	recs, _ := testStream(256, 4)
+	small, _, err := EncodeStream(nil, recs, nil, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbig := maxRetainedFrameBytes/60 + 1 // a record is at least 60 payload bytes
+	bigRecs, _ := testStream(nbig, 4)
+	big, nframes, err := EncodeStream(nil, bigRecs, nil, nbig)
+	if err != nil || nframes != 1 {
+		t.Fatalf("encoding one %d-record frame: %d frames, %v", nbig, nframes, err)
+	}
+
+	// source is a reader the test can watch the collector reclaim.
+	type source struct{ io.Reader }
+	var dec Decoder
+	run := func(data []byte) (collected chan struct{}) {
+		src := &source{bytes.NewReader(data)}
+		collected = make(chan struct{})
+		runtime.SetFinalizer(src, func(*source) { close(collected) })
+		if _, err := dec.DecodeStream(src, nopSink{}); err != nil {
+			t.Fatal(err)
+		}
+		return collected
+	}
+	released := func(name string, collected chan struct{}) {
+		t.Helper()
+		for i := 0; i < 10; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		t.Fatalf("%s: the decoder still references its source reader", name)
+	}
+
+	c := run(small)
+	if cap(dec.payload) == 0 || cap(dec.batch.Records) < len(recs) {
+		t.Fatalf("ordinary stream: buffers not kept (payload %d B, batch %d records)",
+			cap(dec.payload), cap(dec.batch.Records))
+	}
+	released("ordinary stream", c)
+
+	c = run(big)
+	if dec.payload != nil || dec.batch.Records != nil || dec.batch.Events != nil {
+		t.Fatalf("oversize stream: decoder kept %d payload bytes and %d records of batch",
+			cap(dec.payload), cap(dec.batch.Records))
+	}
+	released("oversize stream", c)
+
+	// And it still works, warm in everything but the released buffers.
+	if got, err := transcript(&dec, small); err != nil || got == "" {
+		t.Fatalf("decode after release: %v", err)
+	}
+}
 
 // TestDecodeRejectsCorruption walks the typed-error contract: magic,
 // version, kind, CRC, truncation, oversize and structural corruption
