@@ -114,22 +114,13 @@ func main() {
 	// through -checkpoint / -resume instead.
 	engCfg := pdm.FleetEngineConfig{
 		NewConfig: func(string) (pdm.PipelineConfig, error) {
-			tr, err := pdm.NewTransformer(pdm.Correlation, 12)
+			pc, err := pdm.DefaultPipelineConfig()
 			if err != nil {
 				return pdm.PipelineConfig{}, err
 			}
-			wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
-			return pdm.PipelineConfig{
-				Transformer:   tr,
-				Detector:      pdm.NewClosestPair(tr.FeatureNames()),
-				Thresholder:   pdm.NewSelfTuningThreshold(*factor),
-				ProfileLength: 45,
-				Filter:        wf.Keep,
-				FilterState:   wf,
-				DensityM:      5,
-				DensityK:      15,
-				Observer:      observer,
-			}, nil
+			pc.Thresholder = pdm.NewSelfTuningThreshold(*factor)
+			pc.Observer = observer
+			return pc, nil
 		},
 		Shards:   *shards,
 		Observer: observer,

@@ -276,7 +276,7 @@ func TestServeCordonEndpoint(t *testing.T) {
 	if resp, body := postBody(t, ts.URL+"/ingest/stream", "application/octet-stream", frame); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-uncordon ingest: %d %s", resp.StatusCode, body)
 	}
-	if st := s.eng.Stats(); st.RecordsIn != 1 {
+	if st := s.eng.StatsConsistent(); st.RecordsIn != 1 {
 		t.Fatalf("engine admitted %d records, want exactly the readmitted one", st.RecordsIn)
 	}
 }
@@ -324,7 +324,7 @@ func TestServePlacementRouting(t *testing.T) {
 		t.Fatalf("misroute 409 body %s, want %s refused toward %s", body, theirs, peerURL)
 	}
 	// The locally-owned record was admitted despite the 409.
-	if st := s.eng.Stats(); st.RecordsIn != 1 {
+	if st := s.eng.StatsConsistent(); st.RecordsIn != 1 {
 		t.Fatalf("engine admitted %d records, want 1 (only %s)", st.RecordsIn, mine)
 	}
 
@@ -388,7 +388,7 @@ func TestServeAdoptionOverridesRing(t *testing.T) {
 	if resp, body := postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", frame(1)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-drain ingest on a: %d %s, want 200", resp.StatusCode, body)
 	}
-	if st := sa.eng.Stats(); st.RecordsIn != 1 {
+	if st := sa.eng.StatsConsistent(); st.RecordsIn != 1 {
 		t.Fatalf("a admitted %d records, want 1", st.RecordsIn)
 	}
 	resp, body := postGet(t, tsa.URL+"/admin/placement")
@@ -421,7 +421,7 @@ func TestServeAdoptionOverridesRing(t *testing.T) {
 	if ua.Vehicle != veh || ua.State != "misrouted" || ua.Peer != tsb.URL {
 		t.Fatalf("409 body %s, want %s misrouted toward %s", body, veh, tsb.URL)
 	}
-	if st := sb.eng.Stats(); st.RecordsIn != 1 {
+	if st := sb.eng.StatsConsistent(); st.RecordsIn != 1 {
 		t.Fatalf("b admitted %d records, want 1", st.RecordsIn)
 	}
 }
@@ -466,7 +466,7 @@ func TestServeDrainKeepsOperatorFence(t *testing.T) {
 	if ua.Peer != "" {
 		t.Fatalf("cordon 409 carries peer hint %q, want none", ua.Peer)
 	}
-	if st := s.eng.Stats(); st.RecordsIn != 0 {
+	if st := s.eng.StatsConsistent(); st.RecordsIn != 0 {
 		t.Fatalf("engine admitted %d records through the fence", st.RecordsIn)
 	}
 }
@@ -589,7 +589,7 @@ func TestServeDrainPeerConflictKeepsFence(t *testing.T) {
 	if resp, body := postBody(t, tsb.URL+"/ingest/stream", "application/octet-stream", singleRecordFrame("veh-dup", base, 1)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer ingest after conflict: %d %s, want 200", resp.StatusCode, body)
 	}
-	if st := sb.eng.Stats(); st.RecordsIn != 2 {
+	if st := sb.eng.StatsConsistent(); st.RecordsIn != 2 {
 		t.Fatalf("peer admitted %d records, want 2", st.RecordsIn)
 	}
 }

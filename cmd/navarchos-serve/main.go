@@ -92,8 +92,6 @@ func main() {
 	log.SetPrefix("navarchos-serve: ")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	shards := flag.Int("shards", 0, "engine shard count (0 = GOMAXPROCS)")
-	batchSize := flag.Int("batch-size", 0, "engine batch size (0 = default)")
-	queueDepth := flag.Int("queue-depth", 0, "per-shard queue depth in batches (0 = default)")
 	factor := flag.Float64("factor", 14, "self-tuning threshold factor")
 	journalCap := flag.Int("journal-cap", 256, "alarm journal ring capacity")
 	journalPath := flag.String("journal", "", "append every alarm as a JSON line to this file")
@@ -111,8 +109,6 @@ func main() {
 	}
 	cfg := serverConfig{
 		shards:     *shards,
-		batchSize:  *batchSize,
-		queueDepth: *queueDepth,
 		factor:     *factor,
 		journalCap: *journalCap,
 		maxBody:    *maxBody,

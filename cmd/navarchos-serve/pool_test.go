@@ -164,8 +164,7 @@ func TestIngestPooledDecoderSurvivesCorruptRequest(t *testing.T) {
 				tc.name, ir, 3*items)
 		}
 		want += 3 * items
-		s.eng.VehicleIDs() // barrier before the consumer-side counter
-		if got := s.eng.Stats().RecordsIn; got != want {
+		if got := s.eng.StatsConsistent().RecordsIn; got != want {
 			t.Fatalf("%s: engine saw %d records, want %d", tc.name, got, want)
 		}
 	}

@@ -89,10 +89,9 @@ func TestServeWireIngestEndToEnd(t *testing.T) {
 	}
 
 	// The engine saw everything. The handler's Flush enqueues but does
-	// not wait; the quiesce inside VehicleIDs is the barrier that makes
-	// the consumer-side counters (and every alarm) visible.
-	s.eng.VehicleIDs()
-	st := s.eng.Stats()
+	// not wait; the quiesce inside StatsConsistent is the barrier that
+	// makes the consumer-side counters (and every alarm) visible.
+	st := s.eng.StatsConsistent()
 	if st.RecordsIn != uint64(nrecs) || st.EventsIn != uint64(nevs) {
 		t.Fatalf("engine stats %d/%d, want %d/%d", st.RecordsIn, st.EventsIn, nrecs, nevs)
 	}
@@ -182,7 +181,7 @@ func TestServeStreamEndpoint(t *testing.T) {
 	// Quiesce before reading the consumer-side counter: the handler's
 	// Flush enqueues but does not wait for shard consumers.
 	s.eng.VehicleIDs()
-	if st := s.eng.Stats(); st.RecordsIn != uint64(nrecs) {
+	if st := s.eng.StatsConsistent(); st.RecordsIn != uint64(nrecs) {
 		t.Fatalf("engine saw %d records, want %d", st.RecordsIn, nrecs)
 	}
 }
@@ -255,7 +254,7 @@ func TestServeTextFormats(t *testing.T) {
 	}
 
 	s.eng.VehicleIDs() // barrier: Flush alone does not wait for consumers
-	if st := s.eng.Stats(); st.RecordsIn != 3 || st.EventsIn != 1 {
+	if st := s.eng.StatsConsistent(); st.RecordsIn != 3 || st.EventsIn != 1 {
 		t.Fatalf("engine stats %d/%d, want 3 records / 1 event", st.RecordsIn, st.EventsIn)
 	}
 }

@@ -18,15 +18,12 @@ import (
 	"github.com/navarchos/pdm/internal/controlplane"
 	"github.com/navarchos/pdm/internal/fleet"
 	"github.com/navarchos/pdm/internal/obs"
-	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/wire"
 )
 
 // serverConfig assembles the ingest front end.
 type serverConfig struct {
 	shards     int
-	batchSize  int
-	queueDepth int
 	factor     float64
 	journalCap int
 	maxBody    int64
@@ -124,27 +121,16 @@ func newServer(cfg serverConfig) (*server, error) {
 
 	engCfg := pdm.FleetEngineConfig{
 		NewConfig: func(string) (pdm.PipelineConfig, error) {
-			tr, err := pdm.NewTransformer(pdm.Correlation, 12)
+			pc, err := pdm.DefaultPipelineConfig()
 			if err != nil {
 				return pdm.PipelineConfig{}, err
 			}
-			wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
-			return pdm.PipelineConfig{
-				Transformer:   tr,
-				Detector:      pdm.NewClosestPair(tr.FeatureNames()),
-				Thresholder:   pdm.NewSelfTuningThreshold(cfg.factor),
-				ProfileLength: 45,
-				Filter:        wf.Keep,
-				FilterState:   wf,
-				DensityM:      5,
-				DensityK:      15,
-				Observer:      observer,
-			}, nil
+			pc.Thresholder = pdm.NewSelfTuningThreshold(cfg.factor)
+			pc.Observer = observer
+			return pc, nil
 		},
-		Shards:     cfg.shards,
-		BatchSize:  cfg.batchSize,
-		QueueDepth: cfg.queueDepth,
-		Observer:   observer,
+		Shards:   cfg.shards,
+		Observer: observer,
 	}
 	var eng *pdm.FleetEngine
 	var err error

@@ -160,9 +160,9 @@ func TestEngineFlushDuringCheckpointBarrier(t *testing.T) {
 }
 
 // TestEngineBatchPoolRecyclesUnderChurn pins the batch recycling
-// contract: a long single-producer stream must reuse pooled batch
-// buffers rather than allocating one per handoff — steady-state pool
-// misses stay bounded by the queue capacity, not by the stream length.
+// contract: a long single-producer stream must reuse the shard's batch
+// buffers rather than allocating one per handoff — fresh batches are
+// bounded by the queue capacity, not by the stream length.
 func TestEngineBatchPoolRecyclesUnderChurn(t *testing.T) {
 	const (
 		queueDepth = 8
@@ -193,20 +193,12 @@ func TestEngineBatchPoolRecyclesUnderChurn(t *testing.T) {
 	if got := e.Stats().RecordsIn; got != records {
 		t.Fatalf("RecordsIn = %d, want %d", got, records)
 	}
-	if raceEnabled {
-		// sync.Pool drops items on purpose under -race; the recycling
-		// bound is only meaningful without the detector.
-		t.Skip("pool recycling is deliberately degraded under -race")
-	}
-	handoffs := uint64(records / batchSize)
 	// At most queueDepth+2 buffers are ever live at once (queued,
-	// in-flight, pending); allow generous slack for Put/Get races and
-	// the occasional GC-cleared pool, but a linear-in-handoffs number
-	// means recycling is broken.
-	allocated := e.poolNew.Load()
-	if allocated > handoffs/4 {
-		t.Fatalf("pool allocated %d fresh batches over %d handoffs; batch recycling is not engaging",
-			allocated, handoffs)
+	// pending, in process), and a fresh one is only allocated when none
+	// is free.
+	if allocated := e.batchAllocs.Load(); allocated > queueDepth+2 {
+		t.Fatalf("allocated %d fresh batches over %d handoffs, want at most %d; batch recycling is not engaging",
+			allocated, records/batchSize, queueDepth+2)
 	}
 }
 
@@ -215,9 +207,6 @@ func TestEngineBatchPoolRecyclesUnderChurn(t *testing.T) {
 // enqueueStaged with the batch path, and the refusal value that path
 // fills in must stay on the stack when nothing is refused.
 func TestIngestRecordAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops batch buffers on purpose under -race")
-	}
 	e, err := NewEngine(Config{
 		NewHandler: func(string) (Handler, error) { return &countHandler{}, nil },
 		Shards:     1,

@@ -57,10 +57,9 @@ const (
 // element ingested before Checkpoint is reflected, nothing ingested
 // after it is. Processing resumes when Checkpoint returns.
 // Restrictions on the live path: Checkpoint must not run concurrently
-// with Replay (Replay bypasses the ingest mutexes) or with Close, and
-// when DropAlarms is unset the caller must keep draining Alarms()
-// while Checkpoint runs — shards may need to deliver alarms before
-// they can reach the barrier.
+// with Close, and when DropAlarms is unset the caller must keep
+// draining Alarms() while Checkpoint runs — shards may need to deliver
+// alarms before they can reach the barrier.
 //
 // On a closed engine Checkpoint serializes directly under the same
 // ownership contract as Pipelines: the shards have stopped and the

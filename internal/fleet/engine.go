@@ -12,6 +12,15 @@
 // records, as core.RunVehicle orders them — Replay does this) makes the
 // engine's per-vehicle behaviour bit-identical to a serial replay,
 // whatever the shard count.
+//
+// There is one way into a shard queue: every producer — IngestRecord,
+// IngestEvent, IngestBatch, Replay — stages envelopes and hands them to
+// enqueueStaged, which holds the shard's ingest mutex, applies the
+// cordon fence and cuts BatchSize batches. Per-shard processing order
+// is therefore the order of enqueueStaged calls on that shard, and
+// anything that quiesces a shard (Checkpoint, StatsConsistent,
+// ExtractVehicle, AdoptVehicle) is ordered against every producer by
+// that same mutex.
 package fleet
 
 import (
@@ -188,12 +197,12 @@ type barrier struct {
 type shard struct {
 	// Read-only header, set once at construction: the shard's identity
 	// and its channels. free is the shard's batch free list — consumer→
-	// producer recycling that pairs each Put with a Get for the same
-	// shard, so recycled batches never migrate through sync.Pool's
-	// per-P caches (a producer on another P would miss there and
-	// allocate; the misses are what poolNew counts). Padded from the
-	// ingest band so producers hammering mu don't bounce the line the
-	// consumer re-reads these pointers from.
+	// producer recycling. Every batch is drawn and returned under this
+	// shard's own bound of QueueDepth+2 live buffers (queued, pending,
+	// in process), which is the list's capacity: a draw that finds it
+	// empty allocates (batchAllocs counts those) and a return never
+	// finds it full. Padded from the ingest band so producers hammering
+	// mu don't bounce the line the consumer re-reads these pointers from.
 	index int
 	in    chan []envelope
 	free  chan []envelope
@@ -280,13 +289,13 @@ type EngineStats struct {
 // concurrent use from any number of producers; per-vehicle processing
 // order follows per-producer ingestion order.
 type Engine struct {
-	cfg       Config
-	shards    []*shard
-	alarmCh   chan detector.Alarm
-	pool      sync.Pool     // *[]envelope batch recycling
-	poolNew   atomic.Uint64 // batches allocated because the pool was empty
-	stagePool sync.Pool     // *ingestStage per-producer batch staging
-	wg        sync.WaitGroup
+	cfg         Config
+	shards      []*shard
+	alarmCh     chan detector.Alarm
+	batchAllocs atomic.Uint64 // batches allocated because a shard's free list was empty
+	stagePool   sync.Pool     // *ingestStage per-producer batch staging
+	replayStage int           // envelopes Replay stages per shard before admitting them
+	wg          sync.WaitGroup
 
 	batchH *obs.Histogram // per-batch processing latency (nil without observer)
 	ckptH  *obs.Histogram // live checkpoint duration (nil without observer)
@@ -315,20 +324,16 @@ func newEngineStopped(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:     cfg,
-		shards:  make([]*shard, cfg.Shards),
-		alarmCh: make(chan detector.Alarm, cfg.AlarmBuffer),
-	}
-	e.pool.New = func() any {
-		e.poolNew.Add(1)
-		b := make([]envelope, 0, cfg.BatchSize)
-		return &b
+		cfg:         cfg,
+		shards:      make([]*shard, cfg.Shards),
+		alarmCh:     make(chan detector.Alarm, cfg.AlarmBuffer),
+		replayStage: replayStageBatches * cfg.BatchSize,
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			index:    i,
 			in:       make(chan []envelope, cfg.QueueDepth),
-			free:     make(chan []envelope, cfg.QueueDepth),
+			free:     make(chan []envelope, cfg.QueueDepth+2),
 			handlers: map[string]Handler{},
 			skip:     map[string]bool{},
 			busy:     map[string][]envelope{},
@@ -445,12 +450,36 @@ func (e *Engine) ingest(env envelope) error {
 	return &err
 }
 
-// ingestStage is the producer-local staging area IngestBatch reuses
-// across calls: one envelope run per shard, so a whole batch crosses
-// each shard's ingest mutex in a single critical section instead of one
-// lock round trip per record.
+// ingestStage is the producer-local staging area IngestBatch and Replay
+// reuse across calls: one envelope run per shard, so a whole run
+// crosses each shard's ingest mutex in a single critical section
+// instead of one lock round trip per record.
 type ingestStage struct {
 	perShard [][]envelope
+}
+
+func (e *Engine) getStage() *ingestStage {
+	if st, _ := e.stagePool.Get().(*ingestStage); st != nil {
+		return st
+	}
+	return &ingestStage{perShard: make([][]envelope, len(e.shards))}
+}
+
+// admitStage hands every shard's staged run to enqueueStaged.
+func (e *Engine) admitStage(st *ingestStage, refusal *VehicleUnavailableError) {
+	for i, staged := range st.perShard {
+		if len(staged) > 0 {
+			e.enqueueStaged(e.shards[i], staged, refusal)
+		}
+	}
+}
+
+// putStage empties the stage and returns it to the pool.
+func (e *Engine) putStage(st *ingestStage) {
+	for i := range st.perShard {
+		st.perShard[i] = st.perShard[i][:0]
+	}
+	e.stagePool.Put(st)
 }
 
 // IngestBatch queues a whole decoded batch — records and events merged
@@ -478,7 +507,7 @@ type ingestStage struct {
 // items were refused so the producer can retry exactly those vehicles
 // against their new placement.
 func (e *Engine) IngestBatch(records []timeseries.Record, events []obd.Event) error {
-	return e.ingestBatch(records, events, nil)
+	return e.IngestBatchCtx(records, events, nil)
 }
 
 // IngestBatchCtx is IngestBatch with provenance: every envelope of the
@@ -490,22 +519,15 @@ func (e *Engine) IngestBatch(records []timeseries.Record, events []obd.Event) er
 // shard can start delivering while other shards' envelopes are still
 // being enqueued). Producer blocking on a full queue therefore counts
 // as queue wait. bc must not be mutated by the caller afterwards. A
-// nil bc degrades to IngestBatch.
+// nil bc is plain IngestBatch.
 func (e *Engine) IngestBatchCtx(records []timeseries.Record, events []obd.Event, bc *obs.BatchCtx) error {
-	return e.ingestBatch(records, events, bc)
-}
-
-func (e *Engine) ingestBatch(records []timeseries.Record, events []obd.Event, bc *obs.BatchCtx) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
 	if len(records) == 0 && len(events) == 0 {
 		return nil
 	}
-	st, _ := e.stagePool.Get().(*ingestStage)
-	if st == nil {
-		st = &ingestStage{perShard: make([][]envelope, len(e.shards))}
-	}
+	st := e.getStage()
 	push := func(env envelope, vehicleID string) error {
 		env.prov = bc
 		i := e.shardFor(vehicleID).index
@@ -522,52 +544,87 @@ func (e *Engine) ingestBatch(records []timeseries.Record, events []obd.Event, bc
 			// Enqueue through the channel's happens-before edge.
 			bc.Enqueue = time.Now()
 		}
-		for i, staged := range st.perShard {
-			if len(staged) > 0 {
-				e.enqueueStaged(e.shards[i], staged, &refusal)
-			}
-		}
+		e.admitStage(st, &refusal)
 		if bc != nil {
 			e.cfg.Observer.TracedBatch()
 		}
 	}
-	for i := range st.perShard {
-		st.perShard[i] = st.perShard[i][:0]
-	}
-	e.stagePool.Put(st)
+	e.putStage(st)
 	if err == nil && refusal.Refused > 0 {
 		return &refusal
 	}
 	return err
 }
 
-// getBatch returns an empty batch for shard s: the shard's own free
-// list first, then the shared pool. The free list is the steady-state
-// path — every processed batch comes back through it — so the
-// sync.Pool (whose per-P caches a cross-P producer misses, and whose
-// victim cache each GC clears) only sees startup and overflow traffic.
+// replayStageBatches bounds what Replay stages for one shard before
+// admitting it, in batches. A whole-stream stage would cost one
+// envelope copy of the input (hundreds of MB on a fleet-sized replay);
+// 16 batches keeps the ingest mutex to one acquisition per ~1000
+// envelopes while the stage stays a few hundred KB per shard.
+const replayStageBatches = 16
+
+// Replay feeds whole record and event streams through the engine in
+// chronological order — events before same-timestamp records, exactly as
+// core.RunVehicle merges them — and flushes. It admits through the same
+// staging and enqueueStaged as IngestBatch, a bounded chunk per shard
+// at a time, so it may run beside any other producer, Checkpoint,
+// StatsConsistent or a vehicle handoff. It does not Close the engine,
+// so streams can be replayed back to back.
+//
+// Items for a cordoned or mid-handoff vehicle are refused and reported
+// in a *VehicleUnavailableError after the rest of the stream has been
+// admitted. Refusal is decided per staged chunk, not once per call: a
+// fence that goes up while Replay runs refuses the vehicle's later
+// chunks only. Producers that need IngestBatch's all-or-nothing retry
+// contract (the HTTP front end) use IngestBatch.
+func (e *Engine) Replay(records []timeseries.Record, events []obd.Event) error {
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	st := e.getStage()
+	var refusal VehicleUnavailableError
+	push := func(env envelope, vehicleID string) error {
+		s := e.shardFor(vehicleID)
+		staged := append(st.perShard[s.index], env)
+		if len(staged) >= e.replayStage {
+			e.enqueueStaged(s, staged, &refusal)
+			staged = staged[:0]
+		}
+		st.perShard[s.index] = staged
+		return nil
+	}
+	err := core.Merged("", records, events,
+		func(ev obd.Event) error { return push(envelope{isEvent: true, ev: ev}, ev.VehicleID) },
+		func(r timeseries.Record) error { return push(envelope{rec: r}, r.VehicleID) })
+	e.admitStage(st, &refusal)
+	e.putStage(st)
+	e.Flush()
+	if err == nil && refusal.Refused > 0 {
+		return &refusal
+	}
+	return err
+}
+
+// getBatch returns an empty batch for shard s from the shard's free
+// list, allocating (and counting) when the list is empty — start-up,
+// until QueueDepth+2 buffers circulate.
 func (e *Engine) getBatch(s *shard) []envelope {
 	select {
 	case b := <-s.free:
 		return b
 	default:
-		return *(e.pool.Get().(*[]envelope))
+		e.batchAllocs.Add(1)
+		return make([]envelope, 0, e.cfg.BatchSize)
 	}
 }
 
-// putBatch recycles a processed batch onto the shard's free list,
-// overflowing into the shared pool when producers are not taking
-// batches back fast enough (e.g. after a Replay finished).
+// putBatch recycles a processed batch onto the shard's free list.
 func (e *Engine) putBatch(s *shard, batch []envelope) {
-	batch = batch[:0]
 	select {
-	case s.free <- batch:
+	case s.free <- batch[:0]:
 	default:
-		// A copy, so only the overflow path pays for a heap slice
-		// header: &batch would move the parameter to the heap on every
-		// call, one allocation per processed batch.
-		overflow := batch
-		e.pool.Put(&overflow)
+		// Full only if the QueueDepth+2 bound were broken; drop rather
+		// than block the shard goroutine.
 	}
 }
 
@@ -579,14 +636,15 @@ func envID(env *envelope) string {
 	return env.rec.VehicleID
 }
 
-// enqueueStaged appends one shard's staged envelopes to its pending
-// batch under a single mutex acquisition, flushing full batches into
-// the queue as they fill. The blocking send stays under the ingest
-// mutex so concurrent producers cannot reorder a shard's batches; it
-// is the backpressure point, not the hot path. When the shard
-// has cordoned vehicles, their items are filtered out — before any of
-// them is enqueued, so per-vehicle admission stays all-or-nothing —
-// and counted into refusal.
+// enqueueStaged is the only way a data batch reaches a shard queue. It
+// appends one shard's staged envelopes to its pending batch under a
+// single mutex acquisition, flushing full batches into the queue as
+// they fill. The blocking send stays under the ingest mutex so
+// concurrent producers cannot reorder a shard's batches; it is the
+// backpressure point, not the hot path. When the shard has cordoned
+// vehicles, their items are filtered out — before any of them is
+// enqueued, so per-vehicle admission stays all-or-nothing per call —
+// and counted into refusal. The filter compacts staged in place.
 func (e *Engine) enqueueStaged(s *shard, staged []envelope, refusal *VehicleUnavailableError) {
 	s.mu.Lock()
 	if s.cordonN.Load() != 0 {
@@ -618,95 +676,29 @@ func (e *Engine) enqueueStaged(s *shard, staged []envelope, refusal *VehicleUnav
 		s.pending = append(s.pending, staged[:free]...)
 		staged = staged[free:]
 		if len(s.pending) >= e.cfg.BatchSize {
-			batch := s.pending
-			s.pending = nil
-			s.in <- batch
+			flushPendingLocked(s)
 		}
 	}
 	s.mu.Unlock()
+}
+
+// flushPendingLocked sends the shard's pending batch, if any, into its
+// queue. The caller holds s.mu.
+func flushPendingLocked(s *shard) {
+	if len(s.pending) > 0 {
+		batch := s.pending
+		s.pending = nil
+		s.in <- batch
+	}
 }
 
 // Flush pushes every shard's partially filled batch into its queue.
 func (e *Engine) Flush() {
 	for _, s := range e.shards {
 		s.mu.Lock()
-		if len(s.pending) > 0 {
-			batch := s.pending
-			s.pending = nil
-			s.in <- batch
-		}
+		flushPendingLocked(s)
 		s.mu.Unlock()
 	}
-}
-
-// Replay feeds whole record and event streams through the engine in
-// chronological order — events before same-timestamp records, exactly as
-// core.RunVehicle merges them — and flushes. Replay must be the only
-// producer while it runs: it batches per shard in producer-local buffers
-// with no per-record locking, which is what lets a single replaying
-// goroutine saturate many scoring shards. It does not Close the engine,
-// so streams can be replayed back to back.
-func (e *Engine) Replay(records []timeseries.Record, events []obd.Event) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	// Push out anything queued via IngestRecord/IngestEvent first so
-	// batches stay ordered behind it.
-	e.Flush()
-	local := make([][]envelope, len(e.shards))
-	// Adaptive batch sizing: batch boundaries carry no semantics (shards
-	// process envelopes in order either way), so the producer trades
-	// latency for handoff amortisation per shard. A backed-up shard
-	// queue means the consumer is the bottleneck — double the batch so
-	// each channel operation moves more work; an empty queue means the
-	// producer is — shrink back toward BatchSize so the shard is not
-	// left idle waiting for a huge batch to fill.
-	caps := make([]int, len(e.shards))
-	for i := range caps {
-		caps[i] = e.cfg.BatchSize
-	}
-	// The growth ceiling is bounded on both axes: never more than 16
-	// batches' worth of envelopes in one send, and never more than a
-	// quarter of the queue's total envelope capacity — so an adapted
-	// producer still leaves the consumer a queue of several batches to
-	// drain opportunistically, instead of one giant batch that
-	// serialises the pipeline behind a single channel handoff.
-	maxCap := e.cfg.BatchSize * 16
-	if lim := e.cfg.BatchSize * e.cfg.QueueDepth / 4; lim > e.cfg.BatchSize && maxCap > lim {
-		maxCap = lim
-	}
-	push := func(env envelope, vehicleID string) error {
-		s := e.shardFor(vehicleID)
-		i := s.index
-		if local[i] == nil {
-			local[i] = e.getBatch(s)
-		}
-		local[i] = append(local[i], env)
-		if len(local[i]) >= caps[i] {
-			s.in <- local[i]
-			local[i] = nil
-			if q := len(s.in); q > e.cfg.QueueDepth/4 {
-				if c := caps[i] * 2; c <= maxCap {
-					caps[i] = c
-				}
-			} else if q <= 1 && caps[i] > e.cfg.BatchSize {
-				// Near-empty, not just empty: a queue hovering at one
-				// batch is already consumer-bound enough that a big
-				// batch only adds producer-side latency.
-				caps[i] /= 2
-			}
-		}
-		return nil
-	}
-	err := core.Merged("", records, events,
-		func(ev obd.Event) error { return push(envelope{isEvent: true, ev: ev}, ev.VehicleID) },
-		func(r timeseries.Record) error { return push(envelope{rec: r}, r.VehicleID) })
-	for i, batch := range local {
-		if len(batch) > 0 {
-			e.shards[i].in <- batch
-		}
-	}
-	return err
 }
 
 // Close flushes pending batches, stops every shard, closes the alarm
@@ -783,8 +775,8 @@ func (e *Engine) Stats() EngineStats {
 // derived samples, alarms) or not at all.
 //
 // It shares the live-checkpoint restrictions: do not call it
-// concurrently with Replay or Close, and keep draining Alarms() while
-// it runs when DropAlarms is unset. On a closed engine it is plain
+// concurrently with Close, and keep draining Alarms() while it runs
+// when DropAlarms is unset. On a closed engine it is plain
 // Stats (already exact). Cost is one fleet quiesce — micro to
 // milliseconds — so prefer Stats for dashboards polling at high rates.
 func (e *Engine) StatsConsistent() EngineStats {
@@ -797,11 +789,37 @@ func (e *Engine) StatsConsistent() EngineStats {
 	return st
 }
 
-// quiesce parks every shard goroutine at a batch boundary and blocks
-// producers on the ingest mutexes. It returns the release function;
-// between quiesce and release the caller is the only goroutine
-// touching handler state. Callers must obey the live-checkpoint
-// restrictions (no concurrent Replay/Close, alarms drained).
+// postBarrierLocked flushes the shard's pending batch and queues bar
+// behind it: the shard drains everything admitted so far — in-flight
+// fits included — then acknowledges and parks until bar.resume closes.
+// The caller holds s.mu, and keeps holding it until the release.
+func postBarrierLocked(s *shard, bar *barrier) {
+	flushPendingLocked(s)
+	s.in <- []envelope{{bar: bar}}
+}
+
+// quiesceShard parks one shard goroutine at a batch boundary and blocks
+// its producers on the ingest mutex. Between quiesceShard and release
+// the caller is the only goroutine touching that shard's handlers;
+// every other shard keeps scoring. Callers obey the live-checkpoint
+// restrictions scoped to this shard: no concurrent Close, and alarms
+// drained when DropAlarms is unset.
+func (e *Engine) quiesceShard(s *shard) (release func()) {
+	s.mu.Lock()
+	bar := &barrier{resume: make(chan struct{})}
+	bar.ack.Add(1)
+	postBarrierLocked(s, bar)
+	bar.ack.Wait()
+	return func() {
+		close(bar.resume)
+		s.mu.Unlock()
+	}
+}
+
+// quiesce is quiesceShard for the whole fleet at once: every ingest
+// mutex is taken, one shared barrier is posted to each shard, and the
+// call returns when all of them have parked. Between quiesce and
+// release the caller is the only goroutine touching handler state.
 func (e *Engine) quiesce() (release func()) {
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -809,14 +827,8 @@ func (e *Engine) quiesce() (release func()) {
 	bar := &barrier{resume: make(chan struct{})}
 	bar.ack.Add(len(e.shards))
 	for _, s := range e.shards {
-		if len(s.pending) > 0 {
-			batch := s.pending
-			s.pending = nil
-			s.in <- batch
-		}
-		s.in <- []envelope{{bar: bar}}
+		postBarrierLocked(s, bar)
 	}
-	// Every shard drains its queue up to the barrier, then parks.
 	bar.ack.Wait()
 	return func() {
 		close(bar.resume)
@@ -948,10 +960,7 @@ func (e *Engine) runBatch(s *shard, batch []envelope) {
 // processEnv routes one envelope: parked when its vehicle has a fit in
 // flight (preserving arrival order), delivered otherwise.
 func (e *Engine) processEnv(s *shard, env *envelope) {
-	id := env.rec.VehicleID
-	if env.isEvent {
-		id = env.ev.VehicleID
-	}
+	id := envID(env)
 	// The busy map is empty except while a fit is in flight; the len
 	// check keeps the per-envelope map lookup off the common path.
 	if len(s.busy) != 0 {
@@ -1084,12 +1093,12 @@ func (e *Engine) handlerFor(s *shard, vehicleID string) (Handler, bool) {
 	if s.skip[vehicleID] {
 		return nil, false
 	}
-	// Note the build path deliberately has no cordon check: an envelope
-	// only reaches the shard goroutine if it was admitted before the
-	// vehicle's fence went up (the fence is set under the ingest mutex),
-	// and such envelopes are flushed ahead of any extraction barrier —
-	// so building a first handler here is always legitimate, and an
-	// extracted vehicle can never be re-warmed through this path.
+	// The build path has no cordon check: every envelope on the queue
+	// went through enqueueStaged, so it was admitted before the
+	// vehicle's fence went up (the fence is set under the same ingest
+	// mutex) and is flushed ahead of any extraction barrier. Building a
+	// first handler here is always legitimate; an extracted vehicle
+	// cannot be re-warmed through it.
 	h, err := e.buildHandler(vehicleID)
 	if err != nil {
 		if !errors.Is(err, ErrSkipVehicle) {

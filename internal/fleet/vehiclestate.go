@@ -44,9 +44,9 @@ const (
 	StateMigrating = "migrating"
 )
 
-// VehicleUnavailableError is returned by IngestRecord and IngestBatch
-// when a record or event arrives for a vehicle that is cordoned or
-// mid-handoff. It is a retryable condition, not a stream error: the
+// VehicleUnavailableError is returned by IngestRecord, IngestBatch and
+// Replay when a record or event arrives for a vehicle that is cordoned
+// or mid-handoff. It is a retryable condition, not a stream error: the
 // producer should re-resolve the vehicle's placement (the control
 // plane's table, or the serving front end's 409 hint) and resend.
 // For IngestBatch the refusal is all-or-nothing per vehicle — either
@@ -108,31 +108,6 @@ func DecodeVehicleState(payload []byte) (VehicleState, error) {
 		return VehicleState{}, fmt.Errorf("%w: vehicle state: %v", ErrBadCheckpoint, err)
 	}
 	return vs, nil
-}
-
-// quiesceShard parks one shard goroutine at a batch boundary: the
-// shard's ingest mutex is held (blocking its producers), its pending
-// batch is flushed, and a barrier envelope drains the queue — in-flight
-// fits included — before the shard acknowledges and parks. Between
-// quiesceShard and release the caller is the only goroutine touching
-// that shard's handlers; every other shard keeps scoring. Callers obey
-// the live-checkpoint restrictions scoped to this shard: no concurrent
-// Replay or Close, and alarms drained when DropAlarms is unset.
-func (e *Engine) quiesceShard(s *shard) (release func()) {
-	s.mu.Lock()
-	bar := &barrier{resume: make(chan struct{})}
-	bar.ack.Add(1)
-	if len(s.pending) > 0 {
-		batch := s.pending
-		s.pending = nil
-		s.in <- batch
-	}
-	s.in <- []envelope{{bar: bar}}
-	bar.ack.Wait()
-	return func() {
-		close(bar.resume)
-		s.mu.Unlock()
-	}
 }
 
 // setCordon records a vehicle's availability state. It holds the
@@ -381,9 +356,8 @@ func (e *Engine) AdoptVehicle(vs VehicleState) error {
 
 // VehicleIDs returns the IDs of every vehicle with an active handler,
 // sorted. On a live engine it takes a fleet-wide batch-boundary
-// quiesce (the same consistency cut as StatsConsistent, with the same
-// restrictions); on a closed engine it reads the stopped shards
-// directly.
+// quiesce (the same consistency cut as StatsConsistent); on a closed
+// engine it reads the stopped shards directly.
 func (e *Engine) VehicleIDs() []string {
 	if !e.closed.Load() {
 		release := e.quiesce()

@@ -266,6 +266,10 @@ type (
 	// FleetEngine is the sharded concurrent streaming engine: vehicles
 	// are hashed to shards, each shard goroutine exclusively owns its
 	// vehicles' Pipelines, and alarms fan in on a single channel.
+	// IngestRecord, IngestEvent, IngestBatch and Replay all admit
+	// through one path under the shard's ingest mutex, so any mix of
+	// them may run concurrently with each other and with Checkpoint,
+	// StatsConsistent and vehicle handoff.
 	FleetEngine = fleet.Engine
 	// FleetEngineConfig assembles a FleetEngine.
 	FleetEngineConfig = fleet.Config
@@ -314,8 +318,9 @@ type (
 	VehicleState = fleet.VehicleState
 	// VehicleUnavailableError is the typed per-vehicle ingest refusal
 	// while a vehicle is cordoned or mid-handoff; refusal is
-	// all-or-nothing per vehicle within a batch, so retrying the
-	// refused items verbatim cannot duplicate records.
+	// all-or-nothing per vehicle within an IngestBatch call, so
+	// retrying the refused items verbatim cannot duplicate records.
+	// (Replay decides per staged chunk; see FleetEngine.Replay.)
 	VehicleUnavailableError = fleet.VehicleUnavailableError
 )
 
