@@ -25,7 +25,6 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -34,7 +33,6 @@ import (
 
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector"
-	"github.com/navarchos/pdm/internal/fitpool"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/obs"
 	"github.com/navarchos/pdm/internal/timeseries"
@@ -417,290 +415,6 @@ func (e *Engine) shardFor(vehicleID string) *shard {
 	return e.shards[h%uint64(len(e.shards))]
 }
 
-// IngestRecord queues one record for its vehicle's shard, blocking when
-// the shard's queue is full (backpressure). A cordoned or mid-handoff
-// vehicle is refused with a typed *VehicleUnavailableError.
-func (e *Engine) IngestRecord(r timeseries.Record) error {
-	return e.ingest(envelope{rec: r})
-}
-
-// IngestEvent queues one maintenance event for its vehicle's shard. An
-// event ingested before a record is processed before it — callers feed
-// streams chronologically with events first on equal timestamps, the
-// same contract as core.RunVehicle (Replay does this automatically).
-func (e *Engine) IngestEvent(ev obd.Event) error {
-	return e.ingest(envelope{isEvent: true, ev: ev})
-}
-
-// ingest admits one envelope through enqueueStaged, so the per-record
-// path shares the batch path's cordon check and BatchSize chunking.
-func (e *Engine) ingest(env envelope) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	var refusal VehicleUnavailableError
-	staged := [1]envelope{env}
-	e.enqueueStaged(e.shardFor(envID(&env)), staged[:], &refusal)
-	if refusal.Refused == 0 {
-		return nil
-	}
-	// Copied so refusal itself stays on the stack: the admitted path
-	// must not allocate.
-	err := refusal
-	return &err
-}
-
-// ingestStage is the producer-local staging area IngestBatch and Replay
-// reuse across calls: one envelope run per shard, so a whole run
-// crosses each shard's ingest mutex in a single critical section
-// instead of one lock round trip per record.
-type ingestStage struct {
-	perShard [][]envelope
-}
-
-func (e *Engine) getStage() *ingestStage {
-	if st, _ := e.stagePool.Get().(*ingestStage); st != nil {
-		return st
-	}
-	return &ingestStage{perShard: make([][]envelope, len(e.shards))}
-}
-
-// admitStage hands every shard's staged run to enqueueStaged.
-func (e *Engine) admitStage(st *ingestStage, refusal *VehicleUnavailableError) {
-	for i, staged := range st.perShard {
-		if len(staged) > 0 {
-			e.enqueueStaged(e.shards[i], staged, refusal)
-		}
-	}
-}
-
-// putStage empties the stage and returns it to the pool.
-func (e *Engine) putStage(st *ingestStage) {
-	for i := range st.perShard {
-		st.perShard[i] = st.perShard[i][:0]
-	}
-	e.stagePool.Put(st)
-}
-
-// IngestBatch queues a whole decoded batch — records and events merged
-// chronologically, events before same-timestamp records, exactly as
-// Replay orders them — routing it to shards in one pass. Compared with
-// per-record IngestRecord calls it pays the shard hash once per item
-// but the ingest mutex only once per (shard, batch), which is what
-// keeps a network ingest path off the engine's synchronisation edges.
-// Each input slice must be time-sorted (the usual telemetry upload
-// shape); unsorted batches are handled but fall back to a sorting
-// merge.
-//
-// Backpressure semantics match IngestRecord: a full shard queue blocks
-// the call (holding only that shard's ingest mutex) until the shard
-// drains. Like IngestRecord it leaves a partial batch pending — call
-// Flush to push tails out when latency matters more than batching.
-// Safe for concurrent use; per-shard envelope order follows
-// per-producer call order.
-//
-// Items for a cordoned or mid-handoff vehicle are refused with a typed
-// *VehicleUnavailableError. The refusal is all-or-nothing per vehicle
-// (a vehicle's items all hash to one shard and are filtered before any
-// of them is enqueued) but not per call: other vehicles' items in the
-// same batch are admitted normally, and the error reports how many
-// items were refused so the producer can retry exactly those vehicles
-// against their new placement.
-func (e *Engine) IngestBatch(records []timeseries.Record, events []obd.Event) error {
-	return e.IngestBatchCtx(records, events, nil)
-}
-
-// IngestBatchCtx is IngestBatch with provenance: every envelope of the
-// batch carries bc by pointer, so alarms raised by these records can
-// report which ingest batch caused them and how long the path took.
-// bc.Enqueue is stamped here, once, when the batch enters the shard
-// queues — before the first channel send, so the channel's
-// happens-before edge publishes the stamp to every consumer (a fast
-// shard can start delivering while other shards' envelopes are still
-// being enqueued). Producer blocking on a full queue therefore counts
-// as queue wait. bc must not be mutated by the caller afterwards. A
-// nil bc is plain IngestBatch.
-func (e *Engine) IngestBatchCtx(records []timeseries.Record, events []obd.Event, bc *obs.BatchCtx) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if len(records) == 0 && len(events) == 0 {
-		return nil
-	}
-	st := e.getStage()
-	push := func(env envelope, vehicleID string) error {
-		env.prov = bc
-		i := e.shardFor(vehicleID).index
-		st.perShard[i] = append(st.perShard[i], env)
-		return nil
-	}
-	err := core.Merged("", records, events,
-		func(ev obd.Event) error { return push(envelope{isEvent: true, ev: ev}, ev.VehicleID) },
-		func(r timeseries.Record) error { return push(envelope{rec: r}, r.VehicleID) })
-	var refusal VehicleUnavailableError
-	if err == nil {
-		if bc != nil {
-			// Stamped before the first channel send: consumers read
-			// Enqueue through the channel's happens-before edge.
-			bc.Enqueue = time.Now()
-		}
-		e.admitStage(st, &refusal)
-		if bc != nil {
-			e.cfg.Observer.TracedBatch()
-		}
-	}
-	e.putStage(st)
-	if err == nil && refusal.Refused > 0 {
-		return &refusal
-	}
-	return err
-}
-
-// replayStageBatches bounds what Replay stages for one shard before
-// admitting it, in batches. A whole-stream stage would cost one
-// envelope copy of the input (hundreds of MB on a fleet-sized replay);
-// 16 batches keeps the ingest mutex to one acquisition per ~1000
-// envelopes while the stage stays a few hundred KB per shard.
-const replayStageBatches = 16
-
-// Replay feeds whole record and event streams through the engine in
-// chronological order — events before same-timestamp records, exactly as
-// core.RunVehicle merges them — and flushes. It admits through the same
-// staging and enqueueStaged as IngestBatch, a bounded chunk per shard
-// at a time, so it may run beside any other producer, Checkpoint,
-// StatsConsistent or a vehicle handoff. It does not Close the engine,
-// so streams can be replayed back to back.
-//
-// Items for a cordoned or mid-handoff vehicle are refused and reported
-// in a *VehicleUnavailableError after the rest of the stream has been
-// admitted. Refusal is decided per staged chunk, not once per call: a
-// fence that goes up while Replay runs refuses the vehicle's later
-// chunks only. Producers that need IngestBatch's all-or-nothing retry
-// contract (the HTTP front end) use IngestBatch.
-func (e *Engine) Replay(records []timeseries.Record, events []obd.Event) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	st := e.getStage()
-	var refusal VehicleUnavailableError
-	push := func(env envelope, vehicleID string) error {
-		s := e.shardFor(vehicleID)
-		staged := append(st.perShard[s.index], env)
-		if len(staged) >= e.replayStage {
-			e.enqueueStaged(s, staged, &refusal)
-			staged = staged[:0]
-		}
-		st.perShard[s.index] = staged
-		return nil
-	}
-	err := core.Merged("", records, events,
-		func(ev obd.Event) error { return push(envelope{isEvent: true, ev: ev}, ev.VehicleID) },
-		func(r timeseries.Record) error { return push(envelope{rec: r}, r.VehicleID) })
-	e.admitStage(st, &refusal)
-	e.putStage(st)
-	e.Flush()
-	if err == nil && refusal.Refused > 0 {
-		return &refusal
-	}
-	return err
-}
-
-// getBatch returns an empty batch for shard s from the shard's free
-// list, allocating (and counting) when the list is empty — start-up,
-// until QueueDepth+2 buffers circulate.
-func (e *Engine) getBatch(s *shard) []envelope {
-	select {
-	case b := <-s.free:
-		return b
-	default:
-		e.batchAllocs.Add(1)
-		return make([]envelope, 0, e.cfg.BatchSize)
-	}
-}
-
-// putBatch recycles a processed batch onto the shard's free list.
-func (e *Engine) putBatch(s *shard, batch []envelope) {
-	select {
-	case s.free <- batch[:0]:
-	default:
-		// Full only if the QueueDepth+2 bound were broken; drop rather
-		// than block the shard goroutine.
-	}
-}
-
-// envID returns the vehicle an envelope belongs to.
-func envID(env *envelope) string {
-	if env.isEvent {
-		return env.ev.VehicleID
-	}
-	return env.rec.VehicleID
-}
-
-// enqueueStaged is the only way a data batch reaches a shard queue. It
-// appends one shard's staged envelopes to its pending batch under a
-// single mutex acquisition, flushing full batches into the queue as
-// they fill. The blocking send stays under the ingest mutex so
-// concurrent producers cannot reorder a shard's batches; it is the
-// backpressure point, not the hot path. When the shard has cordoned
-// vehicles, their items are filtered out — before any of them is
-// enqueued, so per-vehicle admission stays all-or-nothing per call —
-// and counted into refusal. The filter compacts staged in place.
-func (e *Engine) enqueueStaged(s *shard, staged []envelope, refusal *VehicleUnavailableError) {
-	s.mu.Lock()
-	if s.cordonN.Load() != 0 {
-		s.cordonMu.Lock()
-		kept := staged[:0]
-		for i := range staged {
-			id := envID(&staged[i])
-			if st, fenced := s.cordon[id]; fenced {
-				if refusal.VehicleID == "" {
-					refusal.VehicleID = id
-					refusal.State = st
-				}
-				refusal.Refused++
-				continue
-			}
-			kept = append(kept, staged[i])
-		}
-		s.cordonMu.Unlock()
-		staged = kept
-	}
-	for len(staged) > 0 {
-		if s.pending == nil {
-			s.pending = e.getBatch(s)
-		}
-		free := e.cfg.BatchSize - len(s.pending)
-		if free > len(staged) {
-			free = len(staged)
-		}
-		s.pending = append(s.pending, staged[:free]...)
-		staged = staged[free:]
-		if len(s.pending) >= e.cfg.BatchSize {
-			flushPendingLocked(s)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// flushPendingLocked sends the shard's pending batch, if any, into its
-// queue. The caller holds s.mu.
-func flushPendingLocked(s *shard) {
-	if len(s.pending) > 0 {
-		batch := s.pending
-		s.pending = nil
-		s.in <- batch
-	}
-}
-
-// Flush pushes every shard's partially filled batch into its queue.
-func (e *Engine) Flush() {
-	for _, s := range e.shards {
-		s.mu.Lock()
-		flushPendingLocked(s)
-		s.mu.Unlock()
-	}
-}
-
 // Close flushes pending batches, stops every shard, closes the alarm
 // channel and returns the first pipeline or configuration error the run
 // encountered (nil on a clean run). Producers must have stopped
@@ -860,290 +574,4 @@ func (e *Engine) Handlers(fn func(vehicleID string, h Handler)) {
 			fn(id, h)
 		}
 	}
-}
-
-// fitResult is an asynchronous fit completion, delivered back to the
-// owning shard goroutine.
-type fitResult struct {
-	vehicleID string
-	err       error
-}
-
-// maxDrainBatches bounds how many already-queued batches a shard
-// processes per wakeup before re-checking fitDone and the stop signal.
-const maxDrainBatches = 8
-
-// run is the shard loop: the lock-free hot path. It exclusively owns
-// s.handlers, so pipeline calls need no synchronisation; asynchronous
-// fit completions re-enter the loop through s.fitDone and are therefore
-// landed by the same goroutine that owns the handler.
-//
-// Two receive paths keep channel overhead off the throughput-bound
-// profile: while no fit is in flight nothing can arrive on fitDone (a
-// completion is only ever sent for a vehicle currently in s.busy), so
-// the loop blocks on a plain channel receive instead of a two-case
-// select; and after each processed batch it opportunistically drains up
-// to maxDrainBatches more batches that are already queued, so a shard
-// running behind its producers stays on-CPU instead of parking and
-// re-waking per batch.
-func (e *Engine) run(s *shard) {
-	defer e.wg.Done()
-	for {
-		var batch []envelope
-		var ok bool
-		if len(s.busy) == 0 {
-			batch, ok = <-s.in
-		} else {
-			select {
-			case batch, ok = <-s.in:
-			case res := <-s.fitDone:
-				e.finishFit(s, res)
-				continue
-			}
-		}
-		if !ok {
-			e.drainFits(s)
-			return
-		}
-		e.runBatch(s, batch)
-	drain:
-		for n := 0; n < maxDrainBatches && len(s.busy) == 0; n++ {
-			select {
-			case batch, ok = <-s.in:
-				if !ok {
-					e.drainFits(s)
-					return
-				}
-				e.runBatch(s, batch)
-			default:
-				break drain
-			}
-		}
-	}
-}
-
-func (e *Engine) runBatch(s *shard, batch []envelope) {
-	var batchStart time.Time
-	if e.batchH != nil {
-		batchStart = time.Now()
-	}
-	sawBarrier := false
-	for i := range batch {
-		env := &batch[i]
-		if env.bar != nil {
-			sawBarrier = true
-			// Checkpoint barrier: a checkpoint must observe fully
-			// settled handler state, so in-flight fits are drained
-			// (replaying their parked envelopes) before the shard
-			// acknowledges and parks at this batch boundary.
-			e.drainFits(s)
-			env.bar.ack.Done()
-			<-env.bar.resume
-			continue
-		}
-		e.processEnv(s, env)
-	}
-	// Barrier batches spend their time parked waiting on the
-	// checkpointer; recording that wait would drown the histogram. They
-	// are also one-envelope slices the quiesce made, not BatchSize
-	// buffers: recycled, each would cost the next producer to draw it a
-	// regrow to BatchSize.
-	if sawBarrier {
-		return
-	}
-	if e.batchH != nil {
-		e.batchH.Observe(time.Since(batchStart).Seconds())
-	}
-	e.putBatch(s, batch)
-}
-
-// processEnv routes one envelope: parked when its vehicle has a fit in
-// flight (preserving arrival order), delivered otherwise.
-func (e *Engine) processEnv(s *shard, env *envelope) {
-	id := envID(env)
-	// The busy map is empty except while a fit is in flight; the len
-	// check keeps the per-envelope map lookup off the common path.
-	if len(s.busy) != 0 {
-		if parked, inFlight := s.busy[id]; inFlight {
-			s.busy[id] = append(parked, *env)
-			return
-		}
-	}
-	e.deliver(s, env, id)
-}
-
-// deliver feeds one envelope to its vehicle's handler and, when the
-// handler raised a deferred fit, launches the fit on a fitpool worker
-// and marks the vehicle busy.
-func (e *Engine) deliver(s *shard, env *envelope, id string) {
-	if env.isEvent {
-		s.eventsIn.Add(1)
-		if h, ok := e.handlerFor(s, id); ok {
-			h.HandleEvent(env.ev)
-		}
-		return
-	}
-	s.recordsIn.Add(1)
-	h, ok := e.handlerFor(s, id)
-	if !ok {
-		return
-	}
-	if env.prov != nil {
-		if env.prov != s.lastProv {
-			// First envelope of a new traced frame on this shard: one
-			// clock read covers the whole frame's dequeue time, and the
-			// frame's queue wait is observed once.
-			s.lastProv = env.prov
-			s.lastDequeue = time.Now()
-			s.sawProv = true
-			e.cfg.Observer.ObserveQueueWait(s.lastDequeue.Sub(env.prov.Enqueue))
-		}
-		if ps, ok := h.(ProvenanceSink); ok {
-			ps.SetProvenance(env.prov, s.lastDequeue)
-		}
-	} else if s.sawProv {
-		// A shard that has ever delivered traced records must clear a
-		// handler's provenance before untraced ones, or an untraced
-		// record's alarm would inherit the previous frame's context.
-		// Shards that never saw provenance never take this branch, so
-		// Replay-only runs keep the bare hot path.
-		if ps, ok := h.(ProvenanceSink); ok {
-			ps.SetProvenance(nil, time.Time{})
-		}
-	}
-	before := h.ScoredSamples()
-	alarms, err := h.HandleRecord(env.rec)
-	s.scored.Add(h.ScoredSamples() - before)
-	if err != nil {
-		e.failVehicle(s, id, err)
-		return
-	}
-	for _, a := range alarms {
-		if e.cfg.DropAlarms {
-			select {
-			case e.alarmCh <- a:
-				s.alarms.Add(1)
-			default:
-				s.drops.Add(1)
-			}
-		} else {
-			e.alarmCh <- a
-			s.alarms.Add(1)
-		}
-	}
-	if e.cfg.SyncFits {
-		return
-	}
-	fd, ok := h.(FitDeferrer)
-	if !ok {
-		return
-	}
-	fit := fd.TakePendingFit()
-	if fit == nil {
-		return
-	}
-	s.busy[id] = nil // in flight; parked envelopes append here
-	go func() {
-		fitpool.Acquire()
-		err := fit()
-		fitpool.Release()
-		s.fitDone <- fitResult{vehicleID: id, err: err}
-	}()
-}
-
-// failVehicle drops a vehicle after a handler error, exactly as the
-// synchronous path always has: record the error, forget the handler,
-// skip the vehicle's future envelopes.
-func (e *Engine) failVehicle(s *shard, id string, err error) {
-	e.setErr(fmt.Errorf("fleet: vehicle %s: %w", id, err))
-	delete(s.handlers, id)
-	s.skip[id] = true
-	s.vehicles.Add(-1)
-}
-
-// finishFit lands one asynchronous fit completion: a failed fit drops
-// the vehicle like an inline fit error would, and either way the
-// envelopes parked during the fit replay in arrival order. A replayed
-// envelope may raise the vehicle's next fit, re-parking the remainder.
-func (e *Engine) finishFit(s *shard, res fitResult) {
-	parked := s.busy[res.vehicleID]
-	delete(s.busy, res.vehicleID)
-	if res.err != nil {
-		e.failVehicle(s, res.vehicleID, res.err)
-	}
-	for i := range parked {
-		e.processEnv(s, &parked[i])
-	}
-}
-
-// drainFits blocks until the shard has no fit in flight, landing each
-// completion (and its parked replay) as it arrives.
-func (e *Engine) drainFits(s *shard) {
-	for len(s.busy) > 0 {
-		e.finishFit(s, <-s.fitDone)
-	}
-}
-
-// handlerFor returns the shard's handler for a vehicle, building it on
-// first contact. Skipped and previously failed vehicles return false.
-func (e *Engine) handlerFor(s *shard, vehicleID string) (Handler, bool) {
-	if h, ok := s.handlers[vehicleID]; ok {
-		return h, true
-	}
-	if s.skip[vehicleID] {
-		return nil, false
-	}
-	// The build path has no cordon check: every envelope on the queue
-	// went through enqueueStaged, so it was admitted before the
-	// vehicle's fence went up (the fence is set under the same ingest
-	// mutex) and is flushed ahead of any extraction barrier. Building a
-	// first handler here is always legitimate; an extracted vehicle
-	// cannot be re-warmed through it.
-	h, err := e.buildHandler(vehicleID)
-	if err != nil {
-		if !errors.Is(err, ErrSkipVehicle) {
-			e.setErr(fmt.Errorf("fleet: configure vehicle %s: %w", vehicleID, err))
-		}
-		s.skip[vehicleID] = true
-		return nil, false
-	}
-	s.handlers[vehicleID] = h
-	s.vehicles.Add(1)
-	return h, true
-}
-
-// buildHandler constructs a vehicle's handler through whichever factory
-// the config provides, enabling deferred fits on handlers that support
-// them unless SyncFits pins the engine to inline fitting. Checkpoint
-// restore also builds handlers here, so a restored fleet inherits the
-// same fit mode.
-func (e *Engine) buildHandler(vehicleID string) (Handler, error) {
-	h, err := e.newHandler(vehicleID)
-	if err != nil {
-		return nil, err
-	}
-	if !e.cfg.SyncFits {
-		if fd, ok := h.(FitDeferrer); ok {
-			fd.SetDeferFits(true)
-		}
-	}
-	return h, nil
-}
-
-func (e *Engine) newHandler(vehicleID string) (Handler, error) {
-	if e.cfg.NewHandler != nil {
-		h, err := e.cfg.NewHandler(vehicleID)
-		if err != nil {
-			return nil, err
-		}
-		if h == nil {
-			return nil, errors.New("fleet: NewHandler returned nil handler")
-		}
-		return h, nil
-	}
-	cfg, err := e.cfg.NewConfig(vehicleID)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPipeline(vehicleID, cfg)
 }
