@@ -42,9 +42,9 @@ race:
 
 ## race-fleet: a focused race pass over the two packages whose
 ## goroutines share state by design — the sharded engine (busy-map
-## parking, fitDone handoff, checkpoint barriers, batch pool) and the
-## fitpool — with count=2 so the scheduler interleaves differently
-## across runs.
+## parking, fitDone handoff, checkpoint barriers beside Replay and
+## IngestBatch, batch free lists) and the fitpool — with count=2 so the
+## scheduler interleaves differently across runs.
 race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/... ./internal/fitpool/...
 
@@ -132,9 +132,10 @@ ingest-smoke:
 	$(GO) test -run 'TestIngestBatch|TestWireVsReplayAlarmIdentity' ./internal/fleet/
 	$(GO) test ./cmd/navarchos-serve/
 
-## bench-smoke: one iteration of the throughput, vehicle-handoff,
-## allocation and ingest-handler benchmarks, enough to catch a benchmark
-## that no longer compiles or crashes.
+## bench-smoke: one iteration of the throughput (64 vehicles and the
+## 400 x 2000 of ingest_burst, each at every shard count),
+## vehicle-handoff, allocation and ingest-handler benchmarks, enough to
+## catch a benchmark that no longer compiles or crashes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput|BenchmarkVehicleHandoff|BenchmarkScoreInto|BenchmarkPipelineSteadyState|BenchmarkPipelineObserved|BenchmarkIngestHandler' -benchtime 1x \
 		./internal/fleet/ ./internal/detector/closestpair/ ./internal/core/ ./cmd/navarchos-serve/

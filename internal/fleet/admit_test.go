@@ -82,9 +82,8 @@ func TestReplayHonoursCordon(t *testing.T) {
 // and through backpressure the producer — until the gate closes.
 type countedPipeline struct {
 	*core.Pipeline
-	id         string
 	recs, evs  uint64
-	onRestored func(id string, recs, evs uint64)
+	onRestored func(recs, evs uint64)
 
 	gateAt  uint64
 	reached chan<- struct{}
@@ -121,7 +120,7 @@ func (h *countedPipeline) Restore(data []byte) error {
 	}
 	h.recs = binary.BigEndian.Uint64(data)
 	h.evs = binary.BigEndian.Uint64(data[8:])
-	h.onRestored(h.id, h.recs, h.evs)
+	h.onRestored(h.recs, h.evs)
 	return h.Pipeline.Restore(data[16:])
 }
 
@@ -182,7 +181,7 @@ func TestReplayBesideCheckpointAndIngest(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			h := &countedPipeline{Pipeline: p, id: id, onRestored: func(id string, recs, evs uint64) {
+			h := &countedPipeline{Pipeline: p, onRestored: func(recs, evs uint64) {
 				posMu.Lock()
 				pos[id] = position{recs, evs}
 				posMu.Unlock()

@@ -81,10 +81,10 @@ func BenchmarkFleetThroughput(b *testing.B) {
 	if n := runtime.NumCPU(); n > 4 {
 		shardCounts = append(shardCounts, n)
 	}
-	for _, fleet := range []struct{ vehicles, perVehicle int }{{64, 700}, {400, 2000}} {
-		records := benchStream(fleet.vehicles, fleet.perVehicle)
+	for _, shape := range []struct{ vehicles, perVehicle int }{{64, 700}, {400, 2000}} {
+		records := benchStream(shape.vehicles, shape.perVehicle)
 		for _, shards := range shardCounts {
-			b.Run("vehicles-"+itoa(fleet.vehicles)+"/shards-"+itoa(shards), func(b *testing.B) {
+			b.Run("vehicles-"+itoa(shape.vehicles)+"/shards-"+itoa(shards), func(b *testing.B) {
 				b.ResetTimer()
 				processed := 0
 				for i := 0; i < b.N; i++ {
