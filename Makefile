@@ -134,8 +134,11 @@ ingest-smoke:
 
 ## bench-smoke: one iteration of the throughput (64 vehicles and the
 ## 400 x 2000 of ingest_burst, each at every shard count),
-## vehicle-handoff, allocation and ingest-handler benchmarks, enough to
-## catch a benchmark that no longer compiles or crashes.
+## vehicle-handoff, allocation, ingest-handler and fleet-generation
+## (SmallConfig and fleet40; the 400 x 100 shape is left to a deliberate
+## run) benchmarks, enough to catch a benchmark that no longer compiles
+## or crashes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput|BenchmarkVehicleHandoff|BenchmarkScoreInto|BenchmarkPipelineSteadyState|BenchmarkPipelineObserved|BenchmarkIngestHandler' -benchtime 1x \
 		./internal/fleet/ ./internal/detector/closestpair/ ./internal/core/ ./cmd/navarchos-serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetGeneration/^(small|fleet40)$$' -benchtime 1x .

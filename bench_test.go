@@ -62,10 +62,29 @@ func benchOpts(b *testing.B) *experiments.Options {
 	return &experiments.Options{Fleet: fleetForBench(b)}
 }
 
-// BenchmarkFleetGeneration measures the synthetic-dataset substrate.
+// BenchmarkFleetGeneration measures the synthetic-dataset substrate at
+// the three shapes the repo benchmark sets up (benchmark/inputs.go
+// fleetConfig): grid_eval's SmallConfig, the BenchConfig fleet40 of
+// ingest_paced and score_heavy, and ingest_burst's 400 x 100.
 func BenchmarkFleetGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fleetsim.Generate(fleetsim.SmallConfig())
+	fleet400x100 := fleetsim.BenchConfig()
+	fleet400x100.NumVehicles, fleet400x100.Days = 400, 100
+	for _, c := range []struct {
+		name string
+		cfg  fleetsim.Config
+	}{
+		{"small", fleetsim.SmallConfig()},
+		{"fleet40", fleetsim.BenchConfig()},
+		{"fleet400x100", fleet400x100},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			records := 0
+			for i := 0; i < b.N; i++ {
+				records += len(fleetsim.Generate(c.cfg).Records)
+			}
+			b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
 }
 

@@ -21,7 +21,10 @@
 //     events recorded, some failures happen on unmonitored vehicles, and
 //     DTCs are noisy and mostly unrelated to failures (Figure 1).
 //
-// Everything is deterministic given Config.Seed.
+// Everything is deterministic given Config.Seed, whatever GOMAXPROCS is:
+// each vehicle owns a rand.Source, so Generate simulates vehicles
+// concurrently, and Records are ordered by (time, vehicle index), which
+// no scheduling can change (TestGenerateGolden).
 package fleetsim
 
 import "time"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/navarchos/pdm/internal/obd"
@@ -37,37 +38,51 @@ func WriteRecordsCSV(w io.Writer, recs []timeseries.Record) error {
 	return cw.Error()
 }
 
-// ReadRecordsCSV parses telemetry records written by WriteRecordsCSV.
+// ReadRecordsCSV parses telemetry records written by WriteRecordsCSV. It
+// streams the file and interns vehicle IDs: a field returned by
+// encoding/csv is a substring of its whole line, so keeping row[0] would
+// keep every line of the file alive behind its record.
 func ReadRecordsCSV(r io.Reader) ([]timeseries.Record, error) {
 	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
+	cr.ReuseRecord = true
+	if _, err := cr.Read(); err == io.EOF {
+		return nil, fmt.Errorf("fleetsim: records csv is empty")
+	} else if err != nil {
 		return nil, fmt.Errorf("fleetsim: read records csv: %w", err)
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("fleetsim: records csv is empty")
-	}
 	wantCols := 2 + int(obd.NumPIDs)
-	out := make([]timeseries.Record, 0, len(rows)-1)
-	for i, row := range rows[1:] {
+	ids := map[string]string{}
+	var out []timeseries.Record
+	for n := 2; ; n++ { // row numbers count the header as row 1
+		row, err := cr.Read()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fleetsim: read records csv: %w", err)
+		}
 		if len(row) != wantCols {
-			return nil, fmt.Errorf("fleetsim: records csv row %d has %d columns, want %d", i+2, len(row), wantCols)
+			return nil, fmt.Errorf("fleetsim: records csv row %d has %d columns, want %d", n, len(row), wantCols)
 		}
 		var rec timeseries.Record
-		rec.VehicleID = row[0]
+		id, ok := ids[row[0]]
+		if !ok {
+			id = strings.Clone(row[0])
+			ids[id] = id
+		}
+		rec.VehicleID = id
 		rec.Time, err = time.Parse(timeLayout, row[1])
 		if err != nil {
-			return nil, fmt.Errorf("fleetsim: records csv row %d time: %w", i+2, err)
+			return nil, fmt.Errorf("fleetsim: records csv row %d time: %w", n, err)
 		}
 		for p := 0; p < int(obd.NumPIDs); p++ {
 			rec.Values[p], err = strconv.ParseFloat(row[2+p], 64)
 			if err != nil {
-				return nil, fmt.Errorf("fleetsim: records csv row %d col %s: %w", i+2, obd.PID(p), err)
+				return nil, fmt.Errorf("fleetsim: records csv row %d col %s: %w", n, obd.PID(p), err)
 			}
 		}
 		out = append(out, rec)
 	}
-	return out, nil
 }
 
 // WriteEventsCSV writes events as CSV: vehicle,time,type,dtc,note.

@@ -2,7 +2,10 @@ package fleetsim
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/navarchos/pdm/internal/mat"
 	"github.com/navarchos/pdm/internal/obd"
@@ -45,8 +48,18 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("record %d differs between runs", i)
 		}
 	}
-	if len(a.Events) != len(b.Events) {
-		t.Fatal("event counts differ")
+	sameEvent := func(x, y obd.Event) bool {
+		if (x.DTC == nil) != (y.DTC == nil) || x.DTC != nil && *x.DTC != *y.DTC {
+			return false
+		}
+		x.DTC, y.DTC = nil, nil
+		return x == y
+	}
+	if !slices.EqualFunc(a.Events, b.Events, sameEvent) {
+		t.Fatal("events differ between runs")
+	}
+	if !slices.EqualFunc(a.HiddenEvents, b.HiddenEvents, sameEvent) {
+		t.Fatal("hidden events differ between runs")
 	}
 	c := SmallConfig()
 	c.Seed = 999
@@ -356,6 +369,34 @@ func TestCSVErrors(t *testing.T) {
 	if _, err := ReadEventsCSV(bytes.NewBufferString(bad)); err == nil {
 		t.Error("unknown event type should error")
 	}
+}
+
+// TestReadRecordsCSVRetainsOnlyRecords bounds what a parsed file keeps
+// alive: the record slice and a handful of interned IDs, not a CSV line
+// per record behind each VehicleID.
+func TestReadRecordsCSVRetainsOnlyRecords(t *testing.T) {
+	f := Generate(SmallConfig())
+	var buf bytes.Buffer
+	if err := WriteRecordsCSV(&buf, f.Records[:50_000]); err != nil {
+		t.Fatal(err)
+	}
+	f = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	recs, err := ReadRecordsCSV(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	slice := int64(cap(recs)) * int64(unsafe.Sizeof(recs[0]))
+	extra := int64(after.HeapAlloc) - int64(before.HeapAlloc) - slice
+	if perRecord := float64(extra) / float64(len(recs)); perRecord > 8 {
+		t.Errorf("%.1f bytes retained per record beyond the %d-byte slice, want <= 8", perRecord, slice)
+	}
+	runtime.KeepAlive(recs)
+	runtime.KeepAlive(&buf)
 }
 
 func TestDefaultConfigScale(t *testing.T) {

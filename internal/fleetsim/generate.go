@@ -2,7 +2,10 @@ package fleetsim
 
 import (
 	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/navarchos/pdm/internal/obd"
@@ -15,7 +18,8 @@ type Fleet struct {
 	Config   Config
 	Vehicles []Vehicle
 
-	// Records holds all PID measurements, sorted chronologically.
+	// Records holds all PID measurements, sorted chronologically;
+	// records with equal times are in vehicle-index order.
 	Records []timeseries.Record
 
 	// Events is what the FMS records: services and repairs for recorded
@@ -29,7 +33,9 @@ type Fleet struct {
 	HiddenEvents []obd.Event
 }
 
-// Generate builds a deterministic synthetic fleet from cfg.
+// Generate builds a deterministic synthetic fleet from cfg. It simulates
+// vehicles on GOMAXPROCS goroutines and returns the same fleet, byte for
+// byte, at any GOMAXPROCS.
 func Generate(cfg Config) *Fleet {
 	cfg.validate()
 	f := &Fleet{Config: cfg}
@@ -37,9 +43,9 @@ func Generate(cfg Config) *Fleet {
 	f.scheduleMaintenance()
 	f.scheduleDTCs()
 	f.generateTelemetry()
-	sort.SliceStable(f.Records, func(i, j int) bool { return f.Records[i].Time.Before(f.Records[j].Time) })
-	sort.SliceStable(f.Events, func(i, j int) bool { return f.Events[i].Time.Before(f.Events[j].Time) })
-	sort.SliceStable(f.HiddenEvents, func(i, j int) bool { return f.HiddenEvents[i].Time.Before(f.HiddenEvents[j].Time) })
+	byTime := func(a, b obd.Event) int { return a.Time.Compare(b.Time) }
+	slices.SortStableFunc(f.Events, byTime)
+	slices.SortStableFunc(f.HiddenEvents, byTime)
 	return f
 }
 
@@ -198,76 +204,176 @@ func (f *Fleet) scheduleDTCs() {
 	}
 }
 
-// generateTelemetry simulates every vehicle day by day, trip by trip, at
-// one record per minute of driving.
+// generateTelemetry simulates every vehicle and merges the per-vehicle
+// runs into f.Records. Each vehicle draws from its own rand.Source and
+// only reads the shared weather table and its own Vehicle, so vehicles
+// are generated concurrently, GOMAXPROCS at a time; the merge orders by
+// (time, vehicle index), which does not depend on who generated what.
 func (f *Fleet) generateTelemetry() {
-	cfg := f.Config
-	// Day-level weather noise shared by the whole fleet.
-	weatherRng := rand.New(rand.NewSource(cfg.Seed*2654435761 + 99))
-	weather := make([]float64, cfg.Days)
-	for d := range weather {
-		weather[d] = weatherRng.NormFloat64() * 3
+	weather := f.dayWeather()
+	runs := make([][]timeseries.Record, len(f.Vehicles))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(runs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(runs) {
+					return
+				}
+				runs[i] = f.vehicleRun(i, weather)
+			}
+		}()
 	}
-	startDOY := cfg.Start.YearDay()
+	wg.Wait()
+	f.Records = mergeRuns(runs)
+}
 
-	for i := range f.Vehicles {
-		v := &f.Vehicles[i]
-		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)*7_368_787))
-		for day := 0; day < cfg.Days; day++ {
-			// Occasional idle days.
-			if rng.Float64() < 0.06 {
-				continue
+// dayWeather draws the day-level weather noise shared by the whole fleet.
+func (f *Fleet) dayWeather() []float64 {
+	rng := rand.New(rand.NewSource(f.Config.Seed*2654435761 + 99))
+	weather := make([]float64, f.Config.Days)
+	for d := range weather {
+		weather[d] = rng.NormFloat64() * 3
+	}
+	return weather
+}
+
+// vehicleRun simulates vehicle i day by day, trip by trip, at one record
+// per minute of driving. Trips never overlap, so the run is
+// chronological (TestVehicleRunsChronological).
+func (f *Fleet) vehicleRun(i int, weather []float64) []timeseries.Record {
+	cfg := f.Config
+	v := &f.Vehicles[i]
+	startDOY := cfg.Start.YearDay()
+	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)*7_368_787))
+	// A vehicle drives about 0.9 x AvgDriveMinutes a day (idle days,
+	// light weekends), so this rarely regrows.
+	run := make([]timeseries.Record, 0, int(float64(cfg.Days)*cfg.AvgDriveMinutes))
+	for day := 0; day < cfg.Days; day++ {
+		// Occasional idle days.
+		if rng.Float64() < 0.06 {
+			continue
+		}
+		sev := v.severity(day)
+		debt := v.debt(day)
+		usage := v.Usage
+		if v.DriftDay >= 0 && day >= v.DriftDay {
+			usage = v.DriftUsage
+		}
+		// Total driving minutes today: lognormal-ish around the
+		// configured average, lighter on "weekends" (every 6th/7th
+		// simulated day).
+		factor := 0.55 + rng.Float64()*1.1
+		if day%7 >= 5 {
+			factor *= 0.6
+		}
+		minutes := int(cfg.AvgDriveMinutes * factor)
+		cursor := 6*60 + rng.Intn(150) // first departure 06:00–08:30
+		trip := 0
+		// Day-level volatility: driver aggressiveness and
+		// tyre/wind conditions for the whole day.
+		loadScale := 0.93 + 0.14*rng.Float64()
+		gearScale := 0.98 + 0.04*rng.Float64()
+		midnight := f.dayTime(day, 0)
+		dayOfYear := (startDOY + day - 1) % 365
+		for minutes > 8 && cursor < 22*60 {
+			ride := sampleRide(usage, rng)
+			p := rideCatalog[ride]
+			dur := p.minMinutes + rng.Intn(p.maxMinutes-p.minMinutes+1)
+			if dur > minutes {
+				dur = minutes
 			}
-			sev := v.severity(day)
-			debt := v.debt(day)
-			usage := v.Usage
-			if v.DriftDay >= 0 && day >= v.DriftDay {
-				usage = v.DriftUsage
+			residual := 2.0
+			if trip > 0 {
+				residual = 25 + rng.Float64()*20 // engine still warm
 			}
-			// Total driving minutes today: lognormal-ish around the
-			// configured average, lighter on "weekends" (every 6th/7th
-			// simulated day).
-			factor := 0.55 + rng.Float64()*1.1
-			if day%7 >= 5 {
-				factor *= 0.6
+			amb := ambientTemp(dayOfYear, cursor/60, weather[day])
+			eng := newEngineState(v, rng, amb, residual, loadScale, gearScale)
+			eng.debt = debt
+			base := midnight.Add(time.Duration(cursor) * time.Minute)
+			for m := 0; m < dur; m++ {
+				vals := eng.step(p, amb, sev)
+				run = append(run, timeseries.Record{
+					VehicleID: v.ID,
+					Time:      base.Add(time.Duration(m) * time.Minute),
+					Values:    vals,
+				})
 			}
-			minutes := int(cfg.AvgDriveMinutes * factor)
-			cursor := 6*60 + rng.Intn(150) // first departure 06:00–08:30
-			trip := 0
-			// Day-level volatility: driver aggressiveness and
-			// tyre/wind conditions for the whole day.
-			loadScale := 0.93 + 0.14*rng.Float64()
-			gearScale := 0.98 + 0.04*rng.Float64()
-			for minutes > 8 && cursor < 22*60 {
-				ride := sampleRide(usage, rng)
-				p := rideCatalog[ride]
-				dur := p.minMinutes + rng.Intn(p.maxMinutes-p.minMinutes+1)
-				if dur > minutes {
-					dur = minutes
-				}
-				residual := 2.0
-				if trip > 0 {
-					residual = 25 + rng.Float64()*20 // engine still warm
-				}
-				dayOfYear := (startDOY + day - 1) % 365
-				amb := ambientTemp(dayOfYear, cursor/60, weather[day])
-				eng := newEngineState(v, rng, amb, residual, loadScale, gearScale)
-				eng.debt = debt
-				base := f.dayTime(day, 0).Add(time.Duration(cursor) * time.Minute)
-				for m := 0; m < dur; m++ {
-					vals := eng.step(p, amb, sev)
-					f.Records = append(f.Records, timeseries.Record{
-						VehicleID: v.ID,
-						Time:      base.Add(time.Duration(m) * time.Minute),
-						Values:    vals,
-					})
-				}
-				minutes -= dur
-				cursor += dur + 20 + rng.Intn(120) // gap before next trip
-				trip++
-			}
+			minutes -= dur
+			cursor += dur + 20 + rng.Intn(120) // gap before next trip
+			trip++
 		}
 	}
+	return run
+}
+
+// runHead is one run's cursor in mergeRuns' heap.
+type runHead struct {
+	key int64 // UnixNano of the run's next record
+	run int   // index into runs; breaks key ties
+	pos int   // index of the next record in the run
+}
+
+func (a runHead) before(b runHead) bool {
+	return a.key < b.key || a.key == b.key && a.run < b.run
+}
+
+// mergeRuns k-way merges per-vehicle runs into one exact-capacity slice
+// ordered by (Time, run index, position in run) — what a stable sort by
+// Time gives the runs' concatenation. A run that is not chronological is
+// first stably sorted in place, which keeps that equivalence. Times are
+// keyed by UnixNano, so they must lie in its range (years 1678–2262).
+func mergeRuns(runs [][]timeseries.Record) []timeseries.Record {
+	byTime := func(a, b timeseries.Record) int { return a.Time.Compare(b.Time) }
+	total := 0
+	heap := make([]runHead, 0, len(runs))
+	for i, run := range runs {
+		if !slices.IsSortedFunc(run, byTime) {
+			slices.SortStableFunc(run, byTime)
+		}
+		total += len(run)
+		if len(run) > 0 {
+			heap = append(heap, runHead{key: run[0].Time.UnixNano(), run: i})
+		}
+	}
+	// A sorted slice is a valid binary min-heap.
+	slices.SortFunc(heap, func(a, b runHead) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1
+	})
+	out := make([]timeseries.Record, 0, total)
+	for len(heap) > 0 {
+		h := &heap[0]
+		run := runs[h.run]
+		out = append(out, run[h.pos])
+		if h.pos++; h.pos < len(run) {
+			h.key = run[h.pos].Time.UnixNano()
+		} else {
+			*h = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		// Sift the changed root down.
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= len(heap) {
+				break
+			}
+			if c+1 < len(heap) && heap[c+1].before(heap[c]) {
+				c++
+			}
+			if !heap[c].before(heap[i]) {
+				break
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	return out
 }
 
 // sampleRide draws a ride type from the usage mixture.

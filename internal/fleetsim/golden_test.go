@@ -13,10 +13,10 @@ import (
 	"github.com/navarchos/pdm/internal/obd"
 )
 
-// fleetDigest is the SHA-256 of a canonical serialisation of everything
-// Generate emits in an order: every record (ID, UnixNano, Float64bits of
-// each value), then Events, then HiddenEvents. It streams into the hash
-// so the 3.4M-record case holds no second copy of the fleet.
+// fleetDigest is the SHA-256 of a canonical serialisation of the three
+// ordered streams Generate emits: every record (ID, UnixNano,
+// Float64bits of each value), then Events, then HiddenEvents. It streams
+// into the hash so the 3.4M-record case holds no second copy of the fleet.
 func fleetDigest(f *Fleet) string {
 	h := sha256.New()
 	w := bufio.NewWriterSize(h, 1<<16)
