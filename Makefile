@@ -12,8 +12,20 @@ GO ?= go
 ## none writes into the checkout; performance is measured by
 ## `bash benchmark/run.sh`, not here. The fit-kernel and score-path
 ## oracles (TestFastFit*, TestShipped*, TestScorePaths*, TestHist*, ...)
-## have no target of their own because `race` already runs them.
-ci: vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
+## have no target of their own because `race` already runs them. The
+## targets run one after another, stopping at the first failure, and a
+## table of each one's wall time closes the run (EXPERIMENTS.md has the
+## published copy): a gate that costs minutes to re-prove what another
+## already proved shows up there.
+CI_TARGETS = vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
+ci:
+	@table=""; t0=$$(date +%s); \
+	for t in $(CI_TARGETS); do \
+		s=$$(date +%s); \
+		$(MAKE) --no-print-directory $$t || exit 1; \
+		table="$$table$$(printf '%-16s %5ds' $$t $$(( $$(date +%s) - s )))\n"; \
+	done; \
+	printf "\nmake ci: wall time per target\n$$table%-16s %5ds\n" total $$(( $$(date +%s) - t0 ))
 
 ## check: the fast inner-loop gate — vet (incl. gofmt), build, and the
 ## plain test suite, with none of ci's race/equivalence/bench machinery.
@@ -41,10 +53,11 @@ race:
 	$(GO) test -race ./...
 
 ## race-fleet: a focused race pass over the two packages whose
-## goroutines share state by design — the sharded engine (busy-map
-## parking, fitDone handoff, checkpoint barriers beside Replay and
-## IngestBatch, batch free lists) and the fitpool — with count=2 so the
-## scheduler interleaves differently across runs.
+## goroutines share state by design — the sharded engine (parking on a
+## fitting vehicle, fitDone handoff, checkpoint barriers beside Replay
+## and IngestBatch, the cordon fence under the ingest mutex, batch free
+## lists) and the fitpool — with count=2 so the scheduler interleaves
+## differently across runs.
 race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/... ./internal/fitpool/...
 
@@ -60,20 +73,23 @@ grid-equiv:
 ## a different shard count must be bit-identical to an uninterrupted
 ## run, for every paper technique × transform — and so must running the
 ## same stream under a fully enabled observer, or through the traced
-## batch-ingest path with per-frame provenance attached.
+## batch-ingest path with per-frame provenance attached. The checkpoint
+## stream itself is held to the SHA-256 digests an earlier commit wrote
+## (testdata/engine_small.ckpt.sha256; never regenerated from the change
+## under test).
 resume-gate:
-	$(GO) test -run 'TestEngineCheckpointResumeGate|TestEngineObservedBitIdentity|TestEngineTracedBitIdentity' ./internal/fleet/
+	$(GO) test -run 'TestEngineCheckpointResumeGate|TestEngineObservedBitIdentity|TestEngineTracedBitIdentity|TestCheckpointBytesGolden' ./internal/fleet/
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting
 ## vehicles from a running engine and adopting them at a different
 ## shard count (directly and over the HTTP handoff wire path) must
 ## reproduce the single-engine replay's alarms
 ## Float64bits-identically, with ingest during the move refused via the
-## typed 409, never dropped. Runs the resume-gate tests too: the
-## whole-engine checkpoint is now built from the same per-vehicle codec
-## the handoff uses, so both gates pin one serialization path.
+## typed 409, never dropped. The whole-engine checkpoint is built from
+## the same per-vehicle codec the handoff uses; its half of that one
+## serialization path is resume-gate's to pin, not re-run here.
 drain-gate:
-	$(GO) test -run 'TestVehicleHandoffDrainGate|TestVehicleHandoffDrainGateTraced|TestConcurrentMigrationIngest|TestEngineCheckpointResumeGate|TestEngineObservedBitIdentity' ./internal/fleet/
+	$(GO) test -run 'TestVehicleHandoffDrainGate|TestVehicleHandoffDrainGateTraced|TestConcurrentMigrationIngest' ./internal/fleet/
 	$(GO) test -run 'TestServeDrainHandoff|TestServeAdoptionOverridesRing' ./cmd/navarchos-serve/
 
 ## bench-micro: one iteration of the kernel micro-benchmarks (the
@@ -126,11 +142,12 @@ fuzz-smoke:
 ## must reproduce Replay's alarms bit-for-bit at 1 and 2 shards
 ## (including straight off decoded NVWIRE1 frames), and the HTTP front
 ## end must admit, journal, and reject end-to-end, on pooled decoders,
-## inside its per-POST allocation bound.
+## inside its per-POST allocation bound (the ingest tests by name: `race`
+## has just run the rest of the package).
 ingest-smoke:
 	$(GO) test -run 'TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget' ./internal/wire/
 	$(GO) test -run 'TestIngestBatch|TestWireVsReplayAlarmIdentity' ./internal/fleet/
-	$(GO) test ./cmd/navarchos-serve/
+	$(GO) test -run 'TestServeWireIngestEndToEnd|TestServeStreamEndpoint|TestServeRejectsCorruptUpload|TestServeTextFormats|TestIngest' ./cmd/navarchos-serve/
 
 ## bench-smoke: one iteration of the throughput (64 vehicles and the
 ## 400 x 2000 of ingest_burst, each at every shard count),

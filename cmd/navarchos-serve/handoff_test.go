@@ -593,3 +593,61 @@ func TestServeDrainPeerConflictKeepsFence(t *testing.T) {
 		t.Fatalf("peer admitted %d records, want 2", st.RecordsIn)
 	}
 }
+
+// TestServeOverrideTableRoundTrip walks one vehicle b -> a -> b -> a:
+// adopted against the ring, drained away, adopted back. Each handoff
+// must overwrite the vehicle's one override entry rather than leave an
+// adoption and a drain hint side by side, and /admin/placement must
+// read exactly as it did when adoptions and drains lived in two tables
+// (the bodies below were captured from that code).
+func TestServeOverrideTableRoundTrip(t *testing.T) {
+	sb, tsb := namedServer(t, "b", map[string]string{"a": ""})
+	sa, tsa := namedServer(t, "a", map[string]string{"b": tsb.URL})
+	sb.peers["a"] = tsa.URL
+
+	var veh string
+	for i := 0; veh == ""; i++ {
+		if id := "veh-" + strconv.Itoa(i); sa.ring.Owner(id) == "b" {
+			veh = id
+		}
+		if i > 10_000 {
+			t.Fatal("ring never placed a vehicle on b")
+		}
+	}
+	if resp, body := postBody(t, tsb.URL+"/ingest/stream", "application/octet-stream",
+		singleRecordFrame(veh, time.Now().UTC(), 0)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner ingest on b: %d %s", resp.StatusCode, body)
+	}
+	for _, hop := range []struct{ from, to *httptest.Server }{{tsb, tsa}, {tsa, tsb}, {tsb, tsa}} {
+		if resp, body := postBody(t, hop.from.URL+"/admin/drain?vehicle="+veh+"&to="+hop.to.URL, "", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("drain: %d %s", resp.StatusCode, body)
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		s        *server
+		ts       *httptest.Server
+		override map[string]string
+		body     string
+	}{
+		{"a", sa, tsa, map[string]string{veh: ""},
+			`{"self":"a","members":[{"name":"a"},{"name":"b","url":"` + tsb.URL + `"}],"residents":["` + veh +
+				`"],"adopted":["` + veh + `"],"events_total":4,"events_url":"/admin/events"}` + "\n"},
+		{"b", sb, tsb, map[string]string{veh: tsa.URL},
+			`{"self":"b","members":[{"name":"a","url":"` + tsa.URL + `"},{"name":"b"}],"residents":null,"migrated":{"` + veh +
+				`":"` + tsa.URL + `"},"events_total":5,"events_url":"/admin/events"}` + "\n"},
+	} {
+		tc.s.overrideMu.Lock()
+		got := len(tc.s.override)
+		dest, ok := tc.s.override[veh]
+		tc.s.overrideMu.Unlock()
+		if got != 1 || !ok || dest != tc.override[veh] {
+			t.Errorf("%s: %d override entries, %s -> %q (present %v); want exactly %v", tc.name, got, veh, dest, ok, tc.override)
+		}
+		resp, body := postGet(t, tc.ts.URL+"/admin/placement")
+		if resp.StatusCode != http.StatusOK || string(body) != tc.body {
+			t.Errorf("%s: /admin/placement = %d\n got %s\nwant %s", tc.name, resp.StatusCode, body, tc.body)
+		}
+	}
+}

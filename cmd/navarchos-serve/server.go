@@ -75,34 +75,49 @@ type server struct {
 	ring   *controlplane.Ring
 	client *http.Client
 
-	// migrated maps each vehicle this instance drained away to the
-	// peer base URL that adopted it, so a later 409 for that vehicle
-	// can point the producer at the adoptee. Entries are per vehicle
-	// and per drain — a vehicle that is merely cordoned, or drained in
-	// an earlier drain to a different peer, never borrows another
-	// vehicle's destination. Adopting a vehicle back removes its entry.
-	migrateMu sync.Mutex
-	migrated  map[string]string
+	// override is the one table of vehicles whose placement a handoff
+	// has pinned against the ring's default, one entry per vehicle: ""
+	// means adopted here although the ring places it on a peer, so its
+	// ingest stays local instead of being refused as misrouted (which
+	// would leave a drained vehicle bounced between the origin's fence
+	// and the adoptee's router forever); a peer base URL means drained
+	// away to that peer, so a later 409 for the vehicle can point the
+	// producer at the adoptee. Each handoff overwrites the vehicle's
+	// entry — adopting a vehicle back drops its drain hint, draining an
+	// adopted vehicle away drops its adoption — and a vehicle that is
+	// merely cordoned never has one.
+	overrideMu sync.Mutex
+	override   map[string]string
+}
 
-	// adopted tracks vehicles this instance accepted via handoff even
-	// though the ring places them on a peer. Adoption overrides ring
-	// ownership — the ring gives the default placement, a drain re-pins
-	// — so ingest for these vehicles stays local instead of being
-	// refused as misrouted (which would leave a drained vehicle
-	// bounced between the origin's cordon fence and the adoptee's
-	// router forever). Draining a vehicle away removes its entry.
-	adoptMu sync.Mutex
-	adopted map[string]bool
+// setOverride records where a handoff left a vehicle: dest is "" for
+// adopted here, or the peer it was drained to. An adoption the ring
+// agrees with needs no entry.
+func (s *server) setOverride(id, dest string) {
+	s.overrideMu.Lock()
+	if dest == "" && s.ring.Owner(id) == s.name {
+		delete(s.override, id)
+	} else {
+		s.override[id] = dest
+	}
+	s.overrideMu.Unlock()
+}
+
+// overrideFor returns a vehicle's override entry. It is consulted only
+// on a ring mismatch or a migrating refusal, so the lock is off the
+// common ingest path.
+func (s *server) overrideFor(id string) (dest string, ok bool) {
+	s.overrideMu.Lock()
+	dest, ok = s.override[id]
+	s.overrideMu.Unlock()
+	return dest, ok
 }
 
 // isAdopted reports whether id was handed to this instance despite a
-// peer owning it on the ring. Only consulted on a ring mismatch, so
-// the lock is off the common ingest path.
+// peer owning it on the ring.
 func (s *server) isAdopted(id string) bool {
-	s.adoptMu.Lock()
-	ok := s.adopted[id]
-	s.adoptMu.Unlock()
-	return ok
+	dest, ok := s.overrideFor(id)
+	return ok && dest == ""
 }
 
 // newServer builds the engine with the paper's complete solution per
@@ -169,8 +184,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		peers:    cfg.peers,
 		ring:     ring,
 		client:   &http.Client{Timeout: 30 * time.Second},
-		adopted:  make(map[string]bool),
-		migrated: make(map[string]string),
+		override: make(map[string]string),
 		decoders: sync.Pool{New: func() any { return &wire.Decoder{MaxFrameBytes: int(cfg.maxBody)} }},
 	}
 	// The journal captures every alarm with full context via the
@@ -261,9 +275,7 @@ func (s *server) writeUnavailable(w http.ResponseWriter, resp unavailableRespons
 		resp.RetryAfter = 1
 	}
 	if resp.Peer == "" && resp.State == fleet.StateMigrating {
-		s.migrateMu.Lock()
-		resp.Peer = s.migrated[resp.Vehicle]
-		s.migrateMu.Unlock()
+		resp.Peer, _ = s.overrideFor(resp.Vehicle)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", strconv.Itoa(resp.RetryAfter))
@@ -369,16 +381,9 @@ func (s *server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 			if err := s.eng.AdoptVehicle(vs); err != nil {
 				return err
 			}
-			if s.ring.Owner(vs.ID) != s.name {
-				s.adoptMu.Lock()
-				s.adopted[vs.ID] = true
-				s.adoptMu.Unlock()
-			}
 			// A vehicle handed back after an earlier drain away lives
-			// here again; its old migration hint is stale.
-			s.migrateMu.Lock()
-			delete(s.migrated, vs.ID)
-			s.migrateMu.Unlock()
+			// here again: its old drain hint is overwritten.
+			s.setOverride(vs.ID, "")
 			s.events.Record(obs.ControlEvent{Kind: obs.EventAdopt, Engine: s.name, VehicleID: vs.ID})
 			resp.Handoffs++
 			return nil
@@ -604,12 +609,7 @@ func (s *server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.ctrl.ObserveHandoff(time.Since(start))
-		s.adoptMu.Lock()
-		delete(s.adopted, id)
-		s.adoptMu.Unlock()
-		s.migrateMu.Lock()
-		s.migrated[id] = to
-		s.migrateMu.Unlock()
+		s.setOverride(id, to)
 		s.events.Record(obs.ControlEvent{Kind: obs.EventDrainFinish, Engine: s.name,
 			Peer: to, VehicleID: id, DurationS: time.Since(start).Seconds()})
 		names = append(names, id)
@@ -648,9 +648,7 @@ func (s *server) ship(to string, vs fleet.VehicleState) (int, error) {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	resp.Body.Close() //nolint:errcheck // read to completion above
 	if resp.StatusCode == http.StatusConflict {
-		s.migrateMu.Lock()
-		s.migrated[vs.ID] = to
-		s.migrateMu.Unlock()
+		s.setOverride(vs.ID, to)
 		s.events.Record(obs.ControlEvent{Kind: obs.EventPeerConflict, Engine: s.name,
 			Peer: to, VehicleID: vs.ID, Detail: string(bytes.TrimSpace(body))})
 		return http.StatusConflict, fmt.Errorf(
@@ -709,9 +707,9 @@ type placementMember struct {
 }
 
 // placementResponse is this instance's control-plane view: the ring
-// membership, the vehicles resident in the local engine, the adoption
-// and migration override tables, and a cross-link into the event log
-// that audits how the tables got that way. Served by /admin/placement
+// membership, the vehicles resident in the local engine, the override
+// table read both ways (adopted here, migrated to a peer), and a
+// cross-link into the event log that audits how it got that way. Served by /admin/placement
 // and embedded in /fleet's "placement" field when peers are configured.
 type placementResponse struct {
 	Self      string            `json:"self"`
@@ -732,18 +730,17 @@ func (s *server) placementView() placementResponse {
 		members = append(members, placementMember{Name: name, URL: url})
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
-	s.migrateMu.Lock()
-	migrated := make(map[string]string, len(s.migrated))
-	for id, to := range s.migrated {
-		migrated[id] = to
+	var adopted []string
+	migrated := map[string]string{}
+	s.overrideMu.Lock()
+	for id, dest := range s.override {
+		if dest == "" {
+			adopted = append(adopted, id)
+		} else {
+			migrated[id] = dest
+		}
 	}
-	s.migrateMu.Unlock()
-	s.adoptMu.Lock()
-	adopted := make([]string, 0, len(s.adopted))
-	for id := range s.adopted {
-		adopted = append(adopted, id)
-	}
-	s.adoptMu.Unlock()
+	s.overrideMu.Unlock()
 	sort.Strings(adopted)
 	return placementResponse{
 		Self:        s.name,

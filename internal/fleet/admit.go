@@ -239,8 +239,7 @@ func envID(env *envelope) string {
 // and counted into refusal. The filter compacts staged in place.
 func (e *Engine) enqueueStaged(s *shard, staged []envelope, refusal *VehicleUnavailableError) {
 	s.mu.Lock()
-	if s.cordonN.Load() != 0 {
-		s.cordonMu.Lock()
+	if len(s.cordon) != 0 {
 		kept := staged[:0]
 		for i := range staged {
 			id := envID(&staged[i])
@@ -254,7 +253,6 @@ func (e *Engine) enqueueStaged(s *shard, staged []envelope, refusal *VehicleUnav
 			}
 			kept = append(kept, staged[i])
 		}
-		s.cordonMu.Unlock()
 		staged = kept
 	}
 	for len(staged) > 0 {

@@ -92,6 +92,81 @@ func TestEngineBackpressureBlocksAtQueueDepth(t *testing.T) {
 	}
 }
 
+// TestCordonStateBesideBackpressure pins what guarding the fence with
+// the ingest mutex means for its callers: while a producer is blocked on
+// a full shard queue it holds that mutex, so Cordon, CordonState and
+// Uncordon for any vehicle of the shard wait for it — and complete, with
+// the right answers, once the consumer drains. Run under -race this is
+// the gate for the fence having no lock of its own.
+func TestCordonStateBesideBackpressure(t *testing.T) {
+	gate := make(chan struct{})
+	e, err := NewEngine(Config{
+		NewHandler: func(string) (Handler, error) {
+			return &gateHandler{gate: gate}, nil
+		},
+		Shards:     1,
+		BatchSize:  1,
+		QueueDepth: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := timeseries.Record{VehicleID: "veh-0"}
+	// One record parks the shard inside the handler and one fills the
+	// queue: the producer below then blocks on the channel send with the
+	// ingest mutex held.
+	if err := e.IngestRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if err := e.IngestRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		for i := 0; i < 2; i++ {
+			if err := e.IngestRecord(rec); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	time.Sleep(20 * time.Millisecond)
+
+	var during, after string
+	fenced := make(chan struct{})
+	go func() {
+		defer close(fenced)
+		e.Cordon("veh-1")
+		during = e.CordonState("veh-1")
+		e.Uncordon("veh-1")
+		after = e.CordonState("veh-1")
+	}()
+	select {
+	case <-fenced:
+		t.Fatal("the fence was written past a producer holding the shard's ingest mutex")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(gate)
+	for _, ch := range []chan struct{}{produced, fenced} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("still blocked after the consumer drained")
+		}
+	}
+	if during != StateCordoned || after != "" {
+		t.Fatalf("CordonState = %q while cordoned, %q after Uncordon", during, after)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().RecordsIn; got != 4 {
+		t.Fatalf("RecordsIn = %d, want 4", got)
+	}
+}
+
 // TestEngineFlushDuringCheckpointBarrier runs Flush concurrently with a
 // live checkpoint. The checkpoint barrier holds every ingest mutex
 // while shards are parked; Flush must wait for the release instead of

@@ -107,13 +107,22 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 		return err
 	}
 
+	// Sorted vehicle order makes the stream deterministic for a given
+	// fleet state, whatever the shard count.
 	var skipIDs []string
+	var active []*vehicle
 	for _, s := range e.shards {
-		for id := range s.skip {
-			skipIDs = append(skipIDs, id)
+		for id, v := range s.byID {
+			if v.skipped {
+				skipIDs = append(skipIDs, id)
+			} else {
+				active = append(active, v)
+			}
 		}
 	}
 	sort.Strings(skipIDs)
+	sort.Slice(active, func(i, j int) bool { return active[i].id < active[j].id })
+
 	var sb checkpoint.Buf
 	sb.Int(len(skipIDs))
 	for _, id := range skipIDs {
@@ -122,25 +131,11 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 	if err := enc.Section(skipSection, sb.Bytes()); err != nil {
 		return err
 	}
-
-	type entry struct {
-		id string
-		h  Handler
-	}
-	var entries []entry
-	for _, s := range e.shards {
-		for id, h := range s.handlers {
-			entries = append(entries, entry{id, h})
-		}
-	}
-	// Sorted vehicle order makes the stream deterministic for a given
-	// fleet state, whatever the shard count.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	for _, en := range entries {
+	for _, v := range active {
 		// A whole-engine checkpoint is "extract every vehicle": each
 		// section body is exactly the movable VehicleState payload a
 		// handoff frame carries, so there is one per-vehicle codec.
-		vs, err := snapshotVehicle(en.id, en.h)
+		vs, err := snapshotVehicle(v)
 		if err != nil {
 			return err
 		}
@@ -171,7 +166,6 @@ func NewEngineFromCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	dec := checkpoint.NewDecoder(r)
-	seen := map[string]bool{}
 	for {
 		name, payload, err := dec.Next()
 		if errors.Is(err, io.EOF) {
@@ -210,10 +204,11 @@ func NewEngineFromCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 				if rb.Err() != nil {
 					break
 				}
-				if seen[id] {
+				s := e.shardFor(id)
+				if v := s.byID[id]; v != nil && !v.skipped {
 					return nil, fmt.Errorf("%w: vehicle %s is both active and skipped", ErrBadCheckpoint, id)
 				}
-				e.shardFor(id).skip[id] = true
+				s.byID[id] = &vehicle{id: id, skipped: true}
 			}
 			if err := rb.Close(); err != nil {
 				return nil, fmt.Errorf("%w: skip section: %v", ErrBadCheckpoint, err)
@@ -223,15 +218,15 @@ func NewEngineFromCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			if seen[vs.ID] {
+			s := e.shardFor(vs.ID)
+			if v := s.byID[vs.ID]; v != nil && !v.skipped {
 				return nil, fmt.Errorf("%w: duplicate vehicle %s", ErrBadCheckpoint, vs.ID)
 			}
 			// Restoring a vehicle is adopting it: the same build + restore
 			// path ExtractVehicle/AdoptVehicle migration takes.
-			if err := e.adoptOwned(e.shardFor(vs.ID), vs); err != nil {
+			if err := e.adoptOwned(s, vs); err != nil {
 				return nil, err
 			}
-			seen[vs.ID] = true
 		default:
 			return nil, fmt.Errorf("%w: unknown section %q", ErrBadCheckpoint, name)
 		}

@@ -80,8 +80,8 @@ type Handler interface {
 // batch context and the shard's dequeue clock read on the traced path,
 // and with (nil, zero) to clear stale context when untraced records
 // follow traced ones. Handlers without the method simply never carry
-// provenance — the engine probes with a type assertion, never requires
-// it.
+// provenance — the engine probes once, when it builds the vehicle's
+// entry, and never requires it.
 type ProvenanceSink interface {
 	SetProvenance(bc *obs.BatchCtx, dequeue time.Time)
 }
@@ -186,7 +186,7 @@ type barrier struct {
 
 // shard owns a disjoint subset of the fleet's pipelines. The struct is
 // laid out in ownership bands with cache-line padding between them:
-// producers mutate the ingest band (mu, pending) while the shard
+// producers mutate the ingest band (mu, pending, cordon) while the shard
 // goroutine bumps the counter band on every envelope, and without the
 // padding those writes false-share — each counter increment would
 // bounce the line holding the ingest mutex across cores and vice
@@ -206,29 +206,31 @@ type shard struct {
 	free  chan []envelope
 	_     [64]byte
 
-	// ingest band: touched by producer goroutines under mu.
+	// ingest band: touched by producer goroutines, and by whoever
+	// quiesces the shard, under mu. cordon is the vehicle-availability
+	// fence behind Cordon and ExtractVehicle (vehicle -> StateCordoned or
+	// StateMigrating; empty in the steady state, which costs enqueueStaged
+	// one len check). Only admission consults it: the shard goroutine
+	// never does, because everything on its queue was admitted before the
+	// fence went up. Writing it under mu is what orders a new fence
+	// against in-flight enqueues — envelopes admitted before the fence
+	// sit ahead of any barrier a subsequent quiesce posts. CordonState
+	// takes mu like every other accessor, so it waits out a producer
+	// blocked on a full queue and a quiesce in progress.
 	mu      sync.Mutex
 	pending []envelope
+	cordon  map[string]string
 	_       [64]byte
 
-	// cordon band: the vehicle-availability fence behind Cordon and
-	// ExtractVehicle. cordonMu guards the map; cordonN mirrors its size
-	// so producers (under mu) and the shard goroutine (handler-build
-	// path) both skip the lock entirely while no vehicle is fenced —
-	// the steady state, which therefore costs one atomic load. The
-	// fence gets its own mutex because the shard goroutine must be able
-	// to consult it while a quiescer holds mu waiting for the barrier
-	// acknowledgement. Setters additionally hold mu, which orders a new
-	// fence against in-flight enqueues: envelopes admitted before the
-	// fence sit ahead of any barrier a subsequent quiesce posts.
-	cordonMu sync.Mutex
-	cordon   map[string]string
-	cordonN  atomic.Int64
-	_        [64]byte
-
 	// consumer band: owned by the shard goroutine, no synchronisation.
-	handlers map[string]Handler
-	skip     map[string]bool
+	// byID is the one per-vehicle table: an entry appears on a vehicle's
+	// first envelope (or at restore/adoption) and holds everything the
+	// shard knows about it. fitting counts the entries with a fit in
+	// flight, so run can pick a plain receive over a select without
+	// walking the table.
+	byID    map[string]*vehicle
+	fitting int
+	fitDone chan fitResult
 
 	// Provenance tracking, also shard-goroutine-owned. lastProv is the
 	// most recent batch context seen (pointer identity marks "same
@@ -241,14 +243,7 @@ type shard struct {
 	lastProv    *obs.BatchCtx
 	lastDequeue time.Time
 	sawProv     bool
-
-	// Asynchronous refits. busy[id] exists exactly while a fit for
-	// vehicle id is in flight; its value is the queue of envelopes that
-	// arrived for the vehicle meanwhile, replayed in order when the fit
-	// lands on fitDone. Both are touched only by the shard goroutine.
-	busy    map[string][]envelope
-	fitDone chan fitResult
-	_       [64]byte
+	_           [64]byte
 
 	// counter band: written by the shard goroutine per envelope, read
 	// by Stats and the metrics callbacks.
@@ -315,7 +310,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // newEngineStopped builds the engine's shards without starting their
-// goroutines, so checkpoint restore can pre-populate handler maps
+// goroutines, so checkpoint restore can pre-populate the vehicle tables
 // race-free before processing begins.
 func newEngineStopped(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
@@ -329,13 +324,12 @@ func newEngineStopped(cfg Config) (*Engine, error) {
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{
-			index:    i,
-			in:       make(chan []envelope, cfg.QueueDepth),
-			free:     make(chan []envelope, cfg.QueueDepth+2),
-			handlers: map[string]Handler{},
-			skip:     map[string]bool{},
-			busy:     map[string][]envelope{},
-			fitDone:  make(chan fitResult),
+			index:   i,
+			in:      make(chan []envelope, cfg.QueueDepth),
+			free:    make(chan []envelope, cfg.QueueDepth+2),
+			cordon:  map[string]string{},
+			byID:    map[string]*vehicle{},
+			fitDone: make(chan fitResult),
 		}
 	}
 	e.registerMetrics()
@@ -558,8 +552,8 @@ func (e *Engine) quiesce() (release func()) {
 // runs.
 func (e *Engine) Pipelines(fn func(*core.Pipeline)) {
 	for _, s := range e.shards {
-		for _, h := range s.handlers {
-			if p, ok := h.(*core.Pipeline); ok {
+		for _, v := range s.byID {
+			if p, ok := v.h.(*core.Pipeline); ok {
 				fn(p)
 			}
 		}
@@ -570,8 +564,10 @@ func (e *Engine) Pipelines(fn func(*core.Pipeline)) {
 // shard. Same ownership contract as Pipelines: only after Close.
 func (e *Engine) Handlers(fn func(vehicleID string, h Handler)) {
 	for _, s := range e.shards {
-		for id, h := range s.handlers {
-			fn(id, h)
+		for id, v := range s.byID {
+			if !v.skipped {
+				fn(id, v.h)
+			}
 		}
 	}
 }

@@ -9,11 +9,39 @@ import (
 	"github.com/navarchos/pdm/internal/fitpool"
 )
 
+// vehicle is everything a shard knows about one of its vehicles: the
+// handler, the handler's optional seams resolved once when the entry is
+// built, and the vehicle's place in the shard loop. An entry is owned by
+// the shard goroutine (or by whoever has quiesced the shard) and needs
+// no synchronisation.
+type vehicle struct {
+	id string
+	h  Handler // nil once skipped
+
+	// Optional seams of h, nil where h lacks the method set. fits is
+	// also nil under Config.SyncFits, which is what pins the engine to
+	// inline fitting.
+	prov ProvenanceSink
+	fits FitDeferrer
+	snap Snapshotter
+
+	// skipped marks a vehicle excluded by configuration (ErrSkipVehicle)
+	// or dropped after a handler or fit error: its envelopes are counted
+	// and otherwise ignored.
+	skipped bool
+
+	// fitting is set exactly while a deferred fit for the vehicle is in
+	// flight; parked queues the envelopes that arrive meanwhile, replayed
+	// in order when the fit lands on fitDone.
+	fitting bool
+	parked  []envelope
+}
+
 // fitResult is an asynchronous fit completion, delivered back to the
 // owning shard goroutine.
 type fitResult struct {
-	vehicleID string
-	err       error
+	v   *vehicle
+	err error
 }
 
 // maxDrainBatches bounds how many already-queued batches a shard
@@ -21,13 +49,13 @@ type fitResult struct {
 const maxDrainBatches = 8
 
 // run is the shard loop: the lock-free hot path. It exclusively owns
-// s.handlers, so pipeline calls need no synchronisation; asynchronous
-// fit completions re-enter the loop through s.fitDone and are therefore
+// s.byID, so pipeline calls need no synchronisation; asynchronous fit
+// completions re-enter the loop through s.fitDone and are therefore
 // landed by the same goroutine that owns the handler.
 //
 // Two receive paths keep channel overhead off the throughput-bound
 // profile: while no fit is in flight nothing can arrive on fitDone (a
-// completion is only ever sent for a vehicle currently in s.busy), so
+// completion is only ever sent for a vehicle marked fitting), so
 // the loop blocks on a plain channel receive instead of a two-case
 // select; and after each processed batch it opportunistically drains up
 // to maxDrainBatches more batches that are already queued, so a shard
@@ -38,7 +66,7 @@ func (e *Engine) run(s *shard) {
 	for {
 		var batch []envelope
 		var ok bool
-		if len(s.busy) == 0 {
+		if s.fitting == 0 {
 			batch, ok = <-s.in
 		} else {
 			select {
@@ -54,7 +82,7 @@ func (e *Engine) run(s *shard) {
 		}
 		e.runBatch(s, batch)
 	drain:
-		for n := 0; n < maxDrainBatches && len(s.busy) == 0; n++ {
+		for n := 0; n < maxDrainBatches && s.fitting == 0; n++ {
 			select {
 			case batch, ok = <-s.in:
 				if !ok {
@@ -104,35 +132,36 @@ func (e *Engine) runBatch(s *shard, batch []envelope) {
 	e.putBatch(s, batch)
 }
 
-// processEnv routes one envelope: parked when its vehicle has a fit in
-// flight (preserving arrival order), delivered otherwise.
+// processEnv finds — or, on first contact, builds — the envelope's
+// vehicle and delivers to it: the one table lookup an envelope costs.
 func (e *Engine) processEnv(s *shard, env *envelope) {
 	id := envID(env)
-	// The busy map is empty except while a fit is in flight; the len
-	// check keeps the per-envelope map lookup off the common path.
-	if len(s.busy) != 0 {
-		if parked, inFlight := s.busy[id]; inFlight {
-			s.busy[id] = append(parked, *env)
-			return
-		}
+	v := s.byID[id]
+	if v == nil {
+		v = e.firstContact(s, id)
 	}
-	e.deliver(s, env, id)
+	e.deliver(s, v, env)
 }
 
-// deliver feeds one envelope to its vehicle's handler and, when the
-// handler raised a deferred fit, launches the fit on a fitpool worker
-// and marks the vehicle busy.
-func (e *Engine) deliver(s *shard, env *envelope, id string) {
+// deliver feeds one envelope to its vehicle: parked when the vehicle
+// has a fit in flight (preserving arrival order), counted and dropped
+// when it is skipped, handled otherwise — and when the handler raised a
+// deferred fit, the fit is launched on a fitpool worker and the vehicle
+// marked fitting.
+func (e *Engine) deliver(s *shard, v *vehicle, env *envelope) {
+	if v.fitting {
+		v.parked = append(v.parked, *env)
+		return
+	}
 	if env.isEvent {
 		s.eventsIn.Add(1)
-		if h, ok := e.handlerFor(s, id); ok {
-			h.HandleEvent(env.ev)
+		if !v.skipped {
+			v.h.HandleEvent(env.ev)
 		}
 		return
 	}
 	s.recordsIn.Add(1)
-	h, ok := e.handlerFor(s, id)
-	if !ok {
+	if v.skipped {
 		return
 	}
 	if env.prov != nil {
@@ -145,24 +174,23 @@ func (e *Engine) deliver(s *shard, env *envelope, id string) {
 			s.sawProv = true
 			e.cfg.Observer.ObserveQueueWait(s.lastDequeue.Sub(env.prov.Enqueue))
 		}
-		if ps, ok := h.(ProvenanceSink); ok {
-			ps.SetProvenance(env.prov, s.lastDequeue)
+		if v.prov != nil {
+			v.prov.SetProvenance(env.prov, s.lastDequeue)
 		}
-	} else if s.sawProv {
+	} else if s.sawProv && v.prov != nil {
 		// A shard that has ever delivered traced records must clear a
 		// handler's provenance before untraced ones, or an untraced
 		// record's alarm would inherit the previous frame's context.
 		// Shards that never saw provenance never take this branch, so
 		// Replay-only runs keep the bare hot path.
-		if ps, ok := h.(ProvenanceSink); ok {
-			ps.SetProvenance(nil, time.Time{})
-		}
+		v.prov.SetProvenance(nil, time.Time{})
 	}
+	h := v.h
 	before := h.ScoredSamples()
 	alarms, err := h.HandleRecord(env.rec)
 	s.scored.Add(h.ScoredSamples() - before)
 	if err != nil {
-		e.failVehicle(s, id, err)
+		e.failVehicle(s, v, err)
 		return
 	}
 	for _, a := range alarms {
@@ -178,33 +206,29 @@ func (e *Engine) deliver(s *shard, env *envelope, id string) {
 			s.alarms.Add(1)
 		}
 	}
-	if e.cfg.SyncFits {
+	if v.fits == nil {
 		return
 	}
-	fd, ok := h.(FitDeferrer)
-	if !ok {
-		return
-	}
-	fit := fd.TakePendingFit()
+	fit := v.fits.TakePendingFit()
 	if fit == nil {
 		return
 	}
-	s.busy[id] = nil // in flight; parked envelopes append here
+	v.fitting = true
+	s.fitting++
 	go func() {
 		fitpool.Acquire()
 		err := fit()
 		fitpool.Release()
-		s.fitDone <- fitResult{vehicleID: id, err: err}
+		s.fitDone <- fitResult{v: v, err: err}
 	}()
 }
 
 // failVehicle drops a vehicle after a handler error, exactly as the
 // synchronous path always has: record the error, forget the handler,
 // skip the vehicle's future envelopes.
-func (e *Engine) failVehicle(s *shard, id string, err error) {
-	e.setErr(fmt.Errorf("fleet: vehicle %s: %w", id, err))
-	delete(s.handlers, id)
-	s.skip[id] = true
+func (e *Engine) failVehicle(s *shard, v *vehicle, err error) {
+	e.setErr(fmt.Errorf("fleet: vehicle %s: %w", v.id, err))
+	*v = vehicle{id: v.id, skipped: true}
 	s.vehicles.Add(-1)
 }
 
@@ -213,68 +237,68 @@ func (e *Engine) failVehicle(s *shard, id string, err error) {
 // envelopes parked during the fit replay in arrival order. A replayed
 // envelope may raise the vehicle's next fit, re-parking the remainder.
 func (e *Engine) finishFit(s *shard, res fitResult) {
-	parked := s.busy[res.vehicleID]
-	delete(s.busy, res.vehicleID)
+	v := res.v
+	parked := v.parked
+	v.fitting, v.parked = false, nil
+	s.fitting--
 	if res.err != nil {
-		e.failVehicle(s, res.vehicleID, res.err)
+		e.failVehicle(s, v, res.err)
 	}
 	for i := range parked {
-		e.processEnv(s, &parked[i])
+		e.deliver(s, v, &parked[i])
 	}
 }
 
 // drainFits blocks until the shard has no fit in flight, landing each
 // completion (and its parked replay) as it arrives.
 func (e *Engine) drainFits(s *shard) {
-	for len(s.busy) > 0 {
+	for s.fitting > 0 {
 		e.finishFit(s, <-s.fitDone)
 	}
 }
 
-// handlerFor returns the shard's handler for a vehicle, building it on
-// first contact. Skipped and previously failed vehicles return false.
-func (e *Engine) handlerFor(s *shard, vehicleID string) (Handler, bool) {
-	if h, ok := s.handlers[vehicleID]; ok {
-		return h, true
-	}
-	if s.skip[vehicleID] {
-		return nil, false
-	}
-	// The build path has no cordon check: every envelope on the queue
-	// went through enqueueStaged, so it was admitted before the
-	// vehicle's fence went up (the fence is set under the same ingest
-	// mutex) and is flushed ahead of any extraction barrier. Building a
-	// first handler here is always legitimate; an extracted vehicle
-	// cannot be re-warmed through it.
-	h, err := e.buildHandler(vehicleID)
+// firstContact builds the entry for a vehicle the shard has not seen.
+// A vehicle the configuration excludes, or whose handler cannot be
+// built, gets a skipped entry.
+//
+// There is no cordon check here: every envelope on the queue went
+// through enqueueStaged, so it was admitted before the vehicle's fence
+// went up (the fence is set under the same ingest mutex) and is flushed
+// ahead of any extraction barrier. Building a first handler is always
+// legitimate; an extracted vehicle cannot be re-warmed through it.
+func (e *Engine) firstContact(s *shard, id string) *vehicle {
+	v, err := e.buildVehicle(id)
 	if err != nil {
 		if !errors.Is(err, ErrSkipVehicle) {
-			e.setErr(fmt.Errorf("fleet: configure vehicle %s: %w", vehicleID, err))
+			e.setErr(fmt.Errorf("fleet: configure vehicle %s: %w", id, err))
 		}
-		s.skip[vehicleID] = true
-		return nil, false
+		v = &vehicle{id: id, skipped: true}
+	} else {
+		s.vehicles.Add(1)
 	}
-	s.handlers[vehicleID] = h
-	s.vehicles.Add(1)
-	return h, true
+	s.byID[id] = v
+	return v
 }
 
-// buildHandler constructs a vehicle's handler through whichever factory
-// the config provides, enabling deferred fits on handlers that support
-// them unless SyncFits pins the engine to inline fitting. Checkpoint
-// restore also builds handlers here, so a restored fleet inherits the
-// same fit mode.
-func (e *Engine) buildHandler(vehicleID string) (Handler, error) {
-	h, err := e.newHandler(vehicleID)
+// buildVehicle constructs a vehicle's handler through whichever factory
+// the config provides and resolves its optional seams, enabling
+// deferred fits on handlers that support them unless SyncFits pins the
+// engine to inline fitting. Checkpoint restore and adoption also build
+// entries here, so a restored fleet inherits the same fit mode.
+func (e *Engine) buildVehicle(id string) (*vehicle, error) {
+	h, err := e.newHandler(id)
 	if err != nil {
 		return nil, err
 	}
+	v := &vehicle{id: id, h: h}
+	v.prov, _ = h.(ProvenanceSink)
+	v.snap, _ = h.(Snapshotter)
 	if !e.cfg.SyncFits {
-		if fd, ok := h.(FitDeferrer); ok {
-			fd.SetDeferFits(true)
+		if v.fits, _ = h.(FitDeferrer); v.fits != nil {
+			v.fits.SetDeferFits(true)
 		}
 	}
-	return h, nil
+	return v, nil
 }
 
 func (e *Engine) newHandler(vehicleID string) (Handler, error) {

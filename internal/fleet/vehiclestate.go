@@ -110,101 +110,34 @@ func DecodeVehicleState(payload []byte) (VehicleState, error) {
 	return vs, nil
 }
 
-// setCordon records a vehicle's availability state. It holds the
-// owning shard's ingest mutex around the fence write, and ordering
-// matters: once setCordon returns, no producer can enqueue the
-// vehicle's envelopes, and anything enqueued before sits ahead of any
-// barrier a subsequent quiesceShard posts — so an extraction that
-// cordons first observes every admitted record.
-func (e *Engine) setCordon(id, state string) {
-	s := e.shardFor(id)
-	s.mu.Lock()
-	setCordonLocked(s, id, state)
-	s.mu.Unlock()
-}
-
-// setCordonLocked is setCordon with the shard's ingest mutex already
-// held by the caller.
-func setCordonLocked(s *shard, id, state string) {
-	s.cordonMu.Lock()
-	if s.cordon == nil {
-		s.cordon = map[string]string{}
-	}
-	if _, ok := s.cordon[id]; !ok {
-		s.cordonN.Add(1)
-	}
-	s.cordon[id] = state
-	s.cordonMu.Unlock()
-}
-
-// swapCordonLocked sets a vehicle's availability state and returns
-// the previous one ("" when the vehicle was serving), as a single
-// operation under the shard's cordon lock. The caller holds the
-// shard's ingest mutex.
-func swapCordonLocked(s *shard, id, state string) (prev string) {
-	s.cordonMu.Lock()
-	if s.cordon == nil {
-		s.cordon = map[string]string{}
-	}
+// fenceLocked sets a vehicle's availability mark — or lifts it when
+// state is "" — and returns the previous one ("" when the vehicle was
+// serving). The caller holds the owning shard's ingest mutex, which is
+// the fence's only lock, and ordering matters: once the mutex is
+// released no producer can enqueue the vehicle's envelopes, and
+// anything enqueued before sits ahead of any barrier a subsequent
+// quiesceShard posts — so an extraction that fences first observes
+// every admitted record.
+func (s *shard) fenceLocked(id, state string) (prev string) {
 	prev = s.cordon[id]
-	if prev == "" {
-		s.cordonN.Add(1)
-	}
-	s.cordon[id] = state
-	s.cordonMu.Unlock()
-	return prev
-}
-
-// swapCordon is swapCordonLocked with the shard's ingest mutex taken:
-// reading the previous fence and writing the new one are one atomic
-// step, so a concurrent Cordon/Uncordon can never slip between the
-// read and the write and be lost.
-func (e *Engine) swapCordon(id, state string) (prev string) {
-	s := e.shardFor(id)
-	s.mu.Lock()
-	prev = swapCordonLocked(s, id, state)
-	s.mu.Unlock()
-	return prev
-}
-
-// restoreCordon undoes a swapCordon(id, StateMigrating) after a failed
-// extraction: prev is restored (or the fence cleared when prev was
-// empty) only while the vehicle is still marked migrating — a
-// Cordon/Uncordon that raced in after the swap wins over the restore
-// instead of being resurrected or stomped.
-func (e *Engine) restoreCordon(id, prev string) {
-	s := e.shardFor(id)
-	s.mu.Lock()
-	s.cordonMu.Lock()
-	if s.cordon[id] == StateMigrating {
-		if prev == "" {
-			delete(s.cordon, id)
-			s.cordonN.Add(-1)
-		} else {
-			s.cordon[id] = prev
-		}
-	}
-	s.cordonMu.Unlock()
-	s.mu.Unlock()
-}
-
-// clearCordon removes a vehicle's availability mark.
-func (e *Engine) clearCordon(id string) {
-	s := e.shardFor(id)
-	s.mu.Lock()
-	clearCordonLocked(s, id)
-	s.mu.Unlock()
-}
-
-// clearCordonLocked is clearCordon with the shard's ingest mutex
-// already held by the caller.
-func clearCordonLocked(s *shard, id string) {
-	s.cordonMu.Lock()
-	if _, ok := s.cordon[id]; ok {
+	if state == "" {
 		delete(s.cordon, id)
-		s.cordonN.Add(-1)
+	} else {
+		s.cordon[id] = state
 	}
-	s.cordonMu.Unlock()
+	return prev
+}
+
+// fence is fenceLocked with the shard's ingest mutex taken: reading the
+// previous mark and writing the new one are one step, so a concurrent
+// Cordon/Uncordon can never slip between the read and the write and be
+// lost.
+func (e *Engine) fence(id, state string) (prev string) {
+	s := e.shardFor(id)
+	s.mu.Lock()
+	prev = s.fenceLocked(id, state)
+	s.mu.Unlock()
+	return prev
 }
 
 // Cordon fences a vehicle: its handler stays resident and keeps any
@@ -212,51 +145,52 @@ func clearCordonLocked(s *shard, id string) {
 // VehicleUnavailableError until Uncordon (or until another engine
 // adopts the vehicle after an extraction). Cordoning an unknown
 // vehicle is allowed — it pre-fences a vehicle expected to arrive.
-func (e *Engine) Cordon(vehicleID string) { e.setCordon(vehicleID, StateCordoned) }
+func (e *Engine) Cordon(vehicleID string) { e.fence(vehicleID, StateCordoned) }
 
 // Uncordon lifts a vehicle's fence.
-func (e *Engine) Uncordon(vehicleID string) { e.clearCordon(vehicleID) }
+func (e *Engine) Uncordon(vehicleID string) { e.fence(vehicleID, "") }
 
 // CordonState reports a vehicle's availability mark ("" when the
-// vehicle is serving normally).
+// vehicle is serving normally). It takes the owning shard's ingest
+// mutex, so beside a producer blocked on that shard's full queue, or a
+// quiesce of it, the answer arrives when they finish.
 func (e *Engine) CordonState(vehicleID string) string {
 	s := e.shardFor(vehicleID)
-	s.cordonMu.Lock()
+	s.mu.Lock()
 	st := s.cordon[vehicleID]
-	s.cordonMu.Unlock()
+	s.mu.Unlock()
 	return st
 }
 
-// snapshotVehicle captures one handler as a movable VehicleState.
+// snapshotVehicle captures one vehicle as a movable VehicleState.
 // Callers guarantee exclusive access to the handler (shard quiesced or
 // engine closed).
-func snapshotVehicle(id string, h Handler) (VehicleState, error) {
-	sn, ok := h.(Snapshotter)
-	if !ok {
-		return VehicleState{}, fmt.Errorf("%w: vehicle %s handler %T", ErrNotSnapshottable, id, h)
+func snapshotVehicle(v *vehicle) (VehicleState, error) {
+	if v.snap == nil {
+		return VehicleState{}, fmt.Errorf("%w: vehicle %s handler %T", ErrNotSnapshottable, v.id, v.h)
 	}
-	snap, err := sn.Snapshot()
+	snap, err := v.snap.Snapshot()
 	if err != nil {
-		return VehicleState{}, fmt.Errorf("fleet: snapshot vehicle %s: %w", id, err)
+		return VehicleState{}, fmt.Errorf("fleet: snapshot vehicle %s: %w", v.id, err)
 	}
-	return VehicleState{ID: id, Snapshot: snap}, nil
+	return VehicleState{ID: v.id, Snapshot: snap}, nil
 }
 
 // extractOwned removes a vehicle from a shard the caller owns and
 // returns its state.
 func (e *Engine) extractOwned(s *shard, id string) (VehicleState, error) {
-	h, ok := s.handlers[id]
-	if !ok {
-		if s.skip[id] {
-			return VehicleState{}, fmt.Errorf("fleet: extract vehicle %s: %w (vehicle is skipped)", id, ErrUnknownVehicle)
-		}
+	v := s.byID[id]
+	switch {
+	case v == nil:
 		return VehicleState{}, fmt.Errorf("fleet: extract vehicle %s: %w", id, ErrUnknownVehicle)
+	case v.skipped:
+		return VehicleState{}, fmt.Errorf("fleet: extract vehicle %s: %w (vehicle is skipped)", id, ErrUnknownVehicle)
 	}
-	vs, err := snapshotVehicle(id, h)
+	vs, err := snapshotVehicle(v)
 	if err != nil {
 		return VehicleState{}, err
 	}
-	delete(s.handlers, id)
+	delete(s.byID, id)
 	s.vehicles.Add(-1)
 	return vs, nil
 }
@@ -266,26 +200,25 @@ func (e *Engine) extractOwned(s *shard, id string) (VehicleState, error) {
 // restoring the state into it — the same path a whole-engine restore
 // takes, so adopted vehicles continue bit-identically.
 func (e *Engine) adoptOwned(s *shard, vs VehicleState) error {
-	if _, exists := s.handlers[vs.ID]; exists {
+	if old := s.byID[vs.ID]; old != nil {
+		if old.skipped {
+			return fmt.Errorf("%w: vehicle %s is both active and skipped", ErrBadCheckpoint, vs.ID)
+		}
 		return fmt.Errorf("fleet: adopt vehicle %s: %w", vs.ID, ErrVehicleExists)
 	}
-	if s.skip[vs.ID] {
-		return fmt.Errorf("%w: vehicle %s is both active and skipped", ErrBadCheckpoint, vs.ID)
-	}
-	h, err := e.buildHandler(vs.ID)
+	v, err := e.buildVehicle(vs.ID)
 	if err != nil {
 		// ErrSkipVehicle included: a config that excludes a vehicle
 		// cannot host that vehicle's state.
 		return fmt.Errorf("fleet: adopt vehicle %s: %w", vs.ID, err)
 	}
-	sn, ok := h.(Snapshotter)
-	if !ok {
-		return fmt.Errorf("%w: vehicle %s handler %T", ErrNotSnapshottable, vs.ID, h)
+	if v.snap == nil {
+		return fmt.Errorf("%w: vehicle %s handler %T", ErrNotSnapshottable, vs.ID, v.h)
 	}
-	if err := sn.Restore(vs.Snapshot); err != nil {
+	if err := v.snap.Restore(vs.Snapshot); err != nil {
 		return fmt.Errorf("fleet: adopt vehicle %s: %w", vs.ID, err)
 	}
-	s.handlers[vs.ID] = h
+	s.byID[vs.ID] = v
 	s.vehicles.Add(1)
 	return nil
 }
@@ -308,23 +241,28 @@ func (e *Engine) ExtractVehicle(id string) (VehicleState, error) {
 		if err != nil {
 			return VehicleState{}, err
 		}
-		e.setCordon(id, StateMigrating)
+		e.fence(id, StateMigrating)
 		return vs, nil
 	}
-	// Cordon before quiescing: producers that got in first are flushed
+	// Fence before quiescing: producers that got in first are flushed
 	// ahead of the barrier and therefore included in the snapshot;
-	// producers that come after are refused. The swap captures any
-	// pre-existing fence atomically so the failure path can hand it
-	// back.
-	prev := e.swapCordon(id, StateMigrating)
+	// producers that come after are refused. The previous mark is kept
+	// so the failure path can hand it back.
+	prev := e.fence(id, StateMigrating)
 	release := e.quiesceShard(s)
 	vs, err := e.extractOwned(s, id)
 	release()
 	if err != nil {
-		// A failed extraction must not wedge the vehicle's ingest; only
-		// the migrating mark this call set is undone — an operator
-		// fence, pre-existing or raced in since, stays.
-		e.restoreCordon(id, prev)
+		// A failed extraction must not wedge the vehicle's ingest. Only
+		// the migrating mark this call set is undone: prev comes back (or
+		// the fence lifts when there was none) while the vehicle is still
+		// marked migrating, so a Cordon/Uncordon that raced in after the
+		// fence wins instead of being resurrected or stomped.
+		s.mu.Lock()
+		if s.cordon[id] == StateMigrating {
+			s.fenceLocked(id, prev)
+		}
+		s.mu.Unlock()
 		return VehicleState{}, err
 	}
 	return vs, nil
@@ -348,7 +286,7 @@ func (e *Engine) AdoptVehicle(vs VehicleState) error {
 	if err == nil {
 		// Still under the shard's ingest mutex (held by the quiesce), so
 		// the cordon lifts atomically with the handler becoming live.
-		clearCordonLocked(s, vs.ID)
+		s.fenceLocked(vs.ID, "")
 	}
 	release()
 	return err
@@ -365,8 +303,10 @@ func (e *Engine) VehicleIDs() []string {
 	}
 	var ids []string
 	for _, s := range e.shards {
-		for id := range s.handlers {
-			ids = append(ids, id)
+		for id, v := range s.byID {
+			if !v.skipped {
+				ids = append(ids, id)
+			}
 		}
 	}
 	sort.Strings(ids)

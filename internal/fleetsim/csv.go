@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
+	"github.com/navarchos/pdm/internal/wire"
 )
 
 const timeLayout = time.RFC3339
@@ -38,51 +38,20 @@ func WriteRecordsCSV(w io.Writer, recs []timeseries.Record) error {
 	return cw.Error()
 }
 
-// ReadRecordsCSV parses telemetry records written by WriteRecordsCSV. It
-// streams the file and interns vehicle IDs: a field returned by
-// encoding/csv is a substring of its whole line, so keeping row[0] would
-// keep every line of the file alive behind its record.
+// ReadRecordsCSV parses telemetry records written by WriteRecordsCSV: a
+// collecting sink over wire.DecodeCSV, which owns the schema, streams
+// the file and interns vehicle IDs, so what comes back holds the
+// records and a handful of ID strings, not a CSV line per record.
 func ReadRecordsCSV(r io.Reader) ([]timeseries.Record, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	if _, err := cr.Read(); err == io.EOF {
-		return nil, fmt.Errorf("fleetsim: records csv is empty")
-	} else if err != nil {
+	var out []timeseries.Record
+	_, err := wire.DecodeCSV(r, 0, wire.SinkFunc(func(b *wire.Batch) error {
+		out = append(out, b.Records...)
+		return nil
+	}))
+	if err != nil {
 		return nil, fmt.Errorf("fleetsim: read records csv: %w", err)
 	}
-	wantCols := 2 + int(obd.NumPIDs)
-	ids := map[string]string{}
-	var out []timeseries.Record
-	for n := 2; ; n++ { // row numbers count the header as row 1
-		row, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fleetsim: read records csv: %w", err)
-		}
-		if len(row) != wantCols {
-			return nil, fmt.Errorf("fleetsim: records csv row %d has %d columns, want %d", n, len(row), wantCols)
-		}
-		var rec timeseries.Record
-		id, ok := ids[row[0]]
-		if !ok {
-			id = strings.Clone(row[0])
-			ids[id] = id
-		}
-		rec.VehicleID = id
-		rec.Time, err = time.Parse(timeLayout, row[1])
-		if err != nil {
-			return nil, fmt.Errorf("fleetsim: records csv row %d time: %w", n, err)
-		}
-		for p := 0; p < int(obd.NumPIDs); p++ {
-			rec.Values[p], err = strconv.ParseFloat(row[2+p], 64)
-			if err != nil {
-				return nil, fmt.Errorf("fleetsim: records csv row %d col %s: %w", n, obd.PID(p), err)
-			}
-		}
-		out = append(out, rec)
-	}
+	return out, nil
 }
 
 // WriteEventsCSV writes events as CSV: vehicle,time,type,dtc,note.
@@ -126,25 +95,15 @@ func ReadEventsCSV(r io.Reader) ([]obd.Event, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleetsim: events csv row %d time: %w", i+2, err)
 		}
-		switch row[2] {
-		case "service":
-			ev.Type = obd.EventService
-		case "repair":
-			ev.Type = obd.EventRepair
-		case "dtc":
-			ev.Type = obd.EventDTC
-		default:
-			return nil, fmt.Errorf("fleetsim: events csv row %d: unknown type %q", i+2, row[2])
+		if ev.Type, err = obd.ParseEventType(row[2]); err != nil {
+			return nil, fmt.Errorf("fleetsim: events csv row %d: %w", i+2, err)
 		}
 		if row[3] != "" {
-			var code, kind string
-			if n, _ := fmt.Sscanf(row[3], "%5s:%s", &code, &kind); n >= 1 {
-				d := obd.DTC{Code: code, Kind: obd.DTCPending}
-				if kind == "stored" {
-					d.Kind = obd.DTCStored
-				}
-				ev.DTC = &d
+			d, err := obd.ParseDTC(row[3])
+			if err != nil {
+				return nil, fmt.Errorf("fleetsim: events csv row %d: %w", i+2, err)
 			}
+			ev.DTC = &d
 		}
 		ev.Note = row[4]
 		out = append(out, ev)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"github.com/navarchos/pdm/internal/mat"
@@ -355,12 +357,56 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEventsCSVKeepsDTCs: every DTC survives the events file whatever
+// its code's length (a fixed-width scan would cut a longer code short
+// and swallow the separator of a shorter one), and a kind the writer
+// never emits is an error naming its row.
+func TestEventsCSVKeepsDTCs(t *testing.T) {
+	ts := time.Date(2023, 5, 1, 9, 0, 0, 0, time.UTC)
+	var want []obd.Event
+	dtcs := append(obd.KnownDTCs(),
+		obd.DTC{Code: "P01", Kind: obd.DTCStored},
+		obd.DTC{Code: "U0100-A7", Kind: obd.DTCStored})
+	for i := range dtcs {
+		want = append(want, obd.Event{VehicleID: "veh-01", Time: ts.Add(time.Duration(i) * time.Hour),
+			Type: obd.EventDTC, DTC: &dtcs[i]})
+	}
+	var buf bytes.Buffer
+	if err := WriteEventsCSV(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadEventsCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].DTC == nil || *got[i].DTC != *want[i].DTC {
+			t.Errorf("event %d: DTC %+v, want %+v", i, got[i].DTC, *want[i].DTC)
+		}
+	}
+	bad := "vehicle,time,type,dtc,note\nv1,2023-01-01T00:00:00Z,dtc,P0128:sticky,\n"
+	if _, err := ReadEventsCSV(bytes.NewBufferString(bad)); err == nil || !strings.Contains(err.Error(), "row 2") {
+		t.Errorf("unknown DTC kind: err = %v, want a row-numbered error", err)
+	}
+}
+
 func TestCSVErrors(t *testing.T) {
 	if _, err := ReadRecordsCSV(bytes.NewBufferString("")); err == nil {
 		t.Error("empty records csv should error")
 	}
 	if _, err := ReadRecordsCSV(bytes.NewBufferString("a,b\n1,2\n")); err == nil {
 		t.Error("wrong column count should error")
+	}
+	var buf bytes.Buffer
+	if err := WriteRecordsCSV(&buf, make([]timeseries.Record, 2)); err != nil {
+		t.Fatal(err)
+	}
+	torn := strings.Replace(buf.String(), "0.000", "zero", 1) + "short,row\n"
+	if _, err := ReadRecordsCSV(strings.NewReader(torn)); err == nil || !strings.Contains(err.Error(), "row 2 col rpm") {
+		t.Errorf("bad value: err = %v, want it to name row 2 col rpm", err)
 	}
 	if _, err := ReadEventsCSV(bytes.NewBufferString("")); err == nil {
 		t.Error("empty events csv should error")

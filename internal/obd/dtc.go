@@ -1,6 +1,9 @@
 package obd
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // DTCKind distinguishes the two classes of Diagnostic Trouble Codes the
 // ECU produces (Section 1): pending codes are one-off observations that
@@ -30,6 +33,23 @@ func (k DTCKind) String() string {
 type DTC struct {
 	Code string // e.g. "P0128" (coolant thermostat), "P0101" (MAF range)
 	Kind DTCKind
+}
+
+// ParseDTC reads the CODE:kind text form the events CSV and the JSON
+// ingest carry — the code, a colon and DTCKind.String() — with a bare
+// code meaning a pending one.
+func ParseDTC(s string) (DTC, error) {
+	code, kind, _ := strings.Cut(s, ":")
+	if code == "" {
+		return DTC{}, fmt.Errorf("obd: DTC %q has no code", s)
+	}
+	switch kind {
+	case "", DTCPending.String():
+		return DTC{Code: code, Kind: DTCPending}, nil
+	case DTCStored.String():
+		return DTC{Code: code, Kind: DTCStored}, nil
+	}
+	return DTC{}, fmt.Errorf("obd: unknown DTC kind %q in %q", kind, s)
 }
 
 // Common powertrain codes used by the simulator. The fleet in the paper

@@ -35,6 +35,17 @@ func (t EventType) String() string {
 	}
 }
 
+// ParseEventType is the inverse of EventType.String for the three
+// defined types.
+func ParseEventType(s string) (EventType, error) {
+	for t := EventService; t <= EventDTC; t++ {
+		if s == t.String() {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("obd: unknown event type %q", s)
+}
+
 // Event is a recorded maintenance or diagnostic occurrence on a vehicle.
 type Event struct {
 	VehicleID string

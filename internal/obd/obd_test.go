@@ -87,3 +87,40 @@ func TestEventIsReset(t *testing.T) {
 		t.Error("DTC should not reset")
 	}
 }
+
+// TestParseRoundTrip holds the text forms to one definition: what
+// String() writes, ParseEventType and ParseDTC read back — for codes of
+// any length, not just the five characters of a powertrain code.
+func TestParseRoundTrip(t *testing.T) {
+	for typ := EventService; typ <= EventDTC; typ++ {
+		got, err := ParseEventType(typ.String())
+		if err != nil || got != typ {
+			t.Errorf("ParseEventType(%q) = %v, %v", typ.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "Repair", EventType(7).String()} {
+		if _, err := ParseEventType(bad); err == nil {
+			t.Errorf("ParseEventType(%q) accepted", bad)
+		}
+	}
+
+	dtcs := append(KnownDTCs(),
+		DTC{Code: "P01", Kind: DTCStored},
+		DTC{Code: "U0100-A7", Kind: DTCStored},
+		DTC{Code: "B1", Kind: DTCPending})
+	for _, d := range dtcs {
+		text := d.Code + ":" + d.Kind.String()
+		got, err := ParseDTC(text)
+		if err != nil || got != d {
+			t.Errorf("ParseDTC(%q) = %+v, %v, want %+v", text, got, err, d)
+		}
+	}
+	if got, err := ParseDTC("P0128"); err != nil || got != (DTC{Code: "P0128", Kind: DTCPending}) {
+		t.Errorf("bare code parsed as %+v, %v, want a pending P0128", got, err)
+	}
+	for _, bad := range []string{"", ":stored", "P0128:sticky", "P0128:" + DTCKind(9).String()} {
+		if _, err := ParseDTC(bad); err == nil {
+			t.Errorf("ParseDTC(%q) accepted", bad)
+		}
+	}
+}

@@ -24,7 +24,9 @@ import (
 // DecodeCSV streams telemetry records in the navarchos-gen CSV schema
 // (vehicle,time,rpm,speed,coolantTemp,intakeTemp,mapIntake,
 // MAFairFlowRate) into sink in batches of up to batchSize records
-// (default 512). Returns the record count.
+// (default 512), interning vehicle IDs — a field encoding/csv returns is
+// a substring of its whole line, so keeping row[0] would keep every
+// line of the body alive behind its record. Returns the record count.
 func DecodeCSV(r io.Reader, batchSize int, sink FrameSink) (int, error) {
 	if batchSize <= 0 {
 		batchSize = 512
@@ -39,6 +41,7 @@ func DecodeCSV(r io.Reader, batchSize int, sink FrameSink) (int, error) {
 	if len(header) != wantCols || header[0] != "vehicle" || header[1] != "time" {
 		return 0, fmt.Errorf("wire: csv header %v does not match the records schema", header)
 	}
+	var ids Decoder // for its bounded intern table only
 	var batch Batch
 	total := 0
 	flush := func() error {
@@ -63,7 +66,7 @@ func DecodeCSV(r io.Reader, batchSize int, sink FrameSink) (int, error) {
 			return total, fmt.Errorf("wire: csv row %d has %d columns, want %d", line, len(row), wantCols)
 		}
 		var rec timeseries.Record
-		rec.VehicleID = row[0]
+		rec.VehicleID = ids.internID([]byte(row[0]))
 		rec.Time, err = time.Parse(time.RFC3339, row[1])
 		if err != nil {
 			return total, fmt.Errorf("wire: csv row %d time: %w", line, err)
@@ -188,23 +191,14 @@ func appendJSONItem(b *Batch, it *jsonItem) error {
 		return nil
 	}
 	ev := obd.Event{VehicleID: it.Vehicle, Time: it.Time.UTC(), Note: it.Note}
-	switch it.Event {
-	case "service":
-		ev.Type = obd.EventService
-	case "repair":
-		ev.Type = obd.EventRepair
-	case "dtc":
-		ev.Type = obd.EventDTC
-	default:
-		return fmt.Errorf("unknown event type %q", it.Event)
+	var err error
+	if ev.Type, err = obd.ParseEventType(it.Event); err != nil {
+		return err
 	}
 	if it.DTC != "" {
-		d := obd.DTC{Code: it.DTC, Kind: obd.DTCPending}
-		if i := strings.IndexByte(it.DTC, ':'); i >= 0 {
-			d.Code = it.DTC[:i]
-			if it.DTC[i+1:] == "stored" {
-				d.Kind = obd.DTCStored
-			}
+		d, err := obd.ParseDTC(it.DTC)
+		if err != nil {
+			return err
 		}
 		ev.DTC = &d
 	}

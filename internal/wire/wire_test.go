@@ -564,6 +564,20 @@ func TestCSVDecode(t *testing.T) {
 	if _, err := DecodeCSV(strings.NewReader("not,a,schema\n1,2,3\n"), 0, nopSink{}); err == nil {
 		t.Fatal("schema mismatch did not error")
 	}
+
+	// IDs are interned: a vehicle's records share one string, which is
+	// not a slice of any CSV line.
+	sb.WriteString("veh-01,2023-03-01T08:02:00Z,1510,63,88,21,101,14.5\n")
+	got.Reset()
+	if _, err := DecodeCSV(strings.NewReader(sb.String()), 0, SinkFunc(func(b *Batch) error {
+		got.Records = append(got.Records, b.Records...)
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := got.Records[0].VehicleID, got.Records[2].VehicleID; a != b || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatalf("veh-01's two records hold distinct ID strings (%q, %q)", a, b)
+	}
 }
 
 // TestJSONDecode pins the JSON compat path for both accepted shapes
