@@ -4,8 +4,8 @@ GO ?= go
 
 ## ci: the full gate — vet (gofmt, go vet, the obs metric-doc check),
 ## build (plus the arm64 cross-build that keeps the non-amd64 kernel
-## stubs honest), race-enabled tests (plus a focused race pass over the
-## concurrent fleet/fitpool packages), the grid equivalence gate, the
+## stubs honest), race-enabled tests (the concurrent fleet/fitpool
+## packages in a twice-run pass of their own), the grid equivalence gate, the
 ## checkpoint resume and vehicle drain gates, the wire-ingest smoke, the
 ## observer and tracing overhead gates, the codec fuzz smokes, and one
 ## iteration of every Go benchmark. Every target tests behaviour and
@@ -49,23 +49,26 @@ build-arm64:
 test:
 	$(GO) test ./...
 
+## race: the whole suite under the race detector, except the two
+## packages race-fleet races twice right after it.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v -e '/internal/fleet$$' -e '/internal/fitpool$$')
 
-## race-fleet: a focused race pass over the two packages whose
-## goroutines share state by design — the sharded engine (parking on a
-## fitting vehicle, fitDone handoff, checkpoint barriers beside Replay
-## and IngestBatch, the cordon fence under the ingest mutex, batch free
+## race-fleet: the race pass over the two packages whose goroutines
+## share state by design — the sharded engine (parking on a fitting
+## vehicle, fitDone handoff, checkpoint barriers beside Replay and
+## IngestBatch, the cordon fence under the ingest mutex, batch free
 ## lists) and the fitpool — with count=2 so the scheduler interleaves
-## differently across runs.
+## differently across runs. `race` leaves these two to this target.
 race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/... ./internal/fitpool/...
 
-## grid-equiv: the transform-once cached grid must reproduce the
-## pre-cache reference implementation cell-for-cell, and materialise
-## each (kind, vehicle) stream exactly once; and the legacy fit kernels
-## and the full-window scorer must land on the same cells as the
-## shipped detectors.
+## grid-equiv: the transform-once grid must reproduce, cell for cell,
+## the re-stream-per-technique reference that now lives beside the test
+## (internal/eval/reference_test.go), materialise each (kind, vehicle)
+## stream exactly once, and replay thresholds exactly as the reference's
+## per-sample loop does; and the legacy fit kernels and scorer must land
+## on the same cells as the shipped detectors.
 grid-equiv:
 	$(GO) test -run 'TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc' ./internal/eval/
 

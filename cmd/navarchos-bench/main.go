@@ -71,18 +71,10 @@ func main() {
 		fmt.Printf("debug endpoint on http://%s (/debug/pprof/ /debug/vars /metrics)\n", srv.Addr())
 	}
 
-	var cfg fleetsim.Config
-	switch *scale {
-	case "small":
-		cfg = fleetsim.SmallConfig()
-	case "bench":
-		cfg = fleetsim.BenchConfig()
-	case "paper":
-		cfg = fleetsim.DefaultConfig()
-	default:
-		fatalf("unknown scale %q", *scale)
+	cfg, err := fleetsim.ConfigForScale(*scale, *seed)
+	if err != nil {
+		fatal(err)
 	}
-	cfg.Seed = *seed
 	opts := &experiments.Options{FleetConfig: cfg}
 	out := os.Stdout
 

@@ -52,18 +52,10 @@ func main() {
 	var events []obd.Event
 	switch {
 	case *scale != "":
-		var cfg fleetsim.Config
-		switch *scale {
-		case "small":
-			cfg = fleetsim.SmallConfig()
-		case "bench":
-			cfg = fleetsim.BenchConfig()
-		case "paper":
-			cfg = fleetsim.DefaultConfig()
-		default:
-			log.Fatalf("unknown scale %q", *scale)
+		cfg, err := fleetsim.ConfigForScale(*scale, *seed)
+		if err != nil {
+			log.Fatal(err)
 		}
-		cfg.Seed = *seed
 		fleet := fleetsim.Generate(cfg)
 		records, events = fleet.Records, fleet.Events
 	case *recordsPath != "" && *eventsPath != "":

@@ -27,18 +27,10 @@ func main() {
 	out := flag.String("out", ".", "output directory")
 	flag.Parse()
 
-	var cfg fleetsim.Config
-	switch *scale {
-	case "small":
-		cfg = fleetsim.SmallConfig()
-	case "bench":
-		cfg = fleetsim.BenchConfig()
-	case "paper":
-		cfg = fleetsim.DefaultConfig()
-	default:
-		log.Fatalf("unknown scale %q (want small, bench or paper)", *scale)
+	cfg, err := fleetsim.ConfigForScale(*scale, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
-	cfg.Seed = *seed
 
 	fleet := fleetsim.Generate(cfg)
 	if err := os.MkdirAll(*out, 0o755); err != nil {

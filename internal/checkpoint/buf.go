@@ -89,14 +89,6 @@ func (b *Buf) Bools(v []bool) {
 	}
 }
 
-// Ints appends a length-prefixed []int.
-func (b *Buf) Ints(v []int) {
-	b.Int(len(v))
-	for _, x := range v {
-		b.Int(x)
-	}
-}
-
 // RBuf is the matching sticky-error decoder: the first failed read
 // poisons the buffer, every later read returns zero values, and Err
 // reports what went wrong. This keeps decode call-sites linear instead
@@ -245,19 +237,6 @@ func (r *RBuf) Bools() []bool {
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = r.Bool()
-	}
-	return out
-}
-
-// Ints reads a length-prefixed []int (nil when empty).
-func (r *RBuf) Ints() []int {
-	n := r.sliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = r.Int()
 	}
 	return out
 }

@@ -123,7 +123,6 @@ func TestBufPrimitivesRoundTrip(t *testing.T) {
 	b.Float64s(nil)
 	b.Float64Rows([][]float64{{1}, {2, 3}, nil})
 	b.Bools([]bool{true, false, true})
-	b.Ints([]int{-1, 0, 7})
 
 	r := NewRBuf(b.Bytes())
 	if got := r.Uint8(); got != 250 {
@@ -171,9 +170,6 @@ func TestBufPrimitivesRoundTrip(t *testing.T) {
 	}
 	if got := r.Bools(); len(got) != 3 || !got[0] || got[1] || !got[2] {
 		t.Fatalf("Bools = %v", got)
-	}
-	if got := r.Ints(); len(got) != 3 || got[0] != -1 || got[2] != 7 {
-		t.Fatalf("Ints = %v", got)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

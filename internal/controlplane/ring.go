@@ -22,10 +22,12 @@ import (
 
 // Ring is a consistent-hash ring mapping string keys (vehicle IDs) to
 // named nodes (engine instances). Each node projects Replicas virtual
-// points onto the ring so load spreads evenly and removing one node
-// only moves the keys it owned. The zero value is unusable; use
-// NewRing. Ring is not goroutine-safe: navarchos-serve fills it before
-// serving and only reads it afterwards.
+// points onto the ring so load spreads evenly and a ring built without
+// one node differs only in the keys that node owned. The zero value is
+// unusable; use NewRing. A ring only grows — membership is static per
+// process, and placement changes travel as drains, not ring edits — and
+// is not goroutine-safe: navarchos-serve fills it before serving and
+// only reads it afterwards.
 type Ring struct {
 	replicas int
 	points   []ringPoint // sorted by hash
@@ -84,22 +86,6 @@ func (r *Ring) Add(node string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a node's virtual points; keys it owned fall to their
-// next clockwise neighbours while every other key keeps its owner.
-func (r *Ring) Remove(node string) {
-	if !r.members[node] {
-		return
-	}
-	delete(r.members, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Owner maps a key to its node: the first virtual point clockwise from
 // the key's hash. Returns "" on an empty ring.
 func (r *Ring) Owner(key string) string {
@@ -112,14 +98,4 @@ func (r *Ring) Owner(key string) string {
 		i = 0 // wrap: the ring is circular
 	}
 	return r.points[i].node
-}
-
-// Members returns the node names, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for n := range r.members {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

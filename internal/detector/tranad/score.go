@@ -16,9 +16,9 @@ import (
 // FFN, decoder 1, the fusion layer and decoder 2 — is evaluated for the
 // last row only, through the same fused row kernels the full Forward
 // uses per row. The arithmetic a score performs is therefore a strict
-// operation-for-operation subset of the full-window pass, making the
-// result bit-identical to it (and to the legacy scorer) while doing
-// roughly 1/w of the post-attention work.
+// operation-for-operation subset of the full-window pass the legacy
+// scorer makes, and the result bit-identical to it for roughly 1/w of
+// the post-attention work.
 //
 // The input projection is additionally cached per ring slot: a slot's
 // projection only changes when the slot is rewritten, so each record
@@ -63,8 +63,6 @@ func (d *Detector) ScoreInto(x, dst []float64) error {
 	switch {
 	case d.cfg.LegacyFitKernels:
 		dst[0] = d.scoreLegacy()
-	case d.cfg.FullWindowScore:
-		dst[0] = d.scoreFullWindow()
 	default:
 		dst[0] = d.scoreLastRow()
 	}
@@ -73,7 +71,7 @@ func (d *Detector) ScoreInto(x, dst []float64) error {
 
 // scoreLegacy is the pre-optimisation scorer: the window is copied into
 // a fresh matrix and every layer allocates per call. It is the oracle
-// both fast scorers are tested bit-identical against.
+// the default scorer is tested bit-identical against.
 func (d *Detector) scoreLegacy() float64 {
 	w := len(d.ring)
 	win := mat.NewMatrix(w, d.dim)
@@ -87,26 +85,8 @@ func (d *Detector) scoreLegacy() float64 {
 	return lastRowMSE(o1, o2, win, d.dim)
 }
 
-// scoreFullWindow is the scratch-kernel full-window scorer (the PR 5
-// hot path, kept behind Config.FullWindowScore as the oracle of the
-// last-row scorer): zero allocations, but the whole window still runs
-// through every layer.
-func (d *Detector) scoreFullWindow() float64 {
-	w := len(d.ring)
-	win := d.swin.EnsureShape(w, d.dim)
-	for r := 0; r < w; r++ {
-		copy(win.Row(r), d.ring[(d.pos+r)%w])
-	}
-	n := d.net
-	z := n.enc.Forward(win)
-	o1 := n.dec1.Forward(z)
-	o2 := n.dec2.Forward(n.fuse.Forward(concatColsInto(&n.x2, z, focusInto(&n.foc, o1, win))))
-	return lastRowMSE(o1, o2, win, d.dim)
-}
-
-// lastRowMSE is the score reduction shared by the legacy and
-// full-window paths: the averaged two-decoder squared reconstruction
-// error of the window's last position.
+// lastRowMSE is the legacy scorer's reduction: the averaged two-decoder
+// squared reconstruction error of the window's last position.
 func lastRowMSE(o1, o2, win *mat.Matrix, dim int) float64 {
 	last := win.Rows - 1
 	var mse float64

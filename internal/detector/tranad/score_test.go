@@ -26,35 +26,25 @@ func scoreStream(t *testing.T, d *Detector, seed int64, n, dim int) []float64 {
 	return out
 }
 
-// TestScorePathsBitIdentical trains three identically seeded detectors
-// — legacy kernels, scratch-kernel full-window, and the default
-// last-row path — and requires Float64bits-identical scores across a
-// long stream. The last-row path must be a strict arithmetic subset of
-// the full pass: any reassociation or skipped operation shows up here.
+// TestScorePathsBitIdentical trains two identically seeded detectors —
+// legacy kernels and the default last-row path — and requires
+// Float64bits-identical scores across a long stream. The last-row path
+// must be a strict arithmetic subset of the legacy full-window pass: any
+// reassociation or skipped operation shows up here.
 func TestScorePathsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ref := synthRef(rng, 140, 5)
 
-	mk := func(mut func(*Config)) *Detector {
-		cfg := Config{Epochs: 3, Seed: 7}
-		mut(&cfg)
-		d := New(cfg)
+	mk := func(legacy bool) *Detector {
+		d := New(Config{Epochs: 3, Seed: 7, LegacyFitKernels: legacy})
 		if err := d.Fit(ref); err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	legacy := mk(func(c *Config) { c.LegacyFitKernels = true })
-	full := mk(func(c *Config) { c.FullWindowScore = true })
-	last := mk(func(c *Config) {})
-
-	sl := scoreStream(t, legacy, 23, 80, 5)
-	sf := scoreStream(t, full, 23, 80, 5)
-	sr := scoreStream(t, last, 23, 80, 5)
+	sl := scoreStream(t, mk(true), 23, 80, 5)
+	sr := scoreStream(t, mk(false), 23, 80, 5)
 	for i := range sl {
-		if math.Float64bits(sl[i]) != math.Float64bits(sf[i]) {
-			t.Fatalf("score %d: full-window %v differs from legacy %v", i, sf[i], sl[i])
-		}
 		if math.Float64bits(sl[i]) != math.Float64bits(sr[i]) {
 			t.Fatalf("score %d: last-row %v differs from legacy %v", i, sr[i], sl[i])
 		}
@@ -115,49 +105,40 @@ func TestScoreLastRowSurvivesRestore(t *testing.T) {
 }
 
 // TestScoreIntoAllocFree pins the zero-allocation contract of the warm
-// default scoring path (and of the full-window path, which PR 5
-// already made alloc-free).
+// default scoring path.
 func TestScoreIntoAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ref := synthRef(rng, 100, 6)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"last-row", Config{Epochs: 2, Seed: 5}},
-		{"full-window", Config{Epochs: 2, Seed: 5, FullWindowScore: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := New(tc.cfg)
-			if err := d.Fit(ref); err != nil {
+	t.Run("last-row", func(t *testing.T) {
+		d := New(Config{Epochs: 2, Seed: 5})
+		if err := d.Fit(ref); err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, 6)
+		s := make([]float64, 1)
+		stream := rand.New(rand.NewSource(43))
+		next := func() {
+			for j := range x {
+				x[j] = stream.NormFloat64()
+			}
+		}
+		// Warm every ring slot, the scratch and the kernels.
+		for i := 0; i < 32; i++ {
+			next()
+			if err := d.ScoreInto(x, s); err != nil {
 				t.Fatal(err)
 			}
-			x := make([]float64, 6)
-			s := make([]float64, 1)
-			stream := rand.New(rand.NewSource(43))
-			next := func() {
-				for j := range x {
-					x[j] = stream.NormFloat64()
-				}
-			}
-			// Warm every ring slot, the scratch and the kernels.
-			for i := 0; i < 32; i++ {
-				next()
-				if err := d.ScoreInto(x, s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				next()
-				if err := d.ScoreInto(x, s); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("warm ScoreInto allocates %v times per record", allocs)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			next()
+			if err := d.ScoreInto(x, s); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("warm ScoreInto allocates %v times per record", allocs)
+		}
+	})
 }
 
 // TestScoreWrapperMatchesScoreInto keeps the allocating Score in lock

@@ -56,13 +56,6 @@ type Config struct {
 	// training path (PR 2's LegacyKernels precedent). It is the oracle
 	// of the kernel-equivalence tests.
 	LegacyFitKernels bool
-	// FullWindowScore pins scoring to the full-window forward pass (the
-	// whole ring mapped through every layer each record) instead of the
-	// default last-row path, which only evaluates the positions a score
-	// actually depends on. Both are bit-identical to the legacy scorer;
-	// the flag exists so tests can hold the last-row path to a
-	// scratch-kernel oracle.
-	FullWindowScore bool
 }
 
 func (c *Config) defaults() {
@@ -154,8 +147,6 @@ type Detector struct {
 	ring [][]float64
 	pos  int
 	n    int
-
-	swin mat.Matrix // Score window scratch (full-window fast path)
 
 	// last-row scoring state: the input projection of each ring slot is
 	// position-independent, so it is computed once when the slot is

@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector"
-	"github.com/navarchos/pdm/internal/fitpool"
 	"github.com/navarchos/pdm/internal/fleet"
 	"github.com/navarchos/pdm/internal/obd"
-	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/transform"
 )
@@ -160,7 +157,7 @@ func (s *GridSpec) vehicleUnion() ([]string, error) {
 		}
 	}
 	if len(union) == 0 {
-		return nil, fmt.Errorf("eval: RunGrid: no vehicles in any setting")
+		return nil, fmt.Errorf("eval: no vehicles in any setting")
 	}
 	vehicles := make([]string, 0, len(union))
 	for v := range union {
@@ -192,9 +189,9 @@ type GridResult struct {
 	Cells []Cell
 	// Timing holds the wall-clock duration of the full scoring pass
 	// (all vehicles, transform + fit + score) per technique × transform
-	// — the repository's Table 1 equivalent. With the transform-once
-	// cache, each entry is TransformTiming[kind] + ScoreTiming[key], so
-	// totals stay comparable across RunGrid and RunGridReference.
+	// — the repository's Table 1 equivalent. Each entry is
+	// TransformTiming[kind] + ScoreTiming[key]: what the cell would cost
+	// run on its own.
 	Timing map[TimingKey]time.Duration
 	// TransformTiming is the wall-clock duration of materialising every
 	// vehicle's transformed stream once per transform kind.
@@ -215,136 +212,88 @@ func (g *GridResult) Cell(t Technique, k transform.Kind, ph time.Duration, setti
 	return nil
 }
 
-// vehicleTrace pairs a vehicle with its scored trace.
-type vehicleTrace struct {
-	vehicleID string
-	trace     *core.Trace
-}
-
 // vehicleTransformed pairs a vehicle with its cached transformed stream.
 type vehicleTransformed struct {
 	vehicleID string
 	tt        *core.TransformedTrace
 }
 
-// RunGrid executes the full comparative grid in two stages. Stage one
-// materialises every vehicle's transformed stream exactly once per
-// transform kind on the sharded fleet engine (transformed samples plus
-// profile-reset boundaries — all a detector ever sees). Stage two fans
-// the techniques out over the cached traces with a worker pool, then
-// replays the threshold sweep offline in parallel and keeps the
-// best-F0.5 configuration per (PH, setting) cell — mirroring the paper's
-// use of "multiple factors regarding the thresholding technique".
-// Results are bit-identical to RunGridReference, which recomputes the
-// transform for every technique.
+// transformed is one transform kind's pass over the fleet: each
+// vehicle's cached stream, in vehicleUnion order, and the feature names
+// a detector on that kind is built with.
+type transformed struct {
+	kind     transform.Kind
+	names    []string
+	vehicles []vehicleTransformed
+}
+
+// RunGrid executes the full comparative grid. Per transform kind it
+// materialises every vehicle's transformed stream exactly once on the
+// sharded fleet engine (transformed samples plus profile-reset
+// boundaries — all a detector ever sees); per technique × kind it then
+// builds the TraceSet over that cached pass and keeps its BestCells: the
+// best-F0.5 threshold per (PH, setting), mirroring the paper's use of
+// "multiple factors regarding the thresholding technique". The tests
+// hold the cells bit-identical to a reference that re-streams the raw
+// records for every technique (reference_test.go).
 func RunGrid(spec GridSpec) (*GridResult, error) {
 	spec.defaults()
-	vehicles, err := spec.vehicleUnion()
-	if err != nil {
-		return nil, err
-	}
-
 	result := &GridResult{
 		Timing:          map[TimingKey]time.Duration{},
 		TransformTiming: map[transform.Kind]time.Duration{},
 		ScoreTiming:     map[TimingKey]time.Duration{},
 	}
 
-	// Stage 1: transform once per (kind, vehicle).
-	cache := make(map[transform.Kind][]vehicleTransformed, len(spec.Transforms))
-	names := make(map[transform.Kind][]string, len(spec.Transforms))
+	passes := make(map[transform.Kind]*transformed, len(spec.Transforms))
 	for _, kind := range spec.Transforms {
-		if _, done := cache[kind]; done {
+		if passes[kind] != nil {
 			continue
 		}
 		start := time.Now()
-		tts, err := collectTransformed(&spec, kind, vehicles)
+		tf, err := collectTransformed(&spec, kind)
 		if err != nil {
 			return nil, err
 		}
 		result.TransformTiming[kind] = time.Since(start)
-		cache[kind] = tts
-		// Feature names are metadata, not a stream pass: one throwaway
-		// transformer, deliberately not via the NewTransformer hook.
-		t, err := transform.New(kind, spec.Window)
-		if err != nil {
-			return nil, err
-		}
-		names[kind] = t.FeatureNames()
+		passes[kind] = tf
 	}
 
-	// Stage 2: detect per technique over the cached traces.
 	for _, tech := range spec.Techniques {
 		for _, kind := range spec.Transforms {
 			start := time.Now()
-			traces, err := detectTraces(&spec, tech, kind, names[kind], cache[kind])
+			ts, err := newTraceSet(&spec, tech, passes[kind])
 			if err != nil {
 				return nil, err
 			}
 			key := TimingKey{tech, kind}
 			result.ScoreTiming[key] = time.Since(start)
 			result.Timing[key] = result.TransformTiming[kind] + result.ScoreTiming[key]
-
-			sweep := spec.Factors
-			if tech.UsesConstantThreshold() {
-				sweep = spec.ConstThresholds
-			}
-			cells, err := bestCells(&spec, tech, kind, traces, sweep, absFloorFor(spec.AbsFloor, kind))
-			if err != nil {
-				return nil, err
-			}
-			result.Cells = append(result.Cells, cells...)
+			result.Cells = append(result.Cells, ts.BestCells()...)
 		}
 	}
 	return result, nil
 }
 
-// RunGridReference is the pre-cache implementation kept as a correctness
-// oracle and as the baseline leg of the grid-throughput benchmark: every
-// technique × transform re-runs the full raw stream (transform included)
-// through streaming pipelines. Cells are identical to RunGrid's up to
-// ordering.
-func RunGridReference(spec GridSpec) (*GridResult, error) {
-	spec.defaults()
+// collectTransformed materialises the transformed stream of every
+// vehicle in the union of spec.Settings for one kind, on a sharded
+// fleet.Engine of core.TraceCollectors. This is the only pass over the
+// raw records per transform kind; detectors replay the cached output.
+func collectTransformed(spec *GridSpec, kind transform.Kind) (*transformed, error) {
 	vehicles, err := spec.vehicleUnion()
 	if err != nil {
 		return nil, err
 	}
-
-	result := &GridResult{Timing: map[TimingKey]time.Duration{}}
-	for _, tech := range spec.Techniques {
-		for _, kind := range spec.Transforms {
-			start := time.Now()
-			traces, err := collectTraces(&spec, tech, kind, vehicles)
-			if err != nil {
-				return nil, err
-			}
-			result.Timing[TimingKey{tech, kind}] = time.Since(start)
-
-			sweep := spec.Factors
-			if tech.UsesConstantThreshold() {
-				sweep = spec.ConstThresholds
-			}
-			cells, err := bestCellsSequential(&spec, tech, kind, traces, sweep, absFloorFor(spec.AbsFloor, kind))
-			if err != nil {
-				return nil, err
-			}
-			result.Cells = append(result.Cells, cells...)
-		}
+	// Feature names are metadata, not a stream pass: one throwaway
+	// transformer, deliberately not via the NewTransformer hook.
+	named, err := transform.New(kind, spec.Window)
+	if err != nil {
+		return nil, err
 	}
-	return result, nil
-}
-
-// collectTransformed materialises every vehicle's transformed stream for
-// one kind on a sharded fleet.Engine of core.TraceCollectors. This is
-// the only pass over the raw records per transform kind; detectors
-// replay the cached output.
-func collectTransformed(spec *GridSpec, kind transform.Kind, vehicles []string) ([]vehicleTransformed, error) {
-	out := make([]vehicleTransformed, len(vehicles))
+	tf := &transformed{kind: kind, names: named.FeatureNames(), vehicles: make([]vehicleTransformed, len(vehicles))}
 	byID := make(map[string]*core.TransformedTrace, len(vehicles))
 	for i, v := range vehicles {
 		tt := &core.TransformedTrace{}
-		out[i] = vehicleTransformed{vehicleID: v, tt: tt}
+		tf.vehicles[i] = vehicleTransformed{vehicleID: v, tt: tt}
 		byID[v] = tt
 	}
 	eng, err := fleet.NewEngine(fleet.Config{
@@ -378,103 +327,7 @@ func collectTransformed(spec *GridSpec, kind transform.Kind, vehicles []string) 
 	if err := eng.Close(); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// detectTraces replays one technique's detector over every vehicle's
-// cached transformed trace, fanning the per-vehicle fits across the
-// process-wide fitpool (bounded additionally by spec.Parallelism).
-// Vehicles are independent: each fit gets its own detector instance,
-// results and errors land in per-vehicle slots, and the cached sample
-// slices are shared read-only (detectors never mutate their input or
-// reference rows) — so the outcome is worker-count independent.
-func detectTraces(spec *GridSpec, tech Technique, kind transform.Kind, featureNames []string, tts []vehicleTransformed) ([]vehicleTrace, error) {
-	traces := make([]vehicleTrace, len(tts))
-	errs := make([]error, len(tts))
-	bound := spec.Parallelism
-	if bound < 1 {
-		bound = 1
-	}
-	fitpool.Run(len(tts), bound, func(i int) {
-		vt := tts[i]
-		tr := &core.Trace{}
-		det, err := spec.newDetector(tech, featureNames)
-		if err == nil {
-			err = core.DetectOnTrace(vt.vehicleID, vt.tt, core.DetectConfig{
-				Detector:      det,
-				Thresholder:   thresholds.NewSelfTuning(3), // placeholder; sweep is replayed offline
-				ProfileLength: spec.profileFor(kind),
-				Trace:         tr,
-			})
-		}
-		if err != nil {
-			errs[i] = fmt.Errorf("eval: detect %s/%s on %s: %w", tech, kind, vt.vehicleID, err)
-			return
-		}
-		traces[i] = vehicleTrace{vehicleID: vt.vehicleID, trace: tr}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return traces, nil
-}
-
-// collectTraces runs one technique × transform over every vehicle on a
-// sharded fleet.Engine, returning per-vehicle score traces. Transformer
-// and detector construction errors propagate through the engine instead
-// of crashing the process; the alarm stream is irrelevant here (the
-// threshold sweep is replayed offline from the traces), so the engine
-// runs in drop mode.
-func collectTraces(spec *GridSpec, tech Technique, kind transform.Kind, vehicles []string) ([]vehicleTrace, error) {
-	traces := make([]vehicleTrace, len(vehicles))
-	byID := make(map[string]*core.Trace, len(vehicles))
-	for i, v := range vehicles {
-		tr := &core.Trace{}
-		traces[i] = vehicleTrace{vehicleID: v, trace: tr}
-		byID[v] = tr
-	}
-	eng, err := fleet.NewEngine(fleet.Config{
-		NewConfig: func(vehicleID string) (core.Config, error) {
-			tr, ok := byID[vehicleID]
-			if !ok {
-				return core.Config{}, fleet.ErrSkipVehicle
-			}
-			t, err := spec.newTransformer(kind)
-			if err != nil {
-				return core.Config{}, err
-			}
-			det, err := spec.newDetector(tech, t.FeatureNames())
-			if err != nil {
-				return core.Config{}, err
-			}
-			wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
-			return core.Config{
-				Transformer:   t,
-				Detector:      det,
-				Thresholder:   thresholds.NewSelfTuning(3), // placeholder; sweep is replayed offline
-				ProfileLength: spec.profileFor(kind),
-				ResetPolicy:   spec.ResetPolicy,
-				Filter:        wf.Keep,
-				FilterState:   wf,
-				Trace:         tr,
-			}, nil
-		},
-		Shards:     spec.Parallelism,
-		DropAlarms: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Replay(spec.Records, spec.Events); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	if err := eng.Close(); err != nil {
-		return nil, err
-	}
-	return traces, nil
+	return tf, nil
 }
 
 // absFloorFor resolves the absolute std floor for a transform kind.
@@ -488,304 +341,4 @@ func absFloorFor(requested float64, kind transform.Kind) float64 {
 	default:
 		return 0
 	}
-}
-
-// cellKey identifies one (PH, setting) evaluation cell during the sweep.
-type cellKey struct {
-	ph      time.Duration
-	setting string
-}
-
-// bestCells replays the threshold sweep over the traces in parallel and
-// returns the best cell per (PH, setting). Per-parameter metrics are
-// computed concurrently (each worker owns a sweepReplayer; the
-// pre-floored calibration stds are shared read-only), then reduced
-// serially in sweep order so tie-breaking — first strictly greater F0.5
-// wins — is identical to the sequential implementation.
-func bestCells(spec *GridSpec, tech Technique, kind transform.Kind, traces []vehicleTrace, sweep []float64, absFloor float64) ([]Cell, error) {
-	constant := tech.UsesConstantThreshold()
-	var segSD [][][]float64
-	if !constant {
-		segSD = precomputeSegSD(traces, absFloor)
-	}
-	failures := make(map[string][]obd.Event, len(spec.Settings))
-	for setting, vehicles := range spec.Settings {
-		failures[setting] = FilterEventsByVehicles(spec.Events, vehicles)
-	}
-
-	perParam := make([]map[cellKey]Metrics, len(sweep))
-	workers := spec.Parallelism
-	if workers > len(sweep) {
-		workers = len(sweep)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep := newSweepReplayer(traces, segSD, constant, spec.DensityM, spec.DensityK)
-			for i := range idxCh {
-				alarms := ConsolidateDaily(rep.replay(sweep[i]))
-				res := make(map[cellKey]Metrics, len(spec.Settings)*len(spec.PHs))
-				for setting, vehicles := range spec.Settings {
-					settingAlarms := FilterByVehicles(alarms, vehicles)
-					for _, ph := range spec.PHs {
-						res[cellKey{ph, setting}] = Evaluate(settingAlarms, failures[setting], ph)
-					}
-				}
-				perParam[i] = res
-			}
-		}()
-	}
-	for i := range sweep {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-
-	best := map[cellKey]*Cell{}
-	for i, param := range sweep {
-		for k, m := range perParam[i] {
-			cur := best[k]
-			if cur == nil || m.F05 > cur.Best.F05 {
-				best[k] = &Cell{
-					Technique: tech, Transform: kind, PH: k.ph, Setting: k.setting,
-					Best: m, BestParam: param,
-				}
-			}
-		}
-	}
-	out := make([]Cell, 0, len(best))
-	for _, c := range best {
-		out = append(out, *c)
-	}
-	return out, nil
-}
-
-// bestCellsSequential is the original single-threaded sweep, kept as the
-// oracle behind RunGridReference.
-func bestCellsSequential(spec *GridSpec, tech Technique, kind transform.Kind, traces []vehicleTrace, sweep []float64, absFloor float64) ([]Cell, error) {
-	best := map[cellKey]*Cell{}
-	for _, param := range sweep {
-		alarms := replayAlarmsDensity(traces, param, tech.UsesConstantThreshold(), spec.DensityM, spec.DensityK, absFloor)
-		alarms = ConsolidateDaily(alarms)
-		for setting, vehicles := range spec.Settings {
-			settingAlarms := FilterByVehicles(alarms, vehicles)
-			failures := FilterEventsByVehicles(spec.Events, vehicles)
-			for _, ph := range spec.PHs {
-				m := Evaluate(settingAlarms, failures, ph)
-				k := cellKey{ph, setting}
-				cur := best[k]
-				if cur == nil || m.F05 > cur.Best.F05 {
-					best[k] = &Cell{
-						Technique: tech, Transform: kind, PH: ph, Setting: setting,
-						Best: m, BestParam: param,
-					}
-				}
-			}
-		}
-	}
-	out := make([]Cell, 0, len(best))
-	for _, c := range best {
-		out = append(out, *c)
-	}
-	return out, nil
-}
-
-// precomputeSegSD flattens each trace's per-segment calibration stds
-// through thresholds.FloorStd and the absolute floor once, so the sweep
-// inner loop is a fused multiply-add per channel instead of recomputing
-// the floor chain for every (sample, factor) pair.
-func precomputeSegSD(traces []vehicleTrace, absFloor float64) [][][]float64 {
-	out := make([][][]float64, len(traces))
-	for ti, vt := range traces {
-		segs := make([][]float64, len(vt.trace.SegCalib))
-		for si, calib := range vt.trace.SegCalib {
-			sds := make([]float64, len(calib.Stds))
-			for c := range calib.Stds {
-				sd := thresholds.FloorStd(calib.Stds[c], calib.Means[c])
-				if sd < absFloor {
-					sd = absFloor
-				}
-				sds[c] = sd
-			}
-			segs[si] = sds
-		}
-		out[ti] = segs
-	}
-	return out
-}
-
-// sweepReplayer replays one threshold parameter over a set of traces,
-// reusing its violation ring and alarm buffer across calls so the sweep
-// inner loop allocates only when alarms actually fire (and then only to
-// grow the buffer). Not safe for concurrent use; each sweep worker owns
-// one.
-type sweepReplayer struct {
-	traces   []vehicleTrace
-	segSD    [][][]float64 // nil when constant
-	constant bool
-	m, k     int
-	ring     []bool
-	out      []detector.Alarm
-}
-
-func newSweepReplayer(traces []vehicleTrace, segSD [][][]float64, constant bool, m, k int) *sweepReplayer {
-	if m < 1 {
-		m = 1
-	}
-	if k < m {
-		k = m
-	}
-	return &sweepReplayer{
-		traces:   traces,
-		segSD:    segSD,
-		constant: constant,
-		m:        m,
-		k:        k,
-		ring:     make([]bool, k),
-	}
-}
-
-// replay converts the traces into alarms under one threshold parameter:
-// self-tuning (mean + param·pre-floored-std from the segment's
-// calibration stats) or constant. The returned slice is owned by the
-// replayer and valid until the next call.
-func (r *sweepReplayer) replay(param float64) []detector.Alarm {
-	r.out = r.out[:0]
-	for ti := range r.traces {
-		vt := &r.traces[ti]
-		tr := vt.trace
-		for i := range r.ring {
-			r.ring[i] = false
-		}
-		pos, count := 0, 0
-		for i, scores := range tr.Scores {
-			seg := tr.Segments[i]
-			if seg < 0 || seg >= len(tr.SegCalib) {
-				continue
-			}
-			violChan := -1
-			var violScore, violTh float64
-			if r.constant {
-				for c, s := range scores {
-					if s > param {
-						violChan, violScore, violTh = c, s, param
-						break
-					}
-				}
-			} else {
-				calib := &tr.SegCalib[seg]
-				sds := r.segSD[ti][seg]
-				for c, s := range scores {
-					if c >= len(calib.Means) {
-						continue
-					}
-					th := calib.Means[c] + param*sds[c]
-					if s > th {
-						violChan, violScore, violTh = c, s, th
-						break
-					}
-				}
-			}
-			viol := violChan >= 0
-			if r.ring[pos] {
-				count--
-			}
-			r.ring[pos] = viol
-			if viol {
-				count++
-			}
-			pos = (pos + 1) % r.k
-			if viol && count >= r.m {
-				r.out = append(r.out, detector.Alarm{
-					VehicleID: vt.vehicleID,
-					Time:      tr.Times[i],
-					Channel:   violChan,
-					Score:     violScore,
-					Threshold: violTh,
-				})
-			}
-		}
-	}
-	return r.out
-}
-
-// replayAlarms converts traces into alarms under one threshold
-// parameter: self-tuning (mean + factor·std from the segment's
-// calibration stats) or constant.
-func replayAlarms(traces []vehicleTrace, param float64, constant bool) []detector.Alarm {
-	return replayAlarmsDensity(traces, param, constant, 1, 1, 0)
-}
-
-// replayAlarmsDensity is replayAlarms with density persistence: an alarm
-// fires on samples where at least m of the vehicle's last k scored
-// samples (including the current one) violate their thresholds.
-func replayAlarmsDensity(traces []vehicleTrace, param float64, constant bool, m, k int, absFloor float64) []detector.Alarm {
-	if m < 1 {
-		m = 1
-	}
-	if k < m {
-		k = m
-	}
-	var out []detector.Alarm
-	ring := make([]bool, k)
-	for _, vt := range traces {
-		tr := vt.trace
-		for i := range ring {
-			ring[i] = false
-		}
-		pos, count := 0, 0
-		for i, scores := range tr.Scores {
-			seg := tr.Segments[i]
-			if seg < 0 || seg >= len(tr.SegCalib) {
-				continue
-			}
-			calib := tr.SegCalib[seg]
-			violChan := -1
-			var violScore, violTh float64
-			for c, s := range scores {
-				var th float64
-				if constant {
-					th = param
-				} else {
-					if c >= len(calib.Means) {
-						continue
-					}
-					sd := thresholds.FloorStd(calib.Stds[c], calib.Means[c])
-					if sd < absFloor {
-						sd = absFloor
-					}
-					th = calib.Means[c] + param*sd
-				}
-				if s > th {
-					violChan, violScore, violTh = c, s, th
-					break
-				}
-			}
-			viol := violChan >= 0
-			if ring[pos] {
-				count--
-			}
-			ring[pos] = viol
-			if viol {
-				count++
-			}
-			pos = (pos + 1) % k
-			if viol && count >= m {
-				out = append(out, detector.Alarm{
-					VehicleID: vt.vehicleID,
-					Time:      tr.Times[i],
-					Channel:   violChan,
-					Score:     violScore,
-					Threshold: violTh,
-				})
-			}
-		}
-	}
-	return out
 }

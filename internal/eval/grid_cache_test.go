@@ -114,24 +114,13 @@ func newLegacyKernelDetector(t Technique, featureNames []string, seed int64) (de
 	}
 }
 
-// newFullWindowDetector is NewDetector with TranAD pinned to the
-// full-window scorer instead of the default last-row one.
-func newFullWindowDetector(t Technique, featureNames []string, seed int64) (detector.Detector, error) {
-	if t != TranAD {
-		return NewDetector(t, featureNames, seed)
-	}
-	cfg := shippedTranAD(seed)
-	cfg.FullWindowScore = true
-	return tranad.New(cfg), nil
-}
-
 // TestRunGridKernelOraclesMatchDefaults holds the shipped detectors to
 // their oracles at grid level: every cell (alarms, TP/FP, winning
 // parameter) must be the same whichever kernel generation fitted and
-// scored. The legacy fit kernels run where equality is guaranteed —
-// TranAD anywhere, XGBoost where histogram binning is lossless (the
-// short windowed profiles) — and the full-window scorer on a per-record
-// kind, where TranAD scores the most samples.
+// scored. The legacy kernels run where equality is guaranteed — TranAD
+// anywhere, XGBoost where histogram binning is lossless (the short
+// windowed profiles) — and TranAD's legacy scorer once more on a
+// per-record kind, where it scores the most samples.
 func TestRunGridKernelOraclesMatchDefaults(t *testing.T) {
 	f := fleetsim.Generate(fleetsim.SmallConfig())
 	for _, tc := range []struct {
@@ -142,10 +131,13 @@ func TestRunGridKernelOraclesMatchDefaults(t *testing.T) {
 	}{
 		{"legacy-fit-kernels", []Technique{TranAD, XGBoost},
 			[]transform.Kind{transform.Correlation, transform.MeanAgg}, newLegacyKernelDetector},
-		{"full-window-score", []Technique{TranAD},
-			[]transform.Kind{transform.Raw}, newFullWindowDetector},
+		{"legacy-score-raw", []Technique{TranAD},
+			[]transform.Kind{transform.Raw}, newLegacyKernelDetector},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && tc.name == "legacy-score-raw" {
+				t.Skip("a minute under -race; the plain run checks the cells")
+			}
 			// The grid's own defaults, as the paper exhibits run it:
 			// cacheSpec's short profiles saturate TranAD's cells.
 			spec := GridSpec{

@@ -39,11 +39,6 @@ func TestCollectTraceSetAndEvaluate(t *testing.T) {
 	if m.TotalFailures == 0 {
 		t.Fatal("no failures in evaluation universe")
 	}
-	// Failures helper matches the evaluation universe.
-	fails := ts.Failures(f.EventVehicleIDs())
-	if len(fails) != m.TotalFailures {
-		t.Errorf("Failures() = %d, Evaluate saw %d", len(fails), m.TotalFailures)
-	}
 }
 
 func TestBestJointParamIsSharedOptimum(t *testing.T) {

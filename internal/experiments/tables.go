@@ -132,32 +132,18 @@ type Table3Result struct {
 }
 
 // Table3 runs the complete solution under ResetOnRepairsOnly with
-// per-row threshold tuning.
+// per-row threshold tuning: each row is the grid's best cell for its
+// (setting, PH).
 func Table3(opts *Options) (*Table3Result, error) {
-	f := opts.fleet()
-	spec := gridSpec(f)
+	spec := gridSpec(opts.fleet())
 	spec.ResetPolicy = core.ResetOnRepairsOnly
 	ts, err := eval.CollectTraceSet(spec, eval.ClosestPair, transform.Correlation)
 	if err != nil {
 		return nil, err
 	}
-	spec.ResetPolicy = core.ResetOnRepairsOnly
-	sweep := []float64{2, 3, 4, 5, 7, 10, 14, 20, 28, 40, 60}
 	res := &Table3Result{}
-	for _, setting := range []string{Setting26, Setting40} {
-		vehicles := gridVehicles(f, setting)
-		for _, ph := range []time.Duration{PH15, PH30} {
-			var best eval.Metrics
-			var bestParam float64
-			for _, p := range sweep {
-				m := ts.Evaluate(p, vehicles, ph)
-				if m.F05 > best.F05 {
-					best = m
-					bestParam = p
-				}
-			}
-			res.Rows = append(res.Rows, TableRow{Setting: setting, PH: ph, Metrics: best, Param: bestParam})
-		}
+	for _, c := range ts.BestCells() {
+		res.Rows = append(res.Rows, TableRow{Setting: c.Setting, PH: c.PH, Metrics: c.Best, Param: c.BestParam})
 	}
 	sortRows(res.Rows)
 	return res, nil

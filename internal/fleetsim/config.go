@@ -27,7 +27,10 @@
 // no scheduling can change (TestGenerateGolden).
 package fleetsim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Config controls the synthetic fleet. The zero value is not valid; use
 // DefaultConfig (paper scale) or SmallConfig (test/bench scale) and
@@ -122,6 +125,25 @@ func BenchConfig() Config {
 	c.AvgDriveMinutes = 95
 	c.ServiceIntervalDays = 70
 	return c
+}
+
+// ConfigForScale returns the named dataset scale — "small"
+// (SmallConfig), "bench" (BenchConfig) or "paper" (DefaultConfig) — with
+// the given generator seed: the -scale flag of every command.
+func ConfigForScale(name string, seed int64) (Config, error) {
+	var c Config
+	switch name {
+	case "small":
+		c = SmallConfig()
+	case "bench":
+		c = BenchConfig()
+	case "paper":
+		c = DefaultConfig()
+	default:
+		return Config{}, fmt.Errorf("fleetsim: unknown scale %q (want small, bench or paper)", name)
+	}
+	c.Seed = seed
+	return c, nil
 }
 
 // validate normalises and sanity-checks the configuration.

@@ -83,32 +83,32 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateFailuresAndRecording(t *testing.T) {
 	cfg := SmallConfig()
 	f := Generate(cfg)
-	failures := f.FailureEvents()
+	failures := repairs(f.Events)
 	if len(failures) != cfg.RecordedFailures {
 		t.Fatalf("recorded failures = %d, want %d", len(failures), cfg.RecordedFailures)
 	}
 	// Each recorded failure is on a distinct recorded vehicle.
+	byID := map[string]*Vehicle{}
+	for i := range f.Vehicles {
+		byID[f.Vehicles[i].ID] = &f.Vehicles[i]
+	}
 	seen := map[string]bool{}
 	for _, ev := range failures {
 		if seen[ev.VehicleID] {
 			t.Errorf("vehicle %s has two recorded failures", ev.VehicleID)
 		}
 		seen[ev.VehicleID] = true
-		v := f.VehicleByID(ev.VehicleID)
+		v := byID[ev.VehicleID]
 		if v == nil || !v.Recorded {
-			t.Errorf("failure on unrecorded/unknown vehicle %s", ev.VehicleID)
+			t.Fatalf("failure on unrecorded/unknown vehicle %s", ev.VehicleID)
 		}
 		if v.Fault == FaultNone {
 			t.Errorf("failing vehicle %s has no fault", ev.VehicleID)
 		}
 	}
 	// No service/repair events recorded on unrecorded vehicles.
-	recorded := map[string]bool{}
-	for _, id := range f.RecordedVehicleIDs() {
-		recorded[id] = true
-	}
 	for _, ev := range f.Events {
-		if ev.Type != obd.EventDTC && !recorded[ev.VehicleID] {
+		if ev.Type != obd.EventDTC && !byID[ev.VehicleID].Recorded {
 			t.Errorf("maintenance event recorded for unrecorded vehicle %s", ev.VehicleID)
 		}
 	}
@@ -124,9 +124,18 @@ func TestGenerateFailuresAndRecording(t *testing.T) {
 	if got := len(f.AllVehicleIDs()); got != cfg.NumVehicles {
 		t.Errorf("AllVehicleIDs = %d", got)
 	}
-	if f.VehicleByID("nope") != nil {
-		t.Error("VehicleByID of unknown ID should be nil")
+}
+
+// repairs returns the recorded repair events — the failures the
+// evaluation scores against.
+func repairs(events []obd.Event) []obd.Event {
+	var out []obd.Event
+	for _, ev := range events {
+		if ev.Type == obd.EventRepair {
+			out = append(out, ev)
+		}
 	}
+	return out
 }
 
 func countDTC(events []obd.Event) int {
@@ -464,11 +473,27 @@ func TestDefaultConfigScale(t *testing.T) {
 	if maint < 90 || maint > 160 {
 		t.Errorf("recorded maintenance events = %d, want ≈121", maint)
 	}
-	if got := len(f.FailureEvents()); got != 9 {
+	if got := len(repairs(f.Events)); got != 9 {
 		t.Errorf("recorded failures = %d, want 9", got)
 	}
 	if got := len(f.EventVehicleIDs()); got < 20 || got > 26 {
 		t.Errorf("vehicles with events = %d, want ≈26", got)
+	}
+}
+
+func TestConfigForScale(t *testing.T) {
+	for name, want := range map[string]Config{
+		"small": SmallConfig(), "bench": BenchConfig(), "paper": DefaultConfig(),
+	} {
+		want.Seed = 7
+		got, err := ConfigForScale(name, 7)
+		if err != nil || got != want {
+			t.Errorf("ConfigForScale(%q, 7) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	_, err := ConfigForScale("huge", 1)
+	if err == nil || !strings.Contains(err.Error(), "small, bench or paper") {
+		t.Errorf("unknown scale: err = %v, want one listing the valid names", err)
 	}
 }
 

@@ -394,19 +394,6 @@ func (f *Fleet) dayTime(d, hour int) time.Time {
 	return f.Config.Start.AddDate(0, 0, d).Add(time.Duration(hour) * time.Hour)
 }
 
-// RecordedVehicleIDs returns the IDs of vehicles whose maintenance
-// events are recorded (the setting40 universe is all vehicles; this is
-// the candidate set for setting26).
-func (f *Fleet) RecordedVehicleIDs() []string {
-	var out []string
-	for i := range f.Vehicles {
-		if f.Vehicles[i].Recorded {
-			out = append(out, f.Vehicles[i].ID)
-		}
-	}
-	return out
-}
-
 // EventVehicleIDs returns the IDs of vehicles with at least one recorded
 // service or repair — the paper's setting26 subset.
 func (f *Fleet) EventVehicleIDs() []string {
@@ -432,28 +419,6 @@ func (f *Fleet) AllVehicleIDs() []string {
 		out[i] = f.Vehicles[i].ID
 	}
 	return out
-}
-
-// FailureEvents returns the recorded repair events — the ground truth
-// the evaluation scores against.
-func (f *Fleet) FailureEvents() []obd.Event {
-	var out []obd.Event
-	for _, ev := range f.Events {
-		if ev.Type == obd.EventRepair {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// VehicleByID returns the vehicle with the given ID, or nil.
-func (f *Fleet) VehicleByID(id string) *Vehicle {
-	for i := range f.Vehicles {
-		if f.Vehicles[i].ID == id {
-			return &f.Vehicles[i]
-		}
-	}
-	return nil
 }
 
 func max(a, b int) int {

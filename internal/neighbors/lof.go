@@ -17,16 +17,6 @@ func KNNDistance(idx Index, q []float64, k int) float64 {
 	return mat.Mean(dist)
 }
 
-// NearestDistance returns the distance from q to its single nearest
-// neighbour.
-func NearestDistance(idx Index, q []float64) float64 {
-	_, dist := idx.KNN(q, 1)
-	if len(dist) == 0 {
-		return math.NaN()
-	}
-	return dist[0]
-}
-
 // LOF holds a fitted Local Outlier Factor model over a reference point
 // set: the neighbour structure, per-point k-distances and local
 // reachability densities.

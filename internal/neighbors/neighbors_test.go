@@ -133,9 +133,6 @@ func TestKNNDistanceAndNearest(t *testing.T) {
 	if got := KNNDistance(idx, []float64{1}, 2); got != 1 {
 		t.Errorf("KNNDistance = %v, want 1", got)
 	}
-	if got := NearestDistance(idx, []float64{9}); got != 1 {
-		t.Errorf("NearestDistance = %v, want 1", got)
-	}
 }
 
 func TestLOFInlierOutlier(t *testing.T) {

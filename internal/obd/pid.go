@@ -34,15 +34,6 @@ func (p PID) String() string {
 	return pidNames[p]
 }
 
-// AllPIDs returns the six monitored PIDs in canonical order.
-func AllPIDs() []PID {
-	out := make([]PID, NumPIDs)
-	for i := range out {
-		out[i] = PID(i)
-	}
-	return out
-}
-
 // PIDNames returns the canonical signal names in PID order.
 func PIDNames() []string {
 	out := make([]string, NumPIDs)

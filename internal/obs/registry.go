@@ -115,8 +115,7 @@ func (f *funcMetric) value() float64 {
 // observation: bucket counts and the value sum are atomics, and the
 // bucket search walks a small fixed bounds slice. Bounds are inclusive
 // upper bounds in ascending order; an implicit +Inf bucket catches the
-// rest. Latency histograms observe seconds (Prometheus convention);
-// ObserveNs converts from integer nanoseconds.
+// rest. Latency histograms observe seconds (Prometheus convention).
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Uint64 // len(bounds)+1, last is +Inf
@@ -137,10 +136,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveNs records a duration given in integer nanoseconds into a
-// seconds-based histogram.
-func (h *Histogram) ObserveNs(ns int64) { h.Observe(float64(ns) / 1e9) }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {

@@ -288,21 +288,6 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestObserveNs(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("t_seconds", "h", []float64{1e-6, 1e-3})
-	h.ObserveNs(500)      // 0.5µs -> first bucket
-	h.ObserveNs(2_000_00) // 0.2ms -> second bucket
-	counts := h.snapshot()
-	if counts[0] != 1 || counts[1] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	want := float64(500e-9) + float64(2e-4) // float64 accumulation order, not exact constant folding
-	if got := h.Sum(); got != want {
-		t.Fatalf("sum = %v, want %v", got, want)
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
 	h := r.Histogram("t_seconds", "h", DefLatencyBuckets)

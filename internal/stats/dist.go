@@ -14,11 +14,6 @@ func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// NormalSurvival returns P(Z > z) for a standard normal variable.
-func NormalSurvival(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
 // ChiSquareSurvival returns P(X > x) for a chi-square variable with k
 // degrees of freedom, i.e. the upper regularized incomplete gamma
 // function Q(k/2, x/2). k must be ≥ 1 and x ≥ 0; invalid input yields

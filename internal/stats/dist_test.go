@@ -22,14 +22,6 @@ func TestNormalCDF(t *testing.T) {
 	}
 }
 
-func TestNormalSurvival(t *testing.T) {
-	for _, z := range []float64{-2, -0.5, 0, 0.5, 2} {
-		if got := NormalSurvival(z) + NormalCDF(z); !approx(got, 1, 1e-12) {
-			t.Errorf("CDF+survival at %v = %v, want 1", z, got)
-		}
-	}
-}
-
 func TestChiSquareSurvival(t *testing.T) {
 	// Reference values from scipy.stats.chi2.sf.
 	cases := []struct {

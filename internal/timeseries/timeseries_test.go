@@ -111,15 +111,9 @@ func TestWindowBasics(t *testing.T) {
 	if !recs[2].Time.Equal(t0.Add(3 * time.Minute)) {
 		t.Errorf("newest record time = %v", recs[2].Time)
 	}
-	if got := w.Span(); got != 2*time.Minute {
-		t.Errorf("Span = %v, want 2m", got)
-	}
 	w.Reset()
 	if w.Len() != 0 || w.Full() {
 		t.Error("Reset should empty the window")
-	}
-	if w.Span() != 0 {
-		t.Error("Span of near-empty window should be 0")
 	}
 }
 
@@ -130,13 +124,7 @@ func TestWindowColumnOrdering(t *testing.T) {
 		r.Values[obd.Speed] = float64(i)
 		w.Push(r)
 	}
-	col := w.Column(obd.Speed)
 	want := []float64{2, 3, 4}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Errorf("Column[%d] = %v, want %v", i, col[i], want[i])
-		}
-	}
 	cols := w.Columns()
 	if len(cols) != int(obd.NumPIDs) {
 		t.Fatalf("Columns len = %d", len(cols))
@@ -149,7 +137,7 @@ func TestWindowColumnOrdering(t *testing.T) {
 	// Partial window column.
 	w2 := NewWindow(5)
 	w2.Push(drivingRecord("v1", t0))
-	if len(w2.Column(obd.Speed)) != 1 {
+	if len(w2.Columns()[obd.Speed]) != 1 {
 		t.Error("partial window column length wrong")
 	}
 }

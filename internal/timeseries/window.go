@@ -1,10 +1,6 @@
 package timeseries
 
-import (
-	"time"
-
-	"github.com/navarchos/pdm/internal/obd"
-)
+import "github.com/navarchos/pdm/internal/obd"
 
 // Window is a fixed-capacity sliding window of records used by the data
 // transformations: new records push the oldest out once the window is
@@ -65,25 +61,6 @@ func (w *Window) Records() []Record {
 	return out
 }
 
-// Column returns the values of PID p across the window, oldest-first.
-func (w *Window) Column(p obd.PID) []float64 {
-	n := w.Len()
-	out := make([]float64, 0, n)
-	if w.full {
-		for i := w.next; i < w.size; i++ {
-			out = append(out, w.buf[i].Values[p])
-		}
-		for i := 0; i < w.next; i++ {
-			out = append(out, w.buf[i].Values[p])
-		}
-		return out
-	}
-	for i := 0; i < w.next; i++ {
-		out = append(out, w.buf[i].Values[p])
-	}
-	return out
-}
-
 // Columns returns all PID columns as a [NumPIDs][]float64 matrix,
 // oldest-first.
 func (w *Window) Columns() [][]float64 {
@@ -97,14 +74,4 @@ func (w *Window) Columns() [][]float64 {
 		out[p] = col
 	}
 	return out
-}
-
-// Span returns the time covered by the window (zero if fewer than two
-// records).
-func (w *Window) Span() time.Duration {
-	recs := w.Records()
-	if len(recs) < 2 {
-		return 0
-	}
-	return recs[len(recs)-1].Time.Sub(recs[0].Time)
 }

@@ -168,9 +168,10 @@ func NewGroupDeviation(cfg GrandConfig, window time.Duration) *GroupDeviation {
 
 // TranADConfig parametrises the transformer-reconstruction detector:
 // the model shape (Window, DModel, Heads), the training budget (Epochs,
-// LR, MaxWindows, Seed) and two switches onto the reference
-// implementations the tests compare against (LegacyFitKernels,
-// FullWindowScore), which change no output bit. Training is one
+// LR, MaxWindows, Seed) and one switch onto the reference implementation
+// the tests compare against (LegacyFitKernels: the allocate-per-call
+// training loop and full-window scorer), which changes no output bit.
+// Training is one
 // deterministic procedure — a per-window Adam step over the shuffled
 // windows, every epoch — so a fit is a function of the reference and
 // this configuration alone.
@@ -358,9 +359,6 @@ func DefaultFleetConfig() FleetConfig { return fleetsim.DefaultConfig() }
 // SmallFleetConfig is a test/demo-scale fleet.
 func SmallFleetConfig() FleetConfig { return fleetsim.SmallConfig() }
 
-// BenchFleetConfig is the scale used by the experiment harness.
-func BenchFleetConfig() FleetConfig { return fleetsim.BenchConfig() }
-
 // Evaluation.
 type (
 	// Metrics aggregates PH-based detection quality.
@@ -424,13 +422,6 @@ func NewObserver(reg *MetricsRegistry, cfg ObserverConfig) *Observer {
 // NewAlarmJournal returns a bounded alarm journal (capacity <= 0 means
 // the default of 256 entries).
 func NewAlarmJournal(capacity int) *AlarmJournal { return obs.NewJournal(capacity) }
-
-// NewControlEventLog returns a bounded control-plane event log
-// (capacity <= 0 means the default of 256 entries). reg may be nil to
-// retain without exporting pdm_ctrl_events_total.
-func NewControlEventLog(capacity int, reg *MetricsRegistry) *ControlEventLog {
-	return obs.NewEventLog(capacity, reg)
-}
 
 // NewDebugMux builds the observability routes (/metrics, /debug/vars,
 // /debug/pprof/*, /fleet) as a mux callers can extend with their own
