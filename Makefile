@@ -128,14 +128,18 @@ trace-overhead:
 
 ## fuzz-smoke: a short fuzz of the binary codecs exposed to untrusted
 ## bytes — the checkpoint container, the NVWIRE1 telemetry frame
-## decoder, and the per-vehicle state codec that handoff frames carry.
-## All must reject arbitrary corruption with typed errors, never a
-## panic or an over-read; accepted vehicle states must re-encode
-## canonically.
+## decoder, and the per-vehicle state codec that handoff frames carry —
+## and of the one numeric kernel that reads and writes through raw
+## pointers. The codecs must reject arbitrary corruption with typed
+## errors, never a panic or an over-read, and accepted vehicle states
+## must re-encode canonically; mat.Product must match its scalar loops
+## bit for bit at any shape, stride and content and touch nothing
+## outside Out.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireDecode' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzVehicleStateRoundTrip' -fuzztime 10s ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz 'FuzzProduct' -fuzztime 10s ./internal/mat/
 
 ## ingest-smoke: the wire data-plane gates at test scale — the committed
 ## golden frame file must decode byte-stably, the decoder must hold its

@@ -1,0 +1,58 @@
+package main
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+)
+
+// writeFileAtomic replaces path with what write produces, or leaves it
+// untouched: the bytes go to a temporary file in path's directory, which
+// is synced, closed and renamed over path, and the directory is synced
+// so that the rename itself survives a crash. A reader — -resume after
+// a crash, a full disk or a failed write — therefore finds either the
+// previous file or the complete new one, never a prefix. On error the
+// temporary file is removed. It returns the size of the new file.
+func writeFileAtomic(path string, write func(io.Writer) error) (size int64, err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close() // a second Close after a failed one is harmless
+			os.Remove(tmp.Name())
+		}
+	}()
+	// CreateTemp makes the file 0600; os.Create's mode is what readers
+	// of the previous file had.
+	if err = tmp.Chmod(0o644); err != nil {
+		return 0, err
+	}
+	if err = write(tmp); err != nil {
+		return 0, err
+	}
+	if size, err = tmp.Seek(0, io.SeekCurrent); err != nil {
+		return 0, err
+	}
+	if err = tmp.Sync(); err != nil {
+		return 0, err
+	}
+	if err = tmp.Close(); err != nil {
+		return 0, err
+	}
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return 0, fmt.Errorf("sync %s: %w", dir, err)
+	}
+	defer d.Close()
+	if err = d.Sync(); err != nil {
+		return 0, fmt.Errorf("sync %s: %w", dir, err)
+	}
+	return size, nil
+}

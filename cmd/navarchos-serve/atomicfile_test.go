@@ -1,0 +1,65 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestWriteFileAtomic: the shutdown checkpoint goes onto the path
+// -resume may have just read, so a write that fails half way must leave
+// the previous file byte-identical and nothing else in the directory,
+// and a complete one must replace it whole and report its size.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fleet.ckpt")
+	previous := bytes.Repeat([]byte("previous checkpoint "), 100)
+	if err := os.WriteFile(path, previous, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	only := func(want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s holds %d bytes, want the %d expected ones", path, len(got), len(want))
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("directory holds %d entries, want only %s", len(entries), filepath.Base(path))
+		}
+	}
+
+	diskFull := errors.New("disk full")
+	_, err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half of a new checkp")); err != nil {
+			return err
+		}
+		return diskFull
+	})
+	if !errors.Is(err, diskFull) {
+		t.Fatalf("err = %v, want the writer's", err)
+	}
+	only(previous)
+
+	next := bytes.Repeat([]byte("next "), 1000)
+	size, err := writeFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(next)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != int64(len(next)) {
+		t.Fatalf("size = %d, want %d", size, len(next))
+	}
+	only(next)
+}

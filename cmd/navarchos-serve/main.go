@@ -40,7 +40,9 @@
 // Producers must upload each vehicle's telemetry in chronological
 // order; under that contract the alarms are bit-identical to an
 // offline Replay of the same stream. -checkpoint / -resume carry the
-// engine's mutable state across restarts without changing an alarm.
+// engine's mutable state across restarts without changing an alarm; the
+// checkpoint replaces its file atomically, so both flags may name the
+// same path.
 //
 // Multi-instance placement: give each instance a -name and the full
 // peer list with -peers; the instances agree on a consistent-hash ring
@@ -170,18 +172,13 @@ func main() {
 		log.Printf("engine close: %v", err)
 	}
 	if *checkpointPath != "" {
-		f, err := os.Create(*checkpointPath)
+		// Atomically: -resume may have read this very path, and a crash or
+		// a full disk half way through must not destroy the only copy.
+		size, err := writeFileAtomic(*checkpointPath, s.eng.Checkpoint)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := s.eng.Checkpoint(f); err != nil {
 			log.Fatalf("checkpoint: %v", err)
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fi, _ := os.Stat(*checkpointPath)
-		fmt.Printf("checkpoint written to %s (%d bytes)\n", *checkpointPath, fi.Size())
+		fmt.Printf("checkpoint written to %s (%d bytes)\n", *checkpointPath, size)
 	}
 	st := s.eng.Stats()
 	fmt.Printf("served %d records, %d events from %d vehicles; %d alarms journaled\n",

@@ -42,7 +42,9 @@ func BenchmarkFitLegacy(b *testing.B) {
 // ships — eval.NewDetector's configuration (shippedConfig: Window 8,
 // DModel 12, Heads 2) at the paper grid's two input widths, refitting
 // one detector the way the fleet engine does. A kernel change has to
-// show on the shipped legs to count.
+// show on the shipped legs to count; they also report ns/step, the
+// cost of one trainStep whatever the reference length (ns/op ÷ training
+// windows × epochs).
 func BenchmarkFitFast(b *testing.B) {
 	b.Run("wide", func(b *testing.B) {
 		ref := mkref(200, 16)
@@ -64,6 +66,8 @@ func BenchmarkFitFast(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			steps := len(d.starts) * d.cfg.Epochs
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 		})
 	}
 }

@@ -47,8 +47,14 @@ type Config struct {
 	Epochs int
 	// LR is the Adam learning rate (default 0.005).
 	LR float64
-	// MaxWindows caps the number of training windows drawn from Ref;
-	// larger references are subsampled evenly (default 512).
+	// MaxWindows thins the training windows drawn from Ref (default
+	// 512). It does not cap them: a reference with more windows than
+	// this is evenly strided at the integer quotient total/MaxWindows,
+	// which leaves fewer than 2 × MaxWindows — at Window 8 and
+	// MaxWindows 256, 298 for a 900-row reference, 334 for the 675-row
+	// head of one that the pipeline fits on, all 293 for a 300-row one.
+	// Every trained weight depends on that count; it is pinned by
+	// TestTrainingWindowCount and is not to be "repaired".
 	MaxWindows int
 	// Seed drives weight initialisation and shuffling (default 1).
 	Seed int64
@@ -107,8 +113,41 @@ type network struct {
 	params []*nn.Param
 	opt    *nn.Adam
 
+	// The two dense layers trainStep backpropagates through itself,
+	// because it reads less of their input gradient than
+	// nn.Linear.Backward computes, and encBody: enc's layers after the
+	// input projection (the same objects), whose Backward stops short
+	// of it.
+	encLinB, fuseB denseBackward
+	encBody        *nn.Sequential
+
 	g1, g2, foc, x2, dz mat.Matrix
 	winView             mat.Matrix
+}
+
+// denseBackward is a dense layer's backward pass for a caller that
+// reads only the leading columns of the input gradient, or none:
+// mat.DenseBwd computes as many as dx holds. It keeps the layer's two
+// Params (never their slices: the optimiser re-points those) and owns
+// the scratch nn.Linear.Backward would.
+type denseBackward struct {
+	in, out int
+	w, b    *nn.Param
+	wT      []float64
+	dx      mat.Matrix
+}
+
+func newDenseBackward(l *nn.Linear) denseBackward {
+	p := l.Params()
+	return denseBackward{in: l.In, out: l.Out, w: p[0], b: p[1], wT: make([]float64, l.In*l.Out)}
+}
+
+// run adds the layer's parameter gradients for input x and output
+// gradient g, and returns the gradient of x's first cols columns.
+func (d *denseBackward) run(x, g *mat.Matrix, cols int) *mat.Matrix {
+	dx := d.dx.EnsureShape(g.Rows, cols)
+	mat.DenseBwd(g.Rows, d.in, d.out, x.Data, g.Data, d.w.W, d.wT, d.w.G, d.b.G, dx.Data)
+	return dx
 }
 
 // inferRefs names the layers of the model for row-level inference.
@@ -230,7 +269,7 @@ func (d *Detector) Fit(ref [][]float64) error {
 	}
 
 	// Training windows: consecutive slices of the standardised Ref,
-	// evenly subsampled down to MaxWindows.
+	// evenly strided to fewer than 2 × MaxWindows (see Config).
 	w := d.cfg.Window
 	starts := d.starts[:0]
 	if std.Rows >= w {
@@ -335,6 +374,8 @@ func (d *Detector) newNetwork(dim int, rng *rand.Rand) *network {
 		net.params = append(net.params, l.Params()...)
 		nn.SetLegacyKernels(l, d.cfg.LegacyFitKernels)
 	}
+	net.encBody = nn.NewSequential(net.enc.Layers[1:]...)
+	net.encLinB, net.fuseB = newDenseBackward(encLin), newDenseBackward(net.fuse)
 	net.opt = nn.NewAdam(net.params, d.cfg.LR)
 	net.opt.Legacy = d.cfg.LegacyFitKernels
 	return net
@@ -365,19 +406,17 @@ func (n *network) trainStep(std *mat.Matrix, s, w int) {
 	_, g2 := nn.MSELossInto(&n.g2, o2, win)
 
 	dz1 := n.dec1.Backward(g1)
-	dx2 := n.fuse.Backward(n.dec2.Backward(g2))
 	// Only the z-columns of the fused input propagate into the encoder;
-	// the focus score is treated as a constant (stop-gradient).
+	// the focus score is treated as a constant (stop-gradient), so its
+	// columns of the fusion layer's input gradient are not computed.
+	dx2 := n.fuseB.run(x2, n.dec2.Backward(g2), z.Cols)
 	dz := n.dz.EnsureShape(dz1.Rows, dz1.Cols)
-	copy(dz.Data, dz1.Data)
-	for r := 0; r < dz.Rows; r++ {
-		zrow := dz.Row(r)
-		frow := dx2.Row(r)
-		for c := 0; c < dz.Cols; c++ {
-			zrow[c] += frow[c]
-		}
+	for i, v := range dz1.Data {
+		dz.Data[i] = v + dx2.Data[i]
 	}
-	n.enc.Backward(dz)
+	// The input projection's input is the window — data — so it has no
+	// input gradient to compute.
+	n.encLinB.run(win, n.encBody.Backward(dz), 0)
 	n.opt.Step()
 }
 

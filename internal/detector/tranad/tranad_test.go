@@ -176,3 +176,29 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("DModel %d not adjusted to Heads %d", c.DModel, c.Heads)
 	}
 }
+
+// TestTrainingWindowCount pins how many windows a fit trains on.
+// Config.MaxWindows reads like a cap and is not one — the stride is the
+// integer quotient total/MaxWindows — and every golden file, snapshot
+// and benchmark fixture holds floats trained on these counts: a fit
+// that "repairs" the cap moves all of them without failing anything
+// else first.
+func TestTrainingWindowCount(t *testing.T) {
+	for _, c := range []struct{ rows, window, maxWindows, want int }{
+		{900, 8, 256, 298}, // a whole shipped raw profile: stride 893/256 = 3
+		{675, 8, 256, 334}, // its 75 % head, what the pipeline fits on: stride 668/256 = 2
+		{34, 8, 256, 27},   // the head of a 45-sample windowed profile: every window
+		{300, 8, 256, 293}, // 293 windows > 256, stride 293/256 = 1: all of them
+		{256 + 7, 8, 256, 256},
+		{5, 8, 256, 1}, // shorter than a window: the whole reference, once
+	} {
+		d := New(Config{Window: c.window, MaxWindows: c.maxWindows, Epochs: 1, DModel: 4})
+		if err := d.Fit(mkref(c.rows, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(d.starts); got != c.want {
+			t.Errorf("%d rows, window %d, MaxWindows %d: %d training windows, want %d",
+				c.rows, c.window, c.maxWindows, got, c.want)
+		}
+	}
+}

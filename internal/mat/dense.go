@@ -57,7 +57,14 @@ func (p *Product) Eval() {
 		panic(fmt.Sprintf("mat: Product %dx%dx%d: len(A)=%d (%d,%d) len(B)=%d (%d) len(Init)=%d (%d) len(Out)=%d (%d)",
 			p.Rows, p.Inner, p.Width, len(p.A), p.ARow, p.AK, len(p.B), p.LdB, len(p.Init), p.LdInit, len(p.Out), p.LdOut))
 	}
-	if p.Rows == 0 || p.Width == 0 {
+	p.eval()
+}
+
+// eval is Eval behind its extent checks, for the callers that have
+// already made them: DenseFwd and DenseBwd hold every operand to its
+// exact contiguous length, which bounds every extent Eval would derive.
+func (p *Product) eval() {
+	if p.Rows <= 0 || p.Width <= 0 {
 		return
 	}
 	// The AVX kernel covers a strip's tail with a vector that overlaps
@@ -97,7 +104,7 @@ func DenseFwd(rows, in, width int, x, b, w, out []float64) {
 			rows, in, width, len(x), len(b), len(w), len(out)))
 	}
 	(&Product{Rows: rows, Inner: in, Width: width, A: x, ARow: in, AK: 1, B: w, LdB: width,
-		Init: b, Out: out, LdOut: width, SkipZeros: true}).Eval()
+		Init: b, Out: out, LdOut: width, SkipZeros: true}).eval()
 }
 
 // one is the A operand of the bias-gradient column sum: with both
@@ -115,18 +122,30 @@ var one = []float64{1}
 // the scalar per-row loops. The dx reduction may not be reassociated,
 // so it is vectorised across INPUTS instead — lane k carries dx[i][k] —
 // over wT, a caller-owned in·width scratch this call fills with Wᵀ
-// (the SquaredDistances8 technique). Panics on length mismatch.
+// (the SquaredDistances8 technique). dx may be narrower than x: at
+// rows×c, c <= in, it receives the gradient of the first c inputs and
+// the rest is not computed — none of it, transpose included, at c = 0,
+// for a layer whose input is data. Panics on length mismatch.
 func DenseBwd(rows, in, width int, x, g, w, wT, dW, db, dx []float64) {
+	c := 0
+	if rows > 0 {
+		c = len(dx) / rows
+	}
 	if len(x) != rows*in || len(g) != rows*width || len(w) != in*width || len(wT) != in*width ||
-		len(dW) != in*width || len(db) != width || len(dx) != rows*in {
+		len(dW) != in*width || len(db) != width || len(dx) != rows*c || c > in {
 		panic(fmt.Sprintf("mat: DenseBwd %dx%dx%d: len(x)=%d len(g)=%d len(w)=%d len(wT)=%d len(dW)=%d len(db)=%d len(dx)=%d",
 			rows, in, width, len(x), len(g), len(w), len(wT), len(dW), len(db), len(dx)))
 	}
 	(&Product{Rows: 1, Inner: rows, Width: width, A: one, B: g, LdB: width,
-		Init: db, Out: db, LdOut: width}).Eval()
+		Init: db, Out: db, LdOut: width}).eval()
 	(&Product{Rows: in, Inner: rows, Width: width, A: x, ARow: 1, AK: in, B: g, LdB: width,
-		Init: dW, LdInit: width, Out: dW, LdOut: width}).Eval()
-	transpose(wT, w, in, width)
-	(&Product{Rows: rows, Inner: width, Width: in, A: g, ARow: width, AK: 1, B: wT, LdB: in,
-		Out: dx, LdOut: in}).Eval()
+		Init: dW, LdInit: width, Out: dW, LdOut: width}).eval()
+	if c == 0 {
+		return
+	}
+	// W's first c rows are the first c inputs' weights: their transpose
+	// is the width×c B operand.
+	transpose(wT, w, c, width)
+	(&Product{Rows: rows, Inner: width, Width: c, A: g, ARow: width, AK: 1, B: wT, LdB: c,
+		Out: dx, LdOut: c}).eval()
 }

@@ -105,39 +105,47 @@ func denseBwdRef(rows, in, width int, x, g, w, dW, db, dx []float64) {
 }
 
 // TestDenseKernelsBitIdenticalSweep drives DenseFwd and DenseBwd over
-// in × width ∈ 0..33 and rows ∈ {0, 1, 8} with ±0, denormals, NaN and
-// ±Inf planted in every operand. The forward zero-skip is part of what
-// is pinned: a -0 input skips its weight row (so an Inf there stays out
-// of the sum) while a NaN input does not.
+// in × width ∈ 0..33 and rows ∈ 0..9 — every remainder of the kernel's
+// 2- and 4-row blocks — with ±0, denormals, NaN and ±Inf planted in
+// every operand, so the rows of one block skip different terms. The
+// forward zero-skip is part of what is pinned: a -0 input skips its
+// weight row (so an Inf there stays out of the sum) while a NaN input
+// does not. DenseBwd is also asked for a narrower input gradient (half
+// the columns, and none), which must match those columns of the full
+// one and leave db and dW as they were.
 func TestDenseKernelsBitIdenticalSweep(t *testing.T) {
 	dispatchModes(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(37))
-		for _, rows := range []int{0, 1, 8} {
+		for rows := 0; rows <= 9; rows++ {
 			for in := 0; in <= 33; in++ {
 				for width := 0; width <= 33; width++ {
-					for _, nonFinite := range []bool{false, true} {
-						x := plantedVec(rng, rows*in, nonFinite)
-						g := plantedVec(rng, rows*width, nonFinite)
-						w := plantedVec(rng, in*width, nonFinite)
-						b := plantedVec(rng, width, nonFinite)
+					nonFinite := (rows+in+width)%2 == 0
+					x := plantedVec(rng, rows*in, nonFinite)
+					g := plantedVec(rng, rows*width, nonFinite)
+					w := plantedVec(rng, in*width, nonFinite)
+					b := plantedVec(rng, width, nonFinite)
 
-						got := plantedVec(rng, rows*width, true) // must be overwritten
-						want := make([]float64, rows*width)
-						DenseFwd(rows, in, width, x, b, w, got)
-						denseFwdRef(rows, in, width, x, b, w, want)
-						assertSameBits(t, "out", got, want)
+					got := plantedVec(rng, rows*width, true) // must be overwritten
+					want := make([]float64, rows*width)
+					DenseFwd(rows, in, width, x, b, w, got)
+					denseFwdRef(rows, in, width, x, b, w, want)
+					assertSameBits(t, "out", got, want)
 
-						dW, db := plantedVec(rng, in*width, nonFinite), plantedVec(rng, width, nonFinite)
-						dW2, db2 := append([]float64(nil), dW...), append([]float64(nil), db...)
-						dx := plantedVec(rng, rows*in, true) // must be overwritten
-						dx2 := make([]float64, rows*in)
+					dW0, db0 := plantedVec(rng, in*width, nonFinite), plantedVec(rng, width, nonFinite)
+					dW2, db2 := append([]float64(nil), dW0...), append([]float64(nil), db0...)
+					dx2 := make([]float64, rows*in)
+					denseBwdRef(rows, in, width, x, g, w, dW2, db2, dx2)
+					for _, c := range []int{in, in / 2, 0} {
+						dW, db := append([]float64(nil), dW0...), append([]float64(nil), db0...)
+						dx := plantedVec(rng, rows*c, true) // must be overwritten
 						DenseBwd(rows, in, width, x, g, w, make([]float64, in*width), dW, db, dx)
-						denseBwdRef(rows, in, width, x, g, w, dW2, db2, dx2)
 						assertSameBits(t, "dW", dW, dW2)
 						assertSameBits(t, "db", db, db2)
-						assertSameBits(t, "dx", dx, dx2)
+						for i := 0; i < rows; i++ {
+							assertSameBits(t, "dx", dx[i*c:(i+1)*c], dx2[i*in:i*in+c])
+						}
 						if t.Failed() {
-							t.Fatalf("rows=%d in=%d width=%d nonFinite=%v", rows, in, width, nonFinite)
+							t.Fatalf("rows=%d in=%d width=%d dx columns=%d nonFinite=%v", rows, in, width, c, nonFinite)
 						}
 					}
 				}
@@ -146,13 +154,14 @@ func TestDenseKernelsBitIdenticalSweep(t *testing.T) {
 	})
 }
 
-// TestDenseFwdZeroSkipSemantics spells the skip rule out on one row: a
-// -0 input keeps an infinite weight out of the sum, a NaN input does
-// not, and a skipped +0 leaves a -0 bias alone.
+// TestDenseFwdZeroSkipSemantics spells the skip rule out, one case per
+// row: a -0 input keeps an infinite weight out of the sum, a NaN input
+// does not, and a skipped +0 leaves a -0 bias alone. The cases cycle
+// over 1..9 rows, so every 2- and 4-row block of the kernel holds rows
+// that skip different terms, and none may leak into its neighbour.
 func TestDenseFwdZeroSkipSemantics(t *testing.T) {
 	dispatchModes(t, func(t *testing.T) {
 		negZero := math.Copysign(0, -1)
-		x := []float64{negZero, 0, math.NaN(), 2}
 		w := make([]float64, 4*8)
 		for j := 0; j < 8; j++ {
 			w[0*8+j] = math.Inf(1) // behind the -0 input: must be skipped
@@ -161,24 +170,36 @@ func TestDenseFwdZeroSkipSemantics(t *testing.T) {
 		}
 		b := make([]float64, 8)
 		b[5] = negZero
-		out := make([]float64, 8)
-		DenseFwd(1, 4, 8, x, b, w, out)
-		for j, v := range out {
-			if !math.IsNaN(v) {
-				t.Fatalf("out[%d] = %v: the NaN input was skipped", j, v)
-			}
+		cases := [][]float64{
+			{negZero, 0, math.NaN(), 2}, // the NaN is not skipped: every output is NaN
+			{negZero, 0, 0, 2},          // both zeros are: b + 2·w[3]
+			{negZero, 0, 0, 0},          // all four are: the bias, its -0 untouched
 		}
-		x[2] = 0
-		DenseFwd(1, 4, 8, x, b, w, out)
-		for j, v := range out {
-			if want := b[j] + 2*float64(j); math.Float64bits(v) != math.Float64bits(want) {
-				t.Fatalf("out[%d] = %v, want %v: a zero input was not skipped", j, v, want)
+		for rows := 1; rows <= 9; rows++ {
+			x := make([]float64, 0, rows*4)
+			for i := 0; i < rows; i++ {
+				x = append(x, cases[i%len(cases)]...)
 			}
-		}
-		x[3] = 0
-		DenseFwd(1, 4, 8, x, b, w, out)
-		if math.Float64bits(out[5]) != math.Float64bits(negZero) {
-			t.Fatalf("out[5] = %v, want the untouched -0 bias", out[5])
+			out := make([]float64, rows*8)
+			DenseFwd(rows, 4, 8, x, b, w, out)
+			for i := 0; i < rows; i++ {
+				for j, v := range out[i*8 : (i+1)*8] {
+					switch i % len(cases) {
+					case 0:
+						if !math.IsNaN(v) {
+							t.Fatalf("%d rows: out[%d][%d] = %v: the NaN input was skipped", rows, i, j, v)
+						}
+					case 1:
+						if want := b[j] + 2*float64(j); math.Float64bits(v) != math.Float64bits(want) {
+							t.Fatalf("%d rows: out[%d][%d] = %v, want %v: a zero input was not skipped", rows, i, j, v, want)
+						}
+					case 2:
+						if math.Float64bits(v) != math.Float64bits(b[j]) {
+							t.Fatalf("%d rows: out[%d][%d] = %v, want the untouched bias %v", rows, i, j, v, b[j])
+						}
+					}
+				}
+			}
 		}
 	})
 }
@@ -209,36 +230,54 @@ func productRef(p *Product) []float64 {
 // TestProductStridedBitIdentical covers what the dense wrappers do not:
 // column slices of wider matrices (the attention heads), a transposed A,
 // nil / broadcast / in-place Init, both skip settings — and that nothing
-// outside the addressed block of Out is written.
+// outside the addressed block of Out is written. Rows 0..9 cross every
+// remainder of the kernel's 2- and 4-row blocks and widths 0..41 every
+// strip shape, each under all twelve combinations of A layout, Init
+// kind and skip setting; every other trial zeroes half of A with either
+// sign, the post-ReLU density, so the rows of one block skip different
+// terms.
 func TestProductStridedBitIdentical(t *testing.T) {
 	dispatchModes(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
-		for trial := 0; trial < 3000; trial++ {
-			rows, inner, width := rng.Intn(10), rng.Intn(10), rng.Intn(41)
-			pad := func() int { return rng.Intn(3) * rng.Intn(7) }
-			p := &Product{Rows: rows, Inner: inner, Width: width, SkipZeros: rng.Intn(2) == 0}
-			if rng.Intn(2) == 0 { // A as stored
-				p.ARow, p.AK = inner+pad(), 1
-			} else { // Aᵀ: the same memory, strides swapped
-				p.ARow, p.AK = 1, rows+pad()
-			}
-			p.LdB, p.LdOut = width+pad(), width+pad()
-			off := pad()
-			nonFinite := trial%4 == 0
-			p.A = plantedVec(rng, off+span(rows, p.ARow, inner, p.AK), nonFinite)[off:]
-			p.B = plantedVec(rng, off+span(inner, p.LdB, width, 1)+pad(), nonFinite)[off:]
-			p.Out = plantedVec(rng, off+span(rows, p.LdOut, width, 1)+pad(), nonFinite)[off:]
-			switch rng.Intn(3) {
-			case 1: // one broadcast row
-				p.Init = plantedVec(rng, width, nonFinite)
-			case 2: // accumulate in place
-				p.Init, p.LdInit = p.Out, p.LdOut
-			}
-			want := productRef(p)
-			p.Eval()
-			assertSameBits(t, "out", p.Out, want)
-			if t.Failed() {
-				t.Fatalf("trial %d: %+v", trial, *p)
+		trial := 0
+		for rows := 0; rows <= 9; rows++ {
+			for width := 0; width <= 41; width++ {
+				for combo := 0; combo < 12; combo++ {
+					trial++
+					inner := rng.Intn(10)
+					pad := func() int { return rng.Intn(3) * rng.Intn(7) }
+					p := &Product{Rows: rows, Inner: inner, Width: width, SkipZeros: combo%2 == 0}
+					if combo/2%2 == 0 { // A as stored
+						p.ARow, p.AK = inner+pad(), 1
+					} else { // Aᵀ: the same memory, strides swapped
+						p.ARow, p.AK = 1, rows+pad()
+					}
+					p.LdB, p.LdOut = width+pad(), width+pad()
+					off := pad()
+					nonFinite := trial%4 == 0
+					p.A = plantedVec(rng, off+span(rows, p.ARow, inner, p.AK), nonFinite)[off:]
+					if trial%2 == 0 {
+						for i := range p.A {
+							if rng.Intn(2) == 0 {
+								p.A[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+							}
+						}
+					}
+					p.B = plantedVec(rng, off+span(inner, p.LdB, width, 1)+pad(), nonFinite)[off:]
+					p.Out = plantedVec(rng, off+span(rows, p.LdOut, width, 1)+pad(), nonFinite)[off:]
+					switch combo / 4 {
+					case 1: // one broadcast row
+						p.Init = plantedVec(rng, width, nonFinite)
+					case 2: // accumulate in place
+						p.Init, p.LdInit = p.Out, p.LdOut
+					}
+					want := productRef(p)
+					p.Eval()
+					assertSameBits(t, "out", p.Out, want)
+					if t.Failed() {
+						t.Fatalf("trial %d: %+v", trial, *p)
+					}
+				}
 			}
 		}
 	})
@@ -305,20 +344,35 @@ func reportPerRow(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/row")
 }
 
+// BenchmarkLinFwd runs each shape on one dense window, where the
+// zero-skip finds nothing, and the FFN's second layer on post-ReLU
+// input as well: 1 024 windows with half their elements zero at random
+// (a predictor learns 64 of them by heart), which is what a branch on
+// the element mispredicts and the kernel's conditional moves do not.
 func BenchmarkLinFwd(b *testing.B) {
-	for _, s := range layerShapes {
-		b.Run(s.name, func(b *testing.B) {
+	run := func(name string, in, width, windows int) {
+		b.Run(name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			x, bias, w := randVec(rng, benchRows*s.in), randVec(rng, s.width), randVec(rng, s.in*s.width)
-			out := make([]float64, benchRows*s.width)
+			x, bias, w := randVec(rng, windows*benchRows*in), randVec(rng, width), randVec(rng, in*width)
+			for i := range x {
+				if windows > 1 && rng.Intn(2) == 0 {
+					x[i] = 0
+				}
+			}
+			out := make([]float64, benchRows*width)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				DenseFwd(benchRows, s.in, s.width, x, bias, w, out)
+				win := x[i%windows*benchRows*in:][:benchRows*in]
+				DenseFwd(benchRows, in, width, win, bias, w, out)
 			}
 			reportPerRow(b)
 		})
 	}
+	for _, s := range layerShapes {
+		run(s.name, s.in, s.width, 1)
+	}
+	run("24x12/relu", 24, 12, 1024)
 }
 
 func BenchmarkLinBwd(b *testing.B) {

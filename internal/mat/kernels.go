@@ -68,11 +68,13 @@ func AddScaled(dst []float64, alpha float64, x []float64) {
 //	v = β2·v + (1-β2)·g²
 //	w -= lr · (m/bc1) / (sqrt(v/bc2) + eps)
 //
-// where bc1/bc2 are the bias-correction denominators 1-β1ᵗ and 1-β2ᵗ.
-// Gradients are NOT cleared — callers zero them separately. The update
-// is elementwise, and the AVX kernel replays the scalar operation
-// sequence with correctly-rounded vector ops, so SIMD and scalar
-// produce identical bits. Panics on length mismatch.
+// where bc1/bc2 are the bias-correction denominators 1-β1ᵗ and 1-β2ᵗ,
+// and clears g behind the update (the pass that reads a gradient is the
+// one that zeroes it). The update is elementwise, and the AVX kernel
+// replays the scalar operation sequence with correctly-rounded vector
+// ops — leaving out only a division by a bc1 of exactly 1, which
+// changes no operand — so SIMD and scalar produce identical bits.
+// Panics on length mismatch.
 func AdamStep(w, g, m, v []float64, beta1, beta2, bc1, bc2, lr, eps float64) {
 	if len(g) != len(w) || len(m) != len(w) || len(v) != len(w) {
 		panic(fmt.Sprintf("mat: AdamStep: len(w)=%d len(g)=%d len(m)=%d len(v)=%d",
@@ -92,6 +94,7 @@ func AdamStep(w, g, m, v []float64, beta1, beta2, bc1, bc2, lr, eps float64) {
 		mh := m[i] / bc1
 		vh := v[i] / bc2
 		w[i] -= lr * mh / (math.Sqrt(vh) + eps)
+		g[i] = 0
 	}
 }
 

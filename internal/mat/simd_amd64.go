@@ -27,9 +27,10 @@ func xgetbv0() (eax, edx uint32)
 // be a positive multiple of 8; the caller handles tails.
 func axpyAVX(alpha float64, x, y []float64)
 
-// adamAVX applies the Adam update to 4k elements (len(w) must be a
-// positive multiple of 4; the caller handles tails). The per-element
-// operation sequence matches adamScalar exactly.
+// adamAVX applies the Adam update to 4k elements and clears g (len(w)
+// must be a positive multiple of 4; the caller handles tails). The
+// per-element operation sequence matches AdamStep's scalar loop, less
+// the division by a bc1 of exactly 1.
 func adamAVX(w, g, m, v []float64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64)
 
 // productAVX is Product.Eval's kernel: the in-order strided product

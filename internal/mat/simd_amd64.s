@@ -47,10 +47,42 @@ axpyloop:
 	VZEROUPPER
 	RET
 
-// One Adam update over 4k elements (len(w) a positive multiple of 4).
-// The lane arithmetic replays adamScalar's exact operation sequence —
-// separate multiplies and adds, correctly-rounded VSQRTPD/VDIVPD — so
-// the result is bit-identical to the pure Go loop.
+// One Adam update over 4k elements (len(w) a positive multiple of 4),
+// clearing g behind it. The lane arithmetic replays adamScalar's exact
+// operation sequence — separate multiplies and adds, correctly-rounded
+// VSQRTPD/VDIVPD — so the result is bit-identical to the pure Go loop.
+// The loop is bound by the divider (three divisions and a square root
+// per vector), so when bc1 is exactly 1 — 1-0.9^t rounds to it from
+// t = 356 on — the m'/bc1 division is left out: x/1 is x for every x,
+// NaN, infinities, -0 and denormals included.
+//
+// ADAMMOMENTS leaves m' in Y1 and v' in Y2; ADAMUPDATE takes mh in Y1.
+#define ADAMMOMENTS \
+	VMOVUPD (SI)(AX*8), Y0      /* g */; \
+	VMOVUPD (R8)(AX*8), Y1      /* m */; \
+	VMOVUPD (R9)(AX*8), Y2      /* v */; \
+	VMOVUPD Y7, (SI)(AX*8)      /* g = 0 */; \
+	VMULPD  Y8, Y1, Y1          /* b1*m */; \
+	VMULPD  Y9, Y0, Y3          /* omb1*g */; \
+	VADDPD  Y3, Y1, Y1          /* m' = b1*m + omb1*g */; \
+	VMULPD  Y10, Y2, Y2         /* b2*v */; \
+	VMULPD  Y11, Y0, Y4         /* omb2*g */; \
+	VMULPD  Y0, Y4, Y4          /* (omb2*g)*g */; \
+	VADDPD  Y4, Y2, Y2          /* v' = b2*v + omb2*g*g */; \
+	VMOVUPD Y1, (R8)(AX*8); \
+	VMOVUPD Y2, (R9)(AX*8)
+#define ADAMUPDATE \
+	VDIVPD  Y13, Y2, Y2         /* vh = v'/bc2 */; \
+	VSQRTPD Y2, Y2              /* sqrt(vh) */; \
+	VADDPD  Y15, Y2, Y2         /* sqrt(vh)+eps */; \
+	VMULPD  Y14, Y1, Y1         /* lr*mh */; \
+	VDIVPD  Y2, Y1, Y1          /* step = lr*mh/(sqrt(vh)+eps) */; \
+	VMOVUPD (DI)(AX*8), Y5; \
+	VSUBPD  Y1, Y5, Y5          /* w -= step */; \
+	VMOVUPD Y5, (DI)(AX*8); \
+	ADDQ $4, AX; \
+	CMPQ AX, CX
+
 // func adamAVX(w, g, m, v []float64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64)
 TEXT ·adamAVX(SB), NOSPLIT, $0-160
 	MOVQ w_base+0(FP), DI
@@ -58,6 +90,7 @@ TEXT ·adamAVX(SB), NOSPLIT, $0-160
 	MOVQ m_base+48(FP), R8
 	MOVQ v_base+72(FP), R9
 	MOVQ w_len+8(FP), CX
+	VXORPD Y7, Y7, Y7
 	VBROADCASTSD b1+96(FP), Y8
 	VBROADCASTSD omb1+104(FP), Y9
 	VBROADCASTSD b2+112(FP), Y10
@@ -67,32 +100,22 @@ TEXT ·adamAVX(SB), NOSPLIT, $0-160
 	VBROADCASTSD lr+144(FP), Y14
 	VBROADCASTSD eps+152(FP), Y15
 	XORQ AX, AX
+	MOVQ $0x3FF0000000000000, DX
+	CMPQ DX, bc1+128(FP)
+	JEQ  adamone
 
 adamloop:
-	VMOVUPD (SI)(AX*8), Y0      // g
-	VMOVUPD (R8)(AX*8), Y1      // m
-	VMOVUPD (R9)(AX*8), Y2      // v
-	VMULPD  Y8, Y1, Y1          // b1*m
-	VMULPD  Y9, Y0, Y3          // omb1*g
-	VADDPD  Y3, Y1, Y1          // m' = b1*m + omb1*g
-	VMULPD  Y10, Y2, Y2         // b2*v
-	VMULPD  Y11, Y0, Y4         // omb2*g
-	VMULPD  Y0, Y4, Y4          // (omb2*g)*g
-	VADDPD  Y4, Y2, Y2          // v' = b2*v + omb2*g*g
-	VMOVUPD Y1, (R8)(AX*8)
-	VMOVUPD Y2, (R9)(AX*8)
+	ADAMMOMENTS
 	VDIVPD  Y12, Y1, Y1         // mh = m'/bc1
-	VDIVPD  Y13, Y2, Y2         // vh = v'/bc2
-	VSQRTPD Y2, Y2              // sqrt(vh)
-	VADDPD  Y15, Y2, Y2         // sqrt(vh)+eps
-	VMULPD  Y14, Y1, Y1         // lr*mh
-	VDIVPD  Y2, Y1, Y1          // step = lr*mh/(sqrt(vh)+eps)
-	VMOVUPD (DI)(AX*8), Y5
-	VSUBPD  Y1, Y5, Y5          // w -= step
-	VMOVUPD Y5, (DI)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
+	ADAMUPDATE
 	JL   adamloop
+	VZEROUPPER
+	RET
+
+adamone:
+	ADAMMOMENTS                 // mh = m'/1 = m'
+	ADAMUPDATE
+	JL   adamone
 	VZEROUPPER
 	RET
 
@@ -106,103 +129,288 @@ adamloop:
 // loop; the kernel only vectorises ACROSS output columns. rows >= 1 and
 // width >= 4 (the Go wrapper takes narrower shapes); inner may be 0.
 //
-// A row's columns are cut into strips that live in YMM accumulators for
-// the whole k loop — no out-row load or store per k. A strip is 16
-// columns (4 vectors) while at least 20 remain, and the last strip takes
-// the remaining 4..19 columns in ceil(n/4) <= 5 vectors whose LAST one
-// is placed at column n-4, overlapping its neighbour: the overlapped
-// lanes compute the same value twice from the same inputs, so no masked
-// load or scalar tail is needed and widths 6, 12, 15, 18 and 24 all stay
-// in registers. Strips are column-disjoint and a strip loads init before
-// it stores out, so init may alias out (accumulate in place).
+// The columns are cut into strips: 16 columns (4 vectors) while at least
+// 20 remain, and a last strip of the remaining 4..19 columns in
+// ceil(n/4) <= 5 vectors whose LAST one is placed at column n-4,
+// overlapping its neighbour. The overlapped lanes compute the same value
+// twice from the same inputs, so no masked load or scalar tail is needed
+// and widths 6, 12, 15, 18 and 24 all stay in registers.
 //
-// An a element of +-0 is skipped when skip is set (the dense layers'
-// post-ReLU shortcut); it is tested on its integer bits, so NaN is
-// never skipped. init_base == nil starts every sum at +0.
+// A strip is walked in blocks of rows whose outputs live in YMM
+// accumulators for the whole k loop — no out load or store per k — and
+// share each loop iteration and each b row: 4 rows while the strip has
+// at most 3 vectors and 4 rows remain, else 2 rows, else 1. One row's k
+// step is 1..5 multiply-add chains bound by the add latency; a block
+// runs 6..12 independent ones, which is what fills the FP pipes. The
+// rows of a block never mix: each keeps its own accumulators. Blocks
+// are disjoint in out and a block loads init before it stores out, so
+// init may alias out (accumulate in place).
 //
-// Registers: R15 rows left, R8/SI/DX the row's a/init/out, DI b, R9/R10
-// the aK/ldb byte strides, R14 skip; per strip CX its byte offset and BX
-// the last vector's byte offset within it; per k R11 the countdown,
-// R12/R13 the a element and the b row strip; Y8 the broadcast a element.
+// With skip set, a term whose a element is +-0 is left out (the dense
+// layers' post-ReLU shortcut), and no branch is taken on the element:
+// half of a post-ReLU row is zero in no order a predictor can learn, and
+// a mispredicted branch costs more than the multiply-add it saves. The
+// k step multiplies skipterm's -0 and a strip of ones in place of the
+// element and the b row strip instead — both addresses are swapped by a
+// conditional move on the element's integer bits, so NaN never skips —
+// and the product, -0, changes no sum: x + -0 is x for every x, -0 and
+// +0 included, whatever the skipped b row held. Most a operands hold no
+// zero at all (only a ReLU's output does), so a contiguous one is
+// scanned first, and where there is none, and always without skip, the
+// k step examines nothing. init_base == nil starts every sum at +0.
+//
+// Registers: R8 the block's first row of a, DI b, R14/R15 one and three
+// aRow byte strides, R9/R10 the aK/ldb byte strides; per strip CX its
+// byte offset and BX the last vector's byte offset within it; per k R11
+// the countdown, R12 the first row's a element and R13 the b row strip,
+// with AX/SI/DX the skip step's scratch; Y15 the broadcast a element,
+// Y10..Y14 the products, Y0.. the accumulators (three per row in a
+// 4-row block, five per row otherwise). The block's init and out rows,
+// the byte strides between them and the strip bookkeeping live in the
+// frame.
 
-#define PLD(off, acc) VMOVUPD off(AX), acc
-#define PLDL(acc)     VMOVUPD (AX)(BX*1), acc
-#define PST(off, acc) VMOVUPD acc, off(AX)
-#define PSTL(acc)     VMOVUPD acc, (AX)(BX*1)
-#define PZ(acc)       VXORPD acc, acc, acc
-#define PMAC(off, acc, tmp) VMULPD off(R13), Y8, tmp; VADDPD tmp, acc, acc
-#define PMACL(acc, tmp)     VMULPD (R13)(BX*1), Y8, tmp; VADDPD tmp, acc, acc
+// What a skipped term multiplies instead of its operands: -0 times a b
+// row strip of ones (up to five vectors).
+DATA skipterm<>+0(SB)/8, $0x8000000000000000
+DATA skipterm<>+8(SB)/8, $1.0
+DATA skipterm<>+16(SB)/8, $1.0
+DATA skipterm<>+24(SB)/8, $1.0
+DATA skipterm<>+32(SB)/8, $1.0
+DATA skipterm<>+40(SB)/8, $1.0
+DATA skipterm<>+48(SB)/8, $1.0
+DATA skipterm<>+56(SB)/8, $1.0
+DATA skipterm<>+64(SB)/8, $1.0
+DATA skipterm<>+72(SB)/8, $1.0
+DATA skipterm<>+80(SB)/8, $1.0
+DATA skipterm<>+88(SB)/8, $1.0
+DATA skipterm<>+96(SB)/8, $1.0
+DATA skipterm<>+104(SB)/8, $1.0
+DATA skipterm<>+112(SB)/8, $1.0
+DATA skipterm<>+120(SB)/8, $1.0
+DATA skipterm<>+128(SB)/8, $1.0
+DATA skipterm<>+136(SB)/8, $1.0
+DATA skipterm<>+144(SB)/8, $1.0
+DATA skipterm<>+152(SB)/8, $1.0
+DATA skipterm<>+160(SB)/8, $1.0
+GLOBL skipterm<>(SB), RODATA|NOPTR, $168
 
-#define PLOAD1 PLDL(Y0)
-#define PLOAD2 PLD(0, Y0); PLDL(Y1)
-#define PLOAD3 PLD(0, Y0); PLD(32, Y1); PLDL(Y2)
-#define PLOAD4 PLD(0, Y0); PLD(32, Y1); PLD(64, Y2); PLDL(Y3)
-#define PLOAD5 PLD(0, Y0); PLD(32, Y1); PLD(64, Y2); PLD(96, Y3); PLDL(Y4)
-#define PZERO1 PZ(Y0)
-#define PZERO2 PZ(Y0); PZ(Y1)
-#define PZERO3 PZ(Y0); PZ(Y1); PZ(Y2)
-#define PZERO4 PZ(Y0); PZ(Y1); PZ(Y2); PZ(Y3)
-#define PZERO5 PZ(Y0); PZ(Y1); PZ(Y2); PZ(Y3); PZ(Y4)
-#define PMACS1 PMACL(Y0, Y9)
-#define PMACS2 PMAC(0, Y0, Y9); PMACL(Y1, Y10)
-#define PMACS3 PMAC(0, Y0, Y9); PMAC(32, Y1, Y10); PMACL(Y2, Y11)
-#define PMACS4 PMAC(0, Y0, Y9); PMAC(32, Y1, Y10); PMAC(64, Y2, Y11); PMACL(Y3, Y12)
-#define PMACS5 PMAC(0, Y0, Y9); PMAC(32, Y1, Y10); PMAC(64, Y2, Y11); PMAC(96, Y3, Y12); PMACL(Y4, Y13)
-#define PSTORE1 PSTL(Y0)
-#define PSTORE2 PST(0, Y0); PSTL(Y1)
-#define PSTORE3 PST(0, Y0); PST(32, Y1); PSTL(Y2)
-#define PSTORE4 PST(0, Y0); PST(32, Y1); PST(64, Y2); PSTL(Y3)
-#define PSTORE5 PST(0, Y0); PST(32, Y1); PST(64, Y2); PST(96, Y3); PSTL(Y4)
+// One row's n vectors: load from or store to (AX), zero, and the k
+// step's multiply-adds against the b row strip at p. Every macro takes
+// five accumulators and uses the first n.
+#define PLD1(a, b, c, d, e) VMOVUPD (AX)(BX*1), a
+#define PLD2(a, b, c, d, e) VMOVUPD (AX), a; VMOVUPD (AX)(BX*1), b
+#define PLD3(a, b, c, d, e) VMOVUPD (AX), a; VMOVUPD 32(AX), b; VMOVUPD (AX)(BX*1), c
+#define PLD4(a, b, c, d, e) VMOVUPD (AX), a; VMOVUPD 32(AX), b; VMOVUPD 64(AX), c; VMOVUPD (AX)(BX*1), d
+#define PLD5(a, b, c, d, e) VMOVUPD (AX), a; VMOVUPD 32(AX), b; VMOVUPD 64(AX), c; VMOVUPD 96(AX), d; VMOVUPD (AX)(BX*1), e
+#define PST1(a, b, c, d, e) VMOVUPD a, (AX)(BX*1)
+#define PST2(a, b, c, d, e) VMOVUPD a, (AX); VMOVUPD b, (AX)(BX*1)
+#define PST3(a, b, c, d, e) VMOVUPD a, (AX); VMOVUPD b, 32(AX); VMOVUPD c, (AX)(BX*1)
+#define PST4(a, b, c, d, e) VMOVUPD a, (AX); VMOVUPD b, 32(AX); VMOVUPD c, 64(AX); VMOVUPD d, (AX)(BX*1)
+#define PST5(a, b, c, d, e) VMOVUPD a, (AX); VMOVUPD b, 32(AX); VMOVUPD c, 64(AX); VMOVUPD d, 96(AX); VMOVUPD e, (AX)(BX*1)
+#define PZR1(a, b, c, d, e) VXORPD a, a, a
+#define PZR2(a, b, c, d, e) VXORPD a, a, a; VXORPD b, b, b
+#define PZR3(a, b, c, d, e) VXORPD a, a, a; VXORPD b, b, b; VXORPD c, c, c
+#define PZR4(a, b, c, d, e) VXORPD a, a, a; VXORPD b, b, b; VXORPD c, c, c; VXORPD d, d, d
+#define PZR5(a, b, c, d, e) VXORPD a, a, a; VXORPD b, b, b; VXORPD c, c, c; VXORPD d, d, d; VXORPD e, e, e
+#define PMA1(p, a, b, c, d, e) \
+	VMULPD (p)(BX*1), Y15, Y14; \
+	VADDPD Y14, a, a
+#define PMA2(p, a, b, c, d, e) \
+	VMULPD (p), Y15, Y13; VMULPD (p)(BX*1), Y15, Y14; \
+	VADDPD Y13, a, a; VADDPD Y14, b, b
+#define PMA3(p, a, b, c, d, e) \
+	VMULPD (p), Y15, Y12; VMULPD 32(p), Y15, Y13; VMULPD (p)(BX*1), Y15, Y14; \
+	VADDPD Y12, a, a; VADDPD Y13, b, b; VADDPD Y14, c, c
+#define PMA4(p, a, b, c, d, e) \
+	VMULPD (p), Y15, Y11; VMULPD 32(p), Y15, Y12; VMULPD 64(p), Y15, Y13; VMULPD (p)(BX*1), Y15, Y14; \
+	VADDPD Y11, a, a; VADDPD Y12, b, b; VADDPD Y13, c, c; VADDPD Y14, d, d
+#define PMA5(p, a, b, c, d, e) \
+	VMULPD (p), Y15, Y10; VMULPD 32(p), Y15, Y11; VMULPD 64(p), Y15, Y12; VMULPD 96(p), Y15, Y13; VMULPD (p)(BX*1), Y15, Y14; \
+	VADDPD Y10, a, a; VADDPD Y11, b, b; VADDPD Y12, c, c; VADDPD Y13, d, d; VADDPD Y14, e, e
 
 // func productAVX(rows, inner, width int, a []float64, aRow, aK int, b []float64, ldb int, init []float64, ldi int, out []float64, ldo int, skip bool)
-TEXT ·productAVX(SB), NOSPLIT, $8-161
-// One strip: load (or zero) the accumulators, run the k loop, store.
-// (Defined inside the function so vet checks its FP reference here.)
-#define PSTRIP(zero, run, loop, do, next, store, LOADS, ZEROS, MACS, STORES) \
-	TESTQ SI, SI; \
-	JZ   zero; \
-	LEAQ (SI)(CX*1), AX; \
-	LOADS; \
-	JMP  run; \
-zero: \
-	ZEROS; \
-run: \
+TEXT ·productAVX(SB), NOSPLIT, $72-161
+// (The macros below are defined inside the function so vet checks their
+// frame references here.)
+
+// One row's k step: broadcast its a element and run the multiply-adds
+// MA, one of PMA1..5, against the b row strip. With skip set, an element
+// of +-0 and the strip are first swapped for skipterm's -0 and ones —
+// two conditional moves on the element's integer bits, so NaN never
+// skips.
+#define PKPLAIN(aelem, MA, a, b, c, d, e) \
+	VBROADCASTSD aelem, Y15; \
+	MA(R13, a, b, c, d, e)
+#define PKSKIP(aelem, MA, a, b, c, d, e) \
+	LEAQ aelem, AX; \
+	MOVQ R13, SI; \
+	MOVQ (AX), DX; \
+	ADDQ DX, DX; \
+	CMOVQEQ skipa-48(SP), AX; \
+	CMOVQEQ skipb-56(SP), SI; \
+	VBROADCASTSD (AX), Y15; \
+	MA(SI, a, b, c, d, e)
+
+// A block's k loop: its head (straight to the stores when inner is 0)
+// and its tail.
+#define PKLOOP(loop, store) \
 	MOVQ inner+8(FP), R11; \
 	TESTQ R11, R11; \
 	JZ   store; \
 	MOVQ R8, R12; \
 	LEAQ (DI)(CX*1), R13; \
-loop: \
-	MOVQ (R12), AX; \
-	ADDQ AX, AX; \
-	JNZ  do; \
-	TESTQ R14, R14; \
-	JNZ  next; \
-do: \
-	VBROADCASTSD (R12), Y8; \
-	MACS; \
-next: \
+loop:
+#define PKNEXT(loop) \
 	ADDQ R9, R12; \
 	ADDQ R10, R13; \
 	DECQ R11; \
-	JNZ  loop; \
-store: \
-	LEAQ (DX)(CX*1), AX; \
-	STORES; \
-	JMP  pstripdone
+	JNZ  loop
 
-	MOVQ rows+0(FP), R15
-	MOVQ a_base+24(FP), R8
+// One block of 1, 2 or 4 rows over one strip: load (or zero) the
+// accumulators, run the k loop, store. KROW is PKPLAIN or PKSKIP, and
+// LD, ZR, MA, ST the row macros of the strip's vector count.
+#define PBLOCK1(zero, run, loop, store, KROW, LD, ZR, MA, ST) \
+	MOVQ initp-64(SP), AX; \
+	TESTQ AX, AX; \
+	JZ   zero; \
+	ADDQ CX, AX; \
+	LD(Y0, Y1, Y2, Y3, Y4); \
+	JMP  run; \
+zero: \
+	ZR(Y0, Y1, Y2, Y3, Y4); \
+run: \
+	PKLOOP(loop, store); \
+	KROW((R12), MA, Y0, Y1, Y2, Y3, Y4); \
+	PKNEXT(loop); \
+store: \
+	MOVQ outp-72(SP), AX; \
+	ADDQ CX, AX; \
+	ST(Y0, Y1, Y2, Y3, Y4); \
+	MOVQ $1, AX; \
+	JMP  pdone
+
+#define PBLOCK2(zero, run, loop, store, KROW, LD, ZR, MA, ST) \
+	MOVQ initp-64(SP), AX; \
+	TESTQ AX, AX; \
+	JZ   zero; \
+	ADDQ CX, AX; \
+	LD(Y0, Y1, Y2, Y3, Y4); \
+	ADDQ ldib-24(SP), AX; \
+	LD(Y5, Y6, Y7, Y8, Y9); \
+	JMP  run; \
+zero: \
+	ZR(Y0, Y1, Y2, Y3, Y4); \
+	ZR(Y5, Y6, Y7, Y8, Y9); \
+run: \
+	PKLOOP(loop, store); \
+	KROW((R12), MA, Y0, Y1, Y2, Y3, Y4); \
+	KROW((R12)(R14*1), MA, Y5, Y6, Y7, Y8, Y9); \
+	PKNEXT(loop); \
+store: \
+	MOVQ outp-72(SP), AX; \
+	ADDQ CX, AX; \
+	ST(Y0, Y1, Y2, Y3, Y4); \
+	ADDQ ldob-32(SP), AX; \
+	ST(Y5, Y6, Y7, Y8, Y9); \
+	MOVQ $2, AX; \
+	JMP  pdone
+
+#define PBLOCK4(zero, run, loop, store, KROW, LD, ZR, MA, ST) \
+	MOVQ initp-64(SP), AX; \
+	TESTQ AX, AX; \
+	JZ   zero; \
+	ADDQ CX, AX; \
+	LD(Y0, Y1, Y2, Y2, Y2); \
+	ADDQ ldib-24(SP), AX; \
+	LD(Y3, Y4, Y5, Y5, Y5); \
+	ADDQ ldib-24(SP), AX; \
+	LD(Y6, Y7, Y8, Y8, Y8); \
+	ADDQ ldib-24(SP), AX; \
+	LD(Y9, Y10, Y11, Y11, Y11); \
+	JMP  run; \
+zero: \
+	ZR(Y0, Y1, Y2, Y2, Y2); \
+	ZR(Y3, Y4, Y5, Y5, Y5); \
+	ZR(Y6, Y7, Y8, Y8, Y8); \
+	ZR(Y9, Y10, Y11, Y11, Y11); \
+run: \
+	PKLOOP(loop, store); \
+	KROW((R12), MA, Y0, Y1, Y2, Y2, Y2); \
+	KROW((R12)(R14*1), MA, Y3, Y4, Y5, Y5, Y5); \
+	KROW((R12)(R14*2), MA, Y6, Y7, Y8, Y8, Y8); \
+	KROW((R12)(R15*1), MA, Y9, Y10, Y11, Y11, Y11); \
+	PKNEXT(loop); \
+store: \
+	MOVQ outp-72(SP), AX; \
+	ADDQ CX, AX; \
+	ST(Y0, Y1, Y2, Y2, Y2); \
+	ADDQ ldob-32(SP), AX; \
+	ST(Y3, Y4, Y5, Y5, Y5); \
+	ADDQ ldob-32(SP), AX; \
+	ST(Y6, Y7, Y8, Y8, Y8); \
+	ADDQ ldob-32(SP), AX; \
+	ST(Y9, Y10, Y11, Y11, Y11); \
+	MOVQ $4, AX; \
+	JMP  pdone
+
+	MOVQ aRow+48(FP), R14
+	SHLQ $3, R14
+	LEAQ (R14)(R14*2), R15
 	MOVQ aK+56(FP), R9
 	SHLQ $3, R9
 	MOVQ b_base+64(FP), DI
 	MOVQ ldb+88(FP), R10
 	SHLQ $3, R10
-	MOVQ init_base+96(FP), SI
-	MOVQ out_base+128(FP), DX
-	MOVBQZX skip+160(FP), R14
+	MOVQ ldi+120(FP), AX
+	SHLQ $3, AX
+	MOVQ AX, ldib-24(SP)
+	MOVQ ldo+152(FP), AX
+	SHLQ $3, AX
+	MOVQ AX, ldob-32(SP)
+	LEAQ skipterm<>(SB), AX
+	MOVQ AX, skipa-48(SP)
+	ADDQ $8, AX
+	MOVQ AX, skipb-56(SP)
 
-prow:
+	// With skip set and a one contiguous rows×inner block (as stored or
+	// transposed), look for a zero first: where there is none — any
+	// input that is not a ReLU's output — there is nothing to skip, and
+	// the plain blocks compute the same sums without examining a again.
+	CMPB skip+160(FP), $0
+	JEQ  pscandone
+	MOVQ rows+0(FP), AX
+	MOVQ inner+8(FP), CX
+	MOVQ aRow+48(FP), DX
+	MOVQ aK+56(FP), BX
+	CMPQ BX, $1
+	JNE  pscant
+	CMPQ DX, CX
+	JEQ  pscan
+pscant:
+	CMPQ DX, $1
+	JNE  pscandone
+	CMPQ BX, AX
+	JNE  pscandone
+pscan:
+	IMULQ AX, CX            // elements
+	CMPQ CX, $4
+	JLT  pscandone
+	MOVQ a_base+24(FP), SI
+	LEAQ -32(SI)(CX*8), DX  // the last vector, overlapping its neighbour
+	VXORPD Y0, Y0, Y0
+	VCMPPD $0, (DX), Y0, Y1
+pscanloop:
+	VCMPPD $0, (SI), Y0, Y2
+	VORPD Y2, Y1, Y1
+	ADDQ $32, SI
+	CMPQ SI, DX
+	JLT  pscanloop
+	VMOVMSKPD Y1, AX
+	TESTQ AX, AX
+	JNZ  pscandone
+	MOVB $0, skip+160(FP)
+pscandone:
+
 	XORQ CX, CX
 	MOVQ width+16(FP), AX
 pstrip:
@@ -211,44 +419,147 @@ pstrip:
 	SUBQ $16, AX
 	MOVQ AX, left-8(SP)
 	MOVQ $96, BX
-	JMP  pn4
+	MOVQ $4, AX
+	JMP  prows
 plast:
 	MOVQ $0, left-8(SP)
 	LEAQ -32(AX*8), BX
 	ADDQ $3, AX
 	SHRQ $2, AX
-	CMPQ AX, $2
-	JLT  pn1
-	JEQ  pn2
+prows:
+	MOVQ AX, nvec-40(SP)
+	MOVQ rows+0(FP), AX
+	MOVQ AX, rowsleft-16(SP)
+	MOVQ a_base+24(FP), R8
+	MOVQ init_base+96(FP), AX
+	MOVQ AX, initp-64(SP)
+	MOVQ out_base+128(FP), AX
+	MOVQ AX, outp-72(SP)
+
+// Pick the block: R11 vectors in the strip, AX rows left.
+pblock:
+	MOVQ nvec-40(SP), R11
+	MOVQ rowsleft-16(SP), AX
+	CMPB skip+160(FP), $0
+	JNE  sblock
 	CMPQ AX, $4
-	JLT  pn3
-	JEQ  pn4
-	PSTRIP(pz5, pr5, pl5, pd5, px5, ps5, PLOAD5, PZERO5, PMACS5, PSTORE5)
-pn4:
-	PSTRIP(pz4, pr4, pl4, pd4, px4, ps4, PLOAD4, PZERO4, PMACS4, PSTORE4)
-pn3:
-	PSTRIP(pz3, pr3, pl3, pd3, px3, ps3, PLOAD3, PZERO3, PMACS3, PSTORE3)
-pn2:
-	PSTRIP(pz2, pr2, pl2, pd2, px2, ps2, PLOAD2, PZERO2, PMACS2, PSTORE2)
-pn1:
-	PSTRIP(pz1, pr1, pl1, pd1, px1, ps1, PLOAD1, PZERO1, PMACS1, PSTORE1)
-pstripdone:
+	JLT  pblock2
+	CMPQ R11, $3
+	JGT  pblock2
+	CMPQ R11, $2
+	JLT  p41
+	JEQ  p42
+	PBLOCK4(p43z, p43r, p43l, p43s, PKPLAIN, PLD3, PZR3, PMA3, PST3)
+p42:
+	PBLOCK4(p42z, p42r, p42l, p42s, PKPLAIN, PLD2, PZR2, PMA2, PST2)
+p41:
+	PBLOCK4(p41z, p41r, p41l, p41s, PKPLAIN, PLD1, PZR1, PMA1, PST1)
+pblock2:
+	CMPQ AX, $2
+	JLT  pblock1
+	CMPQ R11, $2
+	JLT  p21
+	JEQ  p22
+	CMPQ R11, $4
+	JLT  p23
+	JEQ  p24
+	PBLOCK2(p25z, p25r, p25l, p25s, PKPLAIN, PLD5, PZR5, PMA5, PST5)
+p24:
+	PBLOCK2(p24z, p24r, p24l, p24s, PKPLAIN, PLD4, PZR4, PMA4, PST4)
+p23:
+	PBLOCK2(p23z, p23r, p23l, p23s, PKPLAIN, PLD3, PZR3, PMA3, PST3)
+p22:
+	PBLOCK2(p22z, p22r, p22l, p22s, PKPLAIN, PLD2, PZR2, PMA2, PST2)
+p21:
+	PBLOCK2(p21z, p21r, p21l, p21s, PKPLAIN, PLD1, PZR1, PMA1, PST1)
+pblock1:
+	CMPQ R11, $2
+	JLT  p11
+	JEQ  p12
+	CMPQ R11, $4
+	JLT  p13
+	JEQ  p14
+	PBLOCK1(p15z, p15r, p15l, p15s, PKPLAIN, PLD5, PZR5, PMA5, PST5)
+p14:
+	PBLOCK1(p14z, p14r, p14l, p14s, PKPLAIN, PLD4, PZR4, PMA4, PST4)
+p13:
+	PBLOCK1(p13z, p13r, p13l, p13s, PKPLAIN, PLD3, PZR3, PMA3, PST3)
+p12:
+	PBLOCK1(p12z, p12r, p12l, p12s, PKPLAIN, PLD2, PZR2, PMA2, PST2)
+p11:
+	PBLOCK1(p11z, p11r, p11l, p11s, PKPLAIN, PLD1, PZR1, PMA1, PST1)
+
+// The same blocks with skip set.
+sblock:
+	CMPQ AX, $4
+	JLT  sblock2
+	CMPQ R11, $3
+	JGT  sblock2
+	CMPQ R11, $2
+	JLT  s41
+	JEQ  s42
+	PBLOCK4(s43z, s43r, s43l, s43s, PKSKIP, PLD3, PZR3, PMA3, PST3)
+s42:
+	PBLOCK4(s42z, s42r, s42l, s42s, PKSKIP, PLD2, PZR2, PMA2, PST2)
+s41:
+	PBLOCK4(s41z, s41r, s41l, s41s, PKSKIP, PLD1, PZR1, PMA1, PST1)
+sblock2:
+	CMPQ AX, $2
+	JLT  sblock1
+	CMPQ R11, $2
+	JLT  s21
+	JEQ  s22
+	CMPQ R11, $4
+	JLT  s23
+	JEQ  s24
+	PBLOCK2(s25z, s25r, s25l, s25s, PKSKIP, PLD5, PZR5, PMA5, PST5)
+s24:
+	PBLOCK2(s24z, s24r, s24l, s24s, PKSKIP, PLD4, PZR4, PMA4, PST4)
+s23:
+	PBLOCK2(s23z, s23r, s23l, s23s, PKSKIP, PLD3, PZR3, PMA3, PST3)
+s22:
+	PBLOCK2(s22z, s22r, s22l, s22s, PKSKIP, PLD2, PZR2, PMA2, PST2)
+s21:
+	PBLOCK2(s21z, s21r, s21l, s21s, PKSKIP, PLD1, PZR1, PMA1, PST1)
+sblock1:
+	CMPQ R11, $2
+	JLT  s11
+	JEQ  s12
+	CMPQ R11, $4
+	JLT  s13
+	JEQ  s14
+	PBLOCK1(s15z, s15r, s15l, s15s, PKSKIP, PLD5, PZR5, PMA5, PST5)
+s14:
+	PBLOCK1(s14z, s14r, s14l, s14s, PKSKIP, PLD4, PZR4, PMA4, PST4)
+s13:
+	PBLOCK1(s13z, s13r, s13l, s13s, PKSKIP, PLD3, PZR3, PMA3, PST3)
+s12:
+	PBLOCK1(s12z, s12r, s12l, s12s, PKSKIP, PLD2, PZR2, PMA2, PST2)
+s11:
+	PBLOCK1(s11z, s11r, s11l, s11s, PKSKIP, PLD1, PZR1, PMA1, PST1)
+
+// Step a/init/out past the block's AX rows (a nil init stays nil), then
+// take the next block or the next strip.
+pdone:
+	MOVQ R14, DX
+	IMULQ AX, DX
+	ADDQ DX, R8
+	MOVQ ldob-32(SP), DX
+	IMULQ AX, DX
+	ADDQ DX, outp-72(SP)
+	MOVQ ldib-24(SP), DX
+	IMULQ AX, DX
+	ADDQ initp-64(SP), DX
+	CMPQ initp-64(SP), $0
+	JEQ  pnilinit
+	MOVQ DX, initp-64(SP)
+pnilinit:
+	SUBQ AX, rowsleft-16(SP)
+	JNZ  pblock
 	ADDQ $128, CX
 	MOVQ left-8(SP), AX
 	TESTQ AX, AX
 	JNZ  pstrip
-
-	MOVQ aRow+48(FP), AX
-	LEAQ (R8)(AX*8), R8
-	MOVQ ldo+152(FP), AX
-	LEAQ (DX)(AX*8), DX
-	TESTQ SI, SI
-	JZ   pnextrow
-	MOVQ ldi+120(FP), AX
-	LEAQ (SI)(AX*8), SI
-pnextrow:
-	DECQ R15
-	JNZ  prow
 	VZEROUPPER
 	RET
 

@@ -58,32 +58,52 @@ func TestAddScaledBitIdentical(t *testing.T) {
 
 // TestAdamStepBitIdentical checks the vectorised Adam update replays
 // the scalar operation sequence exactly, including denormal-ish tiny
-// gradients and the sqrt/div tail.
+// gradients and the sqrt/div tail, at a bc1 below 1 and at the bc1 of
+// exactly 1 whose division the kernel leaves out — there with NaN, both
+// infinities, -0 and denormals planted in m, the operands x/1 == x has
+// to hold for — and that it leaves g cleared. It runs under native and
+// forced-scalar dispatch.
 func TestAdamStepBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for n := 0; n <= 67; n++ {
-		w, g := randVec(rng, n), randVec(rng, n)
-		m, v := randVec(rng, n), randVec(rng, n)
-		for i := range v {
-			v[i] = math.Abs(v[i]) * 1e-3 // v must stay non-negative
-			if i%7 == 0 {
-				g[i] *= 1e-150
+	dispatchModes(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, bc1 := range []float64{0.19, 1} {
+			for n := 0; n <= 67; n++ {
+				w, g := randVec(rng, n), randVec(rng, n)
+				m, v := randVec(rng, n), randVec(rng, n)
+				if bc1 == 1 {
+					m = plantedVec(rng, n, true)
+				}
+				for i := range v {
+					v[i] = math.Abs(v[i]) * 1e-3 // v must stay non-negative
+					if i%7 == 0 {
+						g[i] *= 1e-150
+					}
+					if bc1 == 1 && i%5 == 0 {
+						// m' = 0.9·m + 0.1·g keeps a planted m, its -0
+						// under a -0 gradient included.
+						g[i] = math.Copysign(0, float64(i%10-1))
+					}
+				}
+				w2 := append([]float64(nil), w...)
+				g2 := append([]float64(nil), g...)
+				m2 := append([]float64(nil), m...)
+				v2 := append([]float64(nil), v...)
+				AdamStep(w, g, m, v, 0.9, 0.999, bc1, 0.0299, 1e-3, 1e-8)
+				adamStepScalar(w2, g2, m2, v2, 0.9, 0.999, bc1, 0.0299, 1e-3, 1e-8)
+				assertSameBits(t, "w", w, w2)
+				assertSameBits(t, "m", m, m2)
+				assertSameBits(t, "v", v, v2)
+				for i, gi := range g {
+					if math.Float64bits(gi) != 0 {
+						t.Errorf("g[%d] = %v after the step, want +0", i, gi)
+					}
+				}
+				if t.Failed() {
+					t.Fatalf("n=%d bc1=%v", n, bc1)
+				}
 			}
 		}
-		w2 := append([]float64(nil), w...)
-		g2 := append([]float64(nil), g...)
-		m2 := append([]float64(nil), m...)
-		v2 := append([]float64(nil), v...)
-		AdamStep(w, g, m, v, 0.9, 0.999, 0.19, 0.0299, 1e-3, 1e-8)
-		adamStepScalar(w2, g2, m2, v2, 0.9, 0.999, 0.19, 0.0299, 1e-3, 1e-8)
-		for i := range w {
-			if math.Float64bits(w[i]) != math.Float64bits(w2[i]) ||
-				math.Float64bits(m[i]) != math.Float64bits(m2[i]) ||
-				math.Float64bits(v[i]) != math.Float64bits(v2[i]) {
-				t.Fatalf("n=%d i=%d: AdamStep diverges from scalar (simd=%s)", n, i, SIMDMode())
-			}
-		}
-	}
+	})
 }
 
 func BenchmarkAddScaled(b *testing.B) {
@@ -95,13 +115,27 @@ func BenchmarkAddScaled(b *testing.B) {
 	}
 }
 
+// BenchmarkAdamStep has a round-number leg and the arena the shipped
+// TranAD configuration steps — 1 908 weights at dim 6 — early in a fit,
+// where bc1 = 1-0.9^t is below 1, and from step 356 on, where it is
+// exactly 1 and the kernel leaves the m/bc1 division out. The gradient
+// is rewritten every iteration because the step clears it.
 func BenchmarkAdamStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	w, g := randVec(rng, 4096), randVec(rng, 4096)
-	m, v := randVec(rng, 4096), make([]float64, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		AdamStep(w, g, m, v, 0.9, 0.999, 0.1, 0.01, 1e-3, 1e-8)
+	for _, c := range []struct {
+		name string
+		n    int
+		bc1  float64
+	}{{"4096", 4096, 0.1}, {"shipped/step100", 1908, 1 - math.Pow(0.9, 100)}, {"shipped/step356", 1908, 1 - math.Pow(0.9, 356)}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			w, g0 := randVec(rng, c.n), randVec(rng, c.n)
+			g, m, v := make([]float64, c.n), randVec(rng, c.n), make([]float64, c.n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(g, g0)
+				AdamStep(w, g, m, v, 0.9, 0.999, c.bc1, 0.01, 1e-3, 1e-8)
+			}
+		})
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // layer-owned scratch (zero allocations once warm); the math is
 // element-wise, so fast and legacy outputs are bit-identical.
 
-// copyOf returns a copy of src for an element-wise layer to rewrite in
-// place: a fresh matrix on the legacy path, the layer-owned scratch
-// (grown once) otherwise.
+// copyOf returns a copy of src for Tanh to rewrite in place: a fresh
+// matrix on the legacy path, the layer-owned scratch (grown once)
+// otherwise.
 func copyOf(legacy bool, scratch, src *mat.Matrix) *mat.Matrix {
 	if legacy {
 		return src.Clone()
@@ -24,8 +24,18 @@ func copyOf(legacy bool, scratch, src *mat.Matrix) *mat.Matrix {
 }
 
 // ReLU is the rectified linear activation.
+//
+// The fast path makes one pass each way and takes no branch on the
+// data: Forward writes each element's keep word — all ones, or zero
+// where the input is below zero — and the input ANDed with it, and
+// Backward ANDs the gradient with the same word. The words select the
+// bits the legacy path's compare-and-store does (a clamped element and
+// a gated gradient are +0; NaN and -0 inputs are kept), so both paths
+// are bit-identical, and a sign pattern the predictor cannot learn
+// costs nothing.
 type ReLU struct {
-	mask    []bool
+	mask    []bool   // legacy path
+	keep    []uint64 // fast path
 	legacy  bool
 	out, dx mat.Matrix
 }
@@ -35,7 +45,28 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
-	out := copyOf(r.legacy, &r.out, x)
+	if r.legacy {
+		return r.forwardLegacy(x)
+	}
+	out := r.out.EnsureShape(x.Rows, x.Cols)
+	if cap(r.keep) < len(x.Data) {
+		r.keep = make([]uint64, len(x.Data))
+	}
+	r.keep = r.keep[:len(x.Data)]
+	keep, o := r.keep, out.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		var k uint64
+		if !(v < 0) {
+			k = ^uint64(0)
+		}
+		keep[i] = k
+		o[i] = math.Float64frombits(math.Float64bits(v) & k)
+	}
+	return out
+}
+
+func (r *ReLU) forwardLegacy(x *mat.Matrix) *mat.Matrix {
+	out := x.Clone()
 	if cap(r.mask) < len(out.Data) {
 		r.mask = make([]bool, len(out.Data))
 	}
@@ -53,11 +84,19 @@ func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *mat.Matrix) *mat.Matrix {
-	out := copyOf(r.legacy, &r.dx, grad)
-	for i := range out.Data {
-		if !r.mask[i] {
-			out.Data[i] = 0
+	if r.legacy {
+		out := grad.Clone()
+		for i := range out.Data {
+			if !r.mask[i] {
+				out.Data[i] = 0
+			}
 		}
+		return out
+	}
+	out := r.dx.EnsureShape(grad.Rows, grad.Cols)
+	keep, o := r.keep[:len(grad.Data)], out.Data[:len(grad.Data)]
+	for i, g := range grad.Data {
+		o[i] = math.Float64frombits(math.Float64bits(g) & keep[i])
 	}
 	return out
 }

@@ -8,8 +8,8 @@ import (
 
 // Adam is the Adam optimiser (Kingma & Ba) over a parameter set. It owns
 // one contiguous arena — weights, gradients and both moment vectors,
-// each in params order — so a step is one kernel call and one clear
-// whatever the number of tensors.
+// each in params order — so a step is one kernel call, which also
+// clears the gradients, whatever the number of tensors.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	// Legacy pins Step to the original scalar update loop. The
@@ -54,7 +54,7 @@ func (a *Adam) Reset() {
 }
 
 // Step applies one update from the accumulated gradients and clears
-// them.
+// them (mat.AdamStep does both in one pass).
 func (a *Adam) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -69,8 +69,8 @@ func (a *Adam) Step() {
 			vh := a.v[j] / bc2
 			a.w[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
+		clear(a.g)
 	}
-	clear(a.g)
 }
 
 // MSELoss returns the mean squared error between pred and target along

@@ -382,20 +382,28 @@ func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 
 // Forward implements Layer.
 func (r *Residual) Forward(x *mat.Matrix) *mat.Matrix {
-	y := r.Inner.Forward(x)
-	out := copyOf(r.legacy, &r.out, y)
-	for i := range out.Data {
-		out.Data[i] += x.Data[i]
-	}
-	return out
+	return r.sum(&r.out, r.Inner.Forward(x), x)
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(grad *mat.Matrix) *mat.Matrix {
-	dInner := r.Inner.Backward(grad)
-	out := copyOf(r.legacy, &r.dout, dInner)
+	return r.sum(&r.dout, r.Inner.Backward(grad), grad)
+}
+
+// sum returns inner + skip: in one pass into the layer-owned scratch,
+// or on the legacy path as a fresh copy of inner with skip added.
+func (r *Residual) sum(scratch, inner, skip *mat.Matrix) *mat.Matrix {
+	if r.legacy {
+		out := inner.Clone()
+		for i := range out.Data {
+			out.Data[i] += skip.Data[i]
+		}
+		return out
+	}
+	out := scratch.EnsureShape(inner.Rows, inner.Cols)
+	a, b := inner.Data[:len(out.Data)], skip.Data[:len(out.Data)]
 	for i := range out.Data {
-		out.Data[i] += grad.Data[i]
+		out.Data[i] = a[i] + b[i]
 	}
 	return out
 }

@@ -10,9 +10,12 @@ import (
 // applies a learned per-feature gain and bias.
 //
 // The fast path reuses layer-owned scratch for the output, the cached
-// x-hat, the inverse deviations and the per-row dxhat work vector (the
-// legacy path allocated dxhat once per row per Backward). The reduction
-// orders are unchanged, so fast and legacy are bit-identical.
+// x-hat and the inverse deviations, reads the parameter slices once per
+// pass instead of once per element, and makes one pass over a row where
+// the legacy path makes two (recomputing g·gain, the same bits, in place
+// of the legacy path's per-row dxhat vector). Every reduction keeps its
+// order and every element its operation sequence, so fast and legacy
+// are bit-identical.
 type LayerNorm struct {
 	Dim   int
 	Eps   float64
@@ -21,10 +24,9 @@ type LayerNorm struct {
 	xhat  *mat.Matrix
 	isdev []float64 // 1/std per row
 
-	legacy   bool
-	out, dx  mat.Matrix
-	xhatS    mat.Matrix
-	dxhatRow []float64
+	legacy  bool
+	out, dx mat.Matrix
+	xhatS   mat.Matrix
 }
 
 // NewLayerNorm returns a layer norm over rows of width dim.
@@ -37,28 +39,39 @@ func NewLayerNorm(dim int) *LayerNorm {
 
 // Forward implements Layer.
 func (l *LayerNorm) Forward(x *mat.Matrix) *mat.Matrix {
-	var out *mat.Matrix
 	if l.legacy {
-		out = mat.NewMatrix(x.Rows, x.Cols)
-		l.xhat = mat.NewMatrix(x.Rows, x.Cols)
-		l.isdev = make([]float64, x.Rows)
-	} else {
-		out = l.out.EnsureShape(x.Rows, x.Cols)
-		l.xhat = l.xhatS.EnsureShape(x.Rows, x.Cols)
-		if cap(l.isdev) < x.Rows {
-			l.isdev = make([]float64, x.Rows)
-		}
-		l.isdev = l.isdev[:x.Rows]
+		return l.forwardLegacy(x)
 	}
+	out := l.out.EnsureShape(x.Rows, x.Cols)
+	l.xhat = l.xhatS.EnsureShape(x.Rows, x.Cols)
+	if cap(l.isdev) < x.Rows {
+		l.isdev = make([]float64, x.Rows)
+	}
+	l.isdev = l.isdev[:x.Rows]
+	n := x.Cols
+	gain, bias := l.gain.W[:n], l.bias.W[:n]
+	for i := range l.isdev {
+		row := x.Data[i*n : (i+1)*n]
+		m, inv := l.rowMoments(row)
+		l.isdev[i] = inv
+		xh, o := l.xhat.Data[i*n:(i+1)*n], out.Data[i*n:(i+1)*n]
+		for j, xv := range row {
+			h := (xv - m) * inv
+			xh[j] = h
+			o[j] = h*gain[j] + bias[j]
+		}
+	}
+	return out
+}
+
+func (l *LayerNorm) forwardLegacy(x *mat.Matrix) *mat.Matrix {
+	out := mat.NewMatrix(x.Rows, x.Cols)
+	l.xhat = mat.NewMatrix(x.Rows, x.Cols)
+	l.isdev = make([]float64, x.Rows)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
-		var m, inv float64
-		if l.legacy {
-			m = mat.Mean(row)
-			inv = 1 / math.Sqrt(mat.Variance(row)+l.Eps)
-		} else {
-			m, inv = l.rowMoments(row)
-		}
+		m := mat.Mean(row)
+		inv := 1 / math.Sqrt(mat.Variance(row)+l.Eps)
 		l.isdev[i] = inv
 		xh := l.xhat.Row(i)
 		o := out.Row(i)
@@ -89,15 +102,41 @@ func (l *LayerNorm) rowMoments(row []float64) (m, inv float64) {
 
 // Backward implements Layer.
 func (l *LayerNorm) Backward(grad *mat.Matrix) *mat.Matrix {
-	var dx *mat.Matrix
 	if l.legacy {
-		dx = mat.NewMatrix(grad.Rows, grad.Cols)
-	} else {
-		dx = l.dx.EnsureShape(grad.Rows, grad.Cols)
-		if cap(l.dxhatRow) < l.Dim {
-			l.dxhatRow = make([]float64, l.Dim)
+		return l.backwardLegacy(grad)
+	}
+	dx := l.dx.EnsureShape(grad.Rows, grad.Cols)
+	dim := l.Dim
+	gain, gainG, biasG := l.gain.W[:dim], l.gain.G[:dim], l.bias.G[:dim]
+	n := float64(dim)
+	for i, inv := range l.isdev[:grad.Rows] {
+		g, xh := grad.Data[i*dim:(i+1)*dim], l.xhat.Data[i*dim:(i+1)*dim]
+		// Param grads, and the two row sums of dxhat = g * gain.
+		var sumDx, sumDxXh float64
+		for j, gj := range g {
+			h := xh[j]
+			gainG[j] += gj * h
+			biasG[j] += gj
+			dh := float64(gj * gain[j]) // rounded, as below
+			sumDx += dh
+			sumDxXh += dh * h
+		}
+		// Standard layer-norm input gradient. The mean of dxhat is one
+		// value per row; xh·sumDxXh is divided per element, as the
+		// legacy expression divides it; and the conversion rounds
+		// g·gain as the legacy path's store does, where a compiler
+		// would otherwise fuse it into the subtraction (arm64).
+		mean := sumDx / n
+		d := dx.Data[i*dim : (i+1)*dim]
+		for j, gj := range g {
+			d[j] = (float64(gj*gain[j]) - mean - xh[j]*sumDxXh/n) * inv
 		}
 	}
+	return dx
+}
+
+func (l *LayerNorm) backwardLegacy(grad *mat.Matrix) *mat.Matrix {
+	dx := mat.NewMatrix(grad.Rows, grad.Cols)
 	n := float64(l.Dim)
 	for i := 0; i < grad.Rows; i++ {
 		g := grad.Row(i)
@@ -109,12 +148,7 @@ func (l *LayerNorm) Backward(grad *mat.Matrix) *mat.Matrix {
 		}
 		// dxhat = g * gain; standard layer-norm input gradient.
 		var sumDx, sumDxXh float64
-		var dxhat []float64
-		if l.legacy {
-			dxhat = make([]float64, l.Dim)
-		} else {
-			dxhat = l.dxhatRow[:l.Dim]
-		}
+		dxhat := make([]float64, l.Dim)
 		for j := 0; j < l.Dim; j++ {
 			dxhat[j] = g[j] * l.gain.W[j]
 			sumDx += dxhat[j]
