@@ -26,10 +26,13 @@ func writeFileAtomic(path string, write func(io.Writer) error) (size int64, err 
 			os.Remove(tmp.Name())
 		}
 	}()
-	// CreateTemp makes the file 0600; os.Create's mode is what readers
-	// of the previous file had.
-	if err = tmp.Chmod(0o644); err != nil {
-		return 0, err
+	// The new file keeps the mode of the one it replaces, as os.Create's
+	// truncation did; a first checkpoint stays at CreateTemp's 0600 (it
+	// holds the whole fleet's state).
+	if fi, statErr := os.Stat(path); statErr == nil {
+		if err = tmp.Chmod(fi.Mode().Perm()); err != nil {
+			return 0, err
+		}
 	}
 	if err = write(tmp); err != nil {
 		return 0, err

@@ -113,41 +113,8 @@ type network struct {
 	params []*nn.Param
 	opt    *nn.Adam
 
-	// The two dense layers trainStep backpropagates through itself,
-	// because it reads less of their input gradient than
-	// nn.Linear.Backward computes, and encBody: enc's layers after the
-	// input projection (the same objects), whose Backward stops short
-	// of it.
-	encLinB, fuseB denseBackward
-	encBody        *nn.Sequential
-
 	g1, g2, foc, x2, dz mat.Matrix
 	winView             mat.Matrix
-}
-
-// denseBackward is a dense layer's backward pass for a caller that
-// reads only the leading columns of the input gradient, or none:
-// mat.DenseBwd computes as many as dx holds. It keeps the layer's two
-// Params (never their slices: the optimiser re-points those) and owns
-// the scratch nn.Linear.Backward would.
-type denseBackward struct {
-	in, out int
-	w, b    *nn.Param
-	wT      []float64
-	dx      mat.Matrix
-}
-
-func newDenseBackward(l *nn.Linear) denseBackward {
-	p := l.Params()
-	return denseBackward{in: l.In, out: l.Out, w: p[0], b: p[1], wT: make([]float64, l.In*l.Out)}
-}
-
-// run adds the layer's parameter gradients for input x and output
-// gradient g, and returns the gradient of x's first cols columns.
-func (d *denseBackward) run(x, g *mat.Matrix, cols int) *mat.Matrix {
-	dx := d.dx.EnsureShape(g.Rows, cols)
-	mat.DenseBwd(g.Rows, d.in, d.out, x.Data, g.Data, d.w.W, d.wT, d.w.G, d.b.G, dx.Data)
-	return dx
 }
 
 // inferRefs names the layers of the model for row-level inference.
@@ -374,8 +341,6 @@ func (d *Detector) newNetwork(dim int, rng *rand.Rand) *network {
 		net.params = append(net.params, l.Params()...)
 		nn.SetLegacyKernels(l, d.cfg.LegacyFitKernels)
 	}
-	net.encBody = nn.NewSequential(net.enc.Layers[1:]...)
-	net.encLinB, net.fuseB = newDenseBackward(encLin), newDenseBackward(net.fuse)
 	net.opt = nn.NewAdam(net.params, d.cfg.LR)
 	net.opt.Legacy = d.cfg.LegacyFitKernels
 	return net
@@ -406,17 +371,17 @@ func (n *network) trainStep(std *mat.Matrix, s, w int) {
 	_, g2 := nn.MSELossInto(&n.g2, o2, win)
 
 	dz1 := n.dec1.Backward(g1)
+	dx2 := n.fuse.Backward(n.dec2.Backward(g2))
 	// Only the z-columns of the fused input propagate into the encoder;
-	// the focus score is treated as a constant (stop-gradient), so its
-	// columns of the fusion layer's input gradient are not computed.
-	dx2 := n.fuseB.run(x2, n.dec2.Backward(g2), z.Cols)
+	// the focus score is treated as a constant (stop-gradient).
 	dz := n.dz.EnsureShape(dz1.Rows, dz1.Cols)
-	for i, v := range dz1.Data {
-		dz.Data[i] = v + dx2.Data[i]
+	for r := 0; r < dz.Rows; r++ {
+		zrow, z1row, frow := dz.Row(r), dz1.Row(r), dx2.Row(r)
+		for c := range zrow {
+			zrow[c] = z1row[c] + frow[c]
+		}
 	}
-	// The input projection's input is the window — data — so it has no
-	// input gradient to compute.
-	n.encLinB.run(win, n.encBody.Backward(dz), 0)
+	n.enc.Backward(dz)
 	n.opt.Step()
 }
 

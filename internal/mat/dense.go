@@ -26,6 +26,10 @@ import "fmt"
 // terms whose A element is ±0, the dense layers' post-ReLU shortcut. It
 // is observable in the bits (a skipped 0·Inf is no NaN, a skipped +0
 // does not clear a -0), hence part of the contract; NaN never skips.
+// One exception to "the bits of the scalar loops": the AVX kernel adds
+// -0 for a skipped term where the loop adds nothing, which quiets a
+// signalling NaN already in the sum (from Init) that the loop would
+// leave signalling. No arithmetic produces one.
 type Product struct {
 	Rows, Inner, Width int
 	A                  []float64
@@ -122,17 +126,10 @@ var one = []float64{1}
 // the scalar per-row loops. The dx reduction may not be reassociated,
 // so it is vectorised across INPUTS instead — lane k carries dx[i][k] —
 // over wT, a caller-owned in·width scratch this call fills with Wᵀ
-// (the SquaredDistances8 technique). dx may be narrower than x: at
-// rows×c, c <= in, it receives the gradient of the first c inputs and
-// the rest is not computed — none of it, transpose included, at c = 0,
-// for a layer whose input is data. Panics on length mismatch.
+// (the SquaredDistances8 technique). Panics on length mismatch.
 func DenseBwd(rows, in, width int, x, g, w, wT, dW, db, dx []float64) {
-	c := 0
-	if rows > 0 {
-		c = len(dx) / rows
-	}
 	if len(x) != rows*in || len(g) != rows*width || len(w) != in*width || len(wT) != in*width ||
-		len(dW) != in*width || len(db) != width || len(dx) != rows*c || c > in {
+		len(dW) != in*width || len(db) != width || len(dx) != rows*in {
 		panic(fmt.Sprintf("mat: DenseBwd %dx%dx%d: len(x)=%d len(g)=%d len(w)=%d len(wT)=%d len(dW)=%d len(db)=%d len(dx)=%d",
 			rows, in, width, len(x), len(g), len(w), len(wT), len(dW), len(db), len(dx)))
 	}
@@ -140,12 +137,7 @@ func DenseBwd(rows, in, width int, x, g, w, wT, dW, db, dx []float64) {
 		Init: db, Out: db, LdOut: width}).eval()
 	(&Product{Rows: in, Inner: rows, Width: width, A: x, ARow: 1, AK: in, B: g, LdB: width,
 		Init: dW, LdInit: width, Out: dW, LdOut: width}).eval()
-	if c == 0 {
-		return
-	}
-	// W's first c rows are the first c inputs' weights: their transpose
-	// is the width×c B operand.
-	transpose(wT, w, c, width)
-	(&Product{Rows: rows, Inner: width, Width: c, A: g, ARow: width, AK: 1, B: wT, LdB: c,
-		Out: dx, LdOut: c}).eval()
+	transpose(wT, w, in, width)
+	(&Product{Rows: rows, Inner: width, Width: in, A: g, ARow: width, AK: 1, B: wT, LdB: in,
+		Out: dx, LdOut: in}).eval()
 }

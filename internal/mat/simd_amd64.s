@@ -138,13 +138,12 @@ adamone:
 //
 // A strip is walked in blocks of rows whose outputs live in YMM
 // accumulators for the whole k loop — no out load or store per k — and
-// share each loop iteration and each b row: 4 rows while the strip has
-// at most 3 vectors and 4 rows remain, else 2 rows, else 1. One row's k
-// step is 1..5 multiply-add chains bound by the add latency; a block
-// runs 6..12 independent ones, which is what fills the FP pipes. The
-// rows of a block never mix: each keeps its own accumulators. Blocks
-// are disjoint in out and a block loads init before it stores out, so
-// init may alias out (accumulate in place).
+// share each loop iteration and each b row: 2 rows while 2 remain, else
+// 1. One row's k step is 1..5 multiply-add chains bound by the add
+// latency; a 2-row block runs 2..10 independent ones, which is what
+// fills the FP pipes. The rows of a block never mix: each keeps its own
+// accumulators. Blocks are disjoint in out and a block loads init before
+// it stores out, so init may alias out (accumulate in place).
 //
 // With skip set, a term whose a element is +-0 is left out (the dense
 // layers' post-ReLU shortcut), and no branch is taken on the element:
@@ -154,20 +153,22 @@ adamone:
 // element and the b row strip instead — both addresses are swapped by a
 // conditional move on the element's integer bits, so NaN never skips —
 // and the product, -0, changes no sum: x + -0 is x for every x, -0 and
-// +0 included, whatever the skipped b row held. Most a operands hold no
-// zero at all (only a ReLU's output does), so a contiguous one is
-// scanned first, and where there is none, and always without skip, the
-// k step examines nothing. init_base == nil starts every sum at +0.
+// +0 included, whatever the skipped b row held. (The one x it touches
+// is a signalling NaN from init, which the add quiets and the scalar
+// loop's continue does not; Product's comment carries the exception.)
+// Most a operands hold no zero at all (only a ReLU's output does), so a
+// contiguous one is scanned first, and where there is none, and always
+// without skip, the k step examines nothing. init_base == nil starts
+// every sum at +0.
 //
-// Registers: R8 the block's first row of a, DI b, R14/R15 one and three
-// aRow byte strides, R9/R10 the aK/ldb byte strides; per strip CX its
-// byte offset and BX the last vector's byte offset within it; per k R11
-// the countdown, R12 the first row's a element and R13 the b row strip,
-// with AX/SI/DX the skip step's scratch; Y15 the broadcast a element,
-// Y10..Y14 the products, Y0.. the accumulators (three per row in a
-// 4-row block, five per row otherwise). The block's init and out rows,
-// the byte strides between them and the strip bookkeeping live in the
-// frame.
+// Registers: R8 the block's first row of a, DI b, R14 the aRow byte
+// stride, R9/R10 the aK/ldb byte strides; per strip CX its byte offset
+// and BX the last vector's byte offset within it; per k R11 the
+// countdown, R12 the first row's a element and R13 the b row strip, with
+// AX/SI/DX the skip step's scratch; Y15 the broadcast a element,
+// Y10..Y14 the products, Y0..Y9 the accumulators (five per row). The
+// block's init and out rows, the byte strides between them and the strip
+// bookkeeping live in the frame.
 
 // What a skipped term multiplies instead of its operands: -0 times a b
 // row strip of ones (up to five vectors).
@@ -266,7 +267,7 @@ loop:
 	DECQ R11; \
 	JNZ  loop
 
-// One block of 1, 2 or 4 rows over one strip: load (or zero) the
+// One block of 1 or 2 rows over one strip: load (or zero) the
 // accumulators, run the k loop, store. KROW is PKPLAIN or PKSKIP, and
 // LD, ZR, MA, ST the row macros of the strip's vector count.
 #define PBLOCK1(zero, run, loop, store, KROW, LD, ZR, MA, ST) \
@@ -315,47 +316,8 @@ store: \
 	MOVQ $2, AX; \
 	JMP  pdone
 
-#define PBLOCK4(zero, run, loop, store, KROW, LD, ZR, MA, ST) \
-	MOVQ initp-64(SP), AX; \
-	TESTQ AX, AX; \
-	JZ   zero; \
-	ADDQ CX, AX; \
-	LD(Y0, Y1, Y2, Y2, Y2); \
-	ADDQ ldib-24(SP), AX; \
-	LD(Y3, Y4, Y5, Y5, Y5); \
-	ADDQ ldib-24(SP), AX; \
-	LD(Y6, Y7, Y8, Y8, Y8); \
-	ADDQ ldib-24(SP), AX; \
-	LD(Y9, Y10, Y11, Y11, Y11); \
-	JMP  run; \
-zero: \
-	ZR(Y0, Y1, Y2, Y2, Y2); \
-	ZR(Y3, Y4, Y5, Y5, Y5); \
-	ZR(Y6, Y7, Y8, Y8, Y8); \
-	ZR(Y9, Y10, Y11, Y11, Y11); \
-run: \
-	PKLOOP(loop, store); \
-	KROW((R12), MA, Y0, Y1, Y2, Y2, Y2); \
-	KROW((R12)(R14*1), MA, Y3, Y4, Y5, Y5, Y5); \
-	KROW((R12)(R14*2), MA, Y6, Y7, Y8, Y8, Y8); \
-	KROW((R12)(R15*1), MA, Y9, Y10, Y11, Y11, Y11); \
-	PKNEXT(loop); \
-store: \
-	MOVQ outp-72(SP), AX; \
-	ADDQ CX, AX; \
-	ST(Y0, Y1, Y2, Y2, Y2); \
-	ADDQ ldob-32(SP), AX; \
-	ST(Y3, Y4, Y5, Y5, Y5); \
-	ADDQ ldob-32(SP), AX; \
-	ST(Y6, Y7, Y8, Y8, Y8); \
-	ADDQ ldob-32(SP), AX; \
-	ST(Y9, Y10, Y11, Y11, Y11); \
-	MOVQ $4, AX; \
-	JMP  pdone
-
 	MOVQ aRow+48(FP), R14
 	SHLQ $3, R14
-	LEAQ (R14)(R14*2), R15
 	MOVQ aK+56(FP), R9
 	SHLQ $3, R9
 	MOVQ b_base+64(FP), DI
@@ -442,19 +404,6 @@ pblock:
 	MOVQ rowsleft-16(SP), AX
 	CMPB skip+160(FP), $0
 	JNE  sblock
-	CMPQ AX, $4
-	JLT  pblock2
-	CMPQ R11, $3
-	JGT  pblock2
-	CMPQ R11, $2
-	JLT  p41
-	JEQ  p42
-	PBLOCK4(p43z, p43r, p43l, p43s, PKPLAIN, PLD3, PZR3, PMA3, PST3)
-p42:
-	PBLOCK4(p42z, p42r, p42l, p42s, PKPLAIN, PLD2, PZR2, PMA2, PST2)
-p41:
-	PBLOCK4(p41z, p41r, p41l, p41s, PKPLAIN, PLD1, PZR1, PMA1, PST1)
-pblock2:
 	CMPQ AX, $2
 	JLT  pblock1
 	CMPQ R11, $2
@@ -491,19 +440,6 @@ p11:
 
 // The same blocks with skip set.
 sblock:
-	CMPQ AX, $4
-	JLT  sblock2
-	CMPQ R11, $3
-	JGT  sblock2
-	CMPQ R11, $2
-	JLT  s41
-	JEQ  s42
-	PBLOCK4(s43z, s43r, s43l, s43s, PKSKIP, PLD3, PZR3, PMA3, PST3)
-s42:
-	PBLOCK4(s42z, s42r, s42l, s42s, PKSKIP, PLD2, PZR2, PMA2, PST2)
-s41:
-	PBLOCK4(s41z, s41r, s41l, s41s, PKSKIP, PLD1, PZR1, PMA1, PST1)
-sblock2:
 	CMPQ AX, $2
 	JLT  sblock1
 	CMPQ R11, $2
