@@ -77,11 +77,13 @@ grid-equiv:
 ## run, for every paper technique × transform — and so must running the
 ## same stream under a fully enabled observer, or through the traced
 ## batch-ingest path with per-frame provenance attached. The checkpoint
-## stream itself is held to the SHA-256 digests an earlier commit wrote
-## (testdata/engine_small.ckpt.sha256; never regenerated from the change
-## under test).
+## stream itself, and every transform's emitted vectors and snapshots,
+## are held to the SHA-256 digests earlier commits wrote
+## (testdata/engine_small.ckpt.sha256, testdata/transform.sha256; never
+## regenerated from the change under test).
 resume-gate:
 	$(GO) test -run 'TestEngineCheckpointResumeGate|TestEngineObservedBitIdentity|TestEngineTracedBitIdentity|TestCheckpointBytesGolden' ./internal/fleet/
+	$(GO) test -run 'TestTransformGolden' ./internal/transform/
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting
 ## vehicles from a running engine and adopting them at a different

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -82,106 +83,73 @@ func main() {
 	for _, e := range strings.Split(*experiment, ",") {
 		want[strings.TrimSpace(e)] = true
 	}
-	has := func(name string) bool { return want["all"] || want[name] }
 	ran := false
-
-	if has("fig1") {
+	for _, e := range exhibits(*vehicle) {
+		if !want["all"] && !want[e.name] {
+			continue
+		}
 		ran = true
-		r, err := experiments.Figure1(opts)
+		render, err := e.run(opts)
 		if err != nil {
 			fatal(err)
 		}
-		r.Render(out)
-		fmt.Fprintln(out)
-	}
-	if has("fig2") {
-		ran = true
-		r, err := experiments.Figure2(opts, 0)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		fmt.Fprintln(out)
-	}
-	if has("fig4") || has("fig5") {
-		ran = true
-		r, err := experiments.Figures45(opts)
-		if err != nil {
-			fatal(err)
-		}
-		if has("fig4") {
-			r.Render(out, experiments.Setting40)
-			fmt.Fprintln(out)
-		}
-		if has("fig5") {
-			r.Render(out, experiments.Setting26)
-			fmt.Fprintln(out)
-		}
-	}
-	if has("fig6") {
-		ran = true
-		r, err := experiments.Figure6(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		fmt.Fprintln(out)
-	}
-	if has("fig7") {
-		ran = true
-		r, err := experiments.Figure7(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		fmt.Fprintln(out)
-	}
-	if has("table1") {
-		ran = true
-		r, err := experiments.Table1(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		fmt.Fprintln(out)
-	}
-	if has("table2") {
-		ran = true
-		r, err := experiments.Table2(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		fmt.Fprintln(out)
-	}
-	if has("table3") {
-		ran = true
-		r, err := experiments.Table3(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		fmt.Fprintln(out)
-	}
-	if has("baselines") {
-		ran = true
-		r, err := experiments.Baselines(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		fmt.Fprintln(out)
-	}
-	if has("fig8") {
-		ran = true
-		r, err := experiments.Figure8(opts, *vehicle)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
+		render(out)
 		fmt.Fprintln(out)
 	}
 	if !ran {
 		fatalf("unknown experiment %q (want fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8 baselines or all)", *experiment)
+	}
+}
+
+// exhibit is one paper exhibit: its -experiment name and how it runs,
+// returning how it renders.
+type exhibit struct {
+	name string
+	run  func(*experiments.Options) (func(io.Writer), error)
+}
+
+// exhibits lists the paper's exhibits in output order; vehicle picks
+// Figure 8's vehicle. fig4 and fig5 render one shared Figures45 run.
+func exhibits(vehicle string) []exhibit {
+	var f45 *experiments.Figures45Result
+	figures45 := func(setting string) func(*experiments.Options) (func(io.Writer), error) {
+		return func(opts *experiments.Options) (func(io.Writer), error) {
+			if f45 == nil {
+				r, err := experiments.Figures45(opts)
+				if err != nil {
+					return nil, err
+				}
+				f45 = r
+			}
+			return func(w io.Writer) { f45.Render(w, setting) }, nil
+		}
+	}
+	return []exhibit{
+		{"fig1", rendered(experiments.Figure1)},
+		{"fig2", rendered(func(opts *experiments.Options) (*experiments.Figure2Result, error) {
+			return experiments.Figure2(opts, 0)
+		})},
+		{"fig4", figures45(experiments.Setting40)},
+		{"fig5", figures45(experiments.Setting26)},
+		{"fig6", rendered(experiments.Figure6)},
+		{"fig7", rendered(experiments.Figure7)},
+		{"table1", rendered(experiments.Table1)},
+		{"table2", rendered(experiments.Table2)},
+		{"table3", rendered(experiments.Table3)},
+		{"baselines", rendered(experiments.Baselines)},
+		{"fig8", rendered(func(opts *experiments.Options) (*experiments.Figure8Result, error) {
+			return experiments.Figure8(opts, vehicle)
+		})},
+	}
+}
+
+// rendered adapts an experiment whose result renders itself.
+func rendered[R interface{ Render(io.Writer) }](run func(*experiments.Options) (R, error)) func(*experiments.Options) (func(io.Writer), error) {
+	return func(opts *experiments.Options) (func(io.Writer), error) {
+		r, err := run(opts)
+		if err != nil {
+			return nil, err
+		}
+		return r.Render, nil
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"github.com/navarchos/pdm"
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/fleetsim"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
@@ -167,18 +168,12 @@ func main() {
 	<-done
 
 	if *checkpointPath != "" {
-		f, err := os.Create(*checkpointPath)
+		// Atomically: -resume may have read this very path.
+		size, err := checkpoint.WriteFileAtomic(*checkpointPath, eng.Checkpoint)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := eng.Checkpoint(f); err != nil {
 			log.Fatalf("checkpoint: %v", err)
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fi, _ := os.Stat(*checkpointPath)
-		fmt.Printf("checkpoint written to %s (%d bytes)\n", *checkpointPath, fi.Size())
+		fmt.Printf("checkpoint written to %s (%d bytes)\n", *checkpointPath, size)
 	}
 
 	st := eng.Stats()

@@ -71,6 +71,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"github.com/navarchos/pdm/internal/checkpoint"
 )
 
 // parsePeers parses the -peers flag: "name=baseURL,name=baseURL".
@@ -174,7 +176,7 @@ func main() {
 	if *checkpointPath != "" {
 		// Atomically: -resume may have read this very path, and a crash or
 		// a full disk half way through must not destroy the only copy.
-		size, err := writeFileAtomic(*checkpointPath, s.eng.Checkpoint)
+		size, err := checkpoint.WriteFileAtomic(*checkpointPath, s.eng.Checkpoint)
 		if err != nil {
 			log.Fatalf("checkpoint: %v", err)
 		}

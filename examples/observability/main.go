@@ -48,8 +48,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The debug endpoint serves /metrics, /debug/vars, /debug/pprof/*
-	// and /fleet; port 0 picks a free port.
+	// The debug endpoint serves the registry at /metrics, the engine and
+	// journal at /fleet, and Go's standard /debug/pprof/* and
+	// /debug/vars; port 0 picks a free port.
 	srv, err := pdm.StartDebugServer("127.0.0.1:0", pdm.DebugConfig{
 		Registry:    registry,
 		Journal:     journal,

@@ -5,6 +5,21 @@ import (
 	"math"
 )
 
+// Snapshotter is the state/config split every stateful component of the
+// stack follows. Snapshot serialises only mutable state — buffered
+// windows, fitted models, streaming counters — never configuration,
+// which the owner reconstructs before calling Restore on an identically
+// configured instance. Transformers and thresholders always implement
+// it; a custom detector, a fleet handler and a stateful pipeline filter
+// may, and are snapshotted exactly when they do.
+type Snapshotter interface {
+	// Snapshot returns the component's mutable state.
+	Snapshot() ([]byte, error)
+	// Restore replaces the component's state with a snapshot taken from
+	// an identically configured instance.
+	Restore(data []byte) error
+}
+
 // Buf is an append-only primitive encoder for snapshot payloads. All
 // integers are little-endian and fixed-width, floats are IEEE-754 bit
 // patterns, and every variable-length value is length-prefixed, so a

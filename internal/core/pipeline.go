@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/mat"
 	"github.com/navarchos/pdm/internal/obd"
@@ -93,7 +94,7 @@ type Config struct {
 	// pass wf.Keep as Filter and wf as FilterState). Leave nil for
 	// stateless filters; a pipeline with a stateful filter but no
 	// FilterState cannot be snapshotted consistently.
-	FilterState Snapshotter
+	FilterState checkpoint.Snapshotter
 	// DensityM and DensityK gate alarms on persistence: an alarm is
 	// emitted only when at least M of the vehicle's last K scored
 	// samples (including the current one) violate their thresholds.
@@ -249,8 +250,8 @@ func (p *Pipeline) HandleRecord(r timeseries.Record) ([]detector.Alarm, error) {
 		// be freshly allocated.
 		return nil, p.ds.AddRef(p.ts.Emit())
 	}
-	// Detecting: the vector is scored and discarded, so transformers
-	// that support it emit into a reusable scratch buffer.
+	// Detecting: the vector is scored and discarded, so it is emitted
+	// into a reusable scratch buffer.
 	return p.ds.ScoreSample(r.Time, p.ts.EmitReusable())
 }
 

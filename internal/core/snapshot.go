@@ -5,9 +5,6 @@ import (
 	"fmt"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
-	"github.com/navarchos/pdm/internal/detector"
-	"github.com/navarchos/pdm/internal/thresholds"
-	"github.com/navarchos/pdm/internal/transform"
 )
 
 // This file implements the pipeline half of the stack-wide state/config
@@ -21,18 +18,8 @@ import (
 // Trace its new configuration carries, seeded with the active segment's
 // calibration stats so Segments stay resolvable.
 
-// Snapshotter is the snapshot/restore seam shared by every stateful
-// pipeline component: Snapshot serializes mutable state only, Restore
-// loads it into an identically configured instance.
-// timeseries.WarmupFilter implements it for the FilterState hook.
-type Snapshotter interface {
-	Snapshot() ([]byte, error)
-	Restore(data []byte) error
-}
-
-// ErrNotSnapshottable is returned when a pipeline component (detector,
-// thresholder or transformer) does not implement its package's
-// Snapshotter extension.
+// ErrNotSnapshottable is returned when the detector does not implement
+// checkpoint.Snapshotter (a custom detector need not).
 var ErrNotSnapshottable = errors.New("core: component does not support snapshot/restore")
 
 // ErrBadSnapshot is returned when a snapshot payload does not decode as
@@ -51,11 +38,7 @@ const (
 // stateful filter, the filter's state (the stage's own fields are
 // scratch buffers reallocated on demand).
 func (s *TransformStage) Snapshot() ([]byte, error) {
-	snap, ok := s.cfg.Transformer.(transform.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("%w: transformer %s", ErrNotSnapshottable, s.cfg.Transformer.Name())
-	}
-	inner, err := snap.Snapshot()
+	inner, err := s.cfg.Transformer.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -78,10 +61,6 @@ func (s *TransformStage) Snapshot() ([]byte, error) {
 // filter the new configuration does not declare (or vice versa) means
 // the configurations differ.
 func (s *TransformStage) Restore(data []byte) error {
-	snap, ok := s.cfg.Transformer.(transform.Snapshotter)
-	if !ok {
-		return fmt.Errorf("%w: transformer %s", ErrNotSnapshottable, s.cfg.Transformer.Name())
-	}
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != transformStageTag {
 		return ErrBadSnapshot
@@ -98,7 +77,7 @@ func (s *TransformStage) Restore(data []byte) error {
 	if hasFilter != (s.cfg.FilterState != nil) {
 		return fmt.Errorf("%w: filter statefulness differs between snapshot and configuration", ErrBadSnapshot)
 	}
-	if err := snap.Restore(inner); err != nil {
+	if err := s.cfg.Transformer.Restore(inner); err != nil {
 		return err
 	}
 	if hasFilter {
@@ -111,19 +90,15 @@ func (s *TransformStage) Restore(data []byte) error {
 // phase, density ring, streaming counters, the last calibration summary
 // and the fitted detector and thresholder payloads.
 func (d *DetectStage) Snapshot() ([]byte, error) {
-	ds, ok := d.cfg.Detector.(detector.Snapshotter)
+	ds, ok := d.cfg.Detector.(checkpoint.Snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("%w: detector %s", ErrNotSnapshottable, d.cfg.Detector.Name())
-	}
-	ts, ok := d.cfg.Thresholder.(thresholds.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("%w: thresholder %T", ErrNotSnapshottable, d.cfg.Thresholder)
 	}
 	detSnap, err := ds.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	thSnap, err := ts.Snapshot()
+	thSnap, err := d.cfg.Thresholder.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -148,13 +123,9 @@ func (d *DetectStage) Snapshot() ([]byte, error) {
 // the active segment's calibration stats are appended to SegCalib so
 // subsequently scored samples index a valid segment.
 func (d *DetectStage) Restore(data []byte) error {
-	ds, ok := d.cfg.Detector.(detector.Snapshotter)
+	ds, ok := d.cfg.Detector.(checkpoint.Snapshotter)
 	if !ok {
 		return fmt.Errorf("%w: detector %s", ErrNotSnapshottable, d.cfg.Detector.Name())
-	}
-	ts, ok := d.cfg.Thresholder.(thresholds.Snapshotter)
-	if !ok {
-		return fmt.Errorf("%w: thresholder %T", ErrNotSnapshottable, d.cfg.Thresholder)
 	}
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != detectStageTag {
@@ -196,7 +167,7 @@ func (d *DetectStage) Restore(data []byte) error {
 	if err := ds.Restore(detSnap); err != nil {
 		return err
 	}
-	if err := ts.Restore(thSnap); err != nil {
+	if err := d.cfg.Thresholder.Restore(thSnap); err != nil {
 		return err
 	}
 	d.state = state

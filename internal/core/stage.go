@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/obs"
@@ -33,7 +34,7 @@ type TransformConfig struct {
 	Filter func(*timeseries.Record) bool
 	// FilterState exposes a stateful Filter's mutable state to the
 	// snapshot seam (see Config.FilterState).
-	FilterState Snapshotter
+	FilterState checkpoint.Snapshotter
 	// ResetPolicy selects which maintenance events reset the stage (and,
 	// downstream, rebuild Ref).
 	ResetPolicy ResetPolicy
@@ -47,10 +48,9 @@ type TransformConfig struct {
 // filters raw records, feeds the transformer and answers which events
 // must reset buffered state. Not safe for concurrent use.
 type TransformStage struct {
-	cfg      TransformConfig
-	intoEmit transform.IntoEmitter // nil when the transformer allocates
-	xBuf     []float64
-	recBuf   timeseries.Record // staging for Filter's pointer argument
+	cfg    TransformConfig
+	xBuf   []float64
+	recBuf timeseries.Record // staging for Filter's pointer argument
 
 	o       *obs.Observer
 	obsTick uint32
@@ -65,70 +65,59 @@ func NewTransformStage(cfg TransformConfig) (*TransformStage, error) {
 	if cfg.Filter == nil {
 		cfg.Filter = timeseries.CleanFilter
 	}
-	s := &TransformStage{cfg: cfg, o: cfg.Observer, obsMask: cfg.Observer.SampleMask()}
-	s.intoEmit, _ = cfg.Transformer.(transform.IntoEmitter)
-	return s, nil
+	return &TransformStage{cfg: cfg, o: cfg.Observer, obsMask: cfg.Observer.SampleMask()}, nil
 }
 
 // Feed pushes one raw record through the filter into the transformer and
-// reports whether a transformed sample is ready to emit.
+// reports whether a transformed sample is ready to emit. With an
+// observer, every filter drop is counted and a deterministic 1-in-N
+// sample of records is timed through the filter + collect path.
+// Sampling only skips clock reads — at nanosecond per-record costs the
+// clock IS the overhead — and keeps the instrumented hot path
+// allocation-free.
 func (s *TransformStage) Feed(r timeseries.Record) bool {
 	// Filter takes a pointer; staging the record in a stage-owned buffer
 	// keeps the parameter itself from escaping to the heap on every call.
 	s.recBuf = r
-	if s.o == nil {
-		if !s.cfg.Filter(&s.recBuf) {
-			return false
+	timed := false
+	var t0 time.Time
+	if s.o != nil {
+		s.obsTick++
+		if timed = s.obsTick&s.obsMask == 0; timed {
+			t0 = time.Now()
 		}
-		s.cfg.Transformer.Collect(s.recBuf)
-		return s.cfg.Transformer.Ready()
 	}
-	return s.feedObserved()
-}
-
-// feedObserved is Feed's instrumented twin: every filter drop is
-// counted, and a deterministic 1-in-N sample of records is timed
-// through the filter + collect path. Sampling only skips clock reads —
-// at nanosecond per-record costs the clock IS the overhead — and keeps
-// the instrumented hot path allocation-free.
-func (s *TransformStage) feedObserved() bool {
-	s.obsTick++
-	if s.obsTick&s.obsMask != 0 {
-		if !s.cfg.Filter(&s.recBuf) {
-			s.o.WarmupDrop()
-			return false
-		}
+	kept := s.cfg.Filter(&s.recBuf)
+	ready := false
+	if kept {
 		s.cfg.Transformer.Collect(s.recBuf)
-		return s.cfg.Transformer.Ready()
+		ready = s.cfg.Transformer.Ready()
 	}
-	t0 := time.Now()
-	if !s.cfg.Filter(&s.recBuf) {
+	if timed {
 		s.o.ObserveTransform(time.Since(t0))
-		s.o.WarmupDrop()
-		return false
 	}
-	s.cfg.Transformer.Collect(s.recBuf)
-	ready := s.cfg.Transformer.Ready()
-	s.o.ObserveTransform(time.Since(t0))
+	if !kept {
+		s.o.WarmupDrop()
+	}
 	return ready
 }
 
 // Emit returns the ready sample as a freshly allocated vector (safe to
-// retain, e.g. in Ref).
-func (s *TransformStage) Emit() []float64 { return s.cfg.Transformer.Emit() }
+// retain, e.g. in Ref or a trace).
+func (s *TransformStage) Emit() []float64 {
+	x := make([]float64, s.cfg.Transformer.Dim())
+	s.cfg.Transformer.EmitInto(x)
+	return x
+}
 
-// EmitReusable returns the ready sample in a stage-owned scratch buffer
-// when the transformer supports allocation-free emission, falling back
-// to Emit. The returned slice is overwritten by the next call and must
-// not be retained.
+// EmitReusable returns the ready sample in a stage-owned scratch buffer.
+// The returned slice is overwritten by the next call and must not be
+// retained.
 func (s *TransformStage) EmitReusable() []float64 {
-	if s.intoEmit == nil {
-		return s.cfg.Transformer.Emit()
-	}
 	if len(s.xBuf) != s.cfg.Transformer.Dim() {
 		s.xBuf = make([]float64, s.cfg.Transformer.Dim())
 	}
-	s.intoEmit.EmitInto(s.xBuf)
+	s.cfg.Transformer.EmitInto(s.xBuf)
 	return s.xBuf
 }
 
@@ -531,23 +520,28 @@ func (d *DetectStage) ScoreSample(t time.Time, x []float64) ([]detector.Alarm, e
 	if timed {
 		d.o.ObserveThreshold(time.Since(t1))
 	}
+	// Channel names and threshold values are read only when an alarm or
+	// a trace needs them: a detector or thresholder may build them fresh
+	// on every call.
 	var alarms []detector.Alarm
-	names := d.cfg.Detector.ChannelNames()
-	thVals := d.cfg.Thresholder.Values()
-	for _, c := range viol {
-		a := detector.Alarm{
-			VehicleID: d.vehicleID,
-			Time:      t,
-			Channel:   c,
-			Score:     scores[c],
+	if len(viol) > 0 {
+		names := d.cfg.Detector.ChannelNames()
+		thVals := d.cfg.Thresholder.Values()
+		for _, c := range viol {
+			a := detector.Alarm{
+				VehicleID: d.vehicleID,
+				Time:      t,
+				Channel:   c,
+				Score:     scores[c],
+			}
+			if c < len(names) {
+				a.Feature = names[c]
+			}
+			if c < len(thVals) {
+				a.Threshold = thVals[c]
+			}
+			alarms = append(alarms, a)
 		}
-		if c < len(names) {
-			a.Feature = names[c]
-		}
-		if c < len(thVals) {
-			a.Threshold = thVals[c]
-		}
-		alarms = append(alarms, a)
 	}
 	if d.o != nil && len(alarms) > 0 {
 		d.o.Alarms(len(alarms))
@@ -596,6 +590,7 @@ func (d *DetectStage) ScoreSample(t time.Time, x []float64) ([]detector.Alarm, e
 		sc := make([]float64, len(scores))
 		copy(sc, scores)
 		tr.Scores = append(tr.Scores, sc)
+		thVals := d.cfg.Thresholder.Values()
 		th := make([]float64, len(thVals))
 		copy(th, thVals)
 		tr.Thresholds = append(tr.Thresholds, th)

@@ -9,7 +9,7 @@ import (
 // snapshot formats.
 const snapshotTag = uint8(10)
 
-// Snapshot implements detector.Snapshotter: the per-feature sorted
+// Snapshot implements checkpoint.Snapshotter: the per-feature sorted
 // reference columns, channel names and leave-one-out calibration scores
 // — the detector's entire post-Fit state.
 func (d *Detector) Snapshot() ([]byte, error) {
@@ -24,7 +24,7 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements detector.Snapshotter.
+// Restore implements checkpoint.Snapshotter.
 func (d *Detector) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != snapshotTag {

@@ -27,6 +27,14 @@ var ErrDimension = errors.New("detector: feature dimension mismatch")
 // separately (enabling the per-feature alarm explanations of Section
 // 3.3/3.6), whereas the reconstruction and conformal techniques emit a
 // single aggregate channel.
+//
+// A detector joins the stack-wide checkpoint/restore seam by
+// implementing checkpoint.Snapshotter (every built-in technique does):
+// Snapshot serialises its fitted and streaming state — reference
+// indexes, trained weights — never its configuration, which the owner
+// reconstructs by calling the technique's New with the same parameters
+// before Restore, and Score on the restored instance must return exactly
+// what the original would have returned.
 type Detector interface {
 	// Name returns the canonical technique name used in result tables.
 	Name() string
@@ -70,22 +78,6 @@ func ScoreInto(d Detector, x, dst []float64) error {
 	}
 	copy(dst, s)
 	return nil
-}
-
-// Snapshotter is the optional Detector extension behind the stack-wide
-// checkpoint/restore seam. Snapshot serialises the detector's mutable
-// fitted state — reference indexes, trained weights, streaming score
-// state — never its configuration, which the owner reconstructs by
-// calling the technique's New with the same parameters before Restore.
-// A detector that implements Snapshotter promises bit-identical scoring
-// after a snapshot/restore round-trip: Score on the restored instance
-// must return exactly what the original would have returned.
-type Snapshotter interface {
-	// Snapshot returns the detector's fitted and streaming state.
-	Snapshot() ([]byte, error)
-	// Restore replaces the detector's state with a snapshot taken from
-	// an identically configured instance.
-	Restore(data []byte) error
 }
 
 // ErrBadSnapshot is returned by Restore when a snapshot payload does not

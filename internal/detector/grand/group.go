@@ -77,7 +77,9 @@ func (g *GroupDeviation) Run(records []timeseries.Record, kind transform.Kind, t
 		for _, r := range clean {
 			tr.Collect(r)
 			if tr.Ready() {
-				transformed[vid] = append(transformed[vid], sample{t: r.Time, x: tr.Emit()})
+				x := make([]float64, tr.Dim())
+				tr.EmitInto(x)
+				transformed[vid] = append(transformed[vid], sample{t: r.Time, x: x})
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // formats.
 const snapshotTag = uint8(11)
 
-// Snapshot implements detector.Snapshotter. The reference set and the
+// Snapshot implements checkpoint.Snapshotter. The reference set and the
 // martingale's streaming state (reference non-conformity scores, sorted
 // copy, sliding log-bet window) are serialised directly — the bets are
 // history that Fit would destroy, so re-fitting on restore is not an
@@ -34,7 +34,7 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements detector.Snapshotter.
+// Restore implements checkpoint.Snapshotter.
 func (d *Detector) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != snapshotTag {

@@ -10,7 +10,7 @@ import (
 // snapshot formats.
 const snapshotTag = uint8(14)
 
-// Snapshot implements detector.Snapshotter: the fitted forest (with its
+// Snapshot implements checkpoint.Snapshotter: the fitted forest (with its
 // effective config — see iforest.AppendTo) and input dimensionality.
 func (d *Detector) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
@@ -24,7 +24,7 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements detector.Snapshotter.
+// Restore implements checkpoint.Snapshotter.
 func (d *Detector) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != snapshotTag {

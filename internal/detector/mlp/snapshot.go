@@ -12,7 +12,7 @@ import (
 // formats.
 const snapshotTag = uint8(15)
 
-// Snapshot implements detector.Snapshotter: the effective target index
+// Snapshot implements checkpoint.Snapshotter: the effective target index
 // (Fit clamps an out-of-range configured target, making it state), the
 // standardisation statistics and every trained weight.
 func (d *Detector) Snapshot() ([]byte, error) {
@@ -36,7 +36,7 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements detector.Snapshotter: rebuild the architecture
+// Restore implements checkpoint.Snapshotter: rebuild the architecture
 // from the configuration, then overwrite every weight.
 func (d *Detector) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)

@@ -10,7 +10,7 @@ import (
 // detector snapshot formats.
 const snapshotTag = uint8(13)
 
-// Snapshot implements detector.Snapshotter: channel names plus the
+// Snapshot implements checkpoint.Snapshotter: channel names plus the
 // per-feature boosted ensembles (each serialised with its full config —
 // see gbt.AppendTo).
 func (d *Detector) Snapshot() ([]byte, error) {
@@ -30,7 +30,7 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements detector.Snapshotter.
+// Restore implements checkpoint.Snapshotter.
 func (d *Detector) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != snapshotTag {

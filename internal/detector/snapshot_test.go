@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/navarchos/pdm/internal/detector"
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/eval"
 )
 
@@ -57,7 +57,7 @@ func TestDetectorSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 
-			snap, err := orig.(detector.Snapshotter).Snapshot()
+			snap, err := orig.(checkpoint.Snapshotter).Snapshot()
 			if err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
@@ -65,7 +65,7 @@ func TestDetectorSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := restored.(detector.Snapshotter).Restore(snap); err != nil {
+			if err := restored.(checkpoint.Snapshotter).Restore(snap); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
 			if got, want := restored.Channels(), orig.Channels(); got != want {
@@ -112,7 +112,7 @@ func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 		if err := d.Fit(ref); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := d.(detector.Snapshotter).Snapshot()
+		snap, err := d.(checkpoint.Snapshotter).Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.(detector.Snapshotter).Restore(snaps[donor]); err == nil {
+			if err := d.(checkpoint.Snapshotter).Restore(snaps[donor]); err == nil {
 				t.Fatalf("%s accepted a %s snapshot", victim, donor)
 			}
 		}
@@ -137,7 +137,7 @@ func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 		d, _ := eval.NewDetector(tech, nil, seed)
 		snap := snaps[tech]
 		for _, cut := range []int{0, 1, len(snap) / 2, len(snap) - 1} {
-			if err := d.(detector.Snapshotter).Restore(snap[:cut]); err == nil {
+			if err := d.(checkpoint.Snapshotter).Restore(snap[:cut]); err == nil {
 				t.Fatalf("%s accepted a snapshot truncated to %d bytes", tech, cut)
 			}
 		}
@@ -154,12 +154,12 @@ func TestUnfittedDetectorSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := d.(detector.Snapshotter).Snapshot()
+		snap, err := d.(checkpoint.Snapshotter).Snapshot()
 		if err != nil {
 			t.Fatalf("%s unfitted Snapshot: %v", tech, err)
 		}
 		restored, _ := eval.NewDetector(tech, nil, 1)
-		if err := restored.(detector.Snapshotter).Restore(snap); err != nil {
+		if err := restored.(checkpoint.Snapshotter).Restore(snap); err != nil {
 			t.Fatalf("%s unfitted Restore: %v", tech, err)
 		}
 		if _, err := restored.Score(make([]float64, 5)); err == nil {

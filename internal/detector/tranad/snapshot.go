@@ -11,7 +11,7 @@ import (
 // formats.
 const snapshotTag = uint8(12)
 
-// Snapshot implements detector.Snapshotter: the standardisation
+// Snapshot implements checkpoint.Snapshotter: the standardisation
 // statistics, every trained weight (in the fixed params() order) and
 // the streaming score window, written oldest-first so the payload is
 // canonical under ring rotation.
@@ -38,7 +38,7 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements detector.Snapshotter. The architecture is rebuilt
+// Restore implements checkpoint.Snapshotter. The architecture is rebuilt
 // from the configuration (the throwaway rng only initialises weights
 // that are immediately overwritten), then every parameter slice is
 // replaced from the snapshot.

@@ -20,19 +20,10 @@ import (
 // recomputed with shardFor, a checkpoint taken at one shard count
 // restores into an engine with any other shard count.
 
-// Snapshotter is the optional Handler extension the fleet checkpoint
-// requires: Snapshot captures the handler's mutable state and Restore
-// loads it into a freshly configured handler of the same type.
-// core.Pipeline implements it.
-type Snapshotter interface {
-	Snapshot() ([]byte, error)
-	Restore(data []byte) error
-}
-
 // ErrNotSnapshottable is returned by Checkpoint when a vehicle's
-// handler does not implement Snapshotter (core.TraceCollector, say),
-// and by NewEngineFromCheckpoint when the restored configuration
-// builds such a handler.
+// handler does not implement checkpoint.Snapshotter (core.Pipeline
+// does; core.TraceCollector does not), and by NewEngineFromCheckpoint
+// when the restored configuration builds such a handler.
 var ErrNotSnapshottable = errors.New("fleet: handler does not support snapshot/restore")
 
 // ErrBadCheckpoint is returned when a checkpoint stream decodes at the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/fitpool"
 )
@@ -23,7 +24,7 @@ type vehicle struct {
 	// inline fitting.
 	prov ProvenanceSink
 	fits FitDeferrer
-	snap Snapshotter
+	snap checkpoint.Snapshotter
 
 	// skipped marks a vehicle excluded by configuration (ErrSkipVehicle)
 	// or dropped after a handler or fit error: its envelopes are counted
@@ -292,7 +293,7 @@ func (e *Engine) buildVehicle(id string) (*vehicle, error) {
 	}
 	v := &vehicle{id: id, h: h}
 	v.prov, _ = h.(ProvenanceSink)
-	v.snap, _ = h.(Snapshotter)
+	v.snap, _ = h.(checkpoint.Snapshotter)
 	if !e.cfg.SyncFits {
 		if v.fits, _ = h.(FitDeferrer); v.fits != nil {
 			v.fits.SetDeferFits(true)

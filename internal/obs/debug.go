@@ -11,8 +11,8 @@ import (
 
 // DebugConfig assembles the debug HTTP endpoint.
 type DebugConfig struct {
-	// Registry backs /metrics (and the pdm section of /debug/vars).
-	// Optional: without it /metrics serves an empty exposition.
+	// Registry backs /metrics. Optional: without it /metrics serves an
+	// empty exposition.
 	Registry *Registry
 	// Journal backs the journal section of /fleet. Optional.
 	Journal *Journal
@@ -35,15 +35,12 @@ type DebugConfig struct {
 // NewDebugMux builds the debug endpoint's routes:
 //
 //	/metrics        Prometheus text exposition of Registry
-//	/debug/vars     Go expvar (Registry published as "pdm")
+//	/debug/vars     Go's standard expvar (memstats, cmdline)
 //	/debug/pprof/*  the standard pprof handlers
 //	/fleet          JSON: engine status + last N alarm-journal entries
 func NewDebugMux(cfg DebugConfig) *http.ServeMux {
 	if cfg.JournalN <= 0 {
 		cfg.JournalN = 32
-	}
-	if cfg.Registry != nil {
-		cfg.Registry.PublishExpvar("pdm")
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -115,8 +115,15 @@ func TestDebugVarsAndPprof(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := vars["pdm"]; !ok {
-		t.Fatalf("/debug/vars missing pdm section (keys: %d)", len(vars))
+	// Go's standard variables only: the registry's series are at
+	// /metrics, not pinned into the process-global expvar map.
+	for _, key := range []string{"memstats", "cmdline"} {
+		if _, ok := vars[key]; !ok {
+			t.Fatalf("/debug/vars missing %q (keys: %d)", key, len(vars))
+		}
+	}
+	if _, ok := vars["pdm"]; ok {
+		t.Fatal("/debug/vars still publishes a registry under \"pdm\"")
 	}
 
 	resp2, err := http.Get(srv.URL + "/debug/pprof/cmdline")

@@ -1,7 +1,7 @@
 // Package obs is the stack's zero-dependency observability layer: a
 // metrics registry (atomic counters, gauges and fixed-bucket latency
 // histograms with a lock-free, allocation-free Observe), Prometheus
-// text-format exposition plus Go expvar publication, a bounded
+// text-format exposition, a bounded
 // alarm-lifecycle journal that makes every alarm explainable after the
 // fact, and a debug HTTP endpoint bundling /metrics, /debug/vars,
 // /debug/pprof/* and a /fleet JSON status.

@@ -6,19 +6,6 @@ import (
 	"github.com/navarchos/pdm/internal/checkpoint"
 )
 
-// Snapshotter is the optional Thresholder extension behind the
-// stack-wide checkpoint/restore seam: Snapshot serialises the fitted
-// (mutable) state — never the configuration, which the owner
-// reconstructs — and Restore loads it back into a thresholder built
-// with the same configuration.
-type Snapshotter interface {
-	// Snapshot returns the thresholder's fitted state.
-	Snapshot() ([]byte, error)
-	// Restore replaces the thresholder's fitted state with a snapshot
-	// taken from an identically configured instance.
-	Restore(data []byte) error
-}
-
 // ErrBadSnapshot is returned when a snapshot payload does not decode as
 // state for this thresholder type.
 var ErrBadSnapshot = errors.New("thresholds: malformed snapshot")
@@ -30,8 +17,8 @@ const (
 	constantTag   = uint8(2)
 )
 
-// Snapshot implements Snapshotter: the per-channel fitted thresholds
-// (Factor is configuration and stays with the constructor).
+// Snapshot writes the per-channel fitted thresholds (Factor is
+// configuration and stays with the constructor).
 func (s *SelfTuning) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(selfTuningTag)
@@ -40,7 +27,6 @@ func (s *SelfTuning) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements Snapshotter.
 func (s *SelfTuning) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != selfTuningTag {
@@ -64,8 +50,8 @@ func (s *SelfTuning) Restore(data []byte) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter: only the channel count learned at
-// Fit is mutable (Value is configuration).
+// Snapshot writes the channel count learned at Fit, the only mutable
+// state (Value is configuration).
 func (c *Constant) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(constantTag)
@@ -73,7 +59,6 @@ func (c *Constant) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements Snapshotter.
 func (c *Constant) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != constantTag {

@@ -9,11 +9,14 @@ package thresholds
 import (
 	"errors"
 
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/mat"
 )
 
 // Thresholder decides, per score channel, whether a score violates the
-// alarm threshold.
+// alarm threshold. Snapshot serialises the fitted state only — never the
+// configuration (factor, constant), which the owner reconstructs before
+// calling Restore.
 type Thresholder interface {
 	// Fit calibrates the thresholds from scores on supposedly healthy
 	// data: calib[i] is the i-th sample's per-channel score vector.
@@ -24,6 +27,7 @@ type Thresholder interface {
 	// Values returns the current per-channel thresholds (nil before a
 	// successful Fit for self-tuning thresholds).
 	Values() []float64
+	checkpoint.Snapshotter
 }
 
 // ErrNoCalibration is returned when a self-tuning threshold is fitted

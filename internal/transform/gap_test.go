@@ -50,7 +50,7 @@ func TestGapGuardResetsDelta(t *testing.T) {
 	if !tr.Ready() {
 		t.Fatal("delta should be ready after two contiguous records")
 	}
-	tr.Emit()
+	emit(tr)
 	// Overnight gap: the next record must NOT pair with the previous one.
 	overnight := timeseries.Record{VehicleID: "v1", Time: base.Add(14 * time.Hour), Values: valuesAt(50)}
 	tr.Collect(overnight)
@@ -61,7 +61,7 @@ func TestGapGuardResetsDelta(t *testing.T) {
 	if !tr.Ready() {
 		t.Fatal("delta should resume after two post-gap records")
 	}
-	x := tr.Emit()
+	x := emit(tr)
 	// The difference reflects the post-gap pair (51-50), not (50-2).
 	if got := x[obd.Speed]; got != valuesAt(51)[obd.Speed]-valuesAt(50)[obd.Speed] {
 		t.Errorf("delta after gap = %v, want the post-gap difference", got)

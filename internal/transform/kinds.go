@@ -121,15 +121,9 @@ func (c *corrTransformer) Collect(r timeseries.Record) {
 
 func (c *corrTransformer) Ready() bool { return c.n == c.window }
 
-func (c *corrTransformer) Emit() []float64 {
-	out := make([]float64, c.Dim())
-	c.EmitInto(out)
-	return out
-}
-
-// EmitInto implements IntoEmitter: correlations are derived from the
-// running moments, n·Σxy − Σx·Σy over the geometric mean of the
-// variances, then the accumulator restarts (tumbling windows).
+// EmitInto derives the correlations from the running moments,
+// n·Σxy − Σx·Σy over the geometric mean of the variances, then restarts
+// the accumulator (tumbling windows).
 func (c *corrTransformer) EmitInto(dst []float64) {
 	n := float64(c.n)
 	k := 0
@@ -187,13 +181,6 @@ func (t *rawTransformer) Collect(r timeseries.Record) {
 
 func (t *rawTransformer) Ready() bool { return t.have }
 
-func (t *rawTransformer) Emit() []float64 {
-	out := make([]float64, obd.NumPIDs)
-	t.EmitInto(out)
-	return out
-}
-
-// EmitInto implements IntoEmitter.
 func (t *rawTransformer) EmitInto(dst []float64) {
 	t.have = false
 	copy(dst, t.cur[:])
@@ -241,13 +228,6 @@ func (t *deltaTransformer) Collect(r timeseries.Record) {
 
 func (t *deltaTransformer) Ready() bool { return t.pending }
 
-func (t *deltaTransformer) Emit() []float64 {
-	out := make([]float64, obd.NumPIDs)
-	t.EmitInto(out)
-	return out
-}
-
-// EmitInto implements IntoEmitter.
 func (t *deltaTransformer) EmitInto(dst []float64) {
 	t.pending = false
 	for i := range dst[:obd.NumPIDs] {
@@ -261,15 +241,49 @@ func (t *deltaTransformer) Reset() {
 	t.gap.reset()
 }
 
-// meanTransformer emits per-PID means over tumbling windows (the same
-// windows as the correlation transform, per Section 3.2).
-type meanTransformer struct {
+// windowed is the tumbling window of raw records that the mean,
+// histogram and spectral transforms embed: it owns Collect, Ready,
+// Reset and the snapshot seam, and each embedding transform adds only
+// its Dim, FeatureNames and EmitInto. tag is the embedding transform's
+// snapshot payload tag.
+type windowed struct {
+	tag uint8
 	win *timeseries.Window
 	gap gapGuard
 }
 
+func newWindowed(tag uint8, window int) windowed {
+	return windowed{tag: tag, win: timeseries.NewWindow(window)}
+}
+
+func (w *windowed) Collect(r timeseries.Record) {
+	if w.gap.broken(r.Time) {
+		w.win.Reset()
+	}
+	w.win.Push(r)
+}
+
+func (w *windowed) Ready() bool { return w.win.Full() }
+
+func (w *windowed) Reset() {
+	w.win.Reset()
+	w.gap.reset()
+}
+
+// take returns the window's PID columns oldest-first and empties it for
+// the next tumbling window.
+func (w *windowed) take() [][]float64 {
+	cols := w.win.Columns()
+	w.win.Reset()
+	return cols
+}
+
+// meanTransformer emits per-PID means over tumbling windows (the same
+// windows as the correlation transform, per Section 3.2).
+type meanTransformer struct{ windowed }
+
 func newMeanAgg(window int) *meanTransformer {
-	return &meanTransformer{win: timeseries.NewWindow(window)}
+	return &meanTransformer{newWindowed(meanTag, window)}
 }
 
 func (t *meanTransformer) Name() string { return MeanAgg.String() }
@@ -284,28 +298,10 @@ func (t *meanTransformer) FeatureNames() []string {
 	return out
 }
 
-func (t *meanTransformer) Collect(r timeseries.Record) {
-	if t.gap.broken(r.Time) {
-		t.win.Reset()
+func (t *meanTransformer) EmitInto(dst []float64) {
+	for i, col := range t.take() {
+		dst[i] = mat.Mean(col)
 	}
-	t.win.Push(r)
-}
-
-func (t *meanTransformer) Ready() bool { return t.win.Full() }
-
-func (t *meanTransformer) Emit() []float64 {
-	cols := t.win.Columns()
-	out := make([]float64, len(cols))
-	for i, col := range cols {
-		out[i] = mat.Mean(col)
-	}
-	t.win.Reset()
-	return out
-}
-
-func (t *meanTransformer) Reset() {
-	t.win.Reset()
-	t.gap.reset()
 }
 
 // histTransformer emits, per tumbling window, a normalised occupancy
@@ -313,13 +309,12 @@ func (t *meanTransformer) Reset() {
 // alternative of Section 3.1 and a step toward the paper's future-work
 // idea of discretising signals into artificial events.
 type histTransformer struct {
-	win  *timeseries.Window
+	windowed
 	bins int
-	gap  gapGuard
 }
 
 func newHistogram(window, bins int) *histTransformer {
-	return &histTransformer{win: timeseries.NewWindow(window), bins: bins}
+	return &histTransformer{windowed: newWindowed(histTag, window), bins: bins}
 }
 
 func (t *histTransformer) Name() string { return Histogram.String() }
@@ -336,21 +331,11 @@ func (t *histTransformer) FeatureNames() []string {
 	return out
 }
 
-func (t *histTransformer) Collect(r timeseries.Record) {
-	if t.gap.broken(r.Time) {
-		t.win.Reset()
-	}
-	t.win.Push(r)
-}
-
-func (t *histTransformer) Ready() bool { return t.win.Full() }
-
-func (t *histTransformer) Emit() []float64 {
-	cols := t.win.Columns()
-	out := make([]float64, 0, t.Dim())
-	for p, col := range cols {
+func (t *histTransformer) EmitInto(dst []float64) {
+	for p, col := range t.take() {
 		env := obd.Envelope(obd.PID(p))
-		counts := make([]float64, t.bins)
+		counts := dst[p*t.bins : (p+1)*t.bins]
+		clear(counts)
 		for _, v := range col {
 			frac := (v - env.Min) / (env.Max - env.Min)
 			b := int(frac * float64(t.bins))
@@ -366,28 +351,19 @@ func (t *histTransformer) Emit() []float64 {
 		for i := range counts {
 			counts[i] *= inv
 		}
-		out = append(out, counts...)
 	}
-	t.win.Reset()
-	return out
-}
-
-func (t *histTransformer) Reset() {
-	t.win.Reset()
-	t.gap.reset()
 }
 
 // spectralTransformer emits, per tumbling window, normalised FFT band
 // energies of each PID — the frequency-domain alternative of
 // Section 3.1.
 type spectralTransformer struct {
-	win   *timeseries.Window
+	windowed
 	bands int
-	gap   gapGuard
 }
 
 func newSpectral(window, bands int) *spectralTransformer {
-	return &spectralTransformer{win: timeseries.NewWindow(window), bands: bands}
+	return &spectralTransformer{windowed: newWindowed(spectralTag, window), bands: bands}
 }
 
 func (t *spectralTransformer) Name() string { return Spectral.String() }
@@ -404,30 +380,12 @@ func (t *spectralTransformer) FeatureNames() []string {
 	return out
 }
 
-func (t *spectralTransformer) Collect(r timeseries.Record) {
-	if t.gap.broken(r.Time) {
-		t.win.Reset()
-	}
-	t.win.Push(r)
-}
-
-func (t *spectralTransformer) Ready() bool { return t.win.Full() }
-
-func (t *spectralTransformer) Emit() []float64 {
-	cols := t.win.Columns()
-	out := make([]float64, 0, t.Dim())
-	for _, col := range cols {
+func (t *spectralTransformer) EmitInto(dst []float64) {
+	for p, col := range t.take() {
 		be, err := dsp.BandEnergies(col, t.bands)
 		if err != nil {
 			be = make([]float64, t.bands)
 		}
-		out = append(out, be...)
+		copy(dst[p*t.bands:(p+1)*t.bands], be)
 	}
-	t.win.Reset()
-	return out
-}
-
-func (t *spectralTransformer) Reset() {
-	t.win.Reset()
-	t.gap.reset()
 }

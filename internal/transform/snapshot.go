@@ -9,21 +9,6 @@ import (
 	"github.com/navarchos/pdm/internal/timeseries"
 )
 
-// Snapshotter is the optional Transformer extension behind the
-// stack-wide checkpoint/restore seam. Snapshot serialises only the
-// mutable buffered state — ring contents, running sums, gap-guard
-// clock — never the configuration (kind, window, bins), which the
-// owner reconstructs with New before calling Restore. Every
-// transformer in this package implements it, so a pipeline can be
-// frozen mid-window and resumed bit-identically.
-type Snapshotter interface {
-	// Snapshot returns the transformer's buffered state.
-	Snapshot() ([]byte, error)
-	// Restore replaces the buffered state with a snapshot taken from an
-	// identically configured transformer.
-	Restore(data []byte) error
-}
-
 // ErrBadSnapshot is returned when a snapshot payload does not decode as
 // state for this transformer kind and configuration.
 var ErrBadSnapshot = errors.New("transform: malformed snapshot")
@@ -81,9 +66,9 @@ func getRecord(r *checkpoint.RBuf) timeseries.Record {
 	return rec
 }
 
-// Snapshot implements Snapshotter. The ring is written oldest-first, so
-// the payload is canonical regardless of how the ring happened to be
-// rotated when the snapshot was taken.
+// Snapshot writes the ring oldest-first, so the payload is canonical
+// regardless of how the ring happened to be rotated when the snapshot
+// was taken.
 func (c *corrTransformer) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(corrTag)
@@ -110,7 +95,6 @@ func (c *corrTransformer) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements Snapshotter.
 func (c *corrTransformer) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != corrTag {
@@ -156,7 +140,6 @@ func (c *corrTransformer) Restore(data []byte) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter.
 func (t *rawTransformer) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(rawTag)
@@ -167,7 +150,6 @@ func (t *rawTransformer) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements Snapshotter.
 func (t *rawTransformer) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != rawTag {
@@ -186,8 +168,8 @@ func (t *rawTransformer) Restore(data []byte) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter: the last sample pair the first
-// difference is pending over, plus the gap-guard clock.
+// Snapshot writes the last sample pair the first difference is pending
+// over, plus the gap-guard clock.
 func (t *deltaTransformer) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(deltaTag)
@@ -203,7 +185,6 @@ func (t *deltaTransformer) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore implements Snapshotter.
 func (t *deltaTransformer) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != deltaTag {
@@ -233,14 +214,13 @@ func (t *deltaTransformer) Restore(data []byte) error {
 	return nil
 }
 
-// windowedSnapshot serialises the shared state shape of the windowed
-// transformers (mean, histogram, spectral): the buffered records
-// oldest-first plus the gap-guard clock.
-func windowedSnapshot(tag uint8, win *timeseries.Window, last time.Time) ([]byte, error) {
+// Snapshot writes the embedding transform's tag, the gap-guard clock
+// and the buffered records oldest-first.
+func (w *windowed) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
-	b.Uint8(tag)
-	putTime(&b, last)
-	recs := win.Records()
+	b.Uint8(w.tag)
+	putTime(&b, w.gap.last)
+	recs := w.win.Records()
 	b.Int(len(recs))
 	for _, rec := range recs {
 		putRecord(&b, rec)
@@ -248,13 +228,12 @@ func windowedSnapshot(tag uint8, win *timeseries.Window, last time.Time) ([]byte
 	return b.Bytes(), nil
 }
 
-// windowedRestore rebuilds a windowedSnapshot by replaying the buffered
-// records into the (freshly reset) window; ring rotation is not
-// observable, so re-pushing oldest-first reproduces identical
-// behaviour.
-func windowedRestore(tag uint8, data []byte, win *timeseries.Window, last *time.Time) error {
+// Restore replays the buffered records into the emptied window; ring
+// rotation is not observable, so re-pushing oldest-first reproduces
+// identical behaviour.
+func (w *windowed) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
-	if r.Uint8() != tag {
+	if r.Uint8() != w.tag {
 		return ErrBadSnapshot
 	}
 	gapLast := getTime(r)
@@ -272,40 +251,10 @@ func windowedRestore(tag uint8, data []byte, win *timeseries.Window, last *time.
 	if err := r.Close(); err != nil {
 		return err
 	}
-	win.Reset()
+	w.win.Reset()
 	for _, rec := range recs {
-		win.Push(rec)
+		w.win.Push(rec)
 	}
-	*last = gapLast
+	w.gap.last = gapLast
 	return nil
-}
-
-// Snapshot implements Snapshotter.
-func (t *meanTransformer) Snapshot() ([]byte, error) {
-	return windowedSnapshot(meanTag, t.win, t.gap.last)
-}
-
-// Restore implements Snapshotter.
-func (t *meanTransformer) Restore(data []byte) error {
-	return windowedRestore(meanTag, data, t.win, &t.gap.last)
-}
-
-// Snapshot implements Snapshotter.
-func (t *histTransformer) Snapshot() ([]byte, error) {
-	return windowedSnapshot(histTag, t.win, t.gap.last)
-}
-
-// Restore implements Snapshotter.
-func (t *histTransformer) Restore(data []byte) error {
-	return windowedRestore(histTag, data, t.win, &t.gap.last)
-}
-
-// Snapshot implements Snapshotter.
-func (t *spectralTransformer) Snapshot() ([]byte, error) {
-	return windowedSnapshot(spectralTag, t.win, t.gap.last)
-}
-
-// Restore implements Snapshotter.
-func (t *spectralTransformer) Restore(data []byte) error {
-	return windowedRestore(spectralTag, data, t.win, &t.gap.last)
 }

@@ -29,7 +29,7 @@ func emitAll(tr Transformer, records []timeseries.Record) [][]float64 {
 	for _, r := range records {
 		tr.Collect(r)
 		if tr.Ready() {
-			out = append(out, tr.Emit())
+			out = append(out, emit(tr))
 		}
 	}
 	return out
@@ -69,7 +69,7 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := emitAll(first, records[:split])
-			snap, err := first.(Snapshotter).Snapshot()
+			snap, err := first.Snapshot()
 			if err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
@@ -77,7 +77,7 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := second.(Snapshotter).Restore(snap); err != nil {
+			if err := second.Restore(snap); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
 			got = append(got, emitAll(second, records[split:])...)
@@ -102,23 +102,23 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 func TestSnapshotRejectsWrongKind(t *testing.T) {
 	corr, _ := New(Correlation, 12)
 	delta, _ := New(Delta, 12)
-	snap, err := corr.(Snapshotter).Snapshot()
+	snap, err := corr.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := delta.(Snapshotter).Restore(snap); err == nil {
+	if err := delta.Restore(snap); err == nil {
 		t.Fatal("delta transformer accepted a correlation snapshot")
 	}
 	// A different window is a different configuration: refuse too.
 	corr24, _ := New(Correlation, 24)
-	if err := corr24.(Snapshotter).Restore(snap); err == nil {
+	if err := corr24.Restore(snap); err == nil {
 		t.Fatal("window-24 correlation accepted a window-12 snapshot")
 	}
 	// Corrupt payloads must error, never panic.
-	if err := corr.(Snapshotter).Restore(snap[:len(snap)/2]); err == nil {
+	if err := corr.Restore(snap[:len(snap)/2]); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
-	if err := corr.(Snapshotter).Restore(nil); err == nil {
+	if err := corr.Restore(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestCorrSlidingOverflowMatchesTwoPass(t *testing.T) {
 		if !c.Ready() {
 			t.Fatalf("trial %d: transformer not ready after %d records", trial, n)
 		}
-		got := c.Emit()
+		got := emit(c)
 
 		// Oracle: two-pass Pearson over the last `window` records only.
 		kept := records[n-window:]
@@ -216,26 +216,11 @@ func TestCorrSnapshotMidOverflowRoundTrip(t *testing.T) {
 		if orig.Ready() != restored.Ready() {
 			t.Fatalf("trial %d: Ready diverged", trial)
 		}
-		a, b := orig.Emit(), restored.Emit()
+		a, b := emit(orig), emit(restored)
 		for k := range a {
 			if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
 				t.Fatalf("trial %d channel %d: original %v != restored %v", trial, k, a[k], b[k])
 			}
-		}
-	}
-}
-
-// TestThresholderSnapshotCompat pins the transformer list: every kind
-// constructed through New must implement the snapshot seam (a new kind
-// without Snapshot/Restore would silently break fleet checkpoints).
-func TestAllKindsImplementSnapshotter(t *testing.T) {
-	for _, kind := range AllKinds() {
-		tr, err := New(kind, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := tr.(Snapshotter); !ok {
-			t.Fatalf("transformer %s does not implement Snapshotter", kind)
 		}
 	}
 }

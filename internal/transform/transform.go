@@ -9,6 +9,7 @@ package transform
 import (
 	"fmt"
 
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/timeseries"
 )
 
@@ -17,9 +18,18 @@ import (
 //
 //	tr.Collect(rec)
 //	if tr.Ready() {
-//	    x := tr.Emit()
+//	    tr.EmitInto(x)
 //	    ...
 //	}
+//
+// The caller owns the emitted vector: the streaming pipeline scores a
+// reused scratch buffer once the reference profile is full, and
+// allocates only the vectors it retains in Ref.
+//
+// Snapshot serialises only the buffered state — ring contents, running
+// sums, gap-guard clock — never the configuration (kind, window, bins),
+// which the owner reconstructs with New before calling Restore, so a
+// pipeline can be frozen mid-window and resumed bit-identically.
 //
 // Implementations are single-vehicle and not safe for concurrent use;
 // the pipeline owns one Transformer per vehicle.
@@ -36,25 +46,14 @@ type Transformer interface {
 	Collect(r timeseries.Record)
 	// Ready reports whether a transformed sample can be emitted.
 	Ready() bool
-	// Emit returns the next transformed vector and consumes the
-	// buffered state behind it. It must only be called when Ready().
-	Emit() []float64
+	// EmitInto writes the next transformed vector into dst and consumes
+	// the buffered state behind it. It must only be called when Ready()
+	// and with len(dst) == Dim().
+	EmitInto(dst []float64)
 	// Reset clears all buffered state (used when the reference profile
 	// is rebuilt or the stream restarts).
 	Reset()
-}
-
-// IntoEmitter is an optional Transformer extension for transformations
-// that can emit without allocating. EmitInto writes the next transformed
-// vector into dst (length Dim()) and consumes the buffered state, exactly
-// like Emit. The streaming pipeline uses it once the reference profile is
-// full: emitted vectors are then scored and discarded, so a scratch
-// buffer can be reused sample after sample. During profile collection the
-// pipeline still calls Emit, because those vectors are retained in Ref.
-type IntoEmitter interface {
-	// EmitInto emits the ready sample into dst. It must only be called
-	// when Ready() and with len(dst) == Dim().
-	EmitInto(dst []float64)
+	checkpoint.Snapshotter
 }
 
 // Kind selects a transformation.

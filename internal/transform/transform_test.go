@@ -11,6 +11,13 @@ import (
 
 var base = time.Date(2023, 3, 1, 8, 0, 0, 0, time.UTC)
 
+// emit returns the ready sample in a fresh vector.
+func emit(tr Transformer) []float64 {
+	x := make([]float64, tr.Dim())
+	tr.EmitInto(x)
+	return x
+}
+
 func rec(i int, vals [obd.NumPIDs]float64) timeseries.Record {
 	return timeseries.Record{
 		VehicleID: "v1",
@@ -76,7 +83,7 @@ func TestAllTransformersContract(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			tr.Collect(linkedRecord(i, float64(i%10)))
 			if tr.Ready() {
-				x := tr.Emit()
+				x := emit(tr)
 				if len(x) != tr.Dim() {
 					t.Fatalf("%v: Emit len %d, want %d", k, len(x), tr.Dim())
 				}
@@ -102,7 +109,7 @@ func TestCorrelationValues(t *testing.T) {
 	if !tr.Ready() {
 		t.Fatal("should be ready after window filled")
 	}
-	x := tr.Emit()
+	x := emit(tr)
 	names := tr.FeatureNames()
 	byName := map[string]float64{}
 	for i, n := range names {
@@ -147,7 +154,7 @@ func TestRawPassThrough(t *testing.T) {
 	if !tr.Ready() {
 		t.Fatal("raw should be ready after one record")
 	}
-	x := tr.Emit()
+	x := emit(tr)
 	for p := 0; p < int(obd.NumPIDs); p++ {
 		if x[p] != r.Values[p] {
 			t.Errorf("raw[%d] = %v, want %v", p, x[p], r.Values[p])
@@ -168,7 +175,7 @@ func TestDeltaValues(t *testing.T) {
 	if !tr.Ready() {
 		t.Fatal("delta should be ready after two records")
 	}
-	x := tr.Emit()
+	x := emit(tr)
 	// rpm delta: (1000+300)-(1000+100) = 200.
 	if math.Abs(x[obd.EngineRPM]-200) > 1e-9 {
 		t.Errorf("delta rpm = %v, want 200", x[obd.EngineRPM])
@@ -192,7 +199,7 @@ func TestMeanValues(t *testing.T) {
 		v[obd.CoolantTemp] = 88
 		tr.Collect(rec(i, v))
 	}
-	x := tr.Emit()
+	x := emit(tr)
 	if x[obd.Speed] != 15 {
 		t.Errorf("mean speed = %v, want 15", x[obd.Speed])
 	}
@@ -210,7 +217,7 @@ func TestHistogramValues(t *testing.T) {
 		v[obd.CoolantTemp] = 88
 		tr.Collect(rec(i, v))
 	}
-	x := tr.Emit()
+	x := emit(tr)
 	names := tr.FeatureNames()
 	var sum float64
 	for i, n := range names {
@@ -234,7 +241,7 @@ func TestSpectralShape(t *testing.T) {
 		v[obd.Speed] = 50 + 20*math.Sin(2*math.Pi*float64(i)/32)
 		tr.Collect(rec(i, v))
 	}
-	x := tr.Emit()
+	x := emit(tr)
 	names := tr.FeatureNames()
 	for i, n := range names {
 		if n == "spec(speed)[0]" && x[i] < 0.9 {

@@ -88,13 +88,15 @@ const (
 
 // Framework types (step 1–3 of the paper's framework).
 type (
-	// Transformer is the step-1 data transformation interface.
+	// Transformer is the step-1 data transformation interface: Collect,
+	// Ready and EmitInto stream it, Snapshot/Restore checkpoint it.
 	Transformer = transform.Transformer
 	// TransformKind selects a built-in transformation.
 	TransformKind = transform.Kind
 	// Detector is the step-3 unsupervised scoring interface.
 	Detector = detector.Detector
-	// Thresholder decides when scores become alarms.
+	// Thresholder decides when scores become alarms; Snapshot/Restore
+	// checkpoint its fitted thresholds.
 	Thresholder = thresholds.Thresholder
 	// Pipeline is the streaming per-vehicle realisation of Algorithm 1.
 	Pipeline = core.Pipeline
@@ -392,8 +394,8 @@ type (
 	AlarmJournal = obs.Journal
 	// AlarmJournalEntry is one journaled alarm with detection context.
 	AlarmJournalEntry = obs.AlarmEvent
-	// DebugServer serves /metrics, /debug/vars, /debug/pprof/* and
-	// /fleet on a background listener.
+	// DebugServer serves /metrics (the registry), /fleet, /debug/pprof/*
+	// and Go's standard /debug/vars on a background listener.
 	DebugServer = obs.DebugServer
 	// DebugConfig wires a registry, journal and fleet status callback
 	// into a DebugServer.
@@ -423,10 +425,10 @@ func NewObserver(reg *MetricsRegistry, cfg ObserverConfig) *Observer {
 // the default of 256 entries).
 func NewAlarmJournal(capacity int) *AlarmJournal { return obs.NewJournal(capacity) }
 
-// NewDebugMux builds the observability routes (/metrics, /debug/vars,
-// /debug/pprof/*, /fleet) as a mux callers can extend with their own
-// handlers — navarchos-serve mounts its ingest and query endpoints on
-// top of it.
+// NewDebugMux builds the observability routes (/metrics for the
+// registry, /fleet, /debug/pprof/* and Go's standard /debug/vars) as a
+// mux callers can extend with their own handlers — navarchos-serve
+// mounts its ingest and query endpoints on top of it.
 func NewDebugMux(cfg DebugConfig) *http.ServeMux { return obs.NewDebugMux(cfg) }
 
 // StartDebugServer serves the observability endpoints on addr (e.g.
