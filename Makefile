@@ -27,6 +27,21 @@ ci:
 	done; \
 	printf "\nmake ci: wall time per target\n$$table%-16s %5ds\n" total $$(( $$(date +%s) - t0 ))
 
+## named: the gates below run tests by name through
+## $(call named,PKG,REGEX[,ENV][,FLAGS]) = `ENV go test -run 'REGEX'
+## FLAGS PKG`, after failing when any |-separated alternative of REGEX
+## matches no test in PKG, checked one alternative at a time with `go
+## test -list`. `-run` alone prints "[no tests to run]" and exits 0, so
+## a renamed test would otherwise drop out of the gate that names it.
+define named
+@for alt in $$(echo '$(2)' | tr '|' ' '); do \
+	out=$$($(GO) test -list "$$alt" $(1)) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -qE '^(Test|Fuzz|Example)' || \
+		{ echo "$(1): -run alternative $$alt matches no test"; exit 1; }; \
+done
+$(3) $(GO) test -run '$(2)' $(4) $(1)
+endef
+
 ## check: the fast inner-loop gate — vet (incl. gofmt), build, and the
 ## plain test suite, with none of ci's race/equivalence/bench machinery.
 check: vet build test
@@ -70,7 +85,7 @@ race-fleet:
 ## per-sample loop does; and the legacy fit kernels and scorer must land
 ## on the same cells as the shipped detectors.
 grid-equiv:
-	$(GO) test -run 'TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc' ./internal/eval/
+	$(call named,./internal/eval/,TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc)
 
 ## resume-gate: checkpointing a live engine mid-stream and restoring at
 ## a different shard count must be bit-identical to an uninterrupted
@@ -82,8 +97,8 @@ grid-equiv:
 ## (testdata/engine_small.ckpt.sha256, testdata/transform.sha256; never
 ## regenerated from the change under test).
 resume-gate:
-	$(GO) test -run 'TestEngineCheckpointResumeGate|TestEngineObservedBitIdentity|TestEngineTracedBitIdentity|TestCheckpointBytesGolden' ./internal/fleet/
-	$(GO) test -run 'TestTransformGolden' ./internal/transform/
+	$(call named,./internal/fleet/,TestEngineCheckpointResumeGate|TestEngineObservedBitIdentity|TestEngineTracedBitIdentity|TestCheckpointBytesGolden)
+	$(call named,./internal/transform/,TestTransformGolden)
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting
 ## vehicles from a running engine and adopting them at a different
@@ -94,8 +109,8 @@ resume-gate:
 ## the same per-vehicle codec the handoff uses; its half of that one
 ## serialization path is resume-gate's to pin, not re-run here.
 drain-gate:
-	$(GO) test -run 'TestVehicleHandoffDrainGate|TestVehicleHandoffDrainGateTraced|TestConcurrentMigrationIngest' ./internal/fleet/
-	$(GO) test -run 'TestServeDrainHandoff|TestServeAdoptionOverridesRing' ./cmd/navarchos-serve/
+	$(call named,./internal/fleet/,TestVehicleHandoffDrainGate|TestVehicleHandoffDrainGateTraced|TestConcurrentMigrationIngest)
+	$(call named,./cmd/navarchos-serve/,TestServeDrainHandoff|TestServeAdoptionOverridesRing)
 
 ## bench-micro: one iteration of the kernel micro-benchmarks (the
 ## in-order product, SIMD axpy/Adam, the whole-layer dense forward/backward at
@@ -119,14 +134,14 @@ vet-obs: vet
 ## stay within 5% of the nil-observer hot path (timing-sensitive, so it
 ## is opt-in via OBS_OVERHEAD_GATE and not part of plain `go test`).
 obs-overhead:
-	OBS_OVERHEAD_GATE=1 $(GO) test -run 'TestObservedOverheadGate' -v ./internal/core/
+	$(call named,./internal/core/,TestObservedOverheadGate,OBS_OVERHEAD_GATE=1,-v)
 
 ## trace-overhead: the provenance budget — scoring with a batch context
 ## attached to every sample must stay within 5% of the untraced hot
 ## path (timing-sensitive, so it is opt-in via TRACE_OVERHEAD_GATE and
 ## not part of plain `go test`).
 trace-overhead:
-	TRACE_OVERHEAD_GATE=1 $(GO) test -run 'TestTracedOverheadGate' -v ./internal/core/
+	$(call named,./internal/core/,TestTracedOverheadGate,TRACE_OVERHEAD_GATE=1,-v)
 
 ## fuzz-smoke: a short fuzz of the binary codecs exposed to untrusted
 ## bytes — the checkpoint container, the NVWIRE1 telemetry frame
@@ -149,14 +164,15 @@ fuzz-smoke:
 ## fresh one does, refuse a bad header before sizing a buffer from it
 ## and give back oversized buffers when its stream ends, IngestBatch
 ## must reproduce Replay's alarms bit-for-bit at 1 and 2 shards
-## (including straight off decoded NVWIRE1 frames), and the HTTP front
+## (including straight off decoded NVWIRE1 frames) and admit with no
+## allocation from one item per call to a whole frame, and the HTTP front
 ## end must admit, journal, and reject end-to-end, on pooled decoders,
 ## inside its per-POST allocation bound (the ingest tests by name: `race`
 ## has just run the rest of the package).
 ingest-smoke:
-	$(GO) test -run 'TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget' ./internal/wire/
-	$(GO) test -run 'TestIngestBatch|TestWireVsReplayAlarmIdentity' ./internal/fleet/
-	$(GO) test -run 'TestServeWireIngestEndToEnd|TestServeStreamEndpoint|TestServeRejectsCorruptUpload|TestServeTextFormats|TestIngest' ./cmd/navarchos-serve/
+	$(call named,./internal/wire/,TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget)
+	$(call named,./internal/fleet/,TestIngestBatch|TestIngestRecordAllocFree|TestWireVsReplayAlarmIdentity)
+	$(call named,./cmd/navarchos-serve/,TestServeWireIngestEndToEnd|TestServeStreamEndpoint|TestServeRejectsCorruptUpload|TestServeTextFormats|TestIngest)
 
 ## bench-smoke: one iteration of the throughput (64 vehicles and the
 ## 400 x 2000 of ingest_burst, each at every shard count),

@@ -124,13 +124,13 @@ func TestServeDrainHandoff(t *testing.T) {
 
 	// Reference: the whole stream through one instance.
 	for _, frames := range [][]byte{first, second} {
-		if resp, body := postBody(t, tsref.URL+"/ingest/stream", "application/octet-stream", frames); resp.StatusCode != http.StatusOK {
+		if resp, body := postBody(t, tsref.URL+"/ingest", "application/octet-stream", frames); resp.StatusCode != http.StatusOK {
 			t.Fatalf("reference ingest: %d %s", resp.StatusCode, body)
 		}
 	}
 
 	// First half into a, then move every vehicle to b live.
-	if resp, body := postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", first); resp.StatusCode != http.StatusOK {
+	if resp, body := postBody(t, tsa.URL+"/ingest", "application/octet-stream", first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first half: %d %s", resp.StatusCode, body)
 	}
 	resp, body := postBody(t, tsa.URL+"/admin/drain?to="+tsb.URL, "", nil)
@@ -177,7 +177,7 @@ func TestServeDrainHandoff(t *testing.T) {
 
 	// Second half lands on b; the handoff carried the warm state so the
 	// merged journals match the reference bit-for-bit.
-	if resp, body := postBody(t, tsb.URL+"/ingest/stream", "application/octet-stream", second); resp.StatusCode != http.StatusOK {
+	if resp, body := postBody(t, tsb.URL+"/ingest", "application/octet-stream", second); resp.StatusCode != http.StatusOK {
 		t.Fatalf("second half: %d %s", resp.StatusCode, body)
 	}
 	// Flush enqueues but does not wait; the quiesce inside VehicleIDs is
@@ -218,7 +218,7 @@ func TestServeDrainHandoff(t *testing.T) {
 	rec := timeseries.Record{VehicleID: dr.Vehicles[0], Time: time.Now().UTC()}
 	enc.Record(&rec)
 	enc.End()
-	resp, body = postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", enc.Bytes())
+	resp, body = postBody(t, tsa.URL+"/ingest", "application/octet-stream", enc.Bytes())
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale ingest: %d %s, want 409", resp.StatusCode, body)
 	}
@@ -259,7 +259,7 @@ func TestServeCordonEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cordon: %d %s", resp.StatusCode, body)
 	}
-	resp, body = postBody(t, ts.URL+"/ingest/stream", "application/octet-stream", frame)
+	resp, body = postBody(t, ts.URL+"/ingest", "application/octet-stream", frame)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("cordoned ingest: %d %s, want 409", resp.StatusCode, body)
 	}
@@ -273,7 +273,7 @@ func TestServeCordonEndpoint(t *testing.T) {
 	if resp, body := postBody(t, ts.URL+"/admin/cordon?vehicle=veh-x&off=1", "", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("uncordon: %d %s", resp.StatusCode, body)
 	}
-	if resp, body := postBody(t, ts.URL+"/ingest/stream", "application/octet-stream", frame); resp.StatusCode != http.StatusOK {
+	if resp, body := postBody(t, ts.URL+"/ingest", "application/octet-stream", frame); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-uncordon ingest: %d %s", resp.StatusCode, body)
 	}
 	if st := s.eng.StatsConsistent(); st.RecordsIn != 1 {
@@ -312,7 +312,7 @@ func TestServePlacementRouting(t *testing.T) {
 	}
 	enc.End()
 
-	resp, body := postBody(t, ts.URL+"/ingest/stream", "application/octet-stream", enc.Bytes())
+	resp, body := postBody(t, ts.URL+"/ingest", "application/octet-stream", enc.Bytes())
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("misrouted batch: %d %s, want 409", resp.StatusCode, body)
 	}
@@ -377,7 +377,7 @@ func TestServeAdoptionOverridesRing(t *testing.T) {
 		return enc.Bytes()
 	}
 
-	if resp, body := postBody(t, tsb.URL+"/ingest/stream", "application/octet-stream", frame(0)); resp.StatusCode != http.StatusOK {
+	if resp, body := postBody(t, tsb.URL+"/ingest", "application/octet-stream", frame(0)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner ingest on b: %d %s", resp.StatusCode, body)
 	}
 	if resp, body := postBody(t, tsb.URL+"/admin/drain?vehicle="+veh+"&to="+tsa.URL, "", nil); resp.StatusCode != http.StatusOK {
@@ -385,7 +385,7 @@ func TestServeAdoptionOverridesRing(t *testing.T) {
 	}
 
 	// The adoptee admits the ring-mismatched vehicle.
-	if resp, body := postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", frame(1)); resp.StatusCode != http.StatusOK {
+	if resp, body := postBody(t, tsa.URL+"/ingest", "application/octet-stream", frame(1)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-drain ingest on a: %d %s, want 200", resp.StatusCode, body)
 	}
 	if st := sa.eng.StatsConsistent(); st.RecordsIn != 1 {
@@ -410,7 +410,7 @@ func TestServeAdoptionOverridesRing(t *testing.T) {
 	if resp, body := postBody(t, tsa.URL+"/admin/drain?vehicle="+veh+"&to="+tsb.URL, "", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain a->b: %d %s", resp.StatusCode, body)
 	}
-	resp, body = postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", frame(2))
+	resp, body = postBody(t, tsa.URL+"/ingest", "application/octet-stream", frame(2))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("post-drain-home ingest on a: %d %s, want 409", resp.StatusCode, body)
 	}
@@ -452,7 +452,7 @@ func TestServeDrainKeepsOperatorFence(t *testing.T) {
 		t.Fatalf("drain moved %d vehicles, want 0", dr.Moved)
 	}
 
-	resp, body = postBody(t, ts.URL+"/ingest/stream", "application/octet-stream", singleRecordFrame("veh-z", base, 0))
+	resp, body = postBody(t, ts.URL+"/ingest", "application/octet-stream", singleRecordFrame("veh-z", base, 0))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("post-drain ingest: %d %s, want 409 (fence erased by the drain?)", resp.StatusCode, body)
 	}
@@ -507,7 +507,7 @@ func TestServeDrainPartialFailure(t *testing.T) {
 
 	base := time.Now().UTC()
 	for _, v := range []string{"veh-1", "veh-2"} {
-		if resp, body := postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", singleRecordFrame(v, base, 0)); resp.StatusCode != http.StatusOK {
+		if resp, body := postBody(t, tsa.URL+"/ingest", "application/octet-stream", singleRecordFrame(v, base, 0)); resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed ingest %s: %d %s", v, resp.StatusCode, body)
 		}
 	}
@@ -532,10 +532,10 @@ func TestServeDrainPartialFailure(t *testing.T) {
 
 	// The re-adopted vehicle serves on a again; the moved one 409s with
 	// the drain target recorded per vehicle.
-	if resp, body := postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", singleRecordFrame("veh-2", base, 1)); resp.StatusCode != http.StatusOK {
+	if resp, body := postBody(t, tsa.URL+"/ingest", "application/octet-stream", singleRecordFrame("veh-2", base, 1)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-adopted ingest: %d %s, want 200", resp.StatusCode, body)
 	}
-	resp, body = postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", singleRecordFrame("veh-1", base, 1))
+	resp, body = postBody(t, tsa.URL+"/ingest", "application/octet-stream", singleRecordFrame("veh-1", base, 1))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("moved-vehicle ingest: %d %s, want 409", resp.StatusCode, body)
 	}
@@ -559,7 +559,7 @@ func TestServeDrainPeerConflictKeepsFence(t *testing.T) {
 	base := time.Now().UTC()
 
 	for _, ts := range []*httptest.Server{tsa, tsb} {
-		if resp, body := postBody(t, ts.URL+"/ingest/stream", "application/octet-stream", singleRecordFrame("veh-dup", base, 0)); resp.StatusCode != http.StatusOK {
+		if resp, body := postBody(t, ts.URL+"/ingest", "application/octet-stream", singleRecordFrame("veh-dup", base, 0)); resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed ingest: %d %s", resp.StatusCode, body)
 		}
 	}
@@ -573,7 +573,7 @@ func TestServeDrainPeerConflictKeepsFence(t *testing.T) {
 	if got := sa.eng.VehicleIDs(); len(got) != 0 {
 		t.Fatalf("origin still serves %v after the conflict", got)
 	}
-	resp, body = postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", singleRecordFrame("veh-dup", base, 1))
+	resp, body = postBody(t, tsa.URL+"/ingest", "application/octet-stream", singleRecordFrame("veh-dup", base, 1))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("post-conflict ingest on a: %d %s, want 409", resp.StatusCode, body)
 	}
@@ -586,7 +586,7 @@ func TestServeDrainPeerConflictKeepsFence(t *testing.T) {
 	}
 
 	// b keeps serving its copy untouched.
-	if resp, body := postBody(t, tsb.URL+"/ingest/stream", "application/octet-stream", singleRecordFrame("veh-dup", base, 1)); resp.StatusCode != http.StatusOK {
+	if resp, body := postBody(t, tsb.URL+"/ingest", "application/octet-stream", singleRecordFrame("veh-dup", base, 1)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer ingest after conflict: %d %s, want 200", resp.StatusCode, body)
 	}
 	if st := sb.eng.StatsConsistent(); st.RecordsIn != 2 {
@@ -614,7 +614,7 @@ func TestServeOverrideTableRoundTrip(t *testing.T) {
 			t.Fatal("ring never placed a vehicle on b")
 		}
 	}
-	if resp, body := postBody(t, tsb.URL+"/ingest/stream", "application/octet-stream",
+	if resp, body := postBody(t, tsb.URL+"/ingest", "application/octet-stream",
 		singleRecordFrame(veh, time.Now().UTC(), 0)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner ingest on b: %d %s", resp.StatusCode, body)
 	}

@@ -117,7 +117,7 @@ func TestServeAdminEventsDrainAudit(t *testing.T) {
 	_, tsa := namedServer(t, "a", nil)
 	_, tsb := namedServer(t, "b", nil)
 
-	if resp, body := postBody(t, tsa.URL+"/ingest/stream", "application/octet-stream", first); resp.StatusCode != http.StatusOK {
+	if resp, body := postBody(t, tsa.URL+"/ingest", "application/octet-stream", first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
 	}
 	resp, body := postBody(t, tsa.URL+"/admin/drain?to="+tsb.URL, "", nil)

@@ -78,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	secondHalf := drainAndFinish(eng, fleet.Records[n:], postEvents)
+	secondHalf := drainAndFinish(eng, fleet.Records[n:], postEvents, nil)
 	fmt.Printf("process 2: restored %d vehicles, replayed the remaining %d records\n",
 		eng.Stats().Vehicles, len(fleet.Records)-n)
 
@@ -94,21 +94,18 @@ func main() {
 }
 
 // replay runs records/events through a fresh engine and returns its
-// alarms; afterClose (optional) runs on the closed engine, which is
-// where a checkpoint of a finished ingest belongs.
-func replay(cfg pdm.FleetEngineConfig, records []pdm.Record, events []pdm.Event, afterClose func(*pdm.FleetEngine)) []pdm.Alarm {
+// alarms; beforeClose (optional) runs on the live engine once the
+// replay is in, which is where a checkpoint of a finished ingest
+// belongs.
+func replay(cfg pdm.FleetEngineConfig, records []pdm.Record, events []pdm.Event, beforeClose func(*pdm.FleetEngine)) []pdm.Alarm {
 	eng, err := pdm.NewFleetEngine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	alarms := drainAndFinish(eng, records, events)
-	if afterClose != nil {
-		afterClose(eng)
-	}
-	return alarms
+	return drainAndFinish(eng, records, events, beforeClose)
 }
 
-func drainAndFinish(eng *pdm.FleetEngine, records []pdm.Record, events []pdm.Event) []pdm.Alarm {
+func drainAndFinish(eng *pdm.FleetEngine, records []pdm.Record, events []pdm.Event, beforeClose func(*pdm.FleetEngine)) []pdm.Alarm {
 	var alarms []pdm.Alarm
 	done := make(chan struct{})
 	go func() {
@@ -119,6 +116,9 @@ func drainAndFinish(eng *pdm.FleetEngine, records []pdm.Record, events []pdm.Eve
 	}()
 	if err := eng.Replay(records, events); err != nil {
 		log.Fatal(err)
+	}
+	if beforeClose != nil {
+		beforeClose(eng)
 	}
 	if err := eng.Close(); err != nil {
 		log.Fatal(err)

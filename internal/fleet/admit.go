@@ -9,39 +9,6 @@ import (
 	"github.com/navarchos/pdm/internal/timeseries"
 )
 
-// IngestRecord queues one record for its vehicle's shard, blocking when
-// the shard's queue is full (backpressure). A cordoned or mid-handoff
-// vehicle is refused with a typed *VehicleUnavailableError.
-func (e *Engine) IngestRecord(r timeseries.Record) error {
-	return e.ingest(envelope{rec: r})
-}
-
-// IngestEvent queues one maintenance event for its vehicle's shard. An
-// event ingested before a record is processed before it — callers feed
-// streams chronologically with events first on equal timestamps, the
-// same contract as core.RunVehicle (Replay does this automatically).
-func (e *Engine) IngestEvent(ev obd.Event) error {
-	return e.ingest(envelope{isEvent: true, ev: ev})
-}
-
-// ingest admits one envelope through enqueueStaged, so the per-record
-// path shares the batch path's cordon check and BatchSize chunking.
-func (e *Engine) ingest(env envelope) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	var refusal VehicleUnavailableError
-	staged := [1]envelope{env}
-	e.enqueueStaged(e.shardFor(envID(&env)), staged[:], &refusal)
-	if refusal.Refused == 0 {
-		return nil
-	}
-	// Copied so refusal itself stays on the stack: the admitted path
-	// must not allocate.
-	err := refusal
-	return &err
-}
-
 // ingestStage is the producer-local staging area IngestBatch and Replay
 // reuse across calls: one envelope run per shard, so a whole run
 // crosses each shard's ingest mutex in a single critical section
@@ -76,19 +43,18 @@ func (e *Engine) putStage(st *ingestStage) {
 
 // IngestBatch queues a whole decoded batch — records and events merged
 // chronologically, events before same-timestamp records, exactly as
-// Replay orders them — routing it to shards in one pass. Compared with
-// per-record IngestRecord calls it pays the shard hash once per item
-// but the ingest mutex only once per (shard, batch), which is what
-// keeps a network ingest path off the engine's synchronisation edges.
-// Each input slice must be time-sorted (the usual telemetry upload
-// shape); unsorted batches are handled but fall back to a sorting
-// merge.
+// Replay orders them — routing it to shards in one pass. It pays the
+// shard hash once per item but the ingest mutex only once per (shard,
+// batch), which is what keeps a network ingest path off the engine's
+// synchronisation edges. Each input slice must be time-sorted (the
+// usual telemetry upload shape); unsorted batches are handled but fall
+// back to a sorting merge. A streaming producer with one record at a
+// time passes one-item slices: admission stays allocation-free.
 //
-// Backpressure semantics match IngestRecord: a full shard queue blocks
-// the call (holding only that shard's ingest mutex) until the shard
-// drains. Like IngestRecord it leaves a partial batch pending — call
-// Flush to push tails out when latency matters more than batching.
-// Safe for concurrent use; per-shard envelope order follows
+// Backpressure: a full shard queue blocks the call (holding only that
+// shard's ingest mutex) until the shard drains. A partial batch stays
+// pending — call Flush to push tails out when latency matters more than
+// batching. Safe for concurrent use; per-shard envelope order follows
 // per-producer call order.
 //
 // Items for a cordoned or mid-handoff vehicle are refused with a typed
@@ -143,7 +109,10 @@ func (e *Engine) IngestBatchCtx(records []timeseries.Record, events []obd.Event,
 	}
 	e.putStage(st)
 	if err == nil && refusal.Refused > 0 {
-		return &refusal
+		// Copied so refusal itself stays on the stack: the admitted path
+		// must not allocate.
+		err := refusal
+		return &err
 	}
 	return err
 }
@@ -206,7 +175,7 @@ func (e *Engine) getBatch(s *shard) []envelope {
 		return b
 	default:
 		e.batchAllocs.Add(1)
-		return make([]envelope, 0, e.cfg.BatchSize)
+		return make([]envelope, 0, e.cfg.batchSize)
 	}
 }
 
@@ -259,13 +228,13 @@ func (e *Engine) enqueueStaged(s *shard, staged []envelope, refusal *VehicleUnav
 		if s.pending == nil {
 			s.pending = e.getBatch(s)
 		}
-		free := e.cfg.BatchSize - len(s.pending)
+		free := e.cfg.batchSize - len(s.pending)
 		if free > len(staged) {
 			free = len(staged)
 		}
 		s.pending = append(s.pending, staged[:free]...)
 		staged = staged[free:]
-		if len(s.pending) >= e.cfg.BatchSize {
+		if len(s.pending) >= e.cfg.batchSize {
 			flushPendingLocked(s)
 		}
 	}

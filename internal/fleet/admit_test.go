@@ -24,7 +24,7 @@ func TestReplayHonoursCordon(t *testing.T) {
 	e, err := NewEngine(Config{
 		NewConfig:  func(string) (core.Config, error) { return testConfig(), nil },
 		Shards:     2,
-		BatchSize:  8,
+		batchSize:  8,
 		DropAlarms: true,
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestReplayBesideCheckpointAndIngest(t *testing.T) {
 			return h, nil
 		},
 		Shards:     2,
-		BatchSize:  16,
+		batchSize:  16,
 		QueueDepth: 4,
 	}
 	e, err := NewEngine(cfg)

@@ -2,66 +2,26 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector"
 )
 
-// engineAlarmsMode replays the shared test fleet with the given fit
-// mode and returns the sorted alarms.
-func engineAlarmsMode(t *testing.T, syncFits bool, shards int) []detector.Alarm {
-	t.Helper()
-	f := smallFleet()
-	e, err := NewEngine(Config{
-		NewConfig: func(string) (core.Config, error) { return testConfig(), nil },
-		Shards:    shards,
-		BatchSize: 7,
-		SyncFits:  syncFits,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []detector.Alarm
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for a := range e.Alarms() {
-			out = append(out, a)
-		}
-	}()
-	if err := e.Replay(f.Records, f.Events); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	sortAlarms(out)
-	return out
-}
-
 // TestAsyncFitsMatchSyncFits is the asynchronous-refit determinism
 // guarantee: parking a fitting vehicle's envelopes and replaying them
-// after the fit must yield exactly the alarms of inline fitting, for any
-// shard count.
+// after the fit must yield exactly the alarms of core.RunVehicle's
+// inline fits, for any shard count.
 func TestAsyncFitsMatchSyncFits(t *testing.T) {
-	want := engineAlarmsMode(t, true, 1)
+	f := smallFleet()
+	want := serialAlarms(t, f)
 	if len(want) == 0 {
 		t.Fatal("test fleet produced no alarms; equivalence check is vacuous")
 	}
 	for _, shards := range []int{1, 3} {
-		got := engineAlarmsMode(t, false, shards)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: async %d alarms, sync %d", shards, len(got), len(want))
-		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if g.VehicleID != w.VehicleID || !g.Time.Equal(w.Time) ||
-				g.Channel != w.Channel || g.Score != w.Score || g.Threshold != w.Threshold {
-				t.Fatalf("shards=%d: alarm %d differs:\n got %+v\nwant %+v", shards, i, g, w)
-			}
-		}
+		got, _ := engineAlarms(t, f, shards, 7)
+		requireSameAlarms(t, fmt.Sprintf("shards=%d", shards), got, want)
 	}
 }
 
@@ -91,22 +51,17 @@ func TestAsyncFitErrorDropsVehicle(t *testing.T) {
 			return cfg, nil
 		},
 		Shards:    2,
-		BatchSize: 7,
+		batchSize: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range e.Alarms() {
-		}
-	}()
+	wait := drainAlarms(e)
 	if err := e.Replay(f.Records, f.Events); err != nil {
 		t.Fatal(err)
 	}
 	err = e.Close()
-	<-done
+	wait()
 	if !errors.Is(err, errFitBoom) {
 		t.Fatalf("Close error = %v, want wrapped errFitBoom", err)
 	}

@@ -15,7 +15,7 @@ import (
 // core.Pipeline's: a checkpoint stream carries only mutable runtime
 // state (per-vehicle handler snapshots, the skip set, counter totals),
 // while configuration — transformers, detectors, thresholds, shard
-// count, batch sizes — is supplied again at restore time through a
+// count, queue depth — is supplied again at restore time through a
 // Config. Because state is keyed by vehicle ID and placement is
 // recomputed with shardFor, a checkpoint taken at one shard count
 // restores into an engine with any other shard count.
@@ -41,23 +41,19 @@ const (
 // Checkpoint writes the engine's mutable state to w as a versioned
 // checkpoint stream.
 //
-// On a running engine it quiesces the fleet first: every shard's
-// ingest mutex is held (blocking producers), pending batches are
-// flushed, and a barrier envelope parks each shard goroutine at a
-// batch boundary, so the serialized state is a consistent cut — every
-// element ingested before Checkpoint is reflected, nothing ingested
-// after it is. Processing resumes when Checkpoint returns.
-// Restrictions on the live path: Checkpoint must not run concurrently
+// It quiesces the fleet first: every shard's ingest mutex is held
+// (blocking producers), pending batches are flushed, and a barrier
+// envelope parks each shard goroutine at a batch boundary, so the
+// serialized state is a consistent cut — every element ingested before
+// Checkpoint is reflected, nothing ingested after it is. Processing
+// resumes when Checkpoint returns. Checkpoint must not run concurrently
 // with Close, and when DropAlarms is unset the caller must keep
 // draining Alarms() while Checkpoint runs — shards may need to deliver
-// alarms before they can reach the barrier.
-//
-// On a closed engine Checkpoint serializes directly under the same
-// ownership contract as Pipelines: the shards have stopped and the
-// caller owns the handlers.
+// alarms before they can reach the barrier. A finished run is
+// checkpointed before Close; after Close, Checkpoint returns ErrClosed.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	if e.closed.Load() {
-		return e.writeCheckpoint(w)
+		return ErrClosed
 	}
 	var start time.Time
 	if e.ckptH != nil {
@@ -75,8 +71,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 }
 
 // writeCheckpoint serializes counters, the skip set and every
-// handler's snapshot. Callers guarantee exclusive access to shard
-// state (barrier quiesce or closed engine).
+// handler's snapshot. The caller has quiesced the fleet.
 func (e *Engine) writeCheckpoint(w io.Writer) error {
 	enc := checkpoint.NewEncoder(w)
 
@@ -141,9 +136,9 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 // checkpoint stream r into it and starts it. cfg must describe the
 // same per-vehicle processing as the checkpointed run (each handler's
 // Restore validates its own state/config compatibility) but is free to
-// change the engine-level deployment: shard count, batch size, queue
-// depth. Restored vehicles are re-placed by hashing their IDs over the
-// new shard set; counter totals are credited to shard 0 so EngineStats
+// change the engine-level deployment: shard count and queue depth.
+// Restored vehicles are re-placed by hashing their IDs over the new
+// shard set; counter totals are credited to shard 0 so EngineStats
 // totals continue across the restart.
 //
 // Typed failures: container-level problems surface the checkpoint

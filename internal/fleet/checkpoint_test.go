@@ -130,23 +130,6 @@ func syntheticStream(vehicles, perVehicle int) ([]timeseries.Record, []obd.Event
 	return records, events
 }
 
-// drainAlarms collects the engine's alarms in the background; the
-// returned function waits for channel close and hands the slice back.
-func drainAlarms(e *Engine) func() []detector.Alarm {
-	var out []detector.Alarm
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for a := range e.Alarms() {
-			out = append(out, a)
-		}
-	}()
-	return func() []detector.Alarm {
-		<-done
-		return out
-	}
-}
-
 // splitEvents partitions events around the split record's timestamp,
 // preserving Merged's events-before-same-timestamp-records order.
 func splitEvents(events []obd.Event, splitTime time.Time) (first, second []obd.Event) {
@@ -178,21 +161,6 @@ func bitEqualRows(a, b [][]float64) bool {
 	return true
 }
 
-func sameAlarms(a, b []detector.Alarm) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].VehicleID != b[i].VehicleID || !a[i].Time.Equal(b[i].Time) ||
-			a[i].Channel != b[i].Channel || a[i].Feature != b[i].Feature ||
-			math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) ||
-			math.Float64bits(a[i].Threshold) != math.Float64bits(b[i].Threshold) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestEngineCheckpointResumeGate is the fleet-level resume gate the
 // state/config split exists for: for every paper technique × transform
 // grid cell, checkpoint a LIVE engine mid-stream (exercising the
@@ -214,7 +182,7 @@ func TestEngineCheckpointResumeGate(t *testing.T) {
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
 				// Uninterrupted reference.
 				refTraces := newTraceSet()
-				eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, BatchSize: 16})
+				eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, batchSize: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +198,7 @@ func TestEngineCheckpointResumeGate(t *testing.T) {
 
 				// Prefix run, checkpointed while live.
 				preTraces := newTraceSet()
-				e1, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, preTraces), Shards: 3, BatchSize: 16})
+				e1, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, preTraces), Shards: 3, batchSize: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -250,7 +218,7 @@ func TestEngineCheckpointResumeGate(t *testing.T) {
 				// Restore at a different shard count and replay the rest.
 				postTraces := newTraceSet()
 				e2, err := NewEngineFromCheckpoint(bytes.NewReader(buf.Bytes()),
-					Config{NewConfig: gridConfig(tech, kind, postTraces), Shards: 1, BatchSize: 16})
+					Config{NewConfig: gridConfig(tech, kind, postTraces), Shards: 1, batchSize: 16})
 				if err != nil {
 					t.Fatalf("NewEngineFromCheckpoint: %v", err)
 				}
@@ -265,10 +233,7 @@ func TestEngineCheckpointResumeGate(t *testing.T) {
 
 				got := append(append([]detector.Alarm{}, preAlarms...), postAlarms...)
 				sortAlarms(got)
-				if !sameAlarms(got, refAlarms) {
-					t.Errorf("resumed alarms differ: %d+%d vs %d uninterrupted",
-						len(preAlarms), len(postAlarms), len(refAlarms))
-				}
+				requireSameAlarms(t, fmt.Sprintf("resumed (%d+%d alarms)", len(preAlarms), len(postAlarms)), got, refAlarms)
 
 				// Per-sample scores and thresholds: the prefix trace must be
 				// the reference's head, the restored trace its tail.
@@ -301,10 +266,11 @@ func TestEngineCheckpointResumeGate(t *testing.T) {
 	}
 }
 
-// TestEngineCheckpointClosedAndSkip covers the post-Close checkpoint
-// path and skip-set persistence: a fleet checkpointed after Close
-// restores (at a different shard count) into an engine that resumes
-// exactly and keeps excluding the skipped vehicle.
+// TestEngineCheckpointClosedAndSkip covers the end-of-run checkpoint
+// and skip-set persistence: a fleet checkpointed after its last Replay
+// and before Close restores (at a different shard count) into an engine
+// that resumes exactly and keeps excluding the skipped vehicle, and the
+// closed engine refuses a second checkpoint with ErrClosed.
 func TestEngineCheckpointClosedAndSkip(t *testing.T) {
 	f := smallFleet()
 	ids := f.AllVehicleIDs()
@@ -315,11 +281,18 @@ func TestEngineCheckpointClosedAndSkip(t *testing.T) {
 		}
 		return testConfig(), nil
 	}
-	run := func(e *Engine, records []timeseries.Record, events []obd.Event) []detector.Alarm {
+	// run replays into e, checkpoints it into ckpt when ckpt is non-nil,
+	// and closes it.
+	run := func(e *Engine, records []timeseries.Record, events []obd.Event, ckpt io.Writer) []detector.Alarm {
 		t.Helper()
 		wait := drainAlarms(e)
 		if err := e.Replay(records, events); err != nil {
 			t.Fatal(err)
+		}
+		if ckpt != nil {
+			if err := e.Checkpoint(ckpt); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
 		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
@@ -327,11 +300,11 @@ func TestEngineCheckpointClosedAndSkip(t *testing.T) {
 		return wait()
 	}
 
-	eRef, err := NewEngine(Config{NewConfig: factory, Shards: 3, BatchSize: 32})
+	eRef, err := NewEngine(Config{NewConfig: factory, Shards: 3, batchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := run(eRef, f.Records, f.Events)
+	want := run(eRef, f.Records, f.Events, nil)
 	sortAlarms(want)
 	if len(want) == 0 {
 		t.Fatal("reference run raised no alarms; resume check is vacuous")
@@ -339,31 +312,29 @@ func TestEngineCheckpointClosedAndSkip(t *testing.T) {
 
 	split := len(f.Records) / 2
 	evFirst, evSecond := splitEvents(f.Events, f.Records[split].Time)
-	e1, err := NewEngine(Config{NewConfig: factory, Shards: 3, BatchSize: 32})
+	e1, err := NewEngine(Config{NewConfig: factory, Shards: 3, batchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := run(e1, f.Records[:split], evFirst)
 	var buf bytes.Buffer
-	if err := e1.Checkpoint(&buf); err != nil {
-		t.Fatalf("Checkpoint after Close: %v", err)
+	got := run(e1, f.Records[:split], evFirst, &buf)
+	if err := e1.Checkpoint(io.Discard); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Checkpoint after Close = %v, want ErrClosed", err)
 	}
 
 	e2, err := NewEngineFromCheckpoint(bytes.NewReader(buf.Bytes()),
-		Config{NewConfig: factory, Shards: 5, BatchSize: 32})
+		Config{NewConfig: factory, Shards: 5, batchSize: 32})
 	if err != nil {
 		t.Fatalf("NewEngineFromCheckpoint: %v", err)
 	}
-	got = append(got, run(e2, f.Records[split:], evSecond)...)
+	got = append(got, run(e2, f.Records[split:], evSecond, nil)...)
 	sortAlarms(got)
-	if !sameAlarms(got, want) {
-		t.Errorf("resumed alarms differ: got %d, want %d", len(got), len(want))
-	}
-	e2.Handlers(func(id string, _ Handler) {
+	requireSameAlarms(t, "resumed", got, want)
+	for _, id := range e2.VehicleIDs() {
 		if id == skipID {
 			t.Errorf("skipped vehicle %s grew a handler after restore", id)
 		}
-	})
+	}
 }
 
 // TestEngineCheckpointNotSnapshottable: a fleet of transform-only
@@ -397,7 +368,7 @@ func TestEngineCheckpointNotSnapshottable(t *testing.T) {
 	}
 	// The failed checkpoint released the barrier: the engine still
 	// ingests and closes cleanly.
-	if err := e.IngestRecord(records[0]); err != nil {
+	if err := e.IngestBatch(records[:1], nil); err != nil {
 		t.Fatalf("ingest after failed checkpoint: %v", err)
 	}
 	if err := e.Close(); err != nil {
@@ -419,11 +390,11 @@ func TestNewEngineFromCheckpointRejectsBadInput(t *testing.T) {
 	if err := e.Replay(records, events); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if err := e.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

@@ -13,14 +13,16 @@
 // engine's per-vehicle behaviour bit-identical to a serial replay,
 // whatever the shard count.
 //
-// There is one way into a shard queue: every producer — IngestRecord,
-// IngestEvent, IngestBatch, Replay — stages envelopes and hands them to
+// There is one way into a shard queue: both producers — IngestBatch
+// (IngestBatchCtx) and Replay — stage envelopes and hand them to
 // enqueueStaged, which holds the shard's ingest mutex, applies the
-// cordon fence and cuts BatchSize batches. Per-shard processing order
-// is therefore the order of enqueueStaged calls on that shard, and
-// anything that quiesces a shard (Checkpoint, StatsConsistent,
+// cordon fence and cuts batches of 64 envelopes. Per-shard processing
+// order is therefore the order of enqueueStaged calls on that shard,
+// and anything that quiesces a shard (Checkpoint, StatsConsistent,
 // ExtractVehicle, AdoptVehicle) is ordered against every producer by
-// that same mutex.
+// that same mutex. Everything that touches handler state does so on a
+// live engine through that quiesce; after Close only the counters and
+// the vehicle list can be read.
 package fleet
 
 import (
@@ -55,7 +57,8 @@ type FitDeferrer interface {
 // counted but otherwise ignored, and no pipeline is built for it.
 var ErrSkipVehicle = errors.New("fleet: vehicle not in run set")
 
-// ErrClosed is returned by ingestion methods after Close.
+// ErrClosed is returned after Close by the ingestion methods and by
+// Checkpoint, ExtractVehicle and AdoptVehicle.
 var ErrClosed = errors.New("fleet: engine closed")
 
 // Handler processes one vehicle's stream elements. core.Pipeline is the
@@ -110,24 +113,11 @@ type Config struct {
 	// QueueDepth is the per-shard channel capacity in batches (default
 	// 256). A full queue blocks ingestion — that is the backpressure.
 	QueueDepth int
-	// BatchSize is the number of envelopes per batch (default 64).
-	// Batching amortises channel synchronisation across records.
-	BatchSize int
-	// AlarmBuffer is the fan-in alarm channel capacity (default 1024).
-	AlarmBuffer int
 	// DropAlarms makes shards drop (and count) alarms when the fan-in
-	// channel is full instead of blocking on it. Set it when alarms are
-	// advisory; leave it unset when every alarm must be observed, and
-	// drain Alarms() concurrently.
+	// channel (1024 alarms) is full instead of blocking on it.
+	// Set it when alarms are advisory; leave it unset when every alarm
+	// must be observed, and drain Alarms() concurrently.
 	DropAlarms bool
-	// SyncFits forces profile-fill refits to run inline on the shard
-	// goroutine (the pre-optimisation behaviour). By default fits of
-	// FitDeferrer handlers run asynchronously on fitpool workers, so one
-	// vehicle's expensive refit never serialises the rest of its shard's
-	// batch; the fitting vehicle's envelopes are parked and replayed in
-	// order when the fit completes, keeping per-vehicle alarms
-	// bit-identical either way.
-	SyncFits bool
 	// Observer, when non-nil, registers the engine's fleet-level
 	// metrics in the observer's registry: per-shard queue depth and
 	// counters (collection-time callbacks, free on the hot path), a
@@ -138,7 +128,20 @@ type Config struct {
 	// engine at a time; a newer engine's registration takes over the
 	// callback series of an older one.
 	Observer *obs.Observer
+
+	// batchSize is the number of envelopes per batch (defaultBatchSize
+	// when zero). Only this package's tests set it, to move batch
+	// boundaries.
+	batchSize int
 }
+
+const (
+	// defaultBatchSize envelopes make one batch: batching amortises
+	// channel synchronisation across records.
+	defaultBatchSize = 64
+	// alarmBuffer is the fan-in alarm channel's capacity.
+	alarmBuffer = 1024
+)
 
 func (c *Config) validate() error {
 	if c.NewConfig == nil && c.NewHandler == nil {
@@ -153,20 +156,17 @@ func (c *Config) validate() error {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	if c.AlarmBuffer <= 0 {
-		c.AlarmBuffer = 1024
+	if c.batchSize <= 0 {
+		c.batchSize = defaultBatchSize
 	}
 	return nil
 }
 
 // envelope is one queued stream element: a record, an event, or a
 // checkpoint barrier. prov is the shared provenance context of the
-// ingest batch the element arrived in (nil on the Replay and
-// per-record paths): one pointer per envelope, one allocation per
-// frame, so tracing never adds per-record allocations.
+// ingest batch the element arrived in (nil on Replay and plain
+// IngestBatch): one pointer per envelope, one allocation per frame, so
+// tracing never adds per-record allocations.
 type envelope struct {
 	isEvent bool
 	rec     timeseries.Record
@@ -319,8 +319,8 @@ func newEngineStopped(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:         cfg,
 		shards:      make([]*shard, cfg.Shards),
-		alarmCh:     make(chan detector.Alarm, cfg.AlarmBuffer),
-		replayStage: replayStageBatches * cfg.BatchSize,
+		alarmCh:     make(chan detector.Alarm, alarmBuffer),
+		replayStage: replayStageBatches * cfg.batchSize,
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{
@@ -347,7 +347,7 @@ func (e *Engine) registerMetrics() {
 	}
 	reg := o.Registry()
 	e.batchH = reg.Histogram("pdm_fleet_batch_seconds",
-		"Shard batch processing latency (one batch = up to BatchSize envelopes).", obs.DefLatencyBuckets)
+		"Shard batch processing latency (one batch = up to 64 envelopes).", obs.DefLatencyBuckets)
 	e.ckptH = reg.Histogram("pdm_fleet_checkpoint_seconds",
 		"Live checkpoint duration: barrier quiesce + state serialization.", obs.DefLatencyBuckets)
 	reg.GaugeFunc("pdm_fleet_vehicles",
@@ -542,32 +542,6 @@ func (e *Engine) quiesce() (release func()) {
 		close(bar.resume)
 		for _, s := range e.shards {
 			s.mu.Unlock()
-		}
-	}
-}
-
-// Pipelines calls fn for every core.Pipeline the engine has built, shard
-// by shard (handlers of other types are skipped). It must only be used
-// after Close: handlers are owned by shard goroutines while the engine
-// runs.
-func (e *Engine) Pipelines(fn func(*core.Pipeline)) {
-	for _, s := range e.shards {
-		for _, v := range s.byID {
-			if p, ok := v.h.(*core.Pipeline); ok {
-				fn(p)
-			}
-		}
-	}
-}
-
-// Handlers calls fn for every handler the engine has built, shard by
-// shard. Same ownership contract as Pipelines: only after Close.
-func (e *Engine) Handlers(fn func(vehicleID string, h Handler)) {
-	for _, s := range e.shards {
-		for id, v := range s.byID {
-			if !v.skipped {
-				fn(id, v.h)
-			}
 		}
 	}
 }

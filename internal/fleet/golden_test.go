@@ -34,7 +34,7 @@ func goldenCheckpoint(t *testing.T, shards int) string {
 			return cfg, nil
 		},
 		Shards:    shards,
-		BatchSize: 32,
+		batchSize: 32,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -108,13 +108,9 @@ func TestEngineNewHandlerTraceCollection(t *testing.T) {
 		if stats.SamplesScored != uint64(len(want["veh-1"].Samples)+len(want["veh-2"].Samples)) {
 			t.Errorf("shards=%d: SamplesScored = %d, want emitted-sample total", shards, stats.SamplesScored)
 		}
-		seen := 0
-		eng.Handlers(func(string, Handler) { seen++ })
-		if seen != 2 {
-			t.Errorf("Handlers visited %d, want 2", seen)
+		if ids := eng.VehicleIDs(); !reflect.DeepEqual(ids, []string{"veh-1", "veh-2"}) {
+			t.Errorf("shards=%d: VehicleIDs = %v, want both vehicles", shards, ids)
 		}
-		// Trace collectors are not pipelines; Pipelines must skip them.
-		eng.Pipelines(func(*core.Pipeline) { t.Error("Pipelines should not see TraceCollectors") })
 	}
 }
 

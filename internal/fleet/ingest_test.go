@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -36,19 +35,12 @@ func batchedAlarms(t *testing.T, f *fleetsim.Fleet, shards, chunk int) ([]detect
 	e, err := NewEngine(Config{
 		NewConfig: func(string) (core.Config, error) { return testConfig(), nil },
 		Shards:    shards,
-		BatchSize: 16,
+		batchSize: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []detector.Alarm
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for a := range e.Alarms() {
-			out = append(out, a)
-		}
-	}()
+	wait := drainAlarms(e)
 	var recs []timeseries.Record
 	var evs []obd.Event
 	for start := 0; start < len(items); start += chunk {
@@ -71,27 +63,9 @@ func batchedAlarms(t *testing.T, f *fleetsim.Fleet, shards, chunk int) ([]detect
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	out := wait()
 	sortAlarms(out)
 	return out, e.Stats()
-}
-
-// requireSameAlarms asserts bit-exact alarm identity: same count, and
-// per alarm the same vehicle, instant, channel, and Float64bits-equal
-// score and threshold.
-func requireSameAlarms(t *testing.T, label string, got, want []detector.Alarm) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d alarms, want %d", label, len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.VehicleID != w.VehicleID || !g.Time.Equal(w.Time) || g.Channel != w.Channel ||
-			math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
-			math.Float64bits(g.Threshold) != math.Float64bits(w.Threshold) {
-			t.Fatalf("%s: alarm %d differs:\n got %+v\nwant %+v", label, i, g, w)
-		}
-	}
 }
 
 // TestIngestBatchMatchesReplay pins the admission seam's determinism:
@@ -142,19 +116,12 @@ func TestWireVsReplayAlarmIdentity(t *testing.T) {
 		e, err := NewEngine(Config{
 			NewConfig: func(string) (core.Config, error) { return testConfig(), nil },
 			Shards:    shards,
-			BatchSize: 16,
+			batchSize: 16,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []detector.Alarm
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for a := range e.Alarms() {
-				got = append(got, a)
-			}
-		}()
+		wait := drainAlarms(e)
 		var dec wire.Decoder
 		decoded, err := dec.DecodeStream(bytes.NewReader(frames), wire.SinkFunc(func(b *wire.Batch) error {
 			return e.IngestBatch(b.Records, b.Events)
@@ -168,7 +135,7 @@ func TestWireVsReplayAlarmIdentity(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		<-done
+		got := wait()
 		sortAlarms(got)
 		requireSameAlarms(t, fmt.Sprintf("wire shards=%d", shards), got, want)
 	}
@@ -199,9 +166,9 @@ func TestIngestBatchEmptyAndClosed(t *testing.T) {
 	}
 }
 
-// TestIngestBatchBackpressure pins the batch path to the same
-// backpressure contract as IngestRecord: with the shard queue full and
-// the consumer held, the next batch must block until the shard drains.
+// TestIngestBatchBackpressure pins the batch path's backpressure
+// contract for multi-item calls: with the shard queue full and the
+// consumer held, the next batch must block until the shard drains.
 func TestIngestBatchBackpressure(t *testing.T) {
 	const queueDepth = 2
 	gate := make(chan struct{})
@@ -210,7 +177,7 @@ func TestIngestBatchBackpressure(t *testing.T) {
 			return &gateHandler{gate: gate}, nil
 		},
 		Shards:     1,
-		BatchSize:  1, // every record is its own batch
+		batchSize:  1, // every record is its own batch
 		QueueDepth: queueDepth,
 	})
 	if err != nil {
@@ -269,7 +236,7 @@ func TestIngestBatchDuringCheckpointBarrier(t *testing.T) {
 	e, err := NewEngine(Config{
 		NewConfig: func(string) (core.Config, error) { return testConfig(), nil },
 		Shards:    2,
-		BatchSize: 64, // large: batches below stay pending until flushed
+		batchSize: 64, // large: batches below stay pending until flushed
 	})
 	if err != nil {
 		t.Fatal(err)

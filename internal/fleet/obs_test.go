@@ -39,7 +39,7 @@ func TestEngineObservedBitIdentity(t *testing.T) {
 			tech, kind := tech, kind
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
 				run := func(o *obs.Observer) []detector.Alarm {
-					cfg := Config{NewConfig: gridConfig(tech, kind, nil), Shards: 3, BatchSize: 16, Observer: o}
+					cfg := Config{NewConfig: gridConfig(tech, kind, nil), Shards: 3, batchSize: 16, Observer: o}
 					if o != nil {
 						cfg.NewConfig = observedGrid(cfg.NewConfig, o)
 					}
@@ -64,10 +64,7 @@ func TestEngineObservedBitIdentity(t *testing.T) {
 				j := obs.NewJournal(128)
 				observed := run(obs.NewObserver(reg, obs.ObserverConfig{Journal: j}))
 
-				if !sameAlarms(plain, observed) {
-					t.Fatalf("alarms diverged under observation: plain %d, observed %d",
-						len(plain), len(observed))
-				}
+				requireSameAlarms(t, "observed", observed, plain)
 				if j.Total() != uint64(len(observed)) {
 					t.Fatalf("journal total %d, want %d", j.Total(), len(observed))
 				}
@@ -101,7 +98,7 @@ func TestEngineStatsConsistent(t *testing.T) {
 	e, err := NewEngine(Config{
 		NewHandler: func(string) (Handler, error) { return &countHandler{}, nil },
 		Shards:     4,
-		BatchSize:  8,
+		batchSize:  8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +112,8 @@ func TestEngineStatsConsistent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				r := timeseries.Record{VehicleID: fmt.Sprintf("veh-%02d", (p*7+i)%16)}
-				if err := e.IngestRecord(r); err != nil {
+				r := []timeseries.Record{{VehicleID: fmt.Sprintf("veh-%02d", (p*7+i)%16)}}
+				if err := e.IngestBatch(r, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -163,7 +160,7 @@ func TestEngineMetricsExposition(t *testing.T) {
 	e, err := NewEngine(Config{
 		NewConfig: observedGrid(gridConfig(paperTechniques()[0], transform.Correlation, nil), o),
 		Shards:    2,
-		BatchSize: 16,
+		batchSize: 16,
 		Observer:  o,
 	})
 	if err != nil {

@@ -107,7 +107,7 @@ func TestOptionalSeamsResolvedAtBuild(t *testing.T) {
 						return bareHandler{p}, nil
 					},
 					Shards:    shards,
-					BatchSize: 32,
+					batchSize: 32,
 				}
 			}
 			var got []detector.Alarm

@@ -19,9 +19,7 @@ type vehicle struct {
 	id string
 	h  Handler // nil once skipped
 
-	// Optional seams of h, nil where h lacks the method set. fits is
-	// also nil under Config.SyncFits, which is what pins the engine to
-	// inline fitting.
+	// Optional seams of h, nil where h lacks the method set.
 	prov ProvenanceSink
 	fits FitDeferrer
 	snap checkpoint.Snapshotter
@@ -121,9 +119,9 @@ func (e *Engine) runBatch(s *shard, batch []envelope) {
 	}
 	// Barrier batches spend their time parked waiting on the
 	// checkpointer; recording that wait would drown the histogram. They
-	// are also one-envelope slices the quiesce made, not BatchSize
+	// are also one-envelope slices the quiesce made, not batch-sized
 	// buffers: recycled, each would cost the next producer to draw it a
-	// regrow to BatchSize.
+	// regrow to the batch size.
 	if sawBarrier {
 		return
 	}
@@ -283,9 +281,8 @@ func (e *Engine) firstContact(s *shard, id string) *vehicle {
 
 // buildVehicle constructs a vehicle's handler through whichever factory
 // the config provides and resolves its optional seams, enabling
-// deferred fits on handlers that support them unless SyncFits pins the
-// engine to inline fitting. Checkpoint restore and adoption also build
-// entries here, so a restored fleet inherits the same fit mode.
+// deferred fits on handlers that support them. Checkpoint restore and
+// adoption also build entries here.
 func (e *Engine) buildVehicle(id string) (*vehicle, error) {
 	h, err := e.newHandler(id)
 	if err != nil {
@@ -294,10 +291,8 @@ func (e *Engine) buildVehicle(id string) (*vehicle, error) {
 	v := &vehicle{id: id, h: h}
 	v.prov, _ = h.(ProvenanceSink)
 	v.snap, _ = h.(checkpoint.Snapshotter)
-	if !e.cfg.SyncFits {
-		if v.fits, _ = h.(FitDeferrer); v.fits != nil {
-			v.fits.SetDeferFits(true)
-		}
+	if v.fits, _ = h.(FitDeferrer); v.fits != nil {
+		v.fits.SetDeferFits(true)
 	}
 	return v, nil
 }

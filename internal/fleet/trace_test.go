@@ -93,7 +93,7 @@ func TestEngineTracedBitIdentity(t *testing.T) {
 			tech, kind := tech, kind
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
 				run := func(o *obs.Observer, traced bool) ([]detector.Alarm, int) {
-					cfg := Config{NewConfig: gridConfig(tech, kind, nil), Shards: 3, BatchSize: 16, Observer: o}
+					cfg := Config{NewConfig: gridConfig(tech, kind, nil), Shards: 3, batchSize: 16, Observer: o}
 					if o != nil {
 						cfg.NewConfig = observedGrid(cfg.NewConfig, o)
 					}
@@ -121,10 +121,7 @@ func TestEngineTracedBitIdentity(t *testing.T) {
 				j := obs.NewJournal(128)
 				traced, batches := run(obs.NewObserver(reg, obs.ObserverConfig{Journal: j}), true)
 
-				if !sameAlarms(plain, traced) {
-					t.Fatalf("alarms diverged under tracing: plain %d, traced %d",
-						len(plain), len(traced))
-				}
+				requireSameAlarms(t, "traced", traced, plain)
 				checkProvenance(t, j)
 
 				var buf bytes.Buffer
@@ -166,7 +163,7 @@ func TestVehicleHandoffDrainGateTraced(t *testing.T) {
 		for _, kind := range transform.AllKinds() {
 			tech, kind := tech, kind
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
-				eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, nil), Shards: 3, BatchSize: 16})
+				eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, nil), Shards: 3, batchSize: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,7 +182,7 @@ func TestVehicleHandoffDrainGateTraced(t *testing.T) {
 					o := obs.NewObserver(obs.NewRegistry(), obs.ObserverConfig{Journal: j})
 					e, err := NewEngine(Config{
 						NewConfig: observedGrid(gridConfig(tech, kind, nil), o),
-						Shards:    shards, BatchSize: 16, Observer: o,
+						Shards:    shards, batchSize: 16, Observer: o,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -226,10 +223,7 @@ func TestVehicleHandoffDrainGateTraced(t *testing.T) {
 
 				got := append(append([]detector.Alarm{}, srcAlarms...), dstAlarms...)
 				sortAlarms(got)
-				if !sameAlarms(got, refAlarms) {
-					t.Errorf("traced drained alarms differ: %d+%d vs %d uninterrupted untraced",
-						len(srcAlarms), len(dstAlarms), len(refAlarms))
-				}
+				requireSameAlarms(t, fmt.Sprintf("traced drain (%d+%d alarms)", len(srcAlarms), len(dstAlarms)), got, refAlarms)
 				if len(dstAlarms) > 0 {
 					checkProvenance(t, dstJournal)
 				}

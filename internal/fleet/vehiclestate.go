@@ -44,9 +44,9 @@ const (
 	StateMigrating = "migrating"
 )
 
-// VehicleUnavailableError is returned by IngestRecord, IngestBatch and
-// Replay when a record or event arrives for a vehicle that is cordoned
-// or mid-handoff. It is a retryable condition, not a stream error: the
+// VehicleUnavailableError is returned by IngestBatch and Replay when a
+// record or event arrives for a vehicle that is cordoned or
+// mid-handoff. It is a retryable condition, not a stream error: the
 // producer should re-resolve the vehicle's placement (the control
 // plane's table, or the serving front end's 409 hint) and resend.
 // For IngestBatch the refusal is all-or-nothing per vehicle — either
@@ -163,8 +163,7 @@ func (e *Engine) CordonState(vehicleID string) string {
 }
 
 // snapshotVehicle captures one vehicle as a movable VehicleState.
-// Callers guarantee exclusive access to the handler (shard quiesced or
-// engine closed).
+// The caller has quiesced the vehicle's shard.
 func snapshotVehicle(v *vehicle) (VehicleState, error) {
 	if v.snap == nil {
 		return VehicleState{}, fmt.Errorf("%w: vehicle %s handler %T", ErrNotSnapshottable, v.id, v.h)
@@ -231,19 +230,12 @@ func (e *Engine) adoptOwned(s *shard, vs VehicleState) error {
 // stays behind (state "migrating") so records that keep arriving for
 // the moved vehicle are refused with a retry hint rather than silently
 // re-warming a fresh handler; AdoptVehicle on this engine lifts it.
-//
-// On a closed engine ExtractVehicle reads the stopped shard directly,
-// under the same ownership contract as Checkpoint after Close.
+// After Close, ExtractVehicle returns ErrClosed.
 func (e *Engine) ExtractVehicle(id string) (VehicleState, error) {
-	s := e.shardFor(id)
 	if e.closed.Load() {
-		vs, err := e.extractOwned(s, id)
-		if err != nil {
-			return VehicleState{}, err
-		}
-		e.fence(id, StateMigrating)
-		return vs, nil
+		return VehicleState{}, ErrClosed
 	}
+	s := e.shardFor(id)
 	// Fence before quiescing: producers that got in first are flushed
 	// ahead of the barrier and therefore included in the snapshot;
 	// producers that come after are refused. The previous mark is kept

@@ -75,13 +75,13 @@ func FuzzVehicleStateRoundTrip(f *testing.F) {
 	})
 }
 
-// TestCordonRefusesIngest covers the availability fence on the
-// record/event/batch ingest paths: a cordoned vehicle's items are
-// refused with the typed, retryable error while other vehicles flow,
-// and Uncordon restores service.
+// TestCordonRefusesIngest covers the availability fence on IngestBatch
+// with one record, one event and a mixed batch: a cordoned vehicle's
+// items are refused with the typed, retryable error while other
+// vehicles flow, and Uncordon restores service.
 func TestCordonRefusesIngest(t *testing.T) {
 	f := smallFleet()
-	e, err := NewEngine(Config{NewConfig: func(string) (core.Config, error) { return testConfig(), nil }, Shards: 2, BatchSize: 4, DropAlarms: true})
+	e, err := NewEngine(Config{NewConfig: func(string) (core.Config, error) { return testConfig(), nil }, Shards: 2, batchSize: 4, DropAlarms: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCordonRefusesIngest(t *testing.T) {
 			break
 		}
 	}
-	if err := e.IngestRecord(recs[0]); err != nil {
+	if err := e.IngestBatch(recs[:1], nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,11 +104,12 @@ func TestCordonRefusesIngest(t *testing.T) {
 		t.Fatalf("CordonState = %q, want %q", st, StateCordoned)
 	}
 	var vu *VehicleUnavailableError
-	if err := e.IngestRecord(recs[0]); !errors.As(err, &vu) || vu.State != StateCordoned || vu.Refused != 1 {
-		t.Fatalf("IngestRecord on cordoned vehicle: %v", err)
+	if err := e.IngestBatch(recs[:1], nil); !errors.As(err, &vu) || vu.State != StateCordoned || vu.Refused != 1 {
+		t.Fatalf("one-record IngestBatch on cordoned vehicle: %v", err)
 	}
-	if err := e.IngestEvent(obd.Event{VehicleID: a, Time: recs[0].Time, Type: obd.EventService}); !errors.As(err, &vu) {
-		t.Fatalf("IngestEvent on cordoned vehicle: %v", err)
+	ev := []obd.Event{{VehicleID: a, Time: recs[0].Time, Type: obd.EventService}}
+	if err := e.IngestBatch(nil, ev); !errors.As(err, &vu) || vu.Refused != 1 {
+		t.Fatalf("one-event IngestBatch on cordoned vehicle: %v", err)
 	}
 
 	// Batch refusal is all-or-nothing per vehicle, partial per call:
@@ -144,7 +145,7 @@ func TestCordonRefusesIngest(t *testing.T) {
 // TestExtractAdoptErrors covers the typed failure surface of the two
 // handoff verbs.
 func TestExtractAdoptErrors(t *testing.T) {
-	e, err := NewEngine(Config{NewConfig: func(string) (core.Config, error) { return testConfig(), nil }, Shards: 2, BatchSize: 4, DropAlarms: true})
+	e, err := NewEngine(Config{NewConfig: func(string) (core.Config, error) { return testConfig(), nil }, Shards: 2, batchSize: 4, DropAlarms: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestExtractAdoptErrors(t *testing.T) {
 	id := recs[0].VehicleID
 	for _, r := range recs[:20] {
 		if r.VehicleID == id {
-			if err := e.IngestRecord(r); err != nil {
+			if err := e.IngestBatch([]timeseries.Record{r}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,7 +175,7 @@ func TestExtractAdoptErrors(t *testing.T) {
 		t.Fatalf("post-extract CordonState = %q, want %q", st, StateMigrating)
 	}
 	var vu *VehicleUnavailableError
-	if err := e.IngestRecord(recs[0]); recs[0].VehicleID != id || !errors.As(err, &vu) || vu.State != StateMigrating {
+	if err := e.IngestBatch(recs[:1], nil); recs[0].VehicleID != id || !errors.As(err, &vu) || vu.State != StateMigrating {
 		t.Fatalf("ingest mid-handoff: %v", err)
 	}
 	if err := e.AdoptVehicle(vs); err != nil {
@@ -190,9 +191,8 @@ func TestExtractAdoptErrors(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Closed engine: extraction still works (ownership contract), but
-	// adoption needs a running target.
-	if _, err := e.ExtractVehicle(id); err != nil {
+	// Closed engine: both verbs need a running engine.
+	if _, err := e.ExtractVehicle(id); !errors.Is(err, ErrClosed) {
 		t.Fatalf("extract after close: %v", err)
 	}
 	if err := e.AdoptVehicle(vs); !errors.Is(err, ErrClosed) {
@@ -222,7 +222,7 @@ func TestVehicleHandoffDrainGate(t *testing.T) {
 			tech, kind := tech, kind
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
 				refTraces := newTraceSet()
-				eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, BatchSize: 16})
+				eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, batchSize: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,7 +240,7 @@ func TestVehicleHandoffDrainGate(t *testing.T) {
 				// vehicle keeps appending to the same per-vehicle trace,
 				// so the combined rows must equal the reference's.
 				liveTraces := newTraceSet()
-				src, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: 3, BatchSize: 16})
+				src, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: 3, batchSize: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -249,7 +249,7 @@ func TestVehicleHandoffDrainGate(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				dst, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: 1, BatchSize: 16})
+				dst, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: 1, batchSize: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,7 +276,7 @@ func TestVehicleHandoffDrainGate(t *testing.T) {
 					// The source now refuses the moved vehicle instead of
 					// silently re-warming a fresh handler.
 					var vu *VehicleUnavailableError
-					if err := src.IngestRecord(timeseries.Record{VehicleID: id}); !errors.As(err, &vu) {
+					if err := src.IngestBatch([]timeseries.Record{{VehicleID: id}}, nil); !errors.As(err, &vu) {
 						t.Fatalf("source ingest after drain of %s: %v", id, err)
 					}
 				}
@@ -295,10 +295,7 @@ func TestVehicleHandoffDrainGate(t *testing.T) {
 
 				got := append(append([]detector.Alarm{}, srcAlarms...), dstAlarms...)
 				sortAlarms(got)
-				if !sameAlarms(got, refAlarms) {
-					t.Errorf("drained alarms differ: %d+%d vs %d uninterrupted",
-						len(srcAlarms), len(dstAlarms), len(refAlarms))
-				}
+				requireSameAlarms(t, fmt.Sprintf("drained (%d+%d alarms)", len(srcAlarms), len(dstAlarms)), got, refAlarms)
 				for id, ref := range refTraces.m {
 					live := liveTraces.m[id]
 					if live == nil {
@@ -336,7 +333,7 @@ func TestConcurrentMigrationIngest(t *testing.T) {
 	kind := transform.AllKinds()[0]
 
 	refTraces := newTraceSet()
-	eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 2, BatchSize: 16})
+	eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 2, batchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +349,7 @@ func TestConcurrentMigrationIngest(t *testing.T) {
 
 	liveTraces := newTraceSet()
 	mk := func(shards int) *Engine {
-		e, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: shards, BatchSize: 8})
+		e, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: shards, batchSize: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,9 +481,7 @@ func TestConcurrentMigrationIngest(t *testing.T) {
 	if stA.Drops+stB.Drops != 0 {
 		t.Errorf("drops = %d, want 0", stA.Drops+stB.Drops)
 	}
-	if !sameAlarms(alarms, refAlarms) {
-		t.Errorf("migrated alarms differ: %d vs %d uninterrupted", len(alarms), len(refAlarms))
-	}
+	requireSameAlarms(t, "migrated", alarms, refAlarms)
 	for id, ref := range refTraces.m {
 		live := liveTraces.m[id]
 		if live == nil {

@@ -235,25 +235,9 @@ func (d *Decoder) decodePayload(payload []byte, b *Batch) error {
 	return nil
 }
 
-// DecodeAll decodes every frame in buf into b, returning the frame
-// count. Trailing partial frames are an error: an HTTP batch body is a
-// whole number of frames or it is corrupt.
-func (d *Decoder) DecodeAll(buf []byte, b *Batch) (int, error) {
-	frames := 0
-	for len(buf) > 0 {
-		n, err := d.DecodeInto(buf, b)
-		if err != nil {
-			return frames, err
-		}
-		buf = buf[n:]
-		frames++
-	}
-	return frames, nil
-}
-
 // DecodeStream reads consecutive frames from r, decoding each into the
 // decoder's reused batch and delivering it to sink — the path behind
-// navarchos-serve's binary ingest endpoints. It returns the frame count
+// navarchos-serve's binary POST /ingest. It returns the frame count
 // and the first read, decode or sink error; a stream ending at a frame
 // boundary returns nil.
 //

@@ -49,7 +49,7 @@ func TestGoldenFrameFile(t *testing.T) {
 	}
 	var dec Decoder
 	var b Batch
-	frames, err := dec.DecodeAll(got, &b)
+	frames, err := decodeFrames(&dec, got, &b)
 	if err != nil {
 		t.Fatal(err)
 	}

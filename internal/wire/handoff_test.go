@@ -75,7 +75,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = nil
-	if _, err := dec.DecodeAll(empty, &b); err != nil || len(got) != 1 || len(got[0]) != 0 {
+	if _, err := decodeFrames(&dec, empty, &b); err != nil || len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("empty handoff: %v, sink saw %q", err, got)
 	}
 }

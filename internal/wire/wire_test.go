@@ -62,6 +62,21 @@ func vehID(i int) string {
 	return "veh-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
 }
 
+// decodeFrames decodes every frame in buf into b with DecodeInto and
+// returns the frame count; a trailing partial frame is an error.
+func decodeFrames(dec *Decoder, buf []byte, b *Batch) (int, error) {
+	frames := 0
+	for len(buf) > 0 {
+		n, err := dec.DecodeInto(buf, b)
+		if err != nil {
+			return frames, err
+		}
+		buf = buf[n:]
+		frames++
+	}
+	return frames, nil
+}
+
 // TestRoundTrip pins the core format contract: encode a mixed stream,
 // decode it, and require Float64bits-identical records and structurally
 // identical events, in order.
@@ -77,12 +92,12 @@ func TestRoundTrip(t *testing.T) {
 
 	var dec Decoder
 	var b Batch
-	got, err := dec.DecodeAll(frames, &b)
+	got, err := decodeFrames(&dec, frames, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != nframes {
-		t.Fatalf("DecodeAll decoded %d frames, want %d", got, nframes)
+		t.Fatalf("decoded %d frames, want %d", got, nframes)
 	}
 	if len(b.Records) != len(recs) || len(b.Events) != len(evs) {
 		t.Fatalf("decoded %d records / %d events, want %d / %d",
@@ -127,7 +142,7 @@ func TestDecodeIntern(t *testing.T) {
 	}
 	var dec Decoder
 	var b Batch
-	if _, err := dec.DecodeAll(frames, &b); err != nil {
+	if _, err := decodeFrames(&dec, frames, &b); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]*byte{}
@@ -157,7 +172,7 @@ func TestDecodeInternBudget(t *testing.T) {
 	}
 	var dec Decoder
 	var b Batch
-	if _, err := dec.DecodeAll(enc.Bytes(), &b); err != nil {
+	if _, err := decodeFrames(&dec, enc.Bytes(), &b); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.Records) != n || b.Records[n-1].VehicleID != fmt.Sprintf("%0*d", maxIDLen, n-1) {
@@ -181,7 +196,7 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	var dec Decoder
 	var b Batch
 	// Warm up: capacity + intern table.
-	if _, err := dec.DecodeAll(frames, &b); err != nil {
+	if _, err := decodeFrames(&dec, frames, &b); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {

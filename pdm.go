@@ -269,10 +269,12 @@ type (
 	// FleetEngine is the sharded concurrent streaming engine: vehicles
 	// are hashed to shards, each shard goroutine exclusively owns its
 	// vehicles' Pipelines, and alarms fan in on a single channel.
-	// IngestRecord, IngestEvent, IngestBatch and Replay all admit
-	// through one path under the shard's ingest mutex, so any mix of
-	// them may run concurrently with each other and with Checkpoint,
-	// StatsConsistent and vehicle handoff.
+	// IngestBatch (one-item slices for a record-at-a-time producer) and
+	// Replay admit through one path under the shard's ingest mutex, so
+	// any mix of them may run concurrently with each other and with
+	// Checkpoint, StatsConsistent and vehicle handoff. Checkpoint and
+	// handoff need a live engine: checkpoint a finished run before
+	// Close.
 	FleetEngine = fleet.Engine
 	// FleetEngineConfig assembles a FleetEngine.
 	FleetEngineConfig = fleet.Config
@@ -319,11 +321,12 @@ type (
 	// VehicleState is one vehicle's extracted detection state — the
 	// same per-vehicle codec whole-engine checkpoints are built from.
 	VehicleState = fleet.VehicleState
-	// VehicleUnavailableError is the typed per-vehicle ingest refusal
-	// while a vehicle is cordoned or mid-handoff; refusal is
-	// all-or-nothing per vehicle within an IngestBatch call, so
-	// retrying the refused items verbatim cannot duplicate records.
-	// (Replay decides per staged chunk; see FleetEngine.Replay.)
+	// VehicleUnavailableError is the typed per-vehicle refusal
+	// IngestBatch and Replay return while a vehicle is cordoned or
+	// mid-handoff; refusal is all-or-nothing per vehicle within an
+	// IngestBatch call, so retrying the refused items verbatim cannot
+	// duplicate records. (Replay decides per staged chunk; see
+	// FleetEngine.Replay.)
 	VehicleUnavailableError = fleet.VehicleUnavailableError
 )
 
