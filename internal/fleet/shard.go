@@ -31,9 +31,14 @@ type vehicle struct {
 
 	// fitting is set exactly while a deferred fit for the vehicle is in
 	// flight; parked queues the envelopes that arrive meanwhile, replayed
-	// in order when the fit lands on fitDone.
-	fitting bool
-	parked  []envelope
+	// in order when the fit lands on fitDone. parked[replayed:] is what is
+	// still to replay: a replay stops where a replayed envelope raises the
+	// next fit and leaves the rest in place, ahead of later arrivals. The
+	// buffer is kept across fits, so a warm vehicle parks without
+	// allocating.
+	fitting  bool
+	parked   []envelope
+	replayed int
 }
 
 // fitResult is an asynchronous fit completion, delivered back to the
@@ -224,27 +229,32 @@ func (e *Engine) deliver(s *shard, v *vehicle, env *envelope) {
 
 // failVehicle drops a vehicle after a handler error, exactly as the
 // synchronous path always has: record the error, forget the handler,
-// skip the vehicle's future envelopes.
+// skip the vehicle's future envelopes. Envelopes still parked stay, to
+// be replayed — counted and dropped — like any later arrival.
 func (e *Engine) failVehicle(s *shard, v *vehicle, err error) {
 	e.setErr(fmt.Errorf("fleet: vehicle %s: %w", v.id, err))
-	*v = vehicle{id: v.id, skipped: true}
+	*v = vehicle{id: v.id, skipped: true, parked: v.parked, replayed: v.replayed}
 	s.vehicles.Add(-1)
 }
 
 // finishFit lands one asynchronous fit completion: a failed fit drops
 // the vehicle like an inline fit error would, and either way the
-// envelopes parked during the fit replay in arrival order. A replayed
-// envelope may raise the vehicle's next fit, re-parking the remainder.
+// envelopes parked during the fit replay in arrival order, in place. A
+// replayed envelope that raises the vehicle's next fit ends the replay;
+// the envelopes after it stay parked for that fit's completion.
 func (e *Engine) finishFit(s *shard, res fitResult) {
 	v := res.v
-	parked := v.parked
-	v.fitting, v.parked = false, nil
+	v.fitting = false
 	s.fitting--
 	if res.err != nil {
 		e.failVehicle(s, v, res.err)
 	}
-	for i := range parked {
-		e.deliver(s, v, &parked[i])
+	for !v.fitting && v.replayed < len(v.parked) {
+		v.replayed++
+		e.deliver(s, v, &v.parked[v.replayed-1])
+	}
+	if v.replayed == len(v.parked) {
+		v.parked, v.replayed = v.parked[:0], 0
 	}
 }
 
