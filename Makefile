@@ -1,23 +1,21 @@
 GO ?= go
 
-.PHONY: ci check vet build build-arm64 test race race-fleet grid-equiv resume-gate drain-gate fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
+.PHONY: ci check vet build build-arm64 test race race-fleet grid-equiv resume-gate drain-gate kernel-oracles fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
 
 ## ci: the full gate — vet (gofmt, go vet, the obs metric-doc check),
 ## build (plus the arm64 cross-build that keeps the non-amd64 kernel
 ## stubs honest), race-enabled tests (the concurrent fleet/fitpool
 ## packages in a twice-run pass of their own), the grid equivalence gate, the
-## checkpoint resume and vehicle drain gates, the wire-ingest smoke, the
-## observer and tracing overhead gates, the codec fuzz smokes, and one
-## iteration of every Go benchmark. Every target tests behaviour and
-## none writes into the checkout; performance is measured by
-## `bash benchmark/run.sh`, not here. The fit-kernel and score-path
-## oracles (TestFastFit*, TestShipped*, TestScorePaths*, TestHist*, ...)
-## have no target of their own because `race` already runs them. The
-## targets run one after another, stopping at the first failure, and a
-## table of each one's wall time closes the run (EXPERIMENTS.md has the
-## published copy): a gate that costs minutes to re-prove what another
-## already proved shows up there.
-CI_TARGETS = vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
+## checkpoint resume and vehicle drain gates, the SIMD kernel oracles by
+## name, the wire-ingest smoke, the observer and tracing overhead gates,
+## the codec and kernel fuzz smokes, and one iteration of every Go
+## benchmark. Every target tests behaviour and none writes into the
+## checkout; performance is measured by `bash benchmark/run.sh`, not
+## here. The targets run one after another, stopping at the first
+## failure, and a table of each one's wall time closes the run
+## (EXPERIMENTS.md has the published copy): a gate that costs minutes to
+## re-prove what another already proved shows up there.
+CI_TARGETS = vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate kernel-oracles ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
 ci:
 	@table=""; t0=$$(date +%s); \
 	for t in $(CI_TARGETS); do \
@@ -112,15 +110,29 @@ drain-gate:
 	$(call named,./internal/fleet/,TestVehicleHandoffDrainGate|TestVehicleHandoffDrainGateTraced|TestConcurrentMigrationIngest)
 	$(call named,./cmd/navarchos-serve/,TestServeDrainHandoff|TestServeAdoptionOverridesRing)
 
+## kernel-oracles: the SIMD kernels against their scalar references, by
+## name — the exp lanes against math.Exp and against a transcription of
+## each of its two branches, the softmax rows, the layer-norm and
+## element-wise kernels, the fast LayerNorm against the legacy one — and
+## the shipped TranAD against its legacy oracle and the snapshots an
+## earlier commit wrote. `race` runs them as well; naming them here makes
+## a renamed or deleted oracle fail the gate instead of dropping out.
+kernel-oracles:
+	$(call named,./internal/mat/,TestExpLanesMatchMathExp|TestExpBranchesMatchTranscription|TestSoftmaxRowsBitIdentical|TestNormRowBitIdentical|TestNormKernelsBitIdentical|TestElementwiseBitIdentical|TestConcatColsBitIdentical)
+	$(call named,./internal/nn/,TestLayerNormFastMatchesLegacy|TestFastKernelsBitIdenticalToLegacy)
+	$(call named,./internal/detector/tranad/,TestShippedConfigBitIdenticalToLegacy|TestShippedSnapshotsFromParentCommit|TestScorePathsBitIdentical)
+
 ## bench-micro: one iteration of the kernel micro-benchmarks (the
 ## in-order product, SIMD axpy/Adam, the whole-layer dense forward/backward at
-## every shipped layer shape, histogram split search at the shapes the
+## every shipped layer shape, the attention softmax and the layer norm at
+## the shipped shapes, histogram split search at the shapes the
 ## paper grid fits and exact split search, a regress fit at both shipped
 ## profile shapes, tranad fit and score at the shipped configuration
 ## plus one legacy-vs-default fit pair on a wider model), enough to
 ## catch a kernel benchmark that no longer compiles or crashes.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkProduct|BenchmarkColInto|BenchmarkAddScaled|BenchmarkAdamStep|BenchmarkSquaredDistances8|BenchmarkNormRow|BenchmarkLinFwd|BenchmarkLinBwd' -benchtime 1x ./internal/mat/
+	$(GO) test -run '^$$' -bench 'BenchmarkProduct|BenchmarkColInto|BenchmarkAddScaled|BenchmarkAdamStep|BenchmarkSquaredDistances8|BenchmarkNormRow|BenchmarkSoftmaxRows|BenchmarkLinFwd|BenchmarkLinBwd' -benchtime 1x ./internal/mat/
+	$(GO) test -run '^$$' -bench 'BenchmarkLayerNorm' -benchtime 1x ./internal/nn/
 	$(GO) test -run '^$$' -bench 'BenchmarkHistogramSplit|BenchmarkExactSplit' -benchtime 1x ./internal/gbt/
 	$(GO) test -run '^$$' -bench 'BenchmarkRegressFit' -benchtime 1x ./internal/detector/regress/
 	$(GO) test -run '^$$' -bench 'BenchmarkFitLegacy|BenchmarkFitFast|BenchmarkScore' -benchtime 1x ./internal/detector/tranad/
@@ -146,17 +158,19 @@ trace-overhead:
 ## fuzz-smoke: a short fuzz of the binary codecs exposed to untrusted
 ## bytes — the checkpoint container, the NVWIRE1 telemetry frame
 ## decoder, and the per-vehicle state codec that handoff frames carry —
-## and of the one numeric kernel that reads and writes through raw
-## pointers. The codecs must reject arbitrary corruption with typed
+## and of the two numeric kernels whose shape and content the fuzzer can
+## steer. The codecs must reject arbitrary corruption with typed
 ## errors, never a panic or an over-read, and accepted vehicle states
 ## must re-encode canonically; mat.Product must match its scalar loops
 ## bit for bit at any shape, stride and content and touch nothing
-## outside Out.
+## outside Out, and mat.SoftmaxRows must match softmaxRow at any row
+## length, count, scale and content and touch nothing outside its rows.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireDecode' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzVehicleStateRoundTrip' -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz 'FuzzProduct' -fuzztime 10s ./internal/mat/
+	$(GO) test -run '^$$' -fuzz 'FuzzSoftmaxRows' -fuzztime 10s ./internal/mat/
 
 ## ingest-smoke: the wire data-plane gates at test scale — the committed
 ## golden frame file must decode byte-stably, the decoder must hold its

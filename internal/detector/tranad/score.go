@@ -167,16 +167,10 @@ func (d *Detector) scoreLastRow() float64 {
 	return mse / float64(d.dim)
 }
 
-// reluRow clamps negatives to zero in place — elementwise, so it
-// matches the ReLU layer's copy-then-clamp bit for bit (including
-// leaving -0 untouched, which compares as not-less-than zero).
-func reluRow(row []float64) {
-	for i, v := range row {
-		if v < 0 {
-			row[i] = 0
-		}
-	}
-}
+// reluRow clamps negatives to zero in place through the ReLU layer's
+// kernel, without its keep words — element-wise, so it matches the
+// layer bit for bit (-0 and NaN pass: neither compares below zero).
+func reluRow(row []float64) { mat.ReLU(row, nil, row) }
 
 // ensureInferScratch sizes the last-row scoring buffers for the current
 // fit. Safe to call every score; it only does work when the shape

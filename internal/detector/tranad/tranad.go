@@ -413,14 +413,10 @@ func (n *network) trainStepLegacy(win *mat.Matrix) {
 }
 
 // focus returns the squared reconstruction error (O1 − W)², the
-// self-conditioning input of decoder 2.
+// self-conditioning input of decoder 2, in a fresh matrix by the scalar
+// loop focusInto's kernel replays.
 func focus(o1, win *mat.Matrix) *mat.Matrix {
-	return focusInto(mat.NewMatrix(win.Rows, win.Cols), o1, win)
-}
-
-// focusInto is the allocation-free focus.
-func focusInto(f, o1, win *mat.Matrix) *mat.Matrix {
-	f.EnsureShape(win.Rows, win.Cols)
+	f := mat.NewMatrix(win.Rows, win.Cols)
 	for i := range f.Data {
 		diff := o1.Data[i] - win.Data[i]
 		f.Data[i] = diff * diff
@@ -428,18 +424,27 @@ func focusInto(f, o1, win *mat.Matrix) *mat.Matrix {
 	return f
 }
 
-// concatCols returns [a | b] column-wise.
+// focusInto is the allocation-free focus.
+func focusInto(f, o1, win *mat.Matrix) *mat.Matrix {
+	f.EnsureShape(win.Rows, win.Cols)
+	mat.SquaredDiff(f.Data, o1.Data[:len(f.Data)], win.Data[:len(f.Data)])
+	return f
+}
+
+// concatCols returns [a | b] column-wise in a fresh matrix.
 func concatCols(a, b *mat.Matrix) *mat.Matrix {
-	return concatColsInto(mat.NewMatrix(a.Rows, a.Cols+b.Cols), a, b)
+	out := mat.NewMatrix(a.Rows, a.Cols+b.Cols)
+	for r := 0; r < a.Rows; r++ {
+		copy(out.Row(r)[:a.Cols], a.Row(r))
+		copy(out.Row(r)[a.Cols:], b.Row(r))
+	}
+	return out
 }
 
 // concatColsInto is the allocation-free concatCols.
 func concatColsInto(out, a, b *mat.Matrix) *mat.Matrix {
 	out.EnsureShape(a.Rows, a.Cols+b.Cols)
-	for r := 0; r < a.Rows; r++ {
-		copy(out.Row(r)[:a.Cols], a.Row(r))
-		copy(out.Row(r)[a.Cols:], b.Row(r))
-	}
+	mat.ConcatCols(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
 	return out
 }
 

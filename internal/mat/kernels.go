@@ -11,10 +11,12 @@ import (
 // written against, next to the whole-layer products of dense.go. Two
 // properties matter as much as speed:
 //
-//   - Determinism: every kernel replays the scalar operation sequence
-//     per output element (elementwise lanes, in-order reductions, never
-//     a fused multiply-add), so it is bit-identical to the scalar loop
-//     it replaces at every dispatch level. No kernel reassociates.
+//   - Determinism: every kernel replays the operation sequence the
+//     scalar code runs on this host per output element (elementwise
+//     lanes, in-order reductions, and a fused multiply-add only where
+//     that code has one: math.Exp's, inside SoftmaxRows), so it is
+//     bit-identical to the scalar loop it replaces at every dispatch
+//     level. No kernel reassociates.
 //   - Zero allocation: every kernel writes into a caller-owned dst. The
 //     only allocations are inside EnsureShape when a scratch matrix has
 //     to grow, which happens once per layer lifetime.
@@ -137,32 +139,77 @@ func SquaredDistances8(q, block, out []float64) {
 	}
 }
 
-// NormRow computes one layer-norm output row,
-// out[j] = ((x[j]-m)*inv)*gain[j] + bias[j], with exactly the scalar
-// operation sequence per element (separate subtract and multiplies,
-// never an FMA), so SIMD and scalar dispatch produce identical bits.
-// Panics on length mismatch.
-func NormRow(x, gain, bias, out []float64, m, inv float64) {
-	n := len(x)
-	if len(gain) != n || len(bias) != n || len(out) != n {
-		panic(fmt.Sprintf("mat: NormRow: len(x)=%d len(gain)=%d len(bias)=%d len(out)=%d",
-			n, len(gain), len(bias), len(out)))
+// SoftmaxRows replaces each n-element row of x with the softmax of the
+// row scaled by scale, in the order of one scalar loop per row: scale,
+// max, exp of each element less the max, the sum in index order, and a
+// multiply by the sum's reciprocal. The AVX kernel runs the max and the
+// sum as the same in-order chains and replays math.Exp's own operation
+// sequence per lane — its fused branch exactly where math.Exp takes it
+// — so every weight is bit-identical to softmaxRow at every dispatch
+// level. The kernel takes up to softmaxChunk rows per call, so the exps
+// of different rows overlap; a chunk where an exp would leave math.Exp's
+// plain path (a NaN or infinite score, or a weight that underflows to a
+// denormal or zero) is finished by the scalar loop. Panics unless n > 0
+// divides len(x).
+func SoftmaxRows(x []float64, n int, scale float64) {
+	if n <= 0 || len(x)%n != 0 {
+		panic(fmt.Sprintf("mat: SoftmaxRows: len(x)=%d n=%d", len(x), n))
 	}
-	i := 0
-	if hasAVX && n >= 4 {
-		k := n &^ 3
-		normRowAVX(x[:k], gain[:k], bias[:k], out[:k], m, inv)
-		i = k
+	if !hasAVX || n < 4 {
+		for ; len(x) > 0; x = x[n:] {
+			softmaxRow(x[:n], scale)
+		}
+		return
 	}
-	for ; i < n; i++ {
-		out[i] = (x[i]-m)*inv*gain[i] + bias[i]
+	for len(x) > 0 {
+		rows := min(len(x)/n, softmaxChunk)
+		chunk := x[:rows*n]
+		x = x[rows*n:]
+		if !softmaxRowsAVX(chunk, rows, n, scale, hasFMA) {
+			for ; len(chunk) > 0; chunk = chunk[n:] {
+				softmaxScaled(chunk[:n]) // the kernel scaled the rows, nothing else
+			}
+		}
+	}
+}
+
+// softmaxChunk is the most rows one softmaxRowsAVX call takes: its frame
+// holds one max per row.
+const softmaxChunk = 8
+
+// softmaxRow is the scalar row softmax SoftmaxRows replays.
+func softmaxRow(row []float64, scale float64) {
+	for j := range row {
+		row[j] *= scale
+	}
+	softmaxScaled(row)
+}
+
+// softmaxScaled is softmaxRow after the scale.
+func softmaxScaled(row []float64) {
+	maxv := math.Inf(-1)
+	for _, v := range row {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for j := range row {
+		row[j] = math.Exp(row[j] - maxv)
+		sum += row[j]
+	}
+	inv := 1 / sum
+	for j := range row {
+		row[j] *= inv
 	}
 }
 
 // SIMDMode reports the running CPU's vector class: "scalar", "avx" or
-// "avx+fma". Every kernel dispatches on AVX alone; "+fma" is hardware
-// metadata (no kernel issues a fused multiply-add), recorded in
-// benchmark headers so numbers are interpretable across machines.
+// "avx+fma". The arithmetic kernels dispatch on AVX alone and issue no
+// fused multiply-add; "+fma" also selects the fused branch of the
+// softmax kernel's exp, because math.Exp takes that branch on such a
+// CPU. Benchmark headers record it so numbers are interpretable across
+// machines.
 func SIMDMode() string { return simdMode() }
 
 // TransposeInto writes mᵀ into dst (reshaped to Cols×Rows) and returns

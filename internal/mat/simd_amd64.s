@@ -596,30 +596,734 @@ dpdone:
 	VZEROUPPER
 	RET
 
-// One layer-norm output row: out[j] = ((x[j]-m)*inv)*gain[j] + bias[j]
-// — the exact scalar operation sequence (separate subtract and two
-// multiplies, never an FMA), four lanes at a time, so the result is
-// bit-identical to the Go loop. len(x) a positive multiple of 4; the
-// caller handles tails.
-// func normRowAVX(x, gain, bias, out []float64, m, inv float64)
-TEXT ·normRowAVX(SB), NOSPLIT, $0-112
+// Layer-norm kernels. The per-row sums run with one lane per row, four
+// rows at a time: lane r gathers element j of row r (the rows being n
+// elements apart) and keeps its own sums in j order, so each row's
+// reduction is the scalar chain; the divisions and square roots per row
+// are correctly rounded vector ones. rows >= 4:
+// the last group of four starts at rows-4, recomputing the rows it shares
+// with the group before to the same values. The element-wise steps walk
+// each row in vectors, the last placed at n-4 (n >= 4) overlapping its
+// neighbour: an output element is recomputed from the same inputs, and
+// no output aliases an input.
+
+// Element idx (a byte offset) of the rows DI, R10, R11, R12 → dst's
+// lanes 0..3: broadcast loads and blends, which leave the shuffle port
+// free. Uses Y5.
+#define LNGATHER(idx, dst) \
+	VBROADCASTSD (DI)(idx*1), dst; \
+	VBROADCASTSD (R10)(idx*1), Y5; \
+	VBLENDPD     $0x2, Y5, dst, dst; \
+	VBROADCASTSD (R11)(idx*1), Y5; \
+	VBLENDPD     $0x4, Y5, dst, dst; \
+	VBROADCASTSD (R12)(idx*1), Y5; \
+	VBLENDPD     $0x8, Y5, dst, dst
+
+// The rows of the group starting at row R9 of SI (row stride R8 bytes):
+// DI, R10, R11, R12.
+#define LNGROUP \
+	MOVQ  R9, DI; \
+	IMULQ R8, DI; \
+	ADDQ  SI, DI; \
+	LEAQ  (DI)(R8*1), R10; \
+	LEAQ  (R10)(R8*1), R11; \
+	LEAQ  (R11)(R8*1), R12
+
+// The next group's first row in R9 (R13 rows), or out when every row is
+// done; uses DX.
+#define LNNEXT(loop, out) \
+	ADDQ    $4, R9; \
+	CMPQ    R9, R13; \
+	JGE     out; \
+	LEAQ    -4(R13), DX; \
+	CMPQ    R9, DX; \
+	CMOVQGT DX, R9; \
+	JMP     loop
+
+// mean[r] = Σ_j x[r][j] / n and inv[r] = 1/sqrt(Σ_j (x[r][j]-mean[r])² / n
+// + eps), both sums in j order, for the rows (>= 4) n-element rows of x.
+// fn is n as a float64.
+// func normMomentsAVX(x []float64, rows, n int, fn, eps float64, mean, inv []float64)
+TEXT ·normMomentsAVX(SB), NOSPLIT, $0-104
 	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
-	MOVQ gain_base+24(FP), R8
-	MOVQ bias_base+48(FP), R9
-	MOVQ out_base+72(FP), DX
-	VBROADCASTSD m+96(FP), Y8
-	VBROADCASTSD inv+104(FP), Y9
+	MOVQ rows+24(FP), R13
+	MOVQ n+32(FP), R8
+	SHLQ $3, R8
+	VBROADCASTSD fn+40(FP), Y14
+	VBROADCASTSD eps+48(FP), Y13
+	VBROADCASTSD expc<>+352(SB), Y12 // 1
+	MOVQ mean_base+56(FP), R14
+	MOVQ inv_base+80(FP), R15
+	XORQ R9, R9
+lnmgroup:
+	LNGROUP
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+lnmsum:
+	LNGATHER(AX, Y1)
+	VADDPD Y1, Y0, Y0
+	ADDQ   $8, AX
+	CMPQ   AX, R8
+	JL     lnmsum
+	VDIVPD Y14, Y0, Y0              // mean
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX
+lnmss:
+	LNGATHER(AX, Y1)
+	VSUBPD Y0, Y1, Y1               // x - mean
+	VMULPD Y1, Y1, Y1
+	VADDPD Y1, Y3, Y3
+	ADDQ   $8, AX
+	CMPQ   AX, R8
+	JL     lnmss
+	VDIVPD  Y14, Y3, Y3             // / n
+	VADDPD  Y13, Y3, Y3             // + eps
+	VSQRTPD Y3, Y3
+	VDIVPD  Y3, Y12, Y3             // 1 / sqrt
+	VMOVUPD Y0, (R14)(R9*8)
+	VMOVUPD Y3, (R15)(R9*8)
+	LNNEXT(lnmgroup, lnmdone)
+lnmdone:
+	VZEROUPPER
+	RET
+
+// sumDx[r] = Σ_j g[r][j]·gain[j] and sumDxXh[r] = Σ_j (g[r][j]·gain[j])·xh[r][j],
+// in j order, for the rows (>= 4) n-element rows of g and xh.
+// func normGradSumsAVX(g, xh, gain []float64, rows, n int, sumDx, sumDxXh []float64)
+TEXT ·normGradSumsAVX(SB), NOSPLIT, $0-136
+	MOVQ g_base+0(FP), SI
+	MOVQ xh_base+24(FP), BX
+	SUBQ SI, BX                     // xh's byte offset from g
+	MOVQ gain_base+48(FP), CX
+	MOVQ rows+72(FP), R13
+	MOVQ n+80(FP), R8
+	SHLQ $3, R8
+	MOVQ sumDx_base+88(FP), R14
+	MOVQ sumDxXh_base+112(FP), R15
+	XORQ R9, R9
+lngsgroup:
+	LNGROUP
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ   AX, AX
+lngsj:
+	LNGATHER(AX, Y2)
+	VBROADCASTSD (CX)(AX*1), Y3
+	VMULPD Y3, Y2, Y2               // dh = g * gain
+	VADDPD Y2, Y0, Y0               // sumDx += dh
+	LEAQ   (BX)(AX*1), DX
+	LNGATHER(DX, Y4)
+	VMULPD Y4, Y2, Y4               // dh * xh
+	VADDPD Y4, Y1, Y1               // sumDxXh += dh*xh
+	ADDQ   $8, AX
+	CMPQ   AX, R8
+	JL     lngsj
+	VMOVUPD Y0, (R14)(R9*8)
+	VMOVUPD Y1, (R15)(R9*8)
+	LNNEXT(lngsgroup, lngsdone)
+lngsdone:
+	VZEROUPPER
+	RET
+
+// One row's vectors for the element-wise steps: AX their byte offset, DX
+// the last one's.
+#define LNCOL(loop) \
+	XORQ AX, AX; \
+loop:
+#define LNCOLNEXT(loop, done) \
+	CMPQ    AX, DX; \
+	JAE     done; \
+	ADDQ    $32, AX; \
+	CMPQ    AX, DX; \
+	CMOVQGT DX, AX; \
+	JMP     loop; \
+done:
+
+// xhat[r][j] = (x[r][j]-mean[r])*inv[r] and out[r][j] = xhat[r][j]*gain[j]
+// + bias[j], the scalar loop's operations in its order, for rows >= 1
+// rows of n >= 4 elements. xhat may be out: its store comes first.
+// func normRowsAVX(x, gain, bias, out, xhat, mean, inv []float64)
+TEXT ·normRowsAVX(SB), NOSPLIT, $0-168
+	MOVQ x_base+0(FP), SI
+	MOVQ gain_base+24(FP), BX
+	MOVQ gain_len+32(FP), R8
+	LEAQ -32(R8*8), DX
+	SHLQ $3, R8
+	MOVQ bias_base+48(FP), CX
+	MOVQ out_base+72(FP), R10
+	MOVQ xhat_base+96(FP), R11
+	MOVQ mean_base+120(FP), R14
+	MOVQ mean_len+128(FP), R13
+	MOVQ inv_base+144(FP), R15
+	XORQ R9, R9
+lnrrow:
+	VBROADCASTSD (R14)(R9*8), Y8
+	VBROADCASTSD (R15)(R9*8), Y9
+	LNCOL(lnrcol)
+	VMOVUPD (SI)(AX*1), Y0
+	VSUBPD  Y8, Y0, Y0              // x - mean
+	VMULPD  Y9, Y0, Y0              // * inv
+	VMOVUPD Y0, (R11)(AX*1)
+	VMULPD  (BX)(AX*1), Y0, Y0      // * gain
+	VADDPD  (CX)(AX*1), Y0, Y0      // + bias
+	VMOVUPD Y0, (R10)(AX*1)
+	LNCOLNEXT(lnrcol, lnrcoldone)
+	ADDQ R8, SI
+	ADDQ R8, R10
+	ADDQ R8, R11
+	INCQ R9
+	CMPQ R9, R13
+	JL   lnrrow
+	VZEROUPPER
+	RET
+
+// out[r][j] = (g[r][j]*gain[j] - sumDx[r]/n - xh[r][j]*sumDxXh[r]/n) *
+// inv[r], the scalar expression's operations in its order, for rows >= 1
+// rows of n >= 4 elements. fn is n as a float64.
+// func normGradRowsAVX(g, gain, xh, out, sumDx, sumDxXh, inv []float64, fn float64)
+TEXT ·normGradRowsAVX(SB), NOSPLIT, $0-176
+	MOVQ g_base+0(FP), SI
+	MOVQ gain_base+24(FP), BX
+	MOVQ gain_len+32(FP), R8
+	LEAQ -32(R8*8), DX
+	SHLQ $3, R8
+	MOVQ xh_base+48(FP), CX
+	MOVQ out_base+72(FP), R10
+	MOVQ sumDx_base+96(FP), R14
+	MOVQ sumDx_len+104(FP), R13
+	MOVQ sumDxXh_base+120(FP), R15
+	MOVQ inv_base+144(FP), R11
+	VBROADCASTSD fn+168(FP), Y10
+	XORQ R9, R9
+lngrow:
+	VMOVSD       (R14)(R9*8), X8
+	VDIVSD       X10, X8, X8        // mean = sumDx / n
+	VMOVDDUP     X8, X8
+	VINSERTF128  $1, X8, Y8, Y8
+	VBROADCASTSD (R15)(R9*8), Y9
+	VBROADCASTSD (R11)(R9*8), Y11
+	LNCOL(lngcol)
+	VMOVUPD (SI)(AX*1), Y0
+	VMULPD  (BX)(AX*1), Y0, Y0      // g * gain
+	VSUBPD  Y8, Y0, Y0              // - mean
+	VMOVUPD (CX)(AX*1), Y1
+	VMULPD  Y9, Y1, Y1              // xh * sumDxXh
+	VDIVPD  Y10, Y1, Y1             // / n
+	VSUBPD  Y1, Y0, Y0
+	VMULPD  Y11, Y0, Y0             // * inv
+	VMOVUPD Y0, (R10)(AX*1)
+	LNCOLNEXT(lngcol, lngcoldone)
+	ADDQ R8, SI
+	ADDQ R8, CX
+	ADDQ R8, R10
+	INCQ R9
+	CMPQ R9, R13
+	JL   lngrow
+	VZEROUPPER
+	RET
+
+// A layer norm's parameter gradients over rows (>= 1) rows of g and xh
+// with leading dimension ld: gainG[j] += g[i][j]*xh[i][j] and biasG[j] +=
+// g[i][j], row after row, for the len(gainG) (a positive multiple of 4)
+// leading columns. Lane j carries column j's two sums in registers
+// across the rows, so each accumulates in the scalar loop's row order.
+// func normParamGradAVX(g, xh, gainG, biasG []float64, rows, ld int)
+TEXT ·normParamGradAVX(SB), NOSPLIT, $0-112
+	MOVQ g_base+0(FP), SI
+	MOVQ xh_base+24(FP), R8
+	MOVQ gainG_base+48(FP), DI
+	MOVQ gainG_len+56(FP), CX
+	SHLQ $3, CX
+	MOVQ biasG_base+72(FP), DX
+	MOVQ rows+96(FP), R9
+	MOVQ ld+104(FP), R10
+	SHLQ $3, R10
 	XORQ AX, AX
-nrloop:
+npstrip:
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD (DX)(AX*1), Y1
+	LEAQ    (SI)(AX*1), R11
+	LEAQ    (R8)(AX*1), R12
+	MOVQ    R9, R13
+nprow:
+	VMOVUPD (R11), Y2
+	VMULPD  (R12), Y2, Y3         // g * xh
+	VADDPD  Y3, Y0, Y0            // gainG += g*xh
+	VADDPD  Y2, Y1, Y1            // biasG += g
+	ADDQ    R10, R11
+	ADDQ    R10, R12
+	DECQ    R13
+	JNZ     nprow
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y1, (DX)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JL      npstrip
+	VZEROUPPER
+	RET
+
+// math.Exp's amd64 sequence (src/math/exp_amd64.s), four lanes at a
+// time: the same constants, the same reduction x − k·ln2 in two parts
+// (k = x·log2e rounded to nearest, as CVTSD2SL rounds), the same Taylor
+// chain on r/16, the same four squarings and the same ldexp by exponent
+// bits. Each lane runs the operation sequence math.Exp runs on this
+// host: EXPMULSUB is its separate multiply/subtract branch, EXPFMA its
+// fused branch (math takes it when the CPU has AVX and FMA). A lane is
+// only on that path when k lies in [-1022, 1023]: EXPSPECIAL marks the
+// rest — NaN and ±Inf (k converts to the integer indefinite), overflow
+// (k ≥ 1024 for every x above math's 709.78 bound) and the
+// denormal/underflow exponents — for the caller to hand to math.Exp.
+//
+// Constants, four copies each so they serve as 256-bit memory operands.
+#define EXPC4(off, bits) \
+	DATA expc<>+(off)(SB)/8, bits; \
+	DATA expc<>+(off+8)(SB)/8, bits; \
+	DATA expc<>+(off+16)(SB)/8, bits; \
+	DATA expc<>+(off+24)(SB)/8, bits
+EXPC4(0, $1.4426950408889634073599246810018920)              // log2(e)
+EXPC4(32, $0.69314718055966295651160180568695068359375)      // ln2, upper part
+EXPC4(64, $0.28235290563031577122588448175013436025525412068e-12) // ln2, lower part
+EXPC4(96, $0.0625)
+EXPC4(128, $2.4801587301587301587e-5)
+EXPC4(160, $1.9841269841269841270e-4)
+EXPC4(192, $1.3888888888888888889e-3)
+EXPC4(224, $8.3333333333333333333e-3)
+EXPC4(256, $4.1666666666666666667e-2)
+EXPC4(288, $1.6666666666666666667e-1)
+EXPC4(320, $0.5)
+EXPC4(352, $1.0)
+EXPC4(384, $2.0)
+EXPC4(416, $0xc08ff00000000000)                              // -1022
+EXPC4(448, $0x408ff80000000000)                              // 1023
+DATA expc<>+480(SB)/4, $1023                                 // the exponent bias, as int32
+DATA expc<>+484(SB)/4, $1023
+DATA expc<>+488(SB)/4, $1023
+DATA expc<>+492(SB)/4, $1023
+DATA expc<>+496(SB)/8, $0xfff0000000000000                   // -Inf
+DATA expc<>+504(SB)/8, $0xc086200000000000                   // -708
+GLOBL expc<>(SB), RODATA|NOPTR, $512
+
+// x in Y0 → Y1 = k as a double, X2 = k as int32.
+#define EXPK \
+	VMULPD     expc<>+0(SB), Y0, Y1; \
+	VCVTPD2DQY Y1, X2; \
+	VCVTDQ2PD  X2, Y1
+
+// dst = all ones in the lanes whose k is outside [-1022, 1023]. Uses Y5.
+#define EXPSPECIAL(dst) \
+	VCMPPD $0x01, expc<>+416(SB), Y1, dst; \
+	VCMPPD $0x0e, expc<>+448(SB), Y1, Y5; \
+	VORPD  Y5, dst, dst
+
+// The reduction and the Taylor chain: Y0 = x, Y1 = k → Y0 = e^r with
+// x = k·ln2 + r. Uses Y3.
+#define EXPMULSUB \
+	VMULPD expc<>+32(SB), Y1, Y3; \
+	VSUBPD Y3, Y0, Y0; \
+	VMULPD expc<>+64(SB), Y1, Y3; \
+	VSUBPD Y3, Y0, Y0; \
+	VMULPD expc<>+96(SB), Y0, Y0; \
+	VMULPD expc<>+128(SB), Y0, Y3; \
+	VADDPD expc<>+160(SB), Y3, Y3; \
+	VMULPD Y0, Y3, Y3; \
+	VADDPD expc<>+192(SB), Y3, Y3; \
+	VMULPD Y0, Y3, Y3; \
+	VADDPD expc<>+224(SB), Y3, Y3; \
+	VMULPD Y0, Y3, Y3; \
+	VADDPD expc<>+256(SB), Y3, Y3; \
+	VMULPD Y0, Y3, Y3; \
+	VADDPD expc<>+288(SB), Y3, Y3; \
+	VMULPD Y0, Y3, Y3; \
+	VADDPD expc<>+320(SB), Y3, Y3; \
+	VMULPD Y0, Y3, Y3; \
+	VADDPD expc<>+352(SB), Y3, Y3; \
+	VMULPD Y3, Y0, Y0; \
+	VADDPD expc<>+384(SB), Y0, Y3; \
+	VMULPD Y3, Y0, Y0; \
+	VADDPD expc<>+384(SB), Y0, Y3; \
+	VMULPD Y3, Y0, Y0; \
+	VADDPD expc<>+384(SB), Y0, Y3; \
+	VMULPD Y3, Y0, Y0; \
+	VADDPD expc<>+384(SB), Y0, Y3; \
+	VMULPD Y3, Y0, Y0; \
+	VADDPD expc<>+352(SB), Y0, Y0
+
+#define EXPFMA \
+	VFNMADD231PD expc<>+32(SB), Y1, Y0; \
+	VFNMADD231PD expc<>+64(SB), Y1, Y0; \
+	VMULPD       expc<>+96(SB), Y0, Y0; \
+	VMOVUPD      expc<>+128(SB), Y3; \
+	VFMADD213PD  expc<>+160(SB), Y0, Y3; \
+	VFMADD213PD  expc<>+192(SB), Y0, Y3; \
+	VFMADD213PD  expc<>+224(SB), Y0, Y3; \
+	VFMADD213PD  expc<>+256(SB), Y0, Y3; \
+	VFMADD213PD  expc<>+288(SB), Y0, Y3; \
+	VFMADD213PD  expc<>+320(SB), Y0, Y3; \
+	VFMADD213PD  expc<>+352(SB), Y0, Y3; \
+	VMULPD       Y3, Y0, Y0; \
+	VADDPD       expc<>+384(SB), Y0, Y3; \
+	VMULPD       Y3, Y0, Y0; \
+	VADDPD       expc<>+384(SB), Y0, Y3; \
+	VMULPD       Y3, Y0, Y0; \
+	VADDPD       expc<>+384(SB), Y0, Y3; \
+	VMULPD       Y3, Y0, Y0; \
+	VADDPD       expc<>+384(SB), Y0, Y3; \
+	VFMADD213PD  expc<>+352(SB), Y3, Y0
+
+// Y0 *= 2^k, from X2 = k: the exponent field (k+1023)<<52 built per
+// 64-bit lane with 128-bit integer ops (AVX has no 256-bit ones). Uses Y1.
+#define EXPSCALE \
+	VPADDD      expc<>+480(SB), X2, X2; \
+	VPMOVZXDQ   X2, X1; \
+	VPSHUFD     $0xee, X2, X2; \
+	VPMOVZXDQ   X2, X2; \
+	VPSLLQ      $52, X1, X1; \
+	VPSLLQ      $52, X2, X2; \
+	VINSERTF128 $1, X2, Y1, Y1; \
+	VMULPD      Y1, Y0, Y0
+
+// out = exp(x) per lane, computed through the fused branch when fma is
+// set; the result is the lanes EXPSPECIAL marks, as bits 0..3, whose out
+// is not math.Exp's.
+// func expAVX(x, out *[4]float64, fma bool) int
+TEXT ·expAVX(SB), NOSPLIT, $0-32
+	MOVQ    x+0(FP), SI
+	MOVQ    out+8(FP), DI
+	VMOVUPD (SI), Y0
+	EXPK
+	EXPSPECIAL(Y4)
+	VMOVMSKPD Y4, AX
+	MOVQ    AX, ret+24(FP)
+	CMPB    fma+16(FP), $0
+	JNE     expfused
+	EXPMULSUB
+	JMP     expscale
+expfused:
+	EXPFMA
+expscale:
+	EXPSCALE
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+
+// Row softmax over rows (1..8) rows of n >= 4 elements in x, in place,
+// each row in the scalar loop's order:
+//
+//	s[j] = x[j]·scale; m = max_j s[j]; e[j] = exp(s[j]-m);
+//	sum = Σ_j e[j] in j order; out[j] = e[j]·(1/sum)
+//
+// The sum is a scalar chain in j order. The max is taken lane-wise and
+// then across the lanes (VMAXPD with the new value first skips a NaN, as
+// `if s > m` does): a max rounds nothing, so the order can only change
+// which zero a row whose max is ±0 keeps, and that changes no s[j]-m's
+// exp (exp(±0) = 1). The element-wise steps run four lanes at a time,
+// the last vector of a row placed at n-4 and loaded before the step
+// stores anything, so an overlapped element is computed once from its
+// input and stored twice. Each step is a pass over every row, so the exps
+// of different rows — a long dependency chain each — overlap in the
+// pipeline.
+//
+// Every exp must be on math.Exp's plain path (k in [-1022, 1023]). With
+// no NaN among the s[j], s[j]-m lies in [min-m, 0] (a rounded subtraction
+// is monotonic), and min-m >= -708 puts k in [-1021, 0]; an infinite s
+// makes min-m NaN or -Inf. A row failing that bound stops the kernel
+// before any exp: it returns false with every row scaled and nothing
+// else written. The rows' maxima live in the frame.
+//
+// Registers: SI x, R11 the row count, R12 the row index, DI the row,
+// CX the row length and DX its last vector's offset in bytes, AX the
+// offset, R13 the maxima, BX the failed bound; Y15 scale, Y14 the row's
+// max, Y8 the last vector's input, Y6 1/sum; while scaling Y7/Y4 the
+// lane-wise min/max and Y5 the NaN lanes; the exp macros use Y0..Y3.
+
+// One in-place step over the row at DI: OP maps the vectors in Y0 — the
+// ones before the last, then the last from its input kept in Y8 — and
+// each result is stored.
+#define SMPASS(loop, last, OP) \
+	VMOVUPD (DI)(DX*1), Y8; \
+	XORQ    AX, AX; \
+	TESTQ   DX, DX; \
+	JZ      last; \
+loop: \
+	VMOVUPD (DI)(AX*1), Y0; \
+	OP; \
+	VMOVUPD Y0, (DI)(AX*1); \
+	ADDQ    $32, AX; \
+	CMPQ    AX, DX; \
+	JB      loop; \
+last: \
+	VMOVAPD Y8, Y0; \
+	OP; \
+	VMOVUPD Y0, (DI)(DX*1)
+
+// The row loop around a step: DI and R12 walk the rows.
+#define SMROWS0 \
+	MOVQ SI, DI; \
+	XORQ R12, R12
+#define SMROWNEXT(row) \
+	ADDQ CX, DI; \
+	INCQ R12; \
+	CMPQ R12, R11; \
+	JB   row
+
+#define SMSCALE \
+	VMULPD Y15, Y0, Y0; \
+	VMAXPD Y4, Y0, Y4; \
+	VMINPD Y7, Y0, Y7; \
+	VCMPPD $0x03, Y0, Y0, Y1; \
+	VORPD  Y1, Y5, Y5
+#define SMEXPMULSUB VSUBPD Y14, Y0, Y0; EXPK; EXPMULSUB; EXPSCALE
+#define SMEXPFMA VSUBPD Y14, Y0, Y0; EXPK; EXPFMA; EXPSCALE
+#define SMNORM VMULPD Y6, Y0, Y0
+
+// X4 = the max of Y4's lanes, X7 the min of Y7's; uses X1.
+#define SMACROSS \
+	VEXTRACTF128 $1, Y4, X1; \
+	VMAXPD       X1, X4, X4; \
+	VPERMILPD    $1, X4, X1; \
+	VMAXSD       X1, X4, X4; \
+	VEXTRACTF128 $1, Y7, X1; \
+	VMINPD       X1, X7, X7; \
+	VPERMILPD    $1, X7, X1; \
+	VMINSD       X1, X7, X7
+
+// func softmaxRowsAVX(x []float64, rows, n int, scale float64, fma bool) bool
+TEXT ·softmaxRowsAVX(SB), NOSPLIT, $64-57
+	MOVQ x_base+0(FP), SI
+	MOVQ rows+24(FP), R11
+	MOVQ n+32(FP), CX
+	LEAQ -32(CX*8), DX
+	SHLQ $3, CX
+	VBROADCASTSD scale+40(FP), Y15
+	LEAQ maxima-64(SP), R13
+	XORQ BX, BX
+	VXORPD Y5, Y5, Y5
+
+	// Scale each row, take its max, and check its exps' bound.
+	SMROWS0
+smscalerow:
+	VBROADCASTSD expc<>+496(SB), Y4 // -Inf
+	VXORPD       Y7, Y7, Y7
+	VSUBPD       Y4, Y7, Y7         // +Inf
+	SMPASS(smsl, smsx, SMSCALE)
+	SMACROSS
+	VMOVSD   X4, (R13)(R12*8)
+	VSUBSD   X4, X7, X7             // min - max
+	VUCOMISD expc<>+504(SB), X7
+	JCC      smbound                // min - max >= -708
+	MOVQ     $1, BX
+smbound:
+	SMROWNEXT(smscalerow)
+	VMOVMSKPD Y5, AX
+	ORQ       AX, BX
+	JNZ       smspecial
+
+	// e = exp(s - max).
+	SMROWS0
+	CMPB fma+48(FP), $0
+	JNE  smfusedrow
+smmulrow:
+	VBROADCASTSD (R13)(R12*8), Y14
+	SMPASS(smml, smmx, SMEXPMULSUB)
+	SMROWNEXT(smmulrow)
+	JMP  smsumrows
+smfusedrow:
+	VBROADCASTSD (R13)(R12*8), Y14
+	SMPASS(smfl, smfx, SMEXPFMA)
+	SMROWNEXT(smfusedrow)
+
+	// The sum in index order, then the multiply by its reciprocal.
+smsumrows:
+	SMROWS0
+smsumrow:
+	VXORPD X6, X6, X6
+	XORQ   AX, AX
+smsum:
+	VADDSD (DI)(AX*1), X6, X6
+	ADDQ   $8, AX
+	CMPQ   AX, CX
+	JB     smsum
+	VMOVSD      expc<>+352(SB), X5
+	VDIVSD      X6, X5, X6
+	VMOVDDUP    X6, X6
+	VINSERTF128 $1, X6, Y6, Y6
+	SMPASS(smnl, smnx, SMNORM)
+	SMROWNEXT(smsumrow)
+	MOVB $1, ret+56(FP)
+	VZEROUPPER
+	RET
+
+smspecial:
+	MOVB $0, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// Element-wise kernels over 4k elements (the Go wrappers take the
+// tails). Each lane runs the scalar loop's operations on its element, so
+// the results are bit-identical to it; the one reduction, sqErrGradAVX's
+// sum, adds the lanes one by one in element order.
+
+// dst[i] = a[i] + b[i].
+// func addAVX(dst, a, b []float64)
+TEXT ·addAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	XORQ AX, AX
+addloop:
 	VMOVUPD (SI)(AX*8), Y0
-	VSUBPD  Y8, Y0, Y0            // x - m
-	VMULPD  Y9, Y0, Y0            // * inv
-	VMULPD  (R8)(AX*8), Y0, Y0    // * gain
-	VADDPD  (R9)(AX*8), Y0, Y0    // + bias
-	VMOVUPD Y0, (DX)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JL   nrloop
+	VADDPD  (DX)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      addloop
+	VZEROUPPER
+	RET
+
+// keep[i] = all ones where !(x[i] < 0), else 0 (VCMPPD's not-less-than
+// is true for NaN, as the negated Go compare is); out[i] = x[i] & keep[i].
+// keep_base may be nil: the words are then not stored.
+// func reluAVX(out []float64, keep []uint64, x []float64)
+TEXT ·reluAVX(SB), NOSPLIT, $0-72
+	MOVQ   out_base+0(FP), DI
+	MOVQ   out_len+8(FP), CX
+	MOVQ   keep_base+24(FP), R8
+	MOVQ   x_base+48(FP), SI
+	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX
+	TESTQ  R8, R8
+	JZ     relunokeep
+reluloop:
+	VMOVUPD (SI)(AX*8), Y0
+	VCMPPD  $0x05, Y7, Y0, Y1
+	VANDPD  Y0, Y1, Y0
+	VMOVUPD Y1, (R8)(AX*8)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      reluloop
+	VZEROUPPER
+	RET
+relunokeep:
+	VMOVUPD (SI)(AX*8), Y0
+	VCMPPD  $0x05, Y7, Y0, Y1
+	VANDPD  Y0, Y1, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      relunokeep
+	VZEROUPPER
+	RET
+
+// out[i] = g[i] & keep[i].
+// func gateAVX(out, g []float64, keep []uint64)
+TEXT ·gateAVX(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ keep_base+48(FP), R8
+	XORQ AX, AX
+gateloop:
+	VMOVUPD (SI)(AX*8), Y0
+	VANDPD  (R8)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      gateloop
+	VZEROUPPER
+	RET
+
+// out[i] = (a[i]-b[i])·(a[i]-b[i]).
+// func sqDiffAVX(out, a, b []float64)
+TEXT ·sqDiffAVX(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	XORQ AX, AX
+sqdloop:
+	VMOVUPD (SI)(AX*8), Y0
+	VSUBPD  (DX)(AX*8), Y0, Y0
+	VMULPD  Y0, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      sqdloop
+	VZEROUPPER
+	RET
+
+// d = pred[i]-target[i]; grad[i] = 2·d/n; the result is the sum of d·d
+// in element order.
+// func sqErrGradAVX(grad, pred, target []float64, n float64) float64
+TEXT ·sqErrGradAVX(SB), NOSPLIT, $0-88
+	MOVQ grad_base+0(FP), DI
+	MOVQ grad_len+8(FP), CX
+	MOVQ pred_base+24(FP), SI
+	MOVQ target_base+48(FP), DX
+	VBROADCASTSD n+72(FP), Y7
+	VXORPD X6, X6, X6
+	VBROADCASTSD expc<>+384(SB), Y5 // 2
+	XORQ AX, AX
+sqeloop:
+	VMOVUPD      (SI)(AX*8), Y0
+	VSUBPD       (DX)(AX*8), Y0, Y0
+	VMULPD       Y0, Y0, Y1
+	VMULPD       Y5, Y0, Y2
+	VDIVPD       Y7, Y2, Y2
+	VMOVUPD      Y2, (DI)(AX*8)
+	VADDSD       X1, X6, X6
+	VPERMILPD    $1, X1, X2
+	VADDSD       X2, X6, X6
+	VEXTRACTF128 $1, Y1, X1
+	VADDSD       X1, X6, X6
+	VPERMILPD    $1, X1, X2
+	VADDSD       X2, X6, X6
+	ADDQ         $4, AX
+	CMPQ         AX, CX
+	JL           sqeloop
+	VMOVSD       X6, ret+80(FP)
+	VZEROUPPER
+	RET
+
+// out's rows are a's na elements then b's nb (na, nb >= 4): one row's
+// part is copied in vectors, the last placed at its end and overlapping
+// its neighbour.
+// func concatAVX(out, a, b []float64, rows, na, nb int)
+TEXT ·concatAVX(SB), NOSPLIT, $0-96
+	MOVQ out_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ rows+72(FP), CX
+	MOVQ na+80(FP), R8
+	MOVQ nb+88(FP), R9
+	LEAQ -32(R8*8), R10
+	LEAQ -32(R9*8), R11
+catrow:
+	XORQ AX, AX
+cata:
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R10
+	JL      cata
+	VMOVUPD (SI)(R10*1), Y0
+	VMOVUPD Y0, (DI)(R10*1)
+	LEAQ    (DI)(R8*8), DI
+	LEAQ    (SI)(R8*8), SI
+	XORQ    AX, AX
+catb:
+	VMOVUPD (DX)(AX*1), Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R11
+	JL      catb
+	VMOVUPD (DX)(R11*1), Y0
+	VMOVUPD Y0, (DI)(R11*1)
+	LEAQ    (DI)(R9*8), DI
+	LEAQ    (DX)(R9*8), DX
+	DECQ    CX
+	JNZ     catrow
 	VZEROUPPER
 	RET

@@ -8,7 +8,7 @@ import (
 
 // Scoring-path kernel tests: the distance and row kernels sit on
 // bit-exactness-contracted paths (neighbour searches feed the grand
-// conformal gates, NormRow feeds the tranad last-row scorer), so every
+// conformal gates, NormRows feeds the tranad last-row scorer), so every
 // test here asserts Float64bits identity against the scalar reference
 // at awkward lengths — 0, 1, either side of the vector width, and
 // unaligned tails — whatever kernel the CPU dispatches to.
@@ -52,30 +52,38 @@ func TestSquaredDistances8BitIdentical(t *testing.T) {
 	}
 }
 
-// TestNormRowBitIdentical drives NormRow against the scalar loop the
-// layer-norm row evaluator used to inline, at every length across the
-// SIMD blocking boundaries.
+// TestNormRowBitIdentical drives NormRows, with and without its xhat
+// output, against the scalar loop of the layer-norm forward at every
+// row count to 9 and width across the SIMD blocking boundaries, on finite
+// rows and on rows with NaN and ±Inf planted, under native and
+// forced-scalar dispatch.
 func TestNormRowBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for n := 0; n <= 67; n++ {
-		x := randVec(rng, n)
-		gain := randVec(rng, n)
-		bias := randVec(rng, n)
-		got := make([]float64, n)
-		want := make([]float64, n)
-		m := rng.NormFloat64()
-		inv := math.Abs(rng.NormFloat64()) + 0.5
-		NormRow(x, gain, bias, got, m, inv)
-		for j := range want {
-			want[j] = (x[j]-m)*inv*gain[j] + bias[j]
-		}
-		for j := range got {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("n=%d j=%d: NormRow=%x scalar=%x (simd=%s)",
-					n, j, math.Float64bits(got[j]), math.Float64bits(want[j]), SIMDMode())
+	dispatchModes(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(29))
+		for rows := 0; rows <= 9; rows++ {
+			for n := 1; n <= 27; n++ {
+				nonFinite := n%2 == 1
+				x := plantedVec(rng, rows*n, nonFinite)
+				gain, bias := plantedVec(rng, n, nonFinite), plantedVec(rng, n, nonFinite)
+				mean, inv := randVec(rng, rows), randVec(rng, rows)
+				want, wantXh := make([]float64, rows*n), make([]float64, rows*n)
+				for i := range want {
+					r, j := i/n, i%n
+					wantXh[i] = (x[i] - mean[r]) * inv[r]
+					want[i] = wantXh[i]*gain[j] + bias[j]
+				}
+				got, xh := make([]float64, rows*n), make([]float64, rows*n)
+				NormRows(x, gain, bias, got, nil, mean, inv)
+				assertSameBits(t, "out", got, want)
+				NormRows(x, gain, bias, got, xh, mean, inv)
+				assertSameBits(t, "out", got, want)
+				assertSameBits(t, "xhat", xh, wantXh)
+				if t.Failed() {
+					t.Fatalf("rows=%d n=%d", rows, n)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestLinFwdStripBitIdentical re-pins the dense forward after the strip-mined
@@ -134,13 +142,16 @@ func BenchmarkSquaredDistances8(b *testing.B) {
 	}
 }
 
+// BenchmarkNormRow is one row through NormRows, as the scorer's
+// LayerNorm.ApplyRow runs it.
 func BenchmarkNormRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 48
 	x, gain, bias := randVec(rng, n), randVec(rng, n), randVec(rng, n)
 	out := make([]float64, n)
+	mean, inv := []float64{0.1}, []float64{1.7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NormRow(x, gain, bias, out, 0.1, 1.7)
+		NormRows(x, gain, bias, out, nil, mean, inv)
 	}
 }

@@ -27,12 +27,12 @@ func copyOf(legacy bool, scratch, src *mat.Matrix) *mat.Matrix {
 //
 // The fast path makes one pass each way and takes no branch on the
 // data: Forward writes each element's keep word — all ones, or zero
-// where the input is below zero — and the input ANDed with it, and
-// Backward ANDs the gradient with the same word. The words select the
-// bits the legacy path's compare-and-store does (a clamped element and
-// a gated gradient are +0; NaN and -0 inputs are kept), so both paths
-// are bit-identical, and a sign pattern the predictor cannot learn
-// costs nothing.
+// where the input is below zero — and the input ANDed with it
+// (mat.ReLU), and Backward ANDs the gradient with the same word
+// (mat.Gate). The words select the bits the legacy path's
+// compare-and-store does (a clamped element and a gated gradient are
+// +0; NaN and -0 inputs are kept), so both paths are bit-identical, and
+// a sign pattern the predictor cannot learn costs nothing.
 type ReLU struct {
 	mask    []bool   // legacy path
 	keep    []uint64 // fast path
@@ -53,15 +53,7 @@ func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
 		r.keep = make([]uint64, len(x.Data))
 	}
 	r.keep = r.keep[:len(x.Data)]
-	keep, o := r.keep, out.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		var k uint64
-		if !(v < 0) {
-			k = ^uint64(0)
-		}
-		keep[i] = k
-		o[i] = math.Float64frombits(math.Float64bits(v) & k)
-	}
+	mat.ReLU(out.Data, r.keep, x.Data)
 	return out
 }
 
@@ -94,10 +86,7 @@ func (r *ReLU) Backward(grad *mat.Matrix) *mat.Matrix {
 		return out
 	}
 	out := r.dx.EnsureShape(grad.Rows, grad.Cols)
-	keep, o := r.keep[:len(grad.Data)], out.Data[:len(grad.Data)]
-	for i, g := range grad.Data {
-		o[i] = math.Float64frombits(math.Float64bits(g) & keep[i])
-	}
+	mat.Gate(out.Data, grad.Data, r.keep[:len(grad.Data)])
 	return out
 }
 

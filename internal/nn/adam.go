@@ -74,16 +74,10 @@ func (a *Adam) Step() {
 }
 
 // MSELoss returns the mean squared error between pred and target along
-// with the gradient dL/dpred (already divided by the element count).
+// with the gradient dL/dpred (already divided by the element count), in
+// a fresh matrix and by the scalar loop MSELossInto's kernel replays.
 func MSELoss(pred, target *mat.Matrix) (float64, *mat.Matrix) {
-	return MSELossInto(mat.NewMatrix(pred.Rows, pred.Cols), pred, target)
-}
-
-// MSELossInto is the allocation-free MSELoss: it writes the gradient
-// into grad (reshaped to pred's dimensions) and returns the loss with
-// grad. The arithmetic is element-wise and identical to MSELoss.
-func MSELossInto(grad, pred, target *mat.Matrix) (float64, *mat.Matrix) {
-	grad.EnsureShape(pred.Rows, pred.Cols)
+	grad := mat.NewMatrix(pred.Rows, pred.Cols)
 	n := float64(len(pred.Data))
 	var loss float64
 	for i := range pred.Data {
@@ -92,4 +86,14 @@ func MSELossInto(grad, pred, target *mat.Matrix) (float64, *mat.Matrix) {
 		grad.Data[i] = 2 * d / n
 	}
 	return loss / n, grad
+}
+
+// MSELossInto is the allocation-free MSELoss: it writes the gradient
+// into grad (reshaped to pred's dimensions) and returns the loss with
+// grad. The gradient is element-wise and the loss one in-order sum
+// (mat.SquaredErrorGrad), identical to MSELoss.
+func MSELossInto(grad, pred, target *mat.Matrix) (float64, *mat.Matrix) {
+	grad.EnsureShape(pred.Rows, pred.Cols)
+	sum := mat.SquaredErrorGrad(grad.Data, pred.Data, target.Data[:len(pred.Data)])
+	return sum / float64(len(pred.Data)), grad
 }

@@ -41,7 +41,7 @@ type SelfAttention struct {
 	// forward/backward pair
 	infK, infV mat.Matrix
 	infQ, infC []float64 // Dim: the last row's query and head-concatenated mix
-	infS       []float64 // seq: one head's attention weights
+	infS       []float64 // Heads×seq: the last row's attention weights, head by head
 }
 
 // NewSelfAttention builds a multi-head self-attention block.
@@ -59,27 +59,6 @@ func NewSelfAttention(dim, heads int, rng *rand.Rand) *SelfAttention {
 		wo:    NewLinear(dim, dim, rng),
 		infQ:  make([]float64, dim),
 		infC:  make([]float64, dim),
-	}
-}
-
-// softmaxRow scales row by scale and replaces it with its softmax — the
-// scale / max / exp / normalise loop order every attention path shares.
-func softmaxRow(row []float64, scale float64) {
-	maxv := math.Inf(-1)
-	for j := range row {
-		row[j] *= scale
-		if row[j] > maxv {
-			maxv = row[j]
-		}
-	}
-	var sum float64
-	for j := range row {
-		row[j] = math.Exp(row[j] - maxv)
-		sum += row[j]
-	}
-	inv := 1 / sum
-	for j := range row {
-		row[j] *= inv
 	}
 }
 
@@ -107,13 +86,11 @@ func (a *SelfAttention) Forward(x *mat.Matrix) *mat.Matrix {
 		off := h * a.dk
 		// scores = Qh Kh^T * scale, accumulated over the head's dk
 		// columns in order like the legacy row-row dots, then softmax
-		// per row.
+		// per row in the legacy loop's order.
 		attn := a.attn[h].EnsureShape(seq, seq)
 		(&mat.Product{Rows: seq, Inner: a.dk, Width: seq, A: a.q.Data[off:], ARow: a.Dim, AK: 1,
 			B: kT.Data[off*seq:], LdB: seq, Out: attn.Data, LdOut: seq}).Eval()
-		for i := 0; i < seq; i++ {
-			softmaxRow(attn.Row(i), scale)
-		}
+		mat.SoftmaxRows(attn.Data, seq, scale)
 		// out_h = attn · Vh, written straight into the concat slot.
 		(&mat.Product{Rows: seq, Inner: seq, Width: a.dk, A: attn.Data, ARow: seq, AK: 1,
 			B: a.v.Data[off:], LdB: a.Dim, Out: a.concat.Data[off:], LdOut: a.Dim}).Eval()
@@ -401,10 +378,7 @@ func (r *Residual) sum(scratch, inner, skip *mat.Matrix) *mat.Matrix {
 		return out
 	}
 	out := scratch.EnsureShape(inner.Rows, inner.Cols)
-	a, b := inner.Data[:len(out.Data)], skip.Data[:len(out.Data)]
-	for i := range out.Data {
-		out.Data[i] = a[i] + b[i]
-	}
+	mat.Add(out.Data, inner.Data, skip.Data[:len(out.Data)])
 	return out
 }
 

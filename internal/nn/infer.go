@@ -38,14 +38,13 @@ func (l *Linear) Apply(rows int, x, out []float64) {
 func (l *Linear) ApplyRow(x, out []float64) { l.Apply(1, x, out) }
 
 // ApplyRow normalises one row with the layer's gain and bias:
-// out = xhat·gain + bias with xhat = (x - mean) / sqrt(var + eps). The
-// reductions are the fast Forward path's (rowMoments), and the
-// elementwise normalise runs through mat.NormRow, whose SIMD dispatch
-// replays the scalar operation sequence per lane — so the bits match a
-// full Forward of the same row at every dispatch level.
+// out = xhat·gain + bias with xhat = (x - mean) / sqrt(var + eps), through
+// the same mat kernels as the fast Forward path (one row of them), so the
+// bits match a full Forward of the same row at every dispatch level.
 func (l *LayerNorm) ApplyRow(x, out []float64) {
-	m, inv := l.rowMoments(x)
-	mat.NormRow(x, l.gain.W, l.bias.W, out, m, inv)
+	var mean, inv [1]float64
+	mat.NormMoments(x, len(x), l.Eps, mean[:], inv[:])
+	mat.NormRows(x, l.gain.W, l.bias.W, out, nil, mean[:], inv[:])
 }
 
 // RowAt returns position pos of the sinusoidal table at width cols,
@@ -93,11 +92,10 @@ func (a *SelfAttention) AttendLast(x *mat.Matrix, out []float64) {
 	a.wv.Apply(seq, x.Data, v.Data)
 	q, concat := a.infQ, a.infC
 	a.wq.ApplyRow(x.Row(seq-1), q)
-	if cap(a.infS) < seq {
-		a.infS = make([]float64, seq)
+	if cap(a.infS) < a.Heads*seq {
+		a.infS = make([]float64, a.Heads*seq)
 	}
-	s := a.infS[:seq]
-	scale := 1 / math.Sqrt(float64(a.dk))
+	s := a.infS[:a.Heads*seq]
 	for h := 0; h < a.Heads; h++ {
 		off := h * a.dk
 		qh := q[off : off+a.dk]
@@ -107,10 +105,14 @@ func (a *SelfAttention) AttendLast(x *mat.Matrix, out []float64) {
 			for t, qv := range qh {
 				dot += qv * kj[t]
 			}
-			s[j] = dot
+			s[h*seq+j] = dot
 		}
-		softmaxRow(s, scale)
-		(&mat.Product{Rows: 1, Inner: seq, Width: a.dk, A: s, AK: 1,
+	}
+	// Every head's row in one call, so their exps overlap.
+	mat.SoftmaxRows(s, seq, 1/math.Sqrt(float64(a.dk)))
+	for h := 0; h < a.Heads; h++ {
+		off := h * a.dk
+		(&mat.Product{Rows: 1, Inner: seq, Width: a.dk, A: s[h*seq:], AK: 1,
 			B: v.Data[off:], LdB: a.Dim, Out: concat[off:], LdOut: a.dk}).Eval()
 	}
 	a.wo.ApplyRow(concat, out)

@@ -85,6 +85,77 @@ func TestFastKernelsBitIdenticalToLegacy(t *testing.T) {
 	}
 }
 
+// TestLayerNormFastMatchesLegacy holds the fast LayerNorm — its sums four
+// rows at a time, its mat row kernels — to the legacy loops bit for bit
+// at every row count from 1 to 9 (whole groups of four and the rows left
+// over) and the widths the shipped model and its wider test shape use,
+// through two forward/backward passes so the parameter gradients
+// accumulate onto earlier ones. In the second pass every third row has
+// a NaN or an infinity planted in its input and in its gradient, which
+// must poison exactly the same outputs on both paths.
+func TestLayerNormFastMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, width := range []int{6, 12, 15, 24} {
+		for rows := 1; rows <= 9; rows++ {
+			fast, legacy := NewLayerNorm(width), NewLayerNorm(width)
+			legacy.legacy = true
+			for i := range fast.gain.W {
+				fast.gain.W[i] = 1 + rng.NormFloat64()/4
+				fast.bias.W[i] = rng.NormFloat64() / 4
+			}
+			copy(legacy.gain.W, fast.gain.W)
+			copy(legacy.bias.W, fast.bias.W)
+			for pass := 0; pass < 2; pass++ {
+				x, g := mat.NewMatrix(rows, width), mat.NewMatrix(rows, width)
+				for i := range x.Data {
+					x.Data[i], g.Data[i] = rng.NormFloat64()*3, rng.NormFloat64()
+				}
+				for r := 1; pass == 1 && r < rows; r += 3 {
+					x.Data[r*width+r%width] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r%3]
+					g.Data[r*width+(r+1)%width] = []float64{math.Inf(-1), math.NaN()}[r%2]
+				}
+				same := func(what string, got, want []float64) {
+					t.Helper()
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(got[i] != got[i] && want[i] != want[i]) {
+							t.Fatalf("width=%d rows=%d pass=%d: %s[%d] = %v, legacy %v", width, rows, pass, what, i, got[i], want[i])
+						}
+					}
+				}
+				same("forward", fast.Forward(x).Data, legacy.Forward(x).Data)
+				same("backward", fast.Backward(g).Data, legacy.Backward(g).Data)
+				same("gain gradient", fast.gain.G, legacy.gain.G)
+				same("bias gradient", fast.bias.G, legacy.bias.G)
+			}
+		}
+	}
+}
+
+// BenchmarkLayerNorm runs the fast path's forward and backward passes at
+// the shipped model's shape: the 8-row window, DModel 12.
+func BenchmarkLayerNorm(b *testing.B) {
+	const rows, width = 8, 12
+	rng := rand.New(rand.NewSource(1))
+	x, g := mat.NewMatrix(rows, width), mat.NewMatrix(rows, width)
+	for i := range x.Data {
+		x.Data[i], g.Data[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	l := NewLayerNorm(width)
+	l.Forward(x)
+	b.Run("forward", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			l.Forward(x)
+		}
+	})
+	b.Run("backward", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			l.Backward(g)
+		}
+	})
+}
+
 // TestFastKernelsZeroSteadyStateAllocs checks the zero-allocation
 // contract: once the scratch is warm, a full forward/backward/loss pass
 // allocates nothing.

@@ -10,12 +10,13 @@ import (
 // applies a learned per-feature gain and bias.
 //
 // The fast path reuses layer-owned scratch for the output, the cached
-// x-hat and the inverse deviations, reads the parameter slices once per
-// pass instead of once per element, and makes one pass over a row where
-// the legacy path makes two (recomputing g·gain, the same bits, in place
-// of the legacy path's per-row dxhat vector). Every reduction keeps its
-// order and every element its operation sequence, so fast and legacy
-// are bit-identical.
+// x-hat and the per-row scalars, and runs each pass over the whole block
+// of rows through the mat layer-norm kernels: the in-order row sums
+// (mat.NormMoments, mat.NormGradSums, one lane per row, four rows at a
+// time), the element-wise rows (mat.NormRows, mat.NormGradRows) and the
+// parameter gradients (mat.NormParamGrads, one lane per column). Every
+// reduction keeps its order and every element its operation sequence, so
+// fast and legacy are bit-identical.
 type LayerNorm struct {
 	Dim   int
 	Eps   float64
@@ -27,6 +28,9 @@ type LayerNorm struct {
 	legacy  bool
 	out, dx mat.Matrix
 	xhatS   mat.Matrix
+	// per-row scratch: the means in Forward, the two gradient sums in
+	// Backward
+	mean, sumDx, sumDxXh []float64
 }
 
 // NewLayerNorm returns a layer norm over rows of width dim.
@@ -37,6 +41,14 @@ func NewLayerNorm(dim int) *LayerNorm {
 	return l
 }
 
+// rowScratch returns s resliced to n elements, grown if it is short.
+func rowScratch(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
 // Forward implements Layer.
 func (l *LayerNorm) Forward(x *mat.Matrix) *mat.Matrix {
 	if l.legacy {
@@ -44,23 +56,10 @@ func (l *LayerNorm) Forward(x *mat.Matrix) *mat.Matrix {
 	}
 	out := l.out.EnsureShape(x.Rows, x.Cols)
 	l.xhat = l.xhatS.EnsureShape(x.Rows, x.Cols)
-	if cap(l.isdev) < x.Rows {
-		l.isdev = make([]float64, x.Rows)
-	}
-	l.isdev = l.isdev[:x.Rows]
-	n := x.Cols
-	gain, bias := l.gain.W[:n], l.bias.W[:n]
-	for i := range l.isdev {
-		row := x.Data[i*n : (i+1)*n]
-		m, inv := l.rowMoments(row)
-		l.isdev[i] = inv
-		xh, o := l.xhat.Data[i*n:(i+1)*n], out.Data[i*n:(i+1)*n]
-		for j, xv := range row {
-			h := (xv - m) * inv
-			xh[j] = h
-			o[j] = h*gain[j] + bias[j]
-		}
-	}
+	l.isdev = rowScratch(l.isdev, x.Rows)
+	l.mean = rowScratch(l.mean, x.Rows)
+	mat.NormMoments(x.Data, x.Cols, l.Eps, l.mean, l.isdev)
+	mat.NormRows(x.Data, l.gain.W[:x.Cols], l.bias.W[:x.Cols], out.Data, l.xhat.Data, l.mean, l.isdev)
 	return out
 }
 
@@ -83,23 +82,6 @@ func (l *LayerNorm) forwardLegacy(x *mat.Matrix) *mat.Matrix {
 	return out
 }
 
-// rowMoments returns a row's mean and inverse deviation 1/sqrt(var+eps):
-// the reductions mat.Mean and mat.Variance perform (identical order, so
-// identical bits), fused into two passes over the row instead of three.
-// They are in-order sums and must stay scalar.
-func (l *LayerNorm) rowMoments(row []float64) (m, inv float64) {
-	for _, xv := range row {
-		m += xv
-	}
-	m /= float64(len(row))
-	var ss float64
-	for _, xv := range row {
-		d := xv - m
-		ss += d * d
-	}
-	return m, 1 / math.Sqrt(ss/float64(len(row))+l.Eps)
-}
-
 // Backward implements Layer.
 func (l *LayerNorm) Backward(grad *mat.Matrix) *mat.Matrix {
 	if l.legacy {
@@ -107,31 +89,16 @@ func (l *LayerNorm) Backward(grad *mat.Matrix) *mat.Matrix {
 	}
 	dx := l.dx.EnsureShape(grad.Rows, grad.Cols)
 	dim := l.Dim
-	gain, gainG, biasG := l.gain.W[:dim], l.gain.G[:dim], l.bias.G[:dim]
-	n := float64(dim)
-	for i, inv := range l.isdev[:grad.Rows] {
-		g, xh := grad.Data[i*dim:(i+1)*dim], l.xhat.Data[i*dim:(i+1)*dim]
-		// Param grads, and the two row sums of dxhat = g * gain.
-		var sumDx, sumDxXh float64
-		for j, gj := range g {
-			h := xh[j]
-			gainG[j] += gj * h
-			biasG[j] += gj
-			dh := float64(gj * gain[j]) // rounded, as below
-			sumDx += dh
-			sumDxXh += dh * h
-		}
-		// Standard layer-norm input gradient. The mean of dxhat is one
-		// value per row; xh·sumDxXh is divided per element, as the
-		// legacy expression divides it; and the conversion rounds
-		// g·gain as the legacy path's store does, where a compiler
-		// would otherwise fuse it into the subtraction (arm64).
-		mean := sumDx / n
-		d := dx.Data[i*dim : (i+1)*dim]
-		for j, gj := range g {
-			d[j] = (float64(gj*gain[j]) - mean - xh[j]*sumDxXh/n) * inv
-		}
-	}
+	g, xh, gain := grad.Data, l.xhat.Data[:len(grad.Data)], l.gain.W[:dim]
+	mat.NormParamGrads(l.gain.G[:dim], l.bias.G[:dim], g, xh)
+	// Standard layer-norm input gradient from the two row sums of
+	// dxhat = g·gain: the mean of dxhat is one value per row, and
+	// xh·sumDxXh is divided per element, as the legacy expression
+	// divides it.
+	l.sumDx = rowScratch(l.sumDx, grad.Rows)
+	l.sumDxXh = rowScratch(l.sumDxXh, grad.Rows)
+	mat.NormGradSums(g, xh, gain, l.sumDx, l.sumDxXh)
+	mat.NormGradRows(g, gain, xh, dx.Data, l.sumDx, l.sumDxXh, l.isdev[:grad.Rows])
 	return dx
 }
 
