@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
@@ -155,11 +156,22 @@ type AlarmMark struct {
 }
 
 // Pipeline is the per-vehicle realisation of Algorithm 1: a
-// TransformStage feeding a DetectStage. Not safe for concurrent use.
+// TransformStage feeding a DetectStage. Not safe for concurrent use,
+// except that a fit handed out by TakePendingFit runs beside the
+// pipeline's other methods (see TakePendingFit).
 type Pipeline struct {
 	vehicleID string
 	ts        *TransformStage
 	ds        *DetectStage
+
+	// inFlight is set from TakePendingFit handing out a fit to LandFit.
+	// Meanwhile the fit owns ds, and what the transform stage emits is
+	// queued in q. prov is the provenance most recently set. landed is
+	// LandFit's alarm buffer, reused by the next LandFit.
+	inFlight bool
+	q        sampleQueue
+	prov     provenance
+	landed   []detector.Alarm
 }
 
 // NewPipeline builds a pipeline for one vehicle.
@@ -191,7 +203,7 @@ func NewPipeline(vehicleID string, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{vehicleID: vehicleID, ts: ts, ds: ds}, nil
+	return &Pipeline{vehicleID: vehicleID, ts: ts, ds: ds, q: sampleQueue{dim: cfg.Transformer.Dim()}}, nil
 }
 
 // VehicleID returns the vehicle this pipeline monitors.
@@ -213,36 +225,127 @@ func (p *Pipeline) ScoredSamples() uint64 { return p.ds.ScoredSamples() }
 // deferred fits (see DetectStage.SetDeferFits).
 func (p *Pipeline) SetDeferFits(on bool) { p.ds.SetDeferFits(on) }
 
-// TakePendingFit collects the detect stage's deferred fit, if any (see
-// DetectStage.TakePendingFit).
-func (p *Pipeline) TakePendingFit() func() error { return p.ds.TakePendingFit() }
+// TakePendingFit hands out the detect stage's deferred fit, if any (see
+// DetectStage.TakePendingFit), and nil while one is in flight. The fit
+// runs on any goroutine; until the owner calls LandFit, HandleRecord,
+// HandleEvent and SetProvenance only run the transform stage and queue
+// what it emits, touching nothing the fit reads.
+func (p *Pipeline) TakePendingFit() func() error {
+	if p.inFlight {
+		return nil
+	}
+	fit := p.ds.TakePendingFit()
+	p.inFlight = fit != nil
+	return fit
+}
+
+// LandFit ends the fit TakePendingFit handed out, once it has returned
+// without error, and drains the queue through the detect stage in
+// arrival order: a reset marker resets it, a sample arriving while the
+// profile is filling is copied into it, and every other sample is
+// scored, consecutive ones together (DetectStage.ScoreRun, runs of at
+// most runCap under one provenance). A sample that fills the profile
+// ends the drain and leaves the rest queued, ahead of later arrivals,
+// for the next fit, which TakePendingFit then hands out. It returns the
+// alarms the drained samples raised, each journaled with its own
+// record's provenance, in a slice the next LandFit reuses.
+func (p *Pipeline) LandFit() ([]detector.Alarm, error) {
+	p.inFlight = false
+	p.landed = p.landed[:0]
+	err := p.drain()
+	p.q.compact()
+	p.ds.prov = p.prov
+	return p.landed, err
+}
+
+func (p *Pipeline) drain() error {
+	q := &p.q
+	for q.n > 0 {
+		reset, t, x, prov := q.front()
+		switch {
+		case reset:
+			if err := p.flushRun(); err != nil {
+				return err
+			}
+			p.ds.Reset(t)
+			q.pop()
+		case p.ds.NeedRef():
+			// No run is open: the profile only empties at a reset, which
+			// flushed it.
+			ref := slices.Clone(x)
+			q.pop()
+			if err := p.ds.AddRef(ref); err != nil || p.ds.fitPending {
+				return err
+			}
+		default:
+			if len(q.runX) == runCap || prov != q.runProv {
+				if err := p.flushRun(); err != nil {
+					return err
+				}
+			}
+			if q.runX == nil {
+				q.runT, q.runX = make([]time.Time, 0, runCap), make([][]float64, 0, runCap)
+			}
+			q.runT, q.runX, q.runProv = append(q.runT, t), append(q.runX, x), prov
+			q.pop()
+		}
+	}
+	return p.flushRun()
+}
+
+// flushRun scores the drain's run under its provenance into p.landed.
+func (p *Pipeline) flushRun() error {
+	q := &p.q
+	if len(q.runX) == 0 {
+		return nil
+	}
+	p.ds.prov = q.runProv
+	var err error
+	p.landed, err = p.ds.scoreRun(q.runT, q.runX, p.landed)
+	q.runT, q.runX = q.runT[:0], q.runX[:0]
+	return err
+}
 
 // SetProvenance attaches (or clears, with nil) the ingest-batch
 // context of the records about to be handled, forwarded to the detect
 // stage where alarms are built — the pipeline's half of the fleet
-// engine's ProvenanceSink seam.
+// engine's ProvenanceSink seam. While a fit is in flight, records queue
+// under it instead.
 func (p *Pipeline) SetProvenance(bc *obs.BatchCtx, dequeue time.Time) {
-	p.ds.SetProvenance(bc, dequeue)
+	p.prov = provenance{bc, dequeue}
+	if !p.inFlight {
+		p.ds.prov = p.prov
+	}
 }
 
 // HandleEvent feeds a maintenance event to the pipeline. Events that
 // trigger a reset (per the ResetPolicy) discard the reference profile
-// and return the pipeline to the collecting state.
+// and return the pipeline to the collecting state (while a fit is in
+// flight: reset the transform stage and queue the detect stage's reset).
 func (p *Pipeline) HandleEvent(ev obd.Event) {
 	if ev.VehicleID != p.vehicleID || !p.ts.ShouldReset(ev) {
 		return
 	}
-	p.ds.Reset(ev.Time)
+	if p.inFlight {
+		p.q.pushReset(ev.Time, p.prov)
+	} else {
+		p.ds.Reset(ev.Time)
+	}
 	p.ts.Reset()
 }
 
 // HandleRecord feeds one raw PID record. It returns any alarms raised by
-// the sample (nil most of the time).
+// the sample (nil most of the time, and always while a fit is in flight:
+// the sample is queued for LandFit).
 func (p *Pipeline) HandleRecord(r timeseries.Record) ([]detector.Alarm, error) {
 	if r.VehicleID != p.vehicleID {
 		return nil, nil
 	}
 	if !p.ts.Feed(r) {
+		return nil, nil
+	}
+	if p.inFlight {
+		p.ts.EmitInto(p.q.pushSample(r.Time, p.prov))
 		return nil, nil
 	}
 	if p.ds.NeedRef() {

@@ -187,11 +187,20 @@ func (d *DetectStage) Restore(data []byte) error {
 	return nil
 }
 
+// ErrFitInFlight is returned by Pipeline.Snapshot between TakePendingFit
+// and the LandFit that drains the queue: the state is split between a
+// fitting detect stage and queued samples, which a snapshot does not
+// carry. The fleet engine lands every fit before it snapshots.
+var ErrFitInFlight = errors.New("core: snapshot with a fit in flight or samples queued")
+
 // Snapshot implements the fleet engine's handler snapshot seam for the
 // full per-vehicle pipeline: the transform stage's buffered window and
 // the detect stage's profile/detector/thresholder state, with the
 // vehicle ID for mis-keying detection at restore.
 func (p *Pipeline) Snapshot() ([]byte, error) {
+	if p.inFlight || p.q.n > 0 {
+		return nil, ErrFitInFlight
+	}
 	tsSnap, err := p.ts.Snapshot()
 	if err != nil {
 		return nil, err

@@ -110,6 +110,10 @@ func (s *TransformStage) Emit() []float64 {
 	return x
 }
 
+// EmitInto writes the ready sample into dst, which must have the
+// transformer's width.
+func (s *TransformStage) EmitInto(dst []float64) { s.cfg.Transformer.EmitInto(dst) }
+
 // EmitReusable returns the ready sample in a stage-owned scratch buffer.
 // The returned slice is overwritten by the next call and must not be
 // retained.
@@ -288,6 +292,7 @@ type DetectStage struct {
 	// can seed a fresh trace's segment table.
 	calib Calib
 
+	// scoreBuf holds the detector's scores for up to runCap samples.
 	scoreBuf []float64
 
 	// Observability (not part of snapshots: journal context restarts
@@ -300,20 +305,17 @@ type DetectStage struct {
 	cycleScored uint64    // samples scored under the current fit
 	lastReset   time.Time // last maintenance-triggered reset
 
-	// Provenance of the record currently being scored (also not part of
-	// snapshots): the fleet engine sets it before each traced record and
-	// clears it before untraced ones. Touched only on the alarm path —
-	// never by scoring itself — so it cannot perturb scores.
-	prov    *obs.BatchCtx
-	dequeue time.Time
+	// Provenance of the records currently being scored (also not part of
+	// snapshots), set by the owning Pipeline. Touched only on the alarm
+	// path — never by scoring itself — so it cannot perturb scores.
+	prov provenance
 }
 
-// SetProvenance attaches (or, with nil, clears) the ingest-batch
-// context the next scored records belong to. dequeue is the shard's
-// dequeue clock read, used to report how long the batch waited queued.
-func (d *DetectStage) SetProvenance(bc *obs.BatchCtx, dequeue time.Time) {
-	d.prov = bc
-	d.dequeue = dequeue
+// provenance is the ingest-batch context of a record (nil when it came
+// untraced) and the shard's clock read when the record left its queue.
+type provenance struct {
+	bc      *obs.BatchCtx
+	dequeue time.Time
 }
 
 // NewDetectStage builds a detect stage for one vehicle.
@@ -435,13 +437,19 @@ func (d *DetectStage) fit() error {
 		if err := d.cfg.Detector.Fit(d.ref[:fitN]); err != nil {
 			return fmt.Errorf("core: fit detector for %s: %w", d.vehicleID, err)
 		}
-		calib = make([][]float64, 0, calibN)
-		for _, x := range d.ref[fitN:] {
-			s, err := d.cfg.Detector.Score(x)
-			if err != nil {
+		// The tail is consecutive samples, so it scores as runs.
+		ch := d.cfg.Detector.Channels()
+		scores := make([]float64, calibN*ch)
+		tail := d.ref[fitN:]
+		for i := 0; i < calibN; i += runCap {
+			end := min(i+runCap, calibN)
+			if err := detector.ScoreRunInto(d.cfg.Detector, tail[i:end], scores[i*ch:end*ch]); err != nil {
 				return fmt.Errorf("core: calibrate %s: %w", d.vehicleID, err)
 			}
-			calib = append(calib, s)
+		}
+		calib = make([][]float64, calibN)
+		for i := range calib {
+			calib[i] = scores[i*ch : (i+1)*ch : (i+1)*ch]
 		}
 	}
 	if err := d.cfg.Thresholder.Fit(calib); err != nil {
@@ -461,36 +469,106 @@ func (d *DetectStage) fit() error {
 	return nil
 }
 
+// runCap is the most samples DetectStage.ScoreRun hands the detector's
+// run scorer at once, so a pipeline draining thousands of samples after
+// a fit scores them in runs of at most this many. Measured on
+// score_heavy (raw × TranAD, 2 CPUs): runs capped at 128 won 10 of 10
+// alternating pairs (+12 %) against one-sample scoring; uncapped runs
+// (≈ 5 k samples per landing) lost 6 of 6 (−0.6 % to −5.5 %), because
+// TranAD's per-window blocks (l1, keys, values: 8 · B · DModel floats
+// each, ≈ 3.8 MB at that length) no longer fit in L2.
+const runCap = 128
+
+// scores returns the stage's score scratch for n values.
+func (d *DetectStage) scores(n int) []float64 {
+	if cap(d.scoreBuf) < n {
+		d.scoreBuf = make([]float64, n)
+	}
+	return d.scoreBuf[:n]
+}
+
+// tick advances the observer's sampling counter by one scored sample
+// and reports whether that sample is one the observer times.
+func (d *DetectStage) tick() bool {
+	if d.o == nil {
+		return false
+	}
+	d.obsTick++
+	return d.obsTick&d.obsMask == 0
+}
+
 // ScoreSample runs the detector on a transformed sample and converts
 // threshold violations into alarms. Scores land in a reusable scratch
 // buffer (the detector's ScoreInto fast path when available), so a
 // healthy steady state — no violations, no trace — performs no heap
 // allocation at all.
 func (d *DetectStage) ScoreSample(t time.Time, x []float64) ([]detector.Alarm, error) {
-	if len(d.scoreBuf) != d.cfg.Detector.Channels() {
-		d.scoreBuf = make([]float64, d.cfg.Detector.Channels())
-	}
-	scores := d.scoreBuf
+	scores := d.scores(d.cfg.Detector.Channels())
 	// Sampled instrumentation: clock reads and the max-score scan
 	// dominate the enabled-path cost, so only every Nth scored sample is
 	// timed and fed to the score distribution; lifecycle counters and
 	// the journal are never sampled.
-	timed := false
+	timed := d.tick()
 	var t0 time.Time
-	if d.o != nil {
-		d.obsTick++
-		timed = d.obsTick&d.obsMask == 0
-		if timed {
-			t0 = time.Now()
-		}
+	if timed {
+		t0 = time.Now()
 	}
 	if err := detector.ScoreInto(d.cfg.Detector, x, scores); err != nil {
 		return nil, fmt.Errorf("core: score %s: %w", d.vehicleID, err)
 	}
+	var took time.Duration
+	if timed {
+		took = time.Since(t0)
+	}
+	return d.settle(t, scores, timed, took, nil), nil
+}
+
+// ScoreRun scores consecutive transformed samples xs, recorded at times,
+// exactly as one ScoreSample per sample would — the same scores, alarms,
+// trace rows and density state — but hands the detector up to runCap
+// samples at a time (detector.ScoreRunInto: the detector's RunScorer
+// when it has one). Every sample carries the stage's current provenance.
+// Observer timing is per run: a timed sample records the run's mean
+// score time.
+func (d *DetectStage) ScoreRun(times []time.Time, xs [][]float64) ([]detector.Alarm, error) {
+	return d.scoreRun(times, xs, nil)
+}
+
+// scoreRun is ScoreRun appending the alarms to alarms.
+func (d *DetectStage) scoreRun(times []time.Time, xs [][]float64, alarms []detector.Alarm) ([]detector.Alarm, error) {
+	ch := d.cfg.Detector.Channels()
+	for len(xs) > 0 {
+		n := min(len(xs), runCap)
+		scores := d.scores(n * ch)
+		var t0 time.Time
+		if d.o != nil {
+			t0 = time.Now()
+		}
+		if err := detector.ScoreRunInto(d.cfg.Detector, xs[:n], scores); err != nil {
+			return alarms, fmt.Errorf("core: score %s: %w", d.vehicleID, err)
+		}
+		var per time.Duration
+		if d.o != nil {
+			per = time.Since(t0) / time.Duration(n)
+		}
+		for i := 0; i < n; i++ {
+			alarms = d.settle(times[i], scores[i*ch:(i+1)*ch], d.tick(), per, alarms)
+		}
+		times, xs = times[n:], xs[n:]
+	}
+	return alarms, nil
+}
+
+// settle is everything after the detector for one scored sample, shared
+// by ScoreSample and ScoreRun: the score counters, threshold violations,
+// density persistence, alarms (appended to alarms) with their journal
+// entries, and the trace row. timed marks a sample the observer samples,
+// and took is its score time.
+func (d *DetectStage) settle(t time.Time, scores []float64, timed bool, took time.Duration, alarms []detector.Alarm) []detector.Alarm {
 	var t1 time.Time
 	if timed {
+		d.o.ObserveScore(took)
 		t1 = time.Now()
-		d.o.ObserveScore(t1.Sub(t0))
 	}
 	d.scored++
 	d.cycleScored++
@@ -523,7 +601,7 @@ func (d *DetectStage) ScoreSample(t time.Time, x []float64) ([]detector.Alarm, e
 	// Channel names and threshold values are read only when an alarm or
 	// a trace needs them: a detector or thresholder may build them fresh
 	// on every call.
-	var alarms []detector.Alarm
+	first := len(alarms)
 	if len(viol) > 0 {
 		names := d.cfg.Detector.ChannelNames()
 		thVals := d.cfg.Thresholder.Values()
@@ -543,46 +621,8 @@ func (d *DetectStage) ScoreSample(t time.Time, x []float64) ([]detector.Alarm, e
 			alarms = append(alarms, a)
 		}
 	}
-	if d.o != nil && len(alarms) > 0 {
-		d.o.Alarms(len(alarms))
-		var sinceReset float64
-		if !d.lastReset.IsZero() {
-			sinceReset = t.Sub(d.lastReset).Seconds()
-		}
-		for _, a := range alarms {
-			e := obs.AlarmEvent{
-				Time:            a.Time,
-				VehicleID:       a.VehicleID,
-				Technique:       d.technique,
-				Transform:       d.cfg.TransformName,
-				Feature:         a.Feature,
-				Channel:         a.Channel,
-				Score:           a.Score,
-				Threshold:       a.Threshold,
-				RefLen:          len(d.ref),
-				RefCap:          d.cfg.ProfileLength,
-				RefAge:          d.cycleScored,
-				SinceLastEventS: sinceReset,
-			}
-			if d.prov != nil {
-				// The alarm path already allocates, so the clock read
-				// and histogram observations here leave the scoring
-				// steady state untouched.
-				e.BatchID = d.prov.BatchID
-				e.TraceID = d.prov.TraceID
-				e.ArrivalTime = d.prov.Arrival
-				// The engine stamps Enqueue before the shard can dequeue;
-				// the guard only defends against a hand-built BatchCtx
-				// with a zero Enqueue.
-				if w := d.dequeue.Sub(d.prov.Enqueue); w > 0 && !d.prov.Enqueue.IsZero() {
-					e.QueueWaitS = w.Seconds()
-				}
-				lat := time.Since(d.prov.Arrival)
-				e.E2ELatencyS = lat.Seconds()
-				d.o.ObserveAlarmLatency(lat)
-			}
-			d.o.RecordAlarm(e)
-		}
+	if d.o != nil && len(alarms) > first {
+		d.journal(t, alarms[first:])
 	}
 	if d.cfg.Trace != nil {
 		tr := d.cfg.Trace
@@ -594,10 +634,58 @@ func (d *DetectStage) ScoreSample(t time.Time, x []float64) ([]detector.Alarm, e
 		th := make([]float64, len(thVals))
 		copy(th, thVals)
 		tr.Thresholds = append(tr.Thresholds, th)
-		tr.Alarmed = append(tr.Alarmed, len(alarms) > 0)
+		tr.Alarmed = append(tr.Alarmed, len(alarms) > first)
 		tr.Segments = append(tr.Segments, len(tr.SegCalib)-1)
 	}
-	return alarms, nil
+	return alarms
+}
+
+// journal counts one sample's alarms and records each in the observer's
+// alarm-lifecycle journal, with the stage's provenance: the batch the
+// sample's record arrived in, how long it waited in its shard queue
+// (enqueue to dequeue), and its end-to-end latency from wire arrival to
+// now. A sample scored after a fit landed shows the time it spent queued
+// behind the fit as the difference of the two.
+func (d *DetectStage) journal(t time.Time, alarms []detector.Alarm) {
+	d.o.Alarms(len(alarms))
+	var sinceReset float64
+	if !d.lastReset.IsZero() {
+		sinceReset = t.Sub(d.lastReset).Seconds()
+	}
+	for _, a := range alarms {
+		e := obs.AlarmEvent{
+			Time:            a.Time,
+			VehicleID:       a.VehicleID,
+			Technique:       d.technique,
+			Transform:       d.cfg.TransformName,
+			Feature:         a.Feature,
+			Channel:         a.Channel,
+			Score:           a.Score,
+			Threshold:       a.Threshold,
+			RefLen:          len(d.ref),
+			RefCap:          d.cfg.ProfileLength,
+			RefAge:          d.cycleScored,
+			SinceLastEventS: sinceReset,
+		}
+		if bc := d.prov.bc; bc != nil {
+			// The alarm path already allocates, so the clock read
+			// and histogram observations here leave the scoring
+			// steady state untouched.
+			e.BatchID = bc.BatchID
+			e.TraceID = bc.TraceID
+			e.ArrivalTime = bc.Arrival
+			// The engine stamps Enqueue before the shard can dequeue;
+			// the guard only defends against a hand-built BatchCtx
+			// with a zero Enqueue.
+			if w := d.prov.dequeue.Sub(bc.Enqueue); w > 0 && !bc.Enqueue.IsZero() {
+				e.QueueWaitS = w.Seconds()
+			}
+			lat := time.Since(bc.Arrival)
+			e.E2ELatencyS = lat.Seconds()
+			d.o.ObserveAlarmLatency(lat)
+		}
+		d.o.RecordAlarm(e)
+	}
 }
 
 // DetectOnTrace replays a cached TransformedTrace through a fresh detect
@@ -611,20 +699,27 @@ func DetectOnTrace(vehicleID string, tt *TransformedTrace, cfg DetectConfig) err
 		return err
 	}
 	ri := 0
-	for i, x := range tt.Samples {
+	for i := 0; i < len(tt.Samples); {
 		for ri < len(tt.ResetIdx) && tt.ResetIdx[ri] <= i {
 			ds.Reset(tt.ResetTimes[ri])
 			ri++
 		}
 		if ds.NeedRef() {
-			if err := ds.AddRef(x); err != nil {
+			if err := ds.AddRef(tt.Samples[i]); err != nil {
 				return err
 			}
+			i++
 			continue
 		}
-		if _, err := ds.ScoreSample(tt.Times[i], x); err != nil {
+		// Every sample up to the next reset scores: one run.
+		end := len(tt.Samples)
+		if ri < len(tt.ResetIdx) {
+			end = tt.ResetIdx[ri]
+		}
+		if _, err := ds.ScoreRun(tt.Times[i:end], tt.Samples[i:end]); err != nil {
 			return err
 		}
+		i = end
 	}
 	// Resets recorded after the last sample still mark the trace.
 	for ; ri < len(tt.ResetIdx); ri++ {

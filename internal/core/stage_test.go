@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/navarchos/pdm/internal/detector/closestpair"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/timeseries"
@@ -44,94 +43,86 @@ func stageStream(n int) ([]timeseries.Record, []obd.Event) {
 // TestDetectOnTraceMatchesPipeline is the stage-split contract: running
 // the transform stage once into a TransformedTrace and replaying it with
 // DetectOnTrace must reproduce the streaming pipeline's trace exactly —
-// same times, scores, segments, calibration stats and resets.
+// same times, scores, segments, calibration stats and resets — whether
+// the detector scores DetectOnTrace's runs a sample at a time
+// (closest-pair) or through its RunScorer (TranAD).
 func TestDetectOnTraceMatchesPipeline(t *testing.T) {
 	records, events := stageStream(1200)
-
-	makeTransformer := func() transform.Transformer {
-		tr, err := transform.New(transform.Correlation, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
 	passAll := func(*timeseries.Record) bool { return true }
 
-	// Streaming pipeline reference.
-	want := &Trace{}
-	tr := makeTransformer()
-	p, err := NewPipeline("veh-A", Config{
-		Transformer:   tr,
-		Detector:      closestpair.New(tr.FeatureNames()),
-		Thresholder:   thresholds.NewSelfTuning(3),
-		ProfileLength: 30,
-		Filter:        passAll,
-		Trace:         want,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = Merged("veh-A", records, events,
-		func(ev obd.Event) error { p.HandleEvent(ev); return nil },
-		func(r timeseries.Record) error { _, err := p.HandleRecord(r); return err })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Scores) == 0 || len(want.SegCalib) < 2 || len(want.Resets) != 2 {
-		t.Fatalf("reference run too trivial: %d scores, %d segments, %d resets",
-			len(want.Scores), len(want.SegCalib), len(want.Resets))
-	}
+	for _, c := range deferredCases {
+		t.Run(c.name, func(t *testing.T) {
+			// Streaming pipeline reference.
+			want := &Trace{}
+			cfg := deferredConfig(c.kind, c.profile, c.det, want)
+			cfg.Thresholder = thresholds.NewSelfTuning(3)
+			p, err := NewPipeline("veh-A", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = Merged("veh-A", records, events,
+				func(ev obd.Event) error { p.HandleEvent(ev); return nil },
+				func(r timeseries.Record) error { _, err := p.HandleRecord(r); return err })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Scores) == 0 || len(want.SegCalib) < 2 || len(want.Resets) != 2 {
+				t.Fatalf("reference run too trivial: %d scores, %d segments, %d resets",
+					len(want.Scores), len(want.SegCalib), len(want.Resets))
+			}
 
-	// Transform once, then detect on the cached trace.
-	tt := &TransformedTrace{}
-	col, err := NewTraceCollector("veh-A", TransformConfig{
-		Transformer: makeTransformer(),
-		Filter:      passAll,
-	}, tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = Merged("veh-A", records, events,
-		func(ev obd.Event) error { col.HandleEvent(ev); return nil },
-		func(r timeseries.Record) error { _, err := col.HandleRecord(r); return err })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(col.ScoredSamples()) != len(tt.Samples) {
-		t.Fatalf("ScoredSamples = %d, want %d", col.ScoredSamples(), len(tt.Samples))
-	}
-	got := &Trace{}
-	tr2 := makeTransformer()
-	err = DetectOnTrace("veh-A", tt, DetectConfig{
-		Detector:      closestpair.New(tr2.FeatureNames()),
-		Thresholder:   thresholds.NewSelfTuning(3),
-		ProfileLength: 30,
-		Trace:         got,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Transform once, then detect on the cached trace.
+			tt := &TransformedTrace{}
+			cfg = deferredConfig(c.kind, c.profile, c.det, nil)
+			col, err := NewTraceCollector("veh-A", TransformConfig{
+				Transformer: cfg.Transformer,
+				Filter:      passAll,
+			}, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = Merged("veh-A", records, events,
+				func(ev obd.Event) error { col.HandleEvent(ev); return nil },
+				func(r timeseries.Record) error { _, err := col.HandleRecord(r); return err })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(col.ScoredSamples()) != len(tt.Samples) {
+				t.Fatalf("ScoredSamples = %d, want %d", col.ScoredSamples(), len(tt.Samples))
+			}
+			got := &Trace{}
+			err = DetectOnTrace("veh-A", tt, DetectConfig{
+				Detector:      cfg.Detector,
+				Thresholder:   thresholds.NewSelfTuning(3),
+				ProfileLength: c.profile,
+				Trace:         got,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if !reflect.DeepEqual(want.Times, got.Times) {
-		t.Errorf("Times differ: %d vs %d entries", len(want.Times), len(got.Times))
-	}
-	if !reflect.DeepEqual(want.Scores, got.Scores) {
-		t.Error("Scores differ between pipeline and cached-trace replay")
-	}
-	if !reflect.DeepEqual(want.Thresholds, got.Thresholds) {
-		t.Error("Thresholds differ")
-	}
-	if !reflect.DeepEqual(want.Segments, got.Segments) {
-		t.Error("Segments differ")
-	}
-	if !reflect.DeepEqual(want.SegCalib, got.SegCalib) {
-		t.Error("SegCalib differs")
-	}
-	if !reflect.DeepEqual(want.Resets, got.Resets) {
-		t.Errorf("Resets differ: %v vs %v", want.Resets, got.Resets)
-	}
-	if !reflect.DeepEqual(want.Alarmed, got.Alarmed) {
-		t.Error("Alarmed differs")
+			if !reflect.DeepEqual(want.Times, got.Times) {
+				t.Errorf("Times differ: %d vs %d entries", len(want.Times), len(got.Times))
+			}
+			if !reflect.DeepEqual(want.Scores, got.Scores) {
+				t.Error("Scores differ between pipeline and cached-trace replay")
+			}
+			if !reflect.DeepEqual(want.Thresholds, got.Thresholds) {
+				t.Error("Thresholds differ")
+			}
+			if !reflect.DeepEqual(want.Segments, got.Segments) {
+				t.Error("Segments differ")
+			}
+			if !reflect.DeepEqual(want.SegCalib, got.SegCalib) {
+				t.Error("SegCalib differs")
+			}
+			if !reflect.DeepEqual(want.Resets, got.Resets) {
+				t.Errorf("Resets differ: %v vs %v", want.Resets, got.Resets)
+			}
+			if !reflect.DeepEqual(want.Alarmed, got.Alarmed) {
+				t.Error("Alarmed differs")
+			}
+		})
 	}
 }
 

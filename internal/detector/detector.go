@@ -80,6 +80,36 @@ func ScoreInto(d Detector, x, dst []float64) error {
 	return nil
 }
 
+// RunScorer is an optional Detector extension for techniques that score
+// a run of consecutive samples of one stream faster together than one at
+// a time (TranAD turns a run's per-window products into whole-run
+// products). ScoreRunInto writes sample i's scores to
+// dst[i·Channels():(i+1)·Channels()], bit for bit what len(xs)
+// successive ScoreInto calls would write, and leaves the detector where
+// those calls would leave it.
+type RunScorer interface {
+	ScoreRunInto(xs [][]float64, dst []float64) error
+}
+
+// ScoreRunInto scores the consecutive samples xs into dst (len(xs) ·
+// d.Channels() values, sample-major) through d's RunScorer when it has
+// one, and one ScoreInto per sample when it does not.
+func ScoreRunInto(d Detector, xs [][]float64, dst []float64) error {
+	if rs, ok := d.(RunScorer); ok {
+		return rs.ScoreRunInto(xs, dst)
+	}
+	ch := d.Channels()
+	if len(dst) != len(xs)*ch {
+		return ErrDimension
+	}
+	for i, x := range xs {
+		if err := ScoreInto(d, x, dst[i*ch:(i+1)*ch]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ErrBadSnapshot is returned by Restore when a snapshot payload does not
 // decode as state for this detector type and configuration.
 var ErrBadSnapshot = errors.New("detector: malformed snapshot")

@@ -72,8 +72,8 @@ func BenchmarkFitFast(b *testing.B) {
 	}
 }
 
-// BenchmarkScore is one streamed record through the default last-row
-// scorer at the shipped configuration.
+// BenchmarkScore is one streamed record through the default scorer at
+// the shipped configuration.
 func BenchmarkScore(b *testing.B) {
 	for _, dim := range shippedDims {
 		b.Run(fmt.Sprintf("shipped/dim%d", dim), func(b *testing.B) {
@@ -93,5 +93,35 @@ func BenchmarkScore(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkScoreRun scores the stream in runs of B consecutive samples
+// through ScoreRunInto at the shipped configuration, reporting ns/score:
+// B = 1 is ScoreInto, B = 128 the run the pipeline drains after a fit
+// (core's runCap).
+func BenchmarkScoreRun(b *testing.B) {
+	for _, dim := range shippedDims {
+		for _, run := range []int{1, 128} {
+			b.Run(fmt.Sprintf("shipped/dim%d/B%d", dim, run), func(b *testing.B) {
+				ref := mkref(300, dim)
+				cfg := shippedConfig(1)
+				cfg.Epochs = 1
+				d := New(cfg)
+				if err := d.Fit(ref); err != nil {
+					b.Fatal(err)
+				}
+				dst := make([]float64, run)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					at := i * run % (len(ref) - run + 1)
+					if err := d.ScoreRunInto(ref[at:at+run], dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*run), "ns/score")
+			})
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package tranad
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,8 +29,8 @@ func scoreStream(t *testing.T, d *Detector, seed int64, n, dim int) []float64 {
 }
 
 // TestScorePathsBitIdentical trains two identically seeded detectors —
-// legacy kernels and the default last-row path — and requires
-// Float64bits-identical scores across a long stream. The last-row path
+// legacy kernels and the default scorer — and requires
+// Float64bits-identical scores across a long stream. The default scorer
 // must be a strict arithmetic subset of the legacy full-window pass: any
 // reassociation or skipped operation shows up here.
 func TestScorePathsBitIdentical(t *testing.T) {
@@ -46,8 +48,88 @@ func TestScorePathsBitIdentical(t *testing.T) {
 	sr := scoreStream(t, mk(false), 23, 80, 5)
 	for i := range sl {
 		if math.Float64bits(sl[i]) != math.Float64bits(sr[i]) {
-			t.Fatalf("score %d: last-row %v differs from legacy %v", i, sr[i], sl[i])
+			t.Fatalf("score %d: default %v differs from legacy %v", i, sr[i], sl[i])
 		}
+	}
+}
+
+// TestScoreRunMatchesScoreInto holds ScoreRunInto to ScoreInto bit for
+// bit at the shipped configuration, both input widths: one detector
+// scores a stream a sample at a time, an identically fitted one scores
+// it in runs of 1, 9 (straddling the window's warm-up), 7, 8, 127, 128,
+// 129 and 1000, then both are snapshotted and restored into fresh
+// detectors (every cached projection invalidated) which continue in runs
+// of 9 and 128 against single samples. Some samples carry a NaN or an
+// infinity, which must poison the same scores with the same bits. The
+// snapshots after each leg must match byte for byte.
+func TestScoreRunMatchesScoreInto(t *testing.T) {
+	for _, dim := range shippedDims {
+		t.Run(fmt.Sprintf("dim%d", dim), func(t *testing.T) {
+			ref := synthRef(rand.New(rand.NewSource(3)), 120, dim)
+			cfg := shippedConfig(5)
+			cfg.Epochs = 1
+			single, runs := New(cfg), New(cfg)
+			for _, d := range []*Detector{single, runs} {
+				if err := d.Fit(ref); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(11))
+			stream := func(n int) [][]float64 {
+				xs := make([][]float64, n)
+				for i := range xs {
+					xs[i] = make([]float64, dim)
+					for j := range xs[i] {
+						xs[i][j] = rng.NormFloat64() * 2
+					}
+					if rng.Intn(97) == 0 {
+						xs[i][rng.Intn(dim)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+					}
+				}
+				return xs
+			}
+			leg := func(what string, single, runs *Detector, lengths []int) {
+				t.Helper()
+				for _, n := range lengths {
+					xs := stream(n)
+					got := make([]float64, n)
+					if err := runs.ScoreRunInto(xs, got); err != nil {
+						t.Fatal(err)
+					}
+					want := make([]float64, n)
+					for i, x := range xs {
+						if err := single.ScoreInto(x, want[i:i+1]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					requireSameBits(t, fmt.Sprintf("%s, run of %d", what, n), got, want)
+				}
+				a, err := single.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := runs.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("%s: snapshots differ", what)
+				}
+			}
+			leg("fresh fit", single, runs, []int{1, 9, 7, 8, 127, 128, 129, 1000})
+
+			snap, err := runs.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, runs = New(cfg), New(cfg)
+			for _, d := range []*Detector{single, runs} {
+				if err := d.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			leg("restored", single, runs, []int{9, 128})
+		})
 	}
 }
 

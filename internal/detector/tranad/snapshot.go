@@ -107,6 +107,11 @@ func (d *Detector) Restore(data []byte) error {
 	d.ring = ring
 	d.pos = n % len(ring)
 	d.n = n
-	d.resetInferCache()
+	d.ensureInferScratch()
+	dm, w := d.cfg.DModel, len(ring)
+	for i, row := range ring[:n] {
+		net.inf.encLin.Apply(1, row, d.linBuf[i*dm:(i+1)*dm])
+		copy(d.linBuf[(i+w)*dm:], d.linBuf[i*dm:(i+1)*dm])
+	}
 	return nil
 }

@@ -101,10 +101,9 @@ type network struct {
 	dec2 *nn.Sequential // dm -> d
 
 	// inf holds typed references to the individual layers inside the
-	// sequentials above, in evaluation order, for the last-row scoring
-	// path: per-record inference walks the layers directly through
-	// their ApplyRow/AttendLast kernels instead of Forward-mapping the
-	// whole window.
+	// sequentials above, in evaluation order, for the scorer: inference
+	// walks the layers directly through their row-block Apply/AttendLast
+	// kernels instead of Forward-mapping every window.
 	inf inferRefs
 
 	// params is every trainable parameter across the four sub-nets in a
@@ -154,29 +153,30 @@ type Detector struct {
 	pos  int
 	n    int
 
-	// last-row scoring state: the input projection of each ring slot is
+	// scoring state: the input projection of each ring slot is
 	// position-independent, so it is computed once when the slot is
-	// (re)written and replayed until then. linOK goes false wholesale
-	// whenever the weights or the ring change under the cache (Fit,
-	// Restore).
-	linCache [][]float64
-	linOK    []bool
-	sc       scoreScratch
+	// (re)written (or restored) and replayed until then. linBuf holds
+	// slot s's projection at rows s and s+Window (DModel wide).
+	linBuf []float64
+	sc     scoreScratch
+	one    [1][]float64 // ScoreInto's run of one
 }
 
-// scoreScratch holds the per-detector row buffers of the last-row
-// scoring path; everything is sized once per fit, so a warm Score
-// allocates nothing.
+// scoreScratch holds the scorer's per-run blocks, each grown to the
+// longest run seen, so a warm run no longer than that allocates nothing.
+// Rows are run samples (std, lin) or scored windows (everything else;
+// l1 has w rows per window).
 type scoreScratch struct {
-	l1           mat.Matrix // window after input projection + positional encoding
-	attnOut      []float64  // dm: attention output for the last row
-	res1, ln1row []float64  // dm
-	ffnH         []float64  // 2dm
-	ffnOut, res2 []float64  // dm
-	zLast        []float64  // dm: encoder output for the last row
-	d1h, fuseOut []float64  // dm
-	o1, o2       []float64  // dim: both decoders' last-row reconstructions
-	x2           []float64  // dm+dim: fused decoder-2 input
+	std, lin     mat.Matrix // the run's standardised samples and their input projections
+	l1           mat.Matrix // each window after input projection + positional encoding
+	attnOut      mat.Matrix // dm: attention output for each last row
+	res1, ln1    mat.Matrix // dm
+	ffnH         mat.Matrix // 2dm
+	ffnOut, res2 mat.Matrix // dm
+	z            mat.Matrix // dm: encoder output for each last row
+	d1h, fuseOut mat.Matrix // dm
+	o1, o2       mat.Matrix // dim: both decoders' last-row reconstructions
+	x2           mat.Matrix // dm+dim: fused decoder-2 input
 }
 
 // New returns a TranAD detector with the given configuration.
@@ -283,7 +283,6 @@ func (d *Detector) Fit(ref [][]float64) error {
 		}
 	}
 	d.pos, d.n = 0, 0
-	d.resetInferCache()
 	return nil
 }
 

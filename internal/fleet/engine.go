@@ -43,13 +43,21 @@ import (
 // FitDeferrer is the optional handler seam behind asynchronous refits:
 // handlers that support it (core.Pipeline does) raise profile-fill fits
 // as pending closures instead of fitting inline, and the engine runs the
-// closure on a fitpool worker while the shard keeps scoring its other
-// vehicles. Envelopes for the fitting vehicle are parked and replayed in
-// arrival order once the fit lands, so per-vehicle behaviour stays
-// bit-identical to synchronous fits.
+// closure on a fitpool worker while the shard keeps going.
+//
+// The contract: between TakePendingFit returning a fit and LandFit, the
+// engine keeps calling HandleRecord, HandleEvent and SetProvenance on
+// the shard goroutine while the fit runs on its worker. The handler
+// queues what they bring and touches nothing the fit reads. Once the fit
+// has returned nil, the shard goroutine calls LandFit, which drains the
+// queue in arrival order and returns the alarms the drained records
+// raise; a drain may raise the next fit, which the engine takes with
+// TakePendingFit as it does after HandleRecord. Per-vehicle behaviour
+// stays bit-identical to synchronous fits.
 type FitDeferrer interface {
 	SetDeferFits(bool)
 	TakePendingFit() func() error
+	LandFit() ([]detector.Alarm, error)
 }
 
 // ErrSkipVehicle can be returned by Config.NewConfig to tell the engine
@@ -449,9 +457,11 @@ func (e *Engine) setErr(err error) {
 // group is not — a shard mid-batch may have counted a record in
 // RecordsIn whose scored samples or alarms are not yet in
 // SamplesScored/Alarms, and different shards are read at slightly
-// different instants. Totals are exact once the engine is closed (or
-// quiesced). Use StatsConsistent for a cross-counter-consistent cut of
-// a live engine.
+// different instants. A record is counted when its shard dequeues it:
+// the samples a vehicle queues behind a fit in flight are in RecordsIn
+// but not yet in SamplesScored. Totals are exact once the engine is
+// closed (or quiesced). Use StatsConsistent for a cross-counter-
+// consistent cut of a live engine.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{Shards: make([]ShardStats, len(e.shards))}
 	for i, s := range e.shards {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/core"
+	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/fitpool"
 )
 
@@ -28,17 +29,6 @@ type vehicle struct {
 	// or dropped after a handler or fit error: its envelopes are counted
 	// and otherwise ignored.
 	skipped bool
-
-	// fitting is set exactly while a deferred fit for the vehicle is in
-	// flight; parked queues the envelopes that arrive meanwhile, replayed
-	// in order when the fit lands on fitDone. parked[replayed:] is what is
-	// still to replay: a replay stops where a replayed envelope raises the
-	// next fit and leaves the rest in place, ahead of later arrivals. The
-	// buffer is kept across fits, so a warm vehicle parks without
-	// allocating.
-	fitting  bool
-	parked   []envelope
-	replayed int
 }
 
 // fitResult is an asynchronous fit completion, delivered back to the
@@ -59,7 +49,7 @@ const maxDrainBatches = 8
 //
 // Two receive paths keep channel overhead off the throughput-bound
 // profile: while no fit is in flight nothing can arrive on fitDone (a
-// completion is only ever sent for a vehicle marked fitting), so
+// completion is only ever sent for a fit counted in s.fitting), so
 // the loop blocks on a plain channel receive instead of a two-case
 // select; and after each processed batch it opportunistically drains up
 // to maxDrainBatches more batches that are already queued, so a shard
@@ -112,8 +102,8 @@ func (e *Engine) runBatch(s *shard, batch []envelope) {
 		if env.bar != nil {
 			sawBarrier = true
 			// Checkpoint barrier: a checkpoint must observe fully
-			// settled handler state, so in-flight fits are drained
-			// (replaying their parked envelopes) before the shard
+			// settled handler state, so in-flight fits are landed
+			// (draining what their handlers queued) before the shard
 			// acknowledges and parks at this batch boundary.
 			e.drainFits(s)
 			env.bar.ack.Done()
@@ -147,16 +137,11 @@ func (e *Engine) processEnv(s *shard, env *envelope) {
 	e.deliver(s, v, env)
 }
 
-// deliver feeds one envelope to its vehicle: parked when the vehicle
-// has a fit in flight (preserving arrival order), counted and dropped
-// when it is skipped, handled otherwise — and when the handler raised a
-// deferred fit, the fit is launched on a fitpool worker and the vehicle
-// marked fitting.
+// deliver feeds one envelope to its vehicle: counted and dropped when
+// the vehicle is skipped, handled otherwise. A vehicle with a fit in
+// flight is handled like any other: its handler queues what arrives (the
+// FitDeferrer contract).
 func (e *Engine) deliver(s *shard, v *vehicle, env *envelope) {
-	if v.fitting {
-		v.parked = append(v.parked, *env)
-		return
-	}
 	if env.isEvent {
 		s.eventsIn.Add(1)
 		if !v.skipped {
@@ -189,10 +174,17 @@ func (e *Engine) deliver(s *shard, v *vehicle, env *envelope) {
 		// Replay-only runs keep the bare hot path.
 		v.prov.SetProvenance(nil, time.Time{})
 	}
-	h := v.h
-	before := h.ScoredSamples()
-	alarms, err := h.HandleRecord(env.rec)
-	s.scored.Add(h.ScoredSamples() - before)
+	before := v.h.ScoredSamples()
+	alarms, err := v.h.HandleRecord(env.rec)
+	e.settle(s, v, before, alarms, err)
+}
+
+// settle finishes a handler call that began with before scored samples
+// and returned alarms and err: it counts the samples scored, drops the
+// vehicle on an error, sends the alarms otherwise, and launches the fit
+// the call raised, if any, on a fitpool worker.
+func (e *Engine) settle(s *shard, v *vehicle, before uint64, alarms []detector.Alarm, err error) {
+	s.scored.Add(v.h.ScoredSamples() - before)
 	if err != nil {
 		e.failVehicle(s, v, err)
 		return
@@ -217,7 +209,6 @@ func (e *Engine) deliver(s *shard, v *vehicle, env *envelope) {
 	if fit == nil {
 		return
 	}
-	v.fitting = true
 	s.fitting++
 	go func() {
 		fitpool.Acquire()
@@ -227,39 +218,34 @@ func (e *Engine) deliver(s *shard, v *vehicle, env *envelope) {
 	}()
 }
 
-// failVehicle drops a vehicle after a handler error, exactly as the
-// synchronous path always has: record the error, forget the handler,
-// skip the vehicle's future envelopes. Envelopes still parked stay, to
-// be replayed — counted and dropped — like any later arrival.
+// failVehicle drops a vehicle after a handler or fit error, exactly as
+// the synchronous path always has: record the error, forget the handler
+// (and whatever it had queued: those records were counted when they
+// arrived), skip the vehicle's future envelopes.
 func (e *Engine) failVehicle(s *shard, v *vehicle, err error) {
 	e.setErr(fmt.Errorf("fleet: vehicle %s: %w", v.id, err))
-	*v = vehicle{id: v.id, skipped: true, parked: v.parked, replayed: v.replayed}
+	*v = vehicle{id: v.id, skipped: true}
 	s.vehicles.Add(-1)
 }
 
 // finishFit lands one asynchronous fit completion: a failed fit drops
-// the vehicle like an inline fit error would, and either way the
-// envelopes parked during the fit replay in arrival order, in place. A
-// replayed envelope that raises the vehicle's next fit ends the replay;
-// the envelopes after it stay parked for that fit's completion.
+// the vehicle like an inline fit error would; otherwise the handler
+// drains what it queued during the fit, and its alarms and the next fit
+// it raised are settled like a HandleRecord call's.
 func (e *Engine) finishFit(s *shard, res fitResult) {
 	v := res.v
-	v.fitting = false
 	s.fitting--
 	if res.err != nil {
 		e.failVehicle(s, v, res.err)
+		return
 	}
-	for !v.fitting && v.replayed < len(v.parked) {
-		v.replayed++
-		e.deliver(s, v, &v.parked[v.replayed-1])
-	}
-	if v.replayed == len(v.parked) {
-		v.parked, v.replayed = v.parked[:0], 0
-	}
+	before := v.h.ScoredSamples()
+	alarms, err := v.fits.LandFit()
+	e.settle(s, v, before, alarms, err)
 }
 
 // drainFits blocks until the shard has no fit in flight, landing each
-// completion (and its parked replay) as it arrives.
+// completion (and the fit its drain raised) as it arrives.
 func (e *Engine) drainFits(s *shard) {
 	for s.fitting > 0 {
 		e.finishFit(s, <-s.fitDone)

@@ -23,10 +23,10 @@ const tracedTestID = 0x7ace
 // fixed-size chunks with one fresh BatchCtx per chunk — the shape the
 // serve wire path produces, one context per decoded frame. Events ride
 // with the chunk covering their timestamp (Merged's events-first
-// order, as in splitEvents). Returns the number of batches submitted.
-func ingestTraced(t *testing.T, e *Engine, records []timeseries.Record, events []obd.Event, chunk int) int {
+// order, as in splitEvents). Returns the batch contexts, in order.
+func ingestTraced(t *testing.T, e *Engine, records []timeseries.Record, events []obd.Event, chunk int) []*obs.BatchCtx {
 	t.Helper()
-	batches := 0
+	var batches []*obs.BatchCtx
 	remaining := events
 	for start := 0; start < len(records); start += chunk {
 		end := start + chunk
@@ -37,8 +37,8 @@ func ingestTraced(t *testing.T, e *Engine, records []timeseries.Record, events [
 		} else {
 			evChunk, remaining = splitEvents(remaining, records[end].Time)
 		}
-		batches++
-		bc := &obs.BatchCtx{BatchID: uint64(batches), TraceID: tracedTestID, Arrival: time.Now()}
+		bc := &obs.BatchCtx{BatchID: uint64(len(batches) + 1), TraceID: tracedTestID, Arrival: time.Now()}
+		batches = append(batches, bc)
 		if err := e.IngestBatchCtx(records[start:end], evChunk, bc); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestEngineTracedBitIdentity(t *testing.T) {
 					wait := drainAlarms(e)
 					batches := 0
 					if traced {
-						batches = ingestTraced(t, e, records, events, 48)
+						batches = len(ingestTraced(t, e, records, events, 48))
 					} else if err := e.Replay(records, events); err != nil {
 						t.Fatal(err)
 					}

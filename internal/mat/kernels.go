@@ -23,10 +23,12 @@ import (
 
 // EnsureShape reshapes m to r×c, reusing the backing slice when it is
 // large enough and reallocating (once) when it is not. Contents are NOT
-// zeroed; callers that accumulate must clear m.Data. It returns m.
+// zeroed; callers that accumulate must clear m.Data. It returns m. It is
+// small enough to inline (hence the constant panic message): a score
+// reshapes its scratch a dozen times.
 func (m *Matrix) EnsureShape(r, c int) *Matrix {
 	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("mat: EnsureShape(%d, %d): negative dimension", r, c))
+		panic("mat: EnsureShape: negative dimension")
 	}
 	n := r * c
 	if cap(m.Data) < n {

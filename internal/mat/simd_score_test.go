@@ -143,7 +143,7 @@ func BenchmarkSquaredDistances8(b *testing.B) {
 }
 
 // BenchmarkNormRow is one row through NormRows, as the scorer's
-// LayerNorm.ApplyRow runs it.
+// LayerNorm.Apply runs a run of one.
 func BenchmarkNormRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 48

@@ -202,7 +202,8 @@ func TestSoftmaxRowsBitIdentical(t *testing.T) {
 // side and takes their length, count, scale and contents from the
 // corpus: the result must be softmaxRow's bit for bit with the canaries
 // intact, under native dispatch and with the kernels forced off. The
-// seeds are the shipped attention's 8×8 head and AttendLast's two rows.
+// seeds are the shipped attention's 8×8 head and the two rows AttendLast
+// scores per window.
 func FuzzSoftmaxRows(f *testing.F) {
 	data := []byte{200, 0, 1, 160, 2, 90, 255, 3, 4, 120, 5, 7, 180, 40, 100, 60, 211, 48, 130}
 	f.Add(uint8(benchRows), uint8(benchRows), uint8(0), data)
@@ -246,7 +247,7 @@ func FuzzSoftmaxRows(f *testing.F) {
 
 // BenchmarkSoftmaxRows runs the shipped attention's softmaxes: one
 // head's 8×8 scores in a fit's forward pass, and the last row of both
-// heads that AttendLast scores per record.
+// heads that AttendLast scores per window (a run of one).
 func BenchmarkSoftmaxRows(b *testing.B) {
 	for _, c := range []struct {
 		name    string

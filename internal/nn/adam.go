@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 
 	"github.com/navarchos/pdm/internal/mat"
 )
@@ -19,6 +20,12 @@ type Adam struct {
 	Legacy     bool
 	w, g, m, v []float64
 	t          int
+	// bc[t-1] holds step t's bias corrections 1-β1^t and 1-β2^t, for
+	// the betas in bcBetas. Step fills it lazily with the expression it
+	// used to evaluate every step, two math.Pow calls, and Reset keeps it:
+	// a refit replays the same step numbers.
+	bc      [][2]float64
+	bcBetas [2]float64
 }
 
 // NewAdam builds an optimiser for params with the given learning rate
@@ -57,8 +64,19 @@ func (a *Adam) Reset() {
 // them (mat.AdamStep does both in one pass).
 func (a *Adam) Step() {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	if betas := [2]float64{a.Beta1, a.Beta2}; betas != a.bcBetas {
+		a.bc, a.bcBetas = a.bc[:0], betas
+	}
+	for len(a.bc) < a.t {
+		if len(a.bc) == cap(a.bc) {
+			// Doubling from 64 entries: a warm optimiser's next step
+			// rarely grows the table.
+			a.bc = slices.Grow(a.bc, max(len(a.bc), 64))
+		}
+		t := float64(len(a.bc) + 1)
+		a.bc = append(a.bc, [2]float64{1 - math.Pow(a.Beta1, t), 1 - math.Pow(a.Beta2, t)})
+	}
+	bc1, bc2 := a.bc[a.t-1][0], a.bc[a.t-1][1]
 	if !a.Legacy {
 		mat.AdamStep(a.w, a.g, a.m, a.v, a.Beta1, a.Beta2, bc1, bc2, a.LR, a.Eps)
 	} else {

@@ -39,9 +39,9 @@ type SelfAttention struct {
 	// inference scratch for AttendLast, disjoint from the training
 	// caches above so streaming scores cannot clobber an in-flight
 	// forward/backward pair
-	infK, infV mat.Matrix
-	infQ, infC []float64 // Dim: the last row's query and head-concatenated mix
-	infS       []float64 // Heads×seq: the last row's attention weights, head by head
+	infK, infV mat.Matrix // every window's keys and values
+	infQ, infC mat.Matrix // windows×Dim: each last row's query and head-concatenated mix
+	infS       mat.Matrix // windows·Heads×seq: each last row's attention weights, head by head
 }
 
 // NewSelfAttention builds a multi-head self-attention block.
@@ -57,8 +57,6 @@ func NewSelfAttention(dim, heads int, rng *rand.Rand) *SelfAttention {
 		wk:    NewLinear(dim, dim, rng),
 		wv:    NewLinear(dim, dim, rng),
 		wo:    NewLinear(dim, dim, rng),
-		infQ:  make([]float64, dim),
-		infC:  make([]float64, dim),
 	}
 }
 

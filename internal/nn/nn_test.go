@@ -208,6 +208,43 @@ func TestAdamConvergesOnRegression(t *testing.T) {
 	}
 }
 
+// TestAdamBiasTableMatchesPow: the bias corrections Step reads from its
+// table are the bits of the per-step math.Pow expressions, for every
+// step a long fit takes, at both betas — through a Reset, which keeps
+// the table, and after a beta change, which must rebuild it.
+func TestAdamBiasTableMatchesPow(t *testing.T) {
+	const steps = 5000
+	p := newParam(1)
+	a := NewAdam([]*Param{p}, 0.01)
+	check := func(what string) {
+		t.Helper()
+		for i := 1; i <= steps; i++ {
+			want := [2]float64{1 - math.Pow(a.Beta1, float64(i)), 1 - math.Pow(a.Beta2, float64(i))}
+			got := a.bc[i-1]
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s: step %d beta%d correction %v, want %v", what, i, k+1, got[k], want[k])
+				}
+			}
+		}
+	}
+	for i := 0; i < steps; i++ {
+		a.Step()
+	}
+	check("first fit")
+	a.Reset()
+	for i := 0; i < steps; i++ {
+		a.Step()
+	}
+	check("after Reset")
+	a.Reset()
+	a.Beta1, a.Beta2 = 0.8, 0.99
+	for i := 0; i < steps; i++ {
+		a.Step()
+	}
+	check("new betas")
+}
+
 func TestAutoencoderLearnsIdentityOnStructure(t *testing.T) {
 	// A small autoencoder with a 2-unit bottleneck can reconstruct data
 	// that lives on a 2D manifold in 4D.

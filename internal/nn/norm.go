@@ -31,6 +31,8 @@ type LayerNorm struct {
 	// per-row scratch: the means in Forward, the two gradient sums in
 	// Backward
 	mean, sumDx, sumDxXh []float64
+	// Apply's per-row moments, disjoint from the training caches
+	infMean, infInv []float64
 }
 
 // NewLayerNorm returns a layer norm over rows of width dim.
