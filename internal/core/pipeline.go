@@ -156,18 +156,20 @@ type AlarmMark struct {
 }
 
 // Pipeline is the per-vehicle realisation of Algorithm 1: a
-// TransformStage feeding a DetectStage. Not safe for concurrent use,
-// except that a fit handed out by TakePendingFit runs beside the
-// pipeline's other methods (see TakePendingFit).
+// TransformStage feeding a DetectStage through a queue. Every sample the
+// transform stage emits and every reset it takes is queued, and drain is
+// the one place that hands them to the detect stage — at once, unless a
+// fit is pending or in flight. Not safe for concurrent use, except that
+// a fit handed out by TakePendingFit runs beside the pipeline's other
+// methods (see TakePendingFit).
 type Pipeline struct {
 	vehicleID string
 	ts        *TransformStage
 	ds        *DetectStage
 
-	// inFlight is set from TakePendingFit handing out a fit to LandFit.
-	// Meanwhile the fit owns ds, and what the transform stage emits is
-	// queued in q. prov is the provenance most recently set. landed is
-	// LandFit's alarm buffer, reused by the next LandFit.
+	// inFlight is set from TakePendingFit handing out a fit to LandFit;
+	// meanwhile the fit owns ds. prov is the provenance most recently
+	// set. landed is drain's alarm buffer, reused by the next drain.
 	inFlight bool
 	q        sampleQueue
 	prov     provenance
@@ -228,8 +230,8 @@ func (p *Pipeline) SetDeferFits(on bool) { p.ds.SetDeferFits(on) }
 // TakePendingFit hands out the detect stage's deferred fit, if any (see
 // DetectStage.TakePendingFit), and nil while one is in flight. The fit
 // runs on any goroutine; until the owner calls LandFit, HandleRecord,
-// HandleEvent and SetProvenance only run the transform stage and queue
-// what it emits, touching nothing the fit reads.
+// HandleEvent and SetProvenance only run the transform stage and fill
+// the queue, touching nothing the fit reads.
 func (p *Pipeline) TakePendingFit() func() error {
 	if p.inFlight {
 		return nil
@@ -240,122 +242,102 @@ func (p *Pipeline) TakePendingFit() func() error {
 }
 
 // LandFit ends the fit TakePendingFit handed out, once it has returned
-// without error, and drains the queue through the detect stage in
-// arrival order: a reset marker resets it, a sample arriving while the
-// profile is filling is copied into it, and every other sample is
-// scored, consecutive ones together (DetectStage.ScoreRun, runs of at
-// most runCap under one provenance). A sample that fills the profile
-// ends the drain and leaves the rest queued, ahead of later arrivals,
-// for the next fit, which TakePendingFit then hands out. It returns the
-// alarms the drained samples raised, each journaled with its own
-// record's provenance, in a slice the next LandFit reuses.
+// without error, and drains the queue (see drain). It returns the alarms
+// the drained samples raised, each journaled with its own record's
+// provenance, in a slice the pipeline's next drain reuses.
 func (p *Pipeline) LandFit() ([]detector.Alarm, error) {
 	p.inFlight = false
+	return p.land()
+}
+
+// waiting reports whether the queue must hold what arrives: a fit is
+// pending (raised but not yet taken) or in flight.
+func (p *Pipeline) waiting() bool { return p.inFlight || p.ds.fitPending }
+
+// land drains the queue into p.landed and compacts it.
+func (p *Pipeline) land() ([]detector.Alarm, error) {
 	p.landed = p.landed[:0]
 	err := p.drain()
 	p.q.compact()
-	p.ds.prov = p.prov
 	return p.landed, err
 }
 
+// drain hands the queue to the detect stage in arrival order: a reset
+// marker resets it, a sample arriving while the profile is filling is
+// copied into it, and every other sample is scored in place, consecutive
+// ones together (scoreRun, runs of at most runCap under one provenance).
+// A sample that fills the profile under deferred fits ends the drain and
+// leaves the rest queued, ahead of later arrivals, for the next fit.
 func (p *Pipeline) drain() error {
 	q := &p.q
 	for q.n > 0 {
-		reset, t, x, prov := q.front()
+		t, x := q.front()
 		switch {
-		case reset:
-			if err := p.flushRun(); err != nil {
-				return err
-			}
+		case x == nil:
 			p.ds.Reset(t)
-			q.pop()
+			q.pop(1)
 		case p.ds.NeedRef():
-			// No run is open: the profile only empties at a reset, which
-			// flushed it.
 			ref := slices.Clone(x)
-			q.pop()
+			q.pop(1)
 			if err := p.ds.AddRef(ref); err != nil || p.ds.fitPending {
 				return err
 			}
 		default:
-			if len(q.runX) == runCap || prov != q.runProv {
-				if err := p.flushRun(); err != nil {
-					return err
-				}
+			times, xs, prov := q.run()
+			p.ds.prov = prov
+			var err error
+			p.landed, err = p.ds.scoreRun(times, xs, p.landed)
+			if err != nil {
+				return err
 			}
-			if q.runX == nil {
-				q.runT, q.runX = make([]time.Time, 0, runCap), make([][]float64, 0, runCap)
-			}
-			q.runT, q.runX, q.runProv = append(q.runT, t), append(q.runX, x), prov
-			q.pop()
+			q.pop(len(xs))
 		}
 	}
-	return p.flushRun()
-}
-
-// flushRun scores the drain's run under its provenance into p.landed.
-func (p *Pipeline) flushRun() error {
-	q := &p.q
-	if len(q.runX) == 0 {
-		return nil
-	}
-	p.ds.prov = q.runProv
-	var err error
-	p.landed, err = p.ds.scoreRun(q.runT, q.runX, p.landed)
-	q.runT, q.runX = q.runT[:0], q.runX[:0]
-	return err
+	return nil
 }
 
 // SetProvenance attaches (or clears, with nil) the ingest-batch
-// context of the records about to be handled, forwarded to the detect
-// stage where alarms are built — the pipeline's half of the fleet
-// engine's ProvenanceSink seam. While a fit is in flight, records queue
-// under it instead.
+// context of the records about to be handled — the pipeline's half of
+// the fleet engine's ProvenanceSink seam. Their samples queue under it,
+// and the detect stage journals their alarms with it.
 func (p *Pipeline) SetProvenance(bc *obs.BatchCtx, dequeue time.Time) {
 	p.prov = provenance{bc, dequeue}
-	if !p.inFlight {
-		p.ds.prov = p.prov
-	}
 }
 
-// HandleEvent feeds a maintenance event to the pipeline. Events that
-// trigger a reset (per the ResetPolicy) discard the reference profile
-// and return the pipeline to the collecting state (while a fit is in
-// flight: reset the transform stage and queue the detect stage's reset).
+// HandleEvent feeds a maintenance event to the pipeline. An event that
+// triggers a reset (per the ResetPolicy) resets the transform stage and
+// queues a reset marker, which discards the reference profile and
+// returns the detect stage to the collecting state when it drains.
 func (p *Pipeline) HandleEvent(ev obd.Event) {
 	if ev.VehicleID != p.vehicleID || !p.ts.ShouldReset(ev) {
 		return
 	}
-	if p.inFlight {
-		p.q.pushReset(ev.Time, p.prov)
-	} else {
-		p.ds.Reset(ev.Time)
-	}
+	p.q.pushReset(ev.Time, p.prov)
 	p.ts.Reset()
+	if !p.waiting() {
+		// The queue holds just the marker, which raises neither an
+		// alarm nor an error.
+		p.land()
+	}
 }
 
 // HandleRecord feeds one raw PID record. It returns any alarms raised by
-// the sample (nil most of the time, and always while a fit is in flight:
-// the sample is queued for LandFit).
+// the sample, in a slice the caller owns (nil most of the time, and
+// always while a fit is pending or in flight: the sample is queued for
+// LandFit).
 func (p *Pipeline) HandleRecord(r timeseries.Record) ([]detector.Alarm, error) {
-	if r.VehicleID != p.vehicleID {
+	if r.VehicleID != p.vehicleID || !p.ts.Feed(r) {
 		return nil, nil
 	}
-	if !p.ts.Feed(r) {
+	p.ts.EmitInto(p.q.pushSample(r.Time, p.prov))
+	if p.waiting() {
 		return nil, nil
 	}
-	if p.inFlight {
-		p.ts.EmitInto(p.q.pushSample(r.Time, p.prov))
-		return nil, nil
+	alarms, err := p.land()
+	if len(alarms) == 0 {
+		return nil, err
 	}
-	if p.ds.NeedRef() {
-		// Collecting: the emitted vector is retained in Ref, so it must
-		// be freshly allocated.
-		return nil, p.ds.AddRef(p.ts.Emit())
-	}
-	// Detecting: the vector is scored and discarded, so it is emitted
-	// into a reusable scratch buffer.
-	return p.ds.ScoreSample(r.Time, p.ts.EmitReusable())
+	return slices.Clone(alarms), err
 }
 
 // calibStats summarises calibration scores per channel.

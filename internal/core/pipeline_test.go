@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/detector/closestpair"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/thresholds"
@@ -243,5 +246,74 @@ func TestRunVehicleMergesStreams(t *testing.T) {
 		if a.Time.After(t0.Add(400 * time.Minute)) {
 			t.Errorf("alarm after repair at %v: profile should be rebuilding", a.Time)
 		}
+	}
+}
+
+// TestHandleRecordAlarmsCallerOwned: the alarms HandleRecord returns
+// belong to the caller. A kept slice must survive a later alarming
+// HandleRecord and a LandFit whose drain raises alarms of its own.
+func TestHandleRecordAlarmsCallerOwned(t *testing.T) {
+	p, err := NewPipeline("v1", testConfig(10, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetDeferFits(true)
+	rng := rand.New(rand.NewSource(5))
+	i := 0
+	feed := func(rec func(int, float64, *rand.Rand) timeseries.Record) []detector.Alarm {
+		a, err := p.HandleRecord(rec(i, rng.Float64()*2, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i++
+		return a
+	}
+	land := func(fit func() error) []detector.Alarm {
+		if err := fit(); err != nil {
+			t.Fatal(err)
+		}
+		a, err := p.LandFit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	for p.State() != StateDetecting {
+		feed(healthyRecord)
+		if fit := p.TakePendingFit(); fit != nil {
+			land(fit)
+		}
+	}
+	var kept []detector.Alarm
+	for len(kept) == 0 && i < 2000 {
+		kept = feed(faultyRecord)
+	}
+	want := slices.Clone(kept)
+	alarmed := false
+	for !alarmed && i < 4000 {
+		alarmed = len(feed(faultyRecord)) > 0
+	}
+	if len(want) == 0 || !alarmed {
+		t.Fatal("faulty records raised too few alarms")
+	}
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatal("an alarming HandleRecord overwrote an earlier call's alarms")
+	}
+
+	// Refill behind a reset, then queue faulty records behind the fit.
+	p.HandleEvent(obd.Event{VehicleID: "v1", Time: t0.Add(time.Duration(i) * time.Minute), Type: obd.EventService})
+	var fit func() error
+	for fit == nil {
+		feed(healthyRecord)
+		fit = p.TakePendingFit()
+	}
+	for k := 0; k < 300; k++ {
+		feed(faultyRecord)
+	}
+	if len(land(fit)) == 0 {
+		t.Fatal("the landed fit's drain raised no alarms")
+	}
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatal("LandFit overwrote alarms HandleRecord returned")
 	}
 }

@@ -2,19 +2,21 @@ package core
 
 import "time"
 
-// sampleQueue holds what a pipeline's transform stage emits while its
-// detect stage is fitting on a worker: samples (record time, vector) and
-// reset markers (event time), in arrival order, with the provenance each
-// sample arrived under. LandFit drains it from the front.
+// sampleQueue holds what a pipeline's transform stage emits until the
+// pipeline's drain hands it to the detect stage — at once, or after the
+// fit in flight lands: samples (record time, vector) and reset markers
+// (event time), in arrival order, with the provenance each arrived under.
 //
 // Entries live in fixed-size chunks that are kept across fits: filling
 // the queue never copies a sample, a chunk the drain has emptied moves
 // to the back for reuse, and a warm fit-and-land cycle allocates
-// nothing. A sample costs its vector, its time and a flag (73 bytes for
-// the raw transform's six channels, against the 184-byte shard-queue
-// envelope of its record). Provenance changes once per ingest frame, not
-// per record, so it is kept as spans: spans[k] covers the entries from
-// sequence number spans[k].from up to the next span's.
+// nothing. A sample costs its vector, its time and a slice header (96
+// bytes for the raw transform's six channels, against the 184-byte
+// shard-queue envelope of its record). A chunk's times and vectors are
+// laid out so that consecutive samples are a run the detect stage scores
+// in place. Provenance changes once per ingest frame, not per record, so
+// it is kept as spans: spans[k] covers the entries from sequence number
+// spans[k].from up to the next span's.
 type sampleQueue struct {
 	dim    int           // vector width
 	chunks []*queueChunk // chunks[0] holds the oldest entry
@@ -23,22 +25,16 @@ type sampleQueue struct {
 	seq    int           // its sequence number, counted since the queue was last empty
 	spans  []provSpan
 	span   int // the span covering the oldest entry
-
-	// The drain's run under construction: times and views of the queued
-	// vectors (valid until the next push), at most runCap of them, all
-	// under runProv.
-	runT    []time.Time
-	runX    [][]float64
-	runProv provenance
 }
 
-// queueChunkLen is the number of entries a chunk holds.
+// queueChunkLen is the number of entries a chunk holds, so a run scored
+// in place is at most runCap samples.
 const queueChunkLen = runCap
 
 type queueChunk struct {
 	times [queueChunkLen]time.Time
-	reset [queueChunkLen]bool
-	xs    []float64 // queueChunkLen rows of dim; nil until a sample lands here
+	xs    [queueChunkLen][]float64 // a row of buf, or nil for a reset marker
+	buf   []float64                // queueChunkLen rows of dim; nil until a sample lands here
 }
 
 type provSpan struct {
@@ -63,35 +59,49 @@ func (q *sampleQueue) push(prov provenance) (*queueChunk, int) {
 // vector is to be written into.
 func (q *sampleQueue) pushSample(t time.Time, prov provenance) []float64 {
 	c, i := q.push(prov)
-	if c.xs == nil {
-		c.xs = make([]float64, queueChunkLen*q.dim)
+	if c.buf == nil {
+		c.buf = make([]float64, queueChunkLen*q.dim)
 	}
-	c.times[i], c.reset[i] = t, false
-	return c.xs[i*q.dim : (i+1)*q.dim]
+	c.times[i], c.xs[i] = t, c.buf[i*q.dim:(i+1)*q.dim]
+	return c.xs[i]
 }
 
 // pushReset queues a reset marker for an event at t.
 func (q *sampleQueue) pushReset(t time.Time, prov provenance) {
 	c, i := q.push(prov)
-	c.times[i], c.reset[i] = t, true
+	c.times[i], c.xs[i] = t, nil
 }
 
-// front returns the oldest entry: whether it is a reset marker, its
-// time, its vector (nil for a marker) and its provenance.
-func (q *sampleQueue) front() (reset bool, t time.Time, x []float64, prov provenance) {
+// front returns the oldest entry's time and vector (nil for a reset
+// marker).
+func (q *sampleQueue) front() (time.Time, []float64) {
 	c, i := q.chunks[0], q.head
-	if !c.reset[i] {
-		x = c.xs[i*q.dim : (i+1)*q.dim]
-	}
-	return c.reset[i], c.times[i], x, q.spans[q.span].prov
+	return c.times[i], c.xs[i]
 }
 
-// pop drops the oldest entry. Its vector stays readable until the next
-// push.
-func (q *sampleQueue) pop() {
-	q.head++
-	q.seq++
-	q.n--
+// run returns the samples at the front that score as one run — those
+// up to the next reset marker, provenance change or chunk end — with
+// their provenance. The front must be a sample. The slices stay
+// readable until the next push.
+func (q *sampleQueue) run() ([]time.Time, [][]float64, provenance) {
+	c, i := q.chunks[0], q.head
+	end := min(queueChunkLen, i+q.n)
+	if q.span+1 < len(q.spans) {
+		end = min(end, i+q.spans[q.span+1].from-q.seq)
+	}
+	j := i + 1
+	for j < end && c.xs[j] != nil {
+		j++
+	}
+	return c.times[i:j], c.xs[i:j], q.spans[q.span].prov
+}
+
+// pop drops the k oldest entries, all in chunks[0]. Their vectors stay
+// readable until the next push.
+func (q *sampleQueue) pop(k int) {
+	q.head += k
+	q.seq += k
+	q.n -= k
 	if q.n == 0 {
 		q.head, q.seq, q.spans, q.span = 0, 0, q.spans[:0], 0
 		return

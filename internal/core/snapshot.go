@@ -105,7 +105,7 @@ func (d *DetectStage) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(detectStageTag)
 	b.Uint8(uint8(d.state))
-	b.Bool(d.fitted)
+	b.Bool(d.state == StateDetecting)
 	b.Uint64(d.scored)
 	b.Float64Rows(d.ref)
 	b.Bools(d.violRing)
@@ -171,7 +171,6 @@ func (d *DetectStage) Restore(data []byte) error {
 		return err
 	}
 	d.state = state
-	d.fitted = fitted
 	d.scored = scored
 	d.ref = ref
 	if d.ref == nil {
@@ -181,7 +180,7 @@ func (d *DetectStage) Restore(data []byte) error {
 	d.violPos = violPos
 	d.violCount = violCount
 	d.calib = calib
-	if d.fitted && d.cfg.Trace != nil {
+	if fitted && d.cfg.Trace != nil {
 		d.cfg.Trace.SegCalib = append(d.cfg.Trace.SegCalib, d.calib)
 	}
 	return nil

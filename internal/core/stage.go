@@ -49,7 +49,6 @@ type TransformConfig struct {
 // must reset buffered state. Not safe for concurrent use.
 type TransformStage struct {
 	cfg    TransformConfig
-	xBuf   []float64
 	recBuf timeseries.Record // staging for Filter's pointer argument
 
 	o       *obs.Observer
@@ -113,17 +112,6 @@ func (s *TransformStage) Emit() []float64 {
 // EmitInto writes the ready sample into dst, which must have the
 // transformer's width.
 func (s *TransformStage) EmitInto(dst []float64) { s.cfg.Transformer.EmitInto(dst) }
-
-// EmitReusable returns the ready sample in a stage-owned scratch buffer.
-// The returned slice is overwritten by the next call and must not be
-// retained.
-func (s *TransformStage) EmitReusable() []float64 {
-	if len(s.xBuf) != s.cfg.Transformer.Dim() {
-		s.xBuf = make([]float64, s.cfg.Transformer.Dim())
-	}
-	s.cfg.Transformer.EmitInto(s.xBuf)
-	return s.xBuf
-}
 
 // ShouldReset reports whether ev resets buffered state under the stage's
 // ResetPolicy.
@@ -270,15 +258,14 @@ type DetectStage struct {
 	cfg       DetectConfig
 
 	ref    [][]float64
-	fitted bool
 	state  State
 	scored uint64
 
 	// Deferred fits (the fleet engine's asynchronous refit seam): with
 	// deferFits set, a profile fill does not fit inline — it marks the
 	// fit pending, and the owner collects it with TakePendingFit to run
-	// on a worker. The owner must not feed the stage again until the
-	// collected fit has completed.
+	// on a worker. A Pipeline queues what its transform stage emits from
+	// the fill until the fit lands.
 	deferFits  bool
 	fitPending bool
 
@@ -292,8 +279,11 @@ type DetectStage struct {
 	// can seed a fresh trace's segment table.
 	calib Calib
 
-	// scoreBuf holds the detector's scores for up to runCap samples.
+	// scoreBuf holds the detector's scores for up to runCap samples;
+	// oneT and oneX are ScoreSample's run of one.
 	scoreBuf []float64
+	oneT     [1]time.Time
+	oneX     [1][]float64
 
 	// Observability (not part of snapshots: journal context restarts
 	// fresh after a restore, alarms and scores do not change).
@@ -349,7 +339,7 @@ func (d *DetectStage) RefLen() int { return len(d.ref) }
 func (d *DetectStage) ScoredSamples() uint64 { return d.scored }
 
 // NeedRef reports whether the reference profile is still filling; while
-// it is, samples go to AddRef rather than ScoreSample.
+// it is, samples go to AddRef rather than being scored.
 func (d *DetectStage) NeedRef() bool { return len(d.ref) < d.cfg.ProfileLength }
 
 // AddRef appends a transformed sample to the reference profile, fitting
@@ -392,7 +382,6 @@ func (d *DetectStage) fit0() error { return d.fit() }
 // collecting state, recording the reset time in the trace.
 func (d *DetectStage) Reset(t time.Time) {
 	d.ref = d.ref[:0]
-	d.fitted = false
 	d.fitPending = false
 	d.state = StateCollecting
 	for i := range d.violRing {
@@ -459,7 +448,6 @@ func (d *DetectStage) fit() error {
 	if d.cfg.Trace != nil {
 		d.cfg.Trace.SegCalib = append(d.cfg.Trace.SegCalib, d.calib)
 	}
-	d.fitted = true
 	d.state = StateDetecting
 	d.cycleScored = 0
 	if d.o != nil {
@@ -469,7 +457,7 @@ func (d *DetectStage) fit() error {
 	return nil
 }
 
-// runCap is the most samples DetectStage.ScoreRun hands the detector's
+// runCap is the most samples DetectStage.scoreRun hands the detector's
 // run scorer at once, so a pipeline draining thousands of samples after
 // a fit scores them in runs of at most this many. Measured on
 // score_heavy (raw × TranAD, 2 CPUs): runs capped at 128 won 10 of 10
@@ -478,14 +466,6 @@ func (d *DetectStage) fit() error {
 // TranAD's per-window blocks (l1, keys, values: 8 · B · DModel floats
 // each, ≈ 3.8 MB at that length) no longer fit in L2.
 const runCap = 128
-
-// scores returns the stage's score scratch for n values.
-func (d *DetectStage) scores(n int) []float64 {
-	if cap(d.scoreBuf) < n {
-		d.scoreBuf = make([]float64, n)
-	}
-	return d.scoreBuf[:n]
-}
 
 // tick advances the observer's sampling counter by one scored sample
 // and reports whether that sample is one the observer times.
@@ -498,57 +478,44 @@ func (d *DetectStage) tick() bool {
 }
 
 // ScoreSample runs the detector on a transformed sample and converts
-// threshold violations into alarms. Scores land in a reusable scratch
-// buffer (the detector's ScoreInto fast path when available), so a
-// healthy steady state — no violations, no trace — performs no heap
-// allocation at all.
+// threshold violations into alarms: scoreRun's run of one. A healthy
+// steady state — no violations, no trace — performs no heap allocation
+// at all.
 func (d *DetectStage) ScoreSample(t time.Time, x []float64) ([]detector.Alarm, error) {
-	scores := d.scores(d.cfg.Detector.Channels())
-	// Sampled instrumentation: clock reads and the max-score scan
-	// dominate the enabled-path cost, so only every Nth scored sample is
-	// timed and fed to the score distribution; lifecycle counters and
-	// the journal are never sampled.
-	timed := d.tick()
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	if err := detector.ScoreInto(d.cfg.Detector, x, scores); err != nil {
-		return nil, fmt.Errorf("core: score %s: %w", d.vehicleID, err)
-	}
-	var took time.Duration
-	if timed {
-		took = time.Since(t0)
-	}
-	return d.settle(t, scores, timed, took, nil), nil
+	d.oneT[0], d.oneX[0] = t, x
+	alarms, err := d.scoreRun(d.oneT[:], d.oneX[:], nil)
+	d.oneX[0] = nil
+	return alarms, err
 }
 
-// ScoreRun scores consecutive transformed samples xs, recorded at times,
-// exactly as one ScoreSample per sample would — the same scores, alarms,
-// trace rows and density state — but hands the detector up to runCap
-// samples at a time (detector.ScoreRunInto: the detector's RunScorer
-// when it has one). Every sample carries the stage's current provenance.
-// Observer timing is per run: a timed sample records the run's mean
-// score time.
-func (d *DetectStage) ScoreRun(times []time.Time, xs [][]float64) ([]detector.Alarm, error) {
-	return d.scoreRun(times, xs, nil)
-}
-
-// scoreRun is ScoreRun appending the alarms to alarms.
+// scoreRun scores consecutive transformed samples xs, recorded at times,
+// and appends the alarms they raise to alarms. It hands the detector up
+// to runCap samples at a time (detector.ScoreRunInto: the detector's
+// RunScorer when it has one, else one ScoreInto per sample), and every
+// sample carries the stage's current provenance. The result is the same
+// whatever the runs' lengths: the same scores, alarms, trace rows and
+// density state. Observer timing is sampled per sample but measured per
+// run: the clock is read for a run only when the run holds a sample the
+// observer times, and that sample records the run's mean score time.
 func (d *DetectStage) scoreRun(times []time.Time, xs [][]float64, alarms []detector.Alarm) ([]detector.Alarm, error) {
 	ch := d.cfg.Detector.Channels()
 	for len(xs) > 0 {
 		n := min(len(xs), runCap)
-		scores := d.scores(n * ch)
+		if cap(d.scoreBuf) < n*ch {
+			d.scoreBuf = make([]float64, n*ch)
+		}
+		scores := d.scoreBuf[:n*ch]
+		// The next sampled tick is obsTick + (obsMask - obsTick&obsMask) + 1.
+		timed := d.o != nil && d.obsMask-d.obsTick&d.obsMask < uint32(n)
 		var t0 time.Time
-		if d.o != nil {
+		if timed {
 			t0 = time.Now()
 		}
 		if err := detector.ScoreRunInto(d.cfg.Detector, xs[:n], scores); err != nil {
 			return alarms, fmt.Errorf("core: score %s: %w", d.vehicleID, err)
 		}
 		var per time.Duration
-		if d.o != nil {
+		if timed {
 			per = time.Since(t0) / time.Duration(n)
 		}
 		for i := 0; i < n; i++ {
@@ -559,11 +526,10 @@ func (d *DetectStage) scoreRun(times []time.Time, xs [][]float64, alarms []detec
 	return alarms, nil
 }
 
-// settle is everything after the detector for one scored sample, shared
-// by ScoreSample and ScoreRun: the score counters, threshold violations,
-// density persistence, alarms (appended to alarms) with their journal
-// entries, and the trace row. timed marks a sample the observer samples,
-// and took is its score time.
+// settle is everything after the detector for one scored sample: the
+// score counters, threshold violations, density persistence, alarms
+// (appended to alarms) with their journal entries, and the trace row.
+// timed marks a sample the observer samples, and took is its score time.
 func (d *DetectStage) settle(t time.Time, scores []float64, timed bool, took time.Duration, alarms []detector.Alarm) []detector.Alarm {
 	var t1 time.Time
 	if timed {
@@ -699,6 +665,7 @@ func DetectOnTrace(vehicleID string, tt *TransformedTrace, cfg DetectConfig) err
 		return err
 	}
 	ri := 0
+	var alarms []detector.Alarm
 	for i := 0; i < len(tt.Samples); {
 		for ri < len(tt.ResetIdx) && tt.ResetIdx[ri] <= i {
 			ds.Reset(tt.ResetTimes[ri])
@@ -716,7 +683,7 @@ func DetectOnTrace(vehicleID string, tt *TransformedTrace, cfg DetectConfig) err
 		if ri < len(tt.ResetIdx) {
 			end = tt.ResetIdx[ri]
 		}
-		if _, err := ds.ScoreRun(tt.Times[i:end], tt.Samples[i:end]); err != nil {
+		if alarms, err = ds.scoreRun(tt.Times[i:end], tt.Samples[i:end], alarms[:0]); err != nil {
 			return err
 		}
 		i = end

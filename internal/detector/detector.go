@@ -52,10 +52,11 @@ type Detector interface {
 
 // IntoScorer is an optional Detector extension for techniques whose
 // scoring can run without per-sample allocation. ScoreInto writes one
-// score per channel into dst, which must have length Channels(). The
-// fleet engine and the streaming pipeline prefer this path: at millions
-// of records per second the per-call []float64 of Score dominates the
-// garbage collector's workload.
+// score per channel into dst, which must have length Channels().
+// ScoreRunInto, which the streaming pipeline and the evaluation replay
+// score through, takes this path for a detector without a RunScorer: at
+// millions of records per second the per-call []float64 of Score
+// dominates the garbage collector's workload.
 type IntoScorer interface {
 	// ScoreInto scores x into dst without allocating. dst must not
 	// alias detector-internal state and is fully overwritten.
@@ -137,7 +138,7 @@ type Alarm struct {
 	Threshold float64 // the threshold it violated
 }
 
-// numberedChannels builds fallback channel names ("feature-0", ...)
+// NumberedChannels builds fallback channel names ("feature-0", ...)
 // when the caller provides none.
 func NumberedChannels(n int) []string {
 	out := make([]string, n)
