@@ -40,6 +40,23 @@ done
 $(3) $(GO) test -run '$(2)' $(4) $(1)
 endef
 
+## named-rows: the gates below run rows of a table test through
+## $(call named-rows,PKG,TEST,ROW ...) = `go test -run
+## '^TEST$$/^(ROW|...)$$' -v PKG`, printing only what is not a passing
+## test's line, and fail when TEST or any ROW ran no subtest: -run with
+## a vanished row still runs, and passes, the bare table.
+define named-rows
+@re="^$(2)\$$/^($$(echo '$(3)' | tr ' ' '|'))\$$"; echo "$(GO) test -run '$$re' -v $(1)"; \
+out=$$($(GO) test -run "$$re" -v $(1) 2>&1); s=$$?; \
+echo "$$out" | grep -vE '^ *(=== |--- PASS)'; \
+[ $$s -eq 0 ] || exit $$s; \
+for row in $(3); do \
+	{ echo "$$out" | grep -qxF "=== RUN   $(2)/$$row" || \
+		echo "$$out" | grep -qF "=== RUN   $(2)/$$row/"; } || \
+		{ echo "$(1): $(2) has no row $$row"; exit 1; }; \
+done
+endef
+
 ## check: the fast inner-loop gate — vet (incl. gofmt), build, and the
 ## plain test suite, with none of ci's race/equivalence/bench machinery.
 check: vet build test
@@ -89,30 +106,34 @@ grid-equiv:
 
 ## resume-gate: checkpointing a live engine mid-stream and restoring at
 ## a different shard count must be bit-identical to an uninterrupted
-## run, for every paper technique × transform — and so must running the
-## same stream under a fully enabled observer, or through the traced
-## batch-ingest path with per-frame provenance attached. The checkpoint
-## stream itself, every transform's emitted vectors and snapshots, and
-## the pipeline's alarms, trace rows and journal over the small fleet
-## (inline and deferred fits) are held to the SHA-256 digests earlier
-## commits wrote (testdata/engine_small.ckpt.sha256,
+## run, for every paper technique × transform — and so must feeding the
+## same cells through Replay and through the traced batch-ingest path
+## (every fourth batch untraced), observer off and on, against a serial
+## replay: TestEngineMatchesSerialReplay's replay-grid and traced-grid
+## rows. The checkpoint stream itself, every transform's emitted vectors
+## and snapshots, and the pipeline's alarms, trace rows and journal over
+## the small fleet (inline and deferred fits) are held to the SHA-256
+## digests earlier commits wrote (testdata/engine_small.ckpt.sha256,
 ## testdata/transform.sha256, testdata/pipeline.sha256; never
 ## regenerated from the change under test).
 resume-gate:
-	$(call named,./internal/fleet/,TestEngineCheckpointResumeGate|TestEngineObservedBitIdentity|TestEngineTracedBitIdentity|TestCheckpointBytesGolden)
+	$(call named,./internal/fleet/,TestEngineCheckpointResumeGate|TestCheckpointBytesGolden)
+	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay,replay-grid traced-grid)
 	$(call named,./internal/transform/,TestTransformGolden)
 	$(call named,./internal/core/,TestPipelineGolden)
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting
 ## vehicles from a running engine and adopting them at a different
-## shard count (directly and over the HTTP handoff wire path) must
-## reproduce the single-engine replay's alarms
-## Float64bits-identically, with ingest during the move refused via the
-## typed 409, never dropped. The whole-engine checkpoint is built from
-## the same per-vehicle codec the handoff uses; its half of that one
-## serialization path is resume-gate's to pin, not re-run here.
+## shard count (directly, in both rows of each TestVehicleHandoffDrainGate
+## cell — fed by Replay, and observed and fed through the traced batch
+## path — and over the HTTP handoff wire path) must reproduce the
+## single-engine replay's alarms Float64bits-identically, with ingest
+## during the move refused via the typed 409, never dropped. The
+## whole-engine checkpoint is built from the same per-vehicle codec the
+## handoff uses; its half of that one serialization path is
+## resume-gate's to pin, not re-run here.
 drain-gate:
-	$(call named,./internal/fleet/,TestVehicleHandoffDrainGate|TestVehicleHandoffDrainGateTraced|TestConcurrentMigrationIngest)
+	$(call named,./internal/fleet/,TestVehicleHandoffDrainGate|TestConcurrentMigrationIngest)
 	$(call named,./cmd/navarchos-serve/,TestServeDrainHandoff|TestServeAdoptionOverridesRing)
 
 ## kernel-oracles: the SIMD kernels against their scalar references, by
@@ -187,15 +208,17 @@ fuzz-smoke:
 ## zero-allocation steady state, a reused decoder must deliver what a
 ## fresh one does, refuse a bad header before sizing a buffer from it
 ## and give back oversized buffers when its stream ends, IngestBatch
-## must reproduce Replay's alarms bit-for-bit at 1 and 2 shards
-## (including straight off decoded NVWIRE1 frames) and admit with no
-## allocation from one item per call to a whole frame, and the HTTP front
-## end must admit, journal, and reject end-to-end, on pooled decoders,
-## inside its per-POST allocation bound (the ingest tests by name: `race`
-## has just run the rest of the package).
+## must admit with no allocation from one item per call to a whole frame
+## and reproduce the serial replay's alarms bit for bit in arbitrary
+## chunks at 1-3 shards and straight off decoded NVWIRE1 frames at 1
+## and 2 (TestEngineMatchesSerialReplay's ingest-batch and wire rows),
+## and the HTTP front end must admit, journal, and reject end-to-end, on
+## pooled decoders, inside its per-POST allocation bound (the ingest
+## tests by name: `race` has just run the rest of the package).
 ingest-smoke:
 	$(call named,./internal/wire/,TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget)
-	$(call named,./internal/fleet/,TestIngestBatch|TestIngestRecordAllocFree|TestWireVsReplayAlarmIdentity)
+	$(call named,./internal/fleet/,TestIngestBatch|TestIngestRecordAllocFree)
+	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay,ingest-batch wire)
 	$(call named,./cmd/navarchos-serve/,TestServeWireIngestEndToEnd|TestServeStreamEndpoint|TestServeRejectsCorruptUpload|TestServeTextFormats|TestIngest)
 
 ## bench-smoke: one iteration of the throughput (64 vehicles and the

@@ -21,15 +21,12 @@ import (
 // while every other vehicle is admitted.
 func TestReplayHonoursCordon(t *testing.T) {
 	f := smallFleet()
-	e, err := NewEngine(Config{
-		NewConfig:  func(string) (core.Config, error) { return testConfig(), nil },
+	e := newEngine(t, Config{
+		NewConfig:  newTestConfig,
 		Shards:     2,
 		batchSize:  8,
 		DropAlarms: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer e.Close()
 
 	half := len(f.Records) / 2
@@ -132,7 +129,7 @@ func (h *countedPipeline) Restore(data []byte) error {
 // under -race this is the gate for Replay sharing the ingest mutexes.
 func TestReplayBesideCheckpointAndIngest(t *testing.T) {
 	f := smallFleet()
-	want := serialAlarms(t, f)
+	want := serialAlarms(t, f.Records, f.Events, newTestConfig)
 
 	// The first half of the fleet goes through Replay, the second
 	// through IngestBatch; each half must land on both shards (FNV puts
@@ -195,10 +192,7 @@ func TestReplayBesideCheckpointAndIngest(t *testing.T) {
 		batchSize:  16,
 		QueueDepth: 4,
 	}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, cfg)
 	onShard := map[bool]map[int]bool{true: {}, false: {}}
 	for _, id := range ids {
 		onShard[replayed[id]][e.shardFor(id).index] = true

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -13,22 +12,6 @@ import (
 	"github.com/navarchos/pdm/internal/obs"
 	"github.com/navarchos/pdm/internal/timeseries"
 )
-
-// TestAsyncFitsMatchSyncFits is the asynchronous-refit determinism
-// guarantee: queueing a fitting vehicle's samples and draining them
-// after the fit must yield exactly the alarms of core.RunVehicle's
-// inline fits, for any shard count.
-func TestAsyncFitsMatchSyncFits(t *testing.T) {
-	f := smallFleet()
-	want := serialAlarms(t, f)
-	if len(want) == 0 {
-		t.Fatal("test fleet produced no alarms; equivalence check is vacuous")
-	}
-	for _, shards := range []int{1, 3} {
-		got, _ := engineAlarms(t, f, shards, 7)
-		requireSameAlarms(t, fmt.Sprintf("shards=%d", shards), got, want)
-	}
-}
 
 // failingFitDetector scores nothing and fails its first Fit — the
 // asynchronous error path must drop the vehicle exactly like an inline
@@ -49,7 +32,7 @@ func (failingFitDetector) ChannelNames() []string { return []string{"x"} }
 // surfaced through Err and the engine still drains cleanly.
 func TestAsyncFitErrorDropsVehicle(t *testing.T) {
 	f := smallFleet()
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewConfig: func(string) (core.Config, error) {
 			cfg := testConfig()
 			cfg.Detector = failingFitDetector{}
@@ -58,14 +41,11 @@ func TestAsyncFitErrorDropsVehicle(t *testing.T) {
 		Shards:    2,
 		batchSize: 7,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	wait := drainAlarms(e)
 	if err := e.Replay(f.Records, f.Events); err != nil {
 		t.Fatal(err)
 	}
-	err = e.Close()
+	err := e.Close()
 	wait()
 	if !errors.Is(err, errFitBoom) {
 		t.Fatalf("Close error = %v, want wrapped errFitBoom", err)
@@ -249,17 +229,14 @@ func TestLandFitErrorCountsEveryRecord(t *testing.T) {
 // untraced, ungated Replay takes at the same cut.
 func TestGatedFitsMatchSerialReplay(t *testing.T) {
 	f := smallFleet()
-	want := serialAlarms(t, f)
+	want := serialAlarms(t, f.Records, f.Events, newTestConfig)
 	if len(want) == 0 {
 		t.Fatal("test fleet produced no alarms; the comparison is vacuous")
 	}
 	const hold = 30 * time.Millisecond
 
 	// The reference checkpoint: a plain Replay, fits landing as they come.
-	ref, err := NewEngine(Config{NewConfig: func(string) (core.Config, error) { return testConfig(), nil }, Shards: 2, batchSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newEngine(t, Config{NewConfig: newTestConfig, Shards: 2, batchSize: 32})
 	waitRef := drainAlarms(ref)
 	if err := ref.Replay(f.Records, f.Events); err != nil {
 		t.Fatal(err)
@@ -274,9 +251,10 @@ func TestGatedFitsMatchSerialReplay(t *testing.T) {
 	waitRef()
 
 	j := obs.NewJournal(4096)
-	o := obs.NewObserver(obs.NewRegistry(), obs.ObserverConfig{Journal: j})
+	reg := obs.NewRegistry()
+	o := obs.NewObserver(reg, obs.ObserverConfig{Journal: j})
 	gate, release := newGate(t)
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewHandler: func(id string) (Handler, error) {
 			cfg := testConfig()
 			cfg.Observer = o
@@ -285,11 +263,8 @@ func TestGatedFitsMatchSerialReplay(t *testing.T) {
 		},
 		Shards: 2, batchSize: 32, Observer: o,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	wait := drainAlarms(e)
-	batches := ingestTraced(t, e, f.Records, f.Events, 48)
+	origin, batches := ingestTraced(t, e, f.Records, f.Events, 48, 0)
 	e.Flush()
 	deadline := time.Now().Add(time.Minute)
 	for e.Stats().RecordsIn < uint64(len(f.Records)) {
@@ -317,24 +292,8 @@ func TestGatedFitsMatchSerialReplay(t *testing.T) {
 		t.Fatal("checkpoint after gated fits differs from the ungated replay's")
 	}
 
-	// Which frame each record came in: ingestTraced cuts 48-record chunks.
-	type key struct {
-		id string
-		t  int64
-	}
-	frame := map[key]*obs.BatchCtx{}
-	for i, r := range f.Records {
-		frame[key{r.VehicleID, r.Time.UnixNano()}] = batches[i/48]
-	}
-	if j.Total() != uint64(len(want)) {
-		t.Fatalf("journal holds %d alarms, want %d", j.Total(), len(want))
-	}
+	checkJournal(t, reg, j, "closest-pair", "correlation", len(want), origin, batches)
 	for _, a := range j.Last(0) {
-		bc := frame[key{a.VehicleID, a.Time.UnixNano()}]
-		if bc == nil || a.BatchID != bc.BatchID || a.TraceID != bc.TraceID || !a.ArrivalTime.Equal(bc.Arrival) {
-			t.Fatalf("alarm at %v for %s carries batch %d (trace %#x, arrival %v), not its record's frame",
-				a.Time, a.VehicleID, a.BatchID, a.TraceID, a.ArrivalTime)
-		}
 		if a.QueueWaitS < 0 || a.E2ELatencyS-a.QueueWaitS < hold.Seconds() {
 			t.Fatalf("alarm at %v for %s: queue wait %v s, end to end %v s; the %v behind its fit must be the difference",
 				a.Time, a.VehicleID, a.QueueWaitS, a.E2ELatencyS, hold)

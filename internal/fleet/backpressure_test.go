@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
@@ -31,64 +30,72 @@ func (h *gateHandler) ScoredSamples() uint64 { return h.n }
 // TestEngineBackpressureBlocksAtQueueDepth pins the backpressure
 // contract: with the shard queue full (QueueDepth batches) and the
 // shard goroutine held inside a handler, the next batch-completing
-// ingest must block — and must complete once the consumer drains.
+// ingest must block in enqueueStaged's send — and must complete once the
+// consumer drains. The queue fills through one-item calls, or through
+// one multi-item call that must itself not block.
 func TestEngineBackpressureBlocksAtQueueDepth(t *testing.T) {
 	const queueDepth = 2
-	gate := make(chan struct{})
-	e, err := NewEngine(Config{
-		NewHandler: func(string) (Handler, error) {
-			return &gateHandler{gate: gate}, nil
-		},
-		Shards:     1,
-		batchSize:  1, // every record is its own batch
-		QueueDepth: queueDepth,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := []timeseries.Record{{VehicleID: "veh-0"}}
+	for _, fillCalls := range []int{queueDepth, 1} {
+		t.Run(fmt.Sprintf("fill-calls=%d", fillCalls), func(t *testing.T) {
+			gate := make(chan struct{})
+			e := newEngine(t, Config{
+				NewHandler: func(string) (Handler, error) {
+					return &gateHandler{gate: gate}, nil
+				},
+				Shards:     1,
+				batchSize:  1, // every record is its own batch
+				QueueDepth: queueDepth,
+			})
+			rec := []timeseries.Record{{VehicleID: "veh-0"}}
 
-	// First record: dequeued immediately, shard parks inside the handler.
-	if err := e.IngestBatch(rec, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The drain loop may pull one more queued batch into the shard's
-	// local variable before the handler gate is reached, so give the
-	// shard time to settle, then fill the queue to capacity.
-	time.Sleep(20 * time.Millisecond)
-	for i := 0; i < queueDepth; i++ {
-		if err := e.IngestBatch(rec, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
+			// First record: dequeued immediately, shard parks inside the
+			// handler. The drain loop may pull one more queued batch into
+			// the shard's local variable before the handler gate is
+			// reached, so give the shard time to settle, then fill the
+			// queue to capacity.
+			if err := e.IngestBatch(rec, nil); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(20 * time.Millisecond)
+			fill := make([]timeseries.Record, queueDepth/fillCalls)
+			for i := range fill {
+				fill[i].VehicleID = "veh-0"
+			}
+			for i := 0; i < fillCalls; i++ {
+				if err := e.IngestBatch(fill, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Queue is full: the next ingest must block on the channel send.
-	blocked := make(chan struct{})
-	go func() {
-		if err := e.IngestBatch(rec, nil); err != nil {
-			t.Error(err)
-		}
-		close(blocked)
-	}()
-	select {
-	case <-blocked:
-		t.Fatal("ingest into a full shard queue returned without blocking")
-	case <-time.After(50 * time.Millisecond):
-	}
+			// Queue is full: the next ingest must block on the channel send.
+			blocked := make(chan struct{})
+			go func() {
+				if err := e.IngestBatch(rec, nil); err != nil {
+					t.Error(err)
+				}
+				close(blocked)
+			}()
+			select {
+			case <-blocked:
+				t.Fatal("ingest into a full shard queue returned without blocking")
+			case <-time.After(50 * time.Millisecond):
+			}
 
-	// Release the consumer: the blocked producer must complete and every
-	// record must be processed.
-	close(gate)
-	select {
-	case <-blocked:
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked ingest never completed after the consumer drained")
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := e.Stats().RecordsIn, uint64(queueDepth+2); got != want {
-		t.Fatalf("RecordsIn = %d, want %d", got, want)
+			// Release the consumer: the blocked producer must complete and
+			// every record must be processed.
+			close(gate)
+			select {
+			case <-blocked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("blocked ingest never completed after the consumer drained")
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := e.Stats().RecordsIn, uint64(queueDepth+2); got != want {
+				t.Fatalf("RecordsIn = %d, want %d", got, want)
+			}
+		})
 	}
 }
 
@@ -100,7 +107,7 @@ func TestEngineBackpressureBlocksAtQueueDepth(t *testing.T) {
 // the gate for the fence having no lock of its own.
 func TestCordonStateBesideBackpressure(t *testing.T) {
 	gate := make(chan struct{})
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewHandler: func(string) (Handler, error) {
 			return &gateHandler{gate: gate}, nil
 		},
@@ -108,9 +115,6 @@ func TestCordonStateBesideBackpressure(t *testing.T) {
 		batchSize:  1,
 		QueueDepth: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := []timeseries.Record{{VehicleID: "veh-0"}}
 	// One record parks the shard inside the handler and one fills the
 	// queue: the producer below then blocks on the channel send with the
@@ -173,14 +177,11 @@ func TestCordonStateBesideBackpressure(t *testing.T) {
 // deadlocking or injecting a batch into the quiesced window, and no
 // record may be lost or double-counted afterwards.
 func TestEngineFlushDuringCheckpointBarrier(t *testing.T) {
-	e, err := NewEngine(Config{
-		NewConfig: func(string) (core.Config, error) { return testConfig(), nil },
+	e := newEngine(t, Config{
+		NewConfig: newTestConfig,
 		Shards:    2,
 		batchSize: 64, // large: records below stay pending until flushed
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := smallFleet()
 	// Stage a partial batch on every shard.
 	const staged = 40
@@ -244,15 +245,12 @@ func TestEngineBatchPoolRecyclesUnderChurn(t *testing.T) {
 		batchSize  = 16
 		records    = 8192
 	)
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewHandler: func(string) (Handler, error) { return &countHandler{}, nil },
 		Shards:     1,
 		batchSize:  batchSize,
 		QueueDepth: queueDepth,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for round := 0; round < 4; round++ {
 		for i := 0; i < records/4; i++ {
 			r := timeseries.Record{VehicleID: fmt.Sprintf("veh-%02d", i%8)}
@@ -286,13 +284,10 @@ func TestIngestRecordAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops staging areas on purpose under -race")
 	}
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewHandler: func(string) (Handler, error) { return &countHandler{}, nil },
 		Shards:     1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer e.Close()
 	base := time.Date(2023, 6, 1, 8, 0, 0, 0, time.UTC)
 	for _, n := range []int{1, 16, 64, 512} {

@@ -182,26 +182,11 @@ func TestEngineCheckpointResumeGate(t *testing.T) {
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
 				// Uninterrupted reference.
 				refTraces := newTraceSet()
-				eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, batchSize: 16})
-				if err != nil {
-					t.Fatal(err)
-				}
-				waitRef := drainAlarms(eRef)
-				if err := eRef.Replay(records, events); err != nil {
-					t.Fatal(err)
-				}
-				if err := eRef.Close(); err != nil {
-					t.Fatal(err)
-				}
-				refAlarms := waitRef()
-				sortAlarms(refAlarms)
+				refAlarms := replayAlarms(t, Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, batchSize: 16}, records, events)
 
 				// Prefix run, checkpointed while live.
 				preTraces := newTraceSet()
-				e1, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, preTraces), Shards: 3, batchSize: 16})
-				if err != nil {
-					t.Fatal(err)
-				}
+				e1 := newEngine(t, Config{NewConfig: gridConfig(tech, kind, preTraces), Shards: 3, batchSize: 16})
 				wait1 := drainAlarms(e1)
 				if err := e1.Replay(records[:split], evFirst); err != nil {
 					t.Fatal(err)
@@ -300,10 +285,7 @@ func TestEngineCheckpointClosedAndSkip(t *testing.T) {
 		return wait()
 	}
 
-	eRef, err := NewEngine(Config{NewConfig: factory, Shards: 3, batchSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eRef := newEngine(t, Config{NewConfig: factory, Shards: 3, batchSize: 32})
 	want := run(eRef, f.Records, f.Events, nil)
 	sortAlarms(want)
 	if len(want) == 0 {
@@ -312,10 +294,7 @@ func TestEngineCheckpointClosedAndSkip(t *testing.T) {
 
 	split := len(f.Records) / 2
 	evFirst, evSecond := splitEvents(f.Events, f.Records[split].Time)
-	e1, err := NewEngine(Config{NewConfig: factory, Shards: 3, batchSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := newEngine(t, Config{NewConfig: factory, Shards: 3, batchSize: 32})
 	var buf bytes.Buffer
 	got := run(e1, f.Records[:split], evFirst, &buf)
 	if err := e1.Checkpoint(io.Discard); !errors.Is(err, ErrClosed) {
@@ -381,12 +360,9 @@ func TestEngineCheckpointNotSnapshottable(t *testing.T) {
 // unknown sections, duplicate vehicles and mismatched configurations
 // must all refuse to restore — never panic, never half-restore.
 func TestNewEngineFromCheckpointRejectsBadInput(t *testing.T) {
-	factory := func(string) (core.Config, error) { return testConfig(), nil }
+	factory := newTestConfig
 	records, events := syntheticStream(2, 120)
-	e, err := NewEngine(Config{NewConfig: factory, Shards: 2, DropAlarms: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, Config{NewConfig: factory, Shards: 2, DropAlarms: true})
 	if err := e.Replay(records, events); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -57,34 +55,6 @@ func smallFleet() *fleetsim.Fleet {
 	return testFleet
 }
 
-// alarmKey orders alarms deterministically for comparison.
-func sortAlarms(a []detector.Alarm) {
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].VehicleID != a[j].VehicleID {
-			return a[i].VehicleID < a[j].VehicleID
-		}
-		if !a[i].Time.Equal(a[j].Time) {
-			return a[i].Time.Before(a[j].Time)
-		}
-		return a[i].Channel < a[j].Channel
-	})
-}
-
-// serialAlarms replays every vehicle through core.RunVehicle.
-func serialAlarms(t *testing.T, f *fleetsim.Fleet) []detector.Alarm {
-	t.Helper()
-	var out []detector.Alarm
-	for _, v := range f.AllVehicleIDs() {
-		a, err := core.RunVehicle(v, f.Records, f.Events, testConfig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, a...)
-	}
-	sortAlarms(out)
-	return out
-}
-
 // drainAlarms collects the engine's alarms in the background; the
 // returned function waits for channel close and hands the slice back.
 func drainAlarms(e *Engine) func() []detector.Alarm {
@@ -121,71 +91,12 @@ func requireSameAlarms(t *testing.T, label string, got, want []detector.Alarm) {
 	}
 }
 
-// engineAlarms replays the whole fleet through an engine with the given
-// shard count and batch size.
-func engineAlarms(t *testing.T, f *fleetsim.Fleet, shards, batch int) ([]detector.Alarm, EngineStats) {
-	t.Helper()
-	e, err := NewEngine(Config{
-		NewConfig: func(string) (core.Config, error) { return testConfig(), nil },
-		Shards:    shards,
-		batchSize: batch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait := drainAlarms(e)
-	if err := e.Replay(f.Records, f.Events); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out := wait()
-	sortAlarms(out)
-	return out, e.Stats()
-}
-
-// TestEngineMatchesSerialReplay is the determinism guarantee: for any
-// shard count the engine yields exactly the alarms of a serial
-// core.RunVehicle replay of every vehicle.
-func TestEngineMatchesSerialReplay(t *testing.T) {
-	f := smallFleet()
-	want := serialAlarms(t, f)
-	if len(want) == 0 {
-		t.Fatal("test fleet produced no alarms; determinism check is vacuous")
-	}
-	for _, shards := range []int{1, 2, 3, 8} {
-		for _, batch := range []int{1, 7, 64} {
-			got, stats := engineAlarms(t, f, shards, batch)
-			requireSameAlarms(t, fmt.Sprintf("shards=%d batch=%d", shards, batch), got, want)
-			if stats.RecordsIn != uint64(len(f.Records)) {
-				t.Errorf("shards=%d: RecordsIn = %d, want %d", shards, stats.RecordsIn, len(f.Records))
-			}
-			if stats.EventsIn != uint64(len(f.Events)) {
-				t.Errorf("shards=%d: EventsIn = %d, want %d", shards, stats.EventsIn, len(f.Events))
-			}
-			if stats.Alarms != uint64(len(want)) {
-				t.Errorf("shards=%d: stats.Alarms = %d, want %d", shards, stats.Alarms, len(want))
-			}
-			if stats.Vehicles != len(f.AllVehicleIDs()) {
-				t.Errorf("shards=%d: Vehicles = %d, want %d", shards, stats.Vehicles, len(f.AllVehicleIDs()))
-			}
-			if stats.SamplesScored == 0 {
-				t.Errorf("shards=%d: SamplesScored = 0", shards)
-			}
-			if stats.Drops != 0 {
-				t.Errorf("shards=%d: Drops = %d, want 0", shards, stats.Drops)
-			}
-		}
-	}
-}
-
 // TestEngineSkipVehicle checks ErrSkipVehicle excludes vehicles without
 // failing the run.
 func TestEngineSkipVehicle(t *testing.T) {
 	f := smallFleet()
 	keep := f.AllVehicleIDs()[0]
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewConfig: func(v string) (core.Config, error) {
 			if v != keep {
 				return core.Config{}, ErrSkipVehicle
@@ -195,9 +106,6 @@ func TestEngineSkipVehicle(t *testing.T) {
 		Shards:     3,
 		DropAlarms: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := e.Replay(f.Records, f.Events); err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +126,11 @@ func TestEngineSkipVehicle(t *testing.T) {
 func TestEngineConfigError(t *testing.T) {
 	f := smallFleet()
 	boom := errors.New("boom")
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewConfig:  func(string) (core.Config, error) { return core.Config{}, boom },
 		Shards:     2,
 		DropAlarms: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := e.Replay(f.Records[:500], nil); err != nil {
 		t.Fatal(err)
 	}
@@ -240,13 +145,10 @@ func TestEngineConfigError(t *testing.T) {
 // TestEngineIngestAfterClose checks post-Close ingestion errors cleanly
 // on both producers, for records and for events.
 func TestEngineIngestAfterClose(t *testing.T) {
-	e, err := NewEngine(Config{
-		NewConfig: func(string) (core.Config, error) { return testConfig(), nil },
+	e := newEngine(t, Config{
+		NewConfig: newTestConfig,
 		Shards:    1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -308,16 +210,13 @@ func TestEngineConcurrentIngestion(t *testing.T) {
 		pipesMu.Unlock()
 		return p, nil
 	}
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewHandler: newPipeline,
 		Shards:     4,
 		batchSize:  16,
 		QueueDepth: 8,
 		DropAlarms: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := time.Date(2023, 5, 1, 8, 0, 0, 0, time.UTC)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {

@@ -26,58 +26,6 @@ func observedGrid(base func(string) (core.Config, error), o *obs.Observer) func(
 	}
 }
 
-// TestEngineObservedBitIdentity extends the resume gate's bit-identity
-// guarantee to instrumentation: for every paper technique × transform
-// grid cell, a fully observed engine (fleet metrics, stage latency
-// sampling, score distributions, alarm journal) must emit exactly the
-// alarms an unobserved engine emits.
-func TestEngineObservedBitIdentity(t *testing.T) {
-	records, events := syntheticStream(2, 150)
-
-	for _, tech := range paperTechniques() {
-		for _, kind := range transform.AllKinds() {
-			tech, kind := tech, kind
-			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
-				run := func(o *obs.Observer) []detector.Alarm {
-					cfg := Config{NewConfig: gridConfig(tech, kind, nil), Shards: 3, batchSize: 16, Observer: o}
-					if o != nil {
-						cfg.NewConfig = observedGrid(cfg.NewConfig, o)
-					}
-					e, err := NewEngine(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wait := drainAlarms(e)
-					if err := e.Replay(records, events); err != nil {
-						t.Fatal(err)
-					}
-					if err := e.Close(); err != nil {
-						t.Fatal(err)
-					}
-					a := wait()
-					sortAlarms(a)
-					return a
-				}
-
-				plain := run(nil)
-				reg := obs.NewRegistry()
-				j := obs.NewJournal(128)
-				observed := run(obs.NewObserver(reg, obs.ObserverConfig{Journal: j}))
-
-				requireSameAlarms(t, "observed", observed, plain)
-				if j.Total() != uint64(len(observed)) {
-					t.Fatalf("journal total %d, want %d", j.Total(), len(observed))
-				}
-				for _, e := range j.Last(8) {
-					if e.Technique != tech.name || e.Transform != kind.String() {
-						t.Fatalf("journal entry mislabelled: %+v (want %s/%s)", e, tech.name, kind)
-					}
-				}
-			})
-		}
-	}
-}
-
 // countHandler is a minimal Handler whose ScoredSamples tracks records
 // one-to-one, making RecordsIn == SamplesScored the consistency oracle.
 type countHandler struct{ n uint64 }
@@ -95,14 +43,11 @@ func (h *countHandler) ScoredSamples() uint64 { return h.n }
 // observe RecordsIn ahead of SamplesScored; StatsConsistent quiesces at
 // a batch boundary, so the two must always agree exactly.
 func TestEngineStatsConsistent(t *testing.T) {
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewHandler: func(string) (Handler, error) { return &countHandler{}, nil },
 		Shards:     4,
 		batchSize:  8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const producers, perProducer = 4, 2000
 	var wg sync.WaitGroup
@@ -157,15 +102,12 @@ func TestEngineStatsConsistent(t *testing.T) {
 func TestEngineMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	o := obs.NewObserver(reg, obs.ObserverConfig{})
-	e, err := NewEngine(Config{
+	e := newEngine(t, Config{
 		NewConfig: observedGrid(gridConfig(paperTechniques()[0], transform.Correlation, nil), o),
 		Shards:    2,
 		batchSize: 16,
 		Observer:  o,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	records, events := syntheticStream(3, 60)
 	wait := drainAlarms(e)
 	if err := e.Replay(records, events); err != nil {

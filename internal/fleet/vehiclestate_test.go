@@ -8,9 +8,9 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/obd"
+	"github.com/navarchos/pdm/internal/obs"
 	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/transform"
 )
@@ -81,10 +81,7 @@ func FuzzVehicleStateRoundTrip(f *testing.F) {
 // vehicles flow, and Uncordon restores service.
 func TestCordonRefusesIngest(t *testing.T) {
 	f := smallFleet()
-	e, err := NewEngine(Config{NewConfig: func(string) (core.Config, error) { return testConfig(), nil }, Shards: 2, batchSize: 4, DropAlarms: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, Config{NewConfig: newTestConfig, Shards: 2, batchSize: 4, DropAlarms: true})
 	defer e.Close()
 
 	recs := f.Records
@@ -145,10 +142,7 @@ func TestCordonRefusesIngest(t *testing.T) {
 // TestExtractAdoptErrors covers the typed failure surface of the two
 // handoff verbs.
 func TestExtractAdoptErrors(t *testing.T) {
-	e, err := NewEngine(Config{NewConfig: func(string) (core.Config, error) { return testConfig(), nil }, Shards: 2, batchSize: 4, DropAlarms: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, Config{NewConfig: newTestConfig, Shards: 2, batchSize: 4, DropAlarms: true})
 
 	if _, err := e.ExtractVehicle("nope"); !errors.Is(err, ErrUnknownVehicle) {
 		t.Fatalf("extract unknown: %v", err)
@@ -201,13 +195,16 @@ func TestExtractAdoptErrors(t *testing.T) {
 }
 
 // TestVehicleHandoffDrainGate is the migration half of the drain gate:
-// for every paper technique × transform, drain a LIVE engine mid-replay
+// for every paper technique × transform, drain a LIVE engine mid-stream
 // vehicle by vehicle (each extraction quiescing only the owning shard),
 // push every VehicleState through the canonical byte codec, adopt on a
-// second live engine with a different shard count, replay the rest
-// there, and require the merged alarm stream and every per-sample
+// second live engine with a different shard count, feed the rest there,
+// and require the merged alarm stream and every per-sample
 // score/threshold Float64bits-identical to an uninterrupted
-// single-engine run.
+// single-engine run. It runs twice per cell: through Replay, and with
+// both engines observed and fed through the traced batch path, where
+// each engine's journal must also carry every alarm's batch context —
+// migration does not sever provenance.
 func TestVehicleHandoffDrainGate(t *testing.T) {
 	const (
 		vehicles   = 2
@@ -219,94 +216,100 @@ func TestVehicleHandoffDrainGate(t *testing.T) {
 
 	for _, tech := range paperTechniques() {
 		for _, kind := range transform.AllKinds() {
-			tech, kind := tech, kind
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
 				refTraces := newTraceSet()
-				eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, batchSize: 16})
-				if err != nil {
-					t.Fatal(err)
-				}
-				waitRef := drainAlarms(eRef)
-				if err := eRef.Replay(records, events); err != nil {
-					t.Fatal(err)
-				}
-				if err := eRef.Close(); err != nil {
-					t.Fatal(err)
-				}
-				refAlarms := waitRef()
-				sortAlarms(refAlarms)
+				refAlarms := replayAlarms(t, Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, batchSize: 16}, records, events)
+				for _, traced := range []bool{false, true} {
+					t.Run(map[bool]string{false: "replay", true: "traced"}[traced], func(t *testing.T) {
+						// Source and target share one trace set: a migrated
+						// vehicle keeps appending to the same per-vehicle
+						// trace, so the combined rows must equal the
+						// reference's.
+						liveTraces := newTraceSet()
+						type run struct {
+							e       *Engine
+							wait    func() []detector.Alarm
+							reg     *obs.Registry
+							j       *obs.Journal
+							origin  map[recKey]*obs.BatchCtx
+							batches int
+						}
+						start := func(shards int) *run {
+							l := &run{}
+							cfg := Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: shards, batchSize: 16}
+							if traced {
+								l.reg, l.j = obs.NewRegistry(), obs.NewJournal(1<<14)
+								o := obs.NewObserver(l.reg, obs.ObserverConfig{Journal: l.j})
+								cfg.NewConfig, cfg.Observer = observedGrid(cfg.NewConfig, o), o
+							}
+							l.e = newEngine(t, cfg)
+							l.wait = drainAlarms(l.e)
+							return l
+						}
+						feed := func(l *run, recs []timeseries.Record, evs []obd.Event) {
+							if traced {
+								l.origin, l.batches = ingestTraced(t, l.e, recs, evs, 48, 4)
+							} else if err := l.e.Replay(recs, evs); err != nil {
+								t.Fatal(err)
+							}
+						}
+						finish := func(l *run) []detector.Alarm {
+							if err := l.e.Close(); err != nil {
+								t.Fatal(err)
+							}
+							a := l.wait()
+							if traced {
+								checkJournal(t, l.reg, l.j, tech.name, kind.String(), len(a), l.origin, l.batches)
+							}
+							return a
+						}
 
-				// Source and target share one trace set: a migrated
-				// vehicle keeps appending to the same per-vehicle trace,
-				// so the combined rows must equal the reference's.
-				liveTraces := newTraceSet()
-				src, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: 3, batchSize: 16})
-				if err != nil {
-					t.Fatal(err)
-				}
-				waitSrc := drainAlarms(src)
-				if err := src.Replay(records[:split], evFirst); err != nil {
-					t.Fatal(err)
-				}
+						src := start(3)
+						feed(src, records[:split], evFirst)
+						dst := start(1)
+						ids := src.e.VehicleIDs()
+						if len(ids) != vehicles {
+							t.Fatalf("VehicleIDs = %v, want %d vehicles", ids, vehicles)
+						}
+						for _, id := range ids {
+							vs, err := src.e.ExtractVehicle(id)
+							if err != nil {
+								t.Fatalf("ExtractVehicle(%s): %v", id, err)
+							}
+							decoded, err := DecodeVehicleState(vs.Encode())
+							if err != nil {
+								t.Fatalf("codec round trip %s: %v", id, err)
+							}
+							if err := dst.e.AdoptVehicle(decoded); err != nil {
+								t.Fatalf("AdoptVehicle(%s): %v", id, err)
+							}
+							// The source now refuses the moved vehicle instead
+							// of silently re-warming a fresh handler.
+							var vu *VehicleUnavailableError
+							if err := src.e.IngestBatch([]timeseries.Record{{VehicleID: id}}, nil); !errors.As(err, &vu) {
+								t.Fatalf("source ingest after drain of %s: %v", id, err)
+							}
+						}
+						srcAlarms := finish(src)
+						feed(dst, records[split:], evSecond)
+						dstAlarms := finish(dst)
 
-				dst, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: 1, batchSize: 16})
-				if err != nil {
-					t.Fatal(err)
-				}
-				waitDst := drainAlarms(dst)
-
-				// Drain the live source: extract + adopt one vehicle at a
-				// time, through the wire-payload codec.
-				ids := src.VehicleIDs()
-				if len(ids) != vehicles {
-					t.Fatalf("VehicleIDs = %v, want %d vehicles", ids, vehicles)
-				}
-				for _, id := range ids {
-					vs, err := src.ExtractVehicle(id)
-					if err != nil {
-						t.Fatalf("ExtractVehicle(%s): %v", id, err)
-					}
-					decoded, err := DecodeVehicleState(vs.Encode())
-					if err != nil {
-						t.Fatalf("codec round trip %s: %v", id, err)
-					}
-					if err := dst.AdoptVehicle(decoded); err != nil {
-						t.Fatalf("AdoptVehicle(%s): %v", id, err)
-					}
-					// The source now refuses the moved vehicle instead of
-					// silently re-warming a fresh handler.
-					var vu *VehicleUnavailableError
-					if err := src.IngestBatch([]timeseries.Record{{VehicleID: id}}, nil); !errors.As(err, &vu) {
-						t.Fatalf("source ingest after drain of %s: %v", id, err)
-					}
-				}
-				if err := src.Close(); err != nil {
-					t.Fatal(err)
-				}
-				srcAlarms := waitSrc()
-
-				if err := dst.Replay(records[split:], evSecond); err != nil {
-					t.Fatal(err)
-				}
-				if err := dst.Close(); err != nil {
-					t.Fatal(err)
-				}
-				dstAlarms := waitDst()
-
-				got := append(append([]detector.Alarm{}, srcAlarms...), dstAlarms...)
-				sortAlarms(got)
-				requireSameAlarms(t, fmt.Sprintf("drained (%d+%d alarms)", len(srcAlarms), len(dstAlarms)), got, refAlarms)
-				for id, ref := range refTraces.m {
-					live := liveTraces.m[id]
-					if live == nil {
-						t.Fatalf("vehicle %s missing from drained run", id)
-					}
-					if len(live.Scores) != len(ref.Scores) {
-						t.Fatalf("vehicle %s: %d samples vs %d uninterrupted", id, len(live.Scores), len(ref.Scores))
-					}
-					if !bitEqualRows(live.Scores, ref.Scores) || !bitEqualRows(live.Thresholds, ref.Thresholds) {
-						t.Errorf("vehicle %s: migrated scores/thresholds diverge", id)
-					}
+						got := append(append([]detector.Alarm{}, srcAlarms...), dstAlarms...)
+						sortAlarms(got)
+						requireSameAlarms(t, fmt.Sprintf("drained (%d+%d alarms)", len(srcAlarms), len(dstAlarms)), got, refAlarms)
+						for id, ref := range refTraces.m {
+							live := liveTraces.m[id]
+							if live == nil {
+								t.Fatalf("vehicle %s missing from drained run", id)
+							}
+							if len(live.Scores) != len(ref.Scores) {
+								t.Fatalf("vehicle %s: %d samples vs %d uninterrupted", id, len(live.Scores), len(ref.Scores))
+							}
+							if !bitEqualRows(live.Scores, ref.Scores) || !bitEqualRows(live.Thresholds, ref.Thresholds) {
+								t.Errorf("vehicle %s: migrated scores/thresholds diverge", id)
+							}
+						}
+					})
 				}
 			})
 		}
@@ -333,26 +336,11 @@ func TestConcurrentMigrationIngest(t *testing.T) {
 	kind := transform.AllKinds()[0]
 
 	refTraces := newTraceSet()
-	eRef, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 2, batchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRef := drainAlarms(eRef)
-	if err := eRef.Replay(records, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := eRef.Close(); err != nil {
-		t.Fatal(err)
-	}
-	refAlarms := waitRef()
-	sortAlarms(refAlarms)
+	refAlarms := replayAlarms(t, Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 2, batchSize: 16}, records, events)
 
 	liveTraces := newTraceSet()
 	mk := func(shards int) *Engine {
-		e, err := NewEngine(Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: shards, batchSize: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, Config{NewConfig: gridConfig(tech, kind, liveTraces), Shards: shards, batchSize: 8})
 		return e
 	}
 	eA, eB := mk(2), mk(3)
