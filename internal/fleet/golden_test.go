@@ -22,7 +22,7 @@ func goldenCheckpoint(t *testing.T, shards int) string {
 	f := smallFleet()
 	ids := f.AllVehicleIDs()
 	skipID, failID := ids[len(ids)-1], ids[len(ids)-2]
-	e := newEngine(t, Config{
+	e, err := NewEngine(Config{
 		NewConfig: func(v string) (core.Config, error) {
 			cfg := testConfig()
 			switch v {
@@ -36,6 +36,9 @@ func goldenCheckpoint(t *testing.T, shards int) string {
 		Shards:    shards,
 		batchSize: 32,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wait := drainAlarms(e)
 	split := len(f.Records) / 2
 	evFirst, _ := splitEvents(f.Events, f.Records[split].Time)
