@@ -40,20 +40,25 @@ done
 $(3) $(GO) test -run '$(2)' $(4) $(1)
 endef
 
-## named-rows: the gates below run rows of a table test through
-## $(call named-rows,PKG,TEST,ROW ...) = `go test -run
-## '^TEST$$/^(ROW|...)$$' -v PKG`, printing only what is not a passing
-## test's line, and fail when TEST or any ROW ran no subtest: -run with
-## a vanished row still runs, and passes, the bare table.
+## named-rows: the gates below run table rows through
+## $(call named-rows,PKG,NAME ...), each NAME a test or TEST/ROW, in one
+## `go test -run '^(TEST|...)$$/^(ROW|...)$$' -v PKG` that prints only
+## what is not a passing test's line, and fail when any NAME ran no test:
+## -run with a vanished row still runs, and passes, the bare table. A row
+## named for one table runs in every named table that has it, and a test
+## named without a row must have no subtests (the row pattern filters
+## them).
 define named-rows
-@re="^$(2)\$$/^($$(echo '$(3)' | tr ' ' '|'))\$$"; echo "$(GO) test -run '$$re' -v $(1)"; \
+@tops=$$(for n in $(2); do echo "$${n%%/*}"; done | sort -u | xargs | tr ' ' '|'); \
+rows=$$(for n in $(2); do case $$n in */*) echo "$${n#*/}";; esac; done | sort -u | xargs | tr ' ' '|'); \
+re="^($$tops)\$$"; [ -z "$$rows" ] || re="$$re/^($$rows)\$$"; \
+echo "$(GO) test -run '$$re' -v $(1)"; \
 out=$$($(GO) test -run "$$re" -v $(1) 2>&1); s=$$?; \
 echo "$$out" | grep -vE '^ *(=== |--- PASS)'; \
 [ $$s -eq 0 ] || exit $$s; \
-for row in $(3); do \
-	{ echo "$$out" | grep -qxF "=== RUN   $(2)/$$row" || \
-		echo "$$out" | grep -qF "=== RUN   $(2)/$$row/"; } || \
-		{ echo "$(1): $(2) has no row $$row"; exit 1; }; \
+for n in $(2); do \
+	{ echo "$$out" | grep -qxF "=== RUN   $$n" || echo "$$out" | grep -qF "=== RUN   $$n/"; } || \
+		{ echo "$(1): $$n ran no test"; exit 1; }; \
 done
 endef
 
@@ -118,7 +123,7 @@ grid-equiv:
 ## regenerated from the change under test).
 resume-gate:
 	$(call named,./internal/fleet/,TestEngineCheckpointResumeGate|TestCheckpointBytesGolden)
-	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay,replay-grid traced-grid)
+	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/replay-grid TestEngineMatchesSerialReplay/traced-grid)
 	$(call named,./internal/transform/,TestTransformGolden)
 	$(call named,./internal/core/,TestPipelineGolden)
 
@@ -208,17 +213,18 @@ fuzz-smoke:
 ## zero-allocation steady state, a reused decoder must deliver what a
 ## fresh one does, refuse a bad header before sizing a buffer from it
 ## and give back oversized buffers when its stream ends, IngestBatch
-## must admit with no allocation from one item per call to a whole frame
-## and reproduce the serial replay's alarms bit for bit in arbitrary
-## chunks at 1-3 shards and straight off decoded NVWIRE1 frames at 1
-## and 2 (TestEngineMatchesSerialReplay's ingest-batch and wire rows),
-## and the HTTP front end must admit, journal, and reject end-to-end, on
+## must admit with no allocation from one item per call to a whole frame,
+## block a multi-item call on a full shard queue
+## (TestEngineBackpressureBlocksAtQueueDepth's fill-calls=1 row) and
+## reproduce the serial replay's alarms bit for bit in arbitrary chunks
+## at 1-3 shards and straight off decoded NVWIRE1 frames at 1 and 2
+## (TestEngineMatchesSerialReplay's ingest-batch and wire rows), and the
+## HTTP front end must admit, journal, and reject end-to-end, on
 ## pooled decoders, inside its per-POST allocation bound (the ingest
 ## tests by name: `race` has just run the rest of the package).
 ingest-smoke:
 	$(call named,./internal/wire/,TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget)
-	$(call named,./internal/fleet/,TestIngestBatch|TestIngestRecordAllocFree)
-	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay,ingest-batch wire)
+	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/ingest-batch TestEngineMatchesSerialReplay/wire TestEngineBackpressureBlocksAtQueueDepth/fill-calls=1 TestIngestBatchEmptyAndClosed TestIngestBatchDuringCheckpointBarrier TestIngestRecordAllocFree)
 	$(call named,./cmd/navarchos-serve/,TestServeWireIngestEndToEnd|TestServeStreamEndpoint|TestServeRejectsCorruptUpload|TestServeTextFormats|TestIngest)
 
 ## bench-smoke: one iteration of the throughput (64 vehicles and the
