@@ -64,15 +64,9 @@ func TestDocReferences(t *testing.T) {
 
 	for _, m := range regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)(\\*?)").FindAllStringSubmatch(design, -1) {
 		name, prefix := m[1], m[2] == "*"
-		if declared[name] {
-			continue
-		}
-		found := false
+		found := declared[name]
 		for d := range declared {
-			if prefix && strings.HasPrefix(d, name) {
-				found = true
-				break
-			}
+			found = found || prefix && strings.HasPrefix(d, name)
 		}
 		if !found {
 			t.Errorf("DESIGN.md names `%s%s`, which no _test.go file declares", name, m[2])
