@@ -270,35 +270,6 @@ func BenchmarkAblationResetPolicy(b *testing.B) {
 	b.Run("repairs-only", func(b *testing.B) { ablate(b, 12, 45, core.ResetOnRepairsOnly) })
 }
 
-// BenchmarkExtensionTransforms scores the future-work transforms
-// (histogram, spectral) under the same harness.
-func BenchmarkExtensionTransforms(b *testing.B) {
-	f := fleetForBench(b)
-	for _, kind := range []transform.Kind{transform.Histogram, transform.Spectral} {
-		b.Run(kind.String(), func(b *testing.B) {
-			spec := eval.GridSpec{
-				Records:         f.Records,
-				Events:          f.Events,
-				Settings:        map[string][]string{"s": f.EventVehicleIDs()},
-				Techniques:      []eval.Technique{eval.ClosestPair},
-				Transforms:      []transform.Kind{kind},
-				PHs:             []time.Duration{30 * 24 * time.Hour},
-				Window:          32, // spectral needs a power-of-two-ish window
-				ProfileWindowed: 30,
-			}
-			var best float64
-			for i := 0; i < b.N; i++ {
-				res, err := eval.RunGrid(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				best = res.Cells[0].Best.F05
-			}
-			b.ReportMetric(best, "F0.5")
-		})
-	}
-}
-
 // BenchmarkStreamingThroughput measures the complete solution's pure
 // per-record streaming cost (records/second of the default pipeline).
 func BenchmarkStreamingThroughput(b *testing.B) {

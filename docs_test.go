@@ -14,8 +14,11 @@ import (
 // `DESIGN.md §n` in README.md, EXPERIMENTS.md, the Makefile and Go
 // source — must name a `## n.` heading, and every backticked Test,
 // Benchmark or Fuzz name in DESIGN.md must be declared by some _test.go
-// file (a name written with a trailing `*` is a prefix). ROADMAP.md and
-// CHANGES.md are exempt: one is a plan, the other a history.
+// file (a name written with a trailing `*` is a prefix). Every
+// backticked `internal/…`, `cmd/…` or `examples/…` path in README.md,
+// DESIGN.md, EXPERIMENTS.md and the verify skill must exist in the tree
+// (a trailing `/...` is a package pattern). ROADMAP.md and CHANGES.md
+// are exempt: one is a plan, the other a history.
 func TestDocReferences(t *testing.T) {
 	design := readDoc(t, "DESIGN.md")
 	headings := map[string]bool{}
@@ -70,6 +73,15 @@ func TestDocReferences(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("DESIGN.md names `%s%s`, which no _test.go file declares", name, m[2])
+		}
+	}
+
+	repoPath := regexp.MustCompile("`((?:internal|cmd|examples)/[^`\\s]*)`")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		for _, m := range repoPath.FindAllStringSubmatch(readDoc(t, doc), -1) {
+			if _, err := os.Stat(strings.TrimSuffix(m[1], "...")); err != nil {
+				t.Errorf("%s names `%s`, which is not in the tree", doc, m[1])
+			}
 		}
 	}
 }

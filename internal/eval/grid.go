@@ -61,7 +61,7 @@ type GridSpec struct {
 	// bounded feature spaces (correlations in [-1, 1]) it encodes the
 	// minimum deviation considered physically meaningful; 0 disables it.
 	// When negative or unset it defaults per transform kind (0.01 for
-	// correlation/histogram/spectral, 0 otherwise).
+	// correlation, 0 otherwise).
 	AbsFloor float64
 
 	// NewTransformer overrides transformer construction when non-nil
@@ -335,10 +335,8 @@ func absFloorFor(requested float64, kind transform.Kind) float64 {
 	if requested > 0 {
 		return requested
 	}
-	switch kind {
-	case transform.Correlation, transform.Histogram, transform.Spectral:
+	if kind == transform.Correlation {
 		return 0.01
-	default:
-		return 0
 	}
+	return 0
 }

@@ -177,7 +177,7 @@ func TestEngineCheckpointResumeGate(t *testing.T) {
 	evFirst, evSecond := splitEvents(events, records[split].Time)
 
 	for _, tech := range paperTechniques() {
-		for _, kind := range transform.AllKinds() {
+		for _, kind := range transform.PaperKinds() {
 			tech, kind := tech, kind
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
 				// Uninterrupted reference.

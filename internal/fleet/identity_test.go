@@ -56,7 +56,7 @@ func TestEngineMatchesSerialReplay(t *testing.T) {
 	var grid []identityCase
 	records, events := syntheticStream(2, 150)
 	for _, tech := range paperTechniques() {
-		for _, kind := range transform.AllKinds() {
+		for _, kind := range transform.PaperKinds() {
 			s := &identityStream{records, events, gridConfig(tech, kind, nil), 2, tech.name, kind.String()}
 			grid = append(grid, identityCase{fmt.Sprintf("%s_%s", tech.name, kind), s, 3, 16, 48})
 		}

@@ -215,7 +215,7 @@ func TestVehicleHandoffDrainGate(t *testing.T) {
 	evFirst, evSecond := splitEvents(events, records[split].Time)
 
 	for _, tech := range paperTechniques() {
-		for _, kind := range transform.AllKinds() {
+		for _, kind := range transform.PaperKinds() {
 			t.Run(fmt.Sprintf("%s_%s", tech.name, kind), func(t *testing.T) {
 				refTraces := newTraceSet()
 				refAlarms := replayAlarms(t, Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 3, batchSize: 16}, records, events)
@@ -333,7 +333,7 @@ func TestConcurrentMigrationIngest(t *testing.T) {
 	records, events := syntheticStream(vehicles, perVehicle)
 
 	tech := paperTechniques()[0] // closest-pair: cheap, alarm-dense
-	kind := transform.AllKinds()[0]
+	kind := transform.PaperKinds()[0]
 
 	refTraces := newTraceSet()
 	refAlarms := replayAlarms(t, Config{NewConfig: gridConfig(tech, kind, refTraces), Shards: 2, batchSize: 16}, records, events)

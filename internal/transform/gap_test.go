@@ -12,7 +12,7 @@ import (
 // to correlate across trip gaps: a window interrupted by a >45-minute
 // gap restarts instead of mixing two trips.
 func TestGapGuardResetsWindows(t *testing.T) {
-	for _, kind := range []Kind{Correlation, MeanAgg, Histogram, Spectral} {
+	for _, kind := range []Kind{Correlation, MeanAgg} {
 		tr, err := New(kind, 8)
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/navarchos/pdm/internal/dsp"
 	"github.com/navarchos/pdm/internal/mat"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
@@ -241,49 +240,16 @@ func (t *deltaTransformer) Reset() {
 	t.gap.reset()
 }
 
-// windowed is the tumbling window of raw records that the mean,
-// histogram and spectral transforms embed: it owns Collect, Ready,
-// Reset and the snapshot seam, and each embedding transform adds only
-// its Dim, FeatureNames and EmitInto. tag is the embedding transform's
-// snapshot payload tag.
-type windowed struct {
-	tag uint8
-	win *timeseries.Window
-	gap gapGuard
-}
-
-func newWindowed(tag uint8, window int) windowed {
-	return windowed{tag: tag, win: timeseries.NewWindow(window)}
-}
-
-func (w *windowed) Collect(r timeseries.Record) {
-	if w.gap.broken(r.Time) {
-		w.win.Reset()
-	}
-	w.win.Push(r)
-}
-
-func (w *windowed) Ready() bool { return w.win.Full() }
-
-func (w *windowed) Reset() {
-	w.win.Reset()
-	w.gap.reset()
-}
-
-// take returns the window's PID columns oldest-first and empties it for
-// the next tumbling window.
-func (w *windowed) take() [][]float64 {
-	cols := w.win.Columns()
-	w.win.Reset()
-	return cols
-}
-
 // meanTransformer emits per-PID means over tumbling windows (the same
 // windows as the correlation transform, per Section 3.2).
-type meanTransformer struct{ windowed }
+type meanTransformer struct {
+	window int
+	win    *timeseries.Window
+	gap    gapGuard
+}
 
 func newMeanAgg(window int) *meanTransformer {
-	return &meanTransformer{newWindowed(meanTag, window)}
+	return &meanTransformer{window: window, win: timeseries.NewWindow(window)}
 }
 
 func (t *meanTransformer) Name() string { return MeanAgg.String() }
@@ -298,94 +264,25 @@ func (t *meanTransformer) FeatureNames() []string {
 	return out
 }
 
+func (t *meanTransformer) Collect(r timeseries.Record) {
+	if t.gap.broken(r.Time) {
+		t.win.Reset()
+	}
+	t.win.Push(r)
+}
+
+func (t *meanTransformer) Ready() bool { return t.win.Full() }
+
+// EmitInto averages the window's PID columns and empties it for the
+// next tumbling window.
 func (t *meanTransformer) EmitInto(dst []float64) {
-	for i, col := range t.take() {
+	for i, col := range t.win.Columns() {
 		dst[i] = mat.Mean(col)
 	}
+	t.win.Reset()
 }
 
-// histTransformer emits, per tumbling window, a normalised occupancy
-// histogram of each PID over its physical envelope — the "histograms"
-// alternative of Section 3.1 and a step toward the paper's future-work
-// idea of discretising signals into artificial events.
-type histTransformer struct {
-	windowed
-	bins int
-}
-
-func newHistogram(window, bins int) *histTransformer {
-	return &histTransformer{windowed: newWindowed(histTag, window), bins: bins}
-}
-
-func (t *histTransformer) Name() string { return Histogram.String() }
-func (t *histTransformer) Dim() int     { return int(obd.NumPIDs) * t.bins }
-
-func (t *histTransformer) FeatureNames() []string {
-	names := obd.PIDNames()
-	out := make([]string, 0, t.Dim())
-	for _, n := range names {
-		for b := 0; b < t.bins; b++ {
-			out = append(out, fmt.Sprintf("hist(%s)[%d]", n, b))
-		}
-	}
-	return out
-}
-
-func (t *histTransformer) EmitInto(dst []float64) {
-	for p, col := range t.take() {
-		env := obd.Envelope(obd.PID(p))
-		counts := dst[p*t.bins : (p+1)*t.bins]
-		clear(counts)
-		for _, v := range col {
-			frac := (v - env.Min) / (env.Max - env.Min)
-			b := int(frac * float64(t.bins))
-			if b < 0 {
-				b = 0
-			}
-			if b >= t.bins {
-				b = t.bins - 1
-			}
-			counts[b]++
-		}
-		inv := 1 / float64(len(col))
-		for i := range counts {
-			counts[i] *= inv
-		}
-	}
-}
-
-// spectralTransformer emits, per tumbling window, normalised FFT band
-// energies of each PID — the frequency-domain alternative of
-// Section 3.1.
-type spectralTransformer struct {
-	windowed
-	bands int
-}
-
-func newSpectral(window, bands int) *spectralTransformer {
-	return &spectralTransformer{windowed: newWindowed(spectralTag, window), bands: bands}
-}
-
-func (t *spectralTransformer) Name() string { return Spectral.String() }
-func (t *spectralTransformer) Dim() int     { return int(obd.NumPIDs) * t.bands }
-
-func (t *spectralTransformer) FeatureNames() []string {
-	names := obd.PIDNames()
-	out := make([]string, 0, t.Dim())
-	for _, n := range names {
-		for b := 0; b < t.bands; b++ {
-			out = append(out, fmt.Sprintf("spec(%s)[%d]", n, b))
-		}
-	}
-	return out
-}
-
-func (t *spectralTransformer) EmitInto(dst []float64) {
-	for p, col := range t.take() {
-		be, err := dsp.BandEnergies(col, t.bands)
-		if err != nil {
-			be = make([]float64, t.bands)
-		}
-		copy(dst[p*t.bands:(p+1)*t.bands], be)
-	}
+func (t *meanTransformer) Reset() {
+	t.win.Reset()
+	t.gap.reset()
 }

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
@@ -14,15 +15,24 @@ import (
 var ErrBadSnapshot = errors.New("transform: malformed snapshot")
 
 // Per-kind payload tags: restoring a delta snapshot into a correlation
-// transformer must fail loudly, not bend state.
+// transformer must fail loudly, not bend state. Tags 5 and 6 were the
+// histogram and spectral transforms, since removed: they must never be
+// reused, so a snapshot one of them wrote fails to restore by name.
 const (
-	corrTag     = uint8(1)
-	rawTag      = uint8(2)
-	deltaTag    = uint8(3)
-	meanTag     = uint8(4)
-	histTag     = uint8(5)
-	spectralTag = uint8(6)
+	corrTag  = uint8(1)
+	rawTag   = uint8(2)
+	deltaTag = uint8(3)
+	meanTag  = uint8(4)
 )
+
+// checkTag reads a payload's tag and refuses one that is not want,
+// naming both.
+func checkTag(r *checkpoint.RBuf, want uint8) error {
+	if got := r.Uint8(); got != want {
+		return fmt.Errorf("%w: tag %d, want %d", ErrBadSnapshot, got, want)
+	}
+	return nil
+}
 
 // putTime serialises a wall-clock instant, keeping the zero time
 // distinguishable (time.Unix(0, 0) is 1970, not the zero time, and the
@@ -97,8 +107,8 @@ func (c *corrTransformer) Snapshot() ([]byte, error) {
 
 func (c *corrTransformer) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
-	if r.Uint8() != corrTag {
-		return ErrBadSnapshot
+	if err := checkTag(r, corrTag); err != nil {
+		return err
 	}
 	if r.Int() != c.window {
 		return ErrBadSnapshot // snapshot from a differently configured window
@@ -152,8 +162,8 @@ func (t *rawTransformer) Snapshot() ([]byte, error) {
 
 func (t *rawTransformer) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
-	if r.Uint8() != rawTag {
-		return ErrBadSnapshot
+	if err := checkTag(r, rawTag); err != nil {
+		return err
 	}
 	have := r.Bool()
 	var cur [obd.NumPIDs]float64
@@ -187,8 +197,8 @@ func (t *deltaTransformer) Snapshot() ([]byte, error) {
 
 func (t *deltaTransformer) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
-	if r.Uint8() != deltaTag {
-		return ErrBadSnapshot
+	if err := checkTag(r, deltaTag); err != nil {
+		return err
 	}
 	n := r.Int64()
 	pending := r.Bool()
@@ -214,13 +224,13 @@ func (t *deltaTransformer) Restore(data []byte) error {
 	return nil
 }
 
-// Snapshot writes the embedding transform's tag, the gap-guard clock
-// and the buffered records oldest-first.
-func (w *windowed) Snapshot() ([]byte, error) {
+// Snapshot writes the tag, the gap-guard clock, the record count and
+// the buffered records oldest-first.
+func (t *meanTransformer) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
-	b.Uint8(w.tag)
-	putTime(&b, w.gap.last)
-	recs := w.win.Records()
+	b.Uint8(meanTag)
+	putTime(&b, t.gap.last)
+	recs := t.win.Records()
 	b.Int(len(recs))
 	for _, rec := range recs {
 		putRecord(&b, rec)
@@ -230,18 +240,19 @@ func (w *windowed) Snapshot() ([]byte, error) {
 
 // Restore replays the buffered records into the emptied window; ring
 // rotation is not observable, so re-pushing oldest-first reproduces
-// identical behaviour.
-func (w *windowed) Restore(data []byte) error {
+// identical behaviour. A count the window cannot hold is refused before
+// anything is allocated for it.
+func (t *meanTransformer) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
-	if r.Uint8() != w.tag {
-		return ErrBadSnapshot
+	if err := checkTag(r, meanTag); err != nil {
+		return err
 	}
 	gapLast := getTime(r)
 	n := r.Int()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n < 0 {
+	if n < 0 || n > t.window {
 		return ErrBadSnapshot
 	}
 	recs := make([]timeseries.Record, n)
@@ -251,10 +262,10 @@ func (w *windowed) Restore(data []byte) error {
 	if err := r.Close(); err != nil {
 		return err
 	}
-	w.win.Reset()
+	t.win.Reset()
 	for _, rec := range recs {
-		w.win.Push(rec)
+		t.win.Push(rec)
 	}
-	w.gap.last = gapLast
+	t.gap.last = gapLast
 	return nil
 }

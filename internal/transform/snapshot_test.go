@@ -1,11 +1,15 @@
 package transform
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/mat"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
@@ -35,10 +39,10 @@ func emitAll(tr Transformer, records []timeseries.Record) [][]float64 {
 	return out
 }
 
-// TestSnapshotRoundTripAllKinds freezes each transformer mid-stream,
+// TestSnapshotRoundTripPaperKinds freezes each transformer mid-stream,
 // restores it into a fresh instance and verifies the restored one emits
 // bit-identical vectors for the remainder of the stream.
-func TestSnapshotRoundTripAllKinds(t *testing.T) {
+func TestSnapshotRoundTripPaperKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := time.Date(2023, 3, 1, 8, 0, 0, 0, time.UTC)
 	var records []timeseries.Record
@@ -52,7 +56,7 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 		records = append(records, randRecord(rng, base.Add(time.Duration(i)*time.Minute+gap)))
 	}
 
-	for _, kind := range AllKinds() {
+	for _, kind := range PaperKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			// Split at an index that leaves windowed transformers
@@ -98,7 +102,8 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 }
 
 // TestSnapshotRejectsWrongKind ensures payload tags keep a snapshot
-// from one transformer kind out of another.
+// from one transformer kind out of another, and that a snapshot that
+// does not fit the configuration is refused.
 func TestSnapshotRejectsWrongKind(t *testing.T) {
 	corr, _ := New(Correlation, 12)
 	delta, _ := New(Delta, 12)
@@ -120,6 +125,41 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 	}
 	if err := corr.Restore(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
+	}
+	// A mean snapshot holding more records than the window is refused,
+	// not silently cut down to the newest ones.
+	mean24, _ := New(MeanAgg, 24)
+	for i := 0; i < 20; i++ {
+		mean24.Collect(rec(i, valuesAt(float64(i))))
+	}
+	snap, err = mean24.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean12, _ := New(MeanAgg, 12)
+	if err := mean12.Restore(snap); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("window-12 mean restoring 20 records: err = %v, want ErrBadSnapshot", err)
+	}
+	// A hostile record count errors before anything is allocated for it.
+	var b checkpoint.Buf
+	b.Uint8(meanTag)
+	putTime(&b, time.Time{})
+	b.Int(1 << 50)
+	if err := mean12.Restore(b.Bytes()); err == nil {
+		t.Error("mean accepted a record count of 1<<50")
+	}
+	// Tags 5 and 6 were the removed histogram and spectral transforms,
+	// whose snapshots had the mean's layout: every kind refuses them by
+	// name.
+	for _, tag := range []uint8{5, 6} {
+		retired := append([]byte{tag}, snap[1:]...)
+		for _, kind := range PaperKinds() {
+			tr, _ := New(kind, 12)
+			err := tr.Restore(retired)
+			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("tag %d", tag)) {
+				t.Errorf("%v restoring tag %d: err = %v, want ErrBadSnapshot naming the tag", kind, tag, err)
+			}
+		}
 	}
 }
 

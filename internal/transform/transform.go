@@ -1,9 +1,8 @@
 // Package transform implements step 1 of the paper's framework: mapping
 // raw PID records into a feature space where failure-related behavioural
 // change is visible. It provides the four transformations the paper
-// evaluates — correlation, mean aggregation, delta and raw — plus the two
-// additional alternatives its Section 3.1 mentions (histograms and a
-// frequency-domain transformation), all behind one streaming interface.
+// evaluates — correlation, mean aggregation, delta and raw — behind one
+// streaming interface.
 package transform
 
 import (
@@ -27,7 +26,7 @@ import (
 // allocates only the vectors it retains in Ref.
 //
 // Snapshot serialises only the buffered state — ring contents, running
-// sums, gap-guard clock — never the configuration (kind, window, bins),
+// sums, gap-guard clock — never the configuration (kind, window),
 // which the owner reconstructs with New before calling Restore, so a
 // pipeline can be frozen mid-window and resumed bit-identically.
 //
@@ -65,8 +64,6 @@ const (
 	Raw
 	Delta
 	MeanAgg
-	Histogram
-	Spectral
 )
 
 // String implements fmt.Stringer.
@@ -80,10 +77,6 @@ func (k Kind) String() string {
 		return "delta"
 	case MeanAgg:
 		return "mean"
-	case Histogram:
-		return "histogram"
-	case Spectral:
-		return "spectral"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -93,16 +86,10 @@ func (k Kind) String() string {
 // Figures 4–7, in presentation order.
 func PaperKinds() []Kind { return []Kind{Correlation, Raw, MeanAgg, Delta} }
 
-// AllKinds returns every implemented transformation including the
-// future-work extensions.
-func AllKinds() []Kind {
-	return []Kind{Correlation, Raw, Delta, MeanAgg, Histogram, Spectral}
-}
-
 // New constructs a transformer of the given kind. window is the sliding
-// window length in records for the windowed kinds (correlation, mean,
-// histogram, spectral); it is ignored by raw and delta. A non-positive
-// window defaults to 60 (one driving hour at the fleet's 1/min rate).
+// window length in records for the windowed kinds (correlation and
+// mean); it is ignored by raw and delta. A non-positive window defaults
+// to 60 (one driving hour at the fleet's 1/min rate).
 func New(kind Kind, window int) (Transformer, error) {
 	if window <= 0 {
 		window = 60
@@ -116,10 +103,6 @@ func New(kind Kind, window int) (Transformer, error) {
 		return newDelta(), nil
 	case MeanAgg:
 		return newMeanAgg(window), nil
-	case Histogram:
-		return newHistogram(window, 5), nil
-	case Spectral:
-		return newSpectral(window, 4), nil
 	default:
 		return nil, fmt.Errorf("transform: unknown kind %d", int(kind))
 	}

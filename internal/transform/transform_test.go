@@ -42,7 +42,7 @@ func linkedRecord(i int, x float64) timeseries.Record {
 func TestKindStringsAndSets(t *testing.T) {
 	want := map[Kind]string{
 		Correlation: "correlation", Raw: "raw", Delta: "delta",
-		MeanAgg: "mean", Histogram: "histogram", Spectral: "spectral",
+		MeanAgg: "mean",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -55,9 +55,6 @@ func TestKindStringsAndSets(t *testing.T) {
 	if len(PaperKinds()) != 4 {
 		t.Error("PaperKinds should have 4 entries")
 	}
-	if len(AllKinds()) != 6 {
-		t.Error("AllKinds should have 6 entries")
-	}
 	if _, err := New(Kind(42), 10); err == nil {
 		t.Error("unknown kind should error")
 	}
@@ -66,7 +63,7 @@ func TestKindStringsAndSets(t *testing.T) {
 func TestAllTransformersContract(t *testing.T) {
 	// Every transformer must: have consistent Dim/FeatureNames, not be
 	// Ready before data, emit vectors of length Dim, and Reset cleanly.
-	for _, k := range AllKinds() {
+	for _, k := range PaperKinds() {
 		tr, err := New(k, 8)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -205,47 +202,5 @@ func TestMeanValues(t *testing.T) {
 	}
 	if x[obd.CoolantTemp] != 88 {
 		t.Errorf("mean coolant = %v, want 88", x[obd.CoolantTemp])
-	}
-}
-
-func TestHistogramValues(t *testing.T) {
-	tr, _ := New(Histogram, 10)
-	// All speed values at envelope minimum: first speed bin gets mass 1.
-	for i := 0; i < 10; i++ {
-		var v [obd.NumPIDs]float64
-		v[obd.Speed] = 0
-		v[obd.CoolantTemp] = 88
-		tr.Collect(rec(i, v))
-	}
-	x := emit(tr)
-	names := tr.FeatureNames()
-	var sum float64
-	for i, n := range names {
-		if n == "hist(speed)[0]" && x[i] != 1 {
-			t.Errorf("hist(speed)[0] = %v, want 1", x[i])
-		}
-		if len(n) >= 10 && n[:11] == "hist(speed)" {
-			sum += x[i]
-		}
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("speed histogram mass = %v, want 1", sum)
-	}
-}
-
-func TestSpectralShape(t *testing.T) {
-	tr, _ := New(Spectral, 32)
-	// Slow sinusoidal speed: low-band energy dominates.
-	for i := 0; i < 32; i++ {
-		var v [obd.NumPIDs]float64
-		v[obd.Speed] = 50 + 20*math.Sin(2*math.Pi*float64(i)/32)
-		tr.Collect(rec(i, v))
-	}
-	x := emit(tr)
-	names := tr.FeatureNames()
-	for i, n := range names {
-		if n == "spec(speed)[0]" && x[i] < 0.9 {
-			t.Errorf("spec(speed)[0] = %v, want ~1", x[i])
-		}
 	}
 }

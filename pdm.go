@@ -114,8 +114,6 @@ const (
 	Raw         = transform.Raw
 	Delta       = transform.Delta
 	MeanAgg     = transform.MeanAgg
-	Histogram   = transform.Histogram
-	Spectral    = transform.Spectral
 )
 
 // Reset policies.

@@ -65,7 +65,7 @@ func TestEndToEndDefaultPipeline(t *testing.T) {
 // TestPublicConstructors ensures every exported constructor produces a
 // working component.
 func TestPublicConstructors(t *testing.T) {
-	for _, kind := range []TransformKind{Correlation, Raw, Delta, MeanAgg, Histogram, Spectral} {
+	for _, kind := range []TransformKind{Correlation, Raw, Delta, MeanAgg} {
 		tr, err := NewTransformer(kind, 10)
 		if err != nil {
 			t.Fatalf("NewTransformer(%v): %v", kind, err)
