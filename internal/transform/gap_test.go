@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,31 +14,35 @@ import (
 // gap restarts instead of mixing two trips.
 func TestGapGuardResetsWindows(t *testing.T) {
 	for _, kind := range []Kind{Correlation, MeanAgg} {
-		tr, err := New(kind, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 7 records, one short of a full window.
-		for i := 0; i < 7; i++ {
-			tr.Collect(rec(i, valuesAt(float64(i))))
-		}
-		if tr.Ready() {
-			t.Fatalf("%v: ready with 7 of 8 records", kind)
-		}
-		// The 8th record arrives two hours later: the window must reset,
-		// so it is still not ready.
-		late := timeseries.Record{VehicleID: "v1", Time: base.Add(2 * time.Hour), Values: valuesAt(7)}
-		tr.Collect(late)
-		if tr.Ready() {
-			t.Errorf("%v: window bridged a 2-hour gap", kind)
-		}
-		// 7 more contiguous records after the gap complete a clean window.
-		for i := 1; i <= 7; i++ {
-			tr.Collect(timeseries.Record{VehicleID: "v1", Time: late.Time.Add(time.Duration(i) * time.Minute), Values: valuesAt(float64(i))})
-		}
-		if !tr.Ready() {
-			t.Errorf("%v: contiguous post-gap records should fill the window", kind)
-		}
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			tr, err := New(kind, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 7 records, one short of a full window.
+			for i := 0; i < 7; i++ {
+				tr.Collect(rec(i, valuesAt(float64(i))))
+			}
+			if tr.Ready() {
+				t.Fatal("ready with 7 of 8 records")
+			}
+			// The 8th record arrives two hours later: the window must
+			// reset, so it is still not ready.
+			late := timeseries.Record{VehicleID: "v1", Time: base.Add(2 * time.Hour), Values: valuesAt(7)}
+			tr.Collect(late)
+			if tr.Ready() {
+				t.Error("window bridged a 2-hour gap")
+			}
+			// 7 more contiguous records after the gap complete a clean
+			// window.
+			for i := 1; i <= 7; i++ {
+				tr.Collect(timeseries.Record{VehicleID: "v1", Time: late.Time.Add(time.Duration(i) * time.Minute), Values: valuesAt(float64(i))})
+			}
+			if !tr.Ready() {
+				t.Error("contiguous post-gap records should fill the window")
+			}
+		})
 	}
 }
 
@@ -69,20 +74,43 @@ func TestGapGuardResetsDelta(t *testing.T) {
 }
 
 // TestResetClearsGapState verifies Reset also forgets the last-seen
-// timestamp, so a fresh stream starting long after the old one is not
-// treated as a gap.
+// timestamp in every gap-guarded kind, so a fresh stream starting long
+// after the old one is not treated as a gap.
 func TestResetClearsGapState(t *testing.T) {
-	tr, _ := New(Correlation, 4)
-	tr.Collect(rec(0, valuesAt(1)))
-	tr.Reset()
-	// New stream 3 hours later: 4 contiguous records must fill.
-	start := base.Add(3 * time.Hour)
-	for i := 0; i < 4; i++ {
-		tr.Collect(timeseries.Record{VehicleID: "v1", Time: start.Add(time.Duration(i) * time.Minute), Values: valuesAt(float64(i))})
+	for _, kind := range []Kind{Correlation, MeanAgg, Delta} {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			tr, _ := New(kind, 4)
+			tr.Collect(rec(0, valuesAt(1)))
+			tr.Reset()
+			if last := gapClock(tr); !last.IsZero() {
+				t.Fatalf("gap clock after Reset = %v, want the zero time", last)
+			}
+			// New stream 3 hours later: 4 contiguous records must fill
+			// the window (delta needs two of them).
+			start := base.Add(3 * time.Hour)
+			for i := 0; i < 4; i++ {
+				tr.Collect(timeseries.Record{VehicleID: "v1", Time: start.Add(time.Duration(i) * time.Minute), Values: valuesAt(float64(i))})
+			}
+			if !tr.Ready() {
+				t.Error("post-Reset stream should fill the window without a phantom gap")
+			}
+		})
 	}
-	if !tr.Ready() {
-		t.Error("post-Reset stream should fill the window without a phantom gap")
+}
+
+// gapClock returns a gap-guarded transformer's last accepted record
+// time.
+func gapClock(tr Transformer) time.Time {
+	switch tr := tr.(type) {
+	case *corrTransformer:
+		return tr.gap.last
+	case *meanTransformer:
+		return tr.gap.last
+	case *deltaTransformer:
+		return tr.gap.last
 	}
+	panic(fmt.Sprintf("%T has no gap guard", tr))
 }
 
 func valuesAt(x float64) [obd.NumPIDs]float64 {

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -39,9 +40,10 @@ func emitAll(tr Transformer, records []timeseries.Record) [][]float64 {
 	return out
 }
 
-// TestSnapshotRoundTripPaperKinds freezes each transformer mid-stream,
-// restores it into a fresh instance and verifies the restored one emits
-// bit-identical vectors for the remainder of the stream.
+// TestSnapshotRoundTripPaperKinds freezes each transformer at several
+// points of the stream, restores it into a fresh instance and verifies
+// the restored one emits bit-identical vectors for the remainder of the
+// stream.
 func TestSnapshotRoundTripPaperKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := time.Date(2023, 3, 1, 8, 0, 0, 0, time.UTC)
@@ -56,111 +58,232 @@ func TestSnapshotRoundTripPaperKinds(t *testing.T) {
 		records = append(records, randRecord(rng, base.Add(time.Duration(i)*time.Minute+gap)))
 	}
 
+	// The window is 12. The splits freeze a transformer before any
+	// record, before its first window fills, mid-window (137 = 11×12 +
+	// 5), right after an emit (144 = 12×12) and just past the trip gap.
+	splits := []int{0, 5, 137, 144, 253}
 	for _, kind := range PaperKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			// Split at an index that leaves windowed transformers
-			// mid-window (window is 12; 137 = 11×12 + 5).
-			const split = 137
 			full, err := New(kind, 12)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantAll := emitAll(full, records)
-
-			first, err := New(kind, 12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := emitAll(first, records[:split])
-			snap, err := first.Snapshot()
-			if err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
-			second, err := New(kind, 12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := second.Restore(snap); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			got = append(got, emitAll(second, records[split:])...)
-
-			if len(got) != len(wantAll) {
-				t.Fatalf("emitted %d vectors, want %d", len(got), len(wantAll))
-			}
-			for i := range got {
-				for c := range got[i] {
-					if math.Float64bits(got[i][c]) != math.Float64bits(wantAll[i][c]) {
-						t.Fatalf("sample %d channel %d: resumed %v != uninterrupted %v",
-							i, c, got[i][c], wantAll[i][c])
+			for _, split := range splits {
+				split := split
+				t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
+					first, err := New(kind, 12)
+					if err != nil {
+						t.Fatal(err)
 					}
+					got := emitAll(first, records[:split])
+					snap, err := first.Snapshot()
+					if err != nil {
+						t.Fatalf("Snapshot: %v", err)
+					}
+					second, err := New(kind, 12)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := second.Restore(snap); err != nil {
+						t.Fatalf("Restore: %v", err)
+					}
+					got = append(got, emitAll(second, records[split:])...)
+
+					if len(got) != len(wantAll) {
+						t.Fatalf("emitted %d vectors, want %d", len(got), len(wantAll))
+					}
+					for i := range got {
+						for c := range got[i] {
+							if math.Float64bits(got[i][c]) != math.Float64bits(wantAll[i][c]) {
+								t.Fatalf("sample %d channel %d: resumed %v != uninterrupted %v",
+									i, c, got[i][c], wantAll[i][c])
+							}
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestSnapshotCanonical checks that restoring a snapshot and taking it
+// again gives back the same bytes, wherever in the stream it was taken:
+// a resumed vehicle checkpoints exactly as an uninterrupted one.
+func TestSnapshotCanonical(t *testing.T) {
+	for _, kind := range PaperKinds() {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, n := range []int{0, 1, 7, 12, 19, 31} {
+				snap := snapshotAfter(t, kind, 12, n)
+				tr, _ := New(kind, 12)
+				if err := tr.Restore(snap); err != nil {
+					t.Fatalf("after %d records: Restore: %v", n, err)
+				}
+				again, err := tr.Snapshot()
+				if err != nil {
+					t.Fatalf("after %d records: Snapshot: %v", n, err)
+				}
+				if !bytes.Equal(again, snap) {
+					t.Errorf("after %d records: re-snapshot differs from the restored snapshot", n)
 				}
 			}
 		})
 	}
 }
 
+// kindTag is each paper kind's snapshot payload tag.
+var kindTag = map[Kind]uint8{Correlation: corrTag, Raw: rawTag, Delta: deltaTag, MeanAgg: meanTag}
+
+// snapshotAfter snapshots a kind transformer after n records of a
+// contiguous stream, emitting whenever it is ready.
+func snapshotAfter(t *testing.T, kind Kind, window, n int) []byte {
+	t.Helper()
+	tr, err := New(kind, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		tr.Collect(rec(i, valuesAt(float64(i))))
+		if tr.Ready() && i%5 != 0 {
+			emit(tr) // every fifth ready record is left pending
+		}
+	}
+	snap, err := tr.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	return snap
+}
+
 // TestSnapshotRejectsWrongKind ensures payload tags keep a snapshot
 // from one transformer kind out of another, and that a snapshot that
 // does not fit the configuration is refused.
 func TestSnapshotRejectsWrongKind(t *testing.T) {
-	corr, _ := New(Correlation, 12)
-	delta, _ := New(Delta, 12)
-	snap, err := corr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := delta.Restore(snap); err == nil {
-		t.Fatal("delta transformer accepted a correlation snapshot")
-	}
+	t.Run("cross-kind", func(t *testing.T) {
+		for _, from := range PaperKinds() {
+			snap := snapshotAfter(t, from, 12, 20)
+			for _, into := range PaperKinds() {
+				if into == from {
+					continue
+				}
+				from, into := from, into
+				t.Run(fmt.Sprintf("%s_into_%s", from, into), func(t *testing.T) {
+					tr, _ := New(into, 12)
+					err := tr.Restore(snap)
+					want := fmt.Sprintf("tag %d, want %d", kindTag[from], kindTag[into])
+					if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+						t.Errorf("err = %v, want ErrBadSnapshot naming %q", err, want)
+					}
+				})
+			}
+		}
+	})
 	// A different window is a different configuration: refuse too.
-	corr24, _ := New(Correlation, 24)
-	if err := corr24.Restore(snap); err == nil {
-		t.Fatal("window-24 correlation accepted a window-12 snapshot")
-	}
-	// Corrupt payloads must error, never panic.
-	if err := corr.Restore(snap[:len(snap)/2]); err == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-	if err := corr.Restore(nil); err == nil {
-		t.Fatal("nil snapshot accepted")
-	}
-	// A mean snapshot holding more records than the window is refused,
-	// not silently cut down to the newest ones.
-	mean24, _ := New(MeanAgg, 24)
-	for i := 0; i < 20; i++ {
-		mean24.Collect(rec(i, valuesAt(float64(i))))
-	}
-	snap, err = mean24.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean12, _ := New(MeanAgg, 12)
-	if err := mean12.Restore(snap); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("window-12 mean restoring 20 records: err = %v, want ErrBadSnapshot", err)
-	}
-	// A hostile record count errors before anything is allocated for it.
-	var b checkpoint.Buf
-	b.Uint8(meanTag)
-	putTime(&b, time.Time{})
-	b.Int(1 << 50)
-	if err := mean12.Restore(b.Bytes()); err == nil {
-		t.Error("mean accepted a record count of 1<<50")
-	}
+	t.Run("window", func(t *testing.T) {
+		t.Run("correlation", func(t *testing.T) {
+			corr24, _ := New(Correlation, 24)
+			if err := corr24.Restore(snapshotAfter(t, Correlation, 12, 5)); err == nil {
+				t.Fatal("window-24 correlation accepted a window-12 snapshot")
+			}
+		})
+		// A mean snapshot holding more records than the window is
+		// refused, not silently cut down to the newest ones.
+		t.Run("mean", func(t *testing.T) {
+			mean12, _ := New(MeanAgg, 12)
+			err := mean12.Restore(snapshotAfter(t, MeanAgg, 24, 20))
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("window-12 mean restoring 20 records: err = %v, want ErrBadSnapshot", err)
+			}
+		})
+	})
+	// Corrupt payloads must error, never panic: every strict prefix of
+	// a snapshot, nil, and a snapshot with a trailing byte.
+	t.Run("corrupt", func(t *testing.T) {
+		for _, kind := range PaperKinds() {
+			kind := kind
+			t.Run(kind.String(), func(t *testing.T) {
+				snap := snapshotAfter(t, kind, 12, 17)
+				tr, _ := New(kind, 12)
+				for n := 0; n < len(snap); n++ {
+					if err := tr.Restore(snap[:n]); err == nil {
+						t.Fatalf("%d-byte prefix of a %d-byte snapshot accepted", n, len(snap))
+					}
+				}
+				if err := tr.Restore(nil); err == nil {
+					t.Error("nil snapshot accepted")
+				}
+				if err := tr.Restore(append(snap[:len(snap):len(snap)], 0)); err == nil {
+					t.Error("snapshot with a trailing byte accepted")
+				}
+			})
+		}
+	})
+	// A hostile record count errors before anything is allocated for
+	// it.
+	t.Run("hostile-count", func(t *testing.T) {
+		t.Run("mean", func(t *testing.T) {
+			var b checkpoint.Buf
+			b.Uint8(meanTag)
+			putTime(&b, time.Time{})
+			b.Int(1 << 50)
+			mean12, _ := New(MeanAgg, 12)
+			if err := mean12.Restore(b.Bytes()); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("mean restoring a record count of 1<<50: err = %v, want ErrBadSnapshot", err)
+			}
+		})
+		t.Run("correlation", func(t *testing.T) {
+			var b checkpoint.Buf
+			b.Uint8(corrTag)
+			b.Int(12)
+			b.Int(1 << 50)
+			putTime(&b, time.Time{})
+			for i := 0; i < 2*int(obd.NumPIDs)+int(obd.NumPIDs)*(int(obd.NumPIDs)+1)/2; i++ {
+				b.Float64(0) // shift, sum and the upper triangle of prod
+			}
+			corr12, _ := New(Correlation, 12)
+			if err := corr12.Restore(b.Bytes()); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("correlation restoring a ring count of 1<<50: err = %v, want ErrBadSnapshot", err)
+			}
+		})
+		t.Run("delta", func(t *testing.T) {
+			var b checkpoint.Buf
+			b.Uint8(deltaTag)
+			b.Int64(-1)
+			b.Bool(false)
+			putTime(&b, time.Time{})
+			for i := 0; i < 2*int(obd.NumPIDs); i++ {
+				b.Float64(0) // prev and cur
+			}
+			delta, _ := New(Delta, 0)
+			if err := delta.Restore(b.Bytes()); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("delta restoring a sample count of -1: err = %v, want ErrBadSnapshot", err)
+			}
+		})
+	})
 	// Tags 5 and 6 were the removed histogram and spectral transforms,
 	// whose snapshots had the mean's layout: every kind refuses them by
 	// name.
-	for _, tag := range []uint8{5, 6} {
-		retired := append([]byte{tag}, snap[1:]...)
-		for _, kind := range PaperKinds() {
-			tr, _ := New(kind, 12)
-			err := tr.Restore(retired)
-			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("tag %d", tag)) {
-				t.Errorf("%v restoring tag %d: err = %v, want ErrBadSnapshot naming the tag", kind, tag, err)
-			}
+	t.Run("retired-tag", func(t *testing.T) {
+		snap := snapshotAfter(t, MeanAgg, 12, 9)
+		for _, tag := range []uint8{5, 6} {
+			tag := tag
+			retired := append([]byte{tag}, snap[1:]...)
+			t.Run(fmt.Sprintf("tag=%d", tag), func(t *testing.T) {
+				for _, kind := range PaperKinds() {
+					kind := kind
+					t.Run(kind.String(), func(t *testing.T) {
+						tr, _ := New(kind, 12)
+						err := tr.Restore(retired)
+						if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("tag %d", tag)) {
+							t.Errorf("err = %v, want ErrBadSnapshot naming tag %d", err, tag)
+						}
+					})
+				}
+			})
 		}
-	}
+	})
 }
 
 // TestCorrSlidingOverflowMatchesTwoPass is the property test for the

@@ -39,15 +39,36 @@ func linkedRecord(i int, x float64) timeseries.Record {
 	return rec(i, v)
 }
 
+// TestKindStringsAndSets pins each paper kind's name and Kind value:
+// the values are stored in checkpoints and encoded on the wire, so
+// they must never change.
 func TestKindStringsAndSets(t *testing.T) {
-	want := map[Kind]string{
-		Correlation: "correlation", Raw: "raw", Delta: "delta",
-		MeanAgg: "mean",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)
-		}
+	for _, c := range []struct {
+		kind  Kind
+		value int
+		name  string
+	}{
+		{Correlation, 0, "correlation"},
+		{Raw, 1, "raw"},
+		{Delta, 2, "delta"},
+		{MeanAgg, 3, "mean"},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			if int(c.kind) != c.value {
+				t.Errorf("Kind value = %d, want %d", int(c.kind), c.value)
+			}
+			if c.kind.String() != c.name {
+				t.Errorf("String() = %q, want %q", c.kind.String(), c.name)
+			}
+			tr, err := New(c.kind, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Name() != c.name {
+				t.Errorf("Name() = %q, want %q", tr.Name(), c.name)
+			}
+		})
 	}
 	if Kind(42).String() != "Kind(42)" {
 		t.Error("unknown kind string wrong")
@@ -64,37 +85,40 @@ func TestAllTransformersContract(t *testing.T) {
 	// Every transformer must: have consistent Dim/FeatureNames, not be
 	// Ready before data, emit vectors of length Dim, and Reset cleanly.
 	for _, k := range PaperKinds() {
-		tr, err := New(k, 8)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if tr.Name() != k.String() {
-			t.Errorf("%v: Name = %q", k, tr.Name())
-		}
-		if got := len(tr.FeatureNames()); got != tr.Dim() {
-			t.Errorf("%v: %d feature names for Dim %d", k, got, tr.Dim())
-		}
-		if tr.Ready() {
-			t.Errorf("%v: Ready before any data", k)
-		}
-		for i := 0; i < 20; i++ {
-			tr.Collect(linkedRecord(i, float64(i%10)))
+		k := k
+		t.Run(k.String(), func(t *testing.T) {
+			tr, err := New(k, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Name() != k.String() {
+				t.Errorf("Name = %q", tr.Name())
+			}
+			if got := len(tr.FeatureNames()); got != tr.Dim() {
+				t.Errorf("%d feature names for Dim %d", got, tr.Dim())
+			}
 			if tr.Ready() {
-				x := emit(tr)
-				if len(x) != tr.Dim() {
-					t.Fatalf("%v: Emit len %d, want %d", k, len(x), tr.Dim())
-				}
-				for j, v := range x {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("%v: feature %d is %v", k, j, v)
+				t.Error("Ready before any data")
+			}
+			for i := 0; i < 20; i++ {
+				tr.Collect(linkedRecord(i, float64(i%10)))
+				if tr.Ready() {
+					x := emit(tr)
+					if len(x) != tr.Dim() {
+						t.Fatalf("Emit len %d, want %d", len(x), tr.Dim())
+					}
+					for j, v := range x {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("feature %d is %v", j, v)
+						}
 					}
 				}
 			}
-		}
-		tr.Reset()
-		if tr.Ready() {
-			t.Errorf("%v: Ready after Reset", k)
-		}
+			tr.Reset()
+			if tr.Ready() {
+				t.Error("Ready after Reset")
+			}
+		})
 	}
 }
 
