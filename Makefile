@@ -133,13 +133,16 @@ resume-gate:
 ## cell — fed by Replay, and observed and fed through the traced batch
 ## path — and over the HTTP handoff wire path) must reproduce the
 ## single-engine replay's alarms Float64bits-identically, with ingest
-## during the move refused via the typed 409, never dropped. The
+## during the move refused via the typed 409, never dropped. Serve's
+## rows run by name: the HTTP drain, adoption against the ring, and a
+## handoff whose reply is lost, which must leave the vehicle live on
+## one instance and the journals whole once the drain is re-issued. The
 ## whole-engine checkpoint is built from the same per-vehicle codec the
 ## handoff uses; its half of that one serialization path is
 ## resume-gate's to pin, not re-run here.
 drain-gate:
 	$(call named,./internal/fleet/,TestVehicleHandoffDrainGate|TestConcurrentMigrationIngest)
-	$(call named,./cmd/navarchos-serve/,TestServeDrainHandoff|TestServeAdoptionOverridesRing)
+	$(call named-rows,./cmd/navarchos-serve/,TestServeScenarios/drain-handoff TestServeScenarios/adoption-overrides-ring TestServeScenarios/lost-response-peer-unreachable)
 
 ## kernel-oracles: the SIMD kernels against their scalar references, by
 ## name — the exp lanes against math.Exp and against a transcription of

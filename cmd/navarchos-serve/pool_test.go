@@ -273,7 +273,7 @@ func TestIngestConcurrentPosters(t *testing.T) {
 		sv.eng.Flush()
 		sv.eng.VehicleIDs() // barrier: every alarm is journaled
 	}
-	got, want := journalKeys(t, s), journalKeys(t, sref)
+	got, want := journalKeys(s), journalKeys(sref)
 	if len(want) == 0 {
 		t.Fatal("the replay raised no alarms; the gate is vacuous")
 	}

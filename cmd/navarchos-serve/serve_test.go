@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,22 +20,6 @@ import (
 	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/wire"
 )
-
-// testServer builds a 2-shard server with the fleet tests' sensitive
-// threshold factor so the synthetic fleet raises journaled alarms.
-func testServer(t *testing.T) (*server, *httptest.Server) {
-	t.Helper()
-	s, err := newServer(serverConfig{shards: 2, factor: 4, journalCap: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.mux)
-	t.Cleanup(func() {
-		ts.Close()
-		s.close() //nolint:errcheck // engine already exercised
-	})
-	return s, ts
-}
 
 // testFleet is the six-vehicle, 120-day synthetic fleet the end-to-end
 // tests upload: small enough to ingest in milliseconds, failing enough
@@ -80,7 +63,7 @@ func postBody(t *testing.T, url, contentType string, body []byte) (*http.Respons
 // alarms queryable fleet-wide and per vehicle, and show up in the
 // ingest metrics exposition.
 func TestServeWireIngestEndToEnd(t *testing.T) {
-	s, ts := testServer(t)
+	s, ts := namedServer(t, "", nil)
 	frames, nframes, nrecs, nevs := testFleetFrames(t)
 
 	resp, body := postBody(t, ts.URL+"/ingest", "application/octet-stream", frames)
@@ -176,7 +159,7 @@ func postGet(t *testing.T, url string) (*http.Response, []byte) {
 // request body. There is no second binary route: POST /ingest/stream
 // is 404.
 func TestServeStreamEndpoint(t *testing.T) {
-	s, ts := testServer(t)
+	s, ts := namedServer(t, "", nil)
 	frames, nframes, nrecs, _ := testFleetFrames(t)
 	// A reader that is not a *bytes.Reader gives the client no length,
 	// so the body goes out with Transfer-Encoding: chunked.
@@ -251,7 +234,7 @@ func TestServeStopCutsHeldOpenIngest(t *testing.T) {
 	go post("/ingest", body)
 	send := func(minute int) {
 		t.Helper()
-		if _, err := feed.Write(singleRecordFrame("veh-held", base, minute)); err != nil {
+		if _, err := feed.Write(recordFrame(base, minute, "veh-held")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +297,7 @@ func TestServeStopCutsHeldOpenIngest(t *testing.T) {
 // is refused with 400, counted in pdm_ingest_rejects_total, and admits
 // nothing downstream of the broken frame.
 func TestServeRejectsCorruptUpload(t *testing.T) {
-	_, ts := testServer(t)
+	_, ts := namedServer(t, "", nil)
 	frames, _, _, _ := testFleetFrames(t)
 	corrupt := append([]byte(nil), frames...)
 	corrupt[wire.HeaderSize+3] ^= 0xff // payload flip: CRC mismatch on frame 1
@@ -341,7 +324,7 @@ func TestServeRejectsCorruptUpload(t *testing.T) {
 // TestServeTextFormats exercises the CSV and JSON compatibility
 // decoders through the Content-Type switch.
 func TestServeTextFormats(t *testing.T) {
-	s, ts := testServer(t)
+	s, ts := namedServer(t, "", nil)
 	csv := "vehicle,time,rpm,speed,coolantTemp,intakeTemp,mapIntake,MAFairFlowRate\n" +
 		"veh-csv,2023-05-01T10:00:00Z,1500,60,88,25,95,14\n" +
 		"veh-csv,2023-05-01T10:01:00Z,1520,61,88.5,25,96,14.2\n"

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"slices"
@@ -65,11 +66,9 @@ type server struct {
 	batchSeq atomic.Uint64
 
 	// decoders holds the NVWIRE1 decoders between binary ingest
-	// requests, so a POST reuses a warm read buffer, payload buffer,
-	// batch and vehicle-ID intern table instead of rebuilding them. A
-	// pool rather than per-connection state because a request is the
-	// unit that needs one (a keep-alive connection has one in flight)
-	// and tests drive the mux with no connection at all.
+	// requests, so a POST reuses warm buffers, batch and vehicle-ID
+	// intern table. A pool, not per-connection state: a request is the
+	// unit that needs one, and tests drive the mux with no connection.
 	decoders sync.Pool
 
 	// Placement: this instance's name, its peers, and the consistent
@@ -83,16 +82,15 @@ type server struct {
 	// override is the one table of vehicles whose placement a handoff
 	// has pinned against the ring's default, one entry per vehicle: ""
 	// means adopted here although the ring places it on a peer, so its
-	// ingest stays local instead of being refused as misrouted (which
-	// would leave a drained vehicle bounced between the origin's fence
-	// and the adoptee's router forever); a peer base URL means drained
-	// away to that peer, so a later 409 for the vehicle can point the
-	// producer at the adoptee. Each handoff overwrites the vehicle's
-	// entry — adopting a vehicle back drops its drain hint, draining an
-	// adopted vehicle away drops its adoption — and a vehicle that is
-	// merely cordoned never has one.
+	// ingest stays local instead of bouncing between the origin's fence
+	// and the adoptee's router; a peer base URL means drained away to
+	// that peer, the hint a later 409 for the vehicle carries. held keeps
+	// the state of a vehicle whose handoff to its override's peer has an
+	// unknown outcome (see unconfirmed). Each handoff overwrites both; a
+	// vehicle that is merely cordoned has neither.
 	overrideMu sync.Mutex
 	override   map[string]string
+	held       map[string]fleet.VehicleState
 
 	// conns counts HTTP connections from accept to close, for stop.
 	conns sync.WaitGroup
@@ -122,10 +120,14 @@ func (s *server) stop(ctx context.Context, srv *http.Server) error {
 }
 
 // setOverride records where a handoff left a vehicle: dest is "" for
-// adopted here, or the peer it was drained to. An adoption the ring
-// agrees with needs no entry.
-func (s *server) setOverride(id, dest string) {
+// adopted here, or the peer it was drained (or, with hold set, is being
+// drained) to. An adoption the ring agrees with needs no entry.
+func (s *server) setOverride(id, dest string, hold *fleet.VehicleState) {
 	s.overrideMu.Lock()
+	delete(s.held, id)
+	if hold != nil {
+		s.held[id] = *hold
+	}
 	if dest == "" && s.ring.Owner(id) == s.name {
 		delete(s.override, id)
 	} else {
@@ -134,21 +136,18 @@ func (s *server) setOverride(id, dest string) {
 	s.overrideMu.Unlock()
 }
 
-// overrideFor returns a vehicle's override entry. It is consulted only
-// on a ring mismatch or a migrating refusal, so the lock is off the
-// common ingest path.
+// overrideFor returns a vehicle's override entry, "" for a held one:
+// its ingest meets the fence here, with no peer hint. It is consulted
+// only on a ring mismatch or a migrating refusal, so the lock is off
+// the common ingest path.
 func (s *server) overrideFor(id string) (dest string, ok bool) {
 	s.overrideMu.Lock()
 	dest, ok = s.override[id]
+	if _, held := s.held[id]; held {
+		dest = ""
+	}
 	s.overrideMu.Unlock()
 	return dest, ok
-}
-
-// isAdopted reports whether id was handed to this instance despite a
-// peer owning it on the ring.
-func (s *server) isAdopted(id string) bool {
-	dest, ok := s.overrideFor(id)
-	return ok && dest == ""
 }
 
 // newServer builds the engine with the paper's complete solution per
@@ -216,6 +215,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		ring:     ring,
 		client:   &http.Client{Timeout: 30 * time.Second},
 		override: make(map[string]string),
+		held:     make(map[string]fleet.VehicleState),
 		decoders: sync.Pool{New: func() any { return &wire.Decoder{MaxFrameBytes: int(cfg.maxBody)} }},
 	}
 	// The journal captures every alarm with full context via the
@@ -246,7 +246,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.mux.HandleFunc("GET /vehicles/{id}", s.handleVehicle)
 	s.mux.HandleFunc("POST /admin/cordon", s.handleAdminCordon)
 	s.mux.HandleFunc("POST /admin/drain", s.handleAdminDrain)
-	s.mux.HandleFunc("GET /admin/placement", s.handleAdminPlacement)
+	s.mux.HandleFunc("GET /admin/placement", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, s.placementView()) })
 	s.mux.HandleFunc("GET /admin/events", s.handleAdminEvents)
 	return s, nil
 }
@@ -294,11 +294,8 @@ type unavailableResponse struct {
 
 // writeUnavailable sends the typed 409: the producer should wait
 // RetryAfter (or re-resolve placement to Peer) and resend exactly the
-// refused vehicles — batch admission is all-or-nothing per vehicle, so
-// the retry cannot duplicate records. The Peer hint is attached only
-// for a vehicle this instance actually drained away (state
-// "migrating" with a recorded destination); a plain cordon has no
-// peer to point at.
+// refused vehicles, which admission refused all-or-nothing. A
+// "migrating" vehicle gets its recorded drain target as Peer.
 func (s *server) writeUnavailable(w http.ResponseWriter, resp unavailableResponse) {
 	resp.RetryAfter = 1
 	if resp.Peer == "" && resp.State == fleet.StateMigrating {
@@ -310,8 +307,7 @@ func (s *server) writeUnavailable(w http.ResponseWriter, resp unavailableRespons
 	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
 }
 
-// misroute records items refused because their ring owner is another
-// instance.
+// misroute records items refused because a peer owns them on the ring.
 type misroute struct {
 	vehicle string
 	owner   string
@@ -322,19 +318,22 @@ type misroute struct {
 func (s *server) routed() bool { return len(s.peers) > 0 }
 
 // filterOwned drops items whose ring owner is a peer, in place,
-// counting them into mis. Per-vehicle all-or-nothing holds trivially:
-// ownership is a pure function of the vehicle ID, so either every one
-// of a vehicle's items passes or none does.
+// counting them into mis. Ownership is a function of the vehicle ID, so
+// either every one of a vehicle's items passes or none does.
 func (s *server) filterOwned(b *wire.Batch, mis *misroute) {
 	b.Records = slices.DeleteFunc(b.Records, func(r timeseries.Record) bool { return s.misrouted(r.VehicleID, mis) })
 	b.Events = slices.DeleteFunc(b.Events, func(ev obd.Event) bool { return s.misrouted(ev.VehicleID, mis) })
 }
 
-// misrouted reports whether a peer owns vehicle id and has not handed
-// it here, counting the item into mis if so.
+// misrouted reports whether a peer owns vehicle id and no override
+// entry places it elsewhere, counting the item into mis if so. One
+// drained to a non-owner meets its migrating fence, hinting that peer.
 func (s *server) misrouted(id string, mis *misroute) bool {
 	owner := s.ring.Owner(id)
-	if owner == s.name || s.isAdopted(id) {
+	if owner == s.name {
+		return false
+	}
+	if dest, ok := s.overrideFor(id); ok && dest != s.peers[owner] {
 		return false
 	}
 	mis.refused++
@@ -344,35 +343,27 @@ func (s *server) misrouted(id string, mis *misroute) bool {
 	return true
 }
 
-// handleIngest admits telemetry. The decoder is chosen by Content-Type
-// — NVWIRE1 binary by default, text/csv and application/json for
-// interoperability — and every format delivers through the same
-// FrameSink into Engine.IngestBatch. Producers must upload each
-// vehicle's telemetry in chronological order (the engine's ordering
-// contract); batches themselves may interleave vehicles freely.
-//
-// A binary body is a (possibly chunked) frame stream, each frame
-// admitted as it completes, so a producer can trickle frames over a
-// held-open connection. A peer's drain delivers vehicle-handoff frames
-// the same way, adopted before the next telemetry frame decodes. The
-// decoder comes from s.decoders and goes back on every exit path with
-// its handoff sink cleared, so a parked decoder references neither this
-// request's response nor — DecodeStream drops the reader and any
-// oversized frame buffer when it returns — its body.
+// handleIngest admits telemetry, decoded by Content-Type (NVWIRE1 by
+// default, text/csv, application/json) into one FrameSink. Each
+// vehicle's telemetry must arrive in chronological order; batches may
+// interleave vehicles. A binary body is a (possibly chunked) frame
+// stream admitted frame by frame, with a peer's vehicle-handoff frames
+// adopted in line. The pooled decoder goes back with its handoff sink
+// cleared, so it references neither this response nor (DecodeStream
+// drops the reader and any oversized buffer) the body.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = strings.TrimSpace(ct[:i])
 	}
 	switch ct {
-	case "text/csv":
+	case "text/csv", "application/json":
 		s.decodeAndAdmit(w, r, func(body io.Reader, sink wire.FrameSink, _ *ingestResponse) error {
-			_, err := wire.DecodeCSV(body, 0, sink)
-			return err
-		})
-	case "application/json":
-		s.decodeAndAdmit(w, r, func(body io.Reader, sink wire.FrameSink, _ *ingestResponse) error {
-			_, err := wire.DecodeJSON(body, 0, sink)
+			decode := wire.DecodeJSON
+			if ct == "text/csv" {
+				decode = wire.DecodeCSV
+			}
+			_, err := decode(body, 0, sink)
 			return err
 		})
 	default: // NVWIRE1 binary
@@ -394,7 +385,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				}
 				// A vehicle handed back after an earlier drain away lives
 				// here again: its old drain hint is overwritten.
-				s.setOverride(vs.ID, "")
+				s.setOverride(vs.ID, "", nil)
 				s.events.Record(obs.ControlEvent{Kind: obs.EventAdopt, Engine: s.name, VehicleID: vs.ID})
 				resp.Handoffs++
 				return nil
@@ -407,13 +398,9 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // decodeAndAdmit runs one decoder over the request body, counting
 // outcomes into the ingest metrics and flushing the engine so admitted
-// records become visible to /fleet and /alarms promptly.
-//
-// Engine-level refusals map to typed statuses rather than silent drops:
-// a cordoned or mid-handoff vehicle is 409 Conflict with a Retry-After
-// hint (retry the refused vehicles verbatim — admission is all-or-
-// nothing per vehicle), a closed engine is 503, and everything the
-// decoder itself rejects stays 400.
+// records reach /fleet and /alarms promptly. Refusals are typed, never
+// silent drops: a cordoned or mid-handoff vehicle is the 409 with
+// Retry-After, a closed engine 503, and what the decoder rejects 400.
 func (s *server) decodeAndAdmit(w http.ResponseWriter, r *http.Request,
 	decode func(io.Reader, wire.FrameSink, *ingestResponse) error) {
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.maxBody)}
@@ -432,11 +419,7 @@ func (s *server) decodeAndAdmit(w http.ResponseWriter, r *http.Request,
 		if resp.Frames > 0 {
 			arrival = time.Now()
 		}
-		bc := &obs.BatchCtx{
-			BatchID: s.batchSeq.Add(1),
-			TraceID: b.TraceID,
-			Arrival: arrival,
-		}
+		bc := &obs.BatchCtx{BatchID: s.batchSeq.Add(1), TraceID: b.TraceID, Arrival: arrival}
 		if err := s.eng.IngestBatchCtx(b.Records, b.Events, bc); err != nil {
 			engineErr = err
 			return err
@@ -567,29 +550,30 @@ type drainResponse struct {
 }
 
 // handleAdminDrain moves vehicles to a peer (POST /admin/drain?to=URL,
-// optionally ?vehicle=ID for a single vehicle; default all residents).
-// The handoff is transactional per vehicle: each vehicle is extracted
-// at a batch boundary and shipped as its own single-frame POST to the
-// peer's /ingest (ship), so one request never carries more
-// than one vehicle's state and the peer's -max-body bounds a frame,
-// not the whole fleet. Only a peer-confirmed adoption counts as moved
-// — an unconfirmed vehicle is re-adopted locally before the drain
-// aborts, so at every instant each vehicle is live on exactly one
-// instance. Vehicles confirmed before a mid-drain failure stay moved
-// (the response says how many); re-issuing the drain resumes with the
-// rest. Moved vehicles stay fenced here ("migrating") and later
-// ingest for them 409s with the recorded peer hint.
+// optionally ?vehicle=ID; default all residents and those held for that
+// peer), each extracted at a batch boundary and shipped as its own
+// single-frame POST to the peer's /ingest, so -max-body bounds a frame.
+// Only a peer-confirmed adoption counts as moved; the drain aborts at
+// the first unconfirmed vehicle, so no vehicle is live on two
+// instances, and re-issuing it resumes with the rest. Moved vehicles
+// stay fenced here ("migrating"), their 409s carrying the peer.
 func (s *server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	to := strings.TrimRight(r.URL.Query().Get("to"), "/")
-	if to == "" {
-		http.Error(w, "missing ?to=", http.StatusBadRequest)
+	if !strings.HasPrefix(to, "http://") && !strings.HasPrefix(to, "https://") {
+		http.Error(w, "?to= must be a peer's http(s) base URL", http.StatusBadRequest)
 		return
 	}
-	var ids []string
-	if v := r.URL.Query().Get("vehicle"); v != "" {
-		ids = []string{v}
-	} else {
+	s.overrideMu.Lock()
+	held := maps.Clone(s.held)
+	maps.DeleteFunc(held, func(id string, _ fleet.VehicleState) bool { return s.override[id] != to })
+	s.overrideMu.Unlock()
+	ids := []string{r.URL.Query().Get("vehicle")}
+	if ids[0] == "" {
 		ids = s.eng.VehicleIDs()
+		for id := range held {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
 	}
 
 	var names []string
@@ -598,7 +582,11 @@ func (s *server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		vs, err := s.eng.ExtractVehicle(id)
+		vs, resend := held[id]
+		var err error
+		if !resend {
+			vs, err = s.eng.ExtractVehicle(id)
+		}
 		if errors.Is(err, fleet.ErrUnknownVehicle) {
 			// Placed here but never materialised — nothing to move, and
 			// an operator fence set via /admin/cordon stays put (the
@@ -611,14 +599,14 @@ func (s *server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 		}
 		s.events.Record(obs.ControlEvent{Kind: obs.EventDrainStart, Engine: s.name,
 			Peer: to, VehicleID: id})
-		if status, err := s.ship(to, vs); err != nil {
+		if status, err := s.ship(to, vs, resend); err != nil {
 			s.events.Record(obs.ControlEvent{Kind: obs.EventDrainAbort, Engine: s.name,
 				Peer: to, VehicleID: id, Detail: err.Error()})
 			fail(status, err)
 			return
 		}
 		s.ctrl.ObserveHandoff(time.Since(start))
-		s.setOverride(id, to)
+		s.setOverride(id, to, nil)
 		s.events.Record(obs.ControlEvent{Kind: obs.EventDrainFinish, Engine: s.name,
 			Peer: to, VehicleID: id, DurationS: time.Since(start).Seconds()})
 		names = append(names, id)
@@ -627,54 +615,66 @@ func (s *server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, drainResponse{Moved: len(names), Vehicles: names, To: to})
 }
 
-// ship delivers one extracted vehicle to the peer as a single
-// KindHandoff frame and returns nil only when the peer confirmed the
-// adoption (2xx with handoffs == 1 in its ingestResponse). Every
-// unconfirmed outcome re-adopts the state locally before returning,
-// with two exceptions that would otherwise leave the vehicle live on
-// both instances at once:
-//
-//   - the peer answered 409 — it already serves a live handler for
-//     the vehicle, so the peer's copy wins and the local state stays
-//     fenced (re-adopting here would be the split-brain the handoff
-//     design exists to prevent); the 409 hint is pointed at the peer;
-//   - the POST failed in transport, so the confirmation may have been
-//     lost rather than the delivery: the peer's placement is
-//     consulted, and if the vehicle is resident there the handoff is
-//     treated as confirmed.
-func (s *server) ship(to string, vs fleet.VehicleState) (int, error) {
-	frame, err := wire.AppendHandoff(nil, vs.Encode())
-	if err != nil {
-		return http.StatusInternalServerError, s.readopt(vs, err)
-	}
-	resp, err := s.client.Post(to+"/ingest", "application/octet-stream", bytes.NewReader(frame))
-	if err != nil {
-		if s.residentOn(to, vs.ID) {
+// ship delivers one extracted vehicle to the peer as a KindHandoff
+// frame, re-sent up to twice after a transport failure, and returns nil
+// only when the peer confirmed the adoption: a 2xx with handoffs == 1,
+// or a 409 once an earlier POST of the frame (resend: one that failed
+// past its dial, or a held vehicle's, after landed) may have landed. A
+// 409 to a first delivery means the peer already served the vehicle:
+// its copy wins, the local state stays fenced. Else: unconfirmed.
+func (s *server) ship(to string, vs fleet.VehicleState, resend bool) (int, error) {
+	if resend {
+		moved, err := s.landed(to, vs.ID)
+		if err != nil {
+			return http.StatusBadGateway, s.unconfirmed(to, vs, resend, err)
+		}
+		if moved {
 			return 0, nil
 		}
-		return http.StatusBadGateway, s.readopt(vs, err)
+	}
+	frame, err := wire.AppendHandoff(nil, vs.Encode())
+	if err != nil {
+		return http.StatusInternalServerError, s.unconfirmed(to, vs, resend, err)
+	}
+	var resp *http.Response
+	for try := 0; ; try++ {
+		if resp, err = s.client.Post(to+"/ingest", "application/octet-stream", bytes.NewReader(frame)); err == nil {
+			break
+		}
+		var dial *net.OpError
+		resend = resend || !errors.As(err, &dial) || dial.Op != "dial"
+		if try == 2 {
+			return http.StatusBadGateway, s.unconfirmed(to, vs, resend, err)
+		}
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	resp.Body.Close() //nolint:errcheck // read to completion above
-	if resp.StatusCode == http.StatusConflict {
-		s.setOverride(vs.ID, to)
+	var ir ingestResponse
+	switch {
+	case resp.StatusCode == http.StatusConflict && resend:
+		return 0, nil
+	case resp.StatusCode == http.StatusConflict:
+		s.setOverride(vs.ID, to, nil)
 		s.events.Record(obs.ControlEvent{Kind: obs.EventPeerConflict, Engine: s.name,
 			Peer: to, VehicleID: vs.ID, Detail: string(bytes.TrimSpace(body))})
 		return http.StatusConflict, fmt.Errorf(
 			"peer already serves vehicle %s (%s); local state kept fenced, peer copy wins",
 			vs.ID, bytes.TrimSpace(body))
-	}
-	var ir ingestResponse
-	if resp.StatusCode/100 == 2 && json.Unmarshal(body, &ir) == nil && ir.Handoffs == 1 {
+	case resp.StatusCode/100 == 2 && json.Unmarshal(body, &ir) == nil && ir.Handoffs == 1:
 		return 0, nil
 	}
-	return http.StatusBadGateway, s.readopt(vs, fmt.Errorf(
+	return http.StatusBadGateway, s.unconfirmed(to, vs, resend, fmt.Errorf(
 		"peer did not adopt vehicle %s: %s: %s", vs.ID, resp.Status, bytes.TrimSpace(body)))
 }
 
-// readopt returns an extracted vehicle to local service after a ship
-// the peer did not confirm, so a failed drain strands nothing.
-func (s *server) readopt(vs fleet.VehicleState, cause error) error {
+// unconfirmed re-adopts an extracted vehicle the peer did not confirm,
+// so a failed drain strands nothing, unless a delivery may have landed:
+// then it is held, fenced with no peer hint until a drain re-sends it.
+func (s *server) unconfirmed(to string, vs fleet.VehicleState, resend bool, cause error) error {
+	if resend {
+		s.setOverride(vs.ID, to, &vs)
+		return fmt.Errorf("%v; vehicle %s held fenced until the drain is re-issued", cause, vs.ID)
+	}
 	if err := s.eng.AdoptVehicle(vs); err != nil {
 		// Should be unreachable (we hold the only copy of the extracted
 		// state), but losing a vehicle must be loud.
@@ -683,21 +683,29 @@ func (s *server) readopt(vs fleet.VehicleState, cause error) error {
 	return cause
 }
 
-// residentOn reports whether the peer's placement lists id as
-// resident — the tiebreaker for a handoff POST whose response was
-// lost in transport.
-func (s *server) residentOn(peer, id string) bool {
-	resp, err := s.client.Get(peer + "/admin/placement")
-	if err != nil {
-		return false
+// landed reports whether a held vehicle's delivery to peer to landed (a
+// re-send could then revive a stale copy), following placement views'
+// migrated entries from to: back here (by -name) or an end at to means
+// no; the vehicle resident, or an end past to, means yes.
+func (s *server) landed(to, id string) (bool, error) {
+	for url, hops := to, 0; hops < 16; hops++ {
+		var pl placementResponse
+		resp, err := s.client.Get(url + "/admin/placement")
+		if err == nil {
+			err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&pl)
+			resp.Body.Close() //nolint:errcheck // decoded above
+		}
+		switch {
+		case err != nil:
+			return false, err
+		case slices.Contains(pl.Residents, id):
+			return true, nil
+		case pl.Self == s.name || pl.Migrated[id] == "":
+			return pl.Self != s.name && url != to, nil
+		}
+		url = pl.Migrated[id]
 	}
-	defer resp.Body.Close() //nolint:errcheck // body fully decoded
-	var pl struct {
-		Residents []string `json:"residents"`
-	}
-	return resp.StatusCode == http.StatusOK &&
-		json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&pl) == nil &&
-		slices.Contains(pl.Residents, id)
+	return false, fmt.Errorf("placement walk for vehicle %s did not end", id)
 }
 
 // placementMember is one ring member in the placement listing.
@@ -707,18 +715,16 @@ type placementMember struct {
 }
 
 // placementResponse is this instance's control-plane view: the ring
-// membership, the vehicles resident in the local engine, the override
-// table read both ways (adopted here, migrated to a peer), and a link
-// to the event log that audits how it got that way. Served by
-// /admin/placement and, with peers, in /fleet's "placement" field.
+// membership, the engine's residents, the override table read both ways
+// (adopted here; migrated to, or held for, a peer) and a link to the
+// event log. Served by /admin/placement and, with peers, in /fleet.
 type placementResponse struct {
 	Self      string            `json:"self"`
 	Members   []placementMember `json:"members"`
 	Residents []string          `json:"residents"`
 	Adopted   []string          `json:"adopted,omitempty"`
 	Migrated  map[string]string `json:"migrated,omitempty"`
-	// EventsTotal counts control-plane events ever recorded; EventsURL
-	// is where the retained entries are served.
+	// EventsTotal counts events ever recorded; EventsURL serves them.
 	EventsTotal uint64 `json:"events_total"`
 	EventsURL   string `json:"events_url"`
 }
@@ -751,12 +757,6 @@ func (s *server) placementView() placementResponse {
 		EventsTotal: s.events.Total(),
 		EventsURL:   "/admin/events",
 	}
-}
-
-// handleAdminPlacement reports this instance's view of the ring and the
-// vehicles currently resident in its engine.
-func (s *server) handleAdminPlacement(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.placementView())
 }
 
 // handleAdminEvents returns the most recent control-plane events,

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,8 @@ import (
 // `DESIGN.md §n` in README.md, EXPERIMENTS.md, the Makefile and Go
 // source — must name a `## n.` heading, and every backticked Test,
 // Benchmark or Fuzz name in DESIGN.md must be declared by some _test.go
-// file (a name written with a trailing `*` is a prefix). Every
+// file (a name written with a trailing `*` is a prefix); a row cited as
+// `TestX/row` must also be the string literal "row" in TestX's file. Every
 // backticked `internal/…`, `cmd/…` or `examples/…` path in README.md,
 // DESIGN.md, EXPERIMENTS.md and the verify skill must exist in the tree
 // (a trailing `/...` is a package pattern). ROADMAP.md and CHANGES.md
@@ -36,7 +38,7 @@ func TestDocReferences(t *testing.T) {
 
 	external := regexp.MustCompile(`DESIGN(?:\.md)? §(\d+[a-z]?)`)
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	declared := map[string]bool{}
+	declared := map[string]string{} // test name → its file's source
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -53,7 +55,7 @@ func TestDocReferences(t *testing.T) {
 			cite(path, src, external)
 			if strings.HasSuffix(path, "_test.go") {
 				for _, m := range decl.FindAllStringSubmatch(src, -1) {
-					declared[m[1]] = true
+					declared[m[1]] = src
 				}
 			}
 		case path == "README.md" || path == "EXPERIMENTS.md" || path == "Makefile":
@@ -65,14 +67,17 @@ func TestDocReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, m := range regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)(\\*?)").FindAllStringSubmatch(design, -1) {
-		name, prefix := m[1], m[2] == "*"
-		found := declared[name]
+	for _, m := range regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)(\\*?)(?:/([^`]+))?`").FindAllStringSubmatch(design, -1) {
+		name, prefix, row := m[1], m[2] == "*", m[3]
+		_, found := declared[name]
 		for d := range declared {
 			found = found || prefix && strings.HasPrefix(d, name)
 		}
 		if !found {
 			t.Errorf("DESIGN.md names `%s%s`, which no _test.go file declares", name, m[2])
+		}
+		if row != "" && strings.HasPrefix(name, "Test") && !strings.Contains(declared[name], strconv.Quote(row)) {
+			t.Errorf("DESIGN.md names `%s/%s`, but %s's file has no row %q", name, row, name, row)
 		}
 	}
 
