@@ -105,9 +105,13 @@ race-fleet:
 ## (internal/eval/reference_test.go), materialise each (kind, vehicle)
 ## stream exactly once, and replay thresholds exactly as the reference's
 ## per-sample loop does; and the legacy fit kernels and scorer must land
-## on the same cells as the shipped detectors.
+## on the same cells as the shipped detectors. TestPipelineConfigAgainstGrid
+## pins, per sweep parameter, how far the live pipeline a cell stands for
+## (GridSpec.PipelineConfig) parts from the cell's replay: the two alarm
+## counts and the vehicles that agree bit for bit, which the replay's
+## absolute std floor and its per-vehicle persistence ring keep below 8 of 8.
 grid-equiv:
-	$(call named,./internal/eval/,TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc)
+	$(call named,./internal/eval/,TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc|TestPipelineConfigAgainstGrid)
 
 ## resume-gate: checkpointing a live engine mid-stream and restoring at
 ## a different shard count must be bit-identical to an uninterrupted

@@ -40,23 +40,23 @@ func main() {
 	for _, c := range combos {
 		var alarms []pdm.Alarm
 		for _, vehicle := range vehicles {
+			// The complete solution with this combination's parts swapped in.
 			makeCfg := func() pdm.PipelineConfig {
+				cfg, err := pdm.DefaultPipelineConfig()
+				if err != nil {
+					log.Fatal(err)
+				}
 				tr, err := pdm.NewTransformer(c.kind, 12)
 				if err != nil {
 					log.Fatal(err)
 				}
-				profile := 45
+				cfg.Transformer = tr
+				cfg.Detector = c.detector(tr.FeatureNames())
+				cfg.Thresholder = pdm.NewSelfTuningThreshold(c.factor)
 				if c.kind == pdm.Raw || c.kind == pdm.Delta {
-					profile = 900
+					cfg.ProfileLength = 900
 				}
-				return pdm.PipelineConfig{
-					Transformer:   tr,
-					Detector:      c.detector(tr.FeatureNames()),
-					Thresholder:   pdm.NewSelfTuningThreshold(c.factor),
-					ProfileLength: profile,
-					DensityM:      5,
-					DensityK:      15,
-				}
+				return cfg
 			}
 			a, err := pdm.RunVehicle(vehicle, fleet.Records, fleet.Events, makeCfg)
 			if err != nil {

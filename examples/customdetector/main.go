@@ -77,21 +77,16 @@ func main() {
 		}
 	}
 
-	tr, err := pdm.NewTransformer(pdm.Correlation, 12)
+	// The complete solution with the z-score model in place of closest-pair.
+	cfg, err := pdm.DefaultPipelineConfig()
 	if err != nil {
 		log.Fatal(err)
 	}
-	custom := &zscoreDetector{names: tr.FeatureNames()}
+	custom := &zscoreDetector{names: cfg.Transformer.FeatureNames()}
+	cfg.Detector = custom
+	cfg.Thresholder = pdm.NewSelfTuningThreshold(8)
 
-	alarms, err := pdm.RunVehicle(vehicle, fleet.Records, fleet.Events, func() pdm.PipelineConfig {
-		tr, _ := pdm.NewTransformer(pdm.Correlation, 12)
-		return pdm.PipelineConfig{
-			Transformer:   tr,
-			Detector:      custom,
-			Thresholder:   pdm.NewSelfTuningThreshold(8),
-			ProfileLength: 45,
-		}
-	})
+	alarms, err := pdm.RunVehicle(vehicle, fleet.Records, fleet.Events, func() pdm.PipelineConfig { return cfg })
 	if err != nil {
 		log.Fatal(err)
 	}

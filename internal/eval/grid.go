@@ -10,6 +10,7 @@ import (
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/fleet"
 	"github.com/navarchos/pdm/internal/obd"
+	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/transform"
 )
@@ -54,15 +55,6 @@ type GridSpec struct {
 	// fail both.
 	DensityM int
 	DensityK int
-
-	// AbsFloor is an absolute per-unit-of-factor floor added under the
-	// calibration std when replaying self-tuning thresholds, i.e.
-	// threshold = mean + factor·max(std, floors..., AbsFloor). For
-	// bounded feature spaces (correlations in [-1, 1]) it encodes the
-	// minimum deviation considered physically meaningful; 0 disables it.
-	// When negative or unset it defaults per transform kind (0.01 for
-	// correlation, 0 otherwise).
-	AbsFloor float64
 
 	// NewTransformer overrides transformer construction when non-nil
 	// (instrumentation and tests — e.g. counting how many streams are
@@ -140,12 +132,48 @@ func (s *GridSpec) newDetector(t Technique, featureNames []string) (detector.Det
 	return NewDetector(t, featureNames, s.Seed)
 }
 
-// newTransformer builds one transformer instance for a kind.
-func (s *GridSpec) newTransformer(kind transform.Kind) (transform.Transformer, error) {
-	if s.NewTransformer != nil {
-		return s.NewTransformer(kind, s.Window)
+// PipelineConfig returns the streaming pipeline whose alarms the grid's
+// (tech, kind) cell scores at threshold param. The cell's replay still
+// parts from it on two rules, the absolute std floor and when the
+// persistence ring clears (TestPipelineConfigAgainstGrid).
+func (s GridSpec) PipelineConfig(tech Technique, kind transform.Kind, param float64) (core.Config, error) {
+	s.defaults()
+	tc, err := s.transformConfig(kind)
+	if err != nil {
+		return core.Config{}, err
 	}
-	return transform.New(kind, s.Window)
+	det, err := s.newDetector(tech, tc.Transformer.FeatureNames())
+	if err != nil {
+		return core.Config{}, err
+	}
+	var th thresholds.Thresholder = thresholds.NewSelfTuning(param)
+	if tech.UsesConstantThreshold() {
+		th = thresholds.NewConstant(param)
+	}
+	return core.Config{
+		Transformer: tc.Transformer, Filter: tc.Filter, FilterState: tc.FilterState, ResetPolicy: tc.ResetPolicy,
+		Detector: det, Thresholder: th, ProfileLength: s.profileFor(kind), DensityM: s.DensityM, DensityK: s.DensityK,
+	}, nil
+}
+
+// transformConfig is PipelineConfig's transform half, the part the
+// grid's one pass per kind runs: the kind's transformer behind the warm-up filter.
+func (s *GridSpec) transformConfig(kind transform.Kind) (core.TransformConfig, error) {
+	newTransformer := transform.New
+	if s.NewTransformer != nil {
+		newTransformer = s.NewTransformer
+	}
+	t, err := newTransformer(kind, s.Window)
+	if err != nil {
+		return core.TransformConfig{}, err
+	}
+	wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
+	return core.TransformConfig{
+		Transformer: t,
+		Filter:      wf.Keep,
+		FilterState: wf,
+		ResetPolicy: s.ResetPolicy,
+	}, nil
 }
 
 // vehicleUnion returns the sorted union of all settings' vehicles.
@@ -302,17 +330,11 @@ func collectTransformed(spec *GridSpec, kind transform.Kind) (*transformed, erro
 			if !ok {
 				return nil, fleet.ErrSkipVehicle
 			}
-			t, err := spec.newTransformer(kind)
+			tc, err := spec.transformConfig(kind)
 			if err != nil {
 				return nil, err
 			}
-			wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
-			return core.NewTraceCollector(vehicleID, core.TransformConfig{
-				Transformer: t,
-				Filter:      wf.Keep,
-				FilterState: wf,
-				ResetPolicy: spec.ResetPolicy,
-			}, tt)
+			return core.NewTraceCollector(vehicleID, tc, tt)
 		},
 		Shards:     spec.Parallelism,
 		DropAlarms: true,
@@ -330,11 +352,9 @@ func collectTransformed(spec *GridSpec, kind transform.Kind) (*transformed, erro
 	return tf, nil
 }
 
-// absFloorFor resolves the absolute std floor for a transform kind.
-func absFloorFor(requested float64, kind transform.Kind) float64 {
-	if requested > 0 {
-		return requested
-	}
+// absFloorFor is the replay's absolute floor under a correlation
+// calibration std: 0.01, the smallest deviation in [-1, 1] that counts.
+func absFloorFor(kind transform.Kind) float64 {
 	if kind == transform.Correlation {
 		return 0.01
 	}

@@ -35,12 +35,10 @@ func TestTechniqueMetadata(t *testing.T) {
 	}
 }
 
-// TestAbsFloorFor pins GridSpec.AbsFloor's resolution per paper kind:
-// an unset or negative floor defaults to 0.01 for the bounded
-// correlation features and to 0 otherwise, and a positive floor is
-// used as given.
+// TestAbsFloorFor pins the replay's absolute std floor per paper kind:
+// 0.01 for the bounded correlation features and 0 otherwise.
 func TestAbsFloorFor(t *testing.T) {
-	defaults := map[transform.Kind]float64{
+	want := map[transform.Kind]float64{
 		transform.Correlation: 0.01,
 		transform.Raw:         0,
 		transform.MeanAgg:     0,
@@ -49,17 +47,12 @@ func TestAbsFloorFor(t *testing.T) {
 	for _, kind := range transform.PaperKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			want, ok := defaults[kind]
+			w, ok := want[kind]
 			if !ok {
-				t.Fatalf("no default floor pinned for %v", kind)
+				t.Fatalf("no floor pinned for %v", kind)
 			}
-			for _, requested := range []float64{0, -1} {
-				if got := absFloorFor(requested, kind); got != want {
-					t.Errorf("absFloorFor(%v) = %v, want the default %v", requested, got, want)
-				}
-			}
-			if got := absFloorFor(0.25, kind); got != 0.25 {
-				t.Errorf("absFloorFor(0.25) = %v, want 0.25", got)
+			if got := absFloorFor(kind); got != w {
+				t.Errorf("absFloorFor = %v, want %v", got, w)
 			}
 		})
 	}

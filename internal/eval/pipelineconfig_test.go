@@ -3,12 +3,10 @@ package eval
 import (
 	"math"
 	"testing"
-	"time"
 
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/fleetsim"
-	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/transform"
 )
@@ -75,7 +73,7 @@ func TestPipelineConfigAgainstGrid(t *testing.T) {
 				got.grid = len(grid)
 				for _, v := range vehicles {
 					live, err := core.RunVehicle(v, byVehicle[v], f.Events, func() core.Config {
-						cfg, err := handBuiltConfig(&s, tc.tech, tc.kind, p)
+						cfg, err := spec.PipelineConfig(tc.tech, tc.kind, p)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -96,34 +94,6 @@ func TestPipelineConfigAgainstGrid(t *testing.T) {
 			}
 		})
 	}
-}
-
-// handBuiltConfig spells out the streaming pipeline a grid cell scores.
-func handBuiltConfig(s *GridSpec, tech Technique, kind transform.Kind, p float64) (core.Config, error) {
-	tr, err := transform.New(kind, s.Window)
-	if err != nil {
-		return core.Config{}, err
-	}
-	det, err := NewDetector(tech, tr.FeatureNames(), s.Seed)
-	if err != nil {
-		return core.Config{}, err
-	}
-	var th thresholds.Thresholder = thresholds.NewSelfTuning(p)
-	if tech.UsesConstantThreshold() {
-		th = thresholds.NewConstant(p)
-	}
-	wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
-	return core.Config{
-		Transformer:   tr,
-		Detector:      det,
-		Thresholder:   th,
-		ProfileLength: s.profileFor(kind),
-		ResetPolicy:   s.ResetPolicy,
-		Filter:        wf.Keep,
-		FilterState:   wf,
-		DensityM:      s.DensityM,
-		DensityK:      s.DensityK,
-	}, nil
 }
 
 // sameAlarms reports whether two alarm lists have the same times and

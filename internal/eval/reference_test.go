@@ -7,7 +7,6 @@ import (
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/fleet"
 	"github.com/navarchos/pdm/internal/thresholds"
-	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/transform"
 )
 
@@ -45,7 +44,7 @@ func RunGridReference(spec GridSpec) (*GridResult, error) {
 			if tech.UsesConstantThreshold() {
 				sweep = spec.ConstThresholds
 			}
-			cells, err := bestCellsSequential(&spec, tech, kind, traces, sweep, absFloorFor(spec.AbsFloor, kind))
+			cells, err := bestCellsSequential(&spec, tech, kind, traces, sweep, absFloorFor(kind))
 			if err != nil {
 				return nil, err
 			}
@@ -75,23 +74,22 @@ func collectTraces(spec *GridSpec, tech Technique, kind transform.Kind, vehicles
 			if !ok {
 				return core.Config{}, fleet.ErrSkipVehicle
 			}
-			t, err := spec.newTransformer(kind)
+			tc, err := spec.transformConfig(kind)
 			if err != nil {
 				return core.Config{}, err
 			}
-			det, err := spec.newDetector(tech, t.FeatureNames())
+			det, err := spec.newDetector(tech, tc.Transformer.FeatureNames())
 			if err != nil {
 				return core.Config{}, err
 			}
-			wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
 			return core.Config{
-				Transformer:   t,
+				Transformer:   tc.Transformer,
 				Detector:      det,
 				Thresholder:   thresholds.NewSelfTuning(3), // placeholder; sweep is replayed offline
 				ProfileLength: spec.profileFor(kind),
-				ResetPolicy:   spec.ResetPolicy,
-				Filter:        wf.Keep,
-				FilterState:   wf,
+				ResetPolicy:   tc.ResetPolicy,
+				Filter:        tc.Filter,
+				FilterState:   tc.FilterState,
 				Trace:         tr,
 			}, nil
 		},

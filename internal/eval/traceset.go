@@ -83,7 +83,7 @@ func newTraceSet(spec *GridSpec, tech Technique, tf *transformed) (*TraceSet, er
 	}
 	ts := &TraceSet{spec: spec, tech: tech, kind: tf.kind, traces: traces}
 	if !tech.UsesConstantThreshold() {
-		ts.segSD = precomputeSegSD(traces, absFloorFor(spec.AbsFloor, tf.kind))
+		ts.segSD = precomputeSegSD(traces, absFloorFor(tf.kind))
 	}
 	return ts, nil
 }

@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"github.com/navarchos/pdm/internal/core"
-	"github.com/navarchos/pdm/internal/detector/closestpair"
+	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/eval"
 	"github.com/navarchos/pdm/internal/obd"
-	"github.com/navarchos/pdm/internal/thresholds"
-	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/transform"
 )
 
@@ -25,9 +23,9 @@ type Figure8Result struct {
 	Events       []obd.Event
 }
 
-// Figure8 runs the complete solution on the chosen vehicle (empty = the
-// first recorded failing vehicle) and classifies alarm days against the
-// 30-day horizon.
+// Figure8 runs the complete solution, the grid's closest-pair ×
+// correlation pipeline at factor 10, on the chosen vehicle (empty = the
+// first recorded failing vehicle) and classifies alarm days at PH=30d.
 func Figure8(opts *Options, vehicleID string) (*Figure8Result, error) {
 	f := opts.fleet()
 	if vehicleID == "" {
@@ -39,29 +37,15 @@ func Figure8(opts *Options, vehicleID string) (*Figure8Result, error) {
 			}
 		}
 	}
-	byVehicle := timeseries.SplitByVehicle(f.Records)
-	tr := &core.Trace{}
-	makeCfg := func() core.Config {
-		t, err := transform.New(transform.Correlation, 20)
-		if err != nil {
-			panic(err)
-		}
-		wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
-		return core.Config{
-			Transformer:   t,
-			Detector:      closestpair.New(t.FeatureNames()),
-			Thresholder:   thresholds.NewSelfTuning(10),
-			ProfileLength: 60,
-			Filter:        wf.Keep,
-			FilterState:   wf,
-			Trace:         tr,
-		}
-	}
-	alarms, err := core.RunVehicle(vehicleID, byVehicle[vehicleID], f.Events, makeCfg)
+	cfg, err := eval.GridSpec{}.PipelineConfig(eval.ClosestPair, transform.Correlation, 10)
 	if err != nil {
 		return nil, err
 	}
-	t, _ := transform.New(transform.Correlation, 20)
+	cfg.Trace = &core.Trace{}
+	alarms, err := core.RunVehicle(vehicleID, f.Records, f.Events, func() core.Config { return cfg })
+	if err != nil {
+		return nil, err
+	}
 
 	var events []obd.Event
 	for _, ev := range f.Events {
@@ -69,24 +53,18 @@ func Figure8(opts *Options, vehicleID string) (*Figure8Result, error) {
 			events = append(events, ev)
 		}
 	}
-	// Classify consolidated alarm days vs PH=30d.
-	cons := eval.ConsolidateDaily(alarms)
-	failures := eval.FilterEventsByVehicles(f.Events, []string{vehicleID})
+	// Classify consolidated alarm days by Table 2's rule at PH=30d.
 	var marks []core.AlarmMark
-	for _, a := range cons {
-		mark := core.AlarmMark{Time: a.Time, Feature: a.Feature, Score: a.Score}
-		for _, ev := range failures {
-			if ev.Type == obd.EventRepair && !a.Time.After(ev.Time) && a.Time.After(ev.Time.Add(-PH30)) {
-				mark.TruePositive = true
-				break
-			}
-		}
-		marks = append(marks, mark)
+	for _, a := range eval.ConsolidateDaily(alarms) {
+		marks = append(marks, core.AlarmMark{
+			Time: a.Time, Feature: a.Feature, Score: a.Score,
+			TruePositive: eval.Evaluate([]detector.Alarm{a}, f.Events, PH30).TP == 1,
+		})
 	}
 	return &Figure8Result{
 		VehicleID:    vehicleID,
-		FeatureNames: t.FeatureNames(),
-		Trace:        tr,
+		FeatureNames: cfg.Transformer.FeatureNames(),
+		Trace:        cfg.Trace,
 		Alarms:       marks,
 		Events:       events,
 	}, nil

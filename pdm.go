@@ -223,26 +223,12 @@ func NewPipeline(vehicleID string, cfg PipelineConfig) (*Pipeline, error) {
 	return core.NewPipeline(vehicleID, cfg)
 }
 
-// DefaultPipelineConfig returns the paper's complete-solution
-// configuration: correlation transform, closest-pair detection,
-// self-tuning thresholds, Ref reset on every maintenance event, and
-// warm-up filtering. Handy as the NewConfig callback of a FleetEngine.
+// DefaultPipelineConfig returns the paper's complete solution: the
+// evaluation grid's closest-pair × correlation pipeline at self-tuning
+// factor 10, with warm-up filtering, the density gate and Ref reset on
+// every maintenance event. Handy as the NewConfig callback of a FleetEngine.
 func DefaultPipelineConfig() (PipelineConfig, error) {
-	t, err := transform.New(transform.Correlation, 12)
-	if err != nil {
-		return core.Config{}, err
-	}
-	wf := timeseries.NewWarmupFilter(5, 20*time.Minute)
-	return core.Config{
-		Transformer:   t,
-		Detector:      closestpair.New(t.FeatureNames()),
-		Thresholder:   thresholds.NewSelfTuning(10),
-		ProfileLength: 45,
-		Filter:        wf.Keep,
-		FilterState:   wf,
-		DensityM:      5,
-		DensityK:      15,
-	}, nil
+	return eval.GridSpec{}.PipelineConfig(eval.ClosestPair, transform.Correlation, 10)
 }
 
 // NewDefaultPipeline builds the paper's complete solution for one
