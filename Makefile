@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: ci check vet build build-arm64 test race race-fleet grid-equiv resume-gate drain-gate kernel-oracles fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
+.PHONY: ci check vet build build-arm64 test race race-fleet grid-equiv resume-gate drain-gate exhibits-check kernel-oracles fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
 
 ## ci: the full gate — vet (gofmt, go vet, the obs metric-doc check),
 ## build (plus the arm64 cross-build that keeps the non-amd64 kernel
 ## stubs honest), race-enabled tests (the concurrent fleet/fitpool
 ## packages in a twice-run pass of their own), the grid equivalence gate, the
-## checkpoint resume and vehicle drain gates, the SIMD kernel oracles by
+## checkpoint resume and vehicle drain gates, the bench-scale exhibits
+## against their committed text, the SIMD kernel oracles by
 ## name, the wire-ingest smoke, the observer and tracing overhead gates,
 ## the codec and kernel fuzz smokes, and one iteration of every Go
 ## benchmark. Every target tests behaviour and none writes into the
@@ -15,7 +16,7 @@ GO ?= go
 ## failure, and a table of each one's wall time closes the run: a gate
 ## that costs minutes to re-prove what another already proved shows up
 ## there.
-CI_TARGETS = vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate kernel-oracles ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
+CI_TARGETS = vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate exhibits-check kernel-oracles ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
 ci:
 	@table=""; t0=$$(date +%s); \
 	for t in $(CI_TARGETS); do \
@@ -147,6 +148,21 @@ resume-gate:
 drain-gate:
 	$(call named,./internal/fleet/,TestVehicleHandoffDrainGate|TestConcurrentMigrationIngest)
 	$(call named-rows,./cmd/navarchos-serve/,TestServeScenarios/drain-handoff TestServeScenarios/adoption-overrides-ring TestServeScenarios/lost-response-peer-unreachable)
+
+## exhibits-check: docs/exhibits_bench_seed1.txt must be what
+## `navarchos-bench -scale bench -seed 1` prints from this checkout, so a
+## change that moves an exhibit re-pins the file in the same commit.
+## Only Table 1's wall-clock rows (the lines ending in seconds between
+## its heading and Table 2's) are left out of the diff: they are timings.
+## Every other line, Table 1's headings included, must match byte for byte.
+EXHIBITS_UNTIMED = sed '/^Table 1 /,/^Table 2 /{/[0-9]s$$/d;}'
+exhibits-check:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o $$d/navarchos-bench ./cmd/navarchos-bench && \
+	$$d/navarchos-bench -scale bench -seed 1 > $$d/out && \
+	$(EXHIBITS_UNTIMED) $$d/out > $$d/got && \
+	$(EXHIBITS_UNTIMED) docs/exhibits_bench_seed1.txt > $$d/want && \
+	diff $$d/want $$d/got || { echo "exhibits-check: docs/exhibits_bench_seed1.txt is stale; regenerate it with navarchos-bench -scale bench -seed 1"; exit 1; }
 
 ## kernel-oracles: the SIMD kernels against their scalar references, by
 ## name — the exp lanes against math.Exp and against a transcription of
