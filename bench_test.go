@@ -312,30 +312,3 @@ func itoa2(n int) string {
 	}
 	return string(buf[pos:])
 }
-
-// BenchmarkBaselines measures the related-work baselines (isolation
-// forest, MLP) under the identical protocol, reporting each best F0.5.
-func BenchmarkBaselines(b *testing.B) {
-	f := fleetForBench(b)
-	for _, tech := range eval.ExtensionTechniques() {
-		b.Run(tech.String(), func(b *testing.B) {
-			spec := eval.GridSpec{
-				Records:    f.Records,
-				Events:     f.Events,
-				Settings:   map[string][]string{"s": f.EventVehicleIDs()},
-				Techniques: []eval.Technique{tech},
-				Transforms: []transform.Kind{transform.Correlation},
-				PHs:        []time.Duration{30 * 24 * time.Hour},
-			}
-			var best float64
-			for i := 0; i < b.N; i++ {
-				res, err := eval.RunGrid(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				best = res.Cells[0].Best.F05
-			}
-			b.ReportMetric(best, "F0.5")
-		})
-	}
-}

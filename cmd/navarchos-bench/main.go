@@ -8,7 +8,7 @@
 //	navarchos-bench -scale small         # quick pass
 //
 // Experiments: fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8
-// baselines all.
+// all.
 //
 // Performance is not measured here: `bash benchmark/run.sh` (see
 // benchmark/README.md) is the repo's one benchmark.
@@ -97,7 +97,7 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if !ran {
-		fatalf("unknown experiment %q (want fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8 baselines or all)", *experiment)
+		fatalf("unknown experiment %q (want fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8 or all)", *experiment)
 	}
 }
 
@@ -136,7 +136,6 @@ func exhibits(vehicle string) []exhibit {
 		{"table1", rendered(experiments.Table1)},
 		{"table2", rendered(experiments.Table2)},
 		{"table3", rendered(experiments.Table3)},
-		{"baselines", rendered(experiments.Baselines)},
 		{"fig8", rendered(func(opts *experiments.Options) (*experiments.Figure8Result, error) {
 			return experiments.Figure8(opts, vehicle)
 		})},

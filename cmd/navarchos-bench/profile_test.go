@@ -69,9 +69,9 @@ func TestFatalFlushesProfiles(t *testing.T) {
 }
 
 // TestRemovedPerfExperimentRejected pins the exhibit list: the timing
-// experiments moved to benchmark/, so asking for one must fail with the
-// usage line naming only the paper exhibits, not run nothing and exit
-// 0. The test re-execs itself so the real flag parsing and exit path
+// experiments moved to benchmark/ and the related-work baselines are
+// gone, so asking for one must fail with the usage line naming only the
+// paper exhibits, not run nothing and exit 0. The test re-execs itself so the real flag parsing and exit path
 // run.
 func TestRemovedPerfExperimentRejected(t *testing.T) {
 	if os.Getenv("BENCH_MAIN_HELPER") == "1" {
@@ -79,8 +79,8 @@ func TestRemovedPerfExperimentRejected(t *testing.T) {
 		main()
 		os.Exit(0)
 	}
-	const want = "(want fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8 baselines or all)"
-	for _, name := range []string{"perf", "gridperf", "checkpoint", "fitperf", "scoreperf", "ingest", "handoff"} {
+	const want = "(want fig1 fig2 fig4 fig5 fig6 fig7 table1 table2 table3 fig8 or all)"
+	for _, name := range []string{"perf", "gridperf", "checkpoint", "fitperf", "scoreperf", "ingest", "handoff", "baselines"} {
 		cmd := exec.Command(os.Args[0], "-test.run=TestRemovedPerfExperimentRejected$")
 		cmd.Env = append(os.Environ(), "BENCH_MAIN_HELPER=1", "BENCH_EXPERIMENT="+name)
 		var stderr bytes.Buffer

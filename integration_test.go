@@ -31,10 +31,6 @@ func TestEveryDetectorRunsInPipeline(t *testing.T) {
 			func() Thresholder { return NewSelfTuningThreshold(8) }},
 		{"xgboost", func(n []string) Detector { return NewXGBoost(n, GBTConfig{NumTrees: 10, MaxDepth: 3}) },
 			func() Thresholder { return NewSelfTuningThreshold(8) }},
-		{"isolation-forest", func(n []string) Detector { return NewIsolationForest(IsolationForestConfig{Trees: 30}) },
-			func() Thresholder { return NewConstantThreshold(0.7) }},
-		{"mlp", func(n []string) Detector { return NewMLP(MLPConfig{Epochs: 5}, "maf") },
-			func() Thresholder { return NewSelfTuningThreshold(8) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

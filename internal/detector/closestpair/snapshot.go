@@ -27,8 +27,8 @@ func (d *Detector) Snapshot() ([]byte, error) {
 // Restore implements checkpoint.Snapshotter.
 func (d *Detector) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
-	if r.Uint8() != snapshotTag {
-		return detector.ErrBadSnapshot
+	if err := detector.CheckTag(r, snapshotTag); err != nil {
+		return err
 	}
 	numNames := r.Int()
 	if r.Err() != nil {

@@ -5,7 +5,10 @@ package detector
 
 import (
 	"errors"
+	"fmt"
 	"time"
+
+	"github.com/navarchos/pdm/internal/checkpoint"
 )
 
 // ErrNotFitted is returned when Score is called before a successful Fit.
@@ -114,6 +117,18 @@ func ScoreRunInto(d Detector, xs [][]float64, dst []float64) error {
 // ErrBadSnapshot is returned by Restore when a snapshot payload does not
 // decode as state for this detector type and configuration.
 var ErrBadSnapshot = errors.New("detector: malformed snapshot")
+
+// CheckTag reads a snapshot payload's leading tag and refuses one that is
+// not want, naming both. The techniques' tags are 10 (closest-pair), 11
+// (Grand), 12 (TranAD) and 13 (regression); 14 and 15 were the removed
+// isolation-forest and MLP detectors and are retired, never to be
+// reused, so a snapshot one of them wrote fails to restore by name.
+func CheckTag(r *checkpoint.RBuf, want uint8) error {
+	if got := r.Uint8(); got != want {
+		return fmt.Errorf("%w: tag %d, want %d", ErrBadSnapshot, got, want)
+	}
+	return nil
+}
 
 // SelfCalibrator is an optional Detector extension for techniques that
 // can score their own reference data leave-one-out. When implemented,

@@ -33,8 +33,8 @@ func (d *Detector) Snapshot() ([]byte, error) {
 // Restore implements checkpoint.Snapshotter.
 func (d *Detector) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
-	if r.Uint8() != snapshotTag {
-		return detector.ErrBadSnapshot
+	if err := detector.CheckTag(r, snapshotTag); err != nil {
+		return err
 	}
 	if !r.Bool() {
 		if err := r.Close(); err != nil {

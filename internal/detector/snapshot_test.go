@@ -1,11 +1,15 @@
 package detector_test
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
+	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/eval"
 )
 
@@ -36,7 +40,7 @@ func TestDetectorSnapshotRoundTrip(t *testing.T) {
 		post = 25
 		seed = 42
 	)
-	techniques := append(eval.PaperTechniques(), eval.ExtensionTechniques()...)
+	techniques := eval.PaperTechniques()
 	for _, tech := range techniques {
 		tech := tech
 		t.Run(tech.String(), func(t *testing.T) {
@@ -101,7 +105,7 @@ func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 	const dim, rows, seed = 5, 40, 7
 	rng := rand.New(rand.NewSource(3))
 	ref := makeRef(rng, rows, dim)
-	techniques := append(eval.PaperTechniques(), eval.ExtensionTechniques()...)
+	techniques := eval.PaperTechniques()
 
 	snaps := make(map[eval.Technique][]byte)
 	for _, tech := range techniques {
@@ -142,13 +146,33 @@ func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 			}
 		}
 	}
+	// Tags 14 and 15 were the removed isolation-forest and MLP
+	// detectors: every technique refuses them by name.
+	t.Run("retired-tag", func(t *testing.T) {
+		for _, tag := range []uint8{14, 15} {
+			tag := tag
+			t.Run(fmt.Sprintf("tag=%d", tag), func(t *testing.T) {
+				for _, tech := range techniques {
+					tech := tech
+					t.Run(tech.String(), func(t *testing.T) {
+						retired := append([]byte{tag}, snaps[tech][1:]...)
+						d, _ := eval.NewDetector(tech, nil, seed)
+						err := d.(checkpoint.Snapshotter).Restore(retired)
+						if !errors.Is(err, detector.ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("tag %d", tag)) {
+							t.Errorf("err = %v, want ErrBadSnapshot naming tag %d", err, tag)
+						}
+					})
+				}
+			})
+		}
+	})
 }
 
 // TestUnfittedDetectorSnapshotRoundTrip checks the unfitted state also
 // round-trips: a snapshot taken before Fit restores to a detector that
 // still refuses to score.
 func TestUnfittedDetectorSnapshotRoundTrip(t *testing.T) {
-	techniques := append(eval.PaperTechniques(), eval.ExtensionTechniques()...)
+	techniques := eval.PaperTechniques()
 	for _, tech := range techniques {
 		d, err := eval.NewDetector(tech, nil, 1)
 		if err != nil {

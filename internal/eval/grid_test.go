@@ -146,54 +146,3 @@ func TestRunGridNoVehicles(t *testing.T) {
 		t.Error("empty grid should error")
 	}
 }
-
-func TestExtensionTechniques(t *testing.T) {
-	exts := ExtensionTechniques()
-	if len(exts) != 2 {
-		t.Fatalf("expected 2 extension techniques, got %d", len(exts))
-	}
-	if IsolationForest.String() != "isolation-forest" || MLP.String() != "mlp" {
-		t.Error("extension technique names wrong")
-	}
-	if !IsolationForest.UsesConstantThreshold() || MLP.UsesConstantThreshold() {
-		t.Error("extension threshold kinds wrong")
-	}
-	for _, tech := range exts {
-		d, err := NewDetector(tech, []string{"a", "b", "c"}, 1)
-		if err != nil || d == nil {
-			t.Fatalf("NewDetector(%v): %v", tech, err)
-		}
-		if err := d.Fit([][]float64{{1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {1, 2, 3}}); err != nil {
-			t.Fatalf("%v: Fit: %v", tech, err)
-		}
-		if _, err := d.Score([]float64{1, 2, 3}); err != nil {
-			t.Fatalf("%v: Score: %v", tech, err)
-		}
-	}
-}
-
-func TestGridWithExtensionTechniques(t *testing.T) {
-	f := fleetsim.Generate(fleetsim.SmallConfig())
-	spec := GridSpec{
-		Records:         f.Records,
-		Events:          f.Events,
-		Settings:        map[string][]string{"s": f.EventVehicleIDs()},
-		Techniques:      ExtensionTechniques(),
-		Transforms:      []transform.Kind{transform.Correlation},
-		PHs:             []time.Duration{30 * 24 * time.Hour},
-		Factors:         []float64{5, 14},
-		ConstThresholds: []float64{0.6, 0.7},
-	}
-	res, err := RunGrid(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 2 {
-		t.Fatalf("expected 2 cells, got %d", len(res.Cells))
-	}
-	for _, c := range res.Cells {
-		if c.Best.Precision < 0 || c.Best.Precision > 1 {
-			t.Errorf("%v: bad metrics %+v", c.Technique, c.Best)
-		}
-	}
-}

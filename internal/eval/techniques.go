@@ -6,12 +6,9 @@ import (
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/detector/closestpair"
 	"github.com/navarchos/pdm/internal/detector/grand"
-	"github.com/navarchos/pdm/internal/detector/isoforest"
-	"github.com/navarchos/pdm/internal/detector/mlp"
 	"github.com/navarchos/pdm/internal/detector/regress"
 	"github.com/navarchos/pdm/internal/detector/tranad"
 	"github.com/navarchos/pdm/internal/gbt"
-	"github.com/navarchos/pdm/internal/iforest"
 )
 
 // Technique enumerates the four step-3 techniques the paper compares.
@@ -28,12 +25,6 @@ const (
 	// XGBoost is the per-feature gradient-boosted regression detector
 	// (Section 3.6).
 	XGBoost
-	// IsolationForest is the related-work baseline of Khan et al. 2019
-	// (not part of the paper's grid; an extension of this repository).
-	IsolationForest
-	// MLP is the engine-load-regression baseline of Massaro et al. 2020
-	// (related work; extension).
-	MLP
 )
 
 // String implements fmt.Stringer, matching the paper's labels.
@@ -47,10 +38,6 @@ func (t Technique) String() string {
 		return "tranad"
 	case XGBoost:
 		return "xgboost"
-	case IsolationForest:
-		return "isolation-forest"
-	case MLP:
-		return "mlp"
 	default:
 		return fmt.Sprintf("Technique(%d)", int(t))
 	}
@@ -59,15 +46,10 @@ func (t Technique) String() string {
 // PaperTechniques returns the four techniques in presentation order.
 func PaperTechniques() []Technique { return []Technique{ClosestPair, Grand, TranAD, XGBoost} }
 
-// ExtensionTechniques returns the related-work baselines implemented
-// beyond the paper's grid.
-func ExtensionTechniques() []Technique { return []Technique{IsolationForest, MLP} }
-
 // UsesConstantThreshold reports whether the technique's score is
 // normalised to [0, 1) and therefore thresholded with constants rather
-// than the self-tuning factor (Grand per the paper's Section 4;
-// isolation forest's score is likewise bounded).
-func (t Technique) UsesConstantThreshold() bool { return t == Grand || t == IsolationForest }
+// than the self-tuning factor (Grand, per the paper's Section 4).
+func (t Technique) UsesConstantThreshold() bool { return t == Grand }
 
 // shippedTranAD and shippedXGBoost are NewDetector's hyper-parameters,
 // named so the kernel-oracle test flips one flag on exactly what ships.
@@ -93,18 +75,6 @@ func NewDetector(t Technique, featureNames []string, seed int64) (detector.Detec
 		return tranad.New(shippedTranAD(seed)), nil
 	case XGBoost:
 		return regress.New(featureNames, shippedXGBoost(seed)), nil
-	case IsolationForest:
-		return isoforest.New(iforest.Config{Trees: 100, Seed: seed}), nil
-	case MLP:
-		// Predict the last feature from the rest (for the correlation
-		// transform that is corr(mapIntake, MAFairFlowRate); for raw,
-		// the MAF signal — close to Massaro et al.'s engine-load
-		// target).
-		name := "target"
-		if n := len(featureNames); n > 0 {
-			name = featureNames[n-1]
-		}
-		return mlp.New(mlp.Config{Epochs: 30, Seed: seed}, name), nil
 	default:
 		return nil, fmt.Errorf("eval: unknown technique %d", int(t))
 	}

@@ -251,33 +251,3 @@ func TestOptionsReuse(t *testing.T) {
 	}
 	_ = time.Second
 }
-
-func TestBaselines(t *testing.T) {
-	opts := smallOpts(t)
-	r, err := Baselines(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 techniques × 2 transforms × 2 PHs × 2 settings = 32 cells.
-	if len(r.Cells) != 32 {
-		t.Fatalf("got %d cells, want 32", len(r.Cells))
-	}
-	var hasIF, hasMLP bool
-	for _, c := range r.Cells {
-		switch c.Technique {
-		case eval.IsolationForest:
-			hasIF = true
-		case eval.MLP:
-			hasMLP = true
-		}
-	}
-	if !hasIF || !hasMLP {
-		t.Error("baselines missing extension techniques")
-	}
-	var buf bytes.Buffer
-	r.Render(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "isolation-forest") || !strings.Contains(out, "mlp") {
-		t.Errorf("render missing baselines:\n%s", out)
-	}
-}

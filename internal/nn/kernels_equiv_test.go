@@ -25,7 +25,6 @@ func buildTestNet(rng *rand.Rand) *Sequential {
 		)),
 		NewLayerNorm(dim),
 		NewLinear(dim, 6, rng),
-		NewTanh(),
 	)
 }
 

@@ -130,7 +130,5 @@ func SetLegacyKernels(layer Layer, legacy bool) {
 		l.legacy = legacy
 	case *ReLU:
 		l.legacy = legacy
-	case *Tanh:
-		l.legacy = legacy
 	}
 }

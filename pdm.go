@@ -40,15 +40,12 @@ import (
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/detector/closestpair"
 	"github.com/navarchos/pdm/internal/detector/grand"
-	"github.com/navarchos/pdm/internal/detector/isoforest"
-	"github.com/navarchos/pdm/internal/detector/mlp"
 	"github.com/navarchos/pdm/internal/detector/regress"
 	"github.com/navarchos/pdm/internal/detector/tranad"
 	"github.com/navarchos/pdm/internal/eval"
 	"github.com/navarchos/pdm/internal/fleet"
 	"github.com/navarchos/pdm/internal/fleetsim"
 	"github.com/navarchos/pdm/internal/gbt"
-	"github.com/navarchos/pdm/internal/iforest"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/obs"
 	"github.com/navarchos/pdm/internal/thresholds"
@@ -189,22 +186,6 @@ type GBTConfig = gbt.Config
 func NewXGBoost(featureNames []string, cfg GBTConfig) Detector {
 	return regress.New(featureNames, cfg)
 }
-
-// IsolationForestConfig parametrises the isolation-forest baseline.
-type IsolationForestConfig = iforest.Config
-
-// NewIsolationForest returns the Isolation Forest baseline the paper's
-// related work discusses (Khan et al. 2019); single bounded score
-// channel, best used with a constant threshold.
-func NewIsolationForest(cfg IsolationForestConfig) Detector { return isoforest.New(cfg) }
-
-// MLPConfig parametrises the MLP regression baseline.
-type MLPConfig = mlp.Config
-
-// NewMLP returns the engine-load-regression baseline of Massaro et al.
-// (IoT 2020): an MLP predicts the target channel from the rest; the
-// prediction error is the anomaly score.
-func NewMLP(cfg MLPConfig, targetName string) Detector { return mlp.New(cfg, targetName) }
 
 // NewSelfTuningThreshold returns the paper's self-tuning thresholder:
 // mean + factor·std over held-out healthy scores, per channel.
