@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// TestEveryDetectorRunsInPipeline drives each of the six detector
+// TestEveryDetectorRunsInPipeline drives each of the four detector
 // families through the full streaming pipeline on real simulator data —
 // the integration surface a downstream user exercises.
 func TestEveryDetectorRunsInPipeline(t *testing.T) {
