@@ -191,3 +191,33 @@ func TestUnfittedDetectorSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckTag pins the shared leading-tag check: the wanted tag is
+// consumed, any other (retired, foreign or missing) is ErrBadSnapshot
+// naming the tag read and the tag wanted.
+func TestCheckTag(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    uint8
+		errMsg  string // "" means accepted
+	}{
+		{"match", []byte{10, 0xAA}, 10, ""},
+		{"retired-14", []byte{14, 0xAA}, 10, "tag 14, want 10"},
+		{"retired-15", []byte{15, 0xAA}, 13, "tag 15, want 13"},
+		{"foreign", []byte{11, 0xAA}, 12, "tag 11, want 12"},
+		{"empty", nil, 10, "tag 0, want 10"},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			r := checkpoint.NewRBuf(tc.payload)
+			err := detector.CheckTag(r, tc.want)
+			switch {
+			case tc.errMsg == "" && (err != nil || r.Remaining() != 1):
+				t.Errorf("CheckTag = %v with %d bytes left, want nil with 1", err, r.Remaining())
+			case tc.errMsg != "" && (!errors.Is(err, detector.ErrBadSnapshot) || !strings.Contains(err.Error(), tc.errMsg)):
+				t.Errorf("CheckTag = %v, want ErrBadSnapshot naming %q", err, tc.errMsg)
+			}
+		})
+	}
+}

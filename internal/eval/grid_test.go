@@ -35,6 +35,24 @@ func TestTechniqueMetadata(t *testing.T) {
 	}
 }
 
+// TestThresholdKindAndRetiredValues pins that Grand alone is thresholded
+// with constants, and that the enum values after XGBoost, once the removed
+// isolation-forest and MLP baselines, build no detector.
+func TestThresholdKindAndRetiredValues(t *testing.T) {
+	for _, tech := range append(PaperTechniques(), XGBoost+1, XGBoost+2) {
+		tech := tech
+		t.Run(tech.String(), func(t *testing.T) {
+			if got, want := tech.UsesConstantThreshold(), tech == Grand; got != want {
+				t.Errorf("UsesConstantThreshold = %v, want %v", got, want)
+			}
+			d, err := NewDetector(tech, []string{"a", "b", "c"}, 1)
+			if retired := tech > XGBoost; retired != (err != nil) || retired != (d == nil) {
+				t.Errorf("NewDetector = (%v, %v), retired = %v", d, err, retired)
+			}
+		})
+	}
+}
+
 // TestAbsFloorFor pins the replay's absolute std floor per paper kind:
 // 0.01 for the bounded correlation features and 0 otherwise.
 func TestAbsFloorFor(t *testing.T) {
