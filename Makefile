@@ -125,12 +125,13 @@ grid-equiv:
 ## the small fleet (inline and deferred fits) are held to the SHA-256
 ## digests earlier commits wrote (testdata/engine_small.ckpt.sha256,
 ## testdata/transform.sha256, testdata/pipeline.sha256; never
-## regenerated from the change under test).
+## regenerated from the change under test), and one pipeline split at
+## every phase must resume bit-identically (TestPipelineSnapshotResume).
 resume-gate:
 	$(call named,./internal/fleet/,TestEngineCheckpointResumeGate|TestCheckpointBytesGolden)
 	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/replay-grid TestEngineMatchesSerialReplay/traced-grid)
 	$(call named,./internal/transform/,TestTransformGolden)
-	$(call named,./internal/core/,TestPipelineGolden)
+	$(call named,./internal/core/,TestPipelineGolden|TestPipelineSnapshotResume)
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting
 ## vehicles from a running engine and adopting them at a different

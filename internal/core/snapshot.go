@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
+	"github.com/navarchos/pdm/internal/detector"
 )
 
 // This file implements the pipeline half of the stack-wide state/config
@@ -12,14 +13,15 @@ import (
 // thresholder, profile length, reset policy — always comes from
 // NewPipeline; Snapshot captures only the mutable runtime state (the
 // transformer's buffered window, the reference profile fill, the fitted
-// detector and thresholder, the density persistence ring) and Restore
-// loads it into a pipeline built with the same configuration. Traces
-// are outputs, not state: a restored pipeline writes into whatever
-// Trace its new configuration carries, seeded with the active segment's
-// calibration stats so Segments stay resolvable.
+// thresholder and any detector that does not refit from Ref, the density
+// persistence ring) and Restore loads it into a pipeline built with the
+// same configuration. Traces are outputs, not state: a restored pipeline
+// writes into whatever Trace its new configuration carries, seeded with
+// the active segment's calibration stats so Segments stay resolvable.
 
-// ErrNotSnapshottable is returned when the detector does not implement
-// checkpoint.Snapshotter (a custom detector need not).
+// ErrNotSnapshottable is returned when the detector implements neither
+// checkpoint.Snapshotter nor detector.SelfCalibrator (a custom detector
+// need not).
 var ErrNotSnapshottable = errors.New("core: component does not support snapshot/restore")
 
 // ErrBadSnapshot is returned when a snapshot payload does not decode as
@@ -88,15 +90,18 @@ func (s *TransformStage) Restore(data []byte) error {
 
 // Snapshot returns the detect stage's mutable state: profile fill,
 // phase, density ring, streaming counters, the last calibration summary
-// and the fitted detector and thresholder payloads.
+// and the fitted detector and thresholder payloads. A self-calibrating
+// detector's payload is empty: restore refits it from Ref.
 func (d *DetectStage) Snapshot() ([]byte, error) {
-	ds, ok := d.cfg.Detector.(checkpoint.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("%w: detector %s", ErrNotSnapshottable, d.cfg.Detector.Name())
-	}
-	detSnap, err := ds.Snapshot()
+	ds, err := d.snapshotter()
 	if err != nil {
 		return nil, err
+	}
+	var detSnap []byte
+	if ds != nil {
+		if detSnap, err = ds.Snapshot(); err != nil {
+			return nil, err
+		}
 	}
 	thSnap, err := d.cfg.Thresholder.Snapshot()
 	if err != nil {
@@ -118,14 +123,29 @@ func (d *DetectStage) Snapshot() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Restore loads a DetectStage snapshot into a stage built with the same
-// configuration. When the restored stage is fitted and carries a Trace,
-// the active segment's calibration stats are appended to SegCalib so
-// subsequently scored samples index a valid segment.
-func (d *DetectStage) Restore(data []byte) error {
+// snapshotter returns the detector's snapshot seam, or nil for a
+// detector.SelfCalibrator, whose state is a function of Ref.
+func (d *DetectStage) snapshotter() (checkpoint.Snapshotter, error) {
+	if _, ok := d.cfg.Detector.(detector.SelfCalibrator); ok {
+		return nil, nil
+	}
 	ds, ok := d.cfg.Detector.(checkpoint.Snapshotter)
 	if !ok {
-		return fmt.Errorf("%w: detector %s", ErrNotSnapshottable, d.cfg.Detector.Name())
+		return nil, fmt.Errorf("%w: detector %s", ErrNotSnapshottable, d.cfg.Detector.Name())
+	}
+	return ds, nil
+}
+
+// Restore loads a DetectStage snapshot into a stage built with the same
+// configuration. A fitted stage's self-calibrating detector is refitted
+// on the restored Ref; that is not a fit the observer or the trace
+// sees. When the restored stage is fitted and carries a Trace, the
+// active segment's calibration stats are appended to SegCalib so
+// subsequently scored samples index a valid segment.
+func (d *DetectStage) Restore(data []byte) error {
+	ds, err := d.snapshotter()
+	if err != nil {
+		return err
 	}
 	r := checkpoint.NewRBuf(data)
 	if r.Uint8() != detectStageTag {
@@ -164,8 +184,18 @@ func (d *DetectStage) Restore(data []byte) error {
 	if violPos < 0 || violPos >= len(violRing) || violCount < 0 || violCount > len(violRing) {
 		return ErrBadSnapshot
 	}
-	if err := ds.Restore(detSnap); err != nil {
-		return err
+	switch {
+	case ds != nil:
+		if err := ds.Restore(detSnap); err != nil {
+			return err
+		}
+	case len(detSnap) > 0:
+		return fmt.Errorf("%w: detector payload tag %d: %s refits from Ref, and closest-pair's tag 10 is retired",
+			ErrBadSnapshot, detSnap[0], d.cfg.Detector.Name())
+	case fitted:
+		if err := d.cfg.Detector.Fit(ref); err != nil {
+			return fmt.Errorf("core: refit detector for %s: %w", d.vehicleID, err)
+		}
 	}
 	if err := d.cfg.Thresholder.Restore(thSnap); err != nil {
 		return err

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/detector/closestpair"
 	"github.com/navarchos/pdm/internal/obd"
@@ -12,11 +16,11 @@ import (
 	"github.com/navarchos/pdm/internal/transform"
 )
 
-// buildPipeline constructs the standard test pipeline (correlation →
+// buildPipeline constructs the standard test pipeline (kind →
 // closest-pair → self-tuning) writing into trace.
-func buildPipeline(t *testing.T, trace *Trace) *Pipeline {
+func buildPipeline(t *testing.T, kind transform.Kind, trace *Trace) *Pipeline {
 	t.Helper()
-	tr, err := transform.New(transform.Correlation, 12)
+	tr, err := transform.New(kind, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,47 +61,81 @@ func feed(t *testing.T, p *Pipeline, records []timeseries.Record, events []obd.E
 // a freshly configured pipeline must continue bit-identically — same
 // per-sample scores, thresholds, alarm decisions and alarms — as the
 // uninterrupted run. Splits land in the collecting phase, mid-window,
-// and deep into the detecting phase.
+// and deep into the detecting phase, where the restored closest-pair
+// is refitted from Ref.
 func TestPipelineSnapshotResume(t *testing.T) {
 	records, events := stageStream(900)
-	for _, split := range []int{7, 35, 150, 500, 701} {
-		uninterrupted := &Trace{}
-		ref := buildPipeline(t, uninterrupted)
-		wantAlarms := feed(t, ref, records, events)
-
-		// First half on the original, snapshot, restore, second half on
-		// the restored instance. Events are partitioned by the split
-		// record's timestamp (Merged interleaves by time).
-		splitTime := records[split].Time
-		var evFirst, evSecond []obd.Event
-		for _, ev := range events {
-			if !ev.Time.After(splitTime) {
-				evFirst = append(evFirst, ev)
-			} else {
-				evSecond = append(evSecond, ev)
-			}
+	// Raw samples reach Ref as recorded. Every third record repeats one
+	// speed, and one record in each profile reads NaN coolant (NaN
+	// passes CleanFilter), so the refit takes closest-pair's duplicate
+	// and NaN leave-one-out branches.
+	dupNaN, dupEvents := stageStream(300)
+	for i := range dupNaN {
+		if i%3 == 0 {
+			dupNaN[i].Values[obd.Speed] = 50
 		}
-		firstTrace := &Trace{}
-		first := buildPipeline(t, firstTrace)
-		gotAlarms := feed(t, first, records[:split+1], evFirst)
-		snap, err := first.Snapshot()
-		if err != nil {
-			t.Fatalf("split %d: Snapshot: %v", split, err)
-		}
-		secondTrace := &Trace{}
-		second := buildPipeline(t, secondTrace)
-		if err := second.Restore(snap); err != nil {
-			t.Fatalf("split %d: Restore: %v", split, err)
-		}
-		gotAlarms = append(gotAlarms, feed(t, second, records[split+1:], evSecond)...)
-
-		if !reflect.DeepEqual(gotAlarms, wantAlarms) {
-			t.Fatalf("split %d: resumed alarms differ: got %d, want %d",
-				split, len(gotAlarms), len(wantAlarms))
-		}
-		got := concatTraces(firstTrace, secondTrace)
-		compareTraces(t, split, got, uninterrupted)
 	}
+	dupNaN[5].Values[obd.CoolantTemp] = math.NaN()
+	dupNaN[160].Values[obd.CoolantTemp] = math.NaN()
+	for _, c := range []struct {
+		name    string
+		kind    transform.Kind
+		records []timeseries.Record
+		events  []obd.Event
+		splits  []int
+	}{
+		{"correlation", transform.Correlation, records, events, []int{7, 35, 150, 500, 701}},
+		{"raw-duplicates-nan", transform.Raw, dupNaN, dupEvents, []int{10, 100, 200}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, split := range c.splits {
+				resumeAt(t, c.kind, c.records, c.events, split)
+			}
+		})
+	}
+}
+
+// resumeAt runs records and events once uninterrupted and once
+// snapshotted after record split and restored into a fresh pipeline,
+// and compares the two runs' alarms and traces.
+func resumeAt(t *testing.T, kind transform.Kind, records []timeseries.Record, events []obd.Event, split int) {
+	t.Helper()
+	uninterrupted := &Trace{}
+	ref := buildPipeline(t, kind, uninterrupted)
+	wantAlarms := feed(t, ref, records, events)
+
+	// First half on the original, snapshot, restore, second half on
+	// the restored instance. Events are partitioned by the split
+	// record's timestamp (Merged interleaves by time).
+	splitTime := records[split].Time
+	var evFirst, evSecond []obd.Event
+	for _, ev := range events {
+		if !ev.Time.After(splitTime) {
+			evFirst = append(evFirst, ev)
+		} else {
+			evSecond = append(evSecond, ev)
+		}
+	}
+	firstTrace := &Trace{}
+	first := buildPipeline(t, kind, firstTrace)
+	gotAlarms := feed(t, first, records[:split+1], evFirst)
+	snap, err := first.Snapshot()
+	if err != nil {
+		t.Fatalf("split %d: Snapshot: %v", split, err)
+	}
+	secondTrace := &Trace{}
+	second := buildPipeline(t, kind, secondTrace)
+	if err := second.Restore(snap); err != nil {
+		t.Fatalf("split %d: Restore: %v", split, err)
+	}
+	gotAlarms = append(gotAlarms, feed(t, second, records[split+1:], evSecond)...)
+
+	if !reflect.DeepEqual(gotAlarms, wantAlarms) {
+		t.Fatalf("split %d: resumed alarms differ: got %d, want %d",
+			split, len(gotAlarms), len(wantAlarms))
+	}
+	got := concatTraces(firstTrace, secondTrace)
+	compareTraces(t, split, got, uninterrupted)
 }
 
 // concatTraces merges the pre- and post-restore traces into one
@@ -115,7 +153,7 @@ func concatTraces(a, b *Trace) *Trace {
 	// the duplicate when the pre-restore trace already recorded it.
 	skip := 0
 	if len(a.SegCalib) > 0 && len(b.SegCalib) > 0 &&
-		reflect.DeepEqual(a.SegCalib[len(a.SegCalib)-1], b.SegCalib[0]) {
+		sameCalib(a.SegCalib[len(a.SegCalib)-1:], b.SegCalib[:1]) {
 		skip = 1
 	}
 	out.SegCalib = append(append(out.SegCalib, a.SegCalib...), b.SegCalib[skip:]...)
@@ -132,10 +170,10 @@ func compareTraces(t *testing.T, split int, got, want *Trace) {
 	if !reflect.DeepEqual(got.Times, want.Times) {
 		t.Fatalf("split %d: Times differ (%d vs %d)", split, len(got.Times), len(want.Times))
 	}
-	if !reflect.DeepEqual(got.Scores, want.Scores) {
+	if !sameBits(got.Scores, want.Scores) {
 		t.Fatalf("split %d: Scores differ", split)
 	}
-	if !reflect.DeepEqual(got.Thresholds, want.Thresholds) {
+	if !sameBits(got.Thresholds, want.Thresholds) {
 		t.Fatalf("split %d: Thresholds differ", split)
 	}
 	if !reflect.DeepEqual(got.Alarmed, want.Alarmed) {
@@ -147,16 +185,48 @@ func compareTraces(t *testing.T, split int, got, want *Trace) {
 	if !reflect.DeepEqual(got.Segments, want.Segments) {
 		t.Fatalf("split %d: Segments differ", split)
 	}
-	if !reflect.DeepEqual(got.SegCalib, want.SegCalib) {
+	if !sameCalib(got.SegCalib, want.SegCalib) {
 		t.Fatalf("split %d: SegCalib differs", split)
 	}
+}
+
+// sameBits reports whether a and b hold the same float64 bits row by
+// row: reflect.DeepEqual calls a NaN unequal to itself.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameCalib is sameBits over each segment's means and deviations.
+func sameCalib(a, b []Calib) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameBits([][]float64{a[i].Means, a[i].Stds}, [][]float64{b[i].Means, b[i].Stds}) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPipelineSnapshotRejectsMismatch covers the config/state contract:
 // a snapshot only restores into an identically configured pipeline.
 func TestPipelineSnapshotRejectsMismatch(t *testing.T) {
 	records, _ := stageStream(200)
-	p := buildPipeline(t, nil)
+	p := buildPipeline(t, transform.Correlation, nil)
 	feed(t, p, records, nil)
 	snap, err := p.Snapshot()
 	if err != nil {
@@ -195,8 +265,41 @@ func TestPipelineSnapshotRejectsMismatch(t *testing.T) {
 		t.Fatal("pipeline with a different density window accepted the snapshot")
 	}
 
+	// A detect stage that carries a closest-pair detector payload was
+	// written before closest-pair refitted from Ref: refused by its
+	// retired tag.
+	cp := closestpair.New(nil)
+	stage, err := NewDetectStage("veh-A", DetectConfig{Detector: cp, Thresholder: thresholds.NewSelfTuning(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thSnap, err := thresholds.NewSelfTuning(3).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old, cpSnap checkpoint.Buf
+	cpSnap.Uint8(10) // what an unfitted closest-pair wrote: no names, no columns
+	cpSnap.Int(0)
+	cpSnap.Float64Rows(nil)
+	cpSnap.Float64Rows(nil)
+	old.Uint8(detectStageTag)
+	old.Uint8(uint8(StateCollecting))
+	old.Bool(false)
+	old.Uint64(0)
+	old.Float64Rows(nil)
+	old.Bools(make([]bool, 1))
+	old.Int(0)
+	old.Int(0)
+	old.Float64s(nil)
+	old.Float64s(nil)
+	old.Bytes64(cpSnap.Bytes())
+	old.Bytes64(thSnap)
+	if err := stage.Restore(old.Bytes()); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "tag 10") {
+		t.Errorf("detect stage with a closest-pair payload: err = %v, want ErrBadSnapshot naming tag 10", err)
+	}
+
 	// Corrupted payloads error, never panic.
-	target := buildPipeline(t, nil)
+	target := buildPipeline(t, transform.Correlation, nil)
 	for _, cut := range []int{0, 1, len(snap) / 3, len(snap) - 1} {
 		if err := target.Restore(snap[:cut]); err == nil {
 			t.Fatalf("truncated snapshot (%d bytes) accepted", cut)

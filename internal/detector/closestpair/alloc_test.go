@@ -43,14 +43,31 @@ func TestScoreIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// benchQueries returns 4 096 seeded random vectors for the benchmarks to
+// cycle through. Scoring one fixed vector lets the branch predictor
+// learn all 15 binary searches: on a 2-CPU Xeon that read 233–236 ns/op
+// against 877–913 for varied queries, which is what ingest pays.
+func benchQueries() [][]float64 {
+	rng := rand.New(rand.NewSource(8))
+	qs := make([][]float64, 4096)
+	for i := range qs {
+		qs[i] = make([]float64, 15)
+		for j := range qs[i] {
+			qs[i][j] = rng.NormFloat64()
+		}
+	}
+	return qs
+}
+
 // BenchmarkScoreInto measures the allocation-free scoring fast path;
 // allocs/op must report 0.
 func BenchmarkScoreInto(b *testing.B) {
-	d, x, dst := fittedDetector(b)
+	d, _, dst := fittedDetector(b)
+	qs := benchQueries()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.ScoreInto(x, dst); err != nil {
+		if err := d.ScoreInto(qs[i%len(qs)], dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,11 +75,12 @@ func BenchmarkScoreInto(b *testing.B) {
 
 // BenchmarkScore measures the allocating interface path for contrast.
 func BenchmarkScore(b *testing.B) {
-	d, x, _ := fittedDetector(b)
+	d, _, _ := fittedDetector(b)
+	qs := benchQueries()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Score(x); err != nil {
+		if _, err := d.Score(qs[i%len(qs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,13 +31,15 @@ var ErrDimension = errors.New("detector: feature dimension mismatch")
 // 3.3/3.6), whereas the reconstruction and conformal techniques emit a
 // single aggregate channel.
 //
-// A detector joins the stack-wide checkpoint/restore seam by
-// implementing checkpoint.Snapshotter (every built-in technique does):
-// Snapshot serialises its fitted and streaming state — reference
-// indexes, trained weights — never its configuration, which the owner
-// reconstructs by calling the technique's New with the same parameters
-// before Restore, and Score on the restored instance must return exactly
-// what the original would have returned.
+// A detector joins the stack-wide checkpoint/restore seam in one of two
+// ways. A SelfCalibrator is refitted from the checkpointed Ref on
+// restore and carries no payload of its own (closest-pair). Any other
+// detector implements checkpoint.Snapshotter (Grand, TranAD and
+// regression do): Snapshot serialises its fitted and streaming state —
+// trained weights, martingales — never its configuration, which the
+// owner reconstructs by calling the technique's New with the same
+// parameters before Restore. Either way, Score on the restored instance
+// must return exactly what the original would have returned.
 type Detector interface {
 	// Name returns the canonical technique name used in result tables.
 	Name() string
@@ -119,10 +121,11 @@ func ScoreRunInto(d Detector, xs [][]float64, dst []float64) error {
 var ErrBadSnapshot = errors.New("detector: malformed snapshot")
 
 // CheckTag reads a snapshot payload's leading tag and refuses one that is
-// not want, naming both. The techniques' tags are 10 (closest-pair), 11
-// (Grand), 12 (TranAD) and 13 (regression); 14 and 15 were the removed
-// isolation-forest and MLP detectors and are retired, never to be
-// reused, so a snapshot one of them wrote fails to restore by name.
+// not want, naming both. The techniques' tags are 11 (Grand), 12
+// (TranAD) and 13 (regression). 10 was closest-pair's, which now refits
+// from Ref, and 14 and 15 were the removed isolation-forest and MLP
+// detectors: all three are retired, never to be reused, so a snapshot
+// one of them wrote fails to restore by name.
 func CheckTag(r *checkpoint.RBuf, want uint8) error {
 	if got := r.Uint8(); got != want {
 		return fmt.Errorf("%w: tag %d, want %d", ErrBadSnapshot, got, want)
@@ -136,6 +139,10 @@ func CheckTag(r *checkpoint.RBuf, want uint8) error {
 // calibrates thresholds from the leave-one-out scores instead of holding
 // out a calibration tail — both the fit and the calibration then see all
 // of Ref, which matters when profiles are only a few dozen samples.
+//
+// Fit must be a deterministic function of ref: a checkpoint carries no
+// payload for a SelfCalibrator, and restore calls Fit on the
+// checkpointed Ref.
 type SelfCalibrator interface {
 	// LOOScores returns, for each reference sample used in the last
 	// Fit, its per-channel score computed as if that sample were not

@@ -25,7 +25,31 @@ func makeRef(rng *rand.Rand, rows, dim int) [][]float64 {
 	return ref
 }
 
-// TestDetectorSnapshotRoundTrip fits every technique, scores a stream
+// snapshotters returns the paper techniques whose checkpoint carries a
+// detector payload. Every technique is either a checkpoint.Snapshotter
+// or a detector.SelfCalibrator, never both: the detect stage refits a
+// SelfCalibrator (closest-pair) from Ref on restore, so its restore leg
+// is the stage's and the resume and drain gates'.
+func snapshotters(t *testing.T) []eval.Technique {
+	t.Helper()
+	var out []eval.Technique
+	for _, tech := range eval.PaperTechniques() {
+		d, err := eval.NewDetector(tech, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, snap := d.(checkpoint.Snapshotter)
+		if _, self := d.(detector.SelfCalibrator); self == snap {
+			t.Fatalf("%s: Snapshotter %v, SelfCalibrator %v: want exactly one", tech, snap, self)
+		}
+		if snap {
+			out = append(out, tech)
+		}
+	}
+	return out
+}
+
+// TestDetectorSnapshotRoundTrip fits every Snapshotter technique, scores a stream
 // prefix, freezes the detector, restores the snapshot into a freshly
 // constructed instance and verifies the restored detector scores the
 // stream suffix bit-identically to the uninterrupted original. This is
@@ -40,7 +64,7 @@ func TestDetectorSnapshotRoundTrip(t *testing.T) {
 		post = 25
 		seed = 42
 	)
-	techniques := eval.PaperTechniques()
+	techniques := snapshotters(t)
 	for _, tech := range techniques {
 		tech := tech
 		t.Run(tech.String(), func(t *testing.T) {
@@ -98,14 +122,14 @@ func TestDetectorSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDetectorSnapshotRejectsForeign feeds each technique's snapshot to
-// every OTHER technique: all must refuse with an error, never panic or
-// silently accept.
+// TestDetectorSnapshotRejectsForeign feeds each Snapshotter technique's
+// snapshot to every OTHER one: all must refuse with an error, never
+// panic or silently accept.
 func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 	const dim, rows, seed = 5, 40, 7
 	rng := rand.New(rand.NewSource(3))
 	ref := makeRef(rng, rows, dim)
-	techniques := eval.PaperTechniques()
+	techniques := snapshotters(t)
 
 	snaps := make(map[eval.Technique][]byte)
 	for _, tech := range techniques {
@@ -146,10 +170,11 @@ func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 			}
 		}
 	}
-	// Tags 14 and 15 were the removed isolation-forest and MLP
-	// detectors: every technique refuses them by name.
+	// Tag 10 was closest-pair's, which now refits from Ref, and 14 and
+	// 15 were the removed isolation-forest and MLP detectors: every
+	// technique refuses them by name.
 	t.Run("retired-tag", func(t *testing.T) {
-		for _, tag := range []uint8{14, 15} {
+		for _, tag := range []uint8{10, 14, 15} {
 			tag := tag
 			t.Run(fmt.Sprintf("tag=%d", tag), func(t *testing.T) {
 				for _, tech := range techniques {
@@ -172,7 +197,7 @@ func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 // round-trips: a snapshot taken before Fit restores to a detector that
 // still refuses to score.
 func TestUnfittedDetectorSnapshotRoundTrip(t *testing.T) {
-	techniques := eval.PaperTechniques()
+	techniques := snapshotters(t)
 	for _, tech := range techniques {
 		d, err := eval.NewDetector(tech, nil, 1)
 		if err != nil {
@@ -202,11 +227,12 @@ func TestCheckTag(t *testing.T) {
 		want    uint8
 		errMsg  string // "" means accepted
 	}{
-		{"match", []byte{10, 0xAA}, 10, ""},
-		{"retired-14", []byte{14, 0xAA}, 10, "tag 14, want 10"},
+		{"match", []byte{11, 0xAA}, 11, ""},
+		{"retired-10", []byte{10, 0xAA}, 12, "tag 10, want 12"},
+		{"retired-14", []byte{14, 0xAA}, 11, "tag 14, want 11"},
 		{"retired-15", []byte{15, 0xAA}, 13, "tag 15, want 13"},
 		{"foreign", []byte{11, 0xAA}, 12, "tag 11, want 12"},
-		{"empty", nil, 10, "tag 0, want 10"},
+		{"empty", nil, 11, "tag 0, want 11"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,9 +63,10 @@ func goldenCheckpoint(t *testing.T, shards int) string {
 // TestCheckpointBytesGolden pins the NVCHKPT1 stream byte for byte: the
 // stats section, the skip section (config-skipped and failed vehicles
 // both land in it) and every vehicle section, at 1 and 3 shards. The
-// digests in testdata/engine_small.ckpt.sha256 were written by the
-// commit BEFORE the shard's per-vehicle maps were folded into one entry
-// and must never be regenerated from the code under test: a mismatch
+// digests in testdata/engine_small.ckpt.sha256 last moved on purpose
+// when closest-pair stopped writing a detector payload (the detect stage
+// refits it from Ref) and the correlation transform its eviction ring.
+// They must never be regenerated from the code under test: a mismatch
 // means checkpoints and handoff frames written by an older binary no
 // longer describe the same fleet.
 func TestCheckpointBytesGolden(t *testing.T) {

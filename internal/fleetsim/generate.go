@@ -420,10 +420,3 @@ func (f *Fleet) AllVehicleIDs() []string {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

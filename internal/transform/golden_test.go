@@ -20,9 +20,10 @@ import (
 // through a fixed script and feeds every emitted vector's Float64bits
 // into emits and every mid-window snapshot into snaps. The script
 // covers what a transformer's state can go through: plain tumbling
-// windows, a trip gap over maxGap mid-window, a Reset mid-window, a
-// sliding overflow (collecting past full without emitting), and a
-// snapshot restored into a fresh instance that carries on the stream.
+// windows, a trip gap over maxGap mid-window, a Reset mid-window,
+// collecting past a full window without emitting (the correlation
+// transform starts its next window there), and a snapshot restored into
+// a fresh instance that carries on the stream.
 func goldenStream(t *testing.T, kind Kind, emits, snaps hash.Hash) {
 	t.Helper()
 	tr, err := New(kind, 12)
@@ -73,7 +74,7 @@ func goldenStream(t *testing.T, kind Kind, emits, snaps hash.Hash) {
 	run(5)
 	tr.Reset() // mid-window
 	run(30)
-	for i := 0; i < 19; i++ { // sliding overflow: past full, no emit
+	for i := 0; i < 19; i++ { // past full, no emit
 		tr.Collect(next(time.Minute))
 	}
 	snapshot()
@@ -96,8 +97,10 @@ func goldenStream(t *testing.T, kind Kind, emits, snaps hash.Hash) {
 // snapshots hold, bit for bit, to the SHA-256 digests in
 // testdata/transform.sha256. The digests were written by the commit
 // before the transformers' emission and snapshot seams were folded into
-// the Transformer interface and must never be regenerated from the code
-// under test: a mismatch means features or checkpoints changed.
+// the Transformer interface; correlation's two moved on purpose when a
+// record past a full window began to start the next window and the
+// eviction ring left its snapshot. They must never be regenerated from
+// the code under test: a mismatch means features or checkpoints changed.
 func TestTransformGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/transform.sha256")
 	if err != nil {

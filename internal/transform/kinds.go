@@ -43,15 +43,14 @@ func (g *gapGuard) reset() { g.last = time.Time{} }
 // shifted by the first record of the current window before accumulation:
 // any fixed shift leaves the covariance algebra exact, and it keeps the
 // sums of a constant signal at exactly zero, so "no variance → r = 0"
-// holds bit-for-bit like the two-pass mat.Pearson it replaces. A small
-// ring of shifted records is kept only to support eviction if a caller
-// pushes past a full window without emitting.
+// holds bit-for-bit like the two-pass mat.Pearson it replaces. The
+// moments are all the state there is: a record collected into a full
+// window that was not emitted starts the next window, as a trip gap
+// does.
 type corrTransformer struct {
 	window int
 	gap    gapGuard
 
-	ring  [][obd.NumPIDs]float64 // shifted values, for eviction only
-	next  int
 	n     int                  // records currently accumulated (≤ window)
 	shift [obd.NumPIDs]float64 // per-PID offset fixed at window start
 
@@ -60,10 +59,7 @@ type corrTransformer struct {
 }
 
 func newCorrelation(window int) *corrTransformer {
-	return &corrTransformer{
-		window: window,
-		ring:   make([][obd.NumPIDs]float64, window),
-	}
+	return &corrTransformer{window: window}
 }
 
 func (c *corrTransformer) Name() string { return Correlation.String() }
@@ -85,7 +81,7 @@ func (c *corrTransformer) FeatureNames() []string {
 }
 
 func (c *corrTransformer) Collect(r timeseries.Record) {
-	if c.gap.broken(r.Time) {
+	if c.gap.broken(r.Time) || c.n == c.window {
 		c.clear()
 	}
 	if c.n == 0 {
@@ -95,20 +91,6 @@ func (c *corrTransformer) Collect(r timeseries.Record) {
 	for i := range v {
 		v[i] = r.Values[i] - c.shift[i]
 	}
-	if c.n == c.window {
-		// Sliding overflow (a caller pushed past a full window without
-		// emitting): evict the oldest record's contributions.
-		old := c.ring[c.next]
-		for i := 0; i < int(obd.NumPIDs); i++ {
-			c.sum[i] -= old[i]
-			for j := i; j < int(obd.NumPIDs); j++ {
-				c.prod[i][j] -= old[i] * old[j]
-			}
-		}
-		c.n--
-	}
-	c.ring[c.next] = v
-	c.next = (c.next + 1) % c.window
 	c.n++
 	for i := 0; i < int(obd.NumPIDs); i++ {
 		c.sum[i] += v[i]
@@ -151,7 +133,6 @@ func (c *corrTransformer) EmitInto(dst []float64) {
 // clear restarts the accumulator for the next tumbling window.
 func (c *corrTransformer) clear() {
 	c.n = 0
-	c.next = 0
 	c.sum = [obd.NumPIDs]float64{}
 	c.prod = [obd.NumPIDs][obd.NumPIDs]float64{}
 }

@@ -16,10 +16,11 @@ var ErrBadSnapshot = errors.New("transform: malformed snapshot")
 
 // Per-kind payload tags: restoring a delta snapshot into a correlation
 // transformer must fail loudly, not bend state. Tags 5 and 6 were the
-// histogram and spectral transforms, since removed: they must never be
+// histogram and spectral transforms, since removed, and tag 1 was the
+// correlation layout that carried an eviction ring: they must never be
 // reused, so a snapshot one of them wrote fails to restore by name.
 const (
-	corrTag  = uint8(1)
+	corrTag  = uint8(7)
 	rawTag   = uint8(2)
 	deltaTag = uint8(3)
 	meanTag  = uint8(4)
@@ -76,9 +77,7 @@ func getRecord(r *checkpoint.RBuf) timeseries.Record {
 	return rec
 }
 
-// Snapshot writes the ring oldest-first, so the payload is canonical
-// regardless of how the ring happened to be rotated when the snapshot
-// was taken.
+// Snapshot writes the window's running moments and the gap-guard clock.
 func (c *corrTransformer) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(corrTag)
@@ -94,12 +93,6 @@ func (c *corrTransformer) Snapshot() ([]byte, error) {
 	for i := 0; i < int(obd.NumPIDs); i++ {
 		for j := i; j < int(obd.NumPIDs); j++ {
 			b.Float64(c.prod[i][j])
-		}
-	}
-	for r := 0; r < c.n; r++ {
-		row := c.ring[(c.next-c.n+r+2*c.window)%c.window]
-		for _, v := range row {
-			b.Float64(v)
 		}
 	}
 	return b.Bytes(), nil
@@ -131,22 +124,14 @@ func (c *corrTransformer) Restore(data []byte) error {
 	if n < 0 || n > c.window {
 		return ErrBadSnapshot
 	}
-	ring := make([][obd.NumPIDs]float64, c.window)
-	for i := 0; i < n; i++ {
-		for k := range ring[i] {
-			ring[i][k] = r.Float64()
-		}
-	}
 	if err := r.Close(); err != nil {
 		return err
 	}
 	c.n = n
-	c.next = n % c.window
 	c.gap.last = last
 	c.shift = shift
 	c.sum = sum
 	c.prod = prod
-	c.ring = ring
 	return nil
 }
 

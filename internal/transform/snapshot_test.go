@@ -244,7 +244,7 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 			}
 			corr12, _ := New(Correlation, 12)
 			if err := corr12.Restore(b.Bytes()); !errors.Is(err, ErrBadSnapshot) {
-				t.Errorf("correlation restoring a ring count of 1<<50: err = %v, want ErrBadSnapshot", err)
+				t.Errorf("correlation restoring a record count of 1<<50: err = %v, want ErrBadSnapshot", err)
 			}
 		})
 		t.Run("delta", func(t *testing.T) {
@@ -263,11 +263,11 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 		})
 	})
 	// Tags 5 and 6 were the removed histogram and spectral transforms,
-	// whose snapshots had the mean's layout: every kind refuses them by
-	// name.
+	// whose snapshots had the mean's layout, and tag 1 the correlation
+	// layout with an eviction ring: every kind refuses them by name.
 	t.Run("retired-tag", func(t *testing.T) {
 		snap := snapshotAfter(t, MeanAgg, 12, 9)
-		for _, tag := range []uint8{5, 6} {
+		for _, tag := range []uint8{1, 5, 6} {
 			tag := tag
 			retired := append([]byte{tag}, snap[1:]...)
 			t.Run(fmt.Sprintf("tag=%d", tag), func(t *testing.T) {
@@ -286,12 +286,12 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 	})
 }
 
-// TestCorrSlidingOverflowMatchesTwoPass is the property test for the
-// sliding-overflow path: pushing past a full window without emitting
-// must keep the running moments equal to a two-pass Pearson over
-// exactly the retained window, for arbitrary streams and overflow
-// amounts.
-func TestCorrSlidingOverflowMatchesTwoPass(t *testing.T) {
+// TestCorrOverflowStartsNextWindow is the property test for collecting
+// past a full window without emitting: that record starts the next
+// window, so after n un-emitted records the running moments must equal a
+// two-pass Pearson over exactly the last (n-1) mod window + 1 of them,
+// for arbitrary streams and overflow amounts.
+func TestCorrOverflowStartsNextWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	base := time.Date(2023, 5, 1, 9, 0, 0, 0, time.UTC)
 	for trial := 0; trial < 60; trial++ {
@@ -304,24 +304,25 @@ func TestCorrSlidingOverflowMatchesTwoPass(t *testing.T) {
 			records[i] = randRecord(rng, base.Add(time.Duration(i)*time.Minute))
 			if trial%5 == 0 {
 				// Constant-signal trials: every PID pinned, so the
-				// no-variance → r = 0 convention is exercised through
-				// eviction as well.
+				// no-variance → r = 0 convention is exercised across
+				// window restarts as well.
 				for p := range records[i].Values {
 					records[i].Values[p] = 42
 				}
 			}
 			c.Collect(records[i])
 		}
-		if !c.Ready() {
-			t.Fatalf("trial %d: transformer not ready after %d records", trial, n)
+		held := (n-1)%window + 1
+		if c.Ready() != (held == window) {
+			t.Fatalf("trial %d: Ready = %v holding %d of a %d-record window", trial, c.Ready(), held, window)
 		}
 		got := emit(c)
 
-		// Oracle: two-pass Pearson over the last `window` records only.
-		kept := records[n-window:]
+		// Oracle: two-pass Pearson over the held records only.
+		kept := records[n-held:]
 		cols := make([][]float64, obd.NumPIDs)
 		for p := range cols {
-			cols[p] = make([]float64, window)
+			cols[p] = make([]float64, held)
 			for i, r := range kept {
 				cols[p][i] = r.Values[p]
 			}
@@ -344,15 +345,15 @@ func TestCorrSlidingOverflowMatchesTwoPass(t *testing.T) {
 }
 
 // TestCorrSnapshotMidOverflowRoundTrip freezes the correlation
-// transformer after the eviction path has run (full window, no emit)
-// and checks the restored instance continues bit-identically through
-// further evictions and the eventual emit.
+// transformer after it has collected past a full window without
+// emitting and checks the restored instance continues bit-identically
+// through further window restarts and the final emit.
 func TestCorrSnapshotMidOverflowRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	base := time.Date(2023, 6, 1, 7, 0, 0, 0, time.UTC)
 	for trial := 0; trial < 20; trial++ {
 		window := 4 + rng.Intn(8)
-		preRoll := window + 1 + rng.Intn(2*window) // guaranteed past full: eviction has run
+		preRoll := window + 1 + rng.Intn(2*window) // guaranteed past a full window
 		tail := 1 + rng.Intn(2*window)
 		records := make([]timeseries.Record, preRoll+tail)
 		for i := range records {
