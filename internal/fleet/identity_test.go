@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,10 +39,18 @@ type identityCase struct {
 	shards, batch, chunk int
 }
 
-// admitPath feeds a case's stream into a live engine and returns the
-// batch context each record arrived with (nil for untraced paths) and
-// how many traced batches it admitted.
-type admitPath func(t *testing.T, e *Engine, c identityCase) (map[recKey]*obs.BatchCtx, int)
+// admitted is what an admission path handed a live engine: the batch
+// context each record arrived with (nil for untraced paths), how many
+// traced batches it admitted, and how many records and events it
+// passed in, re-sends included.
+type admitted struct {
+	origin          map[recKey]*obs.BatchCtx
+	batches         int
+	records, events int
+}
+
+// admitPath feeds a case's stream into a live engine.
+type admitPath func(t *testing.T, e *Engine, c identityCase) admitted
 
 // TestEngineMatchesSerialReplay is the engine's determinism guarantee,
 // one row per admission path, each with the observer off and on: at
@@ -76,11 +86,11 @@ func TestEngineMatchesSerialReplay(t *testing.T) {
 		}
 		return out
 	}
-	replay := func(t *testing.T, e *Engine, c identityCase) (map[recKey]*obs.BatchCtx, int) {
+	replay := func(t *testing.T, e *Engine, c identityCase) admitted {
 		if err := e.Replay(c.stream.records, c.stream.events); err != nil {
 			t.Fatal(err)
 		}
-		return nil, 0
+		return admitted{records: len(c.stream.records), events: len(c.stream.events)}
 	}
 	rows := []struct {
 		name  string
@@ -91,30 +101,22 @@ func TestEngineMatchesSerialReplay(t *testing.T) {
 		{"replay-grid", grid, replay},
 		// The merged stream cut at arbitrary points, so calls span shard
 		// boundaries and split record/event ties.
-		{"ingest-batch", sweep([]int{1, 2, 3}, []int{16}, []int{1, 37, 1024}), func(t *testing.T, e *Engine, c identityCase) (map[recKey]*obs.BatchCtx, int) {
-			var recs []timeseries.Record
-			var evs []obd.Event
-			admit := func(full bool) error {
-				if full && len(recs)+len(evs) < c.chunk {
-					return nil
-				}
-				err := e.IngestBatch(recs, evs)
-				recs, evs = recs[:0], evs[:0]
-				return err
-			}
-			err := core.Merged("", c.stream.records, c.stream.events,
-				func(ev obd.Event) error { evs = append(evs, ev); return admit(true) },
-				func(r timeseries.Record) error { recs = append(recs, r); return admit(true) })
-			if err == nil {
-				err = admit(false)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return nil, 0
+		{"ingest-batch", sweep([]int{1, 2, 3}, []int{16}, []int{1, 37, 1024}), func(t *testing.T, e *Engine, c identityCase) admitted {
+			return ingestCalls(t, e, mergedCalls(c.stream, c.chunk), 1)
+		}},
+		// Every call sent twice, as a producer that never saw its reply
+		// re-sends: the second copy changes nothing.
+		{"resend", sweep([]int{1, 3}, []int{16}, []int{37}), func(t *testing.T, e *Engine, c identityCase) admitted {
+			return ingestCalls(t, e, mergedCalls(c.stream, c.chunk), 2)
+		}},
+		// Records grouped by vehicle in calls of c.chunk records, every
+		// event in the first call: each vehicle's records meet its
+		// events calls after them.
+		{"grouped", sweep([]int{1, 3}, []int{16}, []int{512}), func(t *testing.T, e *Engine, c identityCase) admitted {
+			return ingestCalls(t, e, groupedCalls(c.stream, c.chunk), 1)
 		}},
 		// NVWIRE1 frames, stream-decoded straight into IngestBatch.
-		{"wire", sweep([]int{1, 2}, []int{16}, []int{256}), func(t *testing.T, e *Engine, c identityCase) (map[recKey]*obs.BatchCtx, int) {
+		{"wire", sweep([]int{1, 2}, []int{16}, []int{256}), func(t *testing.T, e *Engine, c identityCase) admitted {
 			frames, n, err := wire.EncodeStream(nil, c.stream.records, c.stream.events, c.chunk)
 			if err != nil {
 				t.Fatal(err)
@@ -126,12 +128,13 @@ func TestEngineMatchesSerialReplay(t *testing.T) {
 			if err != nil || n < 2 || decoded != n {
 				t.Fatalf("decoded %d of %d frames (%v); the multi-frame path needs at least 2", decoded, n, err)
 			}
-			return nil, 0
+			return admitted{records: len(c.stream.records), events: len(c.stream.events)}
 		}},
 		// IngestBatchCtx, one BatchCtx per chunk as serve attaches one per
 		// frame, with every fourth chunk untraced.
-		{"traced-grid", grid, func(t *testing.T, e *Engine, c identityCase) (map[recKey]*obs.BatchCtx, int) {
-			return ingestTraced(t, e, c.stream.records, c.stream.events, c.chunk, 4)
+		{"traced-grid", grid, func(t *testing.T, e *Engine, c identityCase) admitted {
+			origin, batches := ingestTraced(t, e, c.stream.records, c.stream.events, c.chunk, 4)
+			return admitted{origin, batches, len(c.stream.records), len(c.stream.events)}
 		}},
 	}
 
@@ -159,7 +162,7 @@ func TestEngineMatchesSerialReplay(t *testing.T) {
 					}
 					e := newEngine(t, cfg)
 					wait := drainAlarms(e)
-					origin, batches := row.admit(t, e, c)
+					in := row.admit(t, e, c)
 					if err := e.Close(); err != nil {
 						t.Fatal(err)
 					}
@@ -167,18 +170,73 @@ func TestEngineMatchesSerialReplay(t *testing.T) {
 					sortAlarms(got)
 					requireSameAlarms(t, row.name, got, want)
 					st := e.Stats()
-					if st.RecordsIn != uint64(len(s.records)) || st.EventsIn != uint64(len(s.events)) ||
+					if st.RecordsIn != uint64(in.records) || st.EventsIn != uint64(in.events) ||
 						st.Alarms != uint64(len(want)) || st.Vehicles != s.vehicles || st.SamplesScored == 0 && len(want) > 0 || st.Drops != 0 {
 						t.Errorf("stats %+v; want %d records, %d events, %d alarms, %d vehicles, samples scored and no drops",
-							st, len(s.records), len(s.events), len(want), s.vehicles)
+							st, in.records, in.events, len(want), s.vehicles)
 					}
 					if observed {
-						checkJournal(t, reg, j, s.technique, s.transform, len(got), origin, batches)
+						checkJournal(t, reg, j, s.technique, s.transform, len(got), in.origin, in.batches)
 					}
 				})
 			}
 		}
 	}
+}
+
+// batchCall is the records and events of one IngestBatch call.
+type batchCall struct {
+	records []timeseries.Record
+	events  []obd.Event
+}
+
+// mergedCalls cuts a stream, merged by core.Merged, into calls of n
+// items each.
+func mergedCalls(s *identityStream, n int) []batchCall {
+	var calls []batchCall
+	i0, j0, i, j := 0, 0, 0, 0
+	cut := func(full bool) error {
+		if i+j-i0-j0 == n || !full && i+j > i0+j0 {
+			calls = append(calls, batchCall{s.records[i0:i], s.events[j0:j]})
+			i0, j0 = i, j
+		}
+		return nil
+	}
+	core.Merged("", s.records, s.events,
+		func(obd.Event) error { j++; return cut(true) },
+		func(timeseries.Record) error { i++; return cut(true) })
+	cut(false)
+	return calls
+}
+
+// groupedCalls sorts a stream's records by vehicle, each vehicle's in
+// time order, and cuts them into calls of n records; every event rides
+// in the first call.
+func groupedCalls(s *identityStream, n int) []batchCall {
+	recs := slices.Clone(s.records)
+	slices.SortStableFunc(recs, func(a, b timeseries.Record) int { return strings.Compare(a.VehicleID, b.VehicleID) })
+	var calls []batchCall
+	for start := 0; start < len(recs); start += n {
+		calls = append(calls, batchCall{records: recs[start:min(start+n, len(recs))]})
+	}
+	calls[0].events = s.events
+	return calls
+}
+
+// ingestCalls hands each call to IngestBatch sends times in a row.
+func ingestCalls(t *testing.T, e *Engine, calls []batchCall, sends int) admitted {
+	t.Helper()
+	var in admitted
+	for _, c := range calls {
+		for range sends {
+			if err := e.IngestBatch(c.records, c.events); err != nil {
+				t.Fatal(err)
+			}
+			in.records += len(c.records)
+			in.events += len(c.events)
+		}
+	}
+	return in
 }
 
 // newTestConfig is testConfig as an engine factory.
