@@ -217,11 +217,12 @@ trace-overhead:
 
 ## fuzz-smoke: a short fuzz of the binary codecs exposed to untrusted
 ## bytes — the checkpoint container, the NVWIRE1 telemetry frame
-## decoder, and the per-vehicle state codec that handoff frames carry —
-## and of the two numeric kernels whose shape and content the fuzzer can
-## steer. The codecs must reject arbitrary corruption with typed
-## errors, never a panic or an over-read, and accepted vehicle states
-## must re-encode canonically; mat.Product must match its scalar loops
+## decoder, the per-vehicle state codec that handoff frames carry and
+## the pipeline snapshot inside it — and of the two numeric kernels whose
+## shape and content the fuzzer can steer. The codecs must reject
+## arbitrary corruption with typed errors, never a panic or an
+## over-read, accepted vehicle states must re-encode canonically, and a
+## restored pipeline must take a stream; mat.Product must match its scalar loops
 ## bit for bit at any shape, stride and content and touch nothing
 ## outside Out, and mat.SoftmaxRows must match softmaxRow at any row
 ## length, count, scale and content and touch nothing outside its rows.
@@ -229,6 +230,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireDecode' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzVehicleStateRoundTrip' -fuzztime 10s ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz 'FuzzPipelineRestore' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzProduct' -fuzztime 10s ./internal/mat/
 	$(GO) test -run '^$$' -fuzz 'FuzzSoftmaxRows' -fuzztime 10s ./internal/mat/
 
@@ -241,14 +243,16 @@ fuzz-smoke:
 ## block a multi-item call on a full shard queue
 ## (TestEngineBackpressureBlocksAtQueueDepth's fill-calls=1 row) and
 ## reproduce the serial replay's alarms bit for bit in arbitrary chunks
-## at 1-3 shards and straight off decoded NVWIRE1 frames at 1 and 2
-## (TestEngineMatchesSerialReplay's ingest-batch and wire rows), and the
+## at 1-3 shards, with every call sent twice, with records grouped by
+## vehicle and straight off decoded NVWIRE1 frames at 1 and 2
+## (TestEngineMatchesSerialReplay's ingest-batch, resend, grouped and
+## wire rows), and the
 ## HTTP front end must admit, journal, and reject end-to-end, on
 ## pooled decoders, inside its per-POST allocation bound (the ingest
 ## tests by name: `race` has just run the rest of the package).
 ingest-smoke:
 	$(call named,./internal/wire/,TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget)
-	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/ingest-batch TestEngineMatchesSerialReplay/wire TestEngineBackpressureBlocksAtQueueDepth/fill-calls=1 TestIngestBatchEmptyAndClosed TestIngestBatchDuringCheckpointBarrier TestIngestRecordAllocFree)
+	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/ingest-batch TestEngineMatchesSerialReplay/resend TestEngineMatchesSerialReplay/grouped TestEngineMatchesSerialReplay/wire TestEngineBackpressureBlocksAtQueueDepth/fill-calls=1 TestIngestBatchEmptyAndClosed TestIngestBatchDuringCheckpointBarrier TestIngestRecordAllocFree)
 	$(call named,./cmd/navarchos-serve/,TestServeWireIngestEndToEnd|TestServeStreamEndpoint|TestServeRejectsCorruptUpload|TestServeTextFormats|TestIngest)
 
 ## bench-smoke: one iteration of the throughput (64 vehicles and the

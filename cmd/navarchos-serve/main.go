@@ -27,9 +27,9 @@
 //	                      adoptions, peer conflicts (?n=, ?vehicle=)
 //	     /debug/vars, /debug/pprof/*
 //
-// Producers must upload each vehicle's telemetry in chronological
-// order; under that contract the alarms are bit-identical to an
-// offline Replay of the same stream. -checkpoint / -resume carry the
+// Producers must upload each vehicle's records in time order, events in
+// any frame; under that contract the alarms are bit-identical to an
+// offline Replay of the same stream, re-sent frames included. -checkpoint / -resume carry the
 // engine's mutable state across restarts without changing an alarm; the
 // checkpoint replaces its file atomically, so both flags may name the
 // same path.

@@ -345,8 +345,8 @@ func (s *server) misrouted(id string, mis *misroute) bool {
 
 // handleIngest admits telemetry, decoded by Content-Type (NVWIRE1 by
 // default, text/csv, application/json) into one FrameSink. Each
-// vehicle's telemetry must arrive in chronological order; batches may
-// interleave vehicles. A binary body is a (possibly chunked) frame
+// vehicle's records must arrive in time order, and a re-sent frame
+// changes nothing; batches may interleave vehicles. A binary body is a (possibly chunked) frame
 // stream admitted frame by frame, with a peer's vehicle-handoff frames
 // adopted in line. The pooled decoder goes back with its handoff sink
 // cleared, so it references neither this response nor (DecodeStream

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/binary"
 	"math"
+	"time"
 )
 
 // Snapshotter is the state/config split every stateful component of the
@@ -66,6 +67,17 @@ func (b *Buf) Int64(v int64) { b.Uint64(uint64(v)) }
 // Float64 appends the IEEE-754 bit pattern of v, preserving NaN
 // payloads and signed zeros so a snapshot round-trip is bit-exact.
 func (b *Buf) Float64(v float64) { b.Uint64(math.Float64bits(v)) }
+
+// Time appends a wall-clock instant as unix nanoseconds behind a zero
+// flag, so the zero time (not 1970) round-trips.
+func (b *Buf) Time(t time.Time) {
+	b.Bool(t.IsZero())
+	if t.IsZero() {
+		b.Int64(0)
+	} else {
+		b.Int64(t.UnixNano())
+	}
+}
 
 // String appends a length-prefixed UTF-8 string.
 func (b *Buf) String(s string) {
@@ -183,6 +195,16 @@ func (r *RBuf) Int64() int64 { return int64(r.Uint64()) }
 // Float64 reads an IEEE-754 bit pattern.
 func (r *RBuf) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
+// Time reads an instant written by Buf.Time, in UTC.
+func (r *RBuf) Time() time.Time {
+	zero := r.Bool()
+	nanos := r.Int64()
+	if zero {
+		return time.Time{}
+	}
+	return time.Unix(0, nanos).UTC()
+}
+
 // sliceLen validates a length prefix against the bytes actually left,
 // with elemSize the minimum encoded size of one element. A corrupted
 // prefix can claim petabytes; bounding it by Remaining keeps decoding
@@ -192,7 +214,7 @@ func (r *RBuf) sliceLen(elemSize int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n < 0 || n*elemSize > r.Remaining() {
+	if n < 0 || n > r.Remaining()/elemSize { // n*elemSize could overflow
 		r.fail()
 		return 0
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"testing"
+	"time"
 )
 
 // rt encodes one stream with the given sections and returns the bytes.
@@ -123,6 +124,9 @@ func TestBufPrimitivesRoundTrip(t *testing.T) {
 	b.Float64s(nil)
 	b.Float64Rows([][]float64{{1}, {2, 3}, nil})
 	b.Bools([]bool{true, false, true})
+	when := time.Date(2023, 5, 1, 8, 0, 0, 7, time.UTC)
+	b.Time(when)
+	b.Time(time.Time{})
 
 	r := NewRBuf(b.Bytes())
 	if got := r.Uint8(); got != 250 {
@@ -171,6 +175,9 @@ func TestBufPrimitivesRoundTrip(t *testing.T) {
 	if got := r.Bools(); len(got) != 3 || !got[0] || got[1] || !got[2] {
 		t.Fatalf("Bools = %v", got)
 	}
+	if got, zero := r.Time(), r.Time(); got != when || !zero.IsZero() {
+		t.Fatalf("Time = %v, %v", got, zero)
+	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -195,14 +202,18 @@ func TestRBufTruncationIsSticky(t *testing.T) {
 }
 
 func TestRBufHostileLengthPrefix(t *testing.T) {
-	var b Buf
-	b.Int(1 << 50) // claims a petabyte-scale slice
-	r := NewRBuf(b.Bytes())
-	if got := r.Float64s(); got != nil {
-		t.Fatalf("hostile Float64s = %v", got)
-	}
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Fatalf("Err = %v", r.Err())
+	// A petabyte-scale slice, and counts whose size in bytes overflows
+	// an int to zero or below.
+	for _, n := range []int{1 << 50, 1 << 61, 1<<62 + 1} {
+		var b Buf
+		b.Int(n)
+		r := NewRBuf(b.Bytes())
+		if got := r.Float64s(); got != nil {
+			t.Fatalf("hostile Float64s = %v", got)
+		}
+		if !errors.Is(r.Err(), ErrTruncated) {
+			t.Fatalf("count %d: Err = %v", n, r.Err())
+		}
 	}
 }
 

@@ -126,13 +126,18 @@ func TestDensityGatingAcrossProfileReset(t *testing.T) {
 	if a := feed(4 + 2); len(a) != 0 {
 		t.Fatalf("pre-reset: %d alarms before density threshold", len(a))
 	}
+	// The service is timed at the next record, so it waits for it and
+	// resets the profile before that record reaches Ref.
 	p.HandleEvent(obd.Event{VehicleID: "v1", Type: obd.EventService, Time: drivingRecordAt(i, rng).Time})
-	if p.State() != StateCollecting {
-		t.Fatal("service event should rebuild the profile")
+	if p.State() != StateDetecting {
+		t.Fatal("a service ahead of the last record must wait for the record at its time")
+	}
+	if a := feed(1); len(a) != 0 || p.State() != StateCollecting || p.RefLen() != 1 {
+		t.Fatalf("service event should rebuild the profile: %d alarms, state %v, Ref %d", len(a), p.State(), p.RefLen())
 	}
 	// Refill + refit, then ONE violating sample. Were the ring carried
 	// across the reset, the stale 2 + this 1 would reach M=3 and alarm.
-	if a := feed(4 + 1); len(a) != 0 {
+	if a := feed(3 + 1); len(a) != 0 {
 		t.Fatalf("post-reset: stale pre-reset violations counted toward density (%d alarms)", len(a))
 	}
 	// Two more violations legitimately reach 3-of-5.

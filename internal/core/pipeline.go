@@ -205,7 +205,10 @@ func NewPipeline(vehicleID string, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{vehicleID: vehicleID, ts: ts, ds: ds, q: sampleQueue{dim: cfg.Transformer.Dim()}}, nil
+	p := &Pipeline{vehicleID: vehicleID, ts: ts, ds: ds, q: sampleQueue{dim: cfg.Transformer.Dim()}}
+	ts.onReset = p.queueReset
+	ds.dim = p.q.dim
+	return p, nil
 }
 
 // VehicleID returns the vehicle this pipeline monitors.
@@ -304,16 +307,18 @@ func (p *Pipeline) SetProvenance(bc *obs.BatchCtx, dequeue time.Time) {
 	p.prov = provenance{bc, dequeue}
 }
 
-// HandleEvent feeds a maintenance event to the pipeline. An event that
-// triggers a reset (per the ResetPolicy) resets the transform stage and
-// queues a reset marker, which discards the reference profile and
-// returns the detect stage to the collecting state when it drains.
+// HandleEvent hands a maintenance event to the transform stage, which
+// applies a reset now or when the vehicle's records reach its time.
 func (p *Pipeline) HandleEvent(ev obd.Event) {
-	if ev.VehicleID != p.vehicleID || !p.ts.ShouldReset(ev) {
-		return
+	if ev.VehicleID == p.vehicleID {
+		p.ts.Event(ev)
 	}
-	p.q.pushReset(ev.Time, p.prov)
-	p.ts.Reset()
+}
+
+// queueReset is the transform stage's reset hook: its marker discards
+// Ref and returns the detect stage to collecting when it drains.
+func (p *Pipeline) queueReset(t time.Time) {
+	p.q.pushReset(t, p.prov)
 	if !p.waiting() {
 		// The queue holds just the marker, which raises neither an
 		// alarm nor an error.

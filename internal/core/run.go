@@ -1,131 +1,52 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
 )
 
 // Merged delivers records and events to the callbacks in chronological
-// order, events first on equal timestamps (a service at 18:00 must reset
-// Ref before an 18:00 record is scored against the old profile). When
-// vehicleID is non-empty, entries for other vehicles are skipped.
-//
-// Both streams are almost always already time-sorted — loggers and the
-// fleet simulator emit them that way — so the merge is a linear
-// two-pointer walk; only genuinely unordered input pays for a stable
-// sort. A non-nil error from either callback aborts the replay.
+// order, events first on equal timestamps, by one two-pointer walk; on
+// unsorted input each stream keeps its own order. When vehicleID is
+// non-empty, entries for other vehicles are skipped. A non-nil error
+// from either callback aborts the replay.
 func Merged(vehicleID string, records []timeseries.Record, events []obd.Event,
 	onEvent func(obd.Event) error, onRecord func(timeseries.Record) error) error {
 	match := func(id string) bool { return vehicleID == "" || id == vehicleID }
-	if streamsSorted(vehicleID, records, events) {
-		i, j := 0, 0
-		for {
-			for i < len(records) && !match(records[i].VehicleID) {
-				i++
-			}
-			for j < len(events) && !match(events[j].VehicleID) {
-				j++
-			}
-			switch {
-			case i >= len(records) && j >= len(events):
-				return nil
-			case i >= len(records):
-				if err := onEvent(events[j]); err != nil {
-					return err
-				}
-				j++
-			case j >= len(events):
-				if err := onRecord(records[i]); err != nil {
-					return err
-				}
-				i++
-			case !events[j].Time.After(records[i].Time):
-				if err := onEvent(events[j]); err != nil {
-					return err
-				}
-				j++
-			default:
-				if err := onRecord(records[i]); err != nil {
-					return err
-				}
-				i++
-			}
+	i, j := 0, 0
+	for {
+		for i < len(records) && !match(records[i].VehicleID) {
+			i++
 		}
-	}
-	// Unordered input: fall back to a full stable sort of merged indices.
-	type item struct {
-		isEvent bool
-		rec     int
-		ev      int
-	}
-	items := make([]item, 0, len(records)+len(events))
-	for i := range records {
-		if match(records[i].VehicleID) {
-			items = append(items, item{rec: i})
+		for j < len(events) && !match(events[j].VehicleID) {
+			j++
 		}
-	}
-	for i := range events {
-		if match(events[i].VehicleID) {
-			items = append(items, item{isEvent: true, ev: i})
-		}
-	}
-	timeOf := func(it item) (t int64, isEvent bool) {
-		if it.isEvent {
-			return events[it.ev].Time.UnixNano(), true
-		}
-		return records[it.rec].Time.UnixNano(), false
-	}
-	sort.SliceStable(items, func(a, b int) bool {
-		ta, ea := timeOf(items[a])
-		tb, eb := timeOf(items[b])
-		if ta != tb {
-			return ta < tb
-		}
-		return ea && !eb
-	})
-	for _, it := range items {
-		if it.isEvent {
-			if err := onEvent(events[it.ev]); err != nil {
+		switch {
+		case i >= len(records) && j >= len(events):
+			return nil
+		case i >= len(records):
+			if err := onEvent(events[j]); err != nil {
 				return err
 			}
-			continue
-		}
-		if err := onRecord(records[it.rec]); err != nil {
-			return err
+			j++
+		case j >= len(events):
+			if err := onRecord(records[i]); err != nil {
+				return err
+			}
+			i++
+		case !events[j].Time.After(records[i].Time):
+			if err := onEvent(events[j]); err != nil {
+				return err
+			}
+			j++
+		default:
+			if err := onRecord(records[i]); err != nil {
+				return err
+			}
+			i++
 		}
 	}
-	return nil
-}
-
-// streamsSorted reports whether both streams are non-decreasing in time
-// over the entries matching vehicleID ("" = all).
-func streamsSorted(vehicleID string, records []timeseries.Record, events []obd.Event) bool {
-	var last int64 = -1 << 62
-	for i := range records {
-		if vehicleID != "" && records[i].VehicleID != vehicleID {
-			continue
-		}
-		t := records[i].Time.UnixNano()
-		if t < last {
-			return false
-		}
-		last = t
-	}
-	last = -1 << 62
-	for i := range events {
-		if vehicleID != "" && events[i].VehicleID != vehicleID {
-			continue
-		}
-		t := events[i].Time.UnixNano()
-		if t < last {
-			return false
-		}
-		last = t
-	}
-	return true
 }
 
 // RunVehicle replays a vehicle's records and events in chronological

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"time"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/detector"
@@ -28,17 +30,18 @@ var ErrNotSnapshottable = errors.New("core: component does not support snapshot/
 // state for this stage or pipeline configuration.
 var ErrBadSnapshot = errors.New("core: malformed snapshot")
 
-// Stage payload tags.
+// Stage payload tags. Tag 20 was the transform stage without its
+// ordering clock: it is never reused, so such a snapshot fails by name.
 const (
-	transformStageTag = uint8(20)
+	transformStageTag = uint8(23)
 	detectStageTag    = uint8(21)
 	pipelineTag       = uint8(22)
 )
 
-// Snapshot returns the transform stage's mutable state: the
-// transformer's buffered window and, when the configuration declares a
-// stateful filter, the filter's state (the stage's own fields are
-// scratch buffers reallocated on demand).
+// Snapshot returns the transform stage's mutable state: its ordering
+// clock with the resets still due, the transformer's buffered window
+// and, when the configuration declares a stateful filter, the filter's
+// state.
 func (s *TransformStage) Snapshot() ([]byte, error) {
 	inner, err := s.cfg.Transformer.Snapshot()
 	if err != nil {
@@ -46,6 +49,12 @@ func (s *TransformStage) Snapshot() ([]byte, error) {
 	}
 	var b checkpoint.Buf
 	b.Uint8(transformStageTag)
+	b.Time(s.clock)
+	b.Time(s.lastReset)
+	b.Int(len(s.due))
+	for _, t := range s.due {
+		b.Time(t)
+	}
 	b.Bytes64(inner)
 	b.Bool(s.cfg.FilterState != nil)
 	if s.cfg.FilterState != nil {
@@ -61,11 +70,20 @@ func (s *TransformStage) Snapshot() ([]byte, error) {
 // Restore loads a TransformStage snapshot into a stage built with the
 // same configuration. Filter statefulness must match: state for a
 // filter the new configuration does not declare (or vice versa) means
-// the configurations differ.
+// the configurations differ, and so does an ordering clock behind its
+// last reset or its due resets not ascending after it.
 func (s *TransformStage) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
-	if r.Uint8() != transformStageTag {
-		return ErrBadSnapshot
+	if tag := r.Uint8(); tag != transformStageTag {
+		return fmt.Errorf("%w: transform-stage tag %d, want %d", ErrBadSnapshot, tag, transformStageTag)
+	}
+	clock, lastReset, n := r.Time(), r.Time(), r.Int()
+	ordered := !lastReset.After(clock) && n >= 0
+	var due []time.Time
+	for prev := clock; n > 0 && r.Err() == nil; n-- {
+		t := r.Time()
+		ordered = ordered && t.After(prev)
+		due, prev = append(due, t), t
 	}
 	inner := r.Bytes64()
 	hasFilter := r.Bool()
@@ -79,6 +97,10 @@ func (s *TransformStage) Restore(data []byte) error {
 	if hasFilter != (s.cfg.FilterState != nil) {
 		return fmt.Errorf("%w: filter statefulness differs between snapshot and configuration", ErrBadSnapshot)
 	}
+	if !ordered {
+		return fmt.Errorf("%w: last reset %v and due resets %v against clock %v", ErrBadSnapshot, lastReset, due, clock)
+	}
+	s.clock, s.lastReset, s.due = clock, lastReset, due
 	if err := s.cfg.Transformer.Restore(inner); err != nil {
 		return err
 	}
@@ -139,8 +161,9 @@ func (d *DetectStage) snapshotter() (checkpoint.Snapshotter, error) {
 // Restore loads a DetectStage snapshot into a stage built with the same
 // configuration. A fitted stage's self-calibrating detector is refitted
 // on the restored Ref; that is not a fit the observer or the trace
-// sees. When the restored stage is fitted and carries a Trace, the
-// active segment's calibration stats are appended to SegCalib so
+// sees. Ref rows must have the pipeline transformer's width (alone, the
+// first row's). When the restored stage is fitted and carries a Trace,
+// the active segment's calibration stats are appended to SegCalib so
 // subsequently scored samples index a valid segment.
 func (d *DetectStage) Restore(data []byte) error {
 	ds, err := d.snapshotter()
@@ -183,6 +206,11 @@ func (d *DetectStage) Restore(data []byte) error {
 	}
 	if violPos < 0 || violPos >= len(violRing) || violCount < 0 || violCount > len(violRing) {
 		return ErrBadSnapshot
+	}
+	for _, row := range ref {
+		if w := cmp.Or(d.dim, len(ref[0])); len(row) != w || w == 0 {
+			return fmt.Errorf("%w: a Ref row of width %d, want %d", ErrBadSnapshot, len(row), w)
+		}
 	}
 	switch {
 	case ds != nil:

@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/detector"
@@ -18,7 +21,7 @@ import (
 
 // buildPipeline constructs the standard test pipeline (kind →
 // closest-pair → self-tuning) writing into trace.
-func buildPipeline(t *testing.T, kind transform.Kind, trace *Trace) *Pipeline {
+func buildPipeline(t testing.TB, kind transform.Kind, trace *Trace) *Pipeline {
 	t.Helper()
 	tr, err := transform.New(kind, 12)
 	if err != nil {
@@ -40,7 +43,7 @@ func buildPipeline(t *testing.T, kind transform.Kind, trace *Trace) *Pipeline {
 
 // feed drives the pipeline over the merged record/event stream slice
 // [lo, hi) of the stageStream indices, collecting alarms.
-func feed(t *testing.T, p *Pipeline, records []timeseries.Record, events []obd.Event) []detector.Alarm {
+func feed(t testing.TB, p *Pipeline, records []timeseries.Record, events []obd.Event) []detector.Alarm {
 	t.Helper()
 	var alarms []detector.Alarm
 	err := Merged("veh-A", records, events,
@@ -89,7 +92,11 @@ func TestPipelineSnapshotResume(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, split := range c.splits {
-				resumeAt(t, c.kind, c.records, c.events, split)
+				for _, early := range []bool{false, true} {
+					t.Run(fmt.Sprintf("split=%d,early=%v", split, early), func(t *testing.T) {
+						resumeAt(t, c.kind, c.records, c.events, split, early)
+					})
+				}
 			}
 		})
 	}
@@ -97,8 +104,10 @@ func TestPipelineSnapshotResume(t *testing.T) {
 
 // resumeAt runs records and events once uninterrupted and once
 // snapshotted after record split and restored into a fresh pipeline,
-// and compares the two runs' alarms and traces.
-func resumeAt(t *testing.T, kind transform.Kind, records []timeseries.Record, events []obd.Event, split int) {
+// and compares the two runs' alarms and traces. With early, every event
+// goes to the first half, so those after the split cross the snapshot
+// as due resets.
+func resumeAt(t *testing.T, kind transform.Kind, records []timeseries.Record, events []obd.Event, split int, early bool) {
 	t.Helper()
 	uninterrupted := &Trace{}
 	ref := buildPipeline(t, kind, uninterrupted)
@@ -106,11 +115,11 @@ func resumeAt(t *testing.T, kind transform.Kind, records []timeseries.Record, ev
 
 	// First half on the original, snapshot, restore, second half on
 	// the restored instance. Events are partitioned by the split
-	// record's timestamp (Merged interleaves by time).
+	// record's timestamp (Merged interleaves by time), unless early.
 	splitTime := records[split].Time
 	var evFirst, evSecond []obd.Event
 	for _, ev := range events {
-		if !ev.Time.After(splitTime) {
+		if early || !ev.Time.After(splitTime) {
 			evFirst = append(evFirst, ev)
 		} else {
 			evSecond = append(evSecond, ev)
@@ -277,24 +286,12 @@ func TestPipelineSnapshotRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var old, cpSnap checkpoint.Buf
+	var cpSnap checkpoint.Buf
 	cpSnap.Uint8(10) // what an unfitted closest-pair wrote: no names, no columns
 	cpSnap.Int(0)
 	cpSnap.Float64Rows(nil)
 	cpSnap.Float64Rows(nil)
-	old.Uint8(detectStageTag)
-	old.Uint8(uint8(StateCollecting))
-	old.Bool(false)
-	old.Uint64(0)
-	old.Float64Rows(nil)
-	old.Bools(make([]bool, 1))
-	old.Int(0)
-	old.Int(0)
-	old.Float64s(nil)
-	old.Float64s(nil)
-	old.Bytes64(cpSnap.Bytes())
-	old.Bytes64(thSnap)
-	if err := stage.Restore(old.Bytes()); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "tag 10") {
+	if err := stage.Restore(detectPayload(false, nil, cpSnap.Bytes(), thSnap)); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "tag 10") {
 		t.Errorf("detect stage with a closest-pair payload: err = %v, want ErrBadSnapshot naming tag 10", err)
 	}
 
@@ -305,6 +302,111 @@ func TestPipelineSnapshotRejectsMismatch(t *testing.T) {
 			t.Fatalf("truncated snapshot (%d bytes) accepted", cut)
 		}
 	}
+	tsSnap, err := p.ts.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsSnap, err := p.ds.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ref rows of the wrong width, which closest-pair's fit or score
+	// would refuse (width 0: index) only after the vehicle resumed.
+	rng := rand.New(rand.NewSource(5))
+	for _, width := range []int{0, 3, 20, 15} {
+		for _, fitted := range []bool{false, true} {
+			ref := make([][]float64, 5)
+			if fitted {
+				ref = make([][]float64, 30)
+			}
+			for i := range ref {
+				ref[i] = make([]float64, width)
+				for j := range ref[i] {
+					ref[i][j] = rng.Float64()
+				}
+			}
+			err := buildPipeline(t, transform.Correlation, nil).Restore(pipelinePayload(tsSnap, detectPayload(fitted, ref, nil, thSnap)))
+			if width == 15 && err != nil || width != 15 && !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("Ref rows of width %d, fitted %v: err = %v", width, fitted, err)
+			}
+		}
+	}
+	// Ordering clocks that Feed and Event could not have left, and the
+	// retired transform-stage tag 20, which carried no clock.
+	inner, err := p.ts.cfg.Transformer.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := records[len(records)-1].Time
+	hour := func(h int) time.Time { return clock.Add(time.Duration(h) * time.Hour) }
+	for _, c := range []struct {
+		name             string
+		tag              uint8
+		n                int
+		clock, lastReset time.Time
+		due              []time.Time
+		ok               bool
+	}{
+		{"valid", transformStageTag, 2, clock, hour(-1), []time.Time{hour(1), hour(2)}, true},
+		{"retired-tag-20", 20, 2, clock, hour(-1), []time.Time{hour(1), hour(2)}, false},
+		{"last-reset-after-clock", transformStageTag, 0, clock, hour(1), nil, false},
+		{"due-at-clock", transformStageTag, 1, clock, time.Time{}, []time.Time{clock}, false},
+		{"due-descending", transformStageTag, 2, clock, time.Time{}, []time.Time{hour(2), hour(1)}, false},
+		{"due-repeated", transformStageTag, 2, clock, time.Time{}, []time.Time{hour(1), hour(1)}, false},
+		{"negative-count", transformStageTag, -1, clock, time.Time{}, nil, false},
+	} {
+		var b checkpoint.Buf
+		b.Uint8(c.tag)
+		b.Time(c.clock)
+		b.Time(c.lastReset)
+		b.Int(c.n)
+		for _, d := range c.due {
+			b.Time(d)
+		}
+		b.Bytes64(inner)
+		b.Bool(false)
+		err := buildPipeline(t, transform.Correlation, nil).Restore(pipelinePayload(b.Bytes(), dsSnap))
+		if c.ok && err != nil || !c.ok && !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v", c.name, err)
+		}
+		if c.tag == 20 && (err == nil || !strings.Contains(err.Error(), "tag 20")) {
+			t.Errorf("%s: err = %v, want one naming tag 20", c.name, err)
+		}
+	}
+}
+
+// pipelinePayload is a veh-A pipeline snapshot of the two stage payloads.
+func pipelinePayload(ts, ds []byte) []byte {
+	var b checkpoint.Buf
+	b.Uint8(pipelineTag)
+	b.String("veh-A")
+	b.Bytes64(ts)
+	b.Bytes64(ds)
+	return b.Bytes()
+}
+
+// detectPayload is a detect-stage snapshot of a one-sample density
+// window holding ref, collecting or fitted, with the given detector and
+// thresholder payloads.
+func detectPayload(fitted bool, ref [][]float64, detSnap, thSnap []byte) []byte {
+	var b checkpoint.Buf
+	b.Uint8(detectStageTag)
+	state := StateCollecting
+	if fitted {
+		state = StateDetecting
+	}
+	b.Uint8(uint8(state))
+	b.Bool(fitted)
+	b.Uint64(0)
+	b.Float64Rows(ref)
+	b.Bools(make([]bool, 1))
+	b.Int(0)
+	b.Int(0)
+	b.Float64s(nil)
+	b.Float64s(nil)
+	b.Bytes64(detSnap)
+	b.Bytes64(thSnap)
+	return b.Bytes()
 }
 
 // TestResetOnRepairsOnlyThroughStagedPath covers the ResetPolicy =

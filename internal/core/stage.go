@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
@@ -45,11 +46,20 @@ type TransformConfig struct {
 }
 
 // TransformStage is the streaming front half of the pipeline: it
-// filters raw records, feeds the transformer and answers which events
-// must reset buffered state. Not safe for concurrent use.
+// filters raw records, feeds the transformer and applies the resets
+// maintenance events call for, under one ordering rule per vehicle:
+// time only moves forward (see Feed and Event). Not safe for concurrent
+// use.
 type TransformStage struct {
 	cfg    TransformConfig
 	recBuf timeseries.Record // staging for Filter's pointer argument
+
+	// clock is the latest record time taken, lastReset the latest reset
+	// applied and due the resetting events ahead of clock, ascending.
+	// onReset is the owner's half of a reset.
+	clock, lastReset time.Time
+	due              []time.Time
+	onReset          func(time.Time)
 
 	o       *obs.Observer
 	obsTick uint32
@@ -64,17 +74,28 @@ func NewTransformStage(cfg TransformConfig) (*TransformStage, error) {
 	if cfg.Filter == nil {
 		cfg.Filter = timeseries.CleanFilter
 	}
-	return &TransformStage{cfg: cfg, o: cfg.Observer, obsMask: cfg.Observer.SampleMask()}, nil
+	return &TransformStage{cfg: cfg, onReset: func(time.Time) {}, o: cfg.Observer, obsMask: cfg.Observer.SampleMask()}, nil
 }
 
 // Feed pushes one raw record through the filter into the transformer and
-// reports whether a transformed sample is ready to emit. With an
+// reports whether a transformed sample is ready to emit. A record no
+// newer than the clock is a counted no-op, so a re-send changes nothing;
+// any other first applies the resets due at or before its time. With an
 // observer, every filter drop is counted and a deterministic 1-in-N
 // sample of records is timed through the filter + collect path.
 // Sampling only skips clock reads — at nanosecond per-record costs the
 // clock IS the overhead — and keeps the instrumented hot path
 // allocation-free.
 func (s *TransformStage) Feed(r timeseries.Record) bool {
+	if !r.Time.After(s.clock) {
+		s.o.StaleDrop()
+		return false
+	}
+	s.clock = r.Time
+	for len(s.due) > 0 && !s.due[0].After(r.Time) {
+		s.reset(s.due[0])
+		s.due = s.due[1:]
+	}
 	// Filter takes a pointer; staging the record in a stage-owned buffer
 	// keeps the parameter itself from escaping to the heap on every call.
 	s.recBuf = r
@@ -101,6 +122,35 @@ func (s *TransformStage) Feed(r timeseries.Record) bool {
 	return ready
 }
 
+// Event takes a maintenance event, ignoring one the ResetPolicy does not
+// reset on. A reset no newer than the last one applied, or already due,
+// is a counted no-op; one no newer than the clock is late and applies at
+// once; any other is due, so records grouped by vehicle meet their
+// events as a chronological replay would.
+func (s *TransformStage) Event(ev obd.Event) {
+	all := s.cfg.ResetPolicy == ResetOnAllEvents && ev.IsReset()
+	if !all && (s.cfg.ResetPolicy != ResetOnRepairsOnly || ev.Type != obd.EventRepair) {
+		return
+	}
+	i, found := slices.BinarySearchFunc(s.due, ev.Time, time.Time.Compare)
+	switch {
+	case found || !ev.Time.After(s.lastReset):
+		s.o.StaleDrop()
+	case !ev.Time.After(s.clock):
+		s.reset(ev.Time)
+	default:
+		s.due = slices.Insert(s.due, i, ev.Time)
+	}
+}
+
+// reset clears the transformer's buffered state and hands the reset to
+// the stage's owner.
+func (s *TransformStage) reset(t time.Time) {
+	s.lastReset = t
+	s.cfg.Transformer.Reset()
+	s.onReset(t)
+}
+
 // Emit returns the ready sample as a freshly allocated vector (safe to
 // retain, e.g. in Ref or a trace).
 func (s *TransformStage) Emit() []float64 {
@@ -112,22 +162,6 @@ func (s *TransformStage) Emit() []float64 {
 // EmitInto writes the ready sample into dst, which must have the
 // transformer's width.
 func (s *TransformStage) EmitInto(dst []float64) { s.cfg.Transformer.EmitInto(dst) }
-
-// ShouldReset reports whether ev resets buffered state under the stage's
-// ResetPolicy.
-func (s *TransformStage) ShouldReset(ev obd.Event) bool {
-	switch s.cfg.ResetPolicy {
-	case ResetOnAllEvents:
-		return ev.IsReset()
-	case ResetOnRepairsOnly:
-		return ev.Type == obd.EventRepair
-	default:
-		return false
-	}
-}
-
-// Reset clears the transformer's buffered state.
-func (s *TransformStage) Reset() { s.cfg.Transformer.Reset() }
 
 // TransformedTrace is the cached output of the transform stage for one
 // vehicle: every emitted sample with its record time, plus where profile
@@ -165,6 +199,10 @@ func NewTraceCollector(vehicleID string, cfg TransformConfig, out *TransformedTr
 	if err != nil {
 		return nil, err
 	}
+	s.onReset = func(t time.Time) { // recorded at its place in the emission order
+		out.ResetIdx = append(out.ResetIdx, len(out.Samples))
+		out.ResetTimes = append(out.ResetTimes, t)
+	}
 	return &TraceCollector{vehicleID: vehicleID, stage: s, out: out}, nil
 }
 
@@ -174,10 +212,7 @@ func (c *TraceCollector) VehicleID() string { return c.vehicleID }
 // HandleRecord feeds one raw record; emitted samples are appended to the
 // trace. It never raises alarms.
 func (c *TraceCollector) HandleRecord(r timeseries.Record) ([]detector.Alarm, error) {
-	if r.VehicleID != c.vehicleID {
-		return nil, nil
-	}
-	if !c.stage.Feed(r) {
+	if r.VehicleID != c.vehicleID || !c.stage.Feed(r) {
 		return nil, nil
 	}
 	c.out.Times = append(c.out.Times, r.Time)
@@ -185,16 +220,12 @@ func (c *TraceCollector) HandleRecord(r timeseries.Record) ([]detector.Alarm, er
 	return nil, nil
 }
 
-// HandleEvent records resetting maintenance events at their position in
-// the emission order and resets the transformer, exactly as the full
-// pipeline would.
+// HandleEvent hands a maintenance event to the transform stage, exactly
+// as the full pipeline does.
 func (c *TraceCollector) HandleEvent(ev obd.Event) {
-	if ev.VehicleID != c.vehicleID || !c.stage.ShouldReset(ev) {
-		return
+	if ev.VehicleID == c.vehicleID {
+		c.stage.Event(ev)
 	}
-	c.out.ResetIdx = append(c.out.ResetIdx, len(c.out.Samples))
-	c.out.ResetTimes = append(c.out.ResetTimes, ev.Time)
-	c.stage.Reset()
 }
 
 // ScoredSamples reports the number of transformed samples emitted so
@@ -256,6 +287,7 @@ func (c *DetectConfig) validate() error {
 type DetectStage struct {
 	vehicleID string
 	cfg       DetectConfig
+	dim       int // a restored Ref's row width: the pipeline's transformer's, else the first row's
 
 	ref    [][]float64
 	state  State

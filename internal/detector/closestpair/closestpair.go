@@ -41,13 +41,15 @@ func (d *Detector) Fit(ref [][]float64) error {
 		return detector.ErrEmptyReference
 	}
 	dim := len(ref[0])
+	for _, row := range ref {
+		if len(row) != dim || dim == 0 {
+			return detector.ErrDimension
+		}
+	}
 	d.sorted = make([][]float64, dim)
 	for c := 0; c < dim; c++ {
 		col := make([]float64, len(ref))
 		for i, row := range ref {
-			if len(row) != dim {
-				return detector.ErrDimension
-			}
 			col[i] = row[c]
 		}
 		sort.Float64s(col)

@@ -53,8 +53,12 @@ func TestFitErrors(t *testing.T) {
 	if err := d.Fit(nil); err != detector.ErrEmptyReference {
 		t.Error("empty ref should error")
 	}
-	if err := d.Fit([][]float64{{1, 2}, {3}}); err != detector.ErrDimension {
-		t.Error("ragged ref should error")
+	// Ragged rows, the first row narrower or empty included, fail
+	// before any column is read.
+	for _, ref := range [][][]float64{{{1, 2}, {3}}, {{1}, {2, 3}}, {{}, {1, 2}}, {{}, {}}} {
+		if err := d.Fit(ref); err != detector.ErrDimension {
+			t.Errorf("Fit(%v) = %v, want ErrDimension", ref, err)
+		}
 	}
 	// Nil names fall back to numbered channels.
 	if err := d.Fit([][]float64{{1, 2, 3}}); err != nil {

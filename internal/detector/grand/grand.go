@@ -54,7 +54,8 @@ func (m Measure) String() string {
 
 // Config parametrises the detector.
 type Config struct {
-	// Measure is the non-conformity measure (default KNN).
+	// Measure is the non-conformity measure. The zero value is Median;
+	// eval.NewDetector ships KNN.
 	Measure Measure
 	// K is the neighbourhood size for KNN and LOF (default 10).
 	K int

@@ -3,7 +3,6 @@ package fleet
 import (
 	"time"
 
-	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/obs"
 	"github.com/navarchos/pdm/internal/timeseries"
@@ -41,15 +40,14 @@ func (e *Engine) putStage(st *ingestStage) {
 	e.stagePool.Put(st)
 }
 
-// IngestBatch queues a whole decoded batch — records and events merged
-// chronologically, events before same-timestamp records, exactly as
-// Replay orders them — routing it to shards in one pass. It pays the
-// shard hash once per item but the ingest mutex only once per (shard,
-// batch), which is what keeps a network ingest path off the engine's
-// synchronisation edges. Each input slice must be time-sorted (the
-// usual telemetry upload shape); unsorted batches are handled but fall
-// back to a sorting merge. A streaming producer with one record at a
-// time passes one-item slices: admission stays allocation-free.
+// IngestBatch queues a whole decoded batch, its events then its records,
+// routing it to shards in one pass. It pays the shard hash once per item
+// but the ingest mutex only once per (shard, batch), which is what keeps
+// a network ingest path off the engine's synchronisation edges. It does
+// no ordering work: each vehicle's pipeline applies an event at its time
+// and drops a record no newer than its clock, so a re-sent batch changes
+// nothing. A streaming producer with one record at a time passes
+// one-item slices: admission stays allocation-free.
 //
 // Backpressure: a full shard queue blocks the call (holding only that
 // shard's ingest mutex) until the shard drains. A partial batch stays
@@ -86,35 +84,35 @@ func (e *Engine) IngestBatchCtx(records []timeseries.Record, events []obd.Event,
 		return nil
 	}
 	st := e.getStage()
-	push := func(env envelope, vehicleID string) error {
+	push := func(env envelope, vehicleID string) {
 		env.prov = bc
 		i := e.shardFor(vehicleID).index
 		st.perShard[i] = append(st.perShard[i], env)
-		return nil
 	}
-	err := core.Merged("", records, events,
-		func(ev obd.Event) error { return push(envelope{isEvent: true, ev: ev}, ev.VehicleID) },
-		func(r timeseries.Record) error { return push(envelope{rec: r}, r.VehicleID) })
+	for _, ev := range events {
+		push(envelope{isEvent: true, ev: ev}, ev.VehicleID)
+	}
+	for _, r := range records {
+		push(envelope{rec: r}, r.VehicleID)
+	}
+	if bc != nil {
+		// Stamped before the first channel send: consumers read
+		// Enqueue through the channel's happens-before edge.
+		bc.Enqueue = time.Now()
+	}
 	var refusal VehicleUnavailableError
-	if err == nil {
-		if bc != nil {
-			// Stamped before the first channel send: consumers read
-			// Enqueue through the channel's happens-before edge.
-			bc.Enqueue = time.Now()
-		}
-		e.admitStage(st, &refusal)
-		if bc != nil {
-			e.cfg.Observer.TracedBatch()
-		}
+	e.admitStage(st, &refusal)
+	if bc != nil {
+		e.cfg.Observer.TracedBatch()
 	}
 	e.putStage(st)
-	if err == nil && refusal.Refused > 0 {
+	if refusal.Refused > 0 {
 		// Copied so refusal itself stays on the stack: the admitted path
 		// must not allocate.
 		err := refusal
 		return &err
 	}
-	return err
+	return nil
 }
 
 // replayStageBatches bounds what Replay stages for one shard before
@@ -124,9 +122,8 @@ func (e *Engine) IngestBatchCtx(records []timeseries.Record, events []obd.Event,
 // envelopes while the stage stays a few hundred KB per shard.
 const replayStageBatches = 16
 
-// Replay feeds whole record and event streams through the engine in
-// chronological order — events before same-timestamp records, exactly as
-// core.RunVehicle merges them — and flushes. It admits through the same
+// Replay feeds whole record and event streams through the engine, events
+// first, and flushes. It admits through the same
 // staging and enqueueStaged as IngestBatch, a bounded chunk per shard
 // at a time, so it may run beside any other producer, Checkpoint,
 // StatsConsistent or a vehicle handoff. It does not Close the engine,
@@ -144,7 +141,7 @@ func (e *Engine) Replay(records []timeseries.Record, events []obd.Event) error {
 	}
 	st := e.getStage()
 	var refusal VehicleUnavailableError
-	push := func(env envelope, vehicleID string) error {
+	push := func(env envelope, vehicleID string) {
 		s := e.shardFor(vehicleID)
 		staged := append(st.perShard[s.index], env)
 		if len(staged) >= e.replayStage {
@@ -152,18 +149,20 @@ func (e *Engine) Replay(records []timeseries.Record, events []obd.Event) error {
 			staged = staged[:0]
 		}
 		st.perShard[s.index] = staged
-		return nil
 	}
-	err := core.Merged("", records, events,
-		func(ev obd.Event) error { return push(envelope{isEvent: true, ev: ev}, ev.VehicleID) },
-		func(r timeseries.Record) error { return push(envelope{rec: r}, r.VehicleID) })
+	for _, ev := range events {
+		push(envelope{isEvent: true, ev: ev}, ev.VehicleID)
+	}
+	for _, r := range records {
+		push(envelope{rec: r}, r.VehicleID)
+	}
 	e.admitStage(st, &refusal)
 	e.putStage(st)
 	e.Flush()
-	if err == nil && refusal.Refused > 0 {
+	if refusal.Refused > 0 {
 		return &refusal
 	}
-	return err
+	return nil
 }
 
 // getBatch returns an empty batch for shard s from the shard's free

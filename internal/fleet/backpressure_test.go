@@ -291,8 +291,8 @@ func TestIngestRecordAllocFree(t *testing.T) {
 	defer e.Close()
 	base := time.Date(2023, 6, 1, 8, 0, 0, 0, time.UTC)
 	for _, n := range []int{1, 16, 64, 512} {
-		// Time-sorted, as uploads are: an unsorted call takes Merged's
-		// sorting fallback, which allocates.
+		// Time-sorted, as uploads are, though admission does no
+		// ordering work.
 		recs := make([]timeseries.Record, n)
 		for i := range recs {
 			recs[i] = timeseries.Record{VehicleID: "veh-00", Time: base.Add(time.Duration(i) * time.Second)}

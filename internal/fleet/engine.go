@@ -7,11 +7,11 @@
 // its vehicles' pipelines, so the scoring hot path takes no locks:
 // synchronisation happens only at the edges, on the bounded per-shard
 // batch channels (ingest backpressure) and the fan-in alarm channel.
-// Within a shard, envelopes are processed strictly in arrival order, so
-// feeding a chronologically merged stream (events before same-timestamp
-// records, as core.RunVehicle orders them — Replay does this) makes the
-// engine's per-vehicle behaviour bit-identical to a serial replay,
-// whatever the shard count.
+// Within a shard, envelopes are processed strictly in arrival order, and
+// each vehicle's pipeline orders what arrives by one rule, time only
+// moves forward (core.TransformStage). So any admission that delivers
+// each vehicle's records in time order, re-sends included, matches a
+// serial replay bit for bit, whatever the shard count.
 //
 // There is one way into a shard queue: both producers — IngestBatch
 // (IngestBatchCtx) and Replay — stage envelopes and hand them to
@@ -74,7 +74,8 @@ var ErrClosed = errors.New("fleet: engine closed")
 // runs just the transform stage, which is how the evaluation grid
 // materialises each (transformation, vehicle) stream exactly once.
 // Handlers are owned by a single shard goroutine and need no internal
-// synchronisation.
+// synchronisation. One built by Config.NewHandler gets no ordering rule:
+// it sees a call's events, then its records, as they arrive.
 type Handler interface {
 	// HandleRecord feeds one raw record, returning any alarms raised.
 	HandleRecord(timeseries.Record) ([]detector.Alarm, error)

@@ -64,8 +64,8 @@ func goldenCheckpoint(t *testing.T, shards int) string {
 // stats section, the skip section (config-skipped and failed vehicles
 // both land in it) and every vehicle section, at 1 and 3 shards. The
 // digests in testdata/engine_small.ckpt.sha256 last moved on purpose
-// when closest-pair stopped writing a detector payload (the detect stage
-// refits it from Ref) and the correlation transform its eviction ring.
+// when the transform stage began to carry its ordering clock (the latest
+// record time, the latest reset and the resets still due).
 // They must never be regenerated from the code under test: a mismatch
 // means checkpoints and handoff frames written by an older binary no
 // longer describe the same fleet.

@@ -195,16 +195,15 @@ type batchCall struct {
 func mergedCalls(s *identityStream, n int) []batchCall {
 	var calls []batchCall
 	i0, j0, i, j := 0, 0, 0, 0
-	cut := func(full bool) error {
+	cut := func(full bool) {
 		if i+j-i0-j0 == n || !full && i+j > i0+j0 {
 			calls = append(calls, batchCall{s.records[i0:i], s.events[j0:j]})
 			i0, j0 = i, j
 		}
-		return nil
 	}
-	core.Merged("", s.records, s.events,
-		func(obd.Event) error { j++; return cut(true) },
-		func(timeseries.Record) error { i++; return cut(true) })
+	_ = core.Merged("", s.records, s.events, // the callbacks return no error
+		func(obd.Event) error { j++; cut(true); return nil },
+		func(timeseries.Record) error { i++; cut(true); return nil })
 	cut(false)
 	return calls
 }

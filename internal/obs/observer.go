@@ -43,6 +43,7 @@ type Observer struct {
 	resets      *Counter
 	refills     *Counter
 	warmupDrops *Counter
+	staleDrops  *Counter
 	alarms      *Counter
 
 	// End-to-end provenance metrics (pdm_e2e_*), observed only on the
@@ -83,6 +84,8 @@ func NewObserver(reg *Registry, cfg ObserverConfig) *Observer {
 			"Reference profiles filled and fitted (initial fills and post-reset refills)."),
 		warmupDrops: reg.Counter("pdm_pipeline_warmup_drops_total",
 			"Raw records dropped by the pre-transform filter (warm-up and stationary-state cleaning)."),
+		staleDrops: reg.Counter("pdm_pipeline_stale_drops_total",
+			"Records and resetting events no newer than their vehicle's clock, dropped by the ordering rule (re-sends)."),
 		alarms: reg.Counter("pdm_pipeline_alarms_total",
 			"Alarms emitted by instrumented pipelines (before day-level consolidation)."),
 		e2e:   newE2EMetrics(reg),
@@ -146,6 +149,13 @@ func (o *Observer) ProfileRefill() {
 func (o *Observer) WarmupDrop() {
 	if o != nil {
 		o.warmupDrops.Inc()
+	}
+}
+
+// StaleDrop counts one record or reset the ordering rule dropped.
+func (o *Observer) StaleDrop() {
+	if o != nil {
+		o.staleDrops.Inc()
 	}
 }
 

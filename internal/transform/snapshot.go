@@ -3,7 +3,6 @@ package transform
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/obd"
@@ -35,32 +34,10 @@ func checkTag(r *checkpoint.RBuf, want uint8) error {
 	return nil
 }
 
-// putTime serialises a wall-clock instant, keeping the zero time
-// distinguishable (time.Unix(0, 0) is 1970, not the zero time, and the
-// gap guard's broken() branches on IsZero).
-func putTime(b *checkpoint.Buf, t time.Time) {
-	b.Bool(t.IsZero())
-	if t.IsZero() {
-		b.Int64(0)
-	} else {
-		b.Int64(t.UnixNano())
-	}
-}
-
-// getTime reads a putTime instant.
-func getTime(r *checkpoint.RBuf) time.Time {
-	zero := r.Bool()
-	nanos := r.Int64()
-	if zero {
-		return time.Time{}
-	}
-	return time.Unix(0, nanos).UTC()
-}
-
 // putRecord serialises one raw record (for buffered windows).
 func putRecord(b *checkpoint.Buf, rec timeseries.Record) {
 	b.String(rec.VehicleID)
-	putTime(b, rec.Time)
+	b.Time(rec.Time)
 	for _, v := range rec.Values {
 		b.Float64(v)
 	}
@@ -70,7 +47,7 @@ func putRecord(b *checkpoint.Buf, rec timeseries.Record) {
 func getRecord(r *checkpoint.RBuf) timeseries.Record {
 	var rec timeseries.Record
 	rec.VehicleID = r.String()
-	rec.Time = getTime(r)
+	rec.Time = r.Time()
 	for i := range rec.Values {
 		rec.Values[i] = r.Float64()
 	}
@@ -83,7 +60,7 @@ func (c *corrTransformer) Snapshot() ([]byte, error) {
 	b.Uint8(corrTag)
 	b.Int(c.window)
 	b.Int(c.n)
-	putTime(&b, c.gap.last)
+	b.Time(c.gap.last)
 	for _, v := range c.shift {
 		b.Float64(v)
 	}
@@ -107,7 +84,7 @@ func (c *corrTransformer) Restore(data []byte) error {
 		return ErrBadSnapshot // snapshot from a differently configured window
 	}
 	n := r.Int()
-	last := getTime(r)
+	last := r.Time()
 	var shift, sum [obd.NumPIDs]float64
 	var prod [obd.NumPIDs][obd.NumPIDs]float64
 	for i := range shift {
@@ -170,7 +147,7 @@ func (t *deltaTransformer) Snapshot() ([]byte, error) {
 	b.Uint8(deltaTag)
 	b.Int64(int64(t.n))
 	b.Bool(t.pending)
-	putTime(&b, t.gap.last)
+	b.Time(t.gap.last)
 	for _, v := range t.prev {
 		b.Float64(v)
 	}
@@ -187,7 +164,7 @@ func (t *deltaTransformer) Restore(data []byte) error {
 	}
 	n := r.Int64()
 	pending := r.Bool()
-	last := getTime(r)
+	last := r.Time()
 	var prev, cur [obd.NumPIDs]float64
 	for i := range prev {
 		prev[i] = r.Float64()
@@ -214,7 +191,7 @@ func (t *deltaTransformer) Restore(data []byte) error {
 func (t *meanTransformer) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(meanTag)
-	putTime(&b, t.gap.last)
+	b.Time(t.gap.last)
 	recs := t.win.Records()
 	b.Int(len(recs))
 	for _, rec := range recs {
@@ -232,7 +209,7 @@ func (t *meanTransformer) Restore(data []byte) error {
 	if err := checkTag(r, meanTag); err != nil {
 		return err
 	}
-	gapLast := getTime(r)
+	gapLast := r.Time()
 	n := r.Int()
 	if r.Err() != nil {
 		return r.Err()

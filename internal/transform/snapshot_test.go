@@ -226,7 +226,7 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 		t.Run("mean", func(t *testing.T) {
 			var b checkpoint.Buf
 			b.Uint8(meanTag)
-			putTime(&b, time.Time{})
+			b.Time(time.Time{})
 			b.Int(1 << 50)
 			mean12, _ := New(MeanAgg, 12)
 			if err := mean12.Restore(b.Bytes()); !errors.Is(err, ErrBadSnapshot) {
@@ -238,7 +238,7 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 			b.Uint8(corrTag)
 			b.Int(12)
 			b.Int(1 << 50)
-			putTime(&b, time.Time{})
+			b.Time(time.Time{})
 			for i := 0; i < 2*int(obd.NumPIDs)+int(obd.NumPIDs)*(int(obd.NumPIDs)+1)/2; i++ {
 				b.Float64(0) // shift, sum and the upper triangle of prod
 			}
@@ -252,7 +252,7 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 			b.Uint8(deltaTag)
 			b.Int64(-1)
 			b.Bool(false)
-			putTime(&b, time.Time{})
+			b.Time(time.Time{})
 			for i := 0; i < 2*int(obd.NumPIDs); i++ {
 				b.Float64(0) // prev and cur
 			}

@@ -202,10 +202,9 @@ func AppendHandoff(dst []byte, state []byte) ([]byte, error) {
 
 // EncodeStream encodes whole record and event streams as a sequence of
 // frames of up to perFrame items each, appended to dst. The streams are
-// merged chronologically with events before same-timestamp records —
-// exactly the order fleet.Engine.Replay feeds them — so decoding the
-// result and admitting each batch through IngestBatch reproduces a
-// replay bit-for-bit. Returns the extended buffer and the frame count.
+// merged chronologically with events before same-timestamp records
+// (core.Merged), so decoding the result and admitting each batch through
+// IngestBatch reproduces a replay bit-for-bit. Returns the extended buffer and the frame count.
 func EncodeStream(dst []byte, records []timeseries.Record, events []obd.Event, perFrame int) ([]byte, int, error) {
 	if perFrame <= 0 {
 		perFrame = 512

@@ -56,12 +56,11 @@
 //
 // # Ordering contract
 //
-// Items within a frame and frames within a stream are processed in
-// order. Feeding each vehicle's elements chronologically, events before
-// same-timestamp records (the core.RunVehicle contract), makes wire
-// ingest bit-identical to an in-memory replay at any shard count.
-// Encoder callers get this for free from EncodeStream, which merges
-// record and event streams exactly as Replay does.
+// Items within a frame and frames within a stream are admitted in
+// order, and each vehicle's pipeline applies an event at its time and
+// drops a record no newer than its latest. So wire ingest that carries
+// each vehicle's records in time order, in any frames, re-sent or not,
+// is bit-identical to an in-memory replay at any shard count.
 //
 // # Safety
 //
