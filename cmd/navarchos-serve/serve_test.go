@@ -319,6 +319,26 @@ func TestServeRejectsCorruptUpload(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage upload: %d, want 400", resp.StatusCode)
 	}
+
+	// So is a well-framed handoff whose pipeline state does not restore,
+	// and the vehicle is not adopted.
+	src, dst, b := burstServer(t), burstServer(t), newBurst(1)
+	postMuxOK(t, src, b.frame(t, 64))
+	vs, err := src.eng.ExtractVehicle(b.ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs.Snapshot = vs.Snapshot[:len(vs.Snapshot)/2]
+	handoff, err := wire.AppendHandoff(nil, vs.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := postMux(dst, handoff); w.Code != http.StatusBadRequest {
+		t.Fatalf("handoff of a truncated pipeline state: %d %s, want 400", w.Code, w.Body)
+	}
+	if ids := dst.eng.VehicleIDs(); len(ids) != 0 {
+		t.Fatalf("refused handoff adopted %v", ids)
+	}
 }
 
 // TestServeTextFormats exercises the CSV and JSON compatibility
