@@ -33,9 +33,10 @@ type Fleet struct {
 	HiddenEvents []obd.Event
 }
 
-// Generate builds a deterministic synthetic fleet from cfg. It simulates
-// vehicles on GOMAXPROCS goroutines and returns the same fleet, byte for
-// byte, at any GOMAXPROCS.
+// Generate builds a deterministic synthetic fleet from cfg. It builds
+// the records one simulated day at a time, that day's vehicles on
+// GOMAXPROCS goroutines, and returns the same fleet, byte for byte, at
+// any GOMAXPROCS.
 func Generate(cfg Config) *Fleet {
 	cfg.validate()
 	f := &Fleet{Config: cfg}
@@ -72,11 +73,8 @@ func (f *Fleet) assignVehicles() {
 		v.DriftDay = cfg.Days/3 + rng.Intn(cfg.Days/3)
 		v.DriftUsage = usageCatalog[(k+2)%len(usageCatalog)]
 	}
-	// Recorded failures: spread across distinct recorded vehicles.
-	for k := 0; k < cfg.RecordedFailures; k++ {
-		idx := (k * cfg.RecordedVehicles) / cfg.RecordedFailures
-		v := &f.Vehicles[idx]
-		v.Fault = cycleFault(k)
+	fail := func(v *Vehicle, fault FaultKind) {
+		v.Fault = fault
 		v.DegradeDays = cfg.DegradationDaysMin + rng.Intn(cfg.DegradationDaysMax-cfg.DegradationDaysMin+1)
 		lo := v.DegradeDays + cfg.Days/4
 		hi := cfg.Days - 8
@@ -85,21 +83,17 @@ func (f *Fleet) assignVehicles() {
 		}
 		v.FailureDay = lo + rng.Intn(hi-lo)
 	}
+	// Recorded failures: spread across distinct recorded vehicles.
+	for k := 0; k < cfg.RecordedFailures; k++ {
+		fail(&f.Vehicles[(k*cfg.RecordedVehicles)/cfg.RecordedFailures], cycleFault(k))
+	}
 	// Hidden failures on unrecorded vehicles.
 	for k := 0; k < cfg.HiddenFailures; k++ {
 		idx := cfg.RecordedVehicles + (k*max(1, cfg.NumVehicles-cfg.RecordedVehicles))/max(1, cfg.HiddenFailures)
 		if idx >= cfg.NumVehicles {
 			break
 		}
-		v := &f.Vehicles[idx]
-		v.Fault = cycleFault(k + 2)
-		v.DegradeDays = cfg.DegradationDaysMin + rng.Intn(cfg.DegradationDaysMax-cfg.DegradationDaysMin+1)
-		lo := v.DegradeDays + cfg.Days/4
-		hi := cfg.Days - 8
-		if hi <= lo {
-			hi = lo + 1
-		}
-		v.FailureDay = lo + rng.Intn(hi-lo)
+		fail(&f.Vehicles[idx], cycleFault(k+2))
 	}
 }
 
@@ -109,6 +103,14 @@ func (f *Fleet) assignVehicles() {
 func (f *Fleet) scheduleMaintenance() {
 	cfg := f.Config
 	rng := rand.New(rand.NewSource(cfg.Seed*104729 + 29))
+	maintain := func(v *Vehicle, day, hour int, typ obd.EventType, note string) {
+		ev := obd.Event{VehicleID: v.ID, Time: f.dayTime(day, hour), Type: typ, Note: note}
+		f.HiddenEvents = append(f.HiddenEvents, ev)
+		v.maintDays = append(v.maintDays, day)
+		if v.Recorded {
+			f.Events = append(f.Events, ev)
+		}
+	}
 	for i := range f.Vehicles {
 		v := &f.Vehicles[i]
 		// Periodic services with ±25% jitter. A first service lands
@@ -120,33 +122,13 @@ func (f *Fleet) scheduleMaintenance() {
 			// in the last stretch of a degradation window.
 			inLateDegradation := v.FailureDay >= 0 && day > v.FailureDay-18 && day <= v.FailureDay
 			if !inLateDegradation {
-				ev := obd.Event{
-					VehicleID: v.ID,
-					Time:      f.dayTime(day, 18),
-					Type:      obd.EventService,
-					Note:      "standard service",
-				}
-				f.HiddenEvents = append(f.HiddenEvents, ev)
-				v.maintDays = append(v.maintDays, day)
-				if v.Recorded {
-					f.Events = append(f.Events, ev)
-				}
+				maintain(v, day, 18, obd.EventService, "standard service")
 			}
 			jitter := rng.Intn(interval/2+1) - interval/4
 			day += interval + jitter
 		}
 		if v.FailureDay >= 0 {
-			ev := obd.Event{
-				VehicleID: v.ID,
-				Time:      f.dayTime(v.FailureDay, 19),
-				Type:      obd.EventRepair,
-				Note:      v.Fault.String(),
-			}
-			f.HiddenEvents = append(f.HiddenEvents, ev)
-			v.maintDays = append(v.maintDays, v.FailureDay)
-			if v.Recorded {
-				f.Events = append(f.Events, ev)
-			}
+			maintain(v, v.FailureDay, 19, obd.EventRepair, v.Fault.String())
 		}
 	}
 }
@@ -204,31 +186,41 @@ func (f *Fleet) scheduleDTCs() {
 	}
 }
 
-// generateTelemetry simulates every vehicle and merges the per-vehicle
-// runs into f.Records. Each vehicle draws from its own rand.Source and
-// only reads the shared weather table and its own Vehicle, so vehicles
-// are generated concurrently, GOMAXPROCS at a time; the merge orders by
-// (time, vehicle index), which does not depend on who generated what.
+// generateTelemetry builds f.Records one simulated day at a time. Each
+// day, every vehicle's records for that day are simulated into a buffer
+// the vehicle reuses, GOMAXPROCS vehicles at a time; then placeDay
+// appends the day in (time, vehicle index) order, which does not depend
+// on who simulated what. Each vehicle draws from its own rand.Source,
+// kept from day to day, and only reads the shared weather table and its
+// own Vehicle.
 func (f *Fleet) generateTelemetry() {
+	cfg := f.Config
 	weather := f.dayWeather()
-	runs := make([][]timeseries.Record, len(f.Vehicles))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(runs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
-					return
-				}
-				runs[i] = f.vehicleRun(i, weather)
-			}
-		}()
+	n := len(f.Vehicles)
+	rngs := make([]*rand.Rand, n)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)*7_368_787))
 	}
-	wg.Wait()
-	f.Records = mergeRuns(runs)
+	bufs := make([][]timeseries.Record, n)
+	// A vehicle drives about 0.9 x AvgDriveMinutes a day (idle days,
+	// light weekends), so this rarely regrows.
+	f.Records = make([]timeseries.Record, 0, int(float64(cfg.Days*n)*cfg.AvgDriveMinutes))
+	counts := make([]int, dayBuckets)
+	for day := 0; day < cfg.Days; day++ {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range min(runtime.GOMAXPROCS(0), n) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					bufs[i] = f.vehicleDay(&f.Vehicles[i], day, rngs[i], weather[day], bufs[i][:0])
+				}
+			}()
+		}
+		wg.Wait()
+		f.Records = placeDay(f.Records, bufs, f.dayTime(day, 0), counts)
+	}
 }
 
 // dayWeather draws the day-level weather noise shared by the whole fleet.
@@ -241,137 +233,112 @@ func (f *Fleet) dayWeather() []float64 {
 	return weather
 }
 
-// vehicleRun simulates vehicle i day by day, trip by trip, at one record
-// per minute of driving. Trips never overlap, so the run is
-// chronological (TestVehicleRunsChronological).
-func (f *Fleet) vehicleRun(i int, weather []float64) []timeseries.Record {
+// vehicleDay appends what v drives on simulated day to buf, trip by
+// trip, at one record per minute of driving, drawing from v's own rng.
+func (f *Fleet) vehicleDay(v *Vehicle, day int, rng *rand.Rand, weather float64, buf []timeseries.Record) []timeseries.Record {
 	cfg := f.Config
-	v := &f.Vehicles[i]
-	startDOY := cfg.Start.YearDay()
-	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)*7_368_787))
-	// A vehicle drives about 0.9 x AvgDriveMinutes a day (idle days,
-	// light weekends), so this rarely regrows.
-	run := make([]timeseries.Record, 0, int(float64(cfg.Days)*cfg.AvgDriveMinutes))
-	for day := 0; day < cfg.Days; day++ {
-		// Occasional idle days.
-		if rng.Float64() < 0.06 {
-			continue
-		}
-		sev := v.severity(day)
-		debt := v.debt(day)
-		usage := v.Usage
-		if v.DriftDay >= 0 && day >= v.DriftDay {
-			usage = v.DriftUsage
-		}
-		// Total driving minutes today: lognormal-ish around the
-		// configured average, lighter on "weekends" (every 6th/7th
-		// simulated day).
-		factor := 0.55 + rng.Float64()*1.1
-		if day%7 >= 5 {
-			factor *= 0.6
-		}
-		minutes := int(cfg.AvgDriveMinutes * factor)
-		cursor := 6*60 + rng.Intn(150) // first departure 06:00–08:30
-		trip := 0
-		// Day-level volatility: driver aggressiveness and
-		// tyre/wind conditions for the whole day.
-		loadScale := 0.93 + 0.14*rng.Float64()
-		gearScale := 0.98 + 0.04*rng.Float64()
-		midnight := f.dayTime(day, 0)
-		dayOfYear := (startDOY + day - 1) % 365
-		for minutes > 8 && cursor < 22*60 {
-			ride := sampleRide(usage, rng)
-			p := rideCatalog[ride]
-			dur := p.minMinutes + rng.Intn(p.maxMinutes-p.minMinutes+1)
-			if dur > minutes {
-				dur = minutes
-			}
-			residual := 2.0
-			if trip > 0 {
-				residual = 25 + rng.Float64()*20 // engine still warm
-			}
-			amb := ambientTemp(dayOfYear, cursor/60, weather[day])
-			eng := newEngineState(v, rng, amb, residual, loadScale, gearScale)
-			eng.debt = debt
-			base := midnight.Add(time.Duration(cursor) * time.Minute)
-			for m := 0; m < dur; m++ {
-				vals := eng.step(p, amb, sev)
-				run = append(run, timeseries.Record{
-					VehicleID: v.ID,
-					Time:      base.Add(time.Duration(m) * time.Minute),
-					Values:    vals,
-				})
-			}
-			minutes -= dur
-			cursor += dur + 20 + rng.Intn(120) // gap before next trip
-			trip++
-		}
+	// Occasional idle days.
+	if rng.Float64() < 0.06 {
+		return buf
 	}
-	return run
+	sev := v.severity(day)
+	debt := v.debt(day)
+	usage := v.Usage
+	if v.DriftDay >= 0 && day >= v.DriftDay {
+		usage = v.DriftUsage
+	}
+	// Total driving minutes today: lognormal-ish around the configured
+	// average, lighter on "weekends" (every 6th/7th simulated day).
+	factor := 0.55 + rng.Float64()*1.1
+	if day%7 >= 5 {
+		factor *= 0.6
+	}
+	minutes := int(cfg.AvgDriveMinutes * factor)
+	cursor := 6*60 + rng.Intn(150) // first departure 06:00–08:30
+	trip := 0
+	// Day-level volatility: driver aggressiveness and tyre/wind
+	// conditions for the whole day.
+	loadScale := 0.93 + 0.14*rng.Float64()
+	gearScale := 0.98 + 0.04*rng.Float64()
+	midnight := f.dayTime(day, 0)
+	dayOfYear := (cfg.Start.YearDay() + day - 1) % 365
+	for minutes > 8 && cursor < 22*60 {
+		ride := sampleRide(usage, rng)
+		p := rideCatalog[ride]
+		dur := p.minMinutes + rng.Intn(p.maxMinutes-p.minMinutes+1)
+		if dur > minutes {
+			dur = minutes
+		}
+		residual := 2.0
+		if trip > 0 {
+			residual = 25 + rng.Float64()*20 // engine still warm
+		}
+		amb := ambientTemp(dayOfYear, cursor/60, weather)
+		eng := newEngineState(v, rng, amb, residual, loadScale, gearScale)
+		eng.debt = debt
+		base := midnight.Add(time.Duration(cursor) * time.Minute)
+		for m := 0; m < dur; m++ {
+			vals := eng.step(p, amb, sev)
+			buf = append(buf, timeseries.Record{
+				VehicleID: v.ID,
+				Time:      base.Add(time.Duration(m) * time.Minute),
+				Values:    vals,
+			})
+		}
+		minutes -= dur
+		cursor += dur + 20 + rng.Intn(120) // gap before next trip
+		trip++
+	}
+	return buf
 }
 
-// runHead is one run's cursor in mergeRuns' heap.
-type runHead struct {
-	key int64 // UnixNano of the run's next record
-	run int   // index into runs; breaks key ties
-	pos int   // index of the next record in the run
-}
+// dayBuckets is the number of minute buckets placeDay keys a day into:
+// two days' worth, as trips start before 22:00 and end by 00:40.
+const dayBuckets = 2 * 24 * 60
 
-func (a runHead) before(b runHead) bool {
-	return a.key < b.key || a.key == b.key && a.run < b.run
-}
-
-// mergeRuns k-way merges per-vehicle runs into one exact-capacity slice
-// ordered by (Time, run index, position in run) — what a stable sort by
-// Time gives the runs' concatenation. A run that is not chronological is
-// first stably sorted in place, which keeps that equivalence. Times are
-// keyed by UnixNano, so they must lie in its range (years 1678–2262).
-func mergeRuns(runs [][]timeseries.Record) []timeseries.Record {
-	byTime := func(a, b timeseries.Record) int { return a.Time.Compare(b.Time) }
+// placeDay appends one day's per-vehicle buffers to out ordered by
+// (time, vehicle index, position in buffer), which is what a stable
+// sort by time gives the buffers' concatenation. It places records by
+// (minutes after midnight, clamped to [0, dayBuckets), vehicle index)
+// and stably sorts the day only when that left it out of time order.
+// Equal times share a minute, so the sort keeps them in vehicle order.
+// The day must start after the last record already in out, or it
+// panics; the generator's days do, since a day's last trip ends before
+// the next day's first departure. counts is dayBuckets ints of scratch.
+func placeDay(out []timeseries.Record, bufs [][]timeseries.Record, midnight time.Time, counts []int) []timeseries.Record {
+	mid := midnight.Unix()
+	key := func(r *timeseries.Record) int {
+		return int(min(max((r.Time.Unix()-mid)/60, 0), dayBuckets-1))
+	}
+	clear(counts)
 	total := 0
-	heap := make([]runHead, 0, len(runs))
-	for i, run := range runs {
-		if !slices.IsSortedFunc(run, byTime) {
-			slices.SortStableFunc(run, byTime)
-		}
-		total += len(run)
-		if len(run) > 0 {
-			heap = append(heap, runHead{key: run[0].Time.UnixNano(), run: i})
+	for _, buf := range bufs {
+		total += len(buf)
+		for i := range buf {
+			counts[key(&buf[i])]++
 		}
 	}
-	// A sorted slice is a valid binary min-heap.
-	slices.SortFunc(heap, func(a, b runHead) int {
-		if a.before(b) {
-			return -1
+	// Counts become each bucket's next slot in the day.
+	at := len(out)
+	for k, c := range counts {
+		counts[k] = at
+		at += c
+	}
+	out = slices.Grow(out, total)[:len(out)+total]
+	for _, buf := range bufs {
+		for i := range buf {
+			k := key(&buf[i])
+			out[counts[k]] = buf[i]
+			counts[k]++
 		}
-		return 1
-	})
-	out := make([]timeseries.Record, 0, total)
-	for len(heap) > 0 {
-		h := &heap[0]
-		run := runs[h.run]
-		out = append(out, run[h.pos])
-		if h.pos++; h.pos < len(run) {
-			h.key = run[h.pos].Time.UnixNano()
-		} else {
-			*h = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		// Sift the changed root down.
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= len(heap) {
-				break
-			}
-			if c+1 < len(heap) && heap[c+1].before(heap[c]) {
-				c++
-			}
-			if !heap[c].before(heap[i]) {
-				break
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
+	}
+	byTime := func(a, b timeseries.Record) int { return a.Time.Compare(b.Time) }
+	start := len(out) - total
+	if day := out[start:]; !slices.IsSortedFunc(day, byTime) {
+		slices.SortStableFunc(day, byTime)
+	}
+	if start > 0 && total > 0 && !out[start].Time.After(out[start-1].Time) {
+		panic("fleetsim: a day's records overlap the day before")
 	}
 	return out
 }
