@@ -15,13 +15,15 @@ import (
 // value is ready to use; Reset reuses the buffer for a new stream, so a
 // steady-state producer (the bench harness, a telemetry forwarder)
 // encodes without allocating. Frames are built by Begin / Record /
-// Event / End; multiple frames accumulate in the same buffer.
+// Event / End; multiple frames accumulate in the same buffer. A frame
+// whose payload passes DefaultMaxFrameBytes, which a default Decoder
+// refuses, fails the stream with ErrFrameTooLarge.
 type Encoder struct {
 	buf   []byte
 	open  bool
 	start int    // offset of the open frame's header
 	count uint32 // items in the open frame
-	err   error  // sticky: first item that failed to encode
+	err   error  // sticky: first item that failed to encode or overfilled its frame
 }
 
 // Reset drops all encoded bytes, keeping the buffer's capacity.
@@ -90,6 +92,15 @@ func (e *Encoder) setErr(err error) {
 	}
 }
 
+// added counts the item just appended to the open frame, failing the
+// stream once the frame's payload passes DefaultMaxFrameBytes.
+func (e *Encoder) added() {
+	e.count++
+	if n := len(e.buf) - e.start - HeaderSize; n > DefaultMaxFrameBytes {
+		e.setErr(fmt.Errorf("%w: %d-byte frame payload", ErrFrameTooLarge, n))
+	}
+}
+
 // appendString appends a uint16-length-prefixed string, rejecting
 // strings beyond the format's limit.
 func (e *Encoder) appendString(s string, what string) bool {
@@ -120,7 +131,7 @@ func (e *Encoder) Record(r *timeseries.Record) {
 	for p := 0; p < int(obd.NumPIDs); p++ {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(r.Values[p]))
 	}
-	e.count++
+	e.added()
 }
 
 // Event appends one maintenance event to the open frame (opening one if
@@ -152,7 +163,7 @@ func (e *Encoder) Event(ev *obd.Event) {
 	if !e.appendString(ev.Note, "event note") {
 		return
 	}
-	e.count++
+	e.added()
 }
 
 // Item tags and event flags.
@@ -180,7 +191,7 @@ func (e *Encoder) TraceContext(id uint64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, id)
 	// Reserved flags byte pads the item to minItemSize.
 	e.buf = append(e.buf, 0)
-	e.count++
+	e.added()
 }
 
 // AppendHandoff appends one vehicle-handoff frame carrying a

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -482,13 +483,44 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestEncoderLimits pins the encoder's sticky error: an oversize
-// vehicle ID fails the stream instead of truncating it silently.
+// vehicle ID fails the stream instead of truncating it silently, and so
+// does a frame the default decoder would refuse. A frame whose payload
+// is exactly DefaultMaxFrameBytes encodes and decodes; one more record
+// fails with ErrFrameTooLarge.
 func TestEncoderLimits(t *testing.T) {
 	var enc Encoder
 	enc.Record(&timeseries.Record{VehicleID: strings.Repeat("v", maxIDLen+1)})
 	enc.End()
 	if enc.Err() == nil {
 		t.Fatal("encoding an oversize vehicle ID did not error")
+	}
+
+	const id = "veh-00001"
+	const item = 1 + 2 + len(id) + 8 + 1 + 8*int(obd.NumPIDs)
+	n := (DefaultMaxFrameBytes - 4) / item // 4: the payload's item count
+	if 4+n*item != DefaultMaxFrameBytes {
+		t.Fatalf("%d-byte records do not fill a frame exactly", item)
+	}
+	base := time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
+	recs := make([]timeseries.Record, n+1)
+	for i := range recs {
+		recs[i] = timeseries.Record{VehicleID: id, Time: base.Add(time.Duration(i) * time.Second)}
+	}
+	full, frames, err := EncodeStream(nil, recs[:n], nil, n)
+	if err != nil || frames != 1 || len(full) != HeaderSize+DefaultMaxFrameBytes {
+		t.Fatalf("frame at the limit: %d bytes, %d frames, err %v; want %d, 1, nil",
+			len(full), frames, err, HeaderSize+DefaultMaxFrameBytes)
+	}
+	var dec Decoder
+	decoded := 0
+	if _, err := dec.DecodeStream(bytes.NewReader(full), SinkFunc(func(b *Batch) error {
+		decoded += len(b.Records)
+		return nil
+	})); err != nil || decoded != n {
+		t.Fatalf("frame at the limit decoded %d of %d records, err %v", decoded, n, err)
+	}
+	if _, _, err := EncodeStream(nil, recs, nil, len(recs)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("one record over the limit: err %v, want ErrFrameTooLarge", err)
 	}
 }
 
