@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: ci check vet build build-arm64 test race race-fleet grid-equiv resume-gate drain-gate exhibits-check kernel-oracles fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
+.PHONY: ci check vet build build-arm64 test race race-fleet gen-gate grid-equiv resume-gate drain-gate exhibits-check kernel-oracles fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
 
 ## ci: the full gate — vet (gofmt, go vet, the obs metric-doc check),
 ## build (plus the arm64 cross-build that keeps the non-amd64 kernel
 ## stubs honest), race-enabled tests (the concurrent fleet/fitpool
-## packages in a twice-run pass of their own), the grid equivalence gate, the
+## packages in a twice-run pass of their own), the synthetic fleet's
+## digests without -race, the grid equivalence gate, the
 ## checkpoint resume and vehicle drain gates, the bench-scale exhibits
 ## against their committed text, the SIMD kernel oracles by
 ## name, the wire-ingest smoke, the observer and tracing overhead gates,
@@ -16,7 +17,7 @@ GO ?= go
 ## failure, and a table of each one's wall time closes the run: a gate
 ## that costs minutes to re-prove what another already proved shows up
 ## there.
-CI_TARGETS = vet-obs build build-arm64 race race-fleet grid-equiv resume-gate drain-gate exhibits-check kernel-oracles ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
+CI_TARGETS = vet-obs build build-arm64 race race-fleet gen-gate grid-equiv resume-gate drain-gate exhibits-check kernel-oracles ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
 ci:
 	@table=""; t0=$$(date +%s); \
 	for t in $(CI_TARGETS); do \
@@ -100,6 +101,13 @@ race:
 ## target.
 race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/... ./internal/core/... ./internal/fitpool/...
+
+## gen-gate: fleetsim.Generate's bytes, without -race — all 21
+## TestGenerateGolden digests at GOMAXPROCS 1, 2 and 8, the two 400 x 100
+## fleets that `race` skips included — the per-day placement against its
+## stable-sort oracle, and the bound on what Generate allocates.
+gen-gate:
+	$(call named,./internal/fleetsim/,TestGenerateGolden|TestGenerateDeterministic|TestPlaceDayMatchesStableSort|TestGenerateAllocBound)
 
 ## grid-equiv: the transform-once grid must reproduce, cell for cell,
 ## the re-stream-per-technique reference that now lives beside the test
