@@ -6,7 +6,8 @@ GO ?= go
 ## build (plus the arm64 cross-build that keeps the non-amd64 kernel
 ## stubs honest), race-enabled tests (the concurrent fleet/fitpool
 ## packages in a twice-run pass of their own), the synthetic fleet's
-## digests without -race, the grid equivalence gate, the
+## digests, its day stream and the two commands that read it without
+## -race, the grid equivalence gate, the
 ## checkpoint resume and vehicle drain gates, the bench-scale exhibits
 ## against their committed text, the SIMD kernel oracles by
 ## name, the wire-ingest smoke, the observer and tracing overhead gates,
@@ -102,12 +103,18 @@ race:
 race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/... ./internal/core/... ./internal/fitpool/...
 
-## gen-gate: fleetsim.Generate's bytes, without -race — all 21
+## gen-gate: the synthetic fleet's bytes, without -race — all 21
 ## TestGenerateGolden digests at GOMAXPROCS 1, 2 and 8, the two 400 x 100
 ## fleets that `race` skips included — the per-day placement against its
-## stable-sort oracle, and the bound on what Generate allocates.
+## stable-sort oracle, the bound on what Generate allocates, the day
+## stream folded into Generate's digest on two calls within 5% of
+## Generate's allocation, and what navarchos-gen writes and
+## navarchos-detect prints and checkpoints at -scale small, both of
+## which read the stream.
 gen-gate:
-	$(call named,./internal/fleetsim/,TestGenerateGolden|TestGenerateDeterministic|TestPlaceDayMatchesStableSort|TestGenerateAllocBound)
+	$(call named,./internal/fleetsim/,TestGenerateGolden|TestGenerateDeterministic|TestPlaceDayMatchesStableSort|TestGenerateAllocBound|TestDaysAllocBound)
+	$(call named,./cmd/navarchos-gen/,TestMainGolden)
+	$(call named,./cmd/navarchos-detect/,TestMainGolden)
 
 ## grid-equiv: the transform-once grid must reproduce, cell for cell,
 ## the re-stream-per-technique reference that now lives beside the test

@@ -5,11 +5,12 @@
 // explanation.
 //
 // Data comes either from CSV files written by navarchos-gen (-records /
-// -events) or from a freshly generated synthetic fleet (-scale). The
-// fleet streams through the sharded concurrent engine; -checkpoint and
-// -resume serialize and restore the engine's mutable state so a long
-// replay can be split across process invocations without changing a
-// single alarm.
+// -events) or from a freshly generated synthetic fleet (-scale), which is
+// simulated and replayed a day at a time so the command never holds its
+// records. The fleet streams through the sharded concurrent engine;
+// -checkpoint and -resume serialize and restore the engine's mutable
+// state so a long replay can be split across process invocations without
+// changing a single alarm.
 //
 // Usage:
 //
@@ -60,7 +61,9 @@ func main() {
 	hold := flag.Duration("hold", 0, "keep the debug server up this long after the replay finishes")
 	flag.Parse()
 
-	var records []timeseries.Record
+	// days hands the records to its callback: a simulated day at a
+	// time with -scale, all of them at once from -records.
+	var days func(fn func(day []timeseries.Record) error) error
 	var events []obd.Event
 	switch {
 	case *scale != "":
@@ -68,18 +71,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fleet := fleetsim.Generate(cfg)
-		records, events = fleet.Records, fleet.Events
+		fleet := fleetsim.Plan(cfg)
+		days, events = fleet.Days, fleet.Events
 	case *recordsPath != "" && *eventsPath != "":
 		rf, err := os.Open(*recordsPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		records, err = fleetsim.ReadRecordsCSV(rf)
+		records, err := fleetsim.ReadRecordsCSV(rf)
 		rf.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
+		days = func(fn func([]timeseries.Record) error) error { return fn(records) }
 		ef, err := os.Open(*eventsPath)
 		if err != nil {
 			log.Fatal(err)
@@ -170,7 +174,16 @@ func main() {
 			alarms = append(alarms, a)
 		}
 	}()
-	if err := eng.Replay(records, events); err != nil {
+	// Replay admits a call's events before its records, so every event
+	// first, then the records, keeps each vehicle's order.
+	if err := eng.Replay(nil, events); err != nil {
+		log.Fatal(err)
+	}
+	records := 0
+	if err := days(func(day []timeseries.Record) error {
+		records += len(day)
+		return eng.Replay(day, nil)
+	}); err != nil {
 		log.Fatal(err)
 	}
 	if *checkpointPath != "" {
@@ -196,7 +209,7 @@ func main() {
 	st := eng.Stats()
 	daily := pdm.ConsolidateDaily(alarms)
 	fmt.Printf("processed %d records from %d vehicles; %d raw violations, %d day-level alarms\n",
-		len(records), st.Vehicles, len(alarms), len(daily))
+		records, st.Vehicles, len(alarms), len(daily))
 	for _, a := range daily {
 		fmt.Printf("%s  %-8s %-32s score=%.4f threshold=%.4f\n",
 			a.Time.Format("2006-01-02 15:04"), a.VehicleID, a.Feature, a.Score, a.Threshold)

@@ -1,7 +1,8 @@
 // Command navarchos-gen generates a synthetic vehicle-fleet dataset —
 // the stand-in for the paper's proprietary Navarchos traces — and writes
 // it as CSV: one telemetry file (per-minute PID records) and one event
-// file (services, repairs, DTCs as the FMS records them).
+// file (services, repairs, DTCs as the FMS records them). It writes the
+// records a simulated day at a time and never holds the whole fleet.
 //
 // Usage:
 //
@@ -32,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fleet := fleetsim.Generate(cfg)
+	fleet := fleetsim.Plan(cfg)
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fleetsim.WriteRecordsCSV(rf, fleet.Records); err != nil {
+	records, err := fleetsim.WriteDaysCSV(rf, fleet.Days)
+	if err != nil {
 		log.Fatal(err)
 	}
 	if err := rf.Close(); err != nil {
@@ -68,7 +70,7 @@ func main() {
 		}
 	}
 	fmt.Printf("wrote %s (%d records) and %s (%d events, %d failures)\n",
-		recPath, len(fleet.Records), evPath, len(fleet.Events), failures)
+		recPath, records, evPath, len(fleet.Events), failures)
 	fmt.Printf("vehicles: %d total, %d with recorded events\n",
 		len(fleet.Vehicles), len(fleet.EventVehicleIDs()))
 }

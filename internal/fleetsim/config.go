@@ -22,8 +22,8 @@
 //     DTCs are noisy and mostly unrelated to failures (Figure 1).
 //
 // Everything is deterministic given Config.Seed, whatever GOMAXPROCS is:
-// each vehicle owns a rand.Source, so Generate simulates vehicles
-// concurrently, and Records are ordered by (time, vehicle index), which
+// each vehicle owns a rand.Source, so a day's vehicles are simulated
+// concurrently, and records are ordered by (time, vehicle index), which
 // no scheduling can change (TestGenerateGolden).
 package fleetsim
 
@@ -148,37 +148,21 @@ func ConfigForScale(name string, seed int64) (Config, error) {
 
 // validate normalises and sanity-checks the configuration.
 func (c *Config) validate() {
-	if c.NumVehicles < 1 {
-		c.NumVehicles = 1
-	}
-	if c.Days < 30 {
-		c.Days = 30
-	}
+	c.NumVehicles = max(c.NumVehicles, 1)
+	c.Days = max(c.Days, 30)
 	if c.Start.IsZero() {
 		c.Start = time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
 	if c.AvgDriveMinutes <= 0 {
 		c.AvgDriveMinutes = 60
 	}
-	if c.RecordedVehicles > c.NumVehicles {
-		c.RecordedVehicles = c.NumVehicles
-	}
+	c.RecordedVehicles = min(c.RecordedVehicles, c.NumVehicles)
 	if c.RecordedVehicles < 1 {
 		c.RecordedVehicles = c.NumVehicles
 	}
-	if c.RecordedFailures > c.RecordedVehicles {
-		c.RecordedFailures = c.RecordedVehicles
-	}
-	if c.HiddenFailures > c.NumVehicles-c.RecordedVehicles {
-		c.HiddenFailures = c.NumVehicles - c.RecordedVehicles
-	}
-	if c.ServiceIntervalDays < 10 {
-		c.ServiceIntervalDays = 10
-	}
-	if c.DegradationDaysMin < 5 {
-		c.DegradationDaysMin = 5
-	}
-	if c.DegradationDaysMax < c.DegradationDaysMin {
-		c.DegradationDaysMax = c.DegradationDaysMin
-	}
+	c.RecordedFailures = min(c.RecordedFailures, c.RecordedVehicles)
+	c.HiddenFailures = min(c.HiddenFailures, c.NumVehicles-c.RecordedVehicles)
+	c.ServiceIntervalDays = max(c.ServiceIntervalDays, 10)
+	c.DegradationDaysMin = max(c.DegradationDaysMin, 5)
+	c.DegradationDaysMax = max(c.DegradationDaysMax, c.DegradationDaysMin)
 }

@@ -17,25 +17,41 @@ const timeLayout = time.RFC3339
 // WriteRecordsCSV writes telemetry records as CSV with a header row:
 // vehicle,time,rpm,speed,coolantTemp,intakeTemp,mapIntake,MAFairFlowRate.
 func WriteRecordsCSV(w io.Writer, recs []timeseries.Record) error {
+	_, err := WriteDaysCSV(w, func(fn func([]timeseries.Record) error) error { return fn(recs) })
+	return err
+}
+
+// WriteDaysCSV writes the records days hands its callback, a day at a
+// time, as WriteRecordsCSV writes them (Fleet.Days fits days), and
+// returns how many it wrote.
+func WriteDaysCSV(w io.Writer, days func(fn func(day []timeseries.Record) error) error) (int, error) {
 	cw := csv.NewWriter(w)
 	header := append([]string{"vehicle", "time"}, obd.PIDNames()...)
 	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("fleetsim: write header: %w", err)
+		return 0, fmt.Errorf("fleetsim: write header: %w", err)
 	}
 	row := make([]string, 2+int(obd.NumPIDs))
-	for i := range recs {
-		r := &recs[i]
-		row[0] = r.VehicleID
-		row[1] = r.Time.UTC().Format(timeLayout)
-		for p := 0; p < int(obd.NumPIDs); p++ {
-			row[2+p] = strconv.FormatFloat(r.Values[p], 'f', 3, 64)
+	n := 0
+	err := days(func(recs []timeseries.Record) error {
+		for i := range recs {
+			r := &recs[i]
+			row[0] = r.VehicleID
+			row[1] = r.Time.UTC().Format(timeLayout)
+			for p := 0; p < int(obd.NumPIDs); p++ {
+				row[2+p] = strconv.FormatFloat(r.Values[p], 'f', 3, 64)
+			}
+			if err := cw.Write(row); err != nil {
+				return fmt.Errorf("fleetsim: write record %d: %w", n, err)
+			}
+			n++
 		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("fleetsim: write record %d: %w", i, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return n, err
 	}
 	cw.Flush()
-	return cw.Error()
+	return n, cw.Error()
 }
 
 // ReadRecordsCSV parses telemetry records written by WriteRecordsCSV: a

@@ -65,8 +65,8 @@ type engineState struct {
 
 // newEngineState starts a trip with a cold-ish engine (coolant near
 // ambient, a bit warmer if the engine ran recently).
-func newEngineState(v *Vehicle, rng *rand.Rand, ambient float64, residualHeat float64, loadScale, gearScale float64) *engineState {
-	return &engineState{
+func newEngineState(v *Vehicle, rng *rand.Rand, ambient float64, residualHeat float64, loadScale, gearScale float64) engineState {
+	return engineState{
 		vehicle:      v,
 		rng:          rng,
 		coolant:      ambient + residualHeat,

@@ -31,22 +31,14 @@ const (
 	numFaultKinds
 )
 
+var faultNames = [numFaultKinds]string{"none", "thermostat stuck open", "MAF sensor drift", "intake manifold leak", "head gasket failure"}
+
 // String implements fmt.Stringer; the names double as repair notes.
 func (f FaultKind) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultThermostat:
-		return "thermostat stuck open"
-	case FaultMAFDrift:
-		return "MAF sensor drift"
-	case FaultIntakeLeak:
-		return "intake manifold leak"
-	case FaultHeadGasket:
-		return "head gasket failure"
-	default:
+	if f < 0 || f >= numFaultKinds {
 		return fmt.Sprintf("FaultKind(%d)", int(f))
 	}
+	return faultNames[f]
 }
 
 // cycleFault deterministically assigns the i-th failure a fault kind,
@@ -66,10 +58,7 @@ func (v *Vehicle) severity(day int) float64 {
 	if day < start || day > v.FailureDay {
 		return 0
 	}
-	s := float64(day-start) / float64(v.DegradeDays)
-	if s > 1 {
-		s = 1
-	}
+	s := min(float64(day-start)/float64(v.DegradeDays), 1)
 	// Concave ramp: degradation progresses quickly at onset and then
 	// saturates (a cracked hose or contaminated sensor does most of its
 	// damage early), so behavioural change is already visible well

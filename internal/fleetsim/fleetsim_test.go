@@ -510,3 +510,38 @@ func TestValidateClamps(t *testing.T) {
 		t.Errorf("hidden failures should clamp to 0, got %d", c.HiddenFailures)
 	}
 }
+
+// TestDaysAllocBound is TestGenerateAllocBound's twin for the day
+// stream: two consecutive Days calls on one BenchConfig plan each fold
+// their days into Generate's golden digest, and each allocates at most
+// 5% of the bytes Generate allocates for the same fleet. What a pass
+// keeps is the vehicles' day buffers, their rand sources and one day
+// buffer, not the fleet.
+func TestDaysAllocBound(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := len(Generate(BenchConfig()).Records)
+	runtime.ReadMemStats(&after)
+	generated := after.TotalAlloc - before.TotalAlloc
+	var want string
+	for _, g := range goldenFleets {
+		if g.name == "bench/seed1" {
+			want = g.digest
+		}
+	}
+	p := Plan(BenchConfig())
+	for call := 1; call <= 2; call++ {
+		runtime.ReadMemStats(&before)
+		got := daysDigest(p, n, p.Days)
+		runtime.ReadMemStats(&after)
+		if got != want {
+			t.Errorf("call %d: digest = %s, want %s", call, got, want)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("call %d allocated %d bytes, Generate %d", call, alloc, generated)
+		if alloc*20 > generated {
+			t.Errorf("call %d allocated %d bytes, Generate %d: %.1f%%, want <= 5%%",
+				call, alloc, generated, 100*float64(alloc)/float64(generated))
+		}
+	}
+}

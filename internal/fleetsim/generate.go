@@ -19,7 +19,7 @@ type Fleet struct {
 	Vehicles []Vehicle
 
 	// Records holds all PID measurements, sorted chronologically;
-	// records with equal times are in vehicle-index order.
+	// records with equal times are in vehicle-index order (nil in a Plan).
 	Records []timeseries.Record
 
 	// Events is what the FMS records: services and repairs for recorded
@@ -33,21 +33,49 @@ type Fleet struct {
 	HiddenEvents []obd.Event
 }
 
-// Generate builds a deterministic synthetic fleet from cfg. It builds
-// the records one simulated day at a time, that day's vehicles on
-// GOMAXPROCS goroutines, and returns the same fleet, byte for byte, at
-// any GOMAXPROCS.
-func Generate(cfg Config) *Fleet {
+// Plan lays out cfg's fleet without its telemetry, which Days simulates:
+// the vehicles, Events and HiddenEvents, sorted as Generate returns them.
+func Plan(cfg Config) *Fleet {
 	cfg.validate()
 	f := &Fleet{Config: cfg}
 	f.assignVehicles()
 	f.scheduleMaintenance()
 	f.scheduleDTCs()
-	f.generateTelemetry()
 	byTime := func(a, b obd.Event) int { return a.Time.Compare(b.Time) }
 	slices.SortStableFunc(f.Events, byTime)
 	slices.SortStableFunc(f.HiddenEvents, byTime)
 	return f
+}
+
+// Generate builds cfg's deterministic synthetic fleet: its Plan with every
+// day placed into Records, the same bytes at any GOMAXPROCS.
+func Generate(cfg Config) *Fleet {
+	f := Plan(cfg)
+	// A vehicle drives about 0.9 x AvgDriveMinutes a day (idle days,
+	// light weekends), so this rarely regrows.
+	f.Records = make([]timeseries.Record, 0, int(float64(cfg.Days*len(f.Vehicles))*cfg.AvgDriveMinutes))
+	f.simulate(func(bufs [][]timeseries.Record, midnight time.Time, counts []int) error {
+		f.Records = placeDay(f.Records, bufs, midnight, counts)
+		return nil
+	})
+	return f
+}
+
+// Days simulates the fleet's telemetry and hands fn each day's records
+// in the order Generate's Records holds them, in one buffer it reuses:
+// fn must not keep or modify it. Days stops at fn's first error and
+// returns it. Every call yields the same records at any GOMAXPROCS.
+func (f *Fleet) Days(fn func(day []timeseries.Record) error) error {
+	// buf[0] carries the last record out, for placeDay's overlap check.
+	var buf []timeseries.Record
+	return f.simulate(func(bufs [][]timeseries.Record, midnight time.Time, counts []int) error {
+		carry := min(len(buf), 1)
+		if carry > 0 {
+			buf[0] = buf[len(buf)-1]
+		}
+		buf = placeDay(buf[:carry], bufs, midnight, counts)
+		return fn(buf[carry:])
+	})
 }
 
 // assignVehicles gives every vehicle a model, usage profile, recording
@@ -77,10 +105,7 @@ func (f *Fleet) assignVehicles() {
 		v.Fault = fault
 		v.DegradeDays = cfg.DegradationDaysMin + rng.Intn(cfg.DegradationDaysMax-cfg.DegradationDaysMin+1)
 		lo := v.DegradeDays + cfg.Days/4
-		hi := cfg.Days - 8
-		if hi <= lo {
-			hi = lo + 1
-		}
+		hi := max(cfg.Days-8, lo+1)
 		v.FailureDay = lo + rng.Intn(hi-lo)
 	}
 	// Recorded failures: spread across distinct recorded vehicles.
@@ -186,14 +211,15 @@ func (f *Fleet) scheduleDTCs() {
 	}
 }
 
-// generateTelemetry builds f.Records one simulated day at a time. Each
-// day, every vehicle's records for that day are simulated into a buffer
-// the vehicle reuses, GOMAXPROCS vehicles at a time; then placeDay
-// appends the day in (time, vehicle index) order, which does not depend
-// on who simulated what. Each vehicle draws from its own rand.Source,
-// kept from day to day, and only reads the shared weather table and its
-// own Vehicle.
-func (f *Fleet) generateTelemetry() {
+// simulate runs the fleet's days in order. Each day, every vehicle's
+// records for that day are simulated into a buffer the vehicle reuses,
+// GOMAXPROCS vehicles at a time; then place gets the buffers, the day's
+// midnight and dayBuckets ints of scratch, and places the day in (time,
+// vehicle index) order, which does not depend on who simulated what.
+// Each vehicle draws from its own rand.Source, seeded afresh on every
+// call and kept from day to day, and only reads the shared weather table
+// and its own Vehicle. simulate stops at place's first error.
+func (f *Fleet) simulate(place func(bufs [][]timeseries.Record, midnight time.Time, counts []int) error) error {
 	cfg := f.Config
 	weather := f.dayWeather()
 	n := len(f.Vehicles)
@@ -202,9 +228,6 @@ func (f *Fleet) generateTelemetry() {
 		rngs[i] = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)*7_368_787))
 	}
 	bufs := make([][]timeseries.Record, n)
-	// A vehicle drives about 0.9 x AvgDriveMinutes a day (idle days,
-	// light weekends), so this rarely regrows.
-	f.Records = make([]timeseries.Record, 0, int(float64(cfg.Days*n)*cfg.AvgDriveMinutes))
 	counts := make([]int, dayBuckets)
 	for day := 0; day < cfg.Days; day++ {
 		var next atomic.Int64
@@ -219,8 +242,11 @@ func (f *Fleet) generateTelemetry() {
 			}()
 		}
 		wg.Wait()
-		f.Records = placeDay(f.Records, bufs, f.dayTime(day, 0), counts)
+		if err := place(bufs, f.dayTime(day, 0), counts); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // dayWeather draws the day-level weather noise shared by the whole fleet.
@@ -265,10 +291,7 @@ func (f *Fleet) vehicleDay(v *Vehicle, day int, rng *rand.Rand, weather float64,
 	for minutes > 8 && cursor < 22*60 {
 		ride := sampleRide(usage, rng)
 		p := rideCatalog[ride]
-		dur := p.minMinutes + rng.Intn(p.maxMinutes-p.minMinutes+1)
-		if dur > minutes {
-			dur = minutes
-		}
+		dur := min(p.minMinutes+rng.Intn(p.maxMinutes-p.minMinutes+1), minutes)
 		residual := 2.0
 		if trip > 0 {
 			residual = 25 + rng.Float64()*20 // engine still warm

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/navarchos/pdm/internal/obd"
+	"github.com/navarchos/pdm/internal/timeseries"
 )
 
 // fleetDigest is the SHA-256 of a canonical serialisation of the three
@@ -18,6 +19,12 @@ import (
 // Float64bits of each value), then Events, then HiddenEvents. It streams
 // into the hash so the 3.4M-record case holds no second copy of the fleet.
 func fleetDigest(f *Fleet) string {
+	return daysDigest(f, len(f.Records), func(fn func([]timeseries.Record) error) error { return fn(f.Records) })
+}
+
+// daysDigest is fleetDigest over the n records days hands its callback,
+// day by day, and f's events.
+func daysDigest(f *Fleet, n int, days func(fn func(day []timeseries.Record) error) error) string {
 	h := sha256.New()
 	w := bufio.NewWriterSize(h, 1<<16)
 	var b [8]byte
@@ -29,15 +36,18 @@ func fleetDigest(f *Fleet) string {
 		u64(uint64(len(s)))
 		w.WriteString(s)
 	}
-	u64(uint64(len(f.Records)))
-	for i := range f.Records {
-		r := &f.Records[i]
-		str(r.VehicleID)
-		u64(uint64(r.Time.UnixNano()))
-		for _, v := range r.Values {
-			u64(math.Float64bits(v))
+	u64(uint64(n))
+	days(func(day []timeseries.Record) error {
+		for i := range day {
+			r := &day[i]
+			str(r.VehicleID)
+			u64(uint64(r.Time.UnixNano()))
+			for _, v := range r.Values {
+				u64(math.Float64bits(v))
+			}
 		}
-	}
+		return nil
+	})
 	for _, evs := range [][]obd.Event{f.Events, f.HiddenEvents} {
 		u64(uint64(len(evs)))
 		for i := range evs {
@@ -59,7 +69,7 @@ func fleetDigest(f *Fleet) string {
 }
 
 // goldenFleets pins Generate's output byte for byte. The digests were
-// written from the tree BEFORE generateTelemetry became parallel (one
+// written from the tree BEFORE the records were simulated in parallel (one
 // vehicle after another into one slice, then sort.SliceStable by time)
 // and must never be regenerated from the code under test: a mismatch
 // means every exhibit, snapshot and benchmark reference built on these

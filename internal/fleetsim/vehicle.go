@@ -39,24 +39,15 @@ const (
 
 // String implements fmt.Stringer.
 func (r RideType) String() string {
-	switch r {
-	case RideUrban:
-		return "urban"
-	case RideShort:
-		return "short"
-	case RideRegional:
-		return "regional"
-	case RideLong:
-		return "long"
-	case RideFast:
-		return "fast"
-	default:
+	if r < 0 || r >= numRideTypes {
 		return fmt.Sprintf("RideType(%d)", int(r))
 	}
+	return rideCatalog[r].name
 }
 
 // rideParams holds the trip-level kinematics of a ride type.
 type rideParams struct {
+	name        string
 	targetSpeed float64 // cruise target, km/h
 	speedJitter float64 // short-term variation
 	stopProb    float64 // probability per minute of a stop (urban lights)
@@ -65,11 +56,11 @@ type rideParams struct {
 }
 
 var rideCatalog = [numRideTypes]rideParams{
-	RideUrban:    {targetSpeed: 38, speedJitter: 12, stopProb: 0.16, minMinutes: 12, maxMinutes: 45},
-	RideShort:    {targetSpeed: 28, speedJitter: 9, stopProb: 0.12, minMinutes: 4, maxMinutes: 12},
-	RideRegional: {targetSpeed: 74, speedJitter: 9, stopProb: 0.02, minMinutes: 25, maxMinutes: 70},
-	RideLong:     {targetSpeed: 92, speedJitter: 7, stopProb: 0.005, minMinutes: 60, maxMinutes: 160},
-	RideFast:     {targetSpeed: 112, speedJitter: 8, stopProb: 0.002, minMinutes: 30, maxMinutes: 90},
+	RideUrban:    {name: "urban", targetSpeed: 38, speedJitter: 12, stopProb: 0.16, minMinutes: 12, maxMinutes: 45},
+	RideShort:    {name: "short", targetSpeed: 28, speedJitter: 9, stopProb: 0.12, minMinutes: 4, maxMinutes: 12},
+	RideRegional: {name: "regional", targetSpeed: 74, speedJitter: 9, stopProb: 0.02, minMinutes: 25, maxMinutes: 70},
+	RideLong:     {name: "long", targetSpeed: 92, speedJitter: 7, stopProb: 0.005, minMinutes: 60, maxMinutes: 160},
+	RideFast:     {name: "fast", targetSpeed: 112, speedJitter: 8, stopProb: 0.002, minMinutes: 30, maxMinutes: 90},
 }
 
 // UsageProfile is a vehicle's mixture over ride types; weights sum to 1.
@@ -116,11 +107,7 @@ func (v *Vehicle) debt(day int) float64 {
 			last = d
 		}
 	}
-	debt := float64(day-last) / 200
-	if debt > 1 {
-		debt = 1
-	}
-	return debt
+	return min(float64(day-last)/200, 1)
 }
 
 // vehicleID formats the canonical vehicle identifier.
