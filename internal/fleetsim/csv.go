@@ -21,9 +21,9 @@ func WriteRecordsCSV(w io.Writer, recs []timeseries.Record) error {
 	return err
 }
 
-// WriteDaysCSV writes the records days hands its callback, a day at a
-// time, as WriteRecordsCSV writes them (Fleet.Days fits days), and
-// returns how many it wrote.
+// WriteDaysCSV writes, as WriteRecordsCSV does, the records that days
+// hands its callback a day at a time (a Fleet's Days, say), and returns
+// how many it wrote.
 func WriteDaysCSV(w io.Writer, days func(fn func(day []timeseries.Record) error) error) (int, error) {
 	cw := csv.NewWriter(w)
 	header := append([]string{"vehicle", "time"}, obd.PIDNames()...)

@@ -2,6 +2,7 @@ package fleetsim
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"slices"
 	"strings"
@@ -543,5 +544,21 @@ func TestDaysAllocBound(t *testing.T) {
 			t.Errorf("call %d allocated %d bytes, Generate %d: %.1f%%, want <= 5%%",
 				call, alloc, generated, 100*float64(alloc)/float64(generated))
 		}
+	}
+}
+
+// TestDaysStopsAtFirstError: Days hands out no day after the one whose
+// callback failed, and returns that error.
+func TestDaysStopsAtFirstError(t *testing.T) {
+	stop := errors.New("stop")
+	calls := 0
+	err := Plan(SmallConfig()).Days(func([]timeseries.Record) error {
+		if calls++; calls == 3 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || calls != 3 {
+		t.Errorf("Days = %v after %d days, want %v after 3", err, calls, stop)
 	}
 }
