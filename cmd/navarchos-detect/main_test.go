@@ -44,23 +44,44 @@ func writeSmallCSV(t *testing.T, dir string) {
 	}
 }
 
-// TestMainGolden pins what navarchos-detect prints and the -checkpoint
-// file it writes, for a generated fleet (-scale small -seed 1) and for
-// the same fleet read back from CSV, to SHA-256 digests written by the
-// tree before the command streamed the fleet's days; they are never
-// regenerated from the code under test. The test re-execs itself, in a
-// scratch directory so the checkpoint path it prints is relative, so
-// main's flag parsing and exit path run.
-func TestMainGolden(t *testing.T) {
+// TestMain runs main instead of the tests when the test binary is
+// re-executed with NAVARCHOS_DETECT_ARGS set, so the tests below drive
+// main's flag parsing and exit path.
+func TestMain(m *testing.M) {
 	if args := os.Getenv("NAVARCHOS_DETECT_ARGS"); args != "" {
 		os.Args = append([]string{"navarchos-detect"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
+	os.Exit(m.Run())
+}
+
+// run executes navarchos-detect with args in dir and returns its stdout.
+func run(t *testing.T, dir, args string) []byte {
+	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cmd := exec.Command(self)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "NAVARCHOS_DETECT_ARGS="+args)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("navarchos-detect %s: %v\n%s", args, err, stderr.String())
+	}
+	return out
+}
+
+// TestMainGolden pins what navarchos-detect prints and the -checkpoint
+// file it writes, for a generated fleet (-scale small -seed 1) and for
+// the same fleet read back from CSV, to SHA-256 digests written by the
+// tree before the command streamed the fleet's days; they are never
+// regenerated from the code under test. It runs in a scratch directory
+// so the checkpoint path it prints is relative.
+func TestMainGolden(t *testing.T) {
 	for _, c := range []struct {
 		name, args         string
 		stdout, checkpoint string
@@ -77,15 +98,7 @@ func TestMainGolden(t *testing.T) {
 			if c.name == "csv" {
 				writeSmallCSV(t, dir)
 			}
-			cmd := exec.Command(self, "-test.run=^TestMainGolden$")
-			cmd.Dir = dir
-			cmd.Env = append(os.Environ(), "NAVARCHOS_DETECT_ARGS="+c.args)
-			var stderr strings.Builder
-			cmd.Stderr = &stderr
-			out, err := cmd.Output()
-			if err != nil {
-				t.Fatalf("navarchos-detect %s: %v\n%s", c.args, err, stderr.String())
-			}
+			out := run(t, dir, c.args)
 			ckpt, err := os.ReadFile(filepath.Join(dir, "fleet.ckpt"))
 			if err != nil {
 				t.Fatal(err)
@@ -97,5 +110,20 @@ func TestMainGolden(t *testing.T) {
 				t.Errorf("checkpoint digest = %s, want %s", got, c.checkpoint)
 			}
 		})
+	}
+}
+
+// TestListingIndependentOfShards holds the alarm listing to the fleet,
+// not to the order in which the engine's shards hand alarms back: at a
+// factor low enough that several vehicles alarm, three shards print
+// what one does, and twice in a row.
+func TestListingIndependentOfShards(t *testing.T) {
+	const args = "-scale small -seed 1 -factor 4 -shards "
+	dir := t.TempDir()
+	one := run(t, dir, args+"1")
+	for i := 0; i < 2; i++ {
+		if got := run(t, dir, args+"3"); string(got) != string(one) {
+			t.Fatalf("run %d at -shards 3 prints %s, -shards 1 prints %s", i+1, digest(got), digest(one))
+		}
 	}
 }
