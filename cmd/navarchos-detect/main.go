@@ -21,11 +21,14 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/navarchos/pdm"
@@ -206,6 +209,11 @@ func main() {
 	}
 	<-done
 
+	// The shards hand alarms back in whatever order they finish; the
+	// listing goes by time, then vehicle.
+	slices.SortStableFunc(alarms, func(a, b pdm.Alarm) int {
+		return cmp.Or(a.Time.Compare(b.Time), strings.Compare(a.VehicleID, b.VehicleID))
+	})
 	st := eng.Stats()
 	daily := pdm.ConsolidateDaily(alarms)
 	fmt.Printf("processed %d records from %d vehicles; %d raw violations, %d day-level alarms\n",
