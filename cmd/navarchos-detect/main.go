@@ -5,9 +5,9 @@
 // explanation.
 //
 // Data comes either from CSV files written by navarchos-gen (-records /
-// -events) or from a freshly generated synthetic fleet (-scale), which is
-// simulated and replayed a day at a time so the command never holds its
-// records. The fleet streams through the sharded concurrent engine;
+// -events), decoded and replayed a batch at a time, or from a freshly
+// generated synthetic fleet (-scale), simulated and replayed a day at a
+// time; either way the command never holds the fleet's records. The fleet streams through the sharded concurrent engine;
 // -checkpoint and -resume serialize and restore the engine's mutable
 // state so a long replay can be split across process invocations without
 // changing a single alarm.
@@ -36,6 +36,7 @@ import (
 	"github.com/navarchos/pdm/internal/fleetsim"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
+	"github.com/navarchos/pdm/internal/wire"
 )
 
 // openLog opens the -journal file as navarchos-serve opens its logs: a
@@ -65,7 +66,7 @@ func main() {
 	flag.Parse()
 
 	// days hands the records to its callback: a simulated day at a
-	// time with -scale, all of them at once from -records.
+	// time with -scale, a decoded batch at a time from -records.
 	var days func(fn func(day []timeseries.Record) error) error
 	var events []obd.Event
 	switch {
@@ -77,16 +78,15 @@ func main() {
 		fleet := fleetsim.Plan(cfg)
 		days, events = fleet.Days, fleet.Events
 	case *recordsPath != "" && *eventsPath != "":
-		rf, err := os.Open(*recordsPath)
-		if err != nil {
-			log.Fatal(err)
+		days = func(fn func([]timeseries.Record) error) error {
+			rf, err := os.Open(*recordsPath)
+			if err != nil {
+				return err
+			}
+			defer rf.Close()
+			_, err = wire.DecodeCSV(rf, 0, wire.SinkFunc(func(b *wire.Batch) error { return fn(b.Records) }))
+			return err
 		}
-		records, err := fleetsim.ReadRecordsCSV(rf)
-		rf.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		days = func(fn func([]timeseries.Record) error) error { return fn(records) }
 		ef, err := os.Open(*eventsPath)
 		if err != nil {
 			log.Fatal(err)

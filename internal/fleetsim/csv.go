@@ -9,7 +9,6 @@ import (
 
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
-	"github.com/navarchos/pdm/internal/wire"
 )
 
 const timeLayout = time.RFC3339
@@ -52,22 +51,6 @@ func WriteDaysCSV(w io.Writer, days func(fn func(day []timeseries.Record) error)
 	}
 	cw.Flush()
 	return n, cw.Error()
-}
-
-// ReadRecordsCSV parses telemetry records written by WriteRecordsCSV: a
-// collecting sink over wire.DecodeCSV, which owns the schema, streams
-// the file and interns vehicle IDs, so what comes back holds the
-// records and a handful of ID strings, not a CSV line per record.
-func ReadRecordsCSV(r io.Reader) ([]timeseries.Record, error) {
-	var out []timeseries.Record
-	_, err := wire.DecodeCSV(r, 0, wire.SinkFunc(func(b *wire.Batch) error {
-		out = append(out, b.Records...)
-		return nil
-	}))
-	if err != nil {
-		return nil, fmt.Errorf("fleetsim: read records csv: %w", err)
-	}
-	return out, nil
 }
 
 // WriteEventsCSV writes events as CSV: vehicle,time,type,dtc,note.

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"github.com/navarchos/pdm/internal/mat"
 	"github.com/navarchos/pdm/internal/obd"
@@ -317,6 +316,9 @@ func TestStringers(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip: ReadEventsCSV reads back what WriteEventsCSV
+// writes. The records file is wire.DecodeCSV's (its tests round-trip
+// WriteRecordsCSV).
 func TestCSVRoundTrip(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Days = 40
@@ -327,29 +329,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	f := Generate(cfg)
 
 	var buf bytes.Buffer
-	if err := WriteRecordsCSV(&buf, f.Records[:200]); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRecordsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 200 {
-		t.Fatalf("round-tripped %d records, want 200", len(got))
-	}
-	for i := range got {
-		if got[i].VehicleID != f.Records[i].VehicleID || !got[i].Time.Equal(f.Records[i].Time) {
-			t.Fatalf("record %d identity mismatch", i)
-		}
-		for p := 0; p < int(obd.NumPIDs); p++ {
-			d := got[i].Values[p] - f.Records[i].Values[p]
-			if d > 0.001 || d < -0.001 {
-				t.Fatalf("record %d PID %d: %v vs %v", i, p, got[i].Values[p], f.Records[i].Values[p])
-			}
-		}
-	}
-
-	buf.Reset()
 	if err := WriteEventsCSV(&buf, f.Events); err != nil {
 		t.Fatal(err)
 	}
@@ -404,20 +383,6 @@ func TestEventsCSVKeepsDTCs(t *testing.T) {
 }
 
 func TestCSVErrors(t *testing.T) {
-	if _, err := ReadRecordsCSV(bytes.NewBufferString("")); err == nil {
-		t.Error("empty records csv should error")
-	}
-	if _, err := ReadRecordsCSV(bytes.NewBufferString("a,b\n1,2\n")); err == nil {
-		t.Error("wrong column count should error")
-	}
-	var buf bytes.Buffer
-	if err := WriteRecordsCSV(&buf, make([]timeseries.Record, 2)); err != nil {
-		t.Fatal(err)
-	}
-	torn := strings.Replace(buf.String(), "0.000", "zero", 1) + "short,row\n"
-	if _, err := ReadRecordsCSV(strings.NewReader(torn)); err == nil || !strings.Contains(err.Error(), "row 2 col rpm") {
-		t.Errorf("bad value: err = %v, want it to name row 2 col rpm", err)
-	}
 	if _, err := ReadEventsCSV(bytes.NewBufferString("")); err == nil {
 		t.Error("empty events csv should error")
 	}
@@ -425,34 +390,6 @@ func TestCSVErrors(t *testing.T) {
 	if _, err := ReadEventsCSV(bytes.NewBufferString(bad)); err == nil {
 		t.Error("unknown event type should error")
 	}
-}
-
-// TestReadRecordsCSVRetainsOnlyRecords bounds what a parsed file keeps
-// alive: the record slice and a handful of interned IDs, not a CSV line
-// per record behind each VehicleID.
-func TestReadRecordsCSVRetainsOnlyRecords(t *testing.T) {
-	f := Generate(SmallConfig())
-	var buf bytes.Buffer
-	if err := WriteRecordsCSV(&buf, f.Records[:50_000]); err != nil {
-		t.Fatal(err)
-	}
-	f = nil
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	recs, err := ReadRecordsCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	slice := int64(cap(recs)) * int64(unsafe.Sizeof(recs[0]))
-	extra := int64(after.HeapAlloc) - int64(before.HeapAlloc) - slice
-	if perRecord := float64(extra) / float64(len(recs)); perRecord > 8 {
-		t.Errorf("%.1f bytes retained per record beyond the %d-byte slice, want <= 8", perRecord, slice)
-	}
-	runtime.KeepAlive(recs)
-	runtime.KeepAlive(&buf)
 }
 
 func TestDefaultConfigScale(t *testing.T) {
