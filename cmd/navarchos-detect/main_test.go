@@ -88,10 +88,10 @@ func TestMainGolden(t *testing.T) {
 	}{
 		{"scale", "-scale small -seed 1 -checkpoint fleet.ckpt",
 			"f1d0365aee47099c13b19d135d38cd72cb3525da0432cefc5442e6db895e550b",
-			"f9b047fb0d5572a40f1153a3b8c50f0ccb653835f421b682f67f9cc401a3b6d5"},
+			"8a5e2d0585653f53c536deb736512d98f5f5ff311e7720dd524b689555d111fa"},
 		{"csv", "-records records.csv -events events.csv -checkpoint fleet.ckpt",
 			"48106d047745440c19360d7f3733bb3ff46e9a041f0c2be6f349c44a8108f489",
-			"82531717d2cac76729ad3ce2366595491e4d6f736c3d9b9a7c7663fe5fc55eee"},
+			"fc60ecb46833a02252fe14d1b46a6d5f0ed91f7f2809e868d4355315664a1654"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -254,10 +254,11 @@ type DetectConfig struct {
 	// and — when the observer carries a journal — one alarm-lifecycle
 	// entry per alarm. Nil means no instrumentation and no overhead.
 	Observer *obs.Observer
-	// TransformName labels this stage's journal entries with the
-	// upstream transformation ("correlation", ...). Pipeline fills it
-	// from its transformer; standalone DetectOnTrace callers may leave
-	// it empty.
+	// TransformName names the upstream transformation ("correlation",
+	// ...): it labels this stage's journal entries and sets the
+	// thresholder's absolute std floor (transform.AbsFloor). Pipeline
+	// fills it from its transformer; standalone DetectOnTrace callers,
+	// whose thresholds are replayed offline, may leave it empty.
 	TransformName string
 }
 
@@ -289,9 +290,10 @@ type DetectStage struct {
 	cfg       DetectConfig
 	dim       int // a restored Ref's row width: the pipeline's transformer's, else the first row's
 
-	ref    [][]float64
-	state  State
-	scored uint64
+	ref      [][]float64
+	state    State
+	scored   uint64
+	absFloor float64 // transform.AbsFloor(cfg.TransformName)
 
 	// Deferred fits (the fleet engine's asynchronous refit seam): with
 	// deferFits set, a profile fill does not fit inline — it marks the
@@ -349,6 +351,7 @@ func NewDetectStage(vehicleID string, cfg DetectConfig) (*DetectStage, error) {
 		vehicleID: vehicleID,
 		cfg:       cfg,
 		state:     StateCollecting,
+		absFloor:  transform.AbsFloor(cfg.TransformName),
 		violRing:  make([]bool, cfg.DensityK),
 		o:         cfg.Observer,
 		obsMask:   cfg.Observer.SampleMask(),
@@ -473,7 +476,7 @@ func (d *DetectStage) fit() error {
 			calib[i] = scores[i*ch : (i+1)*ch : (i+1)*ch]
 		}
 	}
-	if err := d.cfg.Thresholder.Fit(calib); err != nil {
+	if err := d.cfg.Thresholder.Calibrate(calib, d.absFloor); err != nil {
 		return fmt.Errorf("core: fit thresholds for %s: %w", d.vehicleID, err)
 	}
 	d.calib = calibStats(calib)

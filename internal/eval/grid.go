@@ -134,8 +134,8 @@ func (s *GridSpec) newDetector(t Technique, featureNames []string) (detector.Det
 
 // PipelineConfig returns the streaming pipeline whose alarms the grid's
 // (tech, kind) cell scores at threshold param. The cell's replay still
-// parts from it on two rules, the absolute std floor and when the
-// persistence ring clears (TestPipelineConfigAgainstGrid).
+// parts from it on one rule, when the persistence ring clears
+// (TestPipelineConfigAgainstGrid).
 func (s GridSpec) PipelineConfig(tech Technique, kind transform.Kind, param float64) (core.Config, error) {
 	s.defaults()
 	tc, err := s.transformConfig(kind)
@@ -350,13 +350,4 @@ func collectTransformed(spec *GridSpec, kind transform.Kind) (*transformed, erro
 		return nil, err
 	}
 	return tf, nil
-}
-
-// absFloorFor is the replay's absolute floor under a correlation
-// calibration std: 0.01, the smallest deviation in [-1, 1] that counts.
-func absFloorFor(kind transform.Kind) float64 {
-	if kind == transform.Correlation {
-		return 0.01
-	}
-	return 0
 }

@@ -53,29 +53,6 @@ func TestThresholdKindAndRetiredValues(t *testing.T) {
 	}
 }
 
-// TestAbsFloorFor pins the replay's absolute std floor per paper kind:
-// 0.01 for the bounded correlation features and 0 otherwise.
-func TestAbsFloorFor(t *testing.T) {
-	want := map[transform.Kind]float64{
-		transform.Correlation: 0.01,
-		transform.Raw:         0,
-		transform.MeanAgg:     0,
-		transform.Delta:       0,
-	}
-	for _, kind := range transform.PaperKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			w, ok := want[kind]
-			if !ok {
-				t.Fatalf("no floor pinned for %v", kind)
-			}
-			if got := absFloorFor(kind); got != w {
-				t.Errorf("absFloorFor = %v, want %v", got, w)
-			}
-		})
-	}
-}
-
 func TestRunGridSmall(t *testing.T) {
 	cfg := fleetsim.SmallConfig()
 	f := fleetsim.Generate(cfg)

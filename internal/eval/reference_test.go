@@ -44,7 +44,7 @@ func RunGridReference(spec GridSpec) (*GridResult, error) {
 			if tech.UsesConstantThreshold() {
 				sweep = spec.ConstThresholds
 			}
-			cells, err := bestCellsSequential(&spec, tech, kind, traces, sweep, absFloorFor(kind))
+			cells, err := bestCellsSequential(&spec, tech, kind, traces, sweep, transform.AbsFloor(kind.String()))
 			if err != nil {
 				return nil, err
 			}
@@ -180,11 +180,7 @@ func replayAlarmsDensity(traces []vehicleTrace, param float64, constant bool, m,
 					if c >= len(calib.Means) {
 						continue
 					}
-					sd := thresholds.FloorStd(calib.Stds[c], calib.Means[c])
-					if sd < absFloor {
-						sd = absFloor
-					}
-					th = calib.Means[c] + param*sd
+					th = calib.Means[c] + param*thresholds.FloorStd(calib.Stds[c], calib.Means[c], absFloor)
 				}
 				if s > th {
 					violChan, violScore, violTh = c, s, th

@@ -32,7 +32,7 @@ type TraceSet struct {
 	kind   transform.Kind
 	traces []vehicleTrace // in spec.vehicleUnion order
 	// segSD[vehicle][segment][channel] is the calibration std floored
-	// through thresholds.FloorStd and the kind's absolute floor; nil for
+	// through thresholds.FloorStd with the kind's absolute floor; nil for
 	// a constant-threshold technique.
 	segSD [][][]float64
 }
@@ -83,7 +83,7 @@ func newTraceSet(spec *GridSpec, tech Technique, tf *transformed) (*TraceSet, er
 	}
 	ts := &TraceSet{spec: spec, tech: tech, kind: tf.kind, traces: traces}
 	if !tech.UsesConstantThreshold() {
-		ts.segSD = precomputeSegSD(traces, absFloorFor(tf.kind))
+		ts.segSD = precomputeSegSD(traces, transform.AbsFloor(tf.kind.String()))
 	}
 	return ts, nil
 }
@@ -216,10 +216,10 @@ func (ts *TraceSet) BestJointParam() (float64, []Metrics) {
 	return params[best], metrics[best]
 }
 
-// precomputeSegSD flattens each trace's per-segment calibration stds
-// through thresholds.FloorStd and the absolute floor once, so the sweep
-// inner loop is a fused multiply-add per channel instead of recomputing
-// the floor chain for every (sample, factor) pair.
+// precomputeSegSD floors each trace's per-segment calibration stds once,
+// through the thresholds.FloorStd the live thresholder calibrates with,
+// so the sweep inner loop is a fused multiply-add per channel instead of
+// recomputing the floor for every (sample, factor) pair.
 func precomputeSegSD(traces []vehicleTrace, absFloor float64) [][][]float64 {
 	out := make([][][]float64, len(traces))
 	for ti, vt := range traces {
@@ -227,11 +227,7 @@ func precomputeSegSD(traces []vehicleTrace, absFloor float64) [][][]float64 {
 		for si, calib := range vt.trace.SegCalib {
 			sds := make([]float64, len(calib.Stds))
 			for c := range calib.Stds {
-				sd := thresholds.FloorStd(calib.Stds[c], calib.Means[c])
-				if sd < absFloor {
-					sd = absFloor
-				}
-				sds[c] = sd
+				sds[c] = thresholds.FloorStd(calib.Stds[c], calib.Means[c], absFloor)
 			}
 			segs[si] = sds
 		}

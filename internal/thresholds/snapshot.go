@@ -50,7 +50,7 @@ func (s *SelfTuning) Restore(data []byte) error {
 	return nil
 }
 
-// Snapshot writes the channel count learned at Fit, the only mutable
+// Snapshot writes the channel count learned at Calibrate, the only mutable
 // state (Value is configuration).
 func (c *Constant) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf

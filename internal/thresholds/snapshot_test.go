@@ -43,7 +43,7 @@ func TestSelfTuningUnfittedSnapshotRoundTrip(t *testing.T) {
 
 func TestConstantSnapshotRoundTrip(t *testing.T) {
 	src := NewConstant(0.75)
-	src.Fit([][]float64{{1, 2, 3}})
+	src.Calibrate([][]float64{{1, 2, 3}}, 0)
 	snap, err := src.Snapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -18,14 +18,16 @@ import (
 // configuration (factor, constant), which the owner reconstructs before
 // calling Restore.
 type Thresholder interface {
-	// Fit calibrates the thresholds from scores on supposedly healthy
-	// data: calib[i] is the i-th sample's per-channel score vector.
-	Fit(calib [][]float64) error
+	// Calibrate fits the thresholds to scores on supposedly healthy
+	// data: calib[i] is the i-th sample's per-channel score vector, and
+	// absFloor the smallest calibration std the scores' transformation
+	// counts (transform.AbsFloor).
+	Calibrate(calib [][]float64, absFloor float64) error
 	// Violations returns the indices of channels whose score exceeds
 	// their threshold.
 	Violations(scores []float64) []int
 	// Values returns the current per-channel thresholds (nil before a
-	// successful Fit for self-tuning thresholds).
+	// successful Calibrate for self-tuning thresholds).
 	Values() []float64
 	checkpoint.Snapshotter
 }
@@ -38,20 +40,20 @@ var ErrNoCalibration = errors.New("thresholds: no calibration scores")
 // smallness. With a few dozen calibration samples, a score channel that
 // happens to be almost constant yields a near-zero std, which would turn
 // any ordinary fluctuation into a hundreds-of-sigma violation. The floor
-// is relative to the channel's mean score, so it is scale-free across
-// transforms (correlations in [-1,1] vs raw rpm in the thousands).
-func FloorStd(std, mean float64) float64 {
+// is the larger of half the channel's mean score, which is scale-free
+// across transforms (correlations in [-1,1] vs raw rpm in the
+// thousands), and abs, the transformation's own floor.
+func FloorStd(std, mean, abs float64) float64 {
 	floor := 0.5 * mean
 	if floor < 0 {
 		floor = -floor
 	}
 	if std < floor {
-		return floor
+		std = floor
+	} else if std < 1e-12 {
+		std = 1e-12
 	}
-	if std < 1e-12 {
-		return 1e-12
-	}
-	return std
+	return max(std, abs)
 }
 
 // SelfTuning is the paper's default: threshold_c = mean_c + factor·std_c
@@ -68,8 +70,11 @@ func NewSelfTuning(factor float64) *SelfTuning {
 	return &SelfTuning{Factor: factor}
 }
 
-// Fit implements Thresholder.
-func (s *SelfTuning) Fit(calib [][]float64) error {
+// Fit is Calibrate without an absolute floor.
+func (s *SelfTuning) Fit(calib [][]float64) error { return s.Calibrate(calib, 0) }
+
+// Calibrate implements Thresholder.
+func (s *SelfTuning) Calibrate(calib [][]float64, absFloor float64) error {
 	if len(calib) == 0 {
 		return ErrNoCalibration
 	}
@@ -84,12 +89,13 @@ func (s *SelfTuning) Fit(calib [][]float64) error {
 			col[i] = row[c]
 		}
 		m := mat.Mean(col)
-		s.values[c] = m + s.Factor*FloorStd(mat.Std(col), m)
+		s.values[c] = m + s.Factor*FloorStd(mat.Std(col), m, absFloor)
 	}
 	return nil
 }
 
-// Violations implements Thresholder. It reports nothing before Fit.
+// Violations implements Thresholder. It reports nothing before
+// Calibrate.
 func (s *SelfTuning) Violations(scores []float64) []int {
 	if s.values == nil {
 		return nil
@@ -106,9 +112,9 @@ func (s *SelfTuning) Violations(scores []float64) []int {
 // Values implements Thresholder.
 func (s *SelfTuning) Values() []float64 { return s.values }
 
-// Constant applies the same fixed threshold to every channel; Fit only
-// records the channel count. It suits detectors whose score is already
-// normalised, like Grand's deviation score in [0, 1].
+// Constant applies the same fixed threshold to every channel; Calibrate
+// only records the channel count. It suits detectors whose score is
+// already normalised, like Grand's deviation score in [0, 1].
 type Constant struct {
 	Value    float64
 	channels int
@@ -117,8 +123,8 @@ type Constant struct {
 // NewConstant returns a constant thresholder.
 func NewConstant(value float64) *Constant { return &Constant{Value: value} }
 
-// Fit implements Thresholder.
-func (c *Constant) Fit(calib [][]float64) error {
+// Calibrate implements Thresholder.
+func (c *Constant) Calibrate(calib [][]float64, _ float64) error {
 	if len(calib) > 0 {
 		c.channels = len(calib[0])
 	}

@@ -39,21 +39,43 @@ func TestSelfTuningFitAndViolations(t *testing.T) {
 }
 
 func TestFloorStd(t *testing.T) {
-	// Healthy std above the floor passes through.
-	if got := FloorStd(3, 4); got != 3 {
-		t.Errorf("FloorStd(3,4) = %v, want 3", got)
+	for _, c := range []struct {
+		name           string
+		std, mean, abs float64
+		want           float64
+	}{
+		{"healthy std passes", 3, 4, 0, 3},
+		{"degenerate std floored to half the mean", 0.001, 4, 0, 2},
+		{"negative mean by magnitude", 0.001, -4, 0, 2},
+		{"both tiny: epsilon", 0, 0, 0, 1e-12},
+		{"abs above half the mean wins", 0.001, 0.004, 0.01, 0.01},
+		{"abs above epsilon wins", 0, 0, 0.01, 0.01},
+		{"half the mean above abs wins", 0.001, 4, 0.01, 2},
+		{"std above abs passes", 0.05, 0.02, 0.01, 0.05},
+	} {
+		if got := FloorStd(c.std, c.mean, c.abs); got != c.want {
+			t.Errorf("%s: FloorStd(%v, %v, %v) = %v, want %v", c.name, c.std, c.mean, c.abs, got, c.want)
+		}
 	}
-	// Degenerate std is floored to half the mean.
-	if got := FloorStd(0.001, 4); got != 2 {
-		t.Errorf("FloorStd(0.001,4) = %v, want 2", got)
+}
+
+// TestCalibrateAbsFloor: the absolute floor reaches the threshold, and
+// Fit is Calibrate without it.
+func TestCalibrateAbsFloor(t *testing.T) {
+	const m = 1.0 / 256
+	calib := [][]float64{{m}, {m}, {m}} // std 0, half the mean 1/512
+	floored, bare := NewSelfTuning(10), NewSelfTuning(10)
+	if err := floored.Calibrate(calib, 0.01); err != nil {
+		t.Fatal(err)
 	}
-	// Negative means are handled by magnitude.
-	if got := FloorStd(0.001, -4); got != 2 {
-		t.Errorf("FloorStd(0.001,-4) = %v, want 2", got)
+	if err := bare.Fit(calib); err != nil {
+		t.Fatal(err)
 	}
-	// Both tiny: absolute epsilon floor.
-	if got := FloorStd(0, 0); got != 1e-12 {
-		t.Errorf("FloorStd(0,0) = %v, want 1e-12", got)
+	if got, want := floored.Values()[0], m+10*0.01; got != want {
+		t.Errorf("floored threshold = %v, want %v", got, want)
+	}
+	if got, want := bare.Values()[0], m+10*(m/2); got != want {
+		t.Errorf("Fit threshold = %v, want %v (half the mean)", got, want)
 	}
 }
 
@@ -89,7 +111,7 @@ func TestSelfTuningPerVehicleVariation(t *testing.T) {
 
 func TestConstant(t *testing.T) {
 	c := NewConstant(0.8)
-	if err := c.Fit([][]float64{{0.1, 0.2}}); err != nil {
+	if err := c.Calibrate([][]float64{{0.1, 0.2}}, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if v := c.Violations([]float64{0.7, 0.9}); len(v) != 1 || v[0] != 1 {

@@ -82,6 +82,17 @@ func (k Kind) String() string {
 	}
 }
 
+// AbsFloor is the absolute floor under the calibration std of scores
+// over the named transformation's features (a Kind's String, a
+// Transformer's Name): 0.01 for correlation, the smallest deviation in
+// [-1, 1] that counts, and none for the kinds in sensor units.
+func AbsFloor(name string) float64 {
+	if name == Correlation.String() {
+		return 0.01
+	}
+	return 0
+}
+
 // PaperKinds returns the four transformations evaluated in the paper's
 // Figures 4–7, in presentation order.
 func PaperKinds() []Kind { return []Kind{Correlation, Raw, MeanAgg, Delta} }

@@ -81,6 +81,23 @@ func TestKindStringsAndSets(t *testing.T) {
 	}
 }
 
+// TestAbsFloor pins the absolute std floor per paper kind: 0.01 for
+// the bounded correlation features and 0 otherwise.
+func TestAbsFloor(t *testing.T) {
+	want := map[Kind]float64{Correlation: 0.01, Raw: 0, MeanAgg: 0, Delta: 0}
+	for _, kind := range PaperKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			w, ok := want[kind]
+			if !ok {
+				t.Fatalf("no floor pinned for %v", kind)
+			}
+			if got := AbsFloor(kind.String()); got != w {
+				t.Errorf("AbsFloor = %v, want %v", got, w)
+			}
+		})
+	}
+}
+
 func TestAllTransformersContract(t *testing.T) {
 	// Every transformer must: have consistent Dim/FeatureNames, not be
 	// Ready before data, emit vectors of length Dim, and Reset cleanly.
