@@ -88,10 +88,10 @@ func TestMainGolden(t *testing.T) {
 	}{
 		{"scale", "-scale small -seed 1 -checkpoint fleet.ckpt",
 			"f1d0365aee47099c13b19d135d38cd72cb3525da0432cefc5442e6db895e550b",
-			"8a5e2d0585653f53c536deb736512d98f5f5ff311e7720dd524b689555d111fa"},
+			"51013f2608537a95b68aa66fc0accb9f9460698fbb22c6d9953e4e055e19ab5e"},
 		{"csv", "-records records.csv -events events.csv -checkpoint fleet.ckpt",
 			"48106d047745440c19360d7f3733bb3ff46e9a041f0c2be6f349c44a8108f489",
-			"fc60ecb46833a02252fe14d1b46a6d5f0ed91f7f2809e868d4355315664a1654"},
+			"e708ce5dce1c924ec2ebfb88e6b464493b73396aa12b41413c7dc63284ae5f14"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -87,14 +87,16 @@ func drivingRecordAt(i int, rng *rand.Rand) timeseries.Record {
 }
 
 // TestDensityGatingAcrossProfileReset: a maintenance event rebuilds Ref
-// AND clears the violation-persistence ring. Violations accumulated
-// before the reset must not count toward the M-of-K criterion after it —
-// the new profile is a new healthy baseline, so persistence evidence
-// from the old one is stale.
+// but not the violation-persistence gate. The gate filters the
+// vehicle's stream of scored samples, as the grid's replay does, so a
+// violation run that straddles a profile reset gates as one stream:
+// two violations before the reset and one after it are 3 of the last 5
+// scored samples. The samples that refill Ref are not scored and do not
+// count.
 func TestDensityGatingAcrossProfileReset(t *testing.T) {
 	// Score-call order (ProfileLength 4, calibration fraction 0.25 → one
-	// calibration Score per fit): calib, 9, 9, [reset], calib, 9, 9, 9.
-	det := &spikeDetector{scores: []float64{0, 9, 9, 0, 9, 9, 9}}
+	// calibration Score per fit): calib, 9, 9, [reset], calib, 9.
+	det := &spikeDetector{scores: []float64{0, 9, 9, 0, 9}}
 	tr, _ := transform.New(transform.Raw, 0)
 	p, err := NewPipeline("v1", Config{
 		Transformer:   tr,
@@ -135,14 +137,13 @@ func TestDensityGatingAcrossProfileReset(t *testing.T) {
 	if a := feed(1); len(a) != 0 || p.State() != StateCollecting || p.RefLen() != 1 {
 		t.Fatalf("service event should rebuild the profile: %d alarms, state %v, Ref %d", len(a), p.State(), p.RefLen())
 	}
-	// Refill + refit, then ONE violating sample. Were the ring carried
-	// across the reset, the stale 2 + this 1 would reach M=3 and alarm.
-	if a := feed(3 + 1); len(a) != 0 {
-		t.Fatalf("post-reset: stale pre-reset violations counted toward density (%d alarms)", len(a))
+	// Refill + refit without an alarm, then ONE violating sample: with
+	// the two before the reset it reaches 3-of-5.
+	if a := feed(3); len(a) != 0 {
+		t.Fatalf("refill: %d alarms from samples that only fill Ref", len(a))
 	}
-	// Two more violations legitimately reach 3-of-5.
-	if a := feed(2); len(a) == 0 {
-		t.Fatal("post-reset: sustained violations should alarm once density rebuilt")
+	if a := feed(1); len(a) != 1 {
+		t.Fatalf("post-reset: %d alarms, want 1: the run straddling the reset gates as one stream", len(a))
 	}
 }
 

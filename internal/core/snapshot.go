@@ -135,9 +135,7 @@ func (d *DetectStage) Snapshot() ([]byte, error) {
 	b.Bool(d.state == StateDetecting)
 	b.Uint64(d.scored)
 	b.Float64Rows(d.ref)
-	b.Bools(d.violRing)
-	b.Int(d.violPos)
-	b.Int(d.violCount)
+	d.gate.Snapshot(&b)
 	b.Float64s(d.calib.Means)
 	b.Float64s(d.calib.Stds)
 	b.Bytes64(detSnap)
@@ -178,9 +176,7 @@ func (d *DetectStage) Restore(data []byte) error {
 	fitted := r.Bool()
 	scored := r.Uint64()
 	ref := r.Float64Rows()
-	violRing := r.Bools()
-	violPos := r.Int()
-	violCount := r.Int()
+	gate, gateOK := d.gate.ReadSnapshot(r)
 	calib := Calib{Means: r.Float64s(), Stds: r.Float64s()}
 	detSnap := r.Bytes64()
 	thSnap := r.Bytes64()
@@ -201,11 +197,8 @@ func (d *DetectStage) Restore(data []byte) error {
 		// always holds exactly ProfileLength samples.
 		return ErrBadSnapshot
 	}
-	if len(violRing) != d.cfg.DensityK {
-		return ErrBadSnapshot // snapshot from a different density window
-	}
-	if violPos < 0 || violPos >= len(violRing) || violCount < 0 || violCount > len(violRing) {
-		return ErrBadSnapshot
+	if !gateOK {
+		return ErrBadSnapshot // e.g. a snapshot from a different density window
 	}
 	for _, row := range ref {
 		if w := cmp.Or(d.dim, len(ref[0])); len(row) != w || w == 0 {
@@ -234,9 +227,7 @@ func (d *DetectStage) Restore(data []byte) error {
 	if d.ref == nil {
 		d.ref = make([][]float64, 0, d.cfg.ProfileLength)
 	}
-	d.violRing = violRing
-	d.violPos = violPos
-	d.violCount = violCount
+	d.gate = gate
 	d.calib = calib
 	if fitted && d.cfg.Trace != nil {
 		d.cfg.Trace.SegCalib = append(d.cfg.Trace.SegCalib, d.calib)

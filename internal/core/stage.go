@@ -303,10 +303,7 @@ type DetectStage struct {
 	deferFits  bool
 	fitPending bool
 
-	// density persistence ring over recent violation flags
-	violRing  []bool
-	violPos   int
-	violCount int
+	gate thresholds.Gate // density persistence over the vehicle's scored samples
 
 	// calib summarises the last fit's calibration scores. It feeds
 	// Trace.SegCalib and rides along in snapshots so a restored stage
@@ -352,7 +349,7 @@ func NewDetectStage(vehicleID string, cfg DetectConfig) (*DetectStage, error) {
 		cfg:       cfg,
 		state:     StateCollecting,
 		absFloor:  transform.AbsFloor(cfg.TransformName),
-		violRing:  make([]bool, cfg.DensityK),
+		gate:      thresholds.NewGate(cfg.DensityM, cfg.DensityK),
 		o:         cfg.Observer,
 		obsMask:   cfg.Observer.SampleMask(),
 	}
@@ -414,15 +411,12 @@ func (d *DetectStage) TakePendingFit() func() error {
 func (d *DetectStage) fit0() error { return d.fit() }
 
 // Reset discards the reference profile and returns the stage to the
-// collecting state, recording the reset time in the trace.
+// collecting state, recording the reset time in the trace. The density
+// gate carries on across the reset.
 func (d *DetectStage) Reset(t time.Time) {
 	d.ref = d.ref[:0]
 	d.fitPending = false
 	d.state = StateCollecting
-	for i := range d.violRing {
-		d.violRing[i] = false
-	}
-	d.violPos, d.violCount = 0, 0
 	if d.cfg.Trace != nil {
 		d.cfg.Trace.Resets = append(d.cfg.Trace.Resets, t)
 	}
@@ -585,15 +579,7 @@ func (d *DetectStage) settle(t time.Time, scores []float64, timed bool, took tim
 	viol := d.cfg.Thresholder.Violations(scores)
 	// Density persistence: suppress the alarm unless at least M of the
 	// last K scored samples violated.
-	if d.violRing[d.violPos] {
-		d.violCount--
-	}
-	d.violRing[d.violPos] = len(viol) > 0
-	if len(viol) > 0 {
-		d.violCount++
-	}
-	d.violPos = (d.violPos + 1) % len(d.violRing)
-	if len(viol) > 0 && d.violCount < d.cfg.DensityM {
+	if !d.gate.Admit(len(viol) > 0) {
 		viol = nil
 	}
 	if timed {

@@ -133,9 +133,8 @@ func (s *GridSpec) newDetector(t Technique, featureNames []string) (detector.Det
 }
 
 // PipelineConfig returns the streaming pipeline whose alarms the grid's
-// (tech, kind) cell scores at threshold param. The cell's replay still
-// parts from it on one rule, when the persistence ring clears
-// (TestPipelineConfigAgainstGrid).
+// (tech, kind) cell scores at threshold param: run live, it raises the
+// cell's daily alarms bit for bit (TestPipelineConfigAgainstGrid).
 func (s GridSpec) PipelineConfig(tech Technique, kind transform.Kind, param float64) (core.Config, error) {
 	s.defaults()
 	tc, err := s.transformConfig(kind)

@@ -237,7 +237,7 @@ func precomputeSegSD(traces []vehicleTrace, absFloor float64) [][][]float64 {
 }
 
 // sweepReplayer replays one threshold parameter over a set of traces,
-// reusing its violation ring and alarm buffer across calls so the sweep
+// reusing its density gate and alarm buffer across calls so the sweep
 // inner loop allocates only when alarms actually fire (and then only to
 // grow the buffer). Not safe for concurrent use; each sweep worker owns
 // one.
@@ -245,43 +245,26 @@ type sweepReplayer struct {
 	traces   []vehicleTrace
 	segSD    [][][]float64 // nil when constant
 	constant bool
-	m, k     int
-	ring     []bool
+	gate     thresholds.Gate
 	out      []detector.Alarm
 }
 
 func newSweepReplayer(traces []vehicleTrace, segSD [][][]float64, constant bool, m, k int) *sweepReplayer {
-	if m < 1 {
-		m = 1
-	}
-	if k < m {
-		k = m
-	}
-	return &sweepReplayer{
-		traces:   traces,
-		segSD:    segSD,
-		constant: constant,
-		m:        m,
-		k:        k,
-		ring:     make([]bool, k),
-	}
+	return &sweepReplayer{traces: traces, segSD: segSD, constant: constant, gate: thresholds.NewGate(m, k)}
 }
 
 // replay converts the traces into alarms under one threshold parameter:
 // self-tuning (mean + param·pre-floored-std from the segment's
 // calibration stats) or constant. An alarm fires on a violating sample
-// when at least m of the vehicle's last k scored samples (it included)
-// violate. The returned slice is owned by the replayer and valid until
-// the next call.
+// the vehicle's density gate passes, the detect stage's rule. The
+// returned slice is owned by the replayer and valid until the next
+// call.
 func (r *sweepReplayer) replay(param float64) []detector.Alarm {
 	r.out = r.out[:0]
 	for ti := range r.traces {
 		vt := &r.traces[ti]
 		tr := vt.trace
-		for i := range r.ring {
-			r.ring[i] = false
-		}
-		pos, count := 0, 0
+		r.gate.Reset()
 		for i, scores := range tr.Scores {
 			seg := tr.Segments[i]
 			if seg < 0 || seg >= len(tr.SegCalib) {
@@ -310,16 +293,7 @@ func (r *sweepReplayer) replay(param float64) []detector.Alarm {
 					}
 				}
 			}
-			viol := violChan >= 0
-			if r.ring[pos] {
-				count--
-			}
-			r.ring[pos] = viol
-			if viol {
-				count++
-			}
-			pos = (pos + 1) % r.k
-			if viol && count >= r.m {
+			if r.gate.Admit(violChan >= 0) {
 				r.out = append(r.out, detector.Alarm{
 					VehicleID: vt.vehicleID,
 					Time:      tr.Times[i],
