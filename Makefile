@@ -110,11 +110,12 @@ race-fleet:
 ## stream folded into Generate's digest on two calls within 5% of
 ## Generate's allocation, and what navarchos-gen writes and
 ## navarchos-detect prints and checkpoints at -scale small, both of
-## which read the stream.
+## which read the stream, with detect's listing the same at any shard
+## count.
 gen-gate:
 	$(call named,./internal/fleetsim/,TestGenerateGolden|TestGenerateDeterministic|TestPlaceDayMatchesStableSort|TestGenerateAllocBound|TestDaysAllocBound)
 	$(call named,./cmd/navarchos-gen/,TestMainGolden)
-	$(call named,./cmd/navarchos-detect/,TestMainGolden)
+	$(call named,./cmd/navarchos-detect/,TestMainGolden|TestListingIndependentOfShards)
 
 ## grid-equiv: the transform-once grid must reproduce, cell for cell,
 ## the re-stream-per-technique reference that now lives beside the test
@@ -122,12 +123,14 @@ gen-gate:
 ## stream exactly once, and replay thresholds exactly as the reference's
 ## per-sample loop does; and the legacy fit kernels and scorer must land
 ## on the same cells as the shipped detectors. TestPipelineConfigAgainstGrid
-## pins, per sweep parameter, how far the live pipeline a cell stands for
-## (GridSpec.PipelineConfig) parts from the cell's replay: the two alarm
-## counts and the vehicles that agree bit for bit, which the replay's
-## absolute std floor and its per-vehicle persistence ring keep below 8 of 8.
+## holds the live pipeline a cell stands for (GridSpec.PipelineConfig)
+## equal to the cell's replay on every row of the sweep: the same daily
+## alarms, bit for bit, on every vehicle, since both take the std floor
+## from thresholds.FloorStd and persistence from one thresholds.Gate per
+## vehicle, whose m-of-k counting TestGate pins.
 grid-equiv:
 	$(call named,./internal/eval/,TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc|TestPipelineConfigAgainstGrid)
+	$(call named,./internal/thresholds/,TestGate|TestGateReset)
 
 ## resume-gate: checkpointing a live engine mid-stream and restoring at
 ## a different shard count must be bit-identical to an uninterrupted
