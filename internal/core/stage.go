@@ -290,10 +290,9 @@ type DetectStage struct {
 	cfg       DetectConfig
 	dim       int // a restored Ref's row width: the pipeline's transformer's, else the first row's
 
-	ref      [][]float64
-	state    State
-	scored   uint64
-	absFloor float64 // transform.AbsFloor(cfg.TransformName)
+	ref    [][]float64
+	state  State
+	scored uint64
 
 	// Deferred fits (the fleet engine's asynchronous refit seam): with
 	// deferFits set, a profile fill does not fit inline — it marks the
@@ -348,7 +347,6 @@ func NewDetectStage(vehicleID string, cfg DetectConfig) (*DetectStage, error) {
 		vehicleID: vehicleID,
 		cfg:       cfg,
 		state:     StateCollecting,
-		absFloor:  transform.AbsFloor(cfg.TransformName),
 		gate:      thresholds.NewGate(cfg.DensityM, cfg.DensityK),
 		o:         cfg.Observer,
 		obsMask:   cfg.Observer.SampleMask(),
@@ -470,7 +468,7 @@ func (d *DetectStage) fit() error {
 			calib[i] = scores[i*ch : (i+1)*ch : (i+1)*ch]
 		}
 	}
-	if err := d.cfg.Thresholder.Calibrate(calib, d.absFloor); err != nil {
+	if err := d.cfg.Thresholder.Calibrate(calib, transform.AbsFloor(d.cfg.TransformName)); err != nil {
 		return fmt.Errorf("core: fit thresholds for %s: %w", d.vehicleID, err)
 	}
 	d.calib = calibStats(calib)
