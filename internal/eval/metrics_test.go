@@ -162,3 +162,26 @@ func TestFilters(t *testing.T) {
 		t.Errorf("FilterEventsByVehicles = %v", gotE)
 	}
 }
+
+// TestEvaluateOrderIndependent: alarms at days 75 and 95 against repairs
+// at days 100 and 120 (PH 30 d). The day-95 alarm lies inside both
+// horizons, so both failures are detected, whichever order the repairs
+// and alarms are listed in.
+func TestEvaluateOrderIndependent(t *testing.T) {
+	alarms := []detector.Alarm{alarm("v1", 75), alarm("v1", 95)}
+	for _, c := range []struct {
+		name     string
+		alarms   []detector.Alarm
+		failures []obd.Event
+	}{
+		{"repairs in time order", alarms, []obd.Event{failure("v1", 100), failure("v1", 120)}},
+		{"repairs reversed", alarms, []obd.Event{failure("v1", 120), failure("v1", 100)}},
+		{"alarms reversed", []detector.Alarm{alarms[1], alarms[0]}, []obd.Event{failure("v1", 100), failure("v1", 120)}},
+		{"both reversed", []detector.Alarm{alarms[1], alarms[0]}, []obd.Event{failure("v1", 120), failure("v1", 100)}},
+	} {
+		m := Evaluate(c.alarms, c.failures, 30*day)
+		if m.TP != 2 || m.FP != 0 || m.TotalFailures != 2 {
+			t.Errorf("%s: TP=%d FP=%d total=%d, want 2, 0, 2", c.name, m.TP, m.FP, m.TotalFailures)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/fleet"
+	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/transform"
 )
@@ -120,7 +121,7 @@ func bestCellsSequential(spec *GridSpec, tech Technique, kind transform.Kind, tr
 			settingAlarms := FilterByVehicles(alarms, vehicles)
 			failures := FilterEventsByVehicles(spec.Events, vehicles)
 			for _, ph := range spec.PHs {
-				m := Evaluate(settingAlarms, failures, ph)
+				m := evaluateReference(settingAlarms, failures, ph)
 				k := cellKey{ph, setting}
 				cur := best[k]
 				if cur == nil || m.F05 > cur.Best.F05 {
@@ -208,4 +209,53 @@ func replayAlarmsDensity(traces []vehicleTrace, param float64, constant bool, m,
 		}
 	}
 	return out
+}
+
+// evaluateReference is the accounting Evaluate replaced: each alarm is
+// credited to the first-listed repair whose horizon holds it, so its
+// counts depend on the order repairs are listed in whenever two
+// horizons overlap. Where a vehicle's repairs are at least PH apart no
+// alarm lies in two horizons, and it must agree with Evaluate.
+func evaluateReference(alarms []detector.Alarm, failures []obd.Event, ph time.Duration) Metrics {
+	failuresByVehicle := map[string][]time.Time{}
+	for _, ev := range failures {
+		if ev.Type == obd.EventRepair {
+			failuresByVehicle[ev.VehicleID] = append(failuresByVehicle[ev.VehicleID], ev.Time)
+		}
+	}
+	var m Metrics
+	for _, fs := range failuresByVehicle {
+		m.TotalFailures += len(fs)
+	}
+	detected := map[string]map[int]bool{}
+	for _, a := range alarms {
+		fs := failuresByVehicle[a.VehicleID]
+		hit := -1
+		for i, ft := range fs {
+			if !a.Time.After(ft) && a.Time.After(ft.Add(-ph)) {
+				hit = i
+				break
+			}
+		}
+		if hit < 0 {
+			m.FP++
+			continue
+		}
+		if detected[a.VehicleID] == nil {
+			detected[a.VehicleID] = map[int]bool{}
+		}
+		detected[a.VehicleID][hit] = true
+	}
+	for _, hits := range detected {
+		m.TP += len(hits)
+	}
+	if m.TP+m.FP > 0 {
+		m.Precision = float64(m.TP) / float64(m.TP+m.FP)
+	}
+	if m.TotalFailures > 0 {
+		m.Recall = float64(m.TP) / float64(m.TotalFailures)
+	}
+	m.F1 = FBeta(m.Precision, m.Recall, 1)
+	m.F05 = FBeta(m.Precision, m.Recall, 0.5)
+	return m
 }
