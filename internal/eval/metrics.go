@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"slices"
 	"time"
 
 	"github.com/navarchos/pdm/internal/detector"
@@ -36,45 +37,57 @@ func FBeta(precision, recall, beta float64) float64 {
 }
 
 // Evaluate scores alarms against recorded failures using the paper's
-// protocol: a prediction horizon PH ends at each repair event; one or
-// more alarms inside a failure's PH count as a single true positive, and
-// every alarm outside every PH counts as one false positive. Alarms and
-// failures are matched per vehicle. Callers normally consolidate alarms
-// (see ConsolidateDaily) first, mirroring the day-level alarm row at the
-// bottom of the paper's Figure 8.
+// protocol at prediction horizon ph: it folds each vehicle's alarms and
+// repairs, in time order, through a Horizon closed at +∞, so its counts
+// do not depend on the order either list comes in. Callers normally
+// consolidate alarms (see ConsolidateDaily) first, mirroring the
+// day-level alarm row at the bottom of the paper's Figure 8.
 func Evaluate(alarms []detector.Alarm, failures []obd.Event, ph time.Duration) Metrics {
-	failuresByVehicle := map[string][]time.Time{}
-	for _, ev := range failures {
-		if ev.Type == obd.EventRepair {
-			failuresByVehicle[ev.VehicleID] = append(failuresByVehicle[ev.VehicleID], ev.Time)
-		}
-	}
-	var m Metrics
-	for _, fs := range failuresByVehicle {
-		m.TotalFailures += len(fs)
-	}
-	detected := map[string]map[int]bool{}
+	byVehicle := map[string][]detector.Alarm{}
 	for _, a := range alarms {
-		fs := failuresByVehicle[a.VehicleID]
-		hit := -1
-		for i, ft := range fs {
-			if !a.Time.After(ft) && a.Time.After(ft.Add(-ph)) {
-				hit = i
-				break
-			}
-		}
-		if hit < 0 {
-			m.FP++
-			continue
-		}
-		if detected[a.VehicleID] == nil {
-			detected[a.VehicleID] = map[int]bool{}
-		}
-		detected[a.VehicleID][hit] = true
+		byVehicle[a.VehicleID] = append(byVehicle[a.VehicleID], a)
 	}
-	for _, hits := range detected {
-		m.TP += len(hits)
+	repairs := Repairs(failures)
+	h := Horizon{PH: ph}
+	var m Metrics
+	for v, as := range byVehicle {
+		slices.SortStableFunc(as, func(a, b detector.Alarm) int { return a.Time.Compare(b.Time) })
+		m.add(h.Fold(as, repairs[v]))
 	}
+	for v, rs := range repairs {
+		if byVehicle[v] == nil {
+			m.add(h.Fold(nil, rs))
+		}
+	}
+	return m.scored()
+}
+
+// Repairs returns each vehicle's repair times, ascending: the failures
+// the prediction horizon is measured back from.
+func Repairs(events []obd.Event) map[string][]time.Time {
+	out := map[string][]time.Time{}
+	for _, ev := range events {
+		if ev.Type == obd.EventRepair {
+			out[ev.VehicleID] = append(out[ev.VehicleID], ev.Time)
+		}
+	}
+	for _, rs := range out {
+		slices.SortFunc(rs, time.Time.Compare)
+	}
+	return out
+}
+
+// add sums the counts of o into m. Counts are additive across vehicles;
+// the ratios are not, so scored derives them once from the totals.
+func (m *Metrics) add(o Metrics) {
+	m.TP += o.TP
+	m.FP += o.FP
+	m.TotalFailures += o.TotalFailures
+}
+
+// scored returns m with precision, recall, F1 and F0.5 derived from its
+// counts.
+func (m Metrics) scored() Metrics {
 	if m.TP+m.FP > 0 {
 		m.Precision = float64(m.TP) / float64(m.TP+m.FP)
 	}
@@ -84,6 +97,100 @@ func Evaluate(alarms []detector.Alarm, failures []obd.Event, ph time.Duration) M
 	m.F1 = FBeta(m.Precision, m.Recall, 1)
 	m.F05 = FBeta(m.Precision, m.Recall, 0.5)
 	return m
+}
+
+// Horizon is the paper's prediction-horizon rule for one vehicle, and
+// the one place it is written. Fed the vehicle's consolidated alarms and
+// repairs in time order, an alarm before a repair at the same instant,
+// and its data clock, it settles every alarm and every failure:
+//   - an alarm at a is a true positive once a repair arrives in [a, a+PH);
+//   - it is a false positive once the clock reaches a+PH with no such repair;
+//   - a failure at r is detected if an alarm lies in (r−PH, r].
+//
+// It keeps only the unsettled alarms of the last PH and the latest
+// alarm's time. Not safe for concurrent use.
+type Horizon struct {
+	PH time.Duration
+	// Settled, when non-nil, is told each alarm's outcome as it
+	// settles. Alarms settle in the order they were fed.
+	Settled func(tp bool)
+
+	pending []time.Time // unsettled alarms, ascending
+	last    time.Time   // the latest alarm, when alarmed
+	alarmed bool
+	m       Metrics // TP, FP and TotalFailures so far
+}
+
+// inside reports whether an alarm at a is still within the horizon at
+// time t: t < a+PH.
+func (h *Horizon) inside(a, t time.Time) bool { return a.Add(h.PH).After(t) }
+
+// Advance moves the clock to t: every pending alarm whose horizon has
+// passed settles as a false positive.
+func (h *Horizon) Advance(t time.Time) {
+	n := 0
+	for n < len(h.pending) && !h.inside(h.pending[n], t) {
+		n++
+	}
+	h.settle(n, false)
+}
+
+// Alarm takes an alarm at t.
+func (h *Horizon) Alarm(t time.Time) {
+	h.Advance(t)
+	h.pending = append(h.pending, t)
+	h.last, h.alarmed = t, true
+}
+
+// Repair takes a failure at t. It is detected if the latest alarm lies
+// within PH before it, and every alarm still pending settles as a true
+// positive.
+func (h *Horizon) Repair(t time.Time) {
+	h.Advance(t)
+	h.m.TotalFailures++
+	if h.alarmed && h.inside(h.last, t) {
+		h.m.TP++
+	}
+	h.settle(len(h.pending), true)
+}
+
+// Close settles what is pending as with the clock at +∞ and returns the
+// vehicle's counts (ratios unset), leaving the machine empty for the
+// next vehicle.
+func (h *Horizon) Close() Metrics {
+	h.settle(len(h.pending), false)
+	m := h.m
+	h.pending, h.alarmed, h.m = h.pending[:0], false, Metrics{}
+	return m
+}
+
+// Fold feeds one vehicle's alarms and repair times, each ascending, in
+// time order, and closes the machine.
+func (h *Horizon) Fold(alarms []detector.Alarm, repairs []time.Time) Metrics {
+	i := 0
+	for _, r := range repairs {
+		for ; i < len(alarms) && !alarms[i].Time.After(r); i++ {
+			h.Alarm(alarms[i].Time)
+		}
+		h.Repair(r)
+	}
+	for ; i < len(alarms); i++ {
+		h.Alarm(alarms[i].Time)
+	}
+	return h.Close()
+}
+
+// settle takes the n oldest pending alarms off with the given outcome.
+func (h *Horizon) settle(n int, tp bool) {
+	if !tp {
+		h.m.FP += n
+	}
+	if h.Settled != nil {
+		for range n {
+			h.Settled(tp)
+		}
+	}
+	h.pending = h.pending[:copy(h.pending, h.pending[n:])]
 }
 
 // ConsolidateDaily collapses alarms to at most one per vehicle per UTC
@@ -104,36 +211,6 @@ func ConsolidateDaily(alarms []detector.Alarm) []detector.Alarm {
 		}
 		seen[k] = true
 		out = append(out, a)
-	}
-	return out
-}
-
-// FilterByVehicles keeps only alarms from the given vehicle set.
-func FilterByVehicles(alarms []detector.Alarm, vehicles []string) []detector.Alarm {
-	keep := map[string]bool{}
-	for _, v := range vehicles {
-		keep[v] = true
-	}
-	var out []detector.Alarm
-	for _, a := range alarms {
-		if keep[a.VehicleID] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// FilterEventsByVehicles keeps only events from the given vehicle set.
-func FilterEventsByVehicles(events []obd.Event, vehicles []string) []obd.Event {
-	keep := map[string]bool{}
-	for _, v := range vehicles {
-		keep[v] = true
-	}
-	var out []obd.Event
-	for _, ev := range events {
-		if keep[ev.VehicleID] {
-			out = append(out, ev)
-		}
 	}
 	return out
 }

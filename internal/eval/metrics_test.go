@@ -2,6 +2,8 @@ package eval
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -183,5 +185,146 @@ func TestEvaluateOrderIndependent(t *testing.T) {
 		if m.TP != 2 || m.FP != 0 || m.TotalFailures != 2 {
 			t.Errorf("%s: TP=%d FP=%d total=%d, want 2, 0, 2", c.name, m.TP, m.FP, m.TotalFailures)
 		}
+	}
+}
+
+// bruteForce states the PH rule directly: a failure at r is detected if
+// an alarm of its vehicle lies in (r−PH, r]; an alarm at a is a false
+// positive if no repair of its vehicle lies in [a, a+PH).
+func bruteForce(alarms []detector.Alarm, events []obd.Event, ph time.Duration) (m Metrics, fp map[int]bool) {
+	fp = map[int]bool{}
+	inside := func(a detector.Alarm, r obd.Event) bool {
+		return a.VehicleID == r.VehicleID && !a.Time.After(r.Time) && a.Time.After(r.Time.Add(-ph))
+	}
+	for _, r := range events {
+		if r.Type != obd.EventRepair {
+			continue
+		}
+		m.TotalFailures++
+		for _, a := range alarms {
+			if inside(a, r) {
+				m.TP++
+				break
+			}
+		}
+	}
+	for i, a := range alarms {
+		fp[i] = true
+		for _, r := range events {
+			if r.Type == obd.EventRepair && inside(a, r) {
+				fp[i] = false
+			}
+		}
+		if fp[i] {
+			m.FP++
+		}
+	}
+	return m.scored(), fp
+}
+
+// TestHorizonMatchesEvaluate holds the Horizon fold to the rule on
+// random multi-vehicle streams. Times are whole days, so ties between an
+// alarm and a repair and repairs exactly PH after an alarm occur, and
+// repairs of one vehicle often lie less than PH apart, so horizons
+// overlap. Evaluate must equal a brute-force statement of the rule on
+// every stream and under any permutation of its inputs, and must equal
+// the replaced first-listed accounting (evaluateReference) wherever a
+// vehicle's repairs are at least PH apart. Folding one vehicle in time
+// order must report each alarm's outcome in the order it was fed.
+func TestHorizonMatchesEvaluate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vehicles := []string{"v1", "v2", "v3"}
+	spaced := 0
+	for iter := 0; iter < 2000; iter++ {
+		ph := time.Duration(1+rng.Intn(30)) * day
+		var alarms []detector.Alarm
+		var events []obd.Event
+		for _, v := range vehicles {
+			for n := rng.Intn(12); n > 0; n-- {
+				alarms = append(alarms, alarm(v, float64(rng.Intn(120))))
+			}
+			for n := rng.Intn(4); n > 0; n-- {
+				events = append(events, failure(v, float64(rng.Intn(120))))
+			}
+			if rng.Intn(3) == 0 {
+				events = append(events, obd.Event{VehicleID: v, Time: base.Add(time.Duration(rng.Intn(120)) * day), Type: obd.EventService})
+			}
+		}
+		want, _ := bruteForce(alarms, events, ph)
+		if got := Evaluate(alarms, events, ph); got != want {
+			t.Fatalf("iter %d: Evaluate = %+v, brute force %+v", iter, got, want)
+		}
+		for p := 0; p < 3; p++ {
+			sa, se := slices.Clone(alarms), slices.Clone(events)
+			rng.Shuffle(len(sa), func(i, j int) { sa[i], sa[j] = sa[j], sa[i] })
+			rng.Shuffle(len(se), func(i, j int) { se[i], se[j] = se[j], se[i] })
+			if got := Evaluate(sa, se, ph); got != want {
+				t.Fatalf("iter %d: permuted Evaluate = %+v, want %+v", iter, got, want)
+			}
+		}
+		if repairsApart(events, ph) {
+			spaced++
+			if got := evaluateReference(alarms, events, ph); got != want {
+				t.Fatalf("iter %d: repairs ≥ PH apart, evaluateReference = %+v, want %+v", iter, got, want)
+			}
+		}
+
+		v1 := FilterByVehicles(alarms, []string{"v1"})
+		slices.SortStableFunc(v1, func(a, b detector.Alarm) int { return a.Time.Compare(b.Time) })
+		_, wantFP := bruteForce(v1, events, ph)
+		var outcomes []bool
+		h := Horizon{PH: ph, Settled: func(tp bool) { outcomes = append(outcomes, tp) }}
+		h.Fold(v1, Repairs(events)["v1"])
+		if len(outcomes) != len(v1) {
+			t.Fatalf("iter %d: %d outcomes for %d alarms", iter, len(outcomes), len(v1))
+		}
+		for i, tp := range outcomes {
+			if tp == wantFP[i] {
+				t.Fatalf("iter %d: alarm %d at %v settled tp=%v", iter, i, v1[i].Time, tp)
+			}
+		}
+	}
+	if spaced < 200 {
+		t.Fatalf("only %d streams with repairs ≥ PH apart; the oracle comparison has no teeth", spaced)
+	}
+}
+
+// repairsApart reports whether every vehicle's repairs lie at least ph
+// apart, so that no alarm falls inside two horizons.
+func repairsApart(events []obd.Event, ph time.Duration) bool {
+	for _, rs := range Repairs(events) {
+		for i := 1; i < len(rs); i++ {
+			if rs[i].Sub(rs[i-1]) < ph {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestHorizonLive drives the machine as a live vehicle would: an alarm
+// stays pending until a repair or the clock settles it, the clock
+// reaching exactly a+PH settles it as a false positive, and a repair at
+// the alarm's own instant counts.
+func TestHorizonLive(t *testing.T) {
+	var outcomes []bool
+	h := Horizon{PH: 30 * day, Settled: func(tp bool) { outcomes = append(outcomes, tp) }}
+	h.Alarm(base.Add(10 * day))
+	h.Advance(base.Add(39 * day))
+	if len(outcomes) != 0 {
+		t.Fatalf("alarm settled before its horizon passed: %v", outcomes)
+	}
+	h.Advance(base.Add(40 * day))
+	h.Alarm(base.Add(50 * day))
+	h.Repair(base.Add(50 * day))
+	h.Alarm(base.Add(60 * day))
+	if m := h.Close(); m.TP != 1 || m.FP != 2 || m.TotalFailures != 1 {
+		t.Fatalf("counts %+v, want TP 1, FP 2, failures 1", m)
+	}
+	if want := []bool{false, true, false}; !slices.Equal(outcomes, want) {
+		t.Fatalf("outcomes %v, want %v", outcomes, want)
+	}
+	if m := h.Close(); m != (Metrics{}) {
+		t.Fatalf("Close left counts behind: %+v", m)
 	}
 }

@@ -259,3 +259,33 @@ func evaluateReference(alarms []detector.Alarm, failures []obd.Event, ph time.Du
 	m.F05 = FBeta(m.Precision, m.Recall, 0.5)
 	return m
 }
+
+// FilterByVehicles keeps only alarms from the given vehicle set.
+func FilterByVehicles(alarms []detector.Alarm, vehicles []string) []detector.Alarm {
+	keep := map[string]bool{}
+	for _, v := range vehicles {
+		keep[v] = true
+	}
+	var out []detector.Alarm
+	for _, a := range alarms {
+		if keep[a.VehicleID] {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// FilterEventsByVehicles keeps only events from the given vehicle set.
+func FilterEventsByVehicles(events []obd.Event, vehicles []string) []obd.Event {
+	keep := map[string]bool{}
+	for _, v := range vehicles {
+		keep[v] = true
+	}
+	var out []obd.Event
+	for _, ev := range events {
+		if keep[ev.VehicleID] {
+			out = append(out, ev)
+		}
+	}
+	return out
+}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/fitpool"
-	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/transform"
 )
@@ -35,6 +35,9 @@ type TraceSet struct {
 	// through thresholds.FloorStd with the kind's absolute floor; nil for
 	// a constant-threshold technique.
 	segSD [][][]float64
+	// index maps a vehicle to its trace; repairs is Repairs(spec.Events).
+	index   map[string]int
+	repairs map[string][]time.Time
 }
 
 // CollectTraceSet transforms every vehicle in the union of spec.Settings
@@ -81,7 +84,10 @@ func newTraceSet(spec *GridSpec, tech Technique, tf *transformed) (*TraceSet, er
 			return nil, err
 		}
 	}
-	ts := &TraceSet{spec: spec, tech: tech, kind: tf.kind, traces: traces}
+	ts := &TraceSet{spec: spec, tech: tech, kind: tf.kind, traces: traces, index: map[string]int{}, repairs: Repairs(spec.Events)}
+	for i, vt := range traces {
+		ts.index[vt.vehicleID] = i
+	}
 	if !tech.UsesConstantThreshold() {
 		ts.segSD = precomputeSegSD(traces, transform.AbsFloor(tf.kind.String()))
 	}
@@ -104,9 +110,38 @@ func (ts *TraceSet) Alarms(param float64) []detector.Alarm {
 // Evaluate scores one threshold parameter against the recorded failures
 // of the given vehicle subset at the given prediction horizon.
 func (ts *TraceSet) Evaluate(param float64, vehicles []string, ph time.Duration) Metrics {
-	alarms := FilterByVehicles(ts.Alarms(param), vehicles)
-	failures := FilterEventsByVehicles(ts.spec.Events, vehicles)
-	return Evaluate(alarms, failures, ph)
+	h := Horizon{PH: ph}
+	counts := make([]Metrics, len(ts.traces))
+	ts.fold(&h, ts.Alarms(param), []time.Duration{ph}, counts)
+	vehicles = slices.Clone(vehicles)
+	slices.Sort(vehicles)
+	var m Metrics
+	for _, v := range slices.Compact(vehicles) {
+		if ti, ok := ts.index[v]; ok {
+			m.add(counts[ti])
+		} else {
+			m.add(h.Fold(nil, ts.repairs[v]))
+		}
+	}
+	return m.scored()
+}
+
+// fold settles every trace's share of alarms, a replay's consolidated
+// output (grouped by vehicle in trace order), against the vehicle's
+// repairs at each horizon: counts[ti*len(phs)+p] is trace ti at phs[p].
+func (ts *TraceSet) fold(h *Horizon, alarms []detector.Alarm, phs []time.Duration, counts []Metrics) {
+	lo := 0
+	for ti, vt := range ts.traces {
+		hi := lo
+		for hi < len(alarms) && alarms[hi].VehicleID == vt.vehicleID {
+			hi++
+		}
+		for p, ph := range phs {
+			h.PH = ph
+			counts[ti*len(phs)+p] = h.Fold(alarms[lo:hi], ts.repairs[vt.vehicleID])
+		}
+		lo = hi
+	}
 }
 
 // cellKey identifies one (PH, setting) evaluation cell during the sweep.
@@ -118,11 +153,13 @@ type cellKey struct {
 // sweep replays the technique's whole threshold sweep (spec.Factors, or
 // spec.ConstThresholds for a constant-threshold technique) and scores
 // every (setting, PH) cell under every parameter: metrics[i][c] is
-// params[i] on cells[c]. Cells go by setting name, then spec.PHs order,
-// so a reduction over the table never depends on map iteration.
-// Parameters replay concurrently — each worker owns a sweepReplayer, the
-// traces and floored stds are shared read-only — and land in their own
-// row, so the table does not depend on the worker count either.
+// params[i] on cells[c]. Each parameter's alarms are folded once per
+// vehicle and PH, and a cell sums its setting's vehicles. Cells go by
+// setting name, then spec.PHs order, so a reduction over the table never
+// depends on map iteration. Parameters replay concurrently — each worker
+// owns a sweepReplayer and a Horizon, the traces and floored stds are
+// shared read-only — and land in their own row, so the table does not
+// depend on the worker count either.
 func (ts *TraceSet) sweep() (params []float64, cells []cellKey, metrics [][]Metrics) {
 	spec := ts.spec
 	params = spec.Factors
@@ -134,9 +171,14 @@ func (ts *TraceSet) sweep() (params []float64, cells []cellKey, metrics [][]Metr
 		settings = append(settings, name)
 	}
 	sort.Strings(settings)
-	failures := make([][]obd.Event, len(settings))
+	// members[s] holds the traces of settings[s], each once.
+	members := make([][]int, len(settings))
 	for s, name := range settings {
-		failures[s] = FilterEventsByVehicles(spec.Events, spec.Settings[name])
+		for _, v := range spec.Settings[name] {
+			members[s] = append(members[s], ts.index[v])
+		}
+		slices.Sort(members[s])
+		members[s] = slices.Compact(members[s])
 		for _, ph := range spec.PHs {
 			cells = append(cells, cellKey{ph, name})
 		}
@@ -154,13 +196,18 @@ func (ts *TraceSet) sweep() (params []float64, cells []cellKey, metrics [][]Metr
 		go func() {
 			defer wg.Done()
 			rep := ts.replayer()
+			var h Horizon
+			counts := make([]Metrics, len(ts.traces)*len(spec.PHs))
 			for i := range idxCh {
-				alarms := ConsolidateDaily(rep.replay(params[i]))
+				ts.fold(&h, ConsolidateDaily(rep.replay(params[i])), spec.PHs, counts)
 				row := make([]Metrics, 0, len(cells))
-				for s, name := range settings {
-					settingAlarms := FilterByVehicles(alarms, spec.Settings[name])
-					for _, ph := range spec.PHs {
-						row = append(row, Evaluate(settingAlarms, failures[s], ph))
+				for _, traces := range members {
+					for p := range spec.PHs {
+						var m Metrics
+						for _, ti := range traces {
+							m.add(counts[ti*len(spec.PHs)+p])
+						}
+						row = append(row, m.scored())
 					}
 				}
 				metrics[i] = row

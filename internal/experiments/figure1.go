@@ -5,6 +5,8 @@ import (
 	"sort"
 	"time"
 
+	"github.com/navarchos/pdm/internal/detector"
+	"github.com/navarchos/pdm/internal/eval"
 	"github.com/navarchos/pdm/internal/obd"
 )
 
@@ -64,51 +66,17 @@ func Figure1(opts *Options) (*Figure1Result, error) {
 		})
 	}
 
-	// Fleet-wide alignment statistics.
-	failuresByVehicle := map[string][]time.Time{}
-	for _, ev := range f.Events {
-		if ev.Type == obd.EventRepair {
-			failuresByVehicle[ev.VehicleID] = append(failuresByVehicle[ev.VehicleID], ev.Time)
-		}
-	}
-	dtcByVehicle := map[string][]time.Time{}
+	// Fleet-wide alignment statistics: the PH rule at 30 days, with the
+	// DTCs for alarms.
+	var dtcs []detector.Alarm
 	for _, ev := range f.Events {
 		if ev.Type == obd.EventDTC {
-			dtcByVehicle[ev.VehicleID] = append(dtcByVehicle[ev.VehicleID], ev.Time)
-			res.TotalDTCs++
+			dtcs = append(dtcs, detector.Alarm{VehicleID: ev.VehicleID, Time: ev.Time})
 		}
 	}
-	const window = 30 * 24 * time.Hour
-	for vid, fails := range failuresByVehicle {
-		for _, ft := range fails {
-			has := false
-			for _, dt := range dtcByVehicle[vid] {
-				if !dt.After(ft) && dt.After(ft.Add(-window)) {
-					has = true
-					break
-				}
-			}
-			if has {
-				res.FailuresWithDTCBefore++
-			} else {
-				res.FailuresWithoutDTC++
-			}
-		}
-	}
-	for vid, dtcs := range dtcByVehicle {
-		for _, dt := range dtcs {
-			related := false
-			for _, ft := range failuresByVehicle[vid] {
-				if !dt.After(ft) && dt.After(ft.Add(-window)) {
-					related = true
-					break
-				}
-			}
-			if !related {
-				res.DTCsUnrelatedToFailure++
-			}
-		}
-	}
+	m := eval.Evaluate(dtcs, f.Events, 30*24*time.Hour)
+	res.FailuresWithDTCBefore, res.FailuresWithoutDTC = m.TP, m.TotalFailures-m.TP
+	res.DTCsUnrelatedToFailure, res.TotalDTCs = m.FP, len(dtcs)
 	return res, nil
 }
 

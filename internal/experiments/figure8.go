@@ -5,11 +5,22 @@ import (
 	"time"
 
 	"github.com/navarchos/pdm/internal/core"
-	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/eval"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/transform"
 )
+
+// AlarmMark is a day-level alarm classified against the prediction
+// horizon (the green/red rectangles of the paper's Figure 8).
+type AlarmMark struct {
+	Time         time.Time
+	Feature      string
+	Score        float64
+	TruePositive bool
+}
+
+// figure8Factor is the complete solution's self-tuning threshold factor.
+const figure8Factor = 10
 
 // Figure8Result reproduces Figure 8: the per-feature anomaly scores of
 // the complete solution on one vehicle over its whole monitored life,
@@ -19,7 +30,7 @@ type Figure8Result struct {
 	VehicleID    string
 	FeatureNames []string
 	Trace        *core.Trace
-	Alarms       []core.AlarmMark
+	Alarms       []AlarmMark
 	Events       []obd.Event
 }
 
@@ -37,7 +48,7 @@ func Figure8(opts *Options, vehicleID string) (*Figure8Result, error) {
 			}
 		}
 	}
-	cfg, err := eval.GridSpec{}.PipelineConfig(eval.ClosestPair, transform.Correlation, 10)
+	cfg, err := eval.GridSpec{}.PipelineConfig(eval.ClosestPair, transform.Correlation, figure8Factor)
 	if err != nil {
 		return nil, err
 	}
@@ -53,14 +64,16 @@ func Figure8(opts *Options, vehicleID string) (*Figure8Result, error) {
 			events = append(events, ev)
 		}
 	}
-	// Classify consolidated alarm days by Table 2's rule at PH=30d.
-	var marks []core.AlarmMark
-	for _, a := range eval.ConsolidateDaily(alarms) {
-		marks = append(marks, core.AlarmMark{
-			Time: a.Time, Feature: a.Feature, Score: a.Score,
-			TruePositive: eval.Evaluate([]detector.Alarm{a}, f.Events, PH30).TP == 1,
-		})
+	// Classify consolidated alarm days by the PH rule at PH=30d, in the
+	// order the horizon settles them: the order they were fed.
+	daily := eval.ConsolidateDaily(alarms)
+	marks := make([]AlarmMark, len(daily))
+	for i, a := range daily {
+		marks[i] = AlarmMark{Time: a.Time, Feature: a.Feature, Score: a.Score}
 	}
+	settled := 0
+	h := eval.Horizon{PH: PH30, Settled: func(tp bool) { marks[settled].TruePositive = tp; settled++ }}
+	h.Fold(daily, eval.Repairs(f.Events)[vehicleID])
 	return &Figure8Result{
 		VehicleID:    vehicleID,
 		FeatureNames: cfg.Transformer.FeatureNames(),
