@@ -88,8 +88,10 @@ func (g *goldenRun) config(id string, kind transform.Kind, det func([]string) de
 
 // digest hashes every vehicle's alarms, trace rows, calibration segments
 // and the journal fields that do not depend on the clock or on how
-// vehicles interleave, in vehicle order, all floats as Float64bits.
-func (g *goldenRun) digest(t *testing.T, ids []string) string {
+// vehicles interleave, in vehicle order, all floats as Float64bits. A
+// trace row hashes its sample's thresholds, derived from the segment's
+// calibration for th's kind, and whether the sample alarmed.
+func (g *goldenRun) digest(t *testing.T, ids []string, th thresholds.Thresholder, kind transform.Kind) string {
 	t.Helper()
 	if g.j.Total() > goldenJournal {
 		t.Fatalf("journal overflowed: %d entries", g.j.Total())
@@ -106,13 +108,17 @@ func (g *goldenRun) digest(t *testing.T, ids []string) string {
 			h.Write([]byte(a.VehicleID + "\x00" + a.Feature + "\x00"))
 			u64(h, uint64(a.Time.UnixNano()), uint64(a.Channel), math.Float64bits(a.Score), math.Float64bits(a.Threshold))
 		}
+		alarmed := map[int64]bool{}
+		for _, a := range alarms {
+			alarmed[a.Time.UnixNano()] = true
+		}
 		tr := g.traces[id]
 		u64(h, uint64(len(tr.Times)), uint64(len(tr.Resets)), uint64(len(tr.SegCalib)))
 		for i := range tr.Times {
 			u64(h, uint64(tr.Times[i].UnixNano()), uint64(tr.Segments[i]))
 			f64s(h, tr.Scores[i])
-			f64s(h, tr.Thresholds[i])
-			if tr.Alarmed[i] {
+			f64s(h, thresholdRow(th, kind, tr.SegCalib[tr.Segments[i]]))
+			if alarmed[tr.Times[i].UnixNano()] {
 				u64(h, 1)
 			} else {
 				u64(h, 0)
@@ -134,6 +140,21 @@ func (g *goldenRun) digest(t *testing.T, ids []string) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// thresholdRow derives a sample's per-channel thresholds from its
+// segment's calibration: what th held while the sample scored.
+func thresholdRow(th thresholds.Thresholder, kind transform.Kind, c core.Calib) []float64 {
+	row := make([]float64, len(c.Means))
+	for j := range row {
+		switch th := th.(type) {
+		case *thresholds.SelfTuning:
+			row[j] = c.Means[j] + th.Factor*thresholds.FloorStd(c.Stds[j], c.Means[j], transform.AbsFloor(kind.String()))
+		case *thresholds.Constant:
+			row[j] = th.Value
+		}
+	}
+	return row
 }
 
 func u64(h hash.Hash, vs ...uint64) {
@@ -188,7 +209,7 @@ func TestPipelineGolden(t *testing.T) {
 					}
 					inline.alarms[id] = a
 				}
-				if got := inline.digest(t, ids); got != want[name] {
+				if got := inline.digest(t, ids, c.th(), kind); got != want[name] {
 					t.Errorf("RunVehicle digest = %s, want %s", got, want[name])
 				}
 
@@ -214,7 +235,7 @@ func TestPipelineGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				<-done
-				if got := deferred.digest(t, ids); got != want[name] {
+				if got := deferred.digest(t, ids, c.th(), kind); got != want[name] {
 					t.Errorf("fleet engine digest = %s, want %s", got, want[name])
 				}
 			})

@@ -125,34 +125,25 @@ func (c *Config) validate() error {
 // Calib holds the per-channel mean and standard deviation of the
 // detector's scores on one reference profile's calibration tail. It lets
 // a threshold factor f be replayed offline (threshold_c = mean_c +
-// f·std_c) without re-running the detector — the evaluation grid sweeps
-// threshold parameters this way.
+// f·thresholds.FloorStd(std_c, mean_c, transform.AbsFloor(kind)), what
+// SelfTuning.Calibrate computes) without re-running the detector — the
+// evaluation grid sweeps threshold parameters this way.
 type Calib struct {
 	Means, Stds []float64
 }
 
 // Trace captures the per-sample scoring history of one pipeline for
-// plotting (Figure 8) and for offline threshold sweeps.
+// plotting (Figure 8) and for offline threshold sweeps. A sample's
+// threshold is not kept: it follows from its segment's Calib.
 type Trace struct {
-	Times      []time.Time
-	Scores     [][]float64
-	Thresholds [][]float64
-	Alarmed    []bool
-	Resets     []time.Time // when Ref was rebuilt
+	Times  []time.Time
+	Scores [][]float64
+	Resets []time.Time // when Ref was rebuilt
 
 	// Segments[i] indexes SegCalib for the profile cycle sample i was
 	// scored under.
 	Segments []int
 	SegCalib []Calib
-}
-
-// AlarmMark is an alarm classified against the prediction horizon, used
-// by visualisations (the green/red rectangles of the paper's Figure 8).
-type AlarmMark struct {
-	Time         time.Time
-	Feature      string
-	Score        float64
-	TruePositive bool
 }
 
 // Pipeline is the per-vehicle realisation of Algorithm 1: a

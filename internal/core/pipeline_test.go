@@ -203,7 +203,7 @@ func TestTraceRecording(t *testing.T) {
 	if len(tr.Times) == 0 {
 		t.Fatal("trace recorded nothing")
 	}
-	if len(tr.Scores) != len(tr.Times) || len(tr.Thresholds) != len(tr.Times) || len(tr.Alarmed) != len(tr.Times) {
+	if len(tr.Scores) != len(tr.Times) || len(tr.Segments) != len(tr.Times) {
 		t.Error("trace slices out of sync")
 	}
 	p.HandleEvent(obd.Event{VehicleID: "v1", Time: t0, Type: obd.EventService})

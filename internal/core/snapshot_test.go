@@ -154,8 +154,6 @@ func concatTraces(a, b *Trace) *Trace {
 	out := &Trace{}
 	out.Times = append(append(out.Times, a.Times...), b.Times...)
 	out.Scores = append(append(out.Scores, a.Scores...), b.Scores...)
-	out.Thresholds = append(append(out.Thresholds, a.Thresholds...), b.Thresholds...)
-	out.Alarmed = append(append(out.Alarmed, a.Alarmed...), b.Alarmed...)
 	out.Resets = append(append(out.Resets, a.Resets...), b.Resets...)
 	// The restored trace's first SegCalib entry is the segment active at
 	// the snapshot — the same stats as the original's last entry. Skip
@@ -181,12 +179,6 @@ func compareTraces(t *testing.T, split int, got, want *Trace) {
 	}
 	if !sameBits(got.Scores, want.Scores) {
 		t.Fatalf("split %d: Scores differ", split)
-	}
-	if !sameBits(got.Thresholds, want.Thresholds) {
-		t.Fatalf("split %d: Thresholds differ", split)
-	}
-	if !reflect.DeepEqual(got.Alarmed, want.Alarmed) {
-		t.Fatalf("split %d: Alarmed differs", split)
 	}
 	if !reflect.DeepEqual(got.Resets, want.Resets) {
 		t.Fatalf("split %d: Resets differ: %v vs %v", split, got.Resets, want.Resets)
@@ -491,13 +483,11 @@ func TestResetOnRepairsOnlyThroughStagedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, pair := range map[string][2]interface{}{
-		"Times":      {got.Times, want.Times},
-		"Scores":     {got.Scores, want.Scores},
-		"Thresholds": {got.Thresholds, want.Thresholds},
-		"Alarmed":    {got.Alarmed, want.Alarmed},
-		"Segments":   {got.Segments, want.Segments},
-		"SegCalib":   {got.SegCalib, want.SegCalib},
-		"Resets":     {got.Resets, want.Resets},
+		"Times":    {got.Times, want.Times},
+		"Scores":   {got.Scores, want.Scores},
+		"Segments": {got.Segments, want.Segments},
+		"SegCalib": {got.SegCalib, want.SegCalib},
+		"Resets":   {got.Resets, want.Resets},
 	} {
 		if !reflect.DeepEqual(pair[0], pair[1]) {
 			t.Errorf("%s differs between streaming and staged ResetOnRepairsOnly runs", name)

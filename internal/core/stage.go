@@ -615,11 +615,6 @@ func (d *DetectStage) settle(t time.Time, scores []float64, timed bool, took tim
 		sc := make([]float64, len(scores))
 		copy(sc, scores)
 		tr.Scores = append(tr.Scores, sc)
-		thVals := d.cfg.Thresholder.Values()
-		th := make([]float64, len(thVals))
-		copy(th, thVals)
-		tr.Thresholds = append(tr.Thresholds, th)
-		tr.Alarmed = append(tr.Alarmed, len(alarms) > first)
 		tr.Segments = append(tr.Segments, len(tr.SegCalib)-1)
 	}
 	return alarms

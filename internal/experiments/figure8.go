@@ -7,6 +7,7 @@ import (
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/eval"
 	"github.com/navarchos/pdm/internal/obd"
+	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/transform"
 )
 
@@ -105,13 +106,17 @@ func (r *Figure8Result) Render(w io.Writer) {
 	for c := range grid {
 		grid[c] = make([]float64, days)
 	}
+	// A sample's threshold is the self-tuning one its segment's
+	// calibration gives, as SelfTuning.Calibrate computes it.
+	absFloor := transform.AbsFloor(transform.Correlation.String())
 	for i, ts := range r.Trace.Times {
 		d := int(ts.Sub(start).Hours() / 24)
 		if d < 0 || d >= days {
 			continue
 		}
+		calib := &r.Trace.SegCalib[r.Trace.Segments[i]]
 		for c, s := range r.Trace.Scores[i] {
-			th := r.Trace.Thresholds[i][c]
+			th := calib.Means[c] + figure8Factor*thresholds.FloorStd(calib.Stds[c], calib.Means[c], absFloor)
 			if th <= 0 {
 				continue
 			}

@@ -78,14 +78,10 @@ func gridConfig(tech paperTechnique, kind transform.Kind, traces *traceSet) func
 		if err != nil {
 			return core.Config{}, err
 		}
-		var th thresholds.Thresholder = thresholds.NewSelfTuning(3)
-		if tech.constantTh {
-			th = thresholds.NewConstant(0.5)
-		}
 		cfg := core.Config{
 			Transformer:   tr,
 			Detector:      tech.build(tr.FeatureNames()),
-			Thresholder:   th,
+			Thresholder:   tech.thresholder(),
 			ProfileLength: 30,
 			Filter:        func(*timeseries.Record) bool { return true },
 		}
@@ -94,6 +90,34 @@ func gridConfig(tech paperTechnique, kind transform.Kind, traces *traceSet) func
 		}
 		return cfg, nil
 	}
+}
+
+// thresholder is the technique's thresholder in a grid cell.
+func (tech paperTechnique) thresholder() thresholds.Thresholder {
+	if tech.constantTh {
+		return thresholds.NewConstant(0.5)
+	}
+	return thresholds.NewSelfTuning(3)
+}
+
+// thresholdRows derives every sample's per-channel thresholds from its
+// segment's calibration: what the cell's thresholder held while the
+// sample scored.
+func thresholdRows(tr *core.Trace, tech paperTechnique, kind transform.Kind) [][]float64 {
+	rows := make([][]float64, len(tr.Times))
+	for i := range rows {
+		c := tr.SegCalib[tr.Segments[i]]
+		rows[i] = make([]float64, len(c.Means))
+		for j := range rows[i] {
+			switch th := tech.thresholder().(type) {
+			case *thresholds.SelfTuning:
+				rows[i][j] = c.Means[j] + th.Factor*thresholds.FloorStd(c.Stds[j], c.Means[j], transform.AbsFloor(kind.String()))
+			case *thresholds.Constant:
+				rows[i][j] = th.Value
+			}
+		}
+	}
+	return rows
 }
 
 // syntheticStream generates a deterministic multi-vehicle stream:
@@ -241,8 +265,9 @@ func TestEngineCheckpointResumeGate(t *testing.T) {
 					if !bitEqualRows(post.Scores, ref.Scores[n:]) {
 						t.Errorf("vehicle %s: post-restore scores diverge from reference", id)
 					}
-					if !bitEqualRows(pre.Thresholds, ref.Thresholds[:n]) ||
-						!bitEqualRows(post.Thresholds, ref.Thresholds[n:]) {
+					refTh := thresholdRows(ref, tech, kind)
+					if !bitEqualRows(thresholdRows(pre, tech, kind), refTh[:n]) ||
+						!bitEqualRows(thresholdRows(post, tech, kind), refTh[n:]) {
 						t.Errorf("vehicle %s: thresholds diverge from reference", id)
 					}
 				}

@@ -305,7 +305,7 @@ func TestVehicleHandoffDrainGate(t *testing.T) {
 							if len(live.Scores) != len(ref.Scores) {
 								t.Fatalf("vehicle %s: %d samples vs %d uninterrupted", id, len(live.Scores), len(ref.Scores))
 							}
-							if !bitEqualRows(live.Scores, ref.Scores) || !bitEqualRows(live.Thresholds, ref.Thresholds) {
+							if !bitEqualRows(live.Scores, ref.Scores) || !bitEqualRows(thresholdRows(live, tech, kind), thresholdRows(ref, tech, kind)) {
 								t.Errorf("vehicle %s: migrated scores/thresholds diverge", id)
 							}
 						}
