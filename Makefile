@@ -122,14 +122,20 @@ gen-gate:
 ## (internal/eval/reference_test.go), materialise each (kind, vehicle)
 ## stream exactly once, and replay thresholds exactly as the reference's
 ## per-sample loop does; and the legacy fit kernels and scorer must land
-## on the same cells as the shipped detectors. TestPipelineConfigAgainstGrid
+## on the same cells as the shipped detectors. The sweep and the
+## reference share no accounting code: the sweep folds eval.Horizon per
+## vehicle, the reference scores with the replaced first-listed
+## evaluateReference. TestHorizonMatchesEvaluate holds the fold to a
+## brute-force statement of the PH rule, to any input order and to that
+## oracle wherever repairs are PH apart; TestEvaluateOrderIndependent
+## pins the overlapping horizons the oracle got wrong. TestPipelineConfigAgainstGrid
 ## holds the live pipeline a cell stands for (GridSpec.PipelineConfig)
 ## equal to the cell's replay on every row of the sweep: the same daily
 ## alarms, bit for bit, on every vehicle, since both take the std floor
 ## from thresholds.FloorStd and persistence from one thresholds.Gate per
 ## vehicle, whose m-of-k counting TestGate pins.
 grid-equiv:
-	$(call named,./internal/eval/,TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc|TestPipelineConfigAgainstGrid)
+	$(call named,./internal/eval/,TestRunGridCachedMatchesReference|TestRunGridKernelOraclesMatchDefaults|TestRunGridTransformOnce|TestSweepReplayZeroAlloc|TestPipelineConfigAgainstGrid|TestHorizonMatchesEvaluate|TestEvaluateOrderIndependent)
 	$(call named,./internal/thresholds/,TestGate|TestGateReset)
 
 ## resume-gate: checkpointing a live engine mid-stream and restoring at
