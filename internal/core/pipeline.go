@@ -125,16 +125,15 @@ func (c *Config) validate() error {
 // Calib holds the per-channel mean and standard deviation of the
 // detector's scores on one reference profile's calibration tail. It lets
 // a threshold factor f be replayed offline (threshold_c = mean_c +
-// f·thresholds.FloorStd(std_c, mean_c, transform.AbsFloor(kind)), what
-// SelfTuning.Calibrate computes) without re-running the detector — the
-// evaluation grid sweeps threshold parameters this way.
+// f·thresholds.FloorStd(std_c, mean_c, abs)) without re-running the
+// detector — the grid sweeps thresholds, and Figure 8 draws them, so.
 type Calib struct {
 	Means, Stds []float64
 }
 
 // Trace captures the per-sample scoring history of one pipeline for
-// plotting (Figure 8) and for offline threshold sweeps. A sample's
-// threshold is not kept: it follows from its segment's Calib.
+// plotting (Figure 8) and for offline threshold sweeps; a sample's
+// threshold follows from its segment's Calib.
 type Trace struct {
 	Times  []time.Time
 	Scores [][]float64

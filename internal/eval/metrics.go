@@ -37,33 +37,20 @@ func FBeta(precision, recall, beta float64) float64 {
 }
 
 // Evaluate scores alarms against recorded failures using the paper's
-// protocol at prediction horizon ph: it folds each vehicle's alarms and
-// repairs, in time order, through a Horizon closed at +∞, so its counts
-// do not depend on the order either list comes in. Callers normally
-// consolidate alarms (see ConsolidateDaily) first, mirroring the
-// day-level alarm row at the bottom of the paper's Figure 8.
+// protocol at prediction horizon ph: per vehicle, a Horizon fed in time
+// order and closed at +∞, so the counts do not depend on the order
+// either list comes in. Callers normally consolidate alarms (see
+// ConsolidateDaily) first, mirroring the day-level alarm row at the
+// bottom of the paper's Figure 8.
 func Evaluate(alarms []detector.Alarm, failures []obd.Event, ph time.Duration) Metrics {
-	byVehicle := map[string][]detector.Alarm{}
-	for _, a := range alarms {
-		byVehicle[a.VehicleID] = append(byVehicle[a.VehicleID], a)
-	}
-	repairs := Repairs(failures)
-	h := Horizon{PH: ph}
 	var m Metrics
-	for v, as := range byVehicle {
-		slices.SortStableFunc(as, func(a, b detector.Alarm) int { return a.Time.Compare(b.Time) })
-		m.add(h.Fold(as, repairs[v]))
-	}
-	for v, rs := range repairs {
-		if byVehicle[v] == nil {
-			m.add(h.Fold(nil, rs))
-		}
+	for _, c := range byVehicle(alarms, Repairs(failures), ph) {
+		m.add(c)
 	}
 	return m.scored()
 }
 
-// Repairs returns each vehicle's repair times, ascending: the failures
-// the prediction horizon is measured back from.
+// Repairs returns each vehicle's repair times, ascending.
 func Repairs(events []obd.Event) map[string][]time.Time {
 	out := map[string][]time.Time{}
 	for _, ev := range events {
@@ -77,16 +64,42 @@ func Repairs(events []obd.Event) map[string][]time.Time {
 	return out
 }
 
-// add sums the counts of o into m. Counts are additive across vehicles;
-// the ratios are not, so scored derives them once from the totals.
+// byVehicle folds each vehicle's alarms, stable-sorted by time, and its
+// repairs through a Horizon at ph, for every vehicle with either.
+func byVehicle(alarms []detector.Alarm, repairs map[string][]time.Time, ph time.Duration) map[string]Metrics {
+	grouped := map[string][]detector.Alarm{}
+	for _, a := range alarms {
+		grouped[a.VehicleID] = append(grouped[a.VehicleID], a)
+	}
+	for v := range repairs {
+		if _, ok := grouped[v]; !ok {
+			grouped[v] = nil
+		}
+	}
+	out := make(map[string]Metrics, len(grouped))
+	for v, as := range grouped {
+		slices.SortStableFunc(as, func(a, b detector.Alarm) int { return a.Time.Compare(b.Time) })
+		out[v] = (&Horizon{PH: ph}).Fold(as, repairs[v])
+	}
+	return out
+}
+
+// sum scores the summed counts of the given vehicles.
+func sum(counts map[string]Metrics, vehicles []string) Metrics {
+	var m Metrics
+	for _, v := range vehicles {
+		m.add(counts[v])
+	}
+	return m.scored()
+}
+
 func (m *Metrics) add(o Metrics) {
 	m.TP += o.TP
 	m.FP += o.FP
 	m.TotalFailures += o.TotalFailures
 }
 
-// scored returns m with precision, recall, F1 and F0.5 derived from its
-// counts.
+// scored returns m with its ratios derived from its counts.
 func (m Metrics) scored() Metrics {
 	if m.TP+m.FP > 0 {
 		m.Precision = float64(m.TP) / float64(m.TP+m.FP)
@@ -100,33 +113,30 @@ func (m Metrics) scored() Metrics {
 }
 
 // Horizon is the paper's prediction-horizon rule for one vehicle, and
-// the one place it is written. Fed the vehicle's consolidated alarms and
-// repairs in time order, an alarm before a repair at the same instant,
-// and its data clock, it settles every alarm and every failure:
+// the one place it is written. Fed the vehicle's alarms and repairs in
+// time order, an alarm before a repair at the same instant, and its data
+// clock, it settles every alarm and every failure:
 //   - an alarm at a is a true positive once a repair arrives in [a, a+PH);
 //   - it is a false positive once the clock reaches a+PH with no such repair;
 //   - a failure at r is detected if an alarm lies in (r−PH, r].
 //
-// It keeps only the unsettled alarms of the last PH and the latest
-// alarm's time. Not safe for concurrent use.
+// It keeps only the unsettled alarms of the last PH.
 type Horizon struct {
 	PH time.Duration
 	// Settled, when non-nil, is told each alarm's outcome as it
-	// settles. Alarms settle in the order they were fed.
+	// settles, in the order the alarms were fed.
 	Settled func(tp bool)
 
 	pending []time.Time // unsettled alarms, ascending
-	last    time.Time   // the latest alarm, when alarmed
-	alarmed bool
-	m       Metrics // TP, FP and TotalFailures so far
+	last    time.Time   // the latest alarm
+	m       Metrics     // TP, FP and TotalFailures so far
 }
 
-// inside reports whether an alarm at a is still within the horizon at
-// time t: t < a+PH.
+// inside reports whether the horizon of an alarm at a still holds t.
 func (h *Horizon) inside(a, t time.Time) bool { return a.Add(h.PH).After(t) }
 
-// Advance moves the clock to t: every pending alarm whose horizon has
-// passed settles as a false positive.
+// Advance moves the clock to t: pending alarms whose horizon has passed
+// settle as false positives.
 func (h *Horizon) Advance(t time.Time) {
 	n := 0
 	for n < len(h.pending) && !h.inside(h.pending[n], t) {
@@ -139,33 +149,29 @@ func (h *Horizon) Advance(t time.Time) {
 func (h *Horizon) Alarm(t time.Time) {
 	h.Advance(t)
 	h.pending = append(h.pending, t)
-	h.last, h.alarmed = t, true
+	h.last = t
 }
 
-// Repair takes a failure at t. It is detected if the latest alarm lies
-// within PH before it, and every alarm still pending settles as a true
-// positive.
+// Repair takes a failure at t, detected if the latest alarm lies within
+// PH before it; every pending alarm settles as a true positive.
 func (h *Horizon) Repair(t time.Time) {
 	h.Advance(t)
 	h.m.TotalFailures++
-	if h.alarmed && h.inside(h.last, t) {
+	if h.inside(h.last, t) {
 		h.m.TP++
 	}
 	h.settle(len(h.pending), true)
 }
 
 // Close settles what is pending as with the clock at +∞ and returns the
-// vehicle's counts (ratios unset), leaving the machine empty for the
-// next vehicle.
+// counts, ratios unset.
 func (h *Horizon) Close() Metrics {
 	h.settle(len(h.pending), false)
-	m := h.m
-	h.pending, h.alarmed, h.m = h.pending[:0], false, Metrics{}
-	return m
+	return h.m
 }
 
-// Fold feeds one vehicle's alarms and repair times, each ascending, in
-// time order, and closes the machine.
+// Fold feeds one vehicle's alarms and repair times, each ascending, and
+// closes the machine.
 func (h *Horizon) Fold(alarms []detector.Alarm, repairs []time.Time) Metrics {
 	i := 0
 	for _, r := range repairs {
@@ -185,10 +191,8 @@ func (h *Horizon) settle(n int, tp bool) {
 	if !tp {
 		h.m.FP += n
 	}
-	if h.Settled != nil {
-		for range n {
-			h.Settled(tp)
-		}
+	for i := 0; h.Settled != nil && i < n; i++ {
+		h.Settled(tp)
 	}
 	h.pending = h.pending[:copy(h.pending, h.pending[n:])]
 }

@@ -324,7 +324,4 @@ func TestHorizonLive(t *testing.T) {
 	if want := []bool{false, true, false}; !slices.Equal(outcomes, want) {
 		t.Fatalf("outcomes %v, want %v", outcomes, want)
 	}
-	if m := h.Close(); m != (Metrics{}) {
-		t.Fatalf("Close left counts behind: %+v", m)
-	}
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,9 +34,6 @@ type TraceSet struct {
 	// through thresholds.FloorStd with the kind's absolute floor; nil for
 	// a constant-threshold technique.
 	segSD [][][]float64
-	// index maps a vehicle to its trace; repairs is Repairs(spec.Events).
-	index   map[string]int
-	repairs map[string][]time.Time
 }
 
 // CollectTraceSet transforms every vehicle in the union of spec.Settings
@@ -84,10 +80,7 @@ func newTraceSet(spec *GridSpec, tech Technique, tf *transformed) (*TraceSet, er
 			return nil, err
 		}
 	}
-	ts := &TraceSet{spec: spec, tech: tech, kind: tf.kind, traces: traces, index: map[string]int{}, repairs: Repairs(spec.Events)}
-	for i, vt := range traces {
-		ts.index[vt.vehicleID] = i
-	}
+	ts := &TraceSet{spec: spec, tech: tech, kind: tf.kind, traces: traces}
 	if !tech.UsesConstantThreshold() {
 		ts.segSD = precomputeSegSD(traces, transform.AbsFloor(tf.kind.String()))
 	}
@@ -110,38 +103,7 @@ func (ts *TraceSet) Alarms(param float64) []detector.Alarm {
 // Evaluate scores one threshold parameter against the recorded failures
 // of the given vehicle subset at the given prediction horizon.
 func (ts *TraceSet) Evaluate(param float64, vehicles []string, ph time.Duration) Metrics {
-	h := Horizon{PH: ph}
-	counts := make([]Metrics, len(ts.traces))
-	ts.fold(&h, ts.Alarms(param), []time.Duration{ph}, counts)
-	vehicles = slices.Clone(vehicles)
-	slices.Sort(vehicles)
-	var m Metrics
-	for _, v := range slices.Compact(vehicles) {
-		if ti, ok := ts.index[v]; ok {
-			m.add(counts[ti])
-		} else {
-			m.add(h.Fold(nil, ts.repairs[v]))
-		}
-	}
-	return m.scored()
-}
-
-// fold settles every trace's share of alarms, a replay's consolidated
-// output (grouped by vehicle in trace order), against the vehicle's
-// repairs at each horizon: counts[ti*len(phs)+p] is trace ti at phs[p].
-func (ts *TraceSet) fold(h *Horizon, alarms []detector.Alarm, phs []time.Duration, counts []Metrics) {
-	lo := 0
-	for ti, vt := range ts.traces {
-		hi := lo
-		for hi < len(alarms) && alarms[hi].VehicleID == vt.vehicleID {
-			hi++
-		}
-		for p, ph := range phs {
-			h.PH = ph
-			counts[ti*len(phs)+p] = h.Fold(alarms[lo:hi], ts.repairs[vt.vehicleID])
-		}
-		lo = hi
-	}
+	return sum(byVehicle(ts.Alarms(param), Repairs(ts.spec.Events), ph), vehicles)
 }
 
 // cellKey identifies one (PH, setting) evaluation cell during the sweep.
@@ -153,13 +115,12 @@ type cellKey struct {
 // sweep replays the technique's whole threshold sweep (spec.Factors, or
 // spec.ConstThresholds for a constant-threshold technique) and scores
 // every (setting, PH) cell under every parameter: metrics[i][c] is
-// params[i] on cells[c]. Each parameter's alarms are folded once per
-// vehicle and PH, and a cell sums its setting's vehicles. Cells go by
-// setting name, then spec.PHs order, so a reduction over the table never
-// depends on map iteration. Parameters replay concurrently — each worker
-// owns a sweepReplayer and a Horizon, the traces and floored stds are
-// shared read-only — and land in their own row, so the table does not
-// depend on the worker count either.
+// params[i] on cells[c], a sum of its setting's per-vehicle folds. Cells
+// go by setting name, then spec.PHs order, so a reduction over the table
+// never depends on map iteration. Parameters replay concurrently — each
+// worker owns a sweepReplayer, the traces and floored stds are shared
+// read-only — and land in their own row, so the table does not depend on
+// the worker count either.
 func (ts *TraceSet) sweep() (params []float64, cells []cellKey, metrics [][]Metrics) {
 	spec := ts.spec
 	params = spec.Factors
@@ -171,18 +132,12 @@ func (ts *TraceSet) sweep() (params []float64, cells []cellKey, metrics [][]Metr
 		settings = append(settings, name)
 	}
 	sort.Strings(settings)
-	// members[s] holds the traces of settings[s], each once.
-	members := make([][]int, len(settings))
-	for s, name := range settings {
-		for _, v := range spec.Settings[name] {
-			members[s] = append(members[s], ts.index[v])
-		}
-		slices.Sort(members[s])
-		members[s] = slices.Compact(members[s])
+	for _, name := range settings {
 		for _, ph := range spec.PHs {
 			cells = append(cells, cellKey{ph, name})
 		}
 	}
+	repairs := Repairs(spec.Events)
 
 	metrics = make([][]Metrics, len(params))
 	workers := spec.Parallelism
@@ -196,18 +151,16 @@ func (ts *TraceSet) sweep() (params []float64, cells []cellKey, metrics [][]Metr
 		go func() {
 			defer wg.Done()
 			rep := ts.replayer()
-			var h Horizon
-			counts := make([]Metrics, len(ts.traces)*len(spec.PHs))
 			for i := range idxCh {
-				ts.fold(&h, ConsolidateDaily(rep.replay(params[i])), spec.PHs, counts)
+				alarms := ConsolidateDaily(rep.replay(params[i]))
+				counts := make([]map[string]Metrics, len(spec.PHs))
+				for p, ph := range spec.PHs {
+					counts[p] = byVehicle(alarms, repairs, ph)
+				}
 				row := make([]Metrics, 0, len(cells))
-				for _, traces := range members {
+				for _, name := range settings {
 					for p := range spec.PHs {
-						var m Metrics
-						for _, ti := range traces {
-							m.add(counts[ti*len(spec.PHs)+p])
-						}
-						row = append(row, m.scored())
+						row = append(row, sum(counts[p], spec.Settings[name]))
 					}
 				}
 				metrics[i] = row

@@ -5,20 +5,12 @@ import (
 	"time"
 
 	"github.com/navarchos/pdm/internal/core"
+	"github.com/navarchos/pdm/internal/detector"
 	"github.com/navarchos/pdm/internal/eval"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/transform"
 )
-
-// AlarmMark is a day-level alarm classified against the prediction
-// horizon (the green/red rectangles of the paper's Figure 8).
-type AlarmMark struct {
-	Time         time.Time
-	Feature      string
-	Score        float64
-	TruePositive bool
-}
 
 // figure8Factor is the complete solution's self-tuning threshold factor.
 const figure8Factor = 10
@@ -31,7 +23,10 @@ type Figure8Result struct {
 	VehicleID    string
 	FeatureNames []string
 	Trace        *core.Trace
-	Alarms       []AlarmMark
+	// Alarms are the day-level alarms, and TruePositive[i] is Alarms[i]'s
+	// outcome at PH=30d (the green/red rectangles of the paper's figure).
+	Alarms       []detector.Alarm
+	TruePositive []bool
 	Events       []obd.Event
 }
 
@@ -65,23 +60,12 @@ func Figure8(opts *Options, vehicleID string) (*Figure8Result, error) {
 			events = append(events, ev)
 		}
 	}
-	// Classify consolidated alarm days by the PH rule at PH=30d, in the
-	// order the horizon settles them: the order they were fed.
-	daily := eval.ConsolidateDaily(alarms)
-	marks := make([]AlarmMark, len(daily))
-	for i, a := range daily {
-		marks[i] = AlarmMark{Time: a.Time, Feature: a.Feature, Score: a.Score}
-	}
-	settled := 0
-	h := eval.Horizon{PH: PH30, Settled: func(tp bool) { marks[settled].TruePositive = tp; settled++ }}
-	h.Fold(daily, eval.Repairs(f.Events)[vehicleID])
-	return &Figure8Result{
-		VehicleID:    vehicleID,
-		FeatureNames: cfg.Transformer.FeatureNames(),
-		Trace:        cfg.Trace,
-		Alarms:       marks,
-		Events:       events,
-	}, nil
+	// Alarms settle in the order they are fed: TruePositive lines up.
+	res := &Figure8Result{VehicleID: vehicleID, FeatureNames: cfg.Transformer.FeatureNames(), Trace: cfg.Trace,
+		Alarms: eval.ConsolidateDaily(alarms), Events: events}
+	h := eval.Horizon{PH: PH30, Settled: func(tp bool) { res.TruePositive = append(res.TruePositive, tp) }}
+	h.Fold(res.Alarms, eval.Repairs(f.Events)[vehicleID])
+	return res, nil
 }
 
 // Render writes a day-resolution strip chart per feature: '.' quiet,
@@ -170,12 +154,12 @@ func (r *Figure8Result) Render(w io.Writer) {
 	// Alarm row with TP/FP classification.
 	fprintf(w, "%-32s ", "alarms (T in PH30, F outside)")
 	alarmDay := map[int]byte{}
-	for _, a := range r.Alarms {
+	for i, a := range r.Alarms {
 		d := int(a.Time.Sub(start).Hours() / 24)
 		if d < 0 || d >= days {
 			continue
 		}
-		if a.TruePositive {
+		if r.TruePositive[i] {
 			alarmDay[d] = 'T'
 		} else if alarmDay[d] == 0 {
 			alarmDay[d] = 'F'
