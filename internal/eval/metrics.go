@@ -84,15 +84,20 @@ func byVehicle(alarms []detector.Alarm, repairs map[string][]time.Time, ph time.
 	return out
 }
 
-// sum scores the summed counts of the given vehicles.
+// sum scores the summed counts of the given vehicles, each counted once.
 func sum(counts map[string]Metrics, vehicles []string) Metrics {
+	seen := map[string]bool{}
 	var m Metrics
 	for _, v := range vehicles {
-		m.add(counts[v])
+		if !seen[v] {
+			seen[v] = true
+			m.add(counts[v])
+		}
 	}
 	return m.scored()
 }
 
+// add sums o's counts into m; the ratios come from the totals (scored).
 func (m *Metrics) add(o Metrics) {
 	m.TP += o.TP
 	m.FP += o.FP
@@ -128,7 +133,7 @@ type Horizon struct {
 	Settled func(tp bool)
 
 	pending []time.Time // unsettled alarms, ascending
-	last    time.Time   // the latest alarm
+	last    time.Time   // the latest alarm; zero, outside every horizon, before one
 	m       Metrics     // TP, FP and TotalFailures so far
 }
 

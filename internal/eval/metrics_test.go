@@ -325,3 +325,12 @@ func TestHorizonLive(t *testing.T) {
 		t.Fatalf("outcomes %v, want %v", outcomes, want)
 	}
 }
+
+// TestSumCountsEachVehicleOnce: a vehicle listed twice in a setting
+// counts once, as a vehicle set.
+func TestSumCountsEachVehicleOnce(t *testing.T) {
+	counts := map[string]Metrics{"v1": {TP: 1, FP: 1, TotalFailures: 1}, "v2": {FP: 2}}
+	if m := sum(counts, []string{"v1", "v2", "v1"}); m.TP != 1 || m.FP != 3 || m.TotalFailures != 1 {
+		t.Fatalf("sum = %+v, want TP 1, FP 3, failures 1", m)
+	}
+}
