@@ -126,7 +126,7 @@ func (c *Config) validate() error {
 // detector's scores on one reference profile's calibration tail. It lets
 // a threshold factor f be replayed offline (threshold_c = mean_c +
 // f·thresholds.FloorStd(std_c, mean_c, abs)) without re-running the
-// detector — the grid sweeps thresholds, and Figure 8 draws them, so.
+// detector: the grid sweeps thresholds this way, and Figure 8 draws them.
 type Calib struct {
 	Means, Stds []float64
 }
