@@ -260,7 +260,8 @@ fuzz-smoke:
 
 ## ingest-smoke: the wire data-plane gates at test scale — the committed
 ## golden frame file must decode byte-stably, the decoder must hold its
-## zero-allocation steady state, a reused decoder must deliver what a
+## zero-allocation steady state, the encoder must allocate no more than
+## about twice the stream it builds, a reused decoder must deliver what a
 ## fresh one does, refuse a bad header before sizing a buffer from it
 ## and give back oversized buffers when its stream ends, IngestBatch
 ## must admit with no allocation from one item per call to a whole frame,
@@ -275,7 +276,7 @@ fuzz-smoke:
 ## pooled decoders, inside its per-POST allocation bound (the ingest
 ## tests by name: `race` has just run the rest of the package).
 ingest-smoke:
-	$(call named,./internal/wire/,TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget)
+	$(call named,./internal/wire/,TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption|TestDecodeStreamReuse|TestDecodeStreamChecksHeaderBeforeAllocating|TestDecodeStreamRetainedBufferBound|TestDecodeInternBudget|TestEncoderAllocBound)
 	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/ingest-batch TestEngineMatchesSerialReplay/resend TestEngineMatchesSerialReplay/grouped TestEngineMatchesSerialReplay/wire TestEngineBackpressureBlocksAtQueueDepth/fill-calls=1 TestIngestBatchEmptyAndClosed TestIngestBatchDuringCheckpointBarrier TestIngestRecordAllocFree)
 	$(call named,./cmd/navarchos-serve/,TestServeWireIngestEndToEnd|TestServeStreamEndpoint|TestServeRejectsCorruptUpload|TestServeTextFormats|TestIngest)
 

@@ -660,3 +660,38 @@ func TestJSONDecode(t *testing.T) {
 		t.Fatal("short values vector did not error")
 	}
 }
+
+// TestEncoderAllocBound holds the Encoder's buffer to doubling: while
+// it encodes 100 000 records in 512-item frames it allocates at most
+// 2.2x its final capacity, and that capacity is at most twice the
+// stream it returns, give or take the allocator's 8 KiB page rounding.
+// Growth by a factor g allocates about g/(g-1) times the final
+// capacity: doubling about 2x, Go's 1.25x append growth about 5x. How
+// far the capacity sits above the stream depends on where the stream's
+// length falls between two doublings (1.4x for this one), so the bound
+// on allocation is taken against the capacity, not the length.
+func TestEncoderAllocBound(t *testing.T) {
+	recs, _ := testStream(100_000, 40)
+	var enc Encoder
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range recs {
+		enc.Record(&recs[i])
+		if enc.Count() == 512 {
+			enc.End()
+		}
+	}
+	enc.End()
+	runtime.ReadMemStats(&after)
+	if enc.Err() != nil {
+		t.Fatal(enc.Err())
+	}
+	alloc, n, c := after.TotalAlloc-before.TotalAlloc, len(enc.Bytes()), cap(enc.buf)
+	t.Logf("%d-byte stream, %d-byte capacity, %d bytes allocated", n, c, alloc)
+	if ratio := float64(alloc) / float64(c); ratio > 2.2 {
+		t.Errorf("allocated %d bytes for a %d-byte capacity: %.2fx, want <= 2.2x", alloc, c, ratio)
+	}
+	if c > 2*n+8<<10 {
+		t.Errorf("a %d-byte stream kept a %d-byte capacity, want <= twice the stream", n, c)
+	}
+}
