@@ -260,10 +260,10 @@ fuzz-smoke:
 
 ## ingest-smoke: the wire data-plane gates at test scale — the committed
 ## golden frame file must decode byte-stably, the decoder must hold its
-## zero-allocation steady state, the encoder must allocate no more than
-## about twice the stream it builds, a reused decoder must deliver what a
-## fresh one does, refuse a bad header before sizing a buffer from it
-## and give back oversized buffers when its stream ends, IngestBatch
+## zero-allocation steady state, the encoder must grow its buffer by
+## doubling, a reused decoder must deliver what a fresh one does,
+## refuse a bad header before sizing a buffer from it and give back
+## oversized buffers when its stream ends, IngestBatch
 ## must admit with no allocation from one item per call to a whole frame,
 ## block a multi-item call on a full shard queue
 ## (TestEngineBackpressureBlocksAtQueueDepth's fill-calls=1 row) and

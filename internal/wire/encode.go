@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/obd"
@@ -15,9 +16,14 @@ import (
 // value is ready to use; Reset reuses the buffer for a new stream, so a
 // steady-state producer (the bench harness, a telemetry forwarder)
 // encodes without allocating. Frames are built by Begin / Record /
-// Event / End; multiple frames accumulate in the same buffer. A frame
-// whose payload passes DefaultMaxFrameBytes, which a default Decoder
-// refuses, fails the stream with ErrFrameTooLarge.
+// Event / End; multiple frames accumulate in the same buffer. Each item
+// reserves its encoded size once and is written in place; when the
+// buffer is full it at least doubles, so each byte is copied about once
+// after it is written and a stream allocates about twice its final
+// capacity. An item that does not fit the format's limits fails the
+// stream and appends nothing: a string beyond the limit, or a frame
+// whose payload would pass DefaultMaxFrameBytes, which a default
+// Decoder refuses (ErrFrameTooLarge).
 type Encoder struct {
 	buf   []byte
 	open  bool
@@ -47,18 +53,28 @@ func (e *Encoder) Bytes() []byte {
 // format's limits).
 func (e *Encoder) Err() error { return e.err }
 
+// grow extends the buffer by n bytes and returns them, still holding
+// whatever a Reset stream left there: the caller writes every one.
+func (e *Encoder) grow(n int) []byte {
+	l := len(e.buf)
+	if l+n > cap(e.buf) {
+		e.buf = slices.Grow(e.buf, l+n)
+	}
+	e.buf = e.buf[:l+n]
+	return e.buf[l:]
+}
+
 // Begin opens a new telemetry-batch frame, closing any open one first.
 func (e *Encoder) Begin() {
 	if e.open {
 		e.End()
 	}
 	e.start = len(e.buf)
-	e.buf = append(e.buf, Magic...)
-	e.buf = append(e.buf, Version, KindBatch)
-	// Payload length and CRC are patched by End.
-	e.buf = append(e.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	// Payload starts with the item count, also patched by End.
-	e.buf = append(e.buf, 0, 0, 0, 0)
+	// The payload length, CRC and the payload's leading item count are
+	// patched by End.
+	h := e.grow(HeaderSize + 4)
+	copy(h, Magic)
+	h[4], h[5] = Version, KindBatch
 	e.count = 0
 	e.open = true
 }
@@ -92,78 +108,91 @@ func (e *Encoder) setErr(err error) {
 	}
 }
 
-// added counts the item just appended to the open frame, failing the
-// stream once the frame's payload passes DefaultMaxFrameBytes.
-func (e *Encoder) added() {
-	e.count++
-	if n := len(e.buf) - e.start - HeaderSize; n > DefaultMaxFrameBytes {
-		e.setErr(fmt.Errorf("%w: %d-byte frame payload", ErrFrameTooLarge, n))
-	}
-}
-
-// appendString appends a uint16-length-prefixed string, rejecting
-// strings beyond the format's limit.
-func (e *Encoder) appendString(s string, what string) bool {
+// fits reports whether s is within the format's string limit, failing
+// the stream when it is not.
+func (e *Encoder) fits(s string, what string) bool {
 	if len(s) > maxIDLen {
 		e.setErr(fmt.Errorf("wire: %s of %d bytes exceeds the %d-byte limit", what, len(s), maxIDLen))
 		return false
 	}
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, uint16(len(s)))
-	e.buf = append(e.buf, s...)
 	return true
+}
+
+// item reserves size bytes for one item in the open frame (opening one
+// if necessary) and counts it. It returns nil, failing the stream, when
+// the item would take the frame's payload past DefaultMaxFrameBytes.
+func (e *Encoder) item(size int) []byte {
+	if !e.open {
+		e.Begin()
+	}
+	if n := len(e.buf) + size - e.start - HeaderSize; n > DefaultMaxFrameBytes {
+		e.setErr(fmt.Errorf("%w: %d-byte frame payload", ErrFrameTooLarge, n))
+		return nil
+	}
+	e.count++
+	return e.grow(size)
+}
+
+// putString writes s with its uint16 length prefix at b[o:] and returns
+// the offset past it.
+func putString(b []byte, o int, s string) int {
+	binary.LittleEndian.PutUint16(b[o:], uint16(len(s)))
+	return o + 2 + copy(b[o+2:], s)
 }
 
 // Record appends one telemetry record to the open frame (opening one if
 // necessary).
 func (e *Encoder) Record(r *timeseries.Record) {
-	if e.err != nil {
+	if e.err != nil || !e.fits(r.VehicleID, "vehicle ID") {
 		return
 	}
-	if !e.open {
-		e.Begin()
-	}
-	e.buf = append(e.buf, tagRecord)
-	if !e.appendString(r.VehicleID, "vehicle ID") {
+	b := e.item(1 + 2 + len(r.VehicleID) + 8 + 1 + 8*len(r.Values))
+	if b == nil {
 		return
 	}
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(r.Time.UnixNano()))
-	e.buf = append(e.buf, uint8(obd.NumPIDs))
-	for p := 0; p < int(obd.NumPIDs); p++ {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(r.Values[p]))
+	b[0] = tagRecord
+	o := putString(b, 1, r.VehicleID)
+	binary.LittleEndian.PutUint64(b[o:], uint64(r.Time.UnixNano()))
+	b[o+8] = uint8(len(r.Values))
+	vals := b[o+9:]
+	for p, v := range r.Values {
+		binary.LittleEndian.PutUint64(vals[8*p:], math.Float64bits(v))
 	}
-	e.added()
 }
 
 // Event appends one maintenance event to the open frame (opening one if
 // necessary).
 func (e *Encoder) Event(ev *obd.Event) {
-	if e.err != nil {
+	if e.err != nil || !e.fits(ev.VehicleID, "vehicle ID") {
 		return
 	}
-	if !e.open {
-		e.Begin()
-	}
-	e.buf = append(e.buf, tagEvent)
-	if !e.appendString(ev.VehicleID, "vehicle ID") {
-		return
-	}
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(ev.Time.UnixNano()))
-	e.buf = append(e.buf, uint8(ev.Type))
+	size := 1 + 2 + len(ev.VehicleID) + 8 + 1 + 1 + 2 + len(ev.Note)
 	var flags uint8
 	if ev.DTC != nil {
-		flags |= flagDTC
-	}
-	e.buf = append(e.buf, flags)
-	if ev.DTC != nil {
-		if !e.appendString(ev.DTC.Code, "DTC code") {
+		if !e.fits(ev.DTC.Code, "DTC code") {
 			return
 		}
-		e.buf = append(e.buf, uint8(ev.DTC.Kind))
+		flags |= flagDTC
+		size += 2 + len(ev.DTC.Code) + 1
 	}
-	if !e.appendString(ev.Note, "event note") {
+	if !e.fits(ev.Note, "event note") {
 		return
 	}
-	e.added()
+	b := e.item(size)
+	if b == nil {
+		return
+	}
+	b[0] = tagEvent
+	o := putString(b, 1, ev.VehicleID)
+	binary.LittleEndian.PutUint64(b[o:], uint64(ev.Time.UnixNano()))
+	b[o+8], b[o+9] = uint8(ev.Type), flags
+	o += 10
+	if ev.DTC != nil {
+		o = putString(b, o, ev.DTC.Code)
+		b[o] = uint8(ev.DTC.Kind)
+		o++
+	}
+	putString(b, o, ev.Note)
 }
 
 // Item tags and event flags.
@@ -182,16 +211,15 @@ func (e *Encoder) TraceContext(id uint64) {
 	if e.err != nil || id == 0 {
 		return
 	}
-	if !e.open {
-		e.Begin()
+	b := e.item(minItemSize)
+	if b == nil {
+		return
 	}
-	e.buf = append(e.buf, tagTrace)
-	// No vehicle ID: the item describes the whole frame.
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, 0)
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, id)
-	// Reserved flags byte pads the item to minItemSize.
-	e.buf = append(e.buf, 0)
-	e.added()
+	// No vehicle ID: the item describes the whole frame. A reserved
+	// flags byte pads it to minItemSize.
+	b[0], b[1], b[2] = tagTrace, 0, 0
+	binary.LittleEndian.PutUint64(b[3:], id)
+	b[11] = 0
 }
 
 // AppendHandoff appends one vehicle-handoff frame carrying a

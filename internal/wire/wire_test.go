@@ -482,19 +482,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}), ErrBadFrame)
 }
 
-// TestEncoderLimits pins the encoder's sticky error: an oversize
-// vehicle ID fails the stream instead of truncating it silently, and so
-// does a frame the default decoder would refuse. A frame whose payload
-// is exactly DefaultMaxFrameBytes encodes and decodes; one more record
-// fails with ErrFrameTooLarge.
+// TestEncoderLimits pins the encoder's sticky error. A string beyond
+// the format's limit fails the stream instead of truncating it silently:
+// a vehicle ID in Record or Event, a DTC code or a note in Event. So
+// does a frame the default decoder would refuse: a payload one byte
+// past DefaultMaxFrameBytes, or one record past it through EncodeStream.
+// Each failure carries its own message, and no item after it appends a
+// byte. A frame whose payload is exactly DefaultMaxFrameBytes encodes
+// and decodes.
 func TestEncoderLimits(t *testing.T) {
-	var enc Encoder
-	enc.Record(&timeseries.Record{VehicleID: strings.Repeat("v", maxIDLen+1)})
-	enc.End()
-	if enc.Err() == nil {
-		t.Fatal("encoding an oversize vehicle ID did not error")
-	}
-
 	const id = "veh-00001"
 	const item = 1 + 2 + len(id) + 8 + 1 + 8*int(obd.NumPIDs)
 	n := (DefaultMaxFrameBytes - 4) / item // 4: the payload's item count
@@ -506,6 +502,49 @@ func TestEncoderLimits(t *testing.T) {
 	for i := range recs {
 		recs[i] = timeseries.Record{VehicleID: id, Time: base.Add(time.Duration(i) * time.Second)}
 	}
+
+	long := strings.Repeat("x", maxIDLen+1)
+	tooLong := func(what string) string {
+		return fmt.Sprintf("wire: %s of %d bytes exceeds the %d-byte limit", what, maxIDLen+1, maxIDLen)
+	}
+	// An event with no DTC takes 1+2+len(id)+8+1+1+2 bytes before its
+	// note; this one takes a record's bytes plus one.
+	pastLimit := obd.Event{VehicleID: id, Time: base, Note: strings.Repeat("n", item+1-(15+len(id)))}
+	for _, c := range []struct {
+		name string
+		feed func(*Encoder)
+		want string
+	}{
+		{"record-vehicle-id", func(e *Encoder) { e.Record(&timeseries.Record{VehicleID: long}) }, tooLong("vehicle ID")},
+		{"event-vehicle-id", func(e *Encoder) { e.Event(&obd.Event{VehicleID: long}) }, tooLong("vehicle ID")},
+		{"dtc-code", func(e *Encoder) {
+			e.Event(&obd.Event{VehicleID: id, Type: obd.EventDTC, DTC: &obd.DTC{Code: long}})
+		}, tooLong("DTC code")},
+		{"event-note", func(e *Encoder) { e.Event(&obd.Event{VehicleID: id, Note: long}) }, tooLong("event note")},
+		{"payload-one-byte-past", func(e *Encoder) {
+			for i := range recs[:n-2] { // n-1 with the one ahead of it
+				e.Record(&recs[i])
+			}
+			e.Event(&pastLimit)
+		}, fmt.Sprintf("%v: %d-byte frame payload", ErrFrameTooLarge, DefaultMaxFrameBytes+1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var enc Encoder
+			enc.Record(&recs[n]) // a valid item ahead of the failure
+			c.feed(&enc)
+			if err := enc.Err(); err == nil || err.Error() != c.want {
+				t.Fatalf("err %v, want %q", err, c.want)
+			}
+			size := len(enc.buf)
+			enc.Record(&recs[0])
+			enc.Event(&obd.Event{VehicleID: id, Time: base})
+			enc.TraceContext(1)
+			if len(enc.buf) != size {
+				t.Errorf("items after the failure appended %d bytes", len(enc.buf)-size)
+			}
+		})
+	}
+
 	full, frames, err := EncodeStream(nil, recs[:n], nil, n)
 	if err != nil || frames != 1 || len(full) != HeaderSize+DefaultMaxFrameBytes {
 		t.Fatalf("frame at the limit: %d bytes, %d frames, err %v; want %d, 1, nil",
