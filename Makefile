@@ -108,12 +108,13 @@ race-fleet:
 ## fleets that `race` skips included — the per-day placement against its
 ## stable-sort oracle, the bound on what Generate allocates, the day
 ## stream folded into Generate's digest on two calls within 5% of
-## Generate's allocation, and what navarchos-gen writes and
-## navarchos-detect prints and checkpoints at -scale small, both of
-## which read the stream, with detect's listing the same at any shard
-## count.
+## Generate's allocation, no simulation worker left running after Days
+## stops at an error (`race` runs that one at SmallConfig), and what
+## navarchos-gen writes and navarchos-detect prints and checkpoints at
+## -scale small, both of which read the stream, with detect's listing
+## the same at any shard count.
 gen-gate:
-	$(call named,./internal/fleetsim/,TestGenerateGolden|TestGenerateDeterministic|TestPlaceDayMatchesStableSort|TestGenerateAllocBound|TestDaysAllocBound)
+	$(call named,./internal/fleetsim/,TestGenerateGolden|TestGenerateDeterministic|TestPlaceDayMatchesStableSort|TestGenerateAllocBound|TestDaysAllocBound|TestDaysLeavesNoWorkers)
 	$(call named,./cmd/navarchos-gen/,TestMainGolden)
 	$(call named,./cmd/navarchos-detect/,TestMainGolden|TestListingIndependentOfShards)
 

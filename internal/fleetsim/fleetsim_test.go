@@ -499,3 +499,51 @@ func TestDaysStopsAtFirstError(t *testing.T) {
 		t.Errorf("Days = %v after %d days, want %v after 3", err, calls, stop)
 	}
 }
+
+// TestDaysLeavesNoWorkers holds simulate's worker pool to the call that
+// starts it. After Days stops at fn's first error, while the pool is
+// simulating the next day, the goroutine count returns to what it was
+// before the call; and later Days calls on the same Plan still fold into
+// the golden digest. The plan is BenchConfig's (bench/seed1), or
+// SmallConfig's (small/seed1) under the race detector.
+func TestDaysLeavesNoWorkers(t *testing.T) {
+	name, cfg := "bench/seed1", BenchConfig()
+	if raceEnabled {
+		name, cfg = "small/seed1", SmallConfig()
+	}
+	var want string
+	for _, g := range goldenFleets {
+		if g.name == name {
+			want = g.digest
+		}
+	}
+	p := Plan(cfg)
+	baseline := runtime.NumGoroutine()
+	stop := errors.New("stop")
+	calls := 0
+	if err := p.Days(func([]timeseries.Record) error {
+		if calls++; calls == 3 {
+			return stop
+		}
+		return nil
+	}); err != stop {
+		t.Fatalf("Days = %v, want %v", err, stop)
+	}
+	// A worker that has marked itself exited may not have returned yet.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Days stopped, %d before it", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	n := 0
+	if err := p.Days(func(day []timeseries.Record) error {
+		n += len(day)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := daysDigest(p, n, p.Days); got != want {
+		t.Errorf("digest after a stopped call = %s, want %s (%s)", got, want, name)
+	}
+}

@@ -211,14 +211,18 @@ func (f *Fleet) scheduleDTCs() {
 	}
 }
 
-// simulate runs the fleet's days in order. Each day, every vehicle's
-// records for that day are simulated into a buffer the vehicle reuses,
-// GOMAXPROCS vehicles at a time; then place gets the buffers, the day's
-// midnight and dayBuckets ints of scratch, and places the day in (time,
-// vehicle index) order, which does not depend on who simulated what.
-// Each vehicle draws from its own rand.Source, seeded afresh on every
-// call and kept from day to day, and only reads the shared weather table
-// and its own Vehicle. simulate stops at place's first error.
+// simulate runs the fleet's days in order. One pool of GOMAXPROCS
+// workers, at most one per vehicle, lives for the whole call and
+// simulates each vehicle's records for a day into that vehicle's buffer.
+// There are two sets of buffers, each sized once for vehicleDay's
+// bound: while place reads day d's set, the pool fills the other with
+// day d+1. place gets the buffers, the day's midnight and dayBuckets
+// ints of scratch, and places the day in (time, vehicle index) order,
+// which does not depend on who simulated what. Each vehicle draws from
+// its own rand.Source, seeded afresh on every call and kept from day to
+// day, and only reads the shared weather table and its own Vehicle.
+// simulate stops at place's first error, and returns only once every
+// worker has exited.
 func (f *Fleet) simulate(place func(bufs [][]timeseries.Record, midnight time.Time, counts []int) error) error {
 	cfg := f.Config
 	weather := f.dayWeather()
@@ -227,22 +231,54 @@ func (f *Fleet) simulate(place func(bufs [][]timeseries.Record, midnight time.Ti
 	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)*7_368_787))
 	}
-	bufs := make([][]timeseries.Record, n)
-	counts := make([]int, dayBuckets)
-	for day := 0; day < cfg.Days; day++ {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for range min(runtime.GOMAXPROCS(0), n) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
+	per := maxDayRecords(cfg.AvgDriveMinutes)
+	var sets [2][][]timeseries.Record
+	for s := range sets {
+		backing := make([]timeseries.Record, n*per)
+		sets[s] = make([][]timeseries.Record, n)
+		for i := range sets[s] {
+			sets[s][i] = backing[i*per : i*per : (i+1)*per]
+		}
+	}
+
+	// Each day goes to every worker once; together they claim its
+	// vehicles from next, and each marks its share done.
+	workers := min(runtime.GOMAXPROCS(0), n)
+	days := make(chan int)
+	var next atomic.Int64
+	var done, exited sync.WaitGroup
+	exited.Add(workers)
+	for range workers {
+		go func() {
+			defer exited.Done()
+			for day := range days {
+				bufs := sets[day%2]
 				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 					bufs[i] = f.vehicleDay(&f.Vehicles[i], day, rngs[i], weather[day], bufs[i][:0])
 				}
-			}()
+				done.Done()
+			}
+		}()
+	}
+	defer func() {
+		close(days)
+		exited.Wait()
+	}()
+	start := func(day int) {
+		next.Store(0)
+		done.Add(workers)
+		for range workers {
+			days <- day
 		}
-		wg.Wait()
-		if err := place(bufs, f.dayTime(day, 0), counts); err != nil {
+	}
+	counts := make([]int, dayBuckets)
+	start(0)
+	for day := 0; day < cfg.Days; day++ {
+		done.Wait()
+		if day+1 < cfg.Days {
+			start(day + 1)
+		}
+		if err := place(sets[day%2], f.dayTime(day, 0), counts); err != nil {
 			return err
 		}
 	}
@@ -257,6 +293,21 @@ func (f *Fleet) dayWeather() []float64 {
 		weather[d] = rng.NormFloat64() * 3
 	}
 	return weather
+}
+
+// A vehicle's driving minutes on a day are AvgDriveMinutes times a
+// factor drawn from [minDayFactor, minDayFactor+dayFactorSpan), less on
+// weekends; it records at most one record per minute.
+const (
+	minDayFactor  = 0.55
+	dayFactorSpan = 1.1
+)
+
+// maxDayRecords bounds the records vehicleDay appends for one vehicle
+// and day at avgDriveMinutes. The one spare record absorbs the factor's
+// rounding.
+func maxDayRecords(avgDriveMinutes float64) int {
+	return int((minDayFactor+dayFactorSpan)*avgDriveMinutes) + 1
 }
 
 // vehicleDay appends what v drives on simulated day to buf, trip by
@@ -275,7 +326,7 @@ func (f *Fleet) vehicleDay(v *Vehicle, day int, rng *rand.Rand, weather float64,
 	}
 	// Total driving minutes today: lognormal-ish around the configured
 	// average, lighter on "weekends" (every 6th/7th simulated day).
-	factor := 0.55 + rng.Float64()*1.1
+	factor := minDayFactor + rng.Float64()*dayFactorSpan
 	if day%7 >= 5 {
 		factor *= 0.6
 	}
