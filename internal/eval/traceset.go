@@ -100,12 +100,6 @@ func (ts *TraceSet) Alarms(param float64) []detector.Alarm {
 	return ConsolidateDaily(ts.replayer().replay(param))
 }
 
-// Evaluate scores one threshold parameter against the recorded failures
-// of the given vehicle subset at the given prediction horizon.
-func (ts *TraceSet) Evaluate(param float64, vehicles []string, ph time.Duration) Metrics {
-	return sum(byVehicle(ts.Alarms(param), Repairs(ts.spec.Events), ph), vehicles)
-}
-
 // cellKey identifies one (PH, setting) evaluation cell during the sweep.
 type cellKey struct {
 	ph      time.Duration
@@ -199,10 +193,11 @@ func (ts *TraceSet) BestCells() []Cell {
 
 // BestJointParam returns the sweep parameter maximising the mean F0.5
 // across all (setting, PH) combinations — the paper's Table 2 uses "the
-// same method parameters for all depicted results" — and every cell's
-// metrics under it, by setting name then spec.PHs order.
-func (ts *TraceSet) BestJointParam() (float64, []Metrics) {
-	params, _, metrics := ts.sweep()
+// same method parameters for all depicted results" — and every cell
+// under it, by setting name then spec.PHs order, with that parameter as
+// each cell's BestParam.
+func (ts *TraceSet) BestJointParam() (float64, []Cell) {
+	params, cells, metrics := ts.sweep()
 	best, bestSum := 0, -1.0
 	for i := range params {
 		var sum float64
@@ -213,7 +208,14 @@ func (ts *TraceSet) BestJointParam() (float64, []Metrics) {
 			best, bestSum = i, sum
 		}
 	}
-	return params[best], metrics[best]
+	out := make([]Cell, len(cells))
+	for c, k := range cells {
+		out[c] = Cell{
+			Technique: ts.tech, Transform: ts.kind, PH: k.ph, Setting: k.setting,
+			Best: metrics[best][c], BestParam: params[best],
+		}
+	}
+	return params[best], out
 }
 
 // precomputeSegSD floors each trace's per-segment calibration stds once,

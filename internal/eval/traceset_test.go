@@ -35,10 +35,17 @@ func TestCollectTraceSetAndEvaluate(t *testing.T) {
 	if len(ts.Alarms(40)) > len(alarms) {
 		t.Error("alarm count should be non-increasing in the factor")
 	}
-	m := ts.Evaluate(10, f.EventVehicleIDs(), 30*24*time.Hour)
+	m := evaluateAt(ts, 10, f.EventVehicleIDs(), 30*24*time.Hour)
 	if m.TotalFailures == 0 {
 		t.Fatal("no failures in evaluation universe")
 	}
+}
+
+// evaluateAt scores one threshold parameter against the recorded
+// failures of the given vehicles at one prediction horizon, as the
+// sweep scores each of its cells.
+func evaluateAt(ts *TraceSet, param float64, vehicles []string, ph time.Duration) Metrics {
+	return sum(byVehicle(ts.Alarms(param), Repairs(ts.spec.Events), ph), vehicles)
 }
 
 func TestBestJointParamIsSharedOptimum(t *testing.T) {
@@ -54,14 +61,14 @@ func TestBestJointParamIsSharedOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, metrics := ts.BestJointParam()
-	if len(metrics) != 1 {
-		t.Fatalf("expected 1 cell metric, got %d", len(metrics))
+	best, cells := ts.BestJointParam()
+	if len(cells) != 1 {
+		t.Fatalf("expected 1 cell, got %d", len(cells))
 	}
 	// No other sweep value may beat the chosen one on mean F0.5.
-	bestScore := metrics[0].F05
+	bestScore := cells[0].Best.F05
 	for _, p := range spec.Factors {
-		if m := ts.Evaluate(p, f.EventVehicleIDs(), 30*24*time.Hour); m.F05 > bestScore+1e-12 {
+		if m := evaluateAt(ts, p, f.EventVehicleIDs(), 30*24*time.Hour); m.F05 > bestScore+1e-12 {
 			t.Errorf("param %v (F05=%v) beats chosen %v (F05=%v)", p, m.F05, best, bestScore)
 		}
 	}
@@ -69,9 +76,9 @@ func TestBestJointParamIsSharedOptimum(t *testing.T) {
 
 // TestTraceSetDeterministic holds a TraceSet's outputs to one order
 // whatever Go's map iteration does: the vehicles of Alarms follow the
-// sorted union of the settings, and BestJointParam's metrics follow the
+// sorted union of the settings, and BestJointParam's cells follow the
 // settings in sorted name order (then spec.PHs). The one-vehicle setting
-// has fewer failures than the other two, so a reordering of the metrics
+// has fewer failures than the other two, so a reordering of the cells
 // is visible.
 func TestTraceSetDeterministic(t *testing.T) {
 	f := fleetsim.Generate(fleetsim.SmallConfig())
@@ -85,26 +92,26 @@ func TestTraceSetDeterministic(t *testing.T) {
 		},
 	}
 	var wantAlarms []detector.Alarm
-	var wantMetrics []Metrics
+	var wantCells []Cell
 	for i := 0; i < 20; i++ {
 		ts, err := CollectTraceSet(spec, ClosestPair, transform.Correlation)
 		if err != nil {
 			t.Fatal(err)
 		}
 		alarms := ts.Alarms(10)
-		_, metrics := ts.BestJointParam()
+		_, cells := ts.BestJointParam()
 		if i == 0 {
 			if len(alarms) == 0 {
 				t.Fatal("no alarms at factor 10: the order check would mean nothing")
 			}
-			wantAlarms, wantMetrics = alarms, metrics
+			wantAlarms, wantCells = alarms, cells
 			continue
 		}
 		if !reflect.DeepEqual(alarms, wantAlarms) {
 			t.Fatalf("run %d: Alarms(10) order differs from run 0", i)
 		}
-		if !reflect.DeepEqual(metrics, wantMetrics) {
-			t.Fatalf("run %d: BestJointParam metrics differ from run 0:\n  %+v\n  %+v", i, metrics, wantMetrics)
+		if !reflect.DeepEqual(cells, wantCells) {
+			t.Fatalf("run %d: BestJointParam cells differ from run 0:\n  %+v\n  %+v", i, cells, wantCells)
 		}
 	}
 }

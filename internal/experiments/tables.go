@@ -102,25 +102,15 @@ type Table2Result struct {
 }
 
 // Table2 collects traces for the complete solution and picks the single
-// threshold factor maximising mean F0.5 across the four cells, then
-// reports each cell under that shared factor.
+// threshold factor maximising mean F0.5 across the four cells; each
+// row is one cell under that shared factor, as the sweep scored it.
 func Table2(opts *Options) (*Table2Result, error) {
-	f := opts.fleet()
-	ts, err := eval.CollectTraceSet(gridSpec(f), eval.ClosestPair, transform.Correlation)
+	ts, err := eval.CollectTraceSet(gridSpec(opts.fleet()), eval.ClosestPair, transform.Correlation)
 	if err != nil {
 		return nil, err
 	}
-	param, _ := ts.BestJointParam()
-	res := &Table2Result{Param: param}
-	for _, setting := range []string{Setting26, Setting40} {
-		vehicles := gridVehicles(f, setting)
-		for _, ph := range []time.Duration{PH15, PH30} {
-			m := ts.Evaluate(param, vehicles, ph)
-			res.Rows = append(res.Rows, TableRow{Setting: setting, PH: ph, Metrics: m, Param: param})
-		}
-	}
-	sortRows(res.Rows)
-	return res, nil
+	param, cells := ts.BestJointParam()
+	return &Table2Result{Rows: tableRows(cells), Param: param}, nil
 }
 
 // Table3Result reproduces Table 3: the ablation that resets Ref only on
@@ -141,22 +131,17 @@ func Table3(opts *Options) (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Table3Result{}
-	for _, c := range ts.BestCells() {
-		res.Rows = append(res.Rows, TableRow{Setting: c.Setting, PH: c.PH, Metrics: c.Best, Param: c.BestParam})
-	}
-	sortRows(res.Rows)
-	return res, nil
+	return &Table3Result{Rows: tableRows(ts.BestCells())}, nil
 }
 
-func gridVehicles(f interface {
-	EventVehicleIDs() []string
-	AllVehicleIDs() []string
-}, setting string) []string {
-	if setting == Setting26 {
-		return f.EventVehicleIDs()
+// tableRows turns cells into Table 2/3 rows, by setting then PH.
+func tableRows(cells []eval.Cell) []TableRow {
+	rows := make([]TableRow, 0, len(cells))
+	for _, c := range cells {
+		rows = append(rows, TableRow{Setting: c.Setting, PH: c.PH, Metrics: c.Best, Param: c.BestParam})
 	}
-	return f.AllVehicleIDs()
+	sortRows(rows)
+	return rows
 }
 
 func sortRows(rows []TableRow) {
