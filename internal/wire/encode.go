@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/obd"
@@ -17,10 +16,10 @@ import (
 // steady-state producer (the bench harness, a telemetry forwarder)
 // encodes without allocating. Frames are built by Begin / Record /
 // Event / End; multiple frames accumulate in the same buffer. Each item
-// reserves its encoded size once and is written in place; when the
-// buffer is full it at least doubles, so each byte is copied about once
-// after it is written and a stream allocates about twice its final
-// capacity. An item that does not fit the format's limits fails the
+// reserves its encoded size once and is written in place. A full buffer
+// grows to at least twice the bytes it holds, so each byte is copied
+// about once after it is written and a stream allocates about twice its
+// final capacity. An item that does not fit the format's limits fails the
 // stream and appends nothing: a string beyond the limit, or a frame
 // whose payload would pass DefaultMaxFrameBytes, which a default
 // Decoder refuses (ErrFrameTooLarge).
@@ -54,11 +53,17 @@ func (e *Encoder) Bytes() []byte {
 func (e *Encoder) Err() error { return e.err }
 
 // grow extends the buffer by n bytes and returns them, still holding
-// whatever a Reset stream left there: the caller writes every one.
+// whatever a Reset stream left there: the caller writes every one. A
+// new buffer comes from make, not append: append zeroes all of the new
+// capacity, where make leaves pages fresh from the OS untouched until
+// they are written, and under the race detector append allocates n
+// bytes more.
 func (e *Encoder) grow(n int) []byte {
 	l := len(e.buf)
 	if l+n > cap(e.buf) {
-		e.buf = slices.Grow(e.buf, l+n)
+		buf := make([]byte, l, 2*l+n)
+		copy(buf, e.buf)
+		e.buf = buf
 	}
 	e.buf = e.buf[:l+n]
 	return e.buf[l:]

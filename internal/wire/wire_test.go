@@ -707,7 +707,7 @@ func TestJSONDecode(t *testing.T) {
 // Growth by a factor g allocates about g/(g-1) times the final
 // capacity: doubling about 2x, Go's 1.25x append growth about 5x. How
 // far the capacity sits above the stream depends on where the stream's
-// length falls between two doublings (1.4x for this one), so the bound
+// length falls between two doublings (1.3x for this one), so the bound
 // on allocation is taken against the capacity, not the length.
 func TestEncoderAllocBound(t *testing.T) {
 	recs, _ := testStream(100_000, 40)
