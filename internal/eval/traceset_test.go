@@ -65,7 +65,11 @@ func TestBestJointParamIsSharedOptimum(t *testing.T) {
 	if len(cells) != 1 {
 		t.Fatalf("expected 1 cell, got %d", len(cells))
 	}
-	// No other sweep value may beat the chosen one on mean F0.5.
+	// The cell is what a replay at the chosen parameter scores (Table
+	// 2's rows), and no other sweep value may beat it on mean F0.5.
+	if m := evaluateAt(ts, best, f.EventVehicleIDs(), 30*24*time.Hour); m != cells[0].Best || cells[0].BestParam != best {
+		t.Errorf("cell %+v at param %v, a replay scores %+v", cells[0], best, m)
+	}
 	bestScore := cells[0].Best.F05
 	for _, p := range spec.Factors {
 		if m := evaluateAt(ts, p, f.EventVehicleIDs(), 30*24*time.Hour); m.F05 > bestScore+1e-12 {
