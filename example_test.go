@@ -71,8 +71,9 @@ func ExampleNewDefaultPipeline() {
 			a.Time.Format("2006-01-02"), a.Feature, a.Score, a.Threshold)
 	}
 
-	// Score against the recorded repairs with the paper's protocol.
-	m := pdm.Evaluate(daily, fleet.Events, 30*24*time.Hour)
+	// Score against the vehicle's recorded repairs with the paper's
+	// protocol.
+	m := pdm.Evaluate(daily, vehicleEvents(fleet.Events, vehicle), 30*24*time.Hour)
 	fmt.Printf("\nPH=30d evaluation: precision %.2f, recall %.2f, F0.5 %.2f (TP=%d FP=%d)\n",
 		m.Precision, m.Recall, m.F05, m.TP, m.FP)
 	// Output:
@@ -84,7 +85,19 @@ func ExampleNewDefaultPipeline() {
 	//   2023-04-22  corr(rpm,MAFairFlowRate)       score 0.5570 (threshold 0.1623)
 	//   2023-04-24  corr(rpm,MAFairFlowRate)       score 0.4829 (threshold 0.1623)
 	//
-	// PH=30d evaluation: precision 1.00, recall 0.33, F0.5 0.71 (TP=1 FP=0)
+	// PH=30d evaluation: precision 1.00, recall 1.00, F0.5 1.00 (TP=1 FP=0)
+}
+
+// vehicleEvents returns the events of one vehicle: a one-vehicle run is
+// scored against its own repairs, not the fleet's.
+func vehicleEvents(events []pdm.Event, vehicleID string) []pdm.Event {
+	var own []pdm.Event
+	for _, ev := range events {
+		if ev.VehicleID == vehicleID {
+			own = append(own, ev)
+		}
+	}
+	return own
 }
 
 // Fleet monitor: an FMS-style streaming monitor over a whole fleet,
@@ -261,7 +274,7 @@ func ExampleDetector() {
 	for _, a := range daily {
 		fmt.Printf("  %s  %-30s z=%.2f\n", a.Time.Format("2006-01-02"), a.Feature, a.Score)
 	}
-	m := pdm.Evaluate(daily, fleet.Events, 30*24*time.Hour)
+	m := pdm.Evaluate(daily, vehicleEvents(fleet.Events, vehicle), 30*24*time.Hour)
 	fmt.Printf("PH=30d: precision %.2f recall %.2f F0.5 %.2f\n", m.Precision, m.Recall, m.F05)
 	// Output:
 	// custom "zscore" detector on veh-04: 0 day-level alarms
