@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: ci check vet build build-arm64 test race race-fleet gen-gate grid-equiv resume-gate drain-gate exhibits-check kernel-oracles fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
+.PHONY: ci check vet build build-arm64 test race race-fleet examples gen-gate grid-equiv resume-gate drain-gate exhibits-check kernel-oracles fuzz-smoke bench-smoke vet-obs obs-overhead trace-overhead ingest-smoke bench-micro
 
 ## ci: the full gate — vet (gofmt, go vet, the obs metric-doc check),
 ## build (plus the arm64 cross-build that keeps the non-amd64 kernel
 ## stubs honest), race-enabled tests (the concurrent fleet/fitpool
-## packages in a twice-run pass of their own), the synthetic fleet's
+## packages in a twice-run pass of their own), the public API's
+## examples by name, the synthetic fleet's
 ## digests, its day stream and the two commands that read it without
 ## -race, the grid equivalence gate, the
 ## checkpoint resume and vehicle drain gates, the bench-scale exhibits
@@ -18,7 +19,7 @@ GO ?= go
 ## failure, and a table of each one's wall time closes the run: a gate
 ## that costs minutes to re-prove what another already proved shows up
 ## there.
-CI_TARGETS = vet-obs build build-arm64 race race-fleet gen-gate grid-equiv resume-gate drain-gate exhibits-check kernel-oracles ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
+CI_TARGETS = vet-obs build build-arm64 race race-fleet examples gen-gate grid-equiv resume-gate drain-gate exhibits-check kernel-oracles ingest-smoke obs-overhead trace-overhead fuzz-smoke bench-smoke bench-micro
 ci:
 	@table=""; t0=$$(date +%s); \
 	for t in $(CI_TARGETS); do \
@@ -102,6 +103,13 @@ race:
 ## target.
 race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/... ./internal/core/... ./internal/fitpool/...
+
+## examples: the public API's Example tests in example_test.go, by name.
+## An example whose // Output: comment is dropped still compiles but no
+## longer runs, and plain `go test` passes without it; named-rows fails
+## on a NAME that ran nothing.
+examples:
+	$(call named-rows,.,ExampleNewDefaultPipeline ExampleNewFleetEngine ExampleDetector ExampleStartDebugServer)
 
 ## gen-gate: the synthetic fleet's bytes, without -race — all 21
 ## TestGenerateGolden digests at GOMAXPROCS 1, 2 and 8, the two 400 x 100

@@ -14,10 +14,12 @@ import (
 // section citation — `§n` inside DESIGN.md, `DESIGN §n` or
 // `DESIGN.md §n` in README.md, EXPERIMENTS.md, the Makefile and Go
 // source — must name a `## n.` heading, and every backticked Test,
-// Benchmark or Fuzz name in DESIGN.md must be declared by some _test.go
-// file (a name written with a trailing `*` is a prefix); a row cited as
-// `TestX/row` must also be the string literal "row" in TestX's file. Every
-// backticked `internal/…`, `cmd/…` or `examples/…` path in README.md,
+// Benchmark, Fuzz or Example name in DESIGN.md must be declared by some
+// _test.go file (a name written with a trailing `*` is a prefix); a row
+// cited as `TestX/row` must also be the string literal "row" in TestX's
+// file. Every Example<Name> that README.md names must be declared in the
+// root package, where `go test -run 'Example<Name>$' -v .` finds it. Every
+// backticked `internal/…` or `cmd/…` path in README.md,
 // DESIGN.md, EXPERIMENTS.md and the verify skill must exist in the tree
 // (a trailing `/...` is a package pattern). ROADMAP.md and CHANGES.md
 // are exempt: one is a plan, the other a history.
@@ -37,8 +39,9 @@ func TestDocReferences(t *testing.T) {
 	cite("DESIGN.md", design, regexp.MustCompile(`§(\d+[a-z]?)`))
 
 	external := regexp.MustCompile(`DESIGN(?:\.md)? §(\d+[a-z]?)`)
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
 	declared := map[string]string{} // test name → its file's source
+	rootExamples := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -56,6 +59,9 @@ func TestDocReferences(t *testing.T) {
 			if strings.HasSuffix(path, "_test.go") {
 				for _, m := range decl.FindAllStringSubmatch(src, -1) {
 					declared[m[1]] = src
+					if filepath.Dir(path) == "." && strings.HasPrefix(m[1], "Example") {
+						rootExamples[m[1]] = true
+					}
 				}
 			}
 		case path == "README.md" || path == "EXPERIMENTS.md" || path == "Makefile":
@@ -67,7 +73,7 @@ func TestDocReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, m := range regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)(\\*?)(?:/([^`]+))?`").FindAllStringSubmatch(design, -1) {
+	for _, m := range regexp.MustCompile("`((?:Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*)(\\*?)(?:/([^`]+))?`").FindAllStringSubmatch(design, -1) {
 		name, prefix, row := m[1], m[2] == "*", m[3]
 		_, found := declared[name]
 		for d := range declared {
@@ -81,7 +87,13 @@ func TestDocReferences(t *testing.T) {
 		}
 	}
 
-	repoPath := regexp.MustCompile("`((?:internal|cmd|examples)/[^`\\s]*)`")
+	for _, name := range regexp.MustCompile(`\bExample[A-Z_]\w*`).FindAllString(readDoc(t, "README.md"), -1) {
+		if !rootExamples[name] {
+			t.Errorf("README.md names %s, which the root package does not declare", name)
+		}
+	}
+
+	repoPath := regexp.MustCompile("`((?:internal|cmd)/[^`\\s]*)`")
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		for _, m := range repoPath.FindAllStringSubmatch(readDoc(t, doc), -1) {
 			if _, err := os.Stat(strings.TrimSuffix(m[1], "...")); err != nil {

@@ -3,6 +3,11 @@ package pdm
 import (
 	"testing"
 	"time"
+
+	"github.com/navarchos/pdm/internal/detector/grand"
+	"github.com/navarchos/pdm/internal/detector/tranad"
+	"github.com/navarchos/pdm/internal/fleetsim"
+	"github.com/navarchos/pdm/internal/thresholds"
 )
 
 // TestEveryDetectorRunsInPipeline drives each of the four detector
@@ -25,9 +30,9 @@ func TestEveryDetectorRunsInPipeline(t *testing.T) {
 	}{
 		{"closest-pair", func(n []string) Detector { return NewClosestPair(n) },
 			func() Thresholder { return NewSelfTuningThreshold(8) }},
-		{"grand", func(n []string) Detector { return NewGrand(GrandConfig{Measure: GrandKNN}) },
-			func() Thresholder { return NewConstantThreshold(0.95) }},
-		{"tranad", func(n []string) Detector { return NewTranAD(TranADConfig{Epochs: 2, MaxWindows: 64}) },
+		{"grand", func(n []string) Detector { return grand.New(grand.Config{Measure: grand.KNN}) },
+			func() Thresholder { return thresholds.NewConstant(0.95) }},
+		{"tranad", func(n []string) Detector { return tranad.New(tranad.Config{Epochs: 2, MaxWindows: 64}) },
 			func() Thresholder { return NewSelfTuningThreshold(8) }},
 		{"xgboost", func(n []string) Detector { return NewXGBoost(n, GBTConfig{NumTrees: 10, MaxDepth: 3}) },
 			func() Thresholder { return NewSelfTuningThreshold(8) }},
@@ -69,7 +74,7 @@ func TestPaperScaleGeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale generation skipped in -short mode")
 	}
-	fleet := NewFleet(DefaultFleetConfig())
+	fleet := NewFleet(fleetsim.DefaultConfig())
 	if n := len(fleet.Records); n < 1_000_000 {
 		t.Errorf("paper-scale fleet has %d records, want ≥1M", n)
 	}

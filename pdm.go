@@ -41,7 +41,6 @@ import (
 	"github.com/navarchos/pdm/internal/detector/closestpair"
 	"github.com/navarchos/pdm/internal/detector/grand"
 	"github.com/navarchos/pdm/internal/detector/regress"
-	"github.com/navarchos/pdm/internal/detector/tranad"
 	"github.com/navarchos/pdm/internal/eval"
 	"github.com/navarchos/pdm/internal/fleet"
 	"github.com/navarchos/pdm/internal/fleetsim"
@@ -132,7 +131,8 @@ func NewClosestPair(featureNames []string) Detector {
 	return closestpair.New(featureNames)
 }
 
-// GrandConfig parametrises the Grand conformal detector.
+// GrandConfig parametrises the Grand conformal detector behind
+// NewGroupDeviation.
 type GrandConfig = grand.Config
 
 // Grand non-conformity measures.
@@ -141,10 +141,6 @@ const (
 	GrandKNN    = grand.KNN
 	GrandLOF    = grand.LOF
 )
-
-// NewGrand returns the Grand inductive conformal/martingale detector
-// (the per-vehicle variant the paper adopts).
-func NewGrand(cfg GrandConfig) Detector { return grand.New(cfg) }
 
 // GroupDeviation is the ORIGINAL fleet-level Grand strategy ("wisdom of
 // the crowd"): each vehicle is scored against its peers over calendar
@@ -163,20 +159,6 @@ func NewGroupDeviation(cfg GrandConfig, window time.Duration) *GroupDeviation {
 	return grand.NewGroupDeviation(cfg, window)
 }
 
-// TranADConfig parametrises the transformer-reconstruction detector:
-// the model shape (Window, DModel, Heads), the training budget (Epochs,
-// LR, MaxWindows, Seed) and one switch onto the reference implementation
-// the tests compare against (LegacyFitKernels: the allocate-per-call
-// training loop and full-window scorer), which changes no output bit.
-// Training is one
-// deterministic procedure — a per-window Adam step over the shuffled
-// windows, every epoch — so a fit is a function of the reference and
-// this configuration alone.
-type TranADConfig = tranad.Config
-
-// NewTranAD returns the TranAD-style reconstruction detector.
-func NewTranAD(cfg TranADConfig) Detector { return tranad.New(cfg) }
-
 // GBTConfig parametrises the gradient-boosted trees behind the
 // regression detector.
 type GBTConfig = gbt.Config
@@ -191,12 +173,6 @@ func NewXGBoost(featureNames []string, cfg GBTConfig) Detector {
 // mean + factor·std over held-out healthy scores, per channel.
 func NewSelfTuningThreshold(factor float64) Thresholder {
 	return thresholds.NewSelfTuning(factor)
-}
-
-// NewConstantThreshold returns a fixed threshold (used with Grand's
-// bounded deviation score).
-func NewConstantThreshold(value float64) Thresholder {
-	return thresholds.NewConstant(value)
 }
 
 // NewPipeline builds a streaming pipeline for one vehicle.
@@ -321,10 +297,6 @@ type (
 
 // NewFleet generates a deterministic synthetic fleet.
 func NewFleet(cfg FleetConfig) *Fleet { return fleetsim.Generate(cfg) }
-
-// DefaultFleetConfig mirrors the paper's dataset scale (40 vehicles, one
-// year, ~1.5M records).
-func DefaultFleetConfig() FleetConfig { return fleetsim.DefaultConfig() }
 
 // SmallFleetConfig is a test/demo-scale fleet.
 func SmallFleetConfig() FleetConfig { return fleetsim.SmallConfig() }

@@ -78,8 +78,6 @@ func TestPublicConstructors(t *testing.T) {
 	ref := [][]float64{{1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {1.5, 2.5, 3.5}}
 	dets := []Detector{
 		NewClosestPair(names),
-		NewGrand(GrandConfig{Measure: GrandKNN}),
-		NewTranAD(TranADConfig{Epochs: 1, Window: 2}),
 		NewXGBoost(names, GBTConfig{NumTrees: 5}),
 	}
 	for _, d := range dets {
@@ -96,9 +94,6 @@ func TestPublicConstructors(t *testing.T) {
 	}
 	if th := NewSelfTuningThreshold(3); th == nil {
 		t.Fatal("nil self-tuning threshold")
-	}
-	if th := NewConstantThreshold(0.9); th == nil {
-		t.Fatal("nil constant threshold")
 	}
 }
 
