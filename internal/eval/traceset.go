@@ -288,7 +288,7 @@ func (r *sweepReplayer) replay(param float64) []detector.Alarm {
 					if c >= len(calib.Means) {
 						continue
 					}
-					th := calib.Means[c] + param*sds[c]
+					th := thresholds.Level(calib.Means[c], param, sds[c])
 					if s > th {
 						violChan, violScore, violTh = c, s, th
 						break

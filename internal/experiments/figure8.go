@@ -100,7 +100,7 @@ func (r *Figure8Result) Render(w io.Writer) {
 		}
 		calib := &r.Trace.SegCalib[r.Trace.Segments[i]]
 		for c, s := range r.Trace.Scores[i] {
-			th := calib.Means[c] + figure8Factor*thresholds.FloorStd(calib.Stds[c], calib.Means[c], absFloor)
+			th := thresholds.Level(calib.Means[c], figure8Factor, thresholds.FloorStd(calib.Stds[c], calib.Means[c], absFloor))
 			if th <= 0 {
 				continue
 			}

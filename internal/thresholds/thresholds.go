@@ -56,6 +56,12 @@ func FloorStd(std, mean, abs float64) float64 {
 	return max(std, abs)
 }
 
+// Level is the self-tuning threshold of one channel: mean + factor·std,
+// with std already floored by FloorStd. SelfTuning.Calibrate, the
+// evaluation grid's threshold replay and Figure 8 all take their
+// thresholds from it, so the expression is written once.
+func Level(mean, factor, std float64) float64 { return mean + factor*std }
+
 // SelfTuning is the paper's default: threshold_c = mean_c + factor·std_c
 // over the calibration scores of channel c. The same factor is shared by
 // all vehicles; the resulting thresholds differ per vehicle because the
@@ -89,7 +95,7 @@ func (s *SelfTuning) Calibrate(calib [][]float64, absFloor float64) error {
 			col[i] = row[c]
 		}
 		m := mat.Mean(col)
-		s.values[c] = m + s.Factor*FloorStd(mat.Std(col), m, absFloor)
+		s.values[c] = Level(m, s.Factor, FloorStd(mat.Std(col), m, absFloor))
 	}
 	return nil
 }
