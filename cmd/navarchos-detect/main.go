@@ -57,7 +57,7 @@ func main() {
 	recordsPath := flag.String("records", "", "records CSV (from navarchos-gen)")
 	eventsPath := flag.String("events", "", "events CSV (from navarchos-gen)")
 	factor := flag.Float64("factor", 14, "self-tuning threshold factor")
-	shards := flag.Int("shards", 0, "engine shard count (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "engine shard count (0 = one per CPU)")
 	checkpointPath := flag.String("checkpoint", "", "write engine state to this file after the run")
 	resumePath := flag.String("resume", "", "restore engine state from this file before the run")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof/* and /fleet on this address (e.g. :8080)")

@@ -96,7 +96,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("navarchos-serve: ")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	shards := flag.Int("shards", 0, "engine shard count (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "engine shard count (0 = one per CPU)")
 	factor := flag.Float64("factor", 14, "self-tuning threshold factor")
 	journalCap := flag.Int("journal-cap", 256, "alarm journal ring capacity")
 	journalPath := flag.String("journal", "", "append every alarm as a JSON line to this file (continued after -resume)")

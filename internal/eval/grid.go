@@ -47,7 +47,7 @@ type GridSpec struct {
 
 	// DensityM / DensityK implement density-based alarm persistence: an
 	// alarm fires when at least M of the last K scored samples violate
-	// their thresholds (defaults 4 of 12). Degradation preceding a
+	// their thresholds (defaults 5 of 15). Degradation preceding a
 	// failure violates frequently but not strictly consecutively —
 	// windows alternate between ride regimes with different fault
 	// visibility — while healthy excursions are isolated; a density
