@@ -1,7 +1,6 @@
 package pdm_test
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -349,9 +348,7 @@ func ExampleStartDebugServer() {
 	// Scrape our own /metrics, as `curl http://host:port/metrics` would,
 	// and show the pipeline/fleet families.
 	fmt.Println("curl /metrics (excerpt):")
-	sc := bufio.NewScanner(get(srv.Addr(), "/metrics"))
-	for sc.Scan() {
-		line := sc.Text()
+	for _, line := range strings.Split(get(srv.Addr(), "/metrics"), "\n") {
 		if strings.Contains(line, "pdm_pipeline_alarms_total") ||
 			strings.Contains(line, "pdm_fleet_vehicles") ||
 			strings.Contains(line, "pdm_pipeline_score_seconds_count") ||
@@ -373,7 +370,7 @@ func ExampleStartDebugServer() {
 			RefLen    int       `json:"ref_len"`
 		} `json:"journal"`
 	}
-	if err := json.NewDecoder(get(srv.Addr(), "/fleet?n=64")).Decode(&status); err != nil {
+	if err := json.Unmarshal([]byte(get(srv.Addr(), "/fleet?n=64")), &status); err != nil {
 		log.Fatal(err)
 	}
 	entries := status.Journal
@@ -416,17 +413,16 @@ func ExampleStartDebugServer() {
 	//   {"ref_len":45,"score":0.48292038962288275,"threshold":0.16234000833875062,"vehicle":"veh-02"}
 }
 
-// get fetches a path from the debug endpoint and returns its body, read
-// to the end so the connection can be reused.
-func get(addr, path string) io.Reader {
+// get fetches a path from the debug endpoint and returns its body.
+func get(addr, path string) string {
 	resp, err := http.Get("http://" + addr + path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var b strings.Builder
-	if _, err := io.Copy(&b, io.LimitReader(resp.Body, 1<<20)); err != nil {
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
 		log.Fatal(err)
 	}
-	return strings.NewReader(b.String())
+	return string(b)
 }
