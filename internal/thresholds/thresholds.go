@@ -56,10 +56,9 @@ func FloorStd(std, mean, abs float64) float64 {
 	return max(std, abs)
 }
 
-// Level is the self-tuning threshold of one channel: mean + factor·std,
-// with std already floored by FloorStd. SelfTuning.Calibrate, the
-// evaluation grid's threshold replay and Figure 8 all take their
-// thresholds from it, so the expression is written once.
+// Level is the self-tuning threshold of one channel, mean + factor·std,
+// for a std already floored by FloorStd: the one place the live
+// calibration, the grid's replay and Figure 8 compute it.
 func Level(mean, factor, std float64) float64 { return mean + factor*std }
 
 // SelfTuning is the paper's default: threshold_c = mean_c + factor·std_c

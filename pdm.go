@@ -131,8 +131,7 @@ func NewClosestPair(featureNames []string) Detector {
 	return closestpair.New(featureNames)
 }
 
-// GrandConfig parametrises the Grand conformal detector behind
-// NewGroupDeviation.
+// GrandConfig parametrises NewGroupDeviation's Grand detector.
 type GrandConfig = grand.Config
 
 // Grand non-conformity measures.
