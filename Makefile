@@ -98,7 +98,8 @@ race:
 ## barriers beside Replay and IngestBatch, the cordon fence under the
 ## ingest mutex, batch free lists), the pipeline (a deferred fit on a
 ## worker while the shard goroutine feeds the transform stage and queues
-## its samples) and the fitpool — with count=2 so the scheduler
+## its samples; RunVehicle's segment fits on helpers while earlier
+## segments score) and the fitpool — with count=2 so the scheduler
 ## interleaves differently across runs. `race` leaves these to this
 ## target.
 race-fleet:
@@ -158,13 +159,16 @@ grid-equiv:
 ## the small fleet (inline and deferred fits) are held to the SHA-256
 ## digests earlier commits wrote (testdata/engine_small.ckpt.sha256,
 ## testdata/transform.sha256, testdata/pipeline.sha256; never
-## regenerated from the change under test), and one pipeline split at
-## every phase must resume bit-identically (TestPipelineSnapshotResume).
+## regenerated from the change under test), core.RunVehicle, whose fits
+## run on fitpool, must match the one-pass streaming reference at 1, 2
+## and 8 fit workers (TestRunVehicleMatchesReference), and one pipeline
+## split at every phase must resume bit-identically
+## (TestPipelineSnapshotResume).
 resume-gate:
 	$(call named,./internal/fleet/,TestEngineCheckpointResumeGate|TestCheckpointBytesGolden)
 	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/replay-grid TestEngineMatchesSerialReplay/traced-grid)
 	$(call named,./internal/transform/,TestTransformGolden)
-	$(call named,./internal/core/,TestPipelineGolden|TestPipelineSnapshotResume)
+	$(call named,./internal/core/,TestPipelineGolden|TestRunVehicleMatchesReference|TestPipelineSnapshotResume)
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting
 ## vehicles from a running engine and adopting them at a different

@@ -122,6 +122,33 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// transformConfig is the configuration of the pipeline's transform
+// stage.
+func (c *Config) transformConfig() TransformConfig {
+	return TransformConfig{
+		Transformer: c.Transformer,
+		Filter:      c.Filter,
+		FilterState: c.FilterState,
+		ResetPolicy: c.ResetPolicy,
+		Observer:    c.Observer,
+	}
+}
+
+// detectConfig is the configuration of the pipeline's detect stage.
+func (c *Config) detectConfig() DetectConfig {
+	return DetectConfig{
+		Detector:            c.Detector,
+		Thresholder:         c.Thresholder,
+		ProfileLength:       c.ProfileLength,
+		CalibrationFraction: c.CalibrationFraction,
+		DensityM:            c.DensityM,
+		DensityK:            c.DensityK,
+		Trace:               c.Trace,
+		Observer:            c.Observer,
+		TransformName:       c.Transformer.Name(),
+	}
+}
+
 // Calib holds the per-channel mean and standard deviation of the
 // detector's scores on one reference profile's calibration tail. It lets
 // a threshold factor f be replayed offline (threshold_c = mean_c +
@@ -171,27 +198,11 @@ func NewPipeline(vehicleID string, cfg Config) (*Pipeline, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ts, err := NewTransformStage(TransformConfig{
-		Transformer: cfg.Transformer,
-		Filter:      cfg.Filter,
-		FilterState: cfg.FilterState,
-		ResetPolicy: cfg.ResetPolicy,
-		Observer:    cfg.Observer,
-	})
+	ts, err := NewTransformStage(cfg.transformConfig())
 	if err != nil {
 		return nil, err
 	}
-	ds, err := NewDetectStage(vehicleID, DetectConfig{
-		Detector:            cfg.Detector,
-		Thresholder:         cfg.Thresholder,
-		ProfileLength:       cfg.ProfileLength,
-		CalibrationFraction: cfg.CalibrationFraction,
-		DensityM:            cfg.DensityM,
-		DensityK:            cfg.DensityK,
-		Trace:               cfg.Trace,
-		Observer:            cfg.Observer,
-		TransformName:       cfg.Transformer.Name(),
-	})
+	ds, err := NewDetectStage(vehicleID, cfg.detectConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/navarchos/pdm/internal/detector"
+	"github.com/navarchos/pdm/internal/fitpool"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
 )
@@ -50,33 +51,44 @@ func Merged(vehicleID string, records []timeseries.Record, events []obd.Event,
 }
 
 // RunVehicle replays a vehicle's records and events in chronological
-// order through a fresh pipeline built by makeCfg and returns all alarms
-// raised. It is the batch driver the evaluation harness and the
-// examples use; the pipeline itself remains fully streaming.
+// order through the two stages of the pipeline makeCfg configures, and
+// returns the alarms a Pipeline fed the same stream would raise. It is
+// the batch driver the evaluation harness and the examples use, and it
+// runs in two passes: the transform stage records the vehicle's
+// TransformedTrace (TraceCollector), then the detect stage walks it as
+// DetectOnTrace does, except that each Ref segment's fit runs on
+// fitpool. A detector that implements detector.Replicator fits later
+// segments on replicas while earlier ones score; any other fits inline,
+// in order. Samples score strictly in order either way, and the density
+// gate carries across resets.
 //
 // makeCfg is called once per run so each run gets fresh transformer,
 // detector and thresholder state.
 func RunVehicle(vehicleID string, records []timeseries.Record, events []obd.Event, makeCfg func() Config) ([]detector.Alarm, error) {
-	p, err := NewPipeline(vehicleID, makeCfg())
+	cfg := makeCfg()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	var tt TransformedTrace
+	c, err := NewTraceCollector(vehicleID, cfg.transformConfig(), &tt)
 	if err != nil {
 		return nil, err
 	}
-	var alarms []detector.Alarm
 	err = Merged(vehicleID, records, events,
 		func(ev obd.Event) error {
-			p.HandleEvent(ev)
+			c.HandleEvent(ev)
 			return nil
 		},
 		func(r timeseries.Record) error {
-			a, err := p.HandleRecord(r)
-			if err != nil {
-				return err
-			}
-			alarms = append(alarms, a...)
-			return nil
+			_, err := c.HandleRecord(r)
+			return err
 		})
 	if err != nil {
 		return nil, err
 	}
-	return alarms, nil
+	ds, err := NewDetectStage(vehicleID, cfg.detectConfig())
+	if err != nil {
+		return nil, err
+	}
+	return ds.walk(&tt, fitpool.Workers(), true)
 }

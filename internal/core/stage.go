@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/detector"
+	"github.com/navarchos/pdm/internal/fitpool"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/obs"
 	"github.com/navarchos/pdm/internal/thresholds"
@@ -423,51 +425,65 @@ func (d *DetectStage) Reset(t time.Time) {
 	d.lastReset = t
 }
 
-// fit trains the detector and calibrates the thresholder. Detectors
-// that self-calibrate (detector.SelfCalibrator) are fitted on the full
-// reference profile and calibrated from their leave-one-out scores;
-// everything else is fitted on the head of Ref and calibrated on the
-// detector's scores over the held-out tail.
+// fit trains the detector and calibrates the thresholder: fitReference,
+// then fitted.
 func (d *DetectStage) fit() error {
-	var fitStart time.Time
-	if d.o != nil {
-		fitStart = time.Now()
+	start := time.Now()
+	calib, err := fitReference(d.vehicleID, d.cfg.Detector, d.ref, d.cfg.CalibrationFraction)
+	if err != nil {
+		return err
 	}
-	var calib [][]float64
-	if sc, ok := d.cfg.Detector.(detector.SelfCalibrator); ok {
-		if err := d.cfg.Detector.Fit(d.ref); err != nil {
-			return fmt.Errorf("core: fit detector for %s: %w", d.vehicleID, err)
+	return d.fitted(calib, time.Since(start))
+}
+
+// fitReference fits det on the reference profile ref and returns the
+// calibration scores. A detector that self-calibrates
+// (detector.SelfCalibrator) is fitted on the full profile and calibrated
+// from its leave-one-out scores; any other is fitted on the head of ref
+// and calibrated on its scores over the held-out tail, calibFraction of
+// ref. It touches nothing but det, so fits of different detectors run
+// concurrently.
+func fitReference(vehicleID string, det detector.Detector, ref [][]float64, calibFraction float64) ([][]float64, error) {
+	if sc, ok := det.(detector.SelfCalibrator); ok {
+		if err := det.Fit(ref); err != nil {
+			return nil, fmt.Errorf("core: fit detector for %s: %w", vehicleID, err)
 		}
-		calib = sc.LOOScores()
-	} else {
-		n := len(d.ref)
-		calibN := int(float64(n) * d.cfg.CalibrationFraction)
-		if calibN < 1 {
-			calibN = 1
-		}
-		fitN := n - calibN
-		if fitN < 1 {
-			fitN = 1
-			calibN = n - 1
-		}
-		if err := d.cfg.Detector.Fit(d.ref[:fitN]); err != nil {
-			return fmt.Errorf("core: fit detector for %s: %w", d.vehicleID, err)
-		}
-		// The tail is consecutive samples, so it scores as runs.
-		ch := d.cfg.Detector.Channels()
-		scores := make([]float64, calibN*ch)
-		tail := d.ref[fitN:]
-		for i := 0; i < calibN; i += runCap {
-			end := min(i+runCap, calibN)
-			if err := detector.ScoreRunInto(d.cfg.Detector, tail[i:end], scores[i*ch:end*ch]); err != nil {
-				return fmt.Errorf("core: calibrate %s: %w", d.vehicleID, err)
-			}
-		}
-		calib = make([][]float64, calibN)
-		for i := range calib {
-			calib[i] = scores[i*ch : (i+1)*ch : (i+1)*ch]
+		return sc.LOOScores(), nil
+	}
+	n := len(ref)
+	calibN := int(float64(n) * calibFraction)
+	if calibN < 1 {
+		calibN = 1
+	}
+	fitN := n - calibN
+	if fitN < 1 {
+		fitN = 1
+		calibN = n - 1
+	}
+	if err := det.Fit(ref[:fitN]); err != nil {
+		return nil, fmt.Errorf("core: fit detector for %s: %w", vehicleID, err)
+	}
+	// The tail is consecutive samples, so it scores as runs.
+	ch := det.Channels()
+	scores := make([]float64, calibN*ch)
+	tail := ref[fitN:]
+	for i := 0; i < calibN; i += runCap {
+		end := min(i+runCap, calibN)
+		if err := detector.ScoreRunInto(det, tail[i:end], scores[i*ch:end*ch]); err != nil {
+			return nil, fmt.Errorf("core: calibrate %s: %w", vehicleID, err)
 		}
 	}
+	calib := make([][]float64, calibN)
+	for i := range calib {
+		calib[i] = scores[i*ch : (i+1)*ch : (i+1)*ch]
+	}
+	return calib, nil
+}
+
+// fitted calibrates the thresholder on the calibration scores of the
+// fit that just trained the stage's detector, observes the fit's
+// duration, took, and starts the profile cycle's scoring.
+func (d *DetectStage) fitted(calib [][]float64, took time.Duration) error {
 	if err := d.cfg.Thresholder.Calibrate(calib, transform.AbsFloor(d.cfg.TransformName)); err != nil {
 		return fmt.Errorf("core: fit thresholds for %s: %w", d.vehicleID, err)
 	}
@@ -478,7 +494,7 @@ func (d *DetectStage) fit() error {
 	d.state = StateDetecting
 	d.cycleScored = 0
 	if d.o != nil {
-		d.o.ObserveFit(time.Since(fitStart))
+		d.o.ObserveFit(took)
 		d.o.ProfileRefill()
 	}
 	return nil
@@ -671,40 +687,192 @@ func (d *DetectStage) journal(t time.Time, alarms []detector.Alarm) {
 // DetectOnTrace replays a cached TransformedTrace through a fresh detect
 // stage, producing exactly the per-sample behaviour (reference fills,
 // fits, scores, resets, trace recording) that a full Pipeline fed the
-// original raw stream would produce. Alarms are discarded — callers that
-// want alarms replay thresholds offline from cfg.Trace.
+// original raw stream would produce. It fits inline: the grid already
+// runs one replay per worker. Alarms are discarded — callers that want
+// alarms replay thresholds offline from cfg.Trace.
 func DetectOnTrace(vehicleID string, tt *TransformedTrace, cfg DetectConfig) error {
 	ds, err := NewDetectStage(vehicleID, cfg)
 	if err != nil {
 		return err
 	}
-	ri := 0
+	_, err = ds.walk(tt, 1, false)
+	return err
+}
+
+// walk replays tt through the stage, a Ref segment at a time, and
+// returns the alarms it raises when keep is set. The segments' fits run
+// on up to workers detectors (see refits); samples score strictly in
+// order, each under its own segment's fit, and the density gate carries
+// across resets. With one worker every fit runs inline, in order.
+func (d *DetectStage) walk(tt *TransformedTrace, workers int, keep bool) ([]detector.Alarm, error) {
+	r := newRefits(d, tt, workers)
+	defer r.stop()
 	var alarms []detector.Alarm
+	ri, fits, scoring := 0, 0, false
 	for i := 0; i < len(tt.Samples); {
 		for ri < len(tt.ResetIdx) && tt.ResetIdx[ri] <= i {
-			ds.Reset(tt.ResetTimes[ri])
+			if scoring {
+				r.scored()
+				scoring = false
+			}
+			d.Reset(tt.ResetTimes[ri])
 			ri++
 		}
-		if ds.NeedRef() {
-			if err := ds.AddRef(tt.Samples[i]); err != nil {
-				return err
-			}
-			i++
-			continue
-		}
-		// Every sample up to the next reset scores: one run.
 		end := len(tt.Samples)
 		if ri < len(tt.ResetIdx) {
 			end = tt.ResetIdx[ri]
 		}
-		if alarms, err = ds.scoreRun(tt.Times[i:end], tt.Samples[i:end], alarms[:0]); err != nil {
-			return err
+		if d.NeedRef() {
+			n := min(end-i, d.cfg.ProfileLength-len(d.ref))
+			d.ref = append(d.ref, tt.Samples[i:i+n]...)
+			if i += n; d.NeedRef() {
+				continue
+			}
+			det, out := r.take(fits)
+			fits++
+			if out.err != nil {
+				return nil, out.err
+			}
+			d.cfg.Detector = det
+			if err := d.fitted(out.calib, out.took); err != nil {
+				return nil, err
+			}
+			scoring = true
+			continue
+		}
+		// Every sample up to the next reset scores: one run.
+		got, err := d.scoreRun(tt.Times[i:end], tt.Samples[i:end], alarms)
+		if err != nil {
+			return nil, err
+		}
+		if alarms = got; !keep {
+			alarms = got[:0]
 		}
 		i = end
 	}
 	// Resets recorded after the last sample still mark the trace.
 	for ; ri < len(tt.ResetIdx); ri++ {
-		ds.Reset(tt.ResetTimes[ri])
+		d.Reset(tt.ResetTimes[ri])
 	}
-	return nil
+	return alarms, nil
+}
+
+// refits runs a walk's fits: fit j trains detector j mod len(dets) on
+// the j-th Ref segment's profile. The walk and up to len(dets)-1 helpers,
+// each holding a fitpool token, claim fits in order. A fit starts only
+// once its detector has scored its previous segment, so every detector
+// is refit in place and never fits while it scores.
+type refits struct {
+	vehicleID     string
+	calibFraction float64
+	refs          [][][]float64
+	dets          []detector.Detector
+	out           []fitOut
+	wg            sync.WaitGroup
+
+	mu   sync.Mutex
+	cond sync.Cond
+	// next is the first unclaimed fit; freed counts the segments scored,
+	// so fit j may start once j < freed+len(dets).
+	next, freed int
+}
+
+// fitOut is one fit's calibration scores, duration and error.
+type fitOut struct {
+	calib [][]float64
+	took  time.Duration
+	err   error
+	done  bool
+}
+
+// newRefits plans the walk of tt: one fit per segment between resets
+// that fills the profile. A detector that implements detector.Replicator
+// fits on up to workers replicas, the stage's own first, with one helper
+// per free fitpool token; any other fits inline.
+func newRefits(d *DetectStage, tt *TransformedTrace, workers int) *refits {
+	r := &refits{vehicleID: d.vehicleID, calibFraction: d.cfg.CalibrationFraction, dets: []detector.Detector{d.cfg.Detector}}
+	r.cond.L = &r.mu
+	p, start := d.cfg.ProfileLength, 0
+	for k := 0; k <= len(tt.ResetIdx); k++ {
+		end := len(tt.Samples)
+		if k < len(tt.ResetIdx) {
+			end = tt.ResetIdx[k]
+		}
+		if end-start >= p {
+			r.refs = append(r.refs, tt.Samples[start:start+p:start+p])
+		}
+		start = end
+	}
+	r.out = make([]fitOut, len(r.refs))
+	rep, ok := d.cfg.Detector.(detector.Replicator)
+	for ok && len(r.dets) < min(workers, len(r.refs)) && fitpool.TryAcquire() {
+		r.dets = append(r.dets, rep.Replicate())
+	}
+	for range r.dets[1:] {
+		r.wg.Add(1)
+		go r.help()
+	}
+	return r
+}
+
+// help claims and runs fits until none is left, then gives its token
+// back.
+func (r *refits) help() {
+	defer r.wg.Done()
+	defer fitpool.Release()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.next < len(r.refs) {
+		if !r.step() {
+			r.cond.Wait()
+		}
+	}
+}
+
+// step claims the next fit and runs it, unless none is left or its
+// detector is still scoring. mu is held on entry and on return.
+func (r *refits) step() bool {
+	j := r.next
+	if j >= len(r.refs) || j >= r.freed+len(r.dets) {
+		return false
+	}
+	r.next++
+	r.mu.Unlock()
+	start := time.Now()
+	calib, err := fitReference(r.vehicleID, r.dets[j%len(r.dets)], r.refs[j], r.calibFraction)
+	out := fitOut{calib: calib, took: time.Since(start), err: err, done: true}
+	r.mu.Lock()
+	r.out[j] = out
+	r.cond.Broadcast()
+	return true
+}
+
+// take returns fit j's detector and outcome, running fits itself until
+// j's is done.
+func (r *refits) take(j int) (detector.Detector, fitOut) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !r.out[j].done {
+		if !r.step() {
+			r.cond.Wait()
+		}
+	}
+	return r.dets[j%len(r.dets)], r.out[j]
+}
+
+// scored frees the detector of the segment just scored for its next fit.
+func (r *refits) scored() {
+	r.mu.Lock()
+	r.freed++
+	r.cond.Broadcast()
+	r.mu.Unlock()
+}
+
+// stop abandons the fits not yet claimed and waits for the helpers.
+func (r *refits) stop() {
+	r.mu.Lock()
+	r.next = len(r.refs)
+	r.cond.Broadcast()
+	r.mu.Unlock()
+	r.wg.Wait()
 }

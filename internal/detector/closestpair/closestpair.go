@@ -34,6 +34,9 @@ func New(featureNames []string) *Detector {
 // Name implements detector.Detector.
 func (d *Detector) Name() string { return "closest-pair" }
 
+// Replicate implements detector.Replicator.
+func (d *Detector) Replicate() detector.Detector { return New(d.names) }
+
 // Fit implements detector.Detector: it indexes each feature column of
 // the reference profile for O(log n) nearest-value queries.
 func (d *Detector) Fit(ref [][]float64) error {

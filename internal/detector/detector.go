@@ -1,6 +1,10 @@
 // Package detector defines the scoring-model interface of step 3 of the
 // paper's framework and its alarm vocabulary. Concrete detectors live in
-// subpackages (closestpair, grand, tranad, regress).
+// subpackages (closestpair, grand, tranad, regress). A detector may also
+// implement optional extensions: IntoScorer and RunScorer score without
+// allocating and a run at a time, SelfCalibrator calibrates on its own
+// reference leave-one-out, and Replicator builds the fresh detectors on
+// which an offline run fits a vehicle's Ref segments concurrently.
 package detector
 
 import (
@@ -114,6 +118,17 @@ func ScoreRunInto(d Detector, xs [][]float64, dst []float64) error {
 		}
 	}
 	return nil
+}
+
+// Replicator is an optional Detector extension for techniques that can
+// build a fresh, unfitted detector with their own configuration. An
+// offline run (core.RunVehicle) fits a vehicle's Ref segments on
+// replicas concurrently, each replica refit in place; a detector without
+// it fits them one at a time. Fit must therefore replace every part of
+// the state that Score reads, so that a replica fitted and scored on a
+// segment returns what the original would have returned.
+type Replicator interface {
+	Replicate() Detector
 }
 
 // ErrBadSnapshot is returned by Restore when a snapshot payload does not

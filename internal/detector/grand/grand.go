@@ -119,6 +119,9 @@ func New(cfg Config) *Detector {
 // Name implements detector.Detector.
 func (d *Detector) Name() string { return "grand" }
 
+// Replicate implements detector.Replicator.
+func (d *Detector) Replicate() detector.Detector { return New(d.cfg) }
+
 // Channels implements detector.Detector.
 func (d *Detector) Channels() int { return 1 }
 

@@ -36,6 +36,9 @@ func New(featureNames []string, cfg gbt.Config) *Detector {
 // Name implements detector.Detector.
 func (d *Detector) Name() string { return "xgboost" }
 
+// Replicate implements detector.Replicator.
+func (d *Detector) Replicate() detector.Detector { return New(d.names, d.cfg) }
+
 // Fit implements detector.Detector: it trains dim regressors, the c-th
 // one predicting feature c from all others.
 func (d *Detector) Fit(ref [][]float64) error {

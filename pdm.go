@@ -198,8 +198,9 @@ func NewDefaultPipeline(vehicleID string) (*Pipeline, error) {
 }
 
 // RunVehicle replays a vehicle's records and events chronologically
-// through a fresh pipeline and returns all alarms (batch driver over the
-// streaming pipeline).
+// through a fresh pipeline and returns all alarms, exactly those the
+// streaming pipeline raises. It transforms the stream first, then fits
+// the vehicle's Ref segments concurrently while earlier ones score.
 func RunVehicle(vehicleID string, records []Record, events []Event, makeCfg func() PipelineConfig) ([]Alarm, error) {
 	return core.RunVehicle(vehicleID, records, events, makeCfg)
 }

@@ -1,31 +1,39 @@
 package pdm
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
-// TestEndToEndDefaultPipeline exercises the public API exactly as the
-// README's quick start does: generate a small fleet, run the default
-// pipeline over a failing vehicle, and check the alarms make sense.
+// TestEndToEndDefaultPipeline exercises the public API as the README's
+// quick start does: generate a small fleet, stream the first vehicle
+// with a recorded failure through the default pipeline, and check that
+// its alarms make sense, equal RunVehicle's bit for bit, and score
+// against the vehicle's own events.
 func TestEndToEndDefaultPipeline(t *testing.T) {
 	fleet := NewFleet(SmallFleetConfig())
 	if len(fleet.Records) == 0 || len(fleet.Events) == 0 {
 		t.Fatal("fleet generation produced no data")
 	}
 
-	// Pick a vehicle with a recorded failure.
+	// The first vehicle with a recorded failure, and its events.
 	var target string
 	var failAt time.Time
 	for _, ev := range fleet.Events {
 		if ev.Type == EventRepair {
-			target = ev.VehicleID
-			failAt = ev.Time
+			target, failAt = ev.VehicleID, ev.Time
 			break
 		}
 	}
 	if target == "" {
 		t.Fatal("no recorded failures in small fleet")
+	}
+	var events []Event
+	for _, ev := range fleet.Events {
+		if ev.VehicleID == target {
+			events = append(events, ev)
+		}
 	}
 
 	p, err := NewDefaultPipeline(target)
@@ -35,8 +43,8 @@ func TestEndToEndDefaultPipeline(t *testing.T) {
 	var alarms []Alarm
 	evIdx := 0
 	for _, rec := range fleet.Records {
-		for evIdx < len(fleet.Events) && !fleet.Events[evIdx].Time.After(rec.Time) {
-			p.HandleEvent(fleet.Events[evIdx])
+		for evIdx < len(events) && !events[evIdx].Time.After(rec.Time) {
+			p.HandleEvent(events[evIdx])
 			evIdx++
 		}
 		a, err := p.HandleRecord(rec)
@@ -54,12 +62,43 @@ func TestEndToEndDefaultPipeline(t *testing.T) {
 		}
 	}
 
-	// Metric plumbing via the public API.
-	m := Evaluate(ConsolidateDaily(alarms), fleet.Events, 30*24*time.Hour)
-	if m.TotalFailures < 1 {
-		t.Fatalf("evaluation found no failures: %+v", m)
+	batch, err := RunVehicle(target, fleet.Records, fleet.Events, func() PipelineConfig {
+		cfg, err := DefaultPipelineConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = failAt
+	if len(batch) != len(alarms) {
+		t.Fatalf("RunVehicle raised %d alarms, the streaming loop %d", len(batch), len(alarms))
+	}
+	for i, a := range alarms {
+		b := batch[i]
+		if a.VehicleID != b.VehicleID || !a.Time.Equal(b.Time) || a.Channel != b.Channel || a.Feature != b.Feature ||
+			math.Float64bits(a.Score) != math.Float64bits(b.Score) || math.Float64bits(a.Threshold) != math.Float64bits(b.Threshold) {
+			t.Fatalf("alarm %d: RunVehicle %+v, streaming loop %+v", i, b, a)
+		}
+	}
+
+	// Metric plumbing via the public API: the first alarm falls inside
+	// the prediction horizon before the failure, which counts as caught.
+	const ph = 30 * 24 * time.Hour
+	if len(alarms) == 0 || !alarms[0].Time.Before(failAt) || alarms[0].Time.Before(failAt.Add(-ph)) {
+		t.Fatalf("%s failed at %s; want its first alarm within %s before, got %d alarms", target, failAt, ph, len(alarms))
+	}
+	repairs := 0
+	for _, ev := range events {
+		if ev.Type == EventRepair {
+			repairs++
+		}
+	}
+	m := Evaluate(ConsolidateDaily(alarms), events, ph)
+	if m.TotalFailures != repairs || m.TP < 1 {
+		t.Fatalf("Evaluate = %+v, want %d failures with at least one caught", m, repairs)
+	}
 }
 
 // TestPublicConstructors ensures every exported constructor produces a
