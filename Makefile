@@ -98,10 +98,9 @@ race:
 ## barriers beside Replay and IngestBatch, the cordon fence under the
 ## ingest mutex, batch free lists), the pipeline (a deferred fit on a
 ## worker while the shard goroutine feeds the transform stage and queues
-## its samples; RunVehicle's segment fits on helpers while earlier
-## segments score) and the fitpool — with count=2 so the scheduler
-## interleaves differently across runs. `race` leaves these to this
-## target.
+## its samples; RunVehicle's segment fits ahead of its scoring walk)
+## and the fitpool — with count=2 so the scheduler interleaves
+## differently across runs. `race` leaves these to this target.
 race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/... ./internal/core/... ./internal/fitpool/...
 
@@ -161,14 +160,15 @@ grid-equiv:
 ## testdata/transform.sha256, testdata/pipeline.sha256; never
 ## regenerated from the change under test), core.RunVehicle, whose fits
 ## run on fitpool, must match the one-pass streaming reference at 1, 2
-## and 8 fit workers (TestRunVehicleMatchesReference), and one pipeline
-## split at every phase must resume bit-identically
+## and 8 fit workers (TestRunVehicleMatchesReference) and hand every
+## fitpool token back (TestRunVehicleFitErrorReleasesWorkers), and one
+## pipeline split at every phase must resume bit-identically
 ## (TestPipelineSnapshotResume).
 resume-gate:
 	$(call named,./internal/fleet/,TestEngineCheckpointResumeGate|TestCheckpointBytesGolden)
 	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/replay-grid TestEngineMatchesSerialReplay/traced-grid)
 	$(call named,./internal/transform/,TestTransformGolden)
-	$(call named,./internal/core/,TestPipelineGolden|TestRunVehicleMatchesReference|TestPipelineSnapshotResume)
+	$(call named,./internal/core/,TestPipelineGolden|TestRunVehicleMatchesReference|TestRunVehicleFitErrorReleasesWorkers|TestPipelineSnapshotResume)
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting
 ## vehicles from a running engine and adopting them at a different

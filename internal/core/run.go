@@ -56,11 +56,10 @@ func Merged(vehicleID string, records []timeseries.Record, events []obd.Event,
 // the batch driver the evaluation harness and the examples use, and it
 // runs in two passes: the transform stage records the vehicle's
 // TransformedTrace (TraceCollector), then the detect stage walks it as
-// DetectOnTrace does, except that each Ref segment's fit runs on
-// fitpool. A detector that implements detector.Replicator fits later
-// segments on replicas while earlier ones score; any other fits inline,
-// in order. Samples score strictly in order either way, and the density
-// gate carries across resets.
+// DetectOnTrace does, except that a detector.Replicator fits each Ref
+// segment on its own replica, ahead of the walk on fitpool; any other
+// fits inline. Samples score strictly in order either way, and the
+// density gate carries across resets.
 //
 // makeCfg is called once per run so each run gets fresh transformer,
 // detector and thresholder state.

@@ -129,54 +129,61 @@ func TestRunVehicleMatchesReference(t *testing.T) {
 var errFit = errors.New("fit refused")
 
 // failingFits is closest-pair whose replicas share one count of Fit
-// calls and refuse every call after the second.
+// calls and refuse every call after the limit-th.
 type failingFits struct {
 	*closestpair.Detector
-	fits *atomic.Int32
+	fits  *atomic.Int32
+	limit int32
 }
 
 func (d failingFits) Fit(ref [][]float64) error {
-	if d.fits.Add(1) > 2 {
+	if d.fits.Add(1) > d.limit {
 		return errFit
 	}
 	return d.Detector.Fit(ref)
 }
 
 func (d failingFits) Replicate() detector.Detector {
-	return failingFits{closestpair.New(nil), d.fits}
+	return failingFits{closestpair.New(nil), d.fits, d.limit}
 }
 
-// TestRunVehicleFitErrorReleasesWorkers fails a vehicle's third fit, on
-// whichever replica makes it: RunVehicle must return that error, as the
-// reference does, and only after every helper has handed its fitpool
-// token back.
+// TestRunVehicleFitErrorReleasesWorkers runs a vehicle whose third fit
+// fails, on whichever replica makes it, and one whose fits all succeed:
+// RunVehicle must return what the reference does (the fit's error, or
+// none), and only after every fitpool token has been handed back.
 func TestRunVehicleFitErrorReleasesWorkers(t *testing.T) {
 	f := fleetsim.Generate(fleetsim.SmallConfig())
 	id := f.AllVehicleIDs()[0]
 	defer fitpool.SetWorkers(fitpool.Workers())
-	for _, workers := range []int{1, 2, 8} {
-		fitpool.SetWorkers(workers)
-		for name, drive := range map[string]func(string, []timeseries.Record, []obd.Event, func() core.Config) ([]detector.Alarm, error){
-			"reference": runVehicleReference, "RunVehicle": core.RunVehicle,
-		} {
-			var fits atomic.Int32
-			g := newGoldenRun()
-			alarms, err := drive(id, f.Records, f.Events, func() core.Config {
-				cfg := g.config(id, transform.Correlation, goldenCases[0].det, goldenCases[0].th)
-				cfg.Detector = failingFits{closestpair.New(nil), &fits}
-				return cfg
-			})
-			if !errors.Is(err, errFit) || alarms != nil {
-				t.Fatalf("workers=%d %s: %d alarms, error %v; want none and %v", workers, name, len(alarms), err, errFit)
+	for _, limit := range []int32{2, math.MaxInt32} {
+		for _, workers := range []int{1, 2, 8} {
+			fitpool.SetWorkers(workers)
+			for name, drive := range map[string]func(string, []timeseries.Record, []obd.Event, func() core.Config) ([]detector.Alarm, error){
+				"reference": runVehicleReference, "RunVehicle": core.RunVehicle,
+			} {
+				var fits atomic.Int32
+				g := newGoldenRun()
+				alarms, err := drive(id, f.Records, f.Events, func() core.Config {
+					cfg := g.config(id, transform.Correlation, goldenCases[0].det, goldenCases[0].th)
+					cfg.Detector = failingFits{closestpair.New(nil), &fits, limit}
+					return cfg
+				})
+				if limit == math.MaxInt32 {
+					if err != nil || fits.Load() < 3 {
+						t.Fatalf("workers=%d %s: %d fits, error %v; want three or more and none", workers, name, fits.Load(), err)
+					}
+				} else if !errors.Is(err, errFit) || alarms != nil {
+					t.Fatalf("workers=%d %s: %d alarms, error %v; want none and %v", workers, name, len(alarms), err, errFit)
+				}
 			}
-		}
-		for i := 0; i < workers; i++ {
-			if !fitpool.TryAcquire() {
-				t.Fatalf("workers=%d: %d of %d fitpool tokens free after the run", workers, i, workers)
+			for i := 0; i < workers; i++ {
+				if !fitpool.TryAcquire() {
+					t.Fatalf("limit=%d workers=%d: %d of %d fitpool tokens free after the run", limit, workers, i, workers)
+				}
 			}
-		}
-		for i := 0; i < workers; i++ {
-			fitpool.Release()
+			for i := 0; i < workers; i++ {
+				fitpool.Release()
+			}
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
@@ -403,12 +403,8 @@ func (d *DetectStage) TakePendingFit() func() error {
 		return nil
 	}
 	d.fitPending = false
-	return d.fit0
+	return d.fit
 }
-
-// fit0 adapts fit to a plain closure (avoiding a per-fit allocation in
-// TakePendingFit).
-func (d *DetectStage) fit0() error { return d.fit() }
 
 // Reset discards the reference profile and returns the stage to the
 // collecting state, recording the reset time in the trace. The density
@@ -700,21 +696,17 @@ func DetectOnTrace(vehicleID string, tt *TransformedTrace, cfg DetectConfig) err
 }
 
 // walk replays tt through the stage, a Ref segment at a time, and
-// returns the alarms it raises when keep is set. The segments' fits run
-// on up to workers detectors (see refits); samples score strictly in
-// order, each under its own segment's fit, and the density gate carries
-// across resets. With one worker every fit runs inline, in order.
+// returns the alarms it raises when keep is set. Samples score strictly
+// in order, each under its own segment's fit, and the density gate
+// carries across resets. The fits run ahead on fitpool when fitAhead
+// starts them, else inline, in order.
 func (d *DetectStage) walk(tt *TransformedTrace, workers int, keep bool) ([]detector.Alarm, error) {
-	r := newRefits(d, tt, workers)
-	defer r.stop()
+	ahead := d.fitAhead(tt, workers)
+	defer ahead.stop()
 	var alarms []detector.Alarm
-	ri, fits, scoring := 0, 0, false
+	ri, seg := 0, 0
 	for i := 0; i < len(tt.Samples); {
 		for ri < len(tt.ResetIdx) && tt.ResetIdx[ri] <= i {
-			if scoring {
-				r.scored()
-				scoring = false
-			}
 			d.Reset(tt.ResetTimes[ri])
 			ri++
 		}
@@ -728,16 +720,10 @@ func (d *DetectStage) walk(tt *TransformedTrace, workers int, keep bool) ([]dete
 			if i += n; d.NeedRef() {
 				continue
 			}
-			det, out := r.take(fits)
-			fits++
-			if out.err != nil {
-				return nil, out.err
-			}
-			d.cfg.Detector = det
-			if err := d.fitted(out.calib, out.took); err != nil {
+			if err := ahead.take(d, seg); err != nil {
 				return nil, err
 			}
-			scoring = true
+			seg++
 			continue
 		}
 		// Every sample up to the next reset scores: one run.
@@ -757,41 +743,36 @@ func (d *DetectStage) walk(tt *TransformedTrace, workers int, keep bool) ([]dete
 	return alarms, nil
 }
 
-// refits runs a walk's fits: fit j trains detector j mod len(dets) on
-// the j-th Ref segment's profile. The walk and up to len(dets)-1 helpers,
-// each holding a fitpool token, claim fits in order. A fit starts only
-// once its detector has scored its previous segment, so every detector
-// is refit in place and never fits while it scores.
-type refits struct {
-	vehicleID     string
-	calibFraction float64
-	refs          [][][]float64
-	dets          []detector.Detector
-	out           []fitOut
-	wg            sync.WaitGroup
-
-	mu   sync.Mutex
-	cond sync.Cond
-	// next is the first unclaimed fit; freed counts the segments scored,
-	// so fit j may start once j < freed+len(dets).
-	next, freed int
+// aheadFits are a walk's fits, run ahead of it on fitpool: fit j trains
+// its own detector on the j-th filled Ref segment's profile, fills its
+// slot and closes its done.
+type aheadFits struct {
+	fits []fitOut
+	quit atomic.Bool   // set by stop: fits not yet started skip
+	ran  chan struct{} // closed once every fit has run or skipped
 }
 
-// fitOut is one fit's calibration scores, duration and error.
+// fitOut is one fit's detector, calibration scores, duration and error.
 type fitOut struct {
+	det   detector.Detector
 	calib [][]float64
 	took  time.Duration
 	err   error
-	done  bool
+	done  chan struct{}
 }
 
-// newRefits plans the walk of tt: one fit per segment between resets
-// that fills the profile. A detector that implements detector.Replicator
-// fits on up to workers replicas, the stage's own first, with one helper
-// per free fitpool token; any other fits inline.
-func newRefits(d *DetectStage, tt *TransformedTrace, workers int) *refits {
-	r := &refits{vehicleID: d.vehicleID, calibFraction: d.cfg.CalibrationFraction, dets: []detector.Detector{d.cfg.Detector}}
-	r.cond.L = &r.mu
+// fitAhead starts the fits of tt's filled Ref segments, one detector
+// each: the stage's own for the first, a replica for each later one. A
+// goroutine holding a fitpool token runs them through fitpool.Run on up
+// to workers goroutines. It returns nil, and the walk fits inline, when
+// the detector is no detector.Replicator, workers < 2, fewer than two
+// segments fill or no token is free (a walk nested in a pool worker).
+func (d *DetectStage) fitAhead(tt *TransformedTrace, workers int) *aheadFits {
+	rep, ok := d.cfg.Detector.(detector.Replicator)
+	if !ok || workers < 2 {
+		return nil
+	}
+	var refs [][][]float64
 	p, start := d.cfg.ProfileLength, 0
 	for k := 0; k <= len(tt.ResetIdx); k++ {
 		end := len(tt.Samples)
@@ -799,80 +780,57 @@ func newRefits(d *DetectStage, tt *TransformedTrace, workers int) *refits {
 			end = tt.ResetIdx[k]
 		}
 		if end-start >= p {
-			r.refs = append(r.refs, tt.Samples[start:start+p:start+p])
+			refs = append(refs, tt.Samples[start:start+p:start+p])
 		}
 		start = end
 	}
-	r.out = make([]fitOut, len(r.refs))
-	rep, ok := d.cfg.Detector.(detector.Replicator)
-	for ok && len(r.dets) < min(workers, len(r.refs)) && fitpool.TryAcquire() {
-		r.dets = append(r.dets, rep.Replicate())
+	if len(refs) < 2 || !fitpool.TryAcquire() {
+		return nil
 	}
-	for range r.dets[1:] {
-		r.wg.Add(1)
-		go r.help()
-	}
-	return r
-}
-
-// help claims and runs fits until none is left, then gives its token
-// back.
-func (r *refits) help() {
-	defer r.wg.Done()
-	defer fitpool.Release()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.next < len(r.refs) {
-		if !r.step() {
-			r.cond.Wait()
+	a := &aheadFits{fits: make([]fitOut, len(refs)), ran: make(chan struct{})}
+	for j := range a.fits {
+		a.fits[j] = fitOut{det: d.cfg.Detector, done: make(chan struct{})}
+		if j > 0 {
+			a.fits[j].det = rep.Replicate()
 		}
 	}
+	vehicleID, calibFraction := d.vehicleID, d.cfg.CalibrationFraction
+	go func() {
+		defer close(a.ran)
+		defer fitpool.Release()
+		fitpool.Run(len(refs), workers, func(j int) {
+			f := &a.fits[j]
+			defer close(f.done)
+			if !a.quit.Load() {
+				start := time.Now()
+				f.calib, f.err = fitReference(vehicleID, f.det, refs[j], calibFraction)
+				f.took = time.Since(start)
+			}
+		})
+	}()
+	return a
 }
 
-// step claims the next fit and runs it, unless none is left or its
-// detector is still scoring. mu is held on entry and on return.
-func (r *refits) step() bool {
-	j := r.next
-	if j >= len(r.refs) || j >= r.freed+len(r.dets) {
-		return false
+// take waits for fit j, hands its detector from the slot to the stage
+// and starts the segment's scoring; with no fits ahead it fits the
+// stage inline.
+func (a *aheadFits) take(d *DetectStage, j int) error {
+	if a == nil {
+		return d.fit()
 	}
-	r.next++
-	r.mu.Unlock()
-	start := time.Now()
-	calib, err := fitReference(r.vehicleID, r.dets[j%len(r.dets)], r.refs[j], r.calibFraction)
-	out := fitOut{calib: calib, took: time.Since(start), err: err, done: true}
-	r.mu.Lock()
-	r.out[j] = out
-	r.cond.Broadcast()
-	return true
-}
-
-// take returns fit j's detector and outcome, running fits itself until
-// j's is done.
-func (r *refits) take(j int) (detector.Detector, fitOut) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for !r.out[j].done {
-		if !r.step() {
-			r.cond.Wait()
-		}
+	f := &a.fits[j]
+	<-f.done
+	if f.err != nil {
+		return f.err
 	}
-	return r.dets[j%len(r.dets)], r.out[j]
+	d.cfg.Detector, f.det = f.det, nil
+	return d.fitted(f.calib, f.took)
 }
 
-// scored frees the detector of the segment just scored for its next fit.
-func (r *refits) scored() {
-	r.mu.Lock()
-	r.freed++
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// stop abandons the fits not yet claimed and waits for the helpers.
-func (r *refits) stop() {
-	r.mu.Lock()
-	r.next = len(r.refs)
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	r.wg.Wait()
+// stop makes the fits not yet started skip and waits for the rest.
+func (a *aheadFits) stop() {
+	if a != nil {
+		a.quit.Store(true)
+		<-a.ran
+	}
 }

@@ -3,8 +3,8 @@
 // subpackages (closestpair, grand, tranad, regress). A detector may also
 // implement optional extensions: IntoScorer and RunScorer score without
 // allocating and a run at a time, SelfCalibrator calibrates on its own
-// reference leave-one-out, and Replicator builds the fresh detectors on
-// which an offline run fits a vehicle's Ref segments concurrently.
+// reference leave-one-out, and Replicator builds the fresh replica an
+// offline run fits each later Ref segment on.
 package detector
 
 import (
@@ -122,11 +122,10 @@ func ScoreRunInto(d Detector, xs [][]float64, dst []float64) error {
 
 // Replicator is an optional Detector extension for techniques that can
 // build a fresh, unfitted detector with their own configuration. An
-// offline run (core.RunVehicle) fits a vehicle's Ref segments on
-// replicas concurrently, each replica refit in place; a detector without
-// it fits them one at a time. Fit must therefore replace every part of
-// the state that Score reads, so that a replica fitted and scored on a
-// segment returns what the original would have returned.
+// offline run (core.RunVehicle) fits each later Ref segment on a fresh
+// replica of its own, on fitpool; a detector without it fits them one at
+// a time. A replica fitted and scored on a segment must return what the
+// original, refit on it, would have returned.
 type Replicator interface {
 	Replicate() Detector
 }

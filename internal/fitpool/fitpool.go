@@ -1,15 +1,16 @@
 // Package fitpool bounds the process-wide concurrency of model refits.
 //
 // Every subsystem that parallelises fitting — the fleet engine's
-// asynchronous per-vehicle refits, the evaluation grid's per-vehicle
-// detector fits and regress's per-channel model training — draws
-// workers from one GOMAXPROCS-sized token pool instead of spawning its
-// own unbounded goroutines. That keeps a fleet engine refit from
-// oversubscribing the machine when the evaluation grid is also running,
-// and it makes nesting safe by construction: a parallel fit that was
-// itself started from a pool worker finds no free tokens and simply
-// runs serially inline, with zero goroutines spawned. On a single-CPU
-// host every Run call degenerates to an inline loop.
+// asynchronous per-vehicle refits, core.RunVehicle's per-segment fits,
+// the evaluation grid's per-vehicle detector fits and regress's
+// per-channel model training — draws workers from one GOMAXPROCS-sized
+// token pool instead of spawning its own unbounded goroutines. That
+// keeps a fleet engine refit from oversubscribing the machine when the
+// evaluation grid is also running, and it makes nesting safe by
+// construction: a parallel fit that was itself started from a pool
+// worker finds no free tokens and simply runs serially inline, with zero
+// goroutines spawned. On a single-CPU host every Run call degenerates to
+// an inline loop.
 //
 // Determinism contract: Run hands work items out by an atomic counter,
 // so *which* goroutine runs an item, and when, is scheduling-dependent —
@@ -37,9 +38,10 @@ var cur atomic.Pointer[state]
 
 func init() { SetWorkers(runtime.GOMAXPROCS(0)) }
 
-// SetWorkers resizes the pool to n tokens (minimum 1). It is intended
-// for process start-up and tests; resizing while fits are in flight
-// redefines the bound only for subsequent acquisitions.
+// SetWorkers resizes the pool to n tokens (minimum 1), for process
+// start-up and tests. It must be called with no token held: Release
+// sends to the current pool, so a token taken before a resize can block
+// its Release forever.
 func SetWorkers(n int) {
 	if n < 1 {
 		n = 1

@@ -200,7 +200,7 @@ func NewDefaultPipeline(vehicleID string) (*Pipeline, error) {
 // RunVehicle replays a vehicle's records and events chronologically
 // through a fresh pipeline and returns all alarms, exactly those the
 // streaming pipeline raises. It transforms the stream first, then fits
-// the vehicle's Ref segments concurrently while earlier ones score.
+// each Ref segment on its own detector replica, ahead of scoring.
 func RunVehicle(vehicleID string, records []Record, events []Event, makeCfg func() PipelineConfig) ([]Alarm, error) {
 	return core.RunVehicle(vehicleID, records, events, makeCfg)
 }
