@@ -158,7 +158,10 @@ grid-equiv:
 ## the small fleet (inline and deferred fits) are held to the SHA-256
 ## digests earlier commits wrote (testdata/engine_small.ckpt.sha256,
 ## testdata/transform.sha256, testdata/pipeline.sha256; never
-## regenerated from the change under test), core.RunVehicle, whose fits
+## regenerated from the change under test), the correlation and mean
+## transforms must match their oracles over the records a window holds,
+## a record past a full window starting the next one
+## (TestOverflowStartsNextWindow), core.RunVehicle, whose fits
 ## run on fitpool, must match the one-pass streaming reference at 1, 2
 ## and 8 fit workers (TestRunVehicleMatchesReference) and hand every
 ## fitpool token back (TestRunVehicleFitErrorReleasesWorkers), and one
@@ -167,7 +170,7 @@ grid-equiv:
 resume-gate:
 	$(call named,./internal/fleet/,TestEngineCheckpointResumeGate|TestCheckpointBytesGolden)
 	$(call named-rows,./internal/fleet/,TestEngineMatchesSerialReplay/replay-grid TestEngineMatchesSerialReplay/traced-grid)
-	$(call named,./internal/transform/,TestTransformGolden)
+	$(call named,./internal/transform/,TestTransformGolden|TestOverflowStartsNextWindow)
 	$(call named,./internal/core/,TestPipelineGolden|TestRunVehicleMatchesReference|TestRunVehicleFitErrorReleasesWorkers|TestPipelineSnapshotResume)
 
 ## drain-gate: live vehicle handoff must not cost a bit — extracting

@@ -45,6 +45,8 @@ var steadyCases = []steadyCase{
 	{"grand-knn/self-tuning", transform.Correlation, grandWith(grand.KNN), selfTuning},
 	{"grand-knn/constant", transform.Correlation, grandWith(grand.KNN), constant},
 	{"grand-median/constant", transform.Correlation, grandWith(grand.Median), constant},
+	{"closest-pair-mean/self-tuning", transform.MeanAgg, closest, selfTuning},
+	{"closest-pair-delta/self-tuning", transform.Delta, closest, selfTuning},
 	{"tranad-raw/self-tuning", transform.Raw, func([]string) detector.Detector {
 		return tranad.New(tranad.Config{Window: 8, DModel: 12, Heads: 2, Epochs: 5, MaxWindows: 256, Seed: 1})
 	}, selfTuning},

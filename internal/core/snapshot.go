@@ -14,12 +14,13 @@ import (
 // split. A Pipeline's configuration — which transformer, detector,
 // thresholder, profile length, reset policy — always comes from
 // NewPipeline; Snapshot captures only the mutable runtime state (the
-// transformer's buffered window, the reference profile fill, the fitted
-// thresholder and any detector that does not refit from Ref, the density
-// persistence ring) and Restore loads it into a pipeline built with the
-// same configuration. Traces are outputs, not state: a restored pipeline
-// writes into whatever Trace its new configuration carries, seeded with
-// the active segment's calibration stats so Segments stay resolvable.
+// transformer's running sums or pending sample, the reference profile
+// fill, the fitted thresholder and any detector that does not refit
+// from Ref, the density persistence ring) and Restore loads it into a
+// pipeline built with the same configuration. Traces are outputs, not
+// state: a restored pipeline writes into whatever Trace its new
+// configuration carries, seeded with the active segment's calibration
+// stats so Segments stay resolvable.
 
 // ErrNotSnapshottable is returned when the detector implements neither
 // checkpoint.Snapshotter nor detector.SelfCalibrator (a custom detector
@@ -39,9 +40,9 @@ const (
 )
 
 // Snapshot returns the transform stage's mutable state: its ordering
-// clock with the resets still due, the transformer's buffered window
-// and, when the configuration declares a stateful filter, the filter's
-// state.
+// clock with the resets still due, the transformer's running sums or
+// pending sample and, when the configuration declares a stateful
+// filter, the filter's state.
 func (s *TransformStage) Snapshot() ([]byte, error) {
 	inner, err := s.cfg.Transformer.Snapshot()
 	if err != nil {
@@ -242,9 +243,10 @@ func (d *DetectStage) Restore(data []byte) error {
 var ErrFitInFlight = errors.New("core: snapshot with a fit in flight or samples queued")
 
 // Snapshot implements the fleet engine's handler snapshot seam for the
-// full per-vehicle pipeline: the transform stage's buffered window and
-// the detect stage's profile/detector/thresholder state, with the
-// vehicle ID for mis-keying detection at restore.
+// full per-vehicle pipeline: the transform stage's clock and
+// transformer state and the detect stage's
+// profile/detector/thresholder state, with the vehicle ID for
+// mis-keying detection at restore.
 func (p *Pipeline) Snapshot() ([]byte, error) {
 	if p.inFlight || p.q.n > 0 {
 		return nil, ErrFitInFlight

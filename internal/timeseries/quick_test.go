@@ -6,43 +6,6 @@ import (
 	"time"
 )
 
-// TestQuickWindowInvariants checks, for arbitrary push sequences: Len
-// never exceeds capacity, Records returns exactly Len records, and the
-// returned records are the most recent pushes in order.
-func TestQuickWindowInvariants(t *testing.T) {
-	f := func(sizeRaw uint8, nRaw uint8) bool {
-		size := int(sizeRaw%16) + 1
-		n := int(nRaw % 64)
-		w := NewWindow(size)
-		base := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-		for i := 0; i < n; i++ {
-			var r Record
-			r.VehicleID = "v"
-			r.Time = base.Add(time.Duration(i) * time.Minute)
-			r.Values[0] = float64(i)
-			w.Push(r)
-			if w.Len() > size {
-				return false
-			}
-			recs := w.Records()
-			if len(recs) != w.Len() {
-				return false
-			}
-			// Oldest-first ordering over the last Len pushes.
-			start := i + 1 - len(recs)
-			for j, rec := range recs {
-				if rec.Values[0] != float64(start+j) {
-					return false
-				}
-			}
-		}
-		return w.Full() == (n >= size)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickAggregatePartition checks daily aggregation partitions the
 // records: the per-day counts sum to the number of records that survive
 // the minimum-size cut, and every aggregate's mean lies within the range

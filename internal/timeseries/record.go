@@ -1,9 +1,8 @@
-// Package timeseries provides the record, window and aggregation
-// machinery shared by the data transformations and the detection
-// pipeline: timestamped multivariate samples, sliding windows over them,
-// per-day aggregates for the exploratory analysis, and the
-// stationary-state / sensor-fault filters the paper applies before every
-// transformation (Section 3.2).
+// Package timeseries provides the record and aggregation machinery
+// shared by the data transformations and the detection pipeline:
+// timestamped multivariate samples, per-day aggregates for the
+// exploratory analysis, and the stationary-state / sensor-fault filters
+// the paper applies before every transformation (Section 3.2).
 package timeseries
 
 import (

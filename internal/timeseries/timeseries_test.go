@@ -84,73 +84,6 @@ func TestFilterRecords(t *testing.T) {
 	}
 }
 
-func TestWindowBasics(t *testing.T) {
-	w := NewWindow(3)
-	if w.Full() || w.Len() != 0 {
-		t.Error("fresh window should be empty")
-	}
-	for i := 0; i < 2; i++ {
-		w.Push(drivingRecord("v1", t0.Add(time.Duration(i)*time.Minute)))
-	}
-	if w.Full() || w.Len() != 2 {
-		t.Errorf("Len = %d Full = %v", w.Len(), w.Full())
-	}
-	w.Push(drivingRecord("v1", t0.Add(2*time.Minute)))
-	if !w.Full() || w.Len() != 3 {
-		t.Error("window should be full after 3 pushes")
-	}
-	// Fourth push evicts the oldest.
-	w.Push(drivingRecord("v1", t0.Add(3*time.Minute)))
-	recs := w.Records()
-	if len(recs) != 3 {
-		t.Fatalf("Records len = %d", len(recs))
-	}
-	if !recs[0].Time.Equal(t0.Add(time.Minute)) {
-		t.Errorf("oldest record time = %v, want %v", recs[0].Time, t0.Add(time.Minute))
-	}
-	if !recs[2].Time.Equal(t0.Add(3 * time.Minute)) {
-		t.Errorf("newest record time = %v", recs[2].Time)
-	}
-	w.Reset()
-	if w.Len() != 0 || w.Full() {
-		t.Error("Reset should empty the window")
-	}
-}
-
-func TestWindowColumnOrdering(t *testing.T) {
-	w := NewWindow(3)
-	for i := 0; i < 5; i++ {
-		r := drivingRecord("v1", t0.Add(time.Duration(i)*time.Minute))
-		r.Values[obd.Speed] = float64(i)
-		w.Push(r)
-	}
-	want := []float64{2, 3, 4}
-	cols := w.Columns()
-	if len(cols) != int(obd.NumPIDs) {
-		t.Fatalf("Columns len = %d", len(cols))
-	}
-	for i := range want {
-		if cols[obd.Speed][i] != want[i] {
-			t.Errorf("Columns[Speed][%d] = %v", i, cols[obd.Speed][i])
-		}
-	}
-	// Partial window column.
-	w2 := NewWindow(5)
-	w2.Push(drivingRecord("v1", t0))
-	if len(w2.Columns()[obd.Speed]) != 1 {
-		t.Error("partial window column length wrong")
-	}
-}
-
-func TestNewWindowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewWindow(0) should panic")
-		}
-	}()
-	NewWindow(0)
-}
-
 func TestAggregateDaily(t *testing.T) {
 	day1 := time.Date(2023, 5, 1, 9, 0, 0, 0, time.UTC)
 	day2 := time.Date(2023, 5, 2, 9, 0, 0, 0, time.UTC)

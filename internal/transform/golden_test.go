@@ -21,9 +21,9 @@ import (
 // into emits and every mid-window snapshot into snaps. The script
 // covers what a transformer's state can go through: plain tumbling
 // windows, a trip gap over maxGap mid-window, a Reset mid-window,
-// collecting past a full window without emitting (the correlation
-// transform starts its next window there), and a snapshot restored into
-// a fresh instance that carries on the stream.
+// collecting past a full window without emitting (the correlation and
+// mean transforms start their next window there), and a snapshot
+// restored into a fresh instance that carries on the stream.
 func goldenStream(t *testing.T, kind Kind, emits, snaps hash.Hash) {
 	t.Helper()
 	tr, err := New(kind, 12)
@@ -99,8 +99,10 @@ func goldenStream(t *testing.T, kind Kind, emits, snaps hash.Hash) {
 // before the transformers' emission and snapshot seams were folded into
 // the Transformer interface; correlation's two moved on purpose when a
 // record past a full window began to start the next window and the
-// eviction ring left its snapshot. They must never be regenerated from
-// the code under test: a mismatch means features or checkpoints changed.
+// eviction ring left its snapshot, and the mean's two moved for the
+// same reason when its buffered records gave way to running sums. They
+// must never be regenerated from the code under test: a mismatch means
+// features or checkpoints changed.
 func TestTransformGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/transform.sha256")
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/navarchos/pdm/internal/mat"
 	"github.com/navarchos/pdm/internal/obd"
 	"github.com/navarchos/pdm/internal/timeseries"
 )
@@ -222,15 +221,22 @@ func (t *deltaTransformer) Reset() {
 }
 
 // meanTransformer emits per-PID means over tumbling windows (the same
-// windows as the correlation transform, per Section 3.2).
+// windows as the correlation transform, per Section 3.2). It keeps only
+// the record count and one Σx per PID, added in arrival order from 0
+// as mat.Sum adds a column, so each mean has the bits mat.Mean gives
+// over the window's records. As in the correlation transform, a record
+// collected into a full window that was not emitted starts the next
+// window.
 type meanTransformer struct {
 	window int
-	win    *timeseries.Window
 	gap    gapGuard
+
+	n   int                  // records currently accumulated (≤ window)
+	sum [obd.NumPIDs]float64 // Σx per PID
 }
 
 func newMeanAgg(window int) *meanTransformer {
-	return &meanTransformer{window: window, win: timeseries.NewWindow(window)}
+	return &meanTransformer{window: window}
 }
 
 func (t *meanTransformer) Name() string { return MeanAgg.String() }
@@ -246,24 +252,34 @@ func (t *meanTransformer) FeatureNames() []string {
 }
 
 func (t *meanTransformer) Collect(r timeseries.Record) {
-	if t.gap.broken(r.Time) {
-		t.win.Reset()
+	if t.gap.broken(r.Time) || t.n == t.window {
+		t.clear()
 	}
-	t.win.Push(r)
+	t.n++
+	for i, v := range r.Values {
+		t.sum[i] += v
+	}
 }
 
-func (t *meanTransformer) Ready() bool { return t.win.Full() }
+func (t *meanTransformer) Ready() bool { return t.n == t.window }
 
-// EmitInto averages the window's PID columns and empties it for the
-// next tumbling window.
+// EmitInto divides each PID's sum by the record count and restarts the
+// accumulator for the next tumbling window.
 func (t *meanTransformer) EmitInto(dst []float64) {
-	for i, col := range t.win.Columns() {
-		dst[i] = mat.Mean(col)
+	n := float64(t.n)
+	for i, s := range t.sum {
+		dst[i] = s / n
 	}
-	t.win.Reset()
+	t.clear()
+}
+
+// clear restarts the accumulator for the next tumbling window.
+func (t *meanTransformer) clear() {
+	t.n = 0
+	t.sum = [obd.NumPIDs]float64{}
 }
 
 func (t *meanTransformer) Reset() {
-	t.win.Reset()
+	t.clear()
 	t.gap.reset()
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/obd"
-	"github.com/navarchos/pdm/internal/timeseries"
 )
 
 // ErrBadSnapshot is returned when a snapshot payload does not decode as
@@ -15,14 +14,15 @@ var ErrBadSnapshot = errors.New("transform: malformed snapshot")
 
 // Per-kind payload tags: restoring a delta snapshot into a correlation
 // transformer must fail loudly, not bend state. Tags 5 and 6 were the
-// histogram and spectral transforms, since removed, and tag 1 was the
-// correlation layout that carried an eviction ring: they must never be
-// reused, so a snapshot one of them wrote fails to restore by name.
+// histogram and spectral transforms, since removed, tag 1 was the
+// correlation layout that carried an eviction ring and tag 4 the mean
+// layout that carried the window's records: they must never be reused,
+// so a snapshot one of them wrote fails to restore by name.
 const (
 	corrTag  = uint8(7)
 	rawTag   = uint8(2)
 	deltaTag = uint8(3)
-	meanTag  = uint8(4)
+	meanTag  = uint8(8)
 )
 
 // checkTag reads a payload's tag and refuses one that is not want,
@@ -32,26 +32,6 @@ func checkTag(r *checkpoint.RBuf, want uint8) error {
 		return fmt.Errorf("%w: tag %d, want %d", ErrBadSnapshot, got, want)
 	}
 	return nil
-}
-
-// putRecord serialises one raw record (for buffered windows).
-func putRecord(b *checkpoint.Buf, rec timeseries.Record) {
-	b.String(rec.VehicleID)
-	b.Time(rec.Time)
-	for _, v := range rec.Values {
-		b.Float64(v)
-	}
-}
-
-// getRecord reads a putRecord record.
-func getRecord(r *checkpoint.RBuf) timeseries.Record {
-	var rec timeseries.Record
-	rec.VehicleID = r.String()
-	rec.Time = r.Time()
-	for i := range rec.Values {
-		rec.Values[i] = r.Float64()
-	}
-	return rec
 }
 
 // Snapshot writes the window's running moments and the gap-guard clock.
@@ -186,48 +166,42 @@ func (t *deltaTransformer) Restore(data []byte) error {
 	return nil
 }
 
-// Snapshot writes the tag, the gap-guard clock, the record count and
-// the buffered records oldest-first.
+// Snapshot writes the window, the record count, the gap-guard clock
+// and the running sums.
 func (t *meanTransformer) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(meanTag)
+	b.Int(t.window)
+	b.Int(t.n)
 	b.Time(t.gap.last)
-	recs := t.win.Records()
-	b.Int(len(recs))
-	for _, rec := range recs {
-		putRecord(&b, rec)
+	for _, v := range t.sum {
+		b.Float64(v)
 	}
 	return b.Bytes(), nil
 }
 
-// Restore replays the buffered records into the emptied window; ring
-// rotation is not observable, so re-pushing oldest-first reproduces
-// identical behaviour. A count the window cannot hold is refused before
-// anything is allocated for it.
 func (t *meanTransformer) Restore(data []byte) error {
 	r := checkpoint.NewRBuf(data)
 	if err := checkTag(r, meanTag); err != nil {
 		return err
 	}
-	gapLast := r.Time()
+	if r.Int() != t.window {
+		return ErrBadSnapshot // snapshot from a differently configured window
+	}
 	n := r.Int()
-	if r.Err() != nil {
-		return r.Err()
+	last := r.Time()
+	var sum [obd.NumPIDs]float64
+	for i := range sum {
+		sum[i] = r.Float64()
 	}
 	if n < 0 || n > t.window {
 		return ErrBadSnapshot
 	}
-	recs := make([]timeseries.Record, n)
-	for i := range recs {
-		recs[i] = getRecord(r)
-	}
 	if err := r.Close(); err != nil {
 		return err
 	}
-	t.win.Reset()
-	for _, rec := range recs {
-		t.win.Push(rec)
-	}
-	t.gap.last = gapLast
+	t.n = n
+	t.gap.last = last
+	t.sum = sum
 	return nil
 }

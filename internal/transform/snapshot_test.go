@@ -188,13 +188,17 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 				t.Fatal("window-24 correlation accepted a window-12 snapshot")
 			}
 		})
-		// A mean snapshot holding more records than the window is
-		// refused, not silently cut down to the newest ones.
+		// Its five records fit either window, and a window-24 mean
+		// takes it: the window field alone refuses it.
 		t.Run("mean", func(t *testing.T) {
+			snap := snapshotAfter(t, MeanAgg, 24, 5)
+			mean24, _ := New(MeanAgg, 24)
+			if err := mean24.Restore(snap); err != nil {
+				t.Fatalf("window-24 mean restoring its own snapshot: %v", err)
+			}
 			mean12, _ := New(MeanAgg, 12)
-			err := mean12.Restore(snapshotAfter(t, MeanAgg, 24, 20))
-			if !errors.Is(err, ErrBadSnapshot) {
-				t.Errorf("window-12 mean restoring 20 records: err = %v, want ErrBadSnapshot", err)
+			if err := mean12.Restore(snap); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("window-12 mean restoring a window-24 snapshot: err = %v, want ErrBadSnapshot", err)
 			}
 		})
 	})
@@ -226,8 +230,12 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 		t.Run("mean", func(t *testing.T) {
 			var b checkpoint.Buf
 			b.Uint8(meanTag)
-			b.Time(time.Time{})
+			b.Int(12)
 			b.Int(1 << 50)
+			b.Time(time.Time{})
+			for i := 0; i < int(obd.NumPIDs); i++ {
+				b.Float64(0) // sum
+			}
 			mean12, _ := New(MeanAgg, 12)
 			if err := mean12.Restore(b.Bytes()); !errors.Is(err, ErrBadSnapshot) {
 				t.Errorf("mean restoring a record count of 1<<50: err = %v, want ErrBadSnapshot", err)
@@ -263,11 +271,12 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 		})
 	})
 	// Tags 5 and 6 were the removed histogram and spectral transforms,
-	// whose snapshots had the mean's layout, and tag 1 the correlation
-	// layout with an eviction ring: every kind refuses them by name.
+	// tag 1 the correlation layout with an eviction ring and tag 4 the
+	// mean layout that carried the window's records: every kind refuses
+	// them by name.
 	t.Run("retired-tag", func(t *testing.T) {
 		snap := snapshotAfter(t, MeanAgg, 12, 9)
-		for _, tag := range []uint8{1, 5, 6} {
+		for _, tag := range []uint8{1, 4, 5, 6} {
 			tag := tag
 			retired := append([]byte{tag}, snap[1:]...)
 			t.Run(fmt.Sprintf("tag=%d", tag), func(t *testing.T) {
@@ -286,61 +295,152 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 	})
 }
 
-// TestCorrOverflowStartsNextWindow is the property test for collecting
-// past a full window without emitting: that record starts the next
-// window, so after n un-emitted records the running moments must equal a
-// two-pass Pearson over exactly the last (n-1) mod window + 1 of them,
-// for arbitrary streams and overflow amounts.
-func TestCorrOverflowStartsNextWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	base := time.Date(2023, 5, 1, 9, 0, 0, 0, time.UTC)
-	for trial := 0; trial < 60; trial++ {
-		window := 3 + rng.Intn(10)
-		overflow := 1 + rng.Intn(3*window)
-		n := window + overflow
-		c := newCorrelation(window)
-		records := make([]timeseries.Record, n)
-		for i := range records {
-			records[i] = randRecord(rng, base.Add(time.Duration(i)*time.Minute))
-			if trial%5 == 0 {
-				// Constant-signal trials: every PID pinned, so the
-				// no-variance → r = 0 convention is exercised across
-				// window restarts as well.
-				for p := range records[i].Values {
-					records[i].Values[p] = 42
-				}
-			}
-			c.Collect(records[i])
-		}
-		held := (n-1)%window + 1
-		if c.Ready() != (held == window) {
-			t.Fatalf("trial %d: Ready = %v holding %d of a %d-record window", trial, c.Ready(), held, window)
-		}
-		got := emit(c)
+// windowOracle states what a windowed transformer must emit over the
+// records its window holds.
+type windowOracle struct {
+	kind Kind
+	// want derives the emitted vector from the held records' PID
+	// columns.
+	want func(cols [][]float64) []float64
+	// same compares one emitted feature with the oracle's.
+	same func(got, want float64) bool
+}
 
-		// Oracle: two-pass Pearson over the held records only.
-		kept := records[n-held:]
-		cols := make([][]float64, obd.NumPIDs)
-		for p := range cols {
-			cols[p] = make([]float64, held)
-			for i, r := range kept {
-				cols[p][i] = r.Values[p]
+var windowOracles = []windowOracle{
+	{Correlation, func(cols [][]float64) []float64 {
+		var out []float64
+		for i := range cols {
+			for j := i + 1; j < len(cols); j++ {
+				r, err := mat.Pearson(cols[i], cols[j])
+				if err != nil || math.IsNaN(r) {
+					r = 0 // no-variance convention
+				}
+				out = append(out, r)
 			}
 		}
-		k := 0
-		for i := 0; i < int(obd.NumPIDs); i++ {
-			for j := i + 1; j < int(obd.NumPIDs); j++ {
-				want, err := mat.Pearson(cols[i], cols[j])
-				if err != nil || math.IsNaN(want) {
-					want = 0 // no-variance convention
-				}
-				if math.Abs(got[k]-want) > 1e-9 {
-					t.Fatalf("trial %d (window=%d overflow=%d) pair (%d,%d): running %v vs two-pass %v",
-						trial, window, overflow, i, j, got[k], want)
-				}
-				k++
-			}
+		return out
+	}, func(got, want float64) bool { return math.Abs(got-want) <= 1e-9 }},
+	{MeanAgg, func(cols [][]float64) []float64 {
+		out := make([]float64, len(cols))
+		for p, col := range cols {
+			out[p] = mat.Mean(col)
 		}
+		return out
+	}, func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }},
+}
+
+// pidColumns returns the records' PID columns, oldest first.
+func pidColumns(recs []timeseries.Record) [][]float64 {
+	cols := make([][]float64, obd.NumPIDs)
+	for p := range cols {
+		cols[p] = make([]float64, len(recs))
+		for i, r := range recs {
+			cols[p][i] = r.Values[p]
+		}
+	}
+	return cols
+}
+
+// checkAgainst fails when got is not the oracle's vector over held.
+func (o windowOracle) checkAgainst(t *testing.T, got []float64, held []timeseries.Record, what string) {
+	t.Helper()
+	want := o.want(pidColumns(held))
+	for k := range want {
+		if !o.same(got[k], want[k]) {
+			t.Fatalf("%s feature %d: emitted %v, oracle over %d records %v", what, k, got[k], len(held), want[k])
+		}
+	}
+}
+
+// TestOverflowStartsNextWindow is the property test for the windowed
+// transforms, correlation and mean, which keep only running sums. In
+// the overflow rows a record collected into a full window that was not
+// emitted starts the next window, so after n un-emitted records the
+// emitted vector must equal the oracle over exactly the last
+// (n-1) mod window + 1 of them, for arbitrary streams and overflow
+// amounts. The emit-when-ready rows drive the streams the pipeline
+// does, with trip gaps and Resets, and hold every emission to the
+// oracle over its window's records. The mean's oracle is mat.Mean
+// compared by Float64bits: the running Σx adds in arrival order from 0
+// as mat.Sum does, so the means are the ones a buffered window gave.
+func TestOverflowStartsNextWindow(t *testing.T) {
+	base := time.Date(2023, 5, 1, 9, 0, 0, 0, time.UTC)
+	for _, o := range windowOracles {
+		o := o
+		t.Run(o.kind.String()+"/overflow", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(99))
+			for trial := 0; trial < 60; trial++ {
+				window := 3 + rng.Intn(10)
+				overflow := 1 + rng.Intn(3*window)
+				n := window + overflow
+				tr, err := New(o.kind, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				records := make([]timeseries.Record, n)
+				for i := range records {
+					records[i] = randRecord(rng, base.Add(time.Duration(i)*time.Minute))
+					if trial%5 == 0 {
+						// Constant-signal trials: every PID pinned, so
+						// the no-variance → r = 0 convention is
+						// exercised across window restarts as well.
+						for p := range records[i].Values {
+							records[i].Values[p] = 42
+						}
+					}
+					tr.Collect(records[i])
+				}
+				held := (n-1)%window + 1
+				if tr.Ready() != (held == window) {
+					t.Fatalf("trial %d: Ready = %v holding %d of a %d-record window", trial, tr.Ready(), held, window)
+				}
+				o.checkAgainst(t, emit(tr), records[n-held:],
+					fmt.Sprintf("trial %d (window=%d overflow=%d)", trial, window, overflow))
+			}
+		})
+		t.Run(o.kind.String()+"/emit-when-ready", func(t *testing.T) {
+			for _, window := range []int{1, 2, 3, 12, 60} {
+				rng := rand.New(rand.NewSource(int64(window)))
+				tr, err := New(o.kind, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var held []timeseries.Record
+				var last time.Time // the oracle's gap clock
+				now, emitted := base, 0
+				for i := 0; i < 5000; i++ {
+					step := time.Minute
+					switch u := rng.Float64(); {
+					case u < 0.005:
+						tr.Reset()
+						held, last = held[:0], time.Time{}
+					case u < 0.015:
+						step = 2 * time.Hour // a trip gap
+					case u < 0.035:
+						step = maxGap // the longest gap bridged
+					}
+					now = now.Add(step)
+					r := randRecord(rng, now)
+					if !last.IsZero() && now.Sub(last) > maxGap {
+						held = held[:0]
+					}
+					last = now
+					tr.Collect(r)
+					held = append(held, r)
+					if tr.Ready() != (len(held) == window) {
+						t.Fatalf("window %d record %d: Ready = %v holding %d records", window, i, tr.Ready(), len(held))
+					}
+					if tr.Ready() {
+						o.checkAgainst(t, emit(tr), held, fmt.Sprintf("window %d record %d", window, i))
+						held = held[:0]
+						emitted++
+					}
+				}
+				if emitted == 0 {
+					t.Fatalf("window %d: nothing emitted", window)
+				}
+			}
+		})
 	}
 }
 

@@ -25,10 +25,11 @@ import (
 // reused scratch buffer once the reference profile is full, and
 // allocates only the vectors it retains in Ref.
 //
-// Snapshot serialises only the buffered state — ring contents, running
-// sums, gap-guard clock — never the configuration (kind, window),
-// which the owner reconstructs with New before calling Restore, so a
-// pipeline can be frozen mid-window and resumed bit-identically.
+// Snapshot serialises only the buffered state — running sums, the
+// pending sample, gap-guard clock — never the configuration (kind,
+// window), which the owner reconstructs with New before calling
+// Restore, so a pipeline can be frozen mid-window and resumed
+// bit-identically.
 //
 // Implementations are single-vehicle and not safe for concurrent use;
 // the pipeline owns one Transformer per vehicle.
@@ -97,7 +98,7 @@ func AbsFloor(name string) float64 {
 // Figures 4–7, in presentation order.
 func PaperKinds() []Kind { return []Kind{Correlation, Raw, MeanAgg, Delta} }
 
-// New constructs a transformer of the given kind. window is the sliding
+// New constructs a transformer of the given kind. window is the tumbling
 // window length in records for the windowed kinds (correlation and
 // mean); it is ignored by raw and delta. A non-positive window defaults
 // to 60 (one driving hour at the fleet's 1/min rate).
