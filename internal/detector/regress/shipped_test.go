@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/fitpool"
 	"github.com/navarchos/pdm/internal/gbt"
 )
@@ -178,5 +179,66 @@ func TestRegressFitAllocBound(t *testing.T) {
 	}
 	if long > short+dim {
 		t.Fatalf("allocations grow with the rows: %v at 45, %v at 900", short, long)
+	}
+}
+
+// TestFixturesHoldDefaultBoosterFields walks the regressor layout of the
+// default-config fixtures byte by byte (tag, trees, depth, η, λ, γ, min
+// child weight, subsample, colsample, seed, base, dim, then the trees)
+// and checks that every regressor holds η 0.3, λ 1, γ 0, min child
+// weight 1, no subsampling, and the seed cfg.Seed + c + 1 channelConfig
+// gave channel c: the 56 bytes from η through the seed carry nothing a
+// fit depends on.
+func TestFixturesHoldDefaultBoosterFields(t *testing.T) {
+	for _, tc := range shippedCases {
+		if tc.cfg != shippedConfig() {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := os.ReadFile("testdata/" + tc.name + ".snap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := checkpoint.NewRBuf(data)
+			if tag, fitted := r.Uint8(), r.Bool(); tag != 13 || !fitted {
+				t.Fatalf("regress tag %d, fitted %v", tag, fitted)
+			}
+			dim := r.Int()
+			for c := 0; c < dim; c++ {
+				r.String()
+			}
+			for c := 0; c < dim; c++ {
+				if tag := r.Uint8(); tag != 'G' {
+					t.Fatalf("channel %d: gbt tag %#x", c, tag)
+				}
+				trees, depth := r.Int(), r.Int()
+				var fixed [6]float64
+				for i := range fixed {
+					fixed[i] = r.Float64()
+				}
+				seed := r.Int64()
+				if trees != tc.cfg.NumTrees || depth != tc.cfg.MaxDepth ||
+					fixed != [6]float64{0.3, 1, 0, 1, 1, 1} || seed != tc.cfg.Seed+int64(c)+1 {
+					t.Fatalf("channel %d: trees %d depth %d η λ γ mcw subsample colsample %v seed %d", c, trees, depth, fixed, seed)
+				}
+				r.Float64() // base
+				if features := r.Int(); features != dim-1 {
+					t.Fatalf("channel %d: %d features", c, features)
+				}
+				for tr, n := 0, r.Int(); tr < n; tr++ {
+					for nodes, j := r.Int(), 0; j < nodes; j++ {
+						r.Bool()
+						r.Int()
+						r.Float64()
+						r.Int()
+						r.Int()
+						r.Float64()
+					}
+				}
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
