@@ -211,14 +211,20 @@ exhibits-check:
 ## element-wise kernels, the fast LayerNorm against the legacy one, the
 ## Adam step's bias-correction table against math.Pow — the shipped
 ## TranAD against its legacy oracle and the snapshots an earlier commit
-## wrote, its run scorer against ScoreInto, and the detect stage's runs
-## over a cached trace against the streaming pipeline. `race` runs them
+## wrote, its run scorer against ScoreInto, the XGBoost histogram split
+## search against the exact one and a dense scan, the shipped regression
+## detector against the snapshots an earlier commit wrote, its channel
+## fan-out against the serial fit and ScoreInto against the legacy
+## scorer, and the detect stage's runs over a cached trace against the
+## streaming pipeline. `race` runs them
 ## as well; naming them here makes a renamed or deleted oracle fail the
 ## gate instead of dropping out.
 kernel-oracles:
 	$(call named,./internal/mat/,TestExpLanesMatchMathExp|TestExpBranchesMatchTranscription|TestSoftmaxRowsBitIdentical|TestNormRowBitIdentical|TestNormKernelsBitIdentical|TestElementwiseBitIdentical|TestConcatColsBitIdentical)
 	$(call named,./internal/nn/,TestLayerNormFastMatchesLegacy|TestFastKernelsBitIdenticalToLegacy|TestAdamBiasTableMatchesPow)
 	$(call named,./internal/detector/tranad/,TestShippedConfigBitIdenticalToLegacy|TestShippedSnapshotsFromParentCommit|TestScorePathsBitIdentical|TestScoreRunMatchesScoreInto)
+	$(call named,./internal/gbt/,TestHistMatchesExactOnDiscreteFeatures|TestHistEdgeCases)
+	$(call named,./internal/detector/regress/,TestShippedSnapshotsFromParentCommit|TestParallelChannelsMatchSerial|TestScoreIntoMatchesScore)
 	$(call named,./internal/core/,TestDetectOnTraceMatchesPipeline)
 
 ## bench-micro: one iteration of the kernel micro-benchmarks (the

@@ -68,7 +68,7 @@ func TestRunVehicleMatchesReference(t *testing.T) {
 	xgb, opq := goldenCases[0], goldenCases[0]
 	xgb.name = "xgboost"
 	xgb.det = func(names []string) detector.Detector {
-		return regress.New(names, gbt.Config{NumTrees: 10, MaxDepth: 3, Seed: 1})
+		return regress.New(names, gbt.Config{NumTrees: 10, MaxDepth: 3})
 	}
 	xgb.th = func() thresholds.Thresholder { return thresholds.NewSelfTuning(12) }
 	opq.name = "opaque-grand"

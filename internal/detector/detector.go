@@ -136,10 +136,11 @@ var ErrBadSnapshot = errors.New("detector: malformed snapshot")
 
 // CheckTag reads a snapshot payload's leading tag and refuses one that is
 // not want, naming both. The techniques' tags are 11 (Grand), 12
-// (TranAD) and 13 (regression). 10 was closest-pair's, which now refits
-// from Ref, and 14 and 15 were the removed isolation-forest and MLP
-// detectors: all three are retired, never to be reused, so a snapshot
-// one of them wrote fails to restore by name.
+// (TranAD) and 16 (regression). 10 was closest-pair's, which now refits
+// from Ref, 13 the regression layout whose regressors carried gbt's
+// retired fixed fields, and 14 and 15 were the removed isolation-forest
+// and MLP detectors: all four are retired, never to be reused, so a
+// snapshot one of them wrote fails to restore by name.
 func CheckTag(r *checkpoint.RBuf, want uint8) error {
 	if got := r.Uint8(); got != want {
 		return fmt.Errorf("%w: tag %d, want %d", ErrBadSnapshot, got, want)

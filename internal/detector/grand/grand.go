@@ -24,6 +24,14 @@ import (
 // refNC fit loop and steady-state scoring sublinear in practice.
 const kdCutoff = 256
 
+// The constants of every Grand detector: the neighbourhood size of the
+// KNN and LOF measures, and the power-martingale exponent in (0, 1), a
+// standard choice in the martingale-testing literature.
+const (
+	numNeighbours = 10
+	epsilon       = 0.92
+)
+
 // Measure selects the non-conformity measure.
 type Measure int
 
@@ -57,14 +65,9 @@ type Config struct {
 	// Measure is the non-conformity measure. The zero value is Median;
 	// eval.NewDetector ships KNN.
 	Measure Measure
-	// K is the neighbourhood size for KNN and LOF (default 10).
-	K int
 	// MartingaleWindow is the number of recent p-values the power
 	// martingale accumulates over (default 30).
 	MartingaleWindow int
-	// Epsilon is the power-martingale exponent in (0, 1) (default 0.92,
-	// a standard choice in the martingale-testing literature).
-	Epsilon float64
 	// LegacyKernels restores the pre-optimisation kernels: a brute-force
 	// index regardless of reference size, index re-queries for every
 	// reference point's own non-conformity, and the O(n) linear p-value
@@ -75,14 +78,8 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.K <= 0 {
-		c.K = 10
-	}
 	if c.MartingaleWindow <= 0 {
 		c.MartingaleWindow = 30
-	}
-	if c.Epsilon <= 0 || c.Epsilon >= 1 {
-		c.Epsilon = 0.92
 	}
 }
 
@@ -203,7 +200,7 @@ func (d *Detector) buildMeasure(dim int) error {
 		}
 		d.index = idx
 		if d.cfg.Measure == LOF {
-			d.lof = neighbors.FitLOF(idx, d.cfg.K)
+			d.lof = neighbors.FitLOF(idx, numNeighbours)
 		}
 	default:
 		return fmt.Errorf("grand: unknown measure %d", int(d.cfg.Measure))
@@ -222,9 +219,9 @@ func (d *Detector) strangeness(x []float64) float64 {
 		return dist
 	case KNN:
 		if d.cfg.LegacyKernels {
-			return neighbors.KNNDistance(d.index, x, d.cfg.K)
+			return neighbors.KNNDistance(d.index, x, numNeighbours)
 		}
-		return d.query.MeanDistance(d.index, x, d.cfg.K)
+		return d.query.MeanDistance(d.index, x, numNeighbours)
 	case LOF:
 		return d.lof.Score(x)
 	default:
@@ -315,7 +312,10 @@ func (d *Detector) ScoreInto(x, dst []float64) error {
 		p = d.pValue(s)
 	}
 	// Power-martingale bet ε·p^(ε−1); log kept bounded for stability.
-	logBet := math.Log(d.cfg.Epsilon) + (d.cfg.Epsilon-1)*math.Log(p)
+	// eps is float64 before ε−1 is taken: the untyped constant would
+	// subtract exactly and round -0.08 instead.
+	eps := float64(epsilon)
+	logBet := math.Log(eps) + (eps-1)*math.Log(p)
 	d.logBets[d.betPos] = logBet
 	d.betPos = (d.betPos + 1) % len(d.logBets)
 	if d.betN < len(d.logBets) {

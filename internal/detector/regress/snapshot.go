@@ -7,12 +7,12 @@ import (
 )
 
 // snapshotTag identifies regression-detector payloads among the
-// detector snapshot formats.
-const snapshotTag = uint8(13)
+// detector snapshot formats. Tag 13 was the layout whose regressors
+// carried gbt's retired 'G' fields; it is retired, never to be reused.
+const snapshotTag = uint8(16)
 
 // Snapshot implements checkpoint.Snapshotter: channel names plus the
-// per-feature boosted ensembles (each serialised with its full config —
-// see gbt.AppendTo).
+// per-feature boosted ensembles (see gbt.AppendTo).
 func (d *Detector) Snapshot() ([]byte, error) {
 	var b checkpoint.Buf
 	b.Uint8(snapshotTag)

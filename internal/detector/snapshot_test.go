@@ -170,11 +170,12 @@ func TestDetectorSnapshotRejectsForeign(t *testing.T) {
 			}
 		}
 	}
-	// Tag 10 was closest-pair's, which now refits from Ref, and 14 and
-	// 15 were the removed isolation-forest and MLP detectors: every
-	// technique refuses them by name.
+	// Tag 10 was closest-pair's, which now refits from Ref, 13 the
+	// regression layout whose regressors carried gbt's fixed fields, and
+	// 14 and 15 were the removed isolation-forest and MLP detectors:
+	// every technique refuses them by name.
 	t.Run("retired-tag", func(t *testing.T) {
-		for _, tag := range []uint8{10, 14, 15} {
+		for _, tag := range []uint8{10, 13, 14, 15} {
 			tag := tag
 			t.Run(fmt.Sprintf("tag=%d", tag), func(t *testing.T) {
 				for _, tech := range techniques {
@@ -230,7 +231,8 @@ func TestCheckTag(t *testing.T) {
 		{"match", []byte{11, 0xAA}, 11, ""},
 		{"retired-10", []byte{10, 0xAA}, 12, "tag 10, want 12"},
 		{"retired-14", []byte{14, 0xAA}, 11, "tag 14, want 11"},
-		{"retired-15", []byte{15, 0xAA}, 13, "tag 15, want 13"},
+		{"retired-13", []byte{13, 0xAA}, 16, "tag 13, want 16"},
+		{"retired-15", []byte{15, 0xAA}, 16, "tag 15, want 16"},
 		{"foreign", []byte{11, 0xAA}, 12, "tag 11, want 12"},
 		{"empty", nil, 11, "tag 0, want 11"},
 	} {

@@ -33,6 +33,9 @@ import (
 	"github.com/navarchos/pdm/internal/nn"
 )
 
+// learningRate is the Adam learning rate of every fit.
+const learningRate = 0.005
+
 // Config parametrises the model.
 type Config struct {
 	// Window is the sequence length the encoder attends over (default 8).
@@ -45,8 +48,6 @@ type Config struct {
 	// (default 8 — TranAD is explicitly designed to converge in few
 	// epochs).
 	Epochs int
-	// LR is the Adam learning rate (default 0.005).
-	LR float64
 	// MaxWindows thins the training windows drawn from Ref (default
 	// 512). It does not cap them: a reference with more windows than
 	// this is evenly strided at the integer quotient total/MaxWindows,
@@ -79,9 +80,6 @@ func (c *Config) defaults() {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 8
-	}
-	if c.LR <= 0 {
-		c.LR = 0.005
 	}
 	if c.MaxWindows <= 0 {
 		c.MaxWindows = 512
@@ -343,7 +341,7 @@ func (d *Detector) newNetwork(dim int, rng *rand.Rand) *network {
 		net.params = append(net.params, l.Params()...)
 		nn.SetLegacyKernels(l, d.cfg.LegacyFitKernels)
 	}
-	net.opt = nn.NewAdam(net.params, d.cfg.LR)
+	net.opt = nn.NewAdam(net.params, learningRate)
 	net.opt.Legacy = d.cfg.LegacyFitKernels
 	return net
 }

@@ -167,7 +167,7 @@ func TestShortReference(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
 	c.defaults()
-	if c.Window != 8 || c.DModel != 16 || c.Heads != 2 || c.Epochs != 8 || c.LR != 0.005 || c.MaxWindows != 512 || c.Seed != 1 {
+	if c.Window != 8 || c.DModel != 16 || c.Heads != 2 || c.Epochs != 8 || c.MaxWindows != 512 || c.Seed != 1 {
 		t.Errorf("defaults = %+v", c)
 	}
 	c = Config{DModel: 15, Heads: 4}

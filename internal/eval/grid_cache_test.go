@@ -106,7 +106,7 @@ func newLegacyKernelDetector(t Technique, featureNames []string, seed int64) (de
 		cfg.LegacyFitKernels = true
 		return tranad.New(cfg), nil
 	case XGBoost:
-		cfg := shippedXGBoost(seed)
+		cfg := shippedXGBoost()
 		cfg.LegacyFitKernels = true
 		return regress.New(featureNames, cfg), nil
 	default:

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"math"
 	"sort"
 	"time"
 
@@ -182,7 +183,7 @@ func standardizeRows(points [][]float64) [][]float64 {
 	for j := range stds {
 		stds[j] /= float64(len(points))
 		if stds[j] > 0 {
-			stds[j] = sqrt64(stds[j])
+			stds[j] = math.Sqrt(stds[j])
 		}
 	}
 	out := make([][]float64, len(points))
@@ -197,18 +198,6 @@ func standardizeRows(points [][]float64) [][]float64 {
 		out[i] = row
 	}
 	return out
-}
-
-func sqrt64(x float64) float64 {
-	// small local helper (math.Sqrt); kept separate for clarity
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }
 
 // Render writes the exploration results in the paper's terms.

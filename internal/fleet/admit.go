@@ -167,7 +167,7 @@ func (e *Engine) Replay(records []timeseries.Record, events []obd.Event) error {
 
 // getBatch returns an empty batch for shard s from the shard's free
 // list, allocating (and counting) when the list is empty — start-up,
-// until QueueDepth+2 buffers circulate.
+// until queueDepth+2 buffers circulate.
 func (e *Engine) getBatch(s *shard) []envelope {
 	select {
 	case b := <-s.free:
@@ -183,7 +183,7 @@ func (e *Engine) putBatch(s *shard, batch []envelope) {
 	select {
 	case s.free <- batch[:0]:
 	default:
-		// Full only if the QueueDepth+2 bound were broken; drop rather
+		// Full only if the queueDepth+2 bound were broken; drop rather
 		// than block the shard goroutine.
 	}
 }

@@ -190,7 +190,7 @@ func TestReplayBesideCheckpointAndIngest(t *testing.T) {
 		},
 		Shards:     2,
 		batchSize:  16,
-		QueueDepth: 4,
+		queueDepth: 4,
 	}
 	e := newEngine(t, cfg)
 	onShard := map[bool]map[int]bool{true: {}, false: {}}

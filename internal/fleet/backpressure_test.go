@@ -28,7 +28,7 @@ func (h *gateHandler) HandleEvent(obd.Event) {}
 func (h *gateHandler) ScoredSamples() uint64 { return h.n }
 
 // TestEngineBackpressureBlocksAtQueueDepth pins the backpressure
-// contract: with the shard queue full (QueueDepth batches) and the
+// contract: with the shard queue full (queueDepth batches) and the
 // shard goroutine held inside a handler, the next batch-completing
 // ingest must block in enqueueStaged's send — and must complete once the
 // consumer drains. The queue fills through one-item calls, or through
@@ -44,7 +44,7 @@ func TestEngineBackpressureBlocksAtQueueDepth(t *testing.T) {
 				},
 				Shards:     1,
 				batchSize:  1, // every record is its own batch
-				QueueDepth: queueDepth,
+				queueDepth: queueDepth,
 			})
 			rec := []timeseries.Record{{VehicleID: "veh-0"}}
 
@@ -113,7 +113,7 @@ func TestCordonStateBesideBackpressure(t *testing.T) {
 		},
 		Shards:     1,
 		batchSize:  1,
-		QueueDepth: 1,
+		queueDepth: 1,
 	})
 	rec := []timeseries.Record{{VehicleID: "veh-0"}}
 	// One record parks the shard inside the handler and one fills the
@@ -249,7 +249,7 @@ func TestEngineBatchPoolRecyclesUnderChurn(t *testing.T) {
 		NewHandler: func(string) (Handler, error) { return &countHandler{}, nil },
 		Shards:     1,
 		batchSize:  batchSize,
-		QueueDepth: queueDepth,
+		queueDepth: queueDepth,
 	})
 	for round := 0; round < 4; round++ {
 		for i := 0; i < records/4; i++ {

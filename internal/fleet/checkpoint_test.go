@@ -43,7 +43,7 @@ func paperTechniques() []paperTechnique {
 			return tranad.New(tranad.Config{Window: 8, DModel: 12, Heads: 2, Epochs: 5, MaxWindows: 256, Seed: 7})
 		}},
 		{"xgboost", false, func(n []string) detector.Detector {
-			return regress.New(n, gbt.Config{NumTrees: 25, MaxDepth: 3, Seed: 7})
+			return regress.New(n, gbt.Config{NumTrees: 25, MaxDepth: 3})
 		}},
 	}
 }

@@ -119,9 +119,6 @@ type Config struct {
 
 	// Shards is the number of shard goroutines (default runtime.NumCPU).
 	Shards int
-	// QueueDepth is the per-shard channel capacity in batches (default
-	// 256). A full queue blocks ingestion — that is the backpressure.
-	QueueDepth int
 	// DropAlarms makes shards drop (and count) alarms when the fan-in
 	// channel (1024 alarms) is full instead of blocking on it.
 	// Set it when alarms are advisory; leave it unset when every alarm
@@ -142,12 +139,19 @@ type Config struct {
 	// when zero). Only this package's tests set it, to move batch
 	// boundaries.
 	batchSize int
+	// queueDepth is the per-shard channel capacity in batches
+	// (defaultQueueDepth when zero). A full queue blocks ingestion —
+	// that is the backpressure. Only this package's tests set it, to
+	// reach a full queue quickly.
+	queueDepth int
 }
 
 const (
 	// defaultBatchSize envelopes make one batch: batching amortises
 	// channel synchronisation across records.
 	defaultBatchSize = 64
+	// defaultQueueDepth batches fill a shard's queue.
+	defaultQueueDepth = 256
 	// alarmBuffer is the fan-in alarm channel's capacity.
 	alarmBuffer = 1024
 )
@@ -162,8 +166,8 @@ func (c *Config) validate() error {
 	if c.Shards <= 0 {
 		c.Shards = runtime.NumCPU()
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
+	if c.queueDepth <= 0 {
+		c.queueDepth = defaultQueueDepth
 	}
 	if c.batchSize <= 0 {
 		c.batchSize = defaultBatchSize
@@ -205,7 +209,7 @@ type shard struct {
 	// Read-only header, set once at construction: the shard's identity
 	// and its channels. free is the shard's batch free list — consumer→
 	// producer recycling. Every batch is drawn and returned under this
-	// shard's own bound of QueueDepth+2 live buffers (queued, pending,
+	// shard's own bound of queueDepth+2 live buffers (queued, pending,
 	// in process), which is the list's capacity: a draw that finds it
 	// empty allocates (batchAllocs counts those) and a return never
 	// finds it full. Padded from the ingest band so producers hammering
@@ -334,8 +338,8 @@ func newEngineStopped(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			index:   i,
-			in:      make(chan []envelope, cfg.QueueDepth),
-			free:    make(chan []envelope, cfg.QueueDepth+2),
+			in:      make(chan []envelope, cfg.queueDepth),
+			free:    make(chan []envelope, cfg.queueDepth+2),
 			cordon:  map[string]string{},
 			byID:    map[string]*vehicle{},
 			fitDone: make(chan fitResult),
@@ -372,7 +376,7 @@ func (e *Engine) registerMetrics() {
 		s := s
 		l := obs.Label{Key: "shard", Value: strconv.Itoa(s.index)}
 		reg.GaugeFunc("pdm_fleet_shard_queue_depth",
-			"Queued batches per shard (capacity is QueueDepth; a full queue is the backpressure point).",
+			"Queued batches per shard (capacity 256; a full queue is the backpressure point).",
 			func() float64 { return float64(len(s.in)) }, l)
 		reg.CounterFunc("pdm_fleet_shard_records_total",
 			"Raw records processed per shard.",

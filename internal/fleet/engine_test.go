@@ -214,7 +214,7 @@ func TestEngineConcurrentIngestion(t *testing.T) {
 		NewHandler: newPipeline,
 		Shards:     4,
 		batchSize:  16,
-		QueueDepth: 8,
+		queueDepth: 8,
 		DropAlarms: true,
 	})
 	base := time.Date(2023, 5, 1, 8, 0, 0, 0, time.UTC)

@@ -4,29 +4,31 @@
 // split finding over features binned once per fit (hist.go; the exact
 // greedy search over pre-sorted rows is kept behind
 // Config.LegacyFitKernels as its oracle), a minimum-gain (γ) pruning
-// criterion, depth limits and row/column subsampling. It is the model
-// behind the paper's regression-based detector (Section 3.6).
+// criterion and depth limits. Every tree is grown on all rows and all
+// features. It is the model behind the paper's regression-based detector
+// (Section 3.6).
 package gbt
 
 import (
 	"errors"
-	"math/rand"
 	"sort"
 )
 
-// Config holds the boosting hyper-parameters. Zero fields take the
-// defaults noted per field (mirroring common XGBoost settings scaled to
-// this library's small feature spaces).
+// The boosting constants: XGBoost's defaults, the one setting the paper
+// scores with.
+const (
+	learningRate   = 0.3 // shrinkage η
+	lambda         = 1.0 // L2 regularisation on leaf weights
+	gamma          = 0.0 // minimum split gain
+	minChildWeight = 1.0 // minimum hessian (= sample count) per child
+)
+
+// Config holds the boosting hyper-parameters a caller sizes; the rest
+// are the constants above. Zero fields take the defaults noted per
+// field.
 type Config struct {
-	NumTrees       int     // boosting rounds (default 50)
-	MaxDepth       int     // maximum tree depth (default 4)
-	LearningRate   float64 // shrinkage η (default 0.3)
-	Lambda         float64 // L2 regularisation on leaf weights (default 1)
-	Gamma          float64 // minimum split gain (default 0)
-	MinChildWeight float64 // minimum hessian (= sample count) per child (default 1)
-	Subsample      float64 // row subsample fraction per tree (default 1)
-	ColSample      float64 // feature subsample fraction per tree (default 1)
-	Seed           int64   // RNG seed for subsampling (default 1)
+	NumTrees int // boosting rounds (default 50)
+	MaxDepth int // maximum tree depth (default 4)
 
 	// LegacyFitKernels restores the exact greedy split search over
 	// pre-sorted row orderings (the pre-optimisation path). The default
@@ -43,26 +45,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 4
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.3
-	}
-	if c.Lambda < 0 {
-		c.Lambda = 0
-	} else if c.Lambda == 0 {
-		c.Lambda = 1
-	}
-	if c.MinChildWeight <= 0 {
-		c.MinChildWeight = 1
-	}
-	if c.Subsample <= 0 || c.Subsample > 1 {
-		c.Subsample = 1
-	}
-	if c.ColSample <= 0 || c.ColSample > 1 {
-		c.ColSample = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -144,11 +126,8 @@ func trainExact(X [][]float64, y []float64, cfg Config) *Regressor {
 		sort.SliceStable(idx, func(a, b int) bool { return X[idx[a]][f] < X[idx[b]][f] })
 		order[f] = idx
 	}
-	return boost(y, dim, cfg, func(grad []float64, inBag, feats []bool, out []float64) tree {
-		b := &treeBuilder{
-			X: X, grad: grad, cfg: cfg,
-			order: order, inBag: inBag, feats: feats,
-		}
+	return boost(y, dim, cfg, func(grad, out []float64) tree {
+		b := &treeBuilder{X: X, grad: grad, cfg: cfg, order: order}
 		tr := b.build()
 		for i := range out {
 			out[i] = tr.predict(X[i])
@@ -158,9 +137,9 @@ func trainExact(X [][]float64, y []float64, cfg Config) *Regressor {
 }
 
 // boost runs the boosting rounds both split searches share. grow builds
-// one tree on the round's gradients, row bag and feature subset, and
-// writes the tree's output for every row, in the bag or not, to out.
-func boost(y []float64, dim int, cfg Config, grow func(grad []float64, inBag, feats []bool, out []float64) tree) *Regressor {
+// one tree on the round's gradients and writes the tree's output for
+// every row to out.
+func boost(y []float64, dim int, cfg Config, grow func(grad, out []float64) tree) *Regressor {
 	n := len(y)
 	r := &Regressor{cfg: cfg, dim: dim, trees: make([]tree, 0, cfg.NumTrees)}
 	// Base score: mean target (the optimal constant under squared loss).
@@ -170,25 +149,18 @@ func boost(y []float64, dim int, cfg Config, grow func(grad []float64, inBag, fe
 	}
 	r.base = sum / float64(n)
 
-	var rng *rand.Rand // drawn from only when a round subsamples
-	if cfg.Subsample < 1 || cfg.ColSample < 1 {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	buf := make([]float64, 3*n)
 	pred, grad, out := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	for i := range pred {
 		pred[i] = r.base
 	}
-	inBag, feats := make([]bool, n), make([]bool, dim)
 	for round := 0; round < cfg.NumTrees; round++ {
 		for i := range grad {
 			grad[i] = pred[i] - y[i] // squared loss gradient; hessian = 1
 		}
-		sampleRows(inBag, cfg.Subsample, rng)
-		sampleFeatures(feats, cfg.ColSample, rng)
-		r.trees = append(r.trees, grow(grad, inBag, feats, out))
+		r.trees = append(r.trees, grow(grad, out))
 		for i := range pred {
-			pred[i] += cfg.LearningRate * out[i]
+			pred[i] += learningRate * out[i]
 		}
 	}
 	return r
@@ -198,7 +170,7 @@ func boost(y []float64, dim int, cfg Config, grow func(grad []float64, inBag, fe
 func (r *Regressor) Predict(x []float64) float64 {
 	out := r.base
 	for i := range r.trees {
-		out += r.cfg.LearningRate * r.trees[i].predict(x)
+		out += learningRate * r.trees[i].predict(x)
 	}
 	return out
 }
@@ -209,50 +181,19 @@ func (r *Regressor) NumFeatures() int { return r.dim }
 // NumTrees returns the number of fitted trees.
 func (r *Regressor) NumTrees() int { return len(r.trees) }
 
-func sampleRows(inBag []bool, frac float64, rng *rand.Rand) {
-	for i := range inBag {
-		inBag[i] = frac >= 1 || rng.Float64() < frac
-	}
-}
-
-func sampleFeatures(feats []bool, frac float64, rng *rand.Rand) {
-	for f := range feats {
-		feats[f] = frac >= 1
-	}
-	if frac >= 1 {
-		return
-	}
-	k := int(float64(len(feats))*frac + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	for _, f := range rng.Perm(len(feats))[:k] {
-		feats[f] = true
-	}
-}
-
 // treeBuilder grows one regression tree with exact greedy splits.
 type treeBuilder struct {
 	X     [][]float64
 	grad  []float64
 	cfg   Config
 	order [][]int
-	inBag []bool
-	feats []bool
 	tr    tree
 }
 
 func (b *treeBuilder) build() tree {
-	rows := make([]int, 0, len(b.X))
-	for i := range b.X {
-		if b.inBag[i] {
-			rows = append(rows, i)
-		}
-	}
-	if len(rows) == 0 {
-		// Degenerate bag: a single zero leaf.
-		b.tr.nodes = append(b.tr.nodes, node{isLeaf: true})
-		return b.tr
+	rows := make([]int, len(b.X))
+	for i := range rows {
+		rows[i] = i
 	}
 	b.grow(rows, 0)
 	return b.tr
@@ -265,15 +206,15 @@ func (b *treeBuilder) grow(rows []int, depth int) int {
 	for _, i := range rows {
 		g += b.grad[i]
 	}
-	leafWeight := -g / (h + b.cfg.Lambda)
+	leafWeight := -g / (h + lambda)
 
 	idx := len(b.tr.nodes)
 	b.tr.nodes = append(b.tr.nodes, node{isLeaf: true, leaf: leafWeight})
-	if depth >= b.cfg.MaxDepth || h < 2*b.cfg.MinChildWeight {
+	if depth >= b.cfg.MaxDepth || h < 2*minChildWeight {
 		return idx
 	}
 	feat, thr, gain := b.bestSplit(rows, g, h)
-	if feat < 0 || gain <= b.cfg.Gamma {
+	if feat < 0 || gain <= gamma {
 		return idx
 	}
 	var left, right []int
@@ -293,18 +234,15 @@ func (b *treeBuilder) grow(rows []int, depth int) int {
 	return idx
 }
 
-// bestSplit scans every allowed feature for the gain-maximising split.
+// bestSplit scans every feature for the gain-maximising split.
 func (b *treeBuilder) bestSplit(rows []int, gTot, hTot float64) (feature int, threshold, gain float64) {
 	feature = -1
-	parent := gTot * gTot / (hTot + b.cfg.Lambda)
+	parent := gTot * gTot / (hTot + lambda)
 	member := map[int]bool{}
 	for _, i := range rows {
 		member[i] = true
 	}
-	for f := range b.feats {
-		if !b.feats[f] {
-			continue
-		}
+	for f := range b.order {
 		var gl, hl float64
 		var prev float64
 		started := false
@@ -316,8 +254,8 @@ func (b *treeBuilder) bestSplit(rows []int, gTot, hTot float64) (feature int, th
 			if started && v > prev {
 				gr := gTot - gl
 				hr := hTot - hl
-				if hl >= b.cfg.MinChildWeight && hr >= b.cfg.MinChildWeight {
-					gn := 0.5 * (gl*gl/(hl+b.cfg.Lambda) + gr*gr/(hr+b.cfg.Lambda) - parent)
+				if hl >= minChildWeight && hr >= minChildWeight {
+					gn := 0.5 * (gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent)
 					if gn > gain {
 						gain = gn
 						feature = f

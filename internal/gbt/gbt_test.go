@@ -56,7 +56,7 @@ func TestFitsNonlinearFunction(t *testing.T) {
 		X = append(X, []float64{a, b})
 		y = append(y, f(a, b))
 	}
-	r, err := Train(X, y, Config{NumTrees: 120, MaxDepth: 5, LearningRate: 0.2})
+	r, err := Train(X, y, Config{NumTrees: 120, MaxDepth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +102,8 @@ func TestConstantTarget(t *testing.T) {
 	}
 }
 
+// TestDeterministicTraining: both split searches grow the same model
+// from the same data on every call.
 func TestDeterministicTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var X [][]float64
@@ -111,79 +113,54 @@ func TestDeterministicTraining(t *testing.T) {
 		X = append(X, []float64{a, b})
 		y = append(y, a+2*b+0.1*rng.NormFloat64())
 	}
-	cfg := Config{NumTrees: 20, Subsample: 0.7, ColSample: 0.5, Seed: 42}
-	r1, _ := Train(X, y, cfg)
-	r2, _ := Train(X, y, cfg)
-	for i := 0; i < 20; i++ {
-		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		if r1.Predict(x) != r2.Predict(x) {
-			t.Fatal("same seed produced different models")
+	for _, legacy := range []bool{false, true} {
+		cfg := Config{NumTrees: 20, LegacyFitKernels: legacy}
+		r1, _ := Train(X, y, cfg)
+		r2, _ := Train(X, y, cfg)
+		for i := 0; i < 20; i++ {
+			x := []float64{rng.NormFloat64(), rng.NormFloat64()}
+			if math.Float64bits(r1.Predict(x)) != math.Float64bits(r2.Predict(x)) {
+				t.Fatalf("LegacyFitKernels=%v: the same data produced different models", legacy)
+			}
 		}
-	}
-	cfg2 := cfg
-	cfg2.Seed = 43
-	r3, _ := Train(X, y, cfg2)
-	diff := false
-	for i := 0; i < 20; i++ {
-		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		if r1.Predict(x) != r3.Predict(x) {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Error("different seeds with subsampling produced identical models")
 	}
 }
 
-func TestGammaPruning(t *testing.T) {
-	// Pure-noise target: with a large gamma no split should be worth
-	// making, so every tree is a single leaf and predictions equal the
-	// base score.
-	rng := rand.New(rand.NewSource(10))
-	var X [][]float64
-	var y []float64
-	var sum float64
-	for i := 0; i < 100; i++ {
-		X = append(X, []float64{rng.Float64()})
-		v := rng.NormFloat64() * 0.01
-		y = append(y, v)
-		sum += v
-	}
-	r, err := Train(X, y, Config{NumTrees: 5, Gamma: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := sum / 100
-	if p := r.Predict([]float64{0.5}); math.Abs(p-base) > 1e-9 {
-		t.Errorf("pruned model prediction = %v, want base %v", p, base)
-	}
-}
-
-func TestMinChildWeight(t *testing.T) {
-	// With MinChildWeight larger than half the data, no split is legal.
-	X := [][]float64{{1}, {2}, {3}, {4}}
-	y := []float64{1, 2, 3, 4}
-	r, err := Train(X, y, Config{NumTrees: 3, MinChildWeight: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All predictions collapse to the mean.
-	if p := r.Predict([]float64{1}); math.Abs(p-2.5) > 1e-9 {
-		t.Errorf("prediction = %v, want 2.5", p)
+// TestNoSplitIsALeaf covers both ways a node stays a leaf under the
+// constant γ 0 and minimum child weight 1: a target the base score
+// already fits, whose every candidate split gains exactly 0, and rows
+// that a split leaves one to a node. Every tree of the first is a lone
+// leaf; in the second, with a distinct value per row and depth enough to
+// isolate each, training reproduces every target.
+func TestNoSplitIsALeaf(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		X := [][]float64{{1, 5}, {2, 3}, {3, 1}, {4, 4}}
+		r, err := Train(X, []float64{7, 7, 7, 7}, Config{NumTrees: 5, LegacyFitKernels: legacy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range r.trees {
+			if len(tr.nodes) != 1 {
+				t.Fatalf("LegacyFitKernels=%v: tree %d has %d nodes, want a lone leaf: every split gains 0", legacy, i, len(tr.nodes))
+			}
+		}
+		y := []float64{1, -2, 3, -4}
+		r, err = Train(X, y, Config{NumTrees: 200, MaxDepth: 3, LegacyFitKernels: legacy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range X {
+			if p := r.Predict(x); math.Abs(p-y[i]) > 1e-6 {
+				t.Errorf("LegacyFitKernels=%v: Predict(%v) = %v, want %v", legacy, x, p, y[i])
+			}
+		}
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
 	c.defaults()
-	if c.NumTrees != 50 || c.MaxDepth != 4 || c.LearningRate != 0.3 || c.Lambda != 1 ||
-		c.MinChildWeight != 1 || c.Subsample != 1 || c.ColSample != 1 || c.Seed != 1 {
+	if c.NumTrees != 50 || c.MaxDepth != 4 {
 		t.Errorf("defaults = %+v", c)
-	}
-	c = Config{Subsample: 2, ColSample: -1}
-	c.defaults()
-	if c.Subsample != 1 || c.ColSample != 1 {
-		t.Errorf("fraction clamps = %+v", c)
 	}
 }

@@ -140,13 +140,12 @@ type histBuilder struct {
 	cfg  Config
 
 	// Per tree, set by build.
-	grad  []float64
-	feats []bool
-	out   []float64
-	tr    tree // grown in builder-owned nodes; build returns a copy
+	grad []float64
+	out  []float64
+	tr   tree // grown in builder-owned nodes; build returns a copy
 
 	free  []*nodeHist // recycled node histograms
-	rows  []int       // the tree's in-bag rows, partitioned in place as it grows
+	rows  []int       // the tree's rows, partitioned in place as it grows
 	right []int       // partition scratch: a node's right-going rows
 }
 
@@ -174,13 +173,10 @@ func (b *histBuilder) put(h *nodeHist) {
 	}
 }
 
-// fill accumulates the histogram of rows for every allowed feature.
+// fill accumulates the histogram of rows for every feature.
 func (b *histBuilder) fill(h *nodeHist, rows []int) {
 	grad := b.grad
 	for f := range b.cols {
-		if !b.feats[f] {
-			continue
-		}
 		binned := b.cols[f].binned
 		bins := h.bins[2*b.off[f] : 2*b.off[f+1]]
 		occ := (*[occWords]uint64)(h.occ[f*occWords:])
@@ -193,54 +189,23 @@ func (b *histBuilder) fill(h *nodeHist, rows []int) {
 	}
 }
 
-// build grows one tree on grad over the in-bag rows and allowed
-// features, and writes the tree's output for every row to out: in-bag
-// rows get the weight of the leaf the grower left them in, the rest
-// walk the finished tree.
-func (b *histBuilder) build(grad []float64, inBag, feats []bool, out []float64) tree {
-	b.grad, b.feats, b.out = grad, feats, out
+// build grows one tree on grad over every row and feature, and writes
+// to out the weight of the leaf the grower left each row in.
+func (b *histBuilder) build(grad, out []float64) tree {
+	b.grad, b.out = grad, out
 	b.tr.nodes = b.tr.nodes[:0]
-	if cap(b.rows) < len(inBag) {
-		b.rows, b.right = make([]int, 0, len(inBag)), make([]int, 0, len(inBag))
+	if cap(b.rows) < len(grad) {
+		b.rows, b.right = make([]int, len(grad)), make([]int, 0, len(grad))
 	}
-	rows := b.rows[:0]
-	for i, in := range inBag {
-		if in {
-			rows = append(rows, i)
-		}
+	rows := b.rows[:len(grad)]
+	for i := range rows {
+		rows[i] = i
 	}
 	b.rows = rows
-	if len(rows) == 0 {
-		b.tr.nodes = append(b.tr.nodes, node{isLeaf: true})
-	} else {
-		root := b.get()
-		b.fill(root, rows)
-		b.grow(rows, 0, root)
-	}
-	if len(rows) < len(inBag) {
-		for i, in := range inBag {
-			if !in {
-				out[i] = b.predictRow(i)
-			}
-		}
-	}
+	root := b.get()
+	b.fill(root, rows)
+	b.grow(rows, 0, root)
 	return tree{nodes: append([]node(nil), b.tr.nodes...)}
-}
-
-// predictRow is tree.predict for row i of the design.
-func (b *histBuilder) predictRow(i int) float64 {
-	j := 0
-	for {
-		n := &b.tr.nodes[j]
-		if n.isLeaf {
-			return n.leaf
-		}
-		if b.cols[n.feature].vals[i] < n.threshold {
-			j = n.left
-		} else {
-			j = n.right
-		}
-	}
 }
 
 // grow adds the subtree over rows (whose histogram is h; nil at MaxDepth,
@@ -253,14 +218,14 @@ func (b *histBuilder) grow(rows []int, depth int, h *nodeHist) int {
 	for _, i := range rows {
 		g += b.grad[i]
 	}
-	leafWeight := -g / (hess + b.cfg.Lambda)
+	leafWeight := -g / (hess + lambda)
 
 	idx := len(b.tr.nodes)
 	b.tr.nodes = append(b.tr.nodes, node{isLeaf: true, leaf: leafWeight})
 	feat, thr, nl := -1, 0.0, 0
-	if depth < b.cfg.MaxDepth && hess >= 2*b.cfg.MinChildWeight {
+	if depth < b.cfg.MaxDepth && hess >= 2*minChildWeight {
 		var gain float64
-		if feat, thr, gain = b.bestSplit(h, g, hess); feat >= 0 && gain > b.cfg.Gamma {
+		if feat, thr, gain = b.bestSplit(h, g, hess); feat >= 0 && gain > gamma {
 			nl = b.partition(rows, b.cols[feat].vals, thr)
 		}
 	}
@@ -317,18 +282,15 @@ func (b *histBuilder) partition(rows []int, vals []float64, thr float64) int {
 	return nl
 }
 
-// bestSplit scans every allowed feature's histogram for the
+// bestSplit scans every feature's histogram for the
 // gain-maximising split; of equal gains the lowest feature, then the
 // lowest bin, wins. A node's scan is microseconds of work, so it runs on
 // the caller's goroutine: fits parallelise one level up, across the
 // boosters of a regress.Fit.
 func (b *histBuilder) bestSplit(h *nodeHist, gTot, hTot float64) (feature int, threshold, gain float64) {
 	feature = -1
-	parent := gTot * gTot / (hTot + b.cfg.Lambda)
+	parent := gTot * gTot / (hTot + lambda)
 	for f := range b.cols {
-		if !b.feats[f] {
-			continue
-		}
 		if thr, gn := b.scanFeature(f, h, gTot, hTot, parent); gn > gain {
 			feature, threshold, gain = f, thr, gn
 		}
@@ -345,7 +307,6 @@ func (b *histBuilder) bestSplit(h *nodeHist, gTot, hTot float64) (feature int, t
 func (b *histBuilder) scanFeature(f int, h *nodeHist, gTot, hTot, parent float64) (thr, gain float64) {
 	bins := h.bins[2*b.off[f] : 2*b.off[f+1]]
 	lo, hi := b.cols[f].lo, b.cols[f].hi
-	lambda, minChild := b.cfg.Lambda, b.cfg.MinChildWeight
 	var gl, hl float64
 	prev := -1           // last occupied bin below the candidate edge
 	below, above := 0, 0 // the bins either side of the best edge
@@ -359,7 +320,7 @@ func (b *histBuilder) scanFeature(f int, h *nodeHist, gTot, hTot, parent float64
 			if cnt == 0 {
 				continue // the parent's bin, not this subtracted child's
 			}
-			if prev >= 0 && hl >= minChild && hTot-hl >= minChild {
+			if prev >= 0 && hl >= minChildWeight && hTot-hl >= minChildWeight {
 				gr := gTot - gl
 				hr := hTot - hl
 				gn := 0.5 * (gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent)

@@ -18,9 +18,9 @@ func denseScan(b *histBuilder, f int, h *nodeHist, gTot, hTot, parent float64) (
 		if bins[2*k+1] == 0 {
 			continue
 		}
-		if prev >= 0 && hl >= b.cfg.MinChildWeight && hTot-hl >= b.cfg.MinChildWeight {
+		if prev >= 0 && hl >= minChildWeight && hTot-hl >= minChildWeight {
 			gr, hr := gTot-gl, hTot-hl
-			gn := 0.5 * (gl*gl/(hl+b.cfg.Lambda) + gr*gr/(hr+b.cfg.Lambda) - parent)
+			gn := 0.5 * (gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent)
 			if gn > gain {
 				gain, thr = gn, (hi[prev]+lo[k])/2
 			}
@@ -70,15 +70,16 @@ var edgeCases = []struct {
 	cfg      Config
 	lossless bool // no NaN, at most maxBins distinct values: the exact search must grow the same trees
 	wantBins int  // bins of column 1, if set
+	flat     bool // a constant target and zero gradients: every split gains exactly 0
+	oneRow   bool // some tree must leave a leaf holding a single row
 }{
 	{name: "one-bin feature", n: 50, dim: 3, shape: func(_ int, row []float64) { row[1] = 1.5 }, lossless: true, wantBins: 1},
-	{name: "colsample", n: 120, dim: 6, cfg: Config{ColSample: 0.5}, lossless: true},
-	{name: "subsample", n: 120, dim: 4, cfg: Config{Subsample: 0.6}, lossless: true},
-	{name: "both samples, deep", n: 200, dim: 5, cfg: Config{Subsample: 0.5, ColSample: 0.6, MaxDepth: 6, MinChildWeight: 3, Gamma: 0.01}, lossless: true},
+	{name: "deep", n: 200, dim: 5, cfg: Config{MaxDepth: 6}, lossless: true},
 	{name: "n=1", n: 1, dim: 2, lossless: true},
-	{name: "n=2", n: 2, dim: 2, lossless: true},
-	{name: "n=3", n: 3, dim: 4, lossless: true},
-	{name: "min child weight over n/2", n: 20, dim: 3, cfg: Config{MinChildWeight: 11}, lossless: true},
+	{name: "n=2", n: 2, dim: 2, lossless: true, oneRow: true},
+	{name: "n=3", n: 3, dim: 4, lossless: true, oneRow: true},
+	{name: "one-row nodes", n: 12, dim: 3, cfg: Config{MaxDepth: 6}, lossless: true, oneRow: true},
+	{name: "zero gain", n: 20, dim: 3, lossless: true, flat: true},
 	{name: "255 distinct", n: 600, dim: 3, shape: distinct(255), lossless: true, wantBins: 255},
 	{name: "256 distinct", n: 600, dim: 3, shape: distinct(256), lossless: true, wantBins: 256},
 	{name: "257 distinct", n: 600, dim: 3, shape: distinct(257), wantBins: 256},
@@ -97,17 +98,22 @@ var edgeCases = []struct {
 // TestHistEdgeCases drives the histogram grower one tree at a time over
 // the inputs its compact layout is most likely to get wrong, and checks
 // every tree three ways: the output build records for each row (the
-// leaf an in-bag row was partitioned into, a tree walk for the rest)
-// against tree.predict, bit for bit; the bitmap scan against the dense
-// scan, on freshly filled and on subtracted histograms; and the features
-// a tree may split on. Lossless cases must also grow the trees of the
-// exact search.
+// leaf it was partitioned into) against tree.predict, bit for bit; the
+// bitmap scan against the dense scan, on freshly filled and on
+// subtracted histograms; and that no tree splits on a one-bin feature,
+// and none on fewer than two rows or a zero gain. Lossless cases must
+// also grow the trees of the exact search.
 func TestHistEdgeCases(t *testing.T) {
 	for _, tc := range edgeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			X, y := edgeData(31, tc.n, tc.dim, tc.shape)
+			if tc.flat {
+				for i := range y {
+					y[i] = 1.5
+				}
+			}
 			cfg := tc.cfg
-			cfg.NumTrees, cfg.Seed = 8, 5
+			cfg.NumTrees = 8
 			if cfg.MaxDepth == 0 {
 				cfg.MaxDepth = 3
 			}
@@ -117,30 +123,39 @@ func TestHistEdgeCases(t *testing.T) {
 				t.Fatalf("column 1 has %d bins, want %d", len(m.cols[1].lo), tc.wantBins)
 			}
 			b := newHistBuilder(m.cols, cfg)
-			rng := rand.New(rand.NewSource(cfg.Seed))
+			rng := rand.New(rand.NewSource(5))
 			grad, out := make([]float64, tc.n), make([]float64, tc.n)
-			inBag, feats := make([]bool, tc.n), make([]bool, tc.dim)
+			oneRow := false
 			for round := 0; round < cfg.NumTrees; round++ {
 				for i := range grad {
-					grad[i] = rng.NormFloat64() - y[i]
-				}
-				sampleRows(inBag, cfg.Subsample, rng)
-				sampleFeatures(feats, cfg.ColSample, rng)
-				tr := b.build(grad, inBag, feats, out)
-				for i, x := range X {
-					if want := tr.predict(x); math.Float64bits(out[i]) != math.Float64bits(want) {
-						t.Fatalf("round %d row %d (in bag: %v): build recorded %v, the tree predicts %v", round, i, inBag[i], out[i], want)
+					if !tc.flat {
+						grad[i] = rng.NormFloat64() - y[i]
 					}
+				}
+				tr := b.build(grad, out)
+				rowsAt := map[float64]int{} // rows per leaf weight
+				for i, x := range X {
+					want := tr.predict(x)
+					if math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("round %d row %d: build recorded %v, the tree predicts %v", round, i, out[i], want)
+					}
+					rowsAt[want]++
 				}
 				for _, n := range tr.nodes {
-					if !n.isLeaf && (!feats[n.feature] || len(m.cols[n.feature].lo) == 1) {
-						t.Fatalf("round %d: split on feature %d (allowed: %v, bins: %d)", round, n.feature, feats[n.feature], len(m.cols[n.feature].lo))
+					if !n.isLeaf && len(m.cols[n.feature].lo) == 1 {
+						t.Fatalf("round %d: split on one-bin feature %d", round, n.feature)
+					}
+					if n.isLeaf && rowsAt[n.leaf] == 1 {
+						oneRow = true
 					}
 				}
-				if float64(tc.n) < 2*cfg.MinChildWeight && len(tr.nodes) != 1 {
-					t.Fatalf("round %d: %d nodes, want a lone leaf under MinChildWeight %v", round, len(tr.nodes), cfg.MinChildWeight)
+				if (tc.n < 2*minChildWeight || tc.flat) && len(tr.nodes) != 1 {
+					t.Fatalf("round %d: %d nodes, want a lone leaf", round, len(tr.nodes))
 				}
 				checkScans(t, b, rng)
+			}
+			if tc.oneRow && !oneRow {
+				t.Fatal("no tree left a leaf holding a single row")
 			}
 			if !tc.lossless {
 				return
@@ -172,11 +187,10 @@ func TestHistEdgeCases(t *testing.T) {
 	}
 }
 
-// checkScans fills a histogram from all in-bag rows and one from a
-// random subset, subtracts, and compares scanFeature with denseScan on
-// the subset's histogram (sparse bitmap) and on the remainder's (the
-// parent's bitmap over a child's counts). Disallowed features must have
-// been left untouched by fill.
+// checkScans fills a histogram from all rows and one from a random
+// subset, subtracts, and compares scanFeature with denseScan on the
+// subset's histogram (sparse bitmap) and on the remainder's (the
+// parent's bitmap over a child's counts).
 func checkScans(t *testing.T, b *histBuilder, rng *rand.Rand) {
 	t.Helper()
 	all := b.rows
@@ -198,19 +212,6 @@ func checkScans(t *testing.T, b *histBuilder, rng *rand.Rand) {
 	b.fill(hs, sub)
 	h.subtract(hs)
 	for f := range b.cols {
-		if !b.feats[f] {
-			for _, v := range hs.bins[2*b.off[f] : 2*b.off[f+1]] {
-				if v != 0 {
-					t.Fatalf("feature %d is not allowed this round but was filled", f)
-				}
-			}
-			for _, w := range hs.occ[f*occWords : (f+1)*occWords] {
-				if w != 0 {
-					t.Fatalf("feature %d is not allowed this round but has occupancy bits", f)
-				}
-			}
-			continue
-		}
 		for _, node := range []struct {
 			h    *nodeHist
 			rows []int
@@ -220,7 +221,7 @@ func checkScans(t *testing.T, b *histBuilder, rng *rand.Rand) {
 				g += b.grad[i]
 			}
 			hess := float64(len(node.rows))
-			parent := g * g / (hess + b.cfg.Lambda)
+			parent := g * g / (hess + lambda)
 			thr, gain := b.scanFeature(f, node.h, g, hess, parent)
 			wantThr, wantGain := denseScan(b, f, node.h, g, hess, parent)
 			if math.Float64bits(gain) != math.Float64bits(wantGain) || (gain > 0 && math.Float64bits(thr) != math.Float64bits(wantThr)) {

@@ -82,7 +82,7 @@ func TestHistMatchesExactOnDiscreteFeatures(t *testing.T) {
 		X[i] = row
 		y[i] = row[0]*2 - row[1] + 0.3*row[2]*row[3] + 0.01*rng.NormFloat64()
 	}
-	cfg := Config{NumTrees: 20, MaxDepth: 4, Seed: 7}
+	cfg := Config{NumTrees: 20, MaxDepth: 4}
 	legacyCfg := cfg
 	legacyCfg.LegacyFitKernels = true
 	exact, err := Train(X, y, legacyCfg)
@@ -116,7 +116,7 @@ func TestHistMatchesExactOnDiscreteFeatures(t *testing.T) {
 }
 
 // TestHistQualityOnContinuousFeatures checks that with genuinely
-// continuous features (lossy 256-bin quantisation, plus subsampling) the
+// continuous features (lossy 256-bin quantisation) the
 // histogram path still fits the function about as well as the exact
 // path.
 func TestHistQualityOnContinuousFeatures(t *testing.T) {
@@ -137,7 +137,7 @@ func TestHistQualityOnContinuousFeatures(t *testing.T) {
 		}
 		return s / float64(n)
 	}
-	cfg := Config{NumTrees: 40, MaxDepth: 4, Subsample: 0.8, ColSample: 0.9, Seed: 5}
+	cfg := Config{NumTrees: 40, MaxDepth: 4}
 	legacyCfg := cfg
 	legacyCfg.LegacyFitKernels = true
 	exact, err := Train(X, y, legacyCfg)
@@ -179,10 +179,10 @@ func BenchmarkHistogramSplit(b *testing.B) {
 		rows, dim int
 		cfg       Config
 	}{
-		{45, 14, Config{NumTrees: 25, MaxDepth: 3, Seed: 1}},
-		{45, 5, Config{NumTrees: 25, MaxDepth: 3, Seed: 1}},
-		{900, 5, Config{NumTrees: 25, MaxDepth: 3, Seed: 1}},
-		{2000, 10, Config{NumTrees: 10, MaxDepth: 4, Seed: 1}},
+		{45, 14, Config{NumTrees: 25, MaxDepth: 3}},
+		{45, 5, Config{NumTrees: 25, MaxDepth: 3}},
+		{900, 5, Config{NumTrees: 25, MaxDepth: 3}},
+		{2000, 10, Config{NumTrees: 10, MaxDepth: 4}},
 	} {
 		b.Run(fmt.Sprintf("%dx%d", bc.rows, bc.dim), func(b *testing.B) {
 			X, y := benchData(bc.rows, bc.dim)
@@ -202,7 +202,7 @@ func BenchmarkExactSplit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(X, y, Config{NumTrees: 10, MaxDepth: 4, Seed: 1, LegacyFitKernels: true}); err != nil {
+		if _, err := Train(X, y, Config{NumTrees: 10, MaxDepth: 4, LegacyFitKernels: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,13 +211,13 @@ func BenchmarkExactSplit(b *testing.B) {
 // TestHistFitAllocBound bounds the allocations of a histogram fit: one
 // per tree — the copy of its nodes out of the builder's scratch — plus a
 // per-fit constant (the design's columns, the booster's buffers, a few
-// node histograms). Rows, bags, partitions and outputs live in buffers
-// the booster owns; when every round sampled into fresh slices and grew
+// node histograms). Rows, partitions and outputs live in buffers the
+// booster owns; when every round sampled into fresh slices and grew
 // its node slice by doubling this fit allocated 17 times per tree, and
 // ~105 when each node built its children with append.
 func TestHistFitAllocBound(t *testing.T) {
 	X, y := benchData(800, 6)
-	cfg := Config{NumTrees: 25, MaxDepth: 3, Seed: 1}
+	cfg := Config{NumTrees: 25, MaxDepth: 3}
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Train(X, y, cfg); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package gbt
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/navarchos/pdm/internal/checkpoint"
 )
@@ -11,28 +12,23 @@ import (
 var ErrBadSnapshot = errors.New("gbt: malformed regressor snapshot")
 
 // regressorTag marks serialized Regressor payloads so a gbt blob cannot
-// be confused with another model family's bytes.
-const regressorTag = uint8(0x47) // 'G'
+// be confused with another model family's bytes. 'G' (0x47) was the
+// layout that also carried η, λ, γ, the minimum child weight, the two
+// subsample fractions and the seed; it is retired, never to be reused,
+// so a regressor written with it fails to restore by name.
+const regressorTag = uint8(0x48) // 'H'
 
 // maxNodes bounds a single serialized tree so hostile length prefixes
 // cannot drive allocation (a depth-limited tree is far smaller).
 const maxNodes = 1 << 22
 
-// AppendTo serialises the trained ensemble into b. Unlike the detector
-// snapshots, the full Config is included: Predict reads
-// cfg.LearningRate, so a regressor's behaviour is not reconstructable
-// from the trees alone.
+// AppendTo serialises the trained ensemble into b: the Config it was
+// trained with, the base score and the trees. Predict needs only the
+// last two and the shrinkage constant.
 func (r *Regressor) AppendTo(b *checkpoint.Buf) {
 	b.Uint8(regressorTag)
 	b.Int(r.cfg.NumTrees)
 	b.Int(r.cfg.MaxDepth)
-	b.Float64(r.cfg.LearningRate)
-	b.Float64(r.cfg.Lambda)
-	b.Float64(r.cfg.Gamma)
-	b.Float64(r.cfg.MinChildWeight)
-	b.Float64(r.cfg.Subsample)
-	b.Float64(r.cfg.ColSample)
-	b.Int64(r.cfg.Seed)
 	b.Float64(r.base)
 	b.Int(r.dim)
 	b.Int(len(r.trees))
@@ -55,19 +51,12 @@ func (r *Regressor) AppendTo(b *checkpoint.Buf) {
 // are validated so a corrupted arena cannot send Predict out of bounds
 // or into a cycle.
 func ReadRegressor(rb *checkpoint.RBuf) (*Regressor, error) {
-	if rb.Uint8() != regressorTag {
-		return nil, ErrBadSnapshot
+	if tag := rb.Uint8(); tag != regressorTag {
+		return nil, fmt.Errorf("%w: tag %#x, want %#x", ErrBadSnapshot, tag, regressorTag)
 	}
 	var r Regressor
 	r.cfg.NumTrees = rb.Int()
 	r.cfg.MaxDepth = rb.Int()
-	r.cfg.LearningRate = rb.Float64()
-	r.cfg.Lambda = rb.Float64()
-	r.cfg.Gamma = rb.Float64()
-	r.cfg.MinChildWeight = rb.Float64()
-	r.cfg.Subsample = rb.Float64()
-	r.cfg.ColSample = rb.Float64()
-	r.cfg.Seed = rb.Int64()
 	r.base = rb.Float64()
 	r.dim = rb.Int()
 	numTrees := rb.Int()

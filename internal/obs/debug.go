@@ -27,10 +27,11 @@ type DebugConfig struct {
 	// peers wire it to their placement snapshot; single-instance
 	// deployments leave it nil and the field is omitted.
 	Placement func() any
-	// JournalN is the default number of journal entries /fleet returns
-	// (override per request with ?n=; default 32).
-	JournalN int
 }
+
+// journalN is the number of journal entries /fleet returns unless the
+// request's ?n= asks for another.
+const journalN = 32
 
 // NewDebugMux builds the debug endpoint's routes:
 //
@@ -39,9 +40,6 @@ type DebugConfig struct {
 //	/debug/pprof/*  the standard pprof handlers
 //	/fleet          JSON: engine status + last N alarm-journal entries
 func NewDebugMux(cfg DebugConfig) *http.ServeMux {
-	if cfg.JournalN <= 0 {
-		cfg.JournalN = 32
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -56,7 +54,7 @@ func NewDebugMux(cfg DebugConfig) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/fleet", func(w http.ResponseWriter, r *http.Request) {
-		n := cfg.JournalN
+		n := journalN
 		if q := r.URL.Query().Get("n"); q != "" {
 			if v, err := strconv.Atoi(q); err == nil && v > 0 {
 				n = v

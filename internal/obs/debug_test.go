@@ -14,14 +14,14 @@ func debugFixture() (DebugConfig, *Registry, *Journal) {
 	reg.Counter("pdm_debug_records_total", "h").Add(42)
 	h := reg.Histogram("pdm_debug_latency_seconds", "h", DefLatencyBuckets)
 	h.Observe(3e-6)
-	j := NewJournal(8)
-	for i := 0; i < 12; i++ {
+	j := NewJournal(40)
+	for i := 0; i < 45; i++ {
 		j.Append(journalEvent(i))
 	}
 	status := func() any {
 		return map[string]any{"vehicles": 4, "records_in": 1000}
 	}
-	return DebugConfig{Registry: reg, Journal: j, FleetStatus: status, JournalN: 4}, reg, j
+	return DebugConfig{Registry: reg, Journal: j, FleetStatus: status}, reg, j
 }
 
 func TestDebugMetricsEndpoint(t *testing.T) {
@@ -76,14 +76,14 @@ func TestDebugFleetEndpoint(t *testing.T) {
 	if got.Engine["vehicles"] != float64(4) {
 		t.Fatalf("engine status = %+v", got.Engine)
 	}
-	if got.JournalTotal != 12 {
-		t.Fatalf("journal_total = %d, want 12", got.JournalTotal)
+	if got.JournalTotal != 45 {
+		t.Fatalf("journal_total = %d, want 45", got.JournalTotal)
 	}
-	if len(got.Journal) != 4 { // JournalN default from config
-		t.Fatalf("journal entries = %d, want 4", len(got.Journal))
+	if len(got.Journal) != journalN { // of the 40 the journal holds
+		t.Fatalf("journal entries = %d, want %d", len(got.Journal), journalN)
 	}
 	last := got.Journal[len(got.Journal)-1]
-	if last.Seq != 11 || last.VehicleID == "" || last.Score == 0 || last.Threshold == 0 || last.RefLen == 0 {
+	if last.Seq != 44 || last.VehicleID == "" || last.Score == 0 || last.Threshold == 0 || last.RefLen == 0 {
 		t.Fatalf("journal entry missing context: %+v", last)
 	}
 

@@ -131,7 +131,9 @@ func NewClosestPair(featureNames []string) Detector {
 	return closestpair.New(featureNames)
 }
 
-// GrandConfig parametrises NewGroupDeviation's Grand detector.
+// GrandConfig parametrises NewGroupDeviation's Grand detector: its
+// measure and martingale window. The neighbourhood size (10) and the
+// martingale exponent (0.92) are constants.
 type GrandConfig = grand.Config
 
 // Grand non-conformity measures.
@@ -158,8 +160,10 @@ func NewGroupDeviation(cfg GrandConfig, window time.Duration) *GroupDeviation {
 	return grand.NewGroupDeviation(cfg, window)
 }
 
-// GBTConfig parametrises the gradient-boosted trees behind the
-// regression detector.
+// GBTConfig sizes the gradient-boosted trees behind the regression
+// detector: boosting rounds and tree depth. The rest of the booster is
+// fixed at XGBoost's defaults (η 0.3, λ 1, γ 0, minimum child weight 1),
+// and every tree is grown on all rows and features.
 type GBTConfig = gbt.Config
 
 // NewXGBoost returns the per-feature gradient-boosted regression
