@@ -126,37 +126,6 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
-// TestNoSplitIsALeaf covers both ways a node stays a leaf under the
-// constant γ 0 and minimum child weight 1: a target the base score
-// already fits, whose every candidate split gains exactly 0, and rows
-// that a split leaves one to a node. Every tree of the first is a lone
-// leaf; in the second, with a distinct value per row and depth enough to
-// isolate each, training reproduces every target.
-func TestNoSplitIsALeaf(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		X := [][]float64{{1, 5}, {2, 3}, {3, 1}, {4, 4}}
-		r, err := Train(X, []float64{7, 7, 7, 7}, Config{NumTrees: 5, LegacyFitKernels: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, tr := range r.trees {
-			if len(tr.nodes) != 1 {
-				t.Fatalf("LegacyFitKernels=%v: tree %d has %d nodes, want a lone leaf: every split gains 0", legacy, i, len(tr.nodes))
-			}
-		}
-		y := []float64{1, -2, 3, -4}
-		r, err = Train(X, y, Config{NumTrees: 200, MaxDepth: 3, LegacyFitKernels: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range X {
-			if p := r.Predict(x); math.Abs(p-y[i]) > 1e-6 {
-				t.Errorf("LegacyFitKernels=%v: Predict(%v) = %v, want %v", legacy, x, p, y[i])
-			}
-		}
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
 	c.defaults()
