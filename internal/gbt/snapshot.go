@@ -22,9 +22,9 @@ const regressorTag = uint8(0x48) // 'H'
 // cannot drive allocation (a depth-limited tree is far smaller).
 const maxNodes = 1 << 22
 
-// AppendTo serialises the trained ensemble into b: the Config it was
-// trained with, the base score and the trees. Predict needs only the
-// last two and the shrinkage constant.
+// AppendTo serialises the trained ensemble into b: its tree count and
+// depth, the base score and the trees. Predict needs only the last two
+// and the shrinkage constant.
 func (r *Regressor) AppendTo(b *checkpoint.Buf) {
 	b.Uint8(regressorTag)
 	b.Int(r.cfg.NumTrees)
